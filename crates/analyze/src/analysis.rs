@@ -74,8 +74,8 @@ impl std::fmt::Display for GuaranteeClass {
 }
 
 /// The analyzer's static verdict on one family: either the guarantee class
-/// it can attain for this plan, or the exact [`DeclineReason`] its
-/// eligibility probe would return.
+/// it can attain for this plan, or the [`DeclineReason`] that rules it
+/// out a priori.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TechniqueVerdict {
     /// The family.
@@ -83,10 +83,9 @@ pub struct TechniqueVerdict {
     /// Best statically attainable guarantee ([`GuaranteeClass::Unattainable`]
     /// iff `blocked_by` is set).
     pub guarantee: GuaranteeClass,
-    /// The predicted a-priori decline. For routable families this is, by
-    /// the consistency contract, *identical* to what the family's
-    /// `eligibility` probe would return — the router skips the probe on
-    /// the strength of it.
+    /// The a-priori decline. This is the eligibility decision itself, not
+    /// a forecast of one: the router records it as the candidate's
+    /// outcome and never attempts a blocked family.
     pub blocked_by: Option<DeclineReason>,
 }
 
@@ -122,12 +121,12 @@ impl Analysis {
             .unwrap_or_else(|| panic!("no verdict for {kind}"))
     }
 
-    /// The predicted decline for `kind`, if the analyzer blocks it.
+    /// The a-priori decline for `kind`, if the analyzer blocks it.
     pub fn blocked_by(&self, kind: TechniqueKind) -> Option<&DeclineReason> {
         self.verdict(kind).blocked_by.as_ref()
     }
 
-    /// Whether `kind` is statically eligible (no predicted decline).
+    /// Whether `kind` is statically eligible (no a-priori decline).
     pub fn statically_eligible(&self, kind: TechniqueKind) -> bool {
         self.verdict(kind).blocked_by.is_none()
     }

@@ -104,9 +104,9 @@ pub struct Diagnostic {
     pub message: String,
     /// Machine-readable suggested rewrite, when one exists.
     pub suggestion: Option<Suggestion>,
-    /// The decline this lint predicts. For `Warn`-blocking lints this is
-    /// the exact reason the family's eligibility probe would return; for
-    /// risk lints it is the *dynamic* reason that may surface at runtime.
+    /// The decline this lint stands for. For `Warn`-blocking lints this is
+    /// the reason on the family's verdict; for risk lints it is the
+    /// *dynamic* reason that may surface at runtime.
     pub predicts: Option<DeclineReason>,
 }
 

@@ -7,22 +7,24 @@
 //! synopsis *metadata* (never data), and produces an [`Analysis`]:
 //!
 //! - one [`TechniqueVerdict`] per family — the best statically attainable
-//!   [`GuaranteeClass`] or the exact [`DeclineReason`] the family's runtime
-//!   eligibility probe would return, and
+//!   [`GuaranteeClass`], or the [`DeclineReason`] that rules the family
+//!   out, and
 //! - a stream of structured [`Diagnostic`]s with stable codes
 //!   ([`LintCode`] `A001`–`A014`), severities, offending-node paths, and
 //!   machine-readable [`Suggestion`]s.
 //!
-//! ## The consistency contract
+//! ## One eligibility decision
 //!
-//! Each family pass in [`passes`](crate) mirrors that family's
-//! `eligibility` probe check-for-check, in the same order, against the
-//! same thresholds ([`LintPolicy`]) — so a predicted decline is `==` to
-//! the probe's. `AqpSession` exploits this to skip probes for statically
-//! blocked families, and a property test pins it: a statically eligible
-//! family never declines at runtime for a *static* reason
-//! ([`DeclineReason::is_static`]), and every static runtime decline is
-//! predicted.
+//! The verdict is not a prediction of what some runtime probe would say:
+//! it *is* the a-priori eligibility decision, and the family passes in
+//! [`passes`](crate) are the only place a family's checks, their order
+//! and their thresholds ([`LintPolicy`]) are written. `AqpSession` routes
+//! on the verdicts directly; a family whose `answer` is called outside
+//! the router asks for its own verdict through [`verdict_for`] and
+//! declines with the same reason. What remains falsifiable is the
+//! static/dynamic split, and a property test pins it: a statically
+//! eligible family never declines at runtime for a *static* reason
+//! ([`DeclineReason::is_static`]).
 //!
 //! ## Example
 //!
@@ -59,6 +61,7 @@ pub use analysis::{Analysis, GuaranteeClass, TechniqueVerdict};
 pub use code::{LintCode, Severity};
 pub use context::{LintContext, LintPolicy, QuarantineMeta, SynopsisMeta};
 pub use diag::{Diagnostic, Suggestion};
+pub use passes::verdict_for;
 pub use query::{AggQuery, AggSpec, JoinSpec, LinearAgg};
 pub use technique::{DeclineReason, Guarantee, TechniqueKind, MIN_SAMPLING_BLOCKS};
 

@@ -1,11 +1,11 @@
 //! The analyzer passes.
 //!
-//! Each family pass mirrors that family's runtime eligibility probe —
-//! same checks, same order, same thresholds — so the predicted
-//! [`DeclineReason`] compares equal (`==`) to what the probe would
-//! return. That mirror is the consistency contract the router relies on
-//! when it skips probes for statically blocked families, and the
-//! property `tests/lint.rs` pins.
+//! Each family pass *is* that family's a-priori eligibility decision —
+//! the only implementation of its checks, order and thresholds. The
+//! router reads the resulting [`TechniqueVerdict`] instead of asking the
+//! family, and a family handed a query directly consults its own pass
+//! ([`verdict_for`]) before it touches data, so the two cannot
+//! disagree about what a family serves.
 //!
 //! Pass order (also the diagnostic emission order):
 //!   shape → catalog → offline → sampling → progressive → rewrite → risk
@@ -20,9 +20,9 @@ use crate::diag::{Diagnostic, Suggestion};
 use crate::query::{AggQuery, LinearAgg};
 use crate::technique::{DeclineReason, TechniqueKind};
 
-/// The detail string `AqpSession` records when a plan falls outside the
-/// normalized shape — the analyzer must predict the identical reason.
-pub(crate) const NOT_NORMALIZED: &str = "plan is not a normalized star linear-aggregate query";
+/// The decline detail of every family when a plan falls outside the
+/// normalized shape.
+const NOT_NORMALIZED: &str = "plan is not a normalized star linear-aggregate query";
 
 fn blocked(kind: TechniqueKind, reason: DeclineReason) -> TechniqueVerdict {
     TechniqueVerdict {
@@ -112,6 +112,21 @@ pub(crate) fn run(plan: &LogicalPlan, query: Option<&AggQuery>, ctx: &LintContex
         verdicts,
         normalized: true,
         group_cardinality_hint,
+    }
+}
+
+/// One family's verdict on an already-normalized query — the same pass
+/// [`crate::lint_with`] runs for it, diagnostics discarded. A family's
+/// `answer` guards itself with this, so a query handed to it directly is
+/// declined for the reason the router would have recorded.
+pub fn verdict_for(kind: TechniqueKind, q: &AggQuery, ctx: &LintContext) -> TechniqueVerdict {
+    let diags = &mut Vec::new();
+    match kind {
+        TechniqueKind::OfflineSynopsis => offline_pass(q, ctx, diags),
+        TechniqueKind::OnlineSampling => sampling_pass(q, ctx, diags),
+        TechniqueKind::OnlineAggregation => progressive_pass(q, ctx, diags),
+        TechniqueKind::MiddlewareRewrite => rewrite_pass(q, ctx, diags),
+        TechniqueKind::Exact => exact_pass(&missing_tables(&q.to_plan(), ctx)),
     }
 }
 
@@ -247,9 +262,9 @@ fn stratify_column(q: &AggQuery) -> Option<String> {
     None
 }
 
-/// Mirrors `OfflineTechnique::eligibility`: joins → synopsis existence →
+/// The offline family's gates, in order: joins → synopsis existence →
 /// stratification/grouping match → staleness (where a vanished base table
-/// surfaces as `MissingTable`, exactly as `OfflineStore::staleness` errors).
+/// surfaces as `MissingTable`: `OfflineStore::staleness` errors on it).
 fn offline_pass(q: &AggQuery, ctx: &LintContext, diags: &mut Vec<Diagnostic>) -> TechniqueVerdict {
     let kind = TechniqueKind::OfflineSynopsis;
     if let Some(v) = quarantine_check(kind, ctx, diags) {
@@ -291,6 +306,9 @@ fn offline_pass(q: &AggQuery, ctx: &LintContext, diags: &mut Vec<Diagnostic>) ->
         });
         return blocked(kind, reason);
     };
+    // A group-by outside the stratification column would get no
+    // per-group coverage guarantee (the E8 drift failure): block it so
+    // the router prefers a technique that can actually cover it.
     for (i, (expr, _)) in q.group_by.iter().enumerate() {
         let covered = matches!(expr, Expr::Column(name) if *name == syn.stratified_on);
         if !covered {
@@ -320,8 +338,8 @@ fn offline_pass(q: &AggQuery, ctx: &LintContext, diags: &mut Vec<Diagnostic>) ->
     match syn.staleness {
         None => blocked(
             kind,
-            // Base table gone: `OfflineStore::staleness` errors and the
-            // probe maps that to MissingTable. A009 already reported it.
+            // Base table gone: `OfflineStore::staleness` errored, so the
+            // context carries no staleness. A009 already reported it.
             DeclineReason::MissingTable {
                 table: q.fact_table.clone(),
             },
@@ -351,8 +369,9 @@ fn offline_pass(q: &AggQuery, ctx: &LintContext, diags: &mut Vec<Diagnostic>) ->
     }
 }
 
-/// Mirrors `OnlineAqp::eligibility`: fact table exists → enough blocks for
-/// the pilot to estimate spread.
+/// Pilot-planned sampling's gates: fact table exists → enough blocks for
+/// the pilot to estimate spread. The real gates (empty pilot, rate above
+/// cap) need data and surface as runtime declines instead.
 fn sampling_pass(q: &AggQuery, ctx: &LintContext, diags: &mut Vec<Diagnostic>) -> TechniqueVerdict {
     let kind = TechniqueKind::OnlineSampling;
     if let Some(v) = quarantine_check(kind, ctx, diags) {
@@ -390,7 +409,7 @@ fn sampling_pass(q: &AggQuery, ctx: &LintContext, diags: &mut Vec<Diagnostic>) -
     eligible(kind, GuaranteeClass::APriori)
 }
 
-/// Mirrors `OlaTechnique::eligibility`: joins → group-by → exactly one
+/// Progressive aggregation's gates: joins → group-by → exactly one
 /// aggregate → SUM/AVG of a bare column → fact table exists.
 fn progressive_pass(
     q: &AggQuery,
@@ -469,8 +488,8 @@ fn progressive_pass(
     eligible(kind, GuaranteeClass::APosteriori)
 }
 
-/// Mirrors `RewriteTechnique::eligibility`: the rewrite takes every
-/// normalized shape; the only static gate is the fact table existing.
+/// The rewrite covers every normalized shape (joins, predicates,
+/// group-bys); the only static gate is the fact table existing.
 fn rewrite_pass(q: &AggQuery, ctx: &LintContext, diags: &mut Vec<Diagnostic>) -> TechniqueVerdict {
     let kind = TechniqueKind::MiddlewareRewrite;
     if let Some(v) = quarantine_check(kind, ctx, diags) {

@@ -1,19 +1,17 @@
 //! The shared routing vocabulary: technique identities, guarantee classes,
 //! and machine-readable decline reasons.
 //!
-//! These types used to live in `aqp-core`'s `technique` module, next to
-//! the `Technique` trait. They moved here so the static analyzer and the
-//! runtime router speak the *same* language — a lint that predicts a
-//! decline carries the identical [`DeclineReason`] the eligibility probe
-//! would return, and the consistency proptest can compare them with `==`
-//! instead of a lossy mapping. `aqp-core` re-exports everything at the old
-//! paths.
+//! These types live here, not next to `aqp-core`'s `Technique` trait, so
+//! the static analyzer and the runtime router speak the *same* language:
+//! the [`DeclineReason`] on a verdict is the value the router records, and
+//! a runtime decline is compared against it with `==` instead of through
+//! a lossy mapping. `aqp-core` re-exports everything.
 
 use std::fmt;
 
 /// The fewest blocks a fact table may have for pilot-planned block
-/// sampling to estimate spread. Shared between the online sampler's
-/// eligibility probe and the static analyzer so the two cannot drift.
+/// sampling to estimate spread — the default
+/// [`crate::LintPolicy::min_sampling_blocks`].
 pub const MIN_SAMPLING_BLOCKS: u64 = 4;
 
 /// Identifies one routable AQP family (plus the exact terminal).
@@ -138,7 +136,7 @@ pub enum DeclineReason {
     /// the guarantee it advertises is not the guarantee it delivers.
     Quarantined {
         /// Observed coverage over the audit window, in basis points
-        /// (integer so predicted and probed reasons compare `==`).
+        /// (integer so two derivations of the reason compare `==`).
         coverage_bp: u32,
         /// The configured coverage floor, in basis points.
         floor_bp: u32,
@@ -168,7 +166,7 @@ impl DeclineReason {
     }
 
     /// Whether this reason is decidable from the plan and catalog/synopsis
-    /// metadata alone — i.e. the static analyzer can (and must) predict it
+    /// metadata alone — i.e. the static analyzer can (and must) decide it
     /// before execution. Dynamic reasons (empty pilot, rate above cap,
     /// starved support) depend on the data and only ever surface as
     /// *runtime* declines; the analyzer flags them as risks, never as

@@ -305,10 +305,11 @@ fn bench_router(c: &mut Criterion) {
     write_router_report(&catalog);
 }
 
-/// Emits `BENCH_router.json` at the workspace root: the median cost of a
-/// full eligibility probe per query shape, and the routed-vs-direct
-/// overhead on the synopsis-hit path. The acceptance criterion is that
-/// probing — metadata-only by contract — stays under a millisecond.
+/// Emits `BENCH_router.json` at the workspace root: the median cost of
+/// one `AqpSession::probe` (lint pass + verdict walk) per query shape, and
+/// the routed-vs-direct overhead on the synopsis-hit path. The acceptance
+/// criterion is that deciding a route — metadata-only by contract —
+/// stays under a millisecond.
 fn write_router_report(catalog: &Catalog) {
     const REPS: usize = 51;
     let session = AqpSession::new(catalog);
@@ -343,7 +344,7 @@ fn write_router_report(catalog: &Catalog) {
     });
     let json = format!(
         "{{\n  \"bench\": \"router\",\n  \
-         \"acceptance\": \"eligibility probing is metadata-only and sub-millisecond\",\n  \
+         \"acceptance\": \"a routing decision (lint + verdict walk) is metadata-only and sub-millisecond\",\n  \
          \"shapes\": [\n{}\n  ],\n  \
          \"synopsis_hit_overhead\": {{\"routed_median_us\": {routed_us:.2}, \
          \"direct_median_us\": {direct_us:.2}, \"overhead_us\": {:.2}}}\n}}\n",
@@ -373,10 +374,9 @@ fn bench_lint(c: &mut Criterion) {
 }
 
 /// Emits `BENCH_lint.json` at the workspace root: the median cost of one
-/// full static analysis per router query shape, and the eligibility
-/// probes the router skips on the analyzer's verdicts. The acceptance
-/// criterion is analysis under 10 µs/plan — metadata-only by contract,
-/// and cheaper than the probe round it replaces.
+/// full static analysis per router query shape, and how many families
+/// its verdicts rule out before anything runs. The acceptance criterion
+/// is analysis under 10 µs/plan — metadata-only by contract.
 fn write_lint_report(catalog: &Catalog) {
     const REPS: usize = 201;
     let session = AqpSession::new(catalog);
@@ -392,14 +392,14 @@ fn write_lint_report(catalog: &Catalog) {
         let (analysis, lint_us) = median_us(REPS, || session.lint_plan(&plan));
         worst_us = worst_us.max(lint_us);
         let decision = session.probe(&plan, &spec);
-        let skipped = decision
+        let blocked = decision
             .candidates
             .iter()
             .filter(|c| matches!(c.outcome, CandidateOutcome::StaticallyIneligible(_)))
             .count();
         shapes.push(format!(
             "    {{\"shape\": \"{name}\", \"lint_median_us\": {lint_us:.2}, \
-             \"diagnostics\": {}, \"best_attainable\": \"{}\", \"probes_skipped\": {skipped}}}",
+             \"diagnostics\": {}, \"best_attainable\": \"{}\", \"families_blocked\": {blocked}}}",
             analysis.diagnostics.len(),
             analysis.best_attainable()
         ));

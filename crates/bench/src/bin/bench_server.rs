@@ -5,8 +5,8 @@
 //!   selectivity and error budgets) driven through one shared
 //!   `AqpService` by 1, 2, 4, and 8 client threads; reports QPS and
 //!   per-query latency p50/p99 at each level;
-//! * **routing cost** — one routing decision cold (lint + eligibility
-//!   probes) versus warm (plan-cache fingerprint lookup). The cache must
+//! * **routing cost** — one routing decision cold (plan normalization +
+//!   lint pass) versus warm (plan-cache fingerprint lookup). The cache must
 //!   make the warm decision at least 5× cheaper — that is the entire
 //!   point of memoizing the deliberation;
 //! * **backpressure** — with one execution slot and a zero-length queue,
@@ -86,9 +86,9 @@ fn main() {
 
     // ---- Routing cost: cold vs cached ----
     // Routing cost is measured on a dashboard-shaped query (filter +
-    // group-by + several aggregates): the lint pass and the eligibility
-    // probes each walk the plan and consult catalog metadata, while a
-    // warm hit is one fingerprint walk and a map probe.
+    // group-by + several aggregates): normalization and the lint pass
+    // each walk the plan and consult catalog metadata, while a warm hit
+    // is one fingerprint walk and a map lookup.
     let routed_plan = Query::scan("t")
         .filter(col("sel").lt(lit(0.7)).and(col("v").gt_eq(lit(0.0))))
         .aggregate(
@@ -190,12 +190,12 @@ fn throughput_at(
 }
 
 /// Median cost of one routing decision, cold (cache invalidated before
-/// every call: lint pass + eligibility probes) and warm (fingerprint
-/// lookup + clone).
+/// every call: normalization + lint pass) and warm (fingerprint lookup
+/// + clone).
 fn route_cost(catalog: &Catalog, plan: &LogicalPlan, spec: &ErrorSpec) -> (f64, f64) {
     let service = AqpService::new(catalog);
     // A production session carries synopses: the cold path then pays the
-    // offline store's staleness accounting on every probe, exactly what
+    // offline store's staleness accounting on every lint, exactly what
     // the cache exists to amortize.
     service
         .session()

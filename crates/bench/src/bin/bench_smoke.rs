@@ -39,7 +39,13 @@ const REQUIRED_FIELDS: &[(&str, &[&str])] = &[
     ("BENCH_router.json", &["bench", "shapes", "probe_median_us"]),
     (
         "BENCH_lint.json",
-        &["bench", "shapes", "lint_median_us", "conformance_scan"],
+        &[
+            "bench",
+            "shapes",
+            "lint_median_us",
+            "families_blocked",
+            "conformance_scan",
+        ],
     ),
     (
         "BENCH_obs.json",

@@ -8,8 +8,9 @@
 
 use aqp_bench::TablePrinter;
 use aqp_core::{
-    exact_answer, AggQuery, ApproximateAnswer, AqpSession, Attempt, ErrorSpec, OfflineTechnique,
-    OlaTechnique, OnlineAqp, OnlineConfig, RewriteTechnique, SessionConfig, Technique,
+    exact_answer, AggQuery, Analysis, ApproximateAnswer, AqpSession, Attempt, ErrorSpec,
+    OfflineTechnique, OlaTechnique, OnlineAqp, OnlineConfig, RewriteTechnique, SessionConfig,
+    Technique,
 };
 use aqp_engine::{AggExpr, LogicalPlan, Query};
 use aqp_expr::{col, lit};
@@ -83,20 +84,22 @@ fn report_row(
     }
 }
 
+/// One family forced past the routing order — but not past its verdict:
+/// a family the session's analysis blocks declines with that reason,
+/// exactly as it does inside the router.
 fn forced(
+    analysis: &Analysis,
     tech: &dyn Technique,
     query: &AggQuery,
     spec: &ErrorSpec,
     seed: u64,
 ) -> Result<Attempt, String> {
-    match tech.eligibility(query, spec) {
-        aqp_core::Eligibility::Eligible => {
-            tech.answer(query, spec, seed).map_err(|e| e.to_string())
-        }
-        aqp_core::Eligibility::Ineligible(reason) => Ok(Attempt::Declined {
-            reason,
+    match analysis.blocked_by(tech.kind()) {
+        Some(reason) => Ok(Attempt::Declined {
+            reason: reason.clone(),
             rows_scanned: 0,
         }),
+        None => tech.answer(query, spec, seed).map_err(|e| e.to_string()),
     }
 }
 
@@ -133,8 +136,10 @@ fn scenario(
         }
     };
     let config = SessionConfig::default();
+    let analysis = session.lint_plan(plan);
     report_row(&p, "forced offline synopsis", &truth, || {
         forced(
+            &analysis,
             &OfflineTechnique::new(session.offline(), catalog, config.max_staleness),
             &query,
             spec,
@@ -143,6 +148,7 @@ fn scenario(
     });
     report_row(&p, "forced online sampling", &truth, || {
         forced(
+            &analysis,
             &OnlineAqp::new(catalog, OnlineConfig::default()),
             &query,
             spec,
@@ -150,10 +156,11 @@ fn scenario(
         )
     });
     report_row(&p, "forced online aggregation", &truth, || {
-        forced(&OlaTechnique::new(catalog), &query, spec, SEED)
+        forced(&analysis, &OlaTechnique::new(catalog), &query, spec, SEED)
     });
     report_row(&p, "forced rewrite middleware", &truth, || {
         forced(
+            &analysis,
             &RewriteTechnique::new(
                 catalog,
                 config.rewrite_rate,

@@ -47,12 +47,9 @@ pub enum ExecutionPath {
 pub enum CandidateOutcome {
     /// The candidate was chosen and produced the answer.
     Chosen,
-    /// The a-priori eligibility probe declined the query.
-    Ineligible(DeclineReason),
-    /// The static analyzer predicted the probe's decline, so the router
-    /// skipped the probe entirely (`probe_wall` is zero). The reason is
-    /// identical to what the probe would have returned — the
-    /// analyzer/probe consistency contract `tests/lint.rs` pins.
+    /// The static analyzer's verdict blocks the family for this plan: the
+    /// reason is the one on `Analysis::blocked_by`, and the family was
+    /// never attempted.
     StaticallyIneligible(DeclineReason),
     /// The candidate was eligible and attempted, but declined at runtime
     /// (e.g. the pilot-planned rate exceeded the cap).
@@ -63,11 +60,11 @@ pub enum CandidateOutcome {
 }
 
 impl CandidateOutcome {
-    /// Human-readable fate, e.g. `ineligible (no synopsis for `t`)`.
+    /// Human-readable fate, e.g. `statically ineligible (no synopsis for
+    /// `t`)`.
     pub fn describe(&self) -> String {
         match self {
             CandidateOutcome::Chosen => "chosen".to_string(),
-            CandidateOutcome::Ineligible(r) => format!("ineligible ({r})"),
             CandidateOutcome::StaticallyIneligible(r) => {
                 format!("statically ineligible ({r})")
             }
@@ -77,19 +74,15 @@ impl CandidateOutcome {
     }
 }
 
-/// One candidate the router considered, with its fate and wall-clock
-/// attribution: what its a-priori probe cost, and — when it was eligible
-/// and attempted — what the attempt cost, whether it answered or declined
-/// at runtime.
+/// One candidate the router considered, with its fate and — when it was
+/// eligible and attempted — what the attempt cost, whether it answered or
+/// declined at runtime.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateDecision {
     /// The technique family.
     pub kind: TechniqueKind,
     /// What happened to it.
     pub outcome: CandidateOutcome,
-    /// Wall clock of the eligibility probe ([`Duration::ZERO`] when the
-    /// probe was skipped).
-    pub probe_wall: Duration,
     /// Wall clock of the runtime attempt ([`Duration::ZERO`] when the
     /// candidate was never attempted).
     pub attempt_wall: Duration,
@@ -200,10 +193,10 @@ impl ExecutionReport {
 
     /// Renders an `EXPLAIN ANALYZE`-style account of the answer: the
     /// header totals, the routing deliberation with per-candidate
-    /// probe/attempt wall clocks, and — when tracing was enabled — the
-    /// indented span tree (operators with rows, wall/self time, and
-    /// collapsed per-morsel counts; technique probes and attempts appear
-    /// as annotated siblings under the query root).
+    /// attempt wall clocks, and — when tracing was enabled — the indented
+    /// span tree (operators with rows, wall/self time, and collapsed
+    /// per-morsel counts; technique attempts appear as annotated siblings
+    /// under the query root).
     pub fn explain_analyze(&self) -> String {
         let mut out = String::from("EXPLAIN ANALYZE\n");
         let path = match &self.path {
@@ -250,13 +243,6 @@ impl ExecutionReport {
             let _ = writeln!(out, "routing:");
             for c in &routing.candidates {
                 let _ = write!(out, "  {:<20} {}", c.kind.to_string(), c.outcome.describe());
-                if c.probe_wall > Duration::ZERO {
-                    let _ = write!(
-                        out,
-                        "  probe={}",
-                        aqp_obs::fmt_ns(c.probe_wall.as_nanos() as u64)
-                    );
-                }
                 if c.attempt_wall > Duration::ZERO {
                     let _ = write!(
                         out,
@@ -551,22 +537,19 @@ mod tests {
             candidates: vec![
                 CandidateDecision {
                     kind: TechniqueKind::OfflineSynopsis,
-                    outcome: CandidateOutcome::Ineligible(DeclineReason::NoSynopsis {
+                    outcome: CandidateOutcome::StaticallyIneligible(DeclineReason::NoSynopsis {
                         table: "t".into(),
                     }),
-                    probe_wall: Duration::ZERO,
                     attempt_wall: Duration::ZERO,
                 },
                 CandidateDecision {
                     kind: TechniqueKind::OnlineSampling,
                     outcome: CandidateOutcome::Chosen,
-                    probe_wall: Duration::ZERO,
                     attempt_wall: Duration::ZERO,
                 },
                 CandidateDecision {
                     kind: TechniqueKind::Exact,
                     outcome: CandidateOutcome::NotReached,
-                    probe_wall: Duration::ZERO,
                     attempt_wall: Duration::ZERO,
                 },
             ],
@@ -578,7 +561,7 @@ mod tests {
         );
         assert!(d.outcome(TechniqueKind::MiddlewareRewrite).is_none());
         let s = d.summary();
-        assert!(s.contains("offline-synopsis: ineligible"));
+        assert!(s.contains("offline-synopsis: statically ineligible"));
         assert!(s.contains("online-sampling: chosen"));
         assert!(s.contains("exact: not reached"));
     }

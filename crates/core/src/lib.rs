@@ -30,8 +30,8 @@
 //!   contract: per-shard partials serialized, merged in shard order
 //!   (exact bit-for-bit, approximate with design-correct variance).
 //! * [`technique`] — the uniform [`Technique`] trait all four families
-//!   implement: a-priori eligibility with machine-readable decline
-//!   reasons, plus execution that may decline at runtime.
+//!   implement: execution that may decline with a machine-readable
+//!   reason, guarded by the family's own analyzer verdict.
 //! * [`session`] — the routing front door: one [`AqpSession::answer`]
 //!   call picks the best eligible family per query, falls through the
 //!   chain on runtime declines, and records the whole deliberation in the
@@ -42,13 +42,14 @@
 //!   normalized-plan fingerprints, and per-query accuracy
 //!   [`Contract`]s that admission accepts, degrades, or rejects.
 //! * [`taxonomy`] — the paper's technique-vs-property matrix; the four
-//!   routable family rows are derived live from [`Technique::eligibility`]
-//!   probes, so the matrix cannot drift from the code.
+//!   routable family rows are read off the static analyzer's verdicts,
+//!   the same ones the router routes on.
 //!
 //! Static analysis (aqp-lint) lives one layer down in `aqp-analyze`: the
-//! session runs it once per query, skips eligibility probes for families
-//! it rules out, and attaches the [`Analysis`] (stable `A0xx` lint codes,
-//! guarantee verdicts, suggested rewrites) to the answer's report — see
+//! session runs it once per query, routes on its per-family verdicts —
+//! the one eligibility decision — and attaches the [`Analysis`] (stable
+//! `A0xx` lint codes, guarantee verdicts, suggested rewrites) to the
+//! answer's report — see
 //! [`AqpSession::lint_plan`] and [`ExecutionReport::lints`].
 //!
 //! # Quick start
@@ -117,8 +118,8 @@ pub use session::{AqpSession, SessionConfig};
 pub use shard::{bernoulli_sample_sharded, exact_aggregate_sharded, srs_sample_sharded};
 pub use spec::ErrorSpec;
 pub use technique::{
-    exact_answer, exact_answer_with, Attempt, DeclineReason, Eligibility, Guarantee, Technique,
-    TechniqueKind, TechniqueProfile,
+    exact_answer, exact_answer_with, Attempt, DeclineReason, Guarantee, Technique, TechniqueKind,
+    TechniqueProfile,
 };
 
 // The static analyzer's surface, re-exported so session users can consume

@@ -18,6 +18,7 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
+use aqp_analyze::{LintContext, LintPolicy, SynopsisMeta};
 use aqp_engine::agg::KeyAtom;
 use aqp_sampling::{stratified_sample_with_threads, Allocation, Sample};
 use aqp_sketch::{GkQuantiles, HyperLogLog};
@@ -29,7 +30,8 @@ use crate::answer::{assemble_answer, ApproximateAnswer, ExecutionPath, Execution
 use crate::error::AqpError;
 use crate::spec::ErrorSpec;
 use crate::technique::{
-    Attempt, DeclineReason, Eligibility, Guarantee, Technique, TechniqueKind, TechniqueProfile,
+    decline_if_blocked, Attempt, DeclineReason, Guarantee, Technique, TechniqueKind,
+    TechniqueProfile,
 };
 
 /// A stored stratified-sample synopsis.
@@ -657,8 +659,7 @@ impl OfflineStore {
     }
 
     /// The stratification column and stored sample size for `table`'s
-    /// stratified synopsis, if one exists. Metadata-only — used by the
-    /// router's eligibility probe.
+    /// stratified synopsis, if one exists. Metadata-only.
     pub fn stratified_meta(&self, table: &str) -> Option<(String, u64)> {
         self.stratified
             .read()
@@ -666,27 +667,39 @@ impl OfflineStore {
             .map(|s| (s.column.clone(), s.sample.num_rows() as u64))
     }
 
-    /// Every table with a stratified synopsis, with its stratification
-    /// column. Metadata-only — the session uses this to hand the static
-    /// analyzer its synopsis inventory.
-    pub fn stratified_tables(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = self
-            .stratified
-            .read()
+    /// What the static analyzer needs to know about `table`'s stratified
+    /// synopsis, if one exists: its column and its current staleness
+    /// (`None` when the base table is gone). Metadata-only.
+    pub fn synopsis_meta(&self, catalog: &Catalog, table: &str) -> Option<SynopsisMeta> {
+        let (stratified_on, _) = self.stratified_meta(table)?;
+        Some(SynopsisMeta {
+            table: table.to_string(),
+            stratified_on,
+            staleness: self.staleness(catalog, table).ok(),
+        })
+    }
+
+    /// [`OfflineStore::synopsis_meta`] for every synopsized table, in
+    /// table-name order — the session's synopsis inventory for the lint
+    /// context.
+    pub fn synopsis_metas(&self, catalog: &Catalog) -> Vec<SynopsisMeta> {
+        let mut tables: Vec<String> = self.stratified.read().keys().cloned().collect();
+        tables.sort();
+        tables
             .iter()
-            .map(|(t, s)| (t.clone(), s.column.clone()))
-            .collect();
-        out.sort();
-        out
+            .filter_map(|t| self.synopsis_meta(catalog, t))
+            .collect()
     }
 }
 
 /// The offline family as the router sees it: [`OfflineStore::answer`]
-/// gated by synopsis existence, stratification match, and freshness.
+/// behind the analyzer's offline verdict (synopsis existence,
+/// stratification match, freshness).
 pub struct OfflineTechnique<'a> {
     store: &'a OfflineStore,
     catalog: &'a Catalog,
-    /// Decline when [`OfflineStore::staleness`] exceeds this.
+    /// The verdict blocks a synopsis whose [`OfflineStore::staleness`]
+    /// exceeds this.
     max_staleness: f64,
 }
 
@@ -716,43 +729,17 @@ impl Technique for OfflineTechnique<'_> {
         }
     }
 
-    fn eligibility(&self, query: &AggQuery, _spec: &ErrorSpec) -> Eligibility {
-        if !query.joins.is_empty() {
-            return Eligibility::Ineligible(DeclineReason::JoinsUnsupported);
-        }
-        let Some((column, _)) = self.store.stratified_meta(&query.fact_table) else {
-            return Eligibility::Ineligible(DeclineReason::NoSynopsis {
-                table: query.fact_table.clone(),
-            });
-        };
-        // A group-by outside the stratification column would get no
-        // per-group coverage guarantee (the E8 drift failure): decline so
-        // the router prefers a technique that can actually cover it.
-        for (expr, _) in &query.group_by {
-            let matches_stratification =
-                matches!(expr, aqp_expr::Expr::Column(name) if *name == column);
-            if !matches_stratification {
-                return Eligibility::Ineligible(DeclineReason::SynopsisMismatch {
-                    stratified_on: column,
-                    requested: expr.to_string(),
-                });
-            }
-        }
-        match self.store.staleness(self.catalog, &query.fact_table) {
-            Ok(s) if s > self.max_staleness => {
-                Eligibility::Ineligible(DeclineReason::StaleSynopsis {
-                    staleness: s,
-                    max_staleness: self.max_staleness,
-                })
-            }
-            Ok(_) => Eligibility::Eligible,
-            Err(_) => Eligibility::Ineligible(DeclineReason::MissingTable {
-                table: query.fact_table.clone(),
-            }),
-        }
-    }
-
     fn answer(&self, query: &AggQuery, spec: &ErrorSpec, _seed: u64) -> Result<Attempt, AqpError> {
+        let mut ctx = LintContext::new(self.catalog).with_policy(LintPolicy {
+            max_staleness: self.max_staleness,
+            ..LintPolicy::default()
+        });
+        if let Some(meta) = self.store.synopsis_meta(self.catalog, &query.fact_table) {
+            ctx = ctx.with_synopsis(meta);
+        }
+        if let Some(declined) = decline_if_blocked(self.kind(), query, &ctx) {
+            return Ok(declined);
+        }
         let ans = self.store.answer(query, spec)?;
         if ans.groups.is_empty() {
             // The sample has no row matching the predicate: a point the

@@ -17,18 +17,19 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use aqp_analyze::LintContext;
 use aqp_engine::agg::KeyAtom;
 use aqp_expr::eval::eval_predicate_mask;
 use aqp_expr::Expr;
 use aqp_stats::{Estimate, Moments};
 use aqp_storage::{Catalog, StorageError, Table};
 
-use crate::aggquery::{AggQuery, LinearAgg};
+use crate::aggquery::{AggQuery, AggSpec, LinearAgg};
 use crate::answer::{assemble_answer, ExecutionPath, ExecutionReport};
 use crate::error::AqpError;
 use crate::spec::ErrorSpec;
 use crate::technique::{
-    Attempt, DeclineReason, Eligibility, Guarantee, Technique, TechniqueKind, TechniqueProfile,
+    decline_if_blocked, Attempt, Guarantee, Technique, TechniqueKind, TechniqueProfile,
 };
 
 /// Progressive single-table aggregation over a random block permutation.
@@ -209,40 +210,22 @@ impl Technique for OlaTechnique<'_> {
         }
     }
 
-    fn eligibility(&self, query: &AggQuery, _spec: &ErrorSpec) -> Eligibility {
-        if !query.joins.is_empty() {
-            return Eligibility::Ineligible(DeclineReason::JoinsUnsupported);
-        }
-        if !query.group_by.is_empty() {
-            return Eligibility::Ineligible(DeclineReason::GroupByUnsupported);
-        }
-        let [agg] = query.aggregates.as_slice() else {
-            return Eligibility::Ineligible(DeclineReason::UnsupportedShape {
-                detail: "progressive aggregation serves exactly one aggregate".to_string(),
-            });
-        };
-        if !matches!(agg.kind, LinearAgg::Sum | LinearAgg::Avg)
-            || !matches!(agg.expr, Expr::Column(_))
-        {
-            return Eligibility::Ineligible(DeclineReason::UnsupportedAggregate {
-                alias: agg.alias.clone(),
-                detail: "only SUM/AVG of a bare column".to_string(),
-            });
-        }
-        if self.catalog.get(&query.fact_table).is_err() {
-            return Eligibility::Ineligible(DeclineReason::MissingTable {
-                table: query.fact_table.clone(),
-            });
-        }
-        Eligibility::Eligible
-    }
-
     fn answer(&self, query: &AggQuery, spec: &ErrorSpec, seed: u64) -> Result<Attempt, AqpError> {
+        // Joins, group-bys and anything but one SUM/AVG of a bare column
+        // are out of shape: decline them rather than answer the ungrouped
+        // single-table query that is left when they are ignored.
+        let ctx = LintContext::new(self.catalog);
+        if let Some(declined) = decline_if_blocked(self.kind(), query, &ctx) {
+            return Ok(declined);
+        }
         let start = Instant::now();
-        let agg = &query.aggregates[0];
-        let Expr::Column(column) = &agg.expr else {
+        let [agg @ AggSpec {
+            expr: Expr::Column(column),
+            ..
+        }] = query.aggregates.as_slice()
+        else {
             return Err(AqpError::Unsupported {
-                detail: "OLA answer called on non-column aggregate".to_string(),
+                detail: "progressive aggregation serves one SUM/AVG of a bare column".to_string(),
             });
         };
         let fact = self.catalog.get(&query.fact_table)?;

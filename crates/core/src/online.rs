@@ -26,6 +26,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use aqp_analyze::LintContext;
 use aqp_engine::agg::KeyAtom;
 use aqp_engine::LogicalPlan;
 use aqp_sampling::bernoulli_blocks;
@@ -38,14 +39,9 @@ use crate::error::AqpError;
 use crate::evaluator::StarEvaluator;
 use crate::spec::ErrorSpec;
 use crate::technique::{
-    exact_answer, Attempt, DeclineReason, Eligibility, Guarantee, Technique, TechniqueKind,
+    decline_if_blocked, exact_answer, Attempt, DeclineReason, Guarantee, Technique, TechniqueKind,
     TechniqueProfile,
 };
-
-/// Minimum fact-table blocks the two-phase design needs for spread
-/// estimation. Shared with the static analyzer (which must predict this
-/// probe's verdict) so the threshold cannot drift.
-const MIN_BLOCKS: u64 = aqp_analyze::MIN_SAMPLING_BLOCKS;
 
 /// Tuning knobs for the online planner.
 #[derive(Debug, Clone, Copy)]
@@ -379,6 +375,9 @@ impl<'a> OnlineAqp<'a> {
         spec: &ErrorSpec,
         seed: u64,
     ) -> Result<Attempt, AqpError> {
+        if let Some(declined) = self.decline_if_blocked(query) {
+            return Ok(declined);
+        }
         let start = Instant::now();
         let evaluator = StarEvaluator::new(self.catalog, query)?;
         let fact = evaluator.fact().clone();
@@ -390,15 +389,6 @@ impl<'a> OnlineAqp<'a> {
         // literature's "at least 30 units" rule); adapt the rate upward on
         // small tables.
         let big_m = fact.block_count() as u64;
-        if big_m < MIN_BLOCKS {
-            return Ok(Attempt::Declined {
-                reason: DeclineReason::TableTooSmall {
-                    blocks: big_m,
-                    min_blocks: MIN_BLOCKS,
-                },
-                rows_scanned: 0,
-            });
-        }
         let mut pilot_rate = self.config.pilot_rate.max(30.0 / big_m as f64);
         if let (Some(min_rows), false) = (
             self.config.min_covered_group_rows,
@@ -510,21 +500,15 @@ impl<'a> OnlineAqp<'a> {
         seed: u64,
         plan: &PilotPlan,
     ) -> Result<Attempt, AqpError> {
+        if let Some(declined) = self.decline_if_blocked(query) {
+            return Ok(declined);
+        }
         let start = Instant::now();
         let evaluator = StarEvaluator::new(self.catalog, query)?;
         let fact = evaluator.fact().clone();
         let population_rows = fact.row_count() as u64;
         let dim_rows = self.dim_rows(query);
         let big_m = fact.block_count() as u64;
-        if big_m < MIN_BLOCKS {
-            return Ok(Attempt::Declined {
-                reason: DeclineReason::TableTooSmall {
-                    blocks: big_m,
-                    min_blocks: MIN_BLOCKS,
-                },
-                rows_scanned: 0,
-            });
-        }
         self.final_phase(
             &evaluator,
             query,
@@ -538,6 +522,17 @@ impl<'a> OnlineAqp<'a> {
                 big_m,
                 start,
             },
+        )
+    }
+
+    /// The sampler's guard: a fact table that is missing, or has fewer
+    /// than [`aqp_analyze::MIN_SAMPLING_BLOCKS`] blocks for the pilot to
+    /// estimate spread from, is declined before any data is touched.
+    fn decline_if_blocked(&self, query: &AggQuery) -> Option<Attempt> {
+        decline_if_blocked(
+            TechniqueKind::OnlineSampling,
+            query,
+            &LintContext::new(self.catalog),
         )
     }
 
@@ -655,24 +650,6 @@ impl Technique for OnlineAqp<'_> {
             implemented_in: "core::online",
             guarantee: Guarantee::APriori,
         }
-    }
-
-    fn eligibility(&self, query: &AggQuery, _spec: &ErrorSpec) -> Eligibility {
-        // Metadata-only: the real gates (empty pilot, rate above cap) need
-        // data and surface as runtime declines instead.
-        let Ok(fact) = self.catalog.get(&query.fact_table) else {
-            return Eligibility::Ineligible(DeclineReason::MissingTable {
-                table: query.fact_table.clone(),
-            });
-        };
-        let blocks = fact.block_count() as u64;
-        if blocks < MIN_BLOCKS {
-            return Eligibility::Ineligible(DeclineReason::TableTooSmall {
-                blocks,
-                min_blocks: MIN_BLOCKS,
-            });
-        }
-        Eligibility::Eligible
     }
 
     fn answer(&self, query: &AggQuery, spec: &ErrorSpec, seed: u64) -> Result<Attempt, AqpError> {

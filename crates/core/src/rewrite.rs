@@ -19,6 +19,7 @@
 
 use std::time::Instant;
 
+use aqp_analyze::LintContext;
 use aqp_engine::{execute, AggExpr, LogicalPlan, Query, ResultSet};
 use aqp_expr::{col, Expr};
 use aqp_sampling::{bernoulli_blocks, Sample};
@@ -30,7 +31,8 @@ use crate::answer::{assemble_answer, ExecutionPath, ExecutionReport};
 use crate::error::AqpError;
 use crate::spec::ErrorSpec;
 use crate::technique::{
-    Attempt, DeclineReason, Eligibility, Guarantee, Technique, TechniqueKind, TechniqueProfile,
+    decline_if_blocked, Attempt, DeclineReason, Guarantee, Technique, TechniqueKind,
+    TechniqueProfile,
 };
 
 /// The reserved name the rewritten plan scans instead of the fact table.
@@ -172,18 +174,11 @@ impl Technique for RewriteTechnique<'_> {
         }
     }
 
-    fn eligibility(&self, query: &AggQuery, _spec: &ErrorSpec) -> Eligibility {
-        // The rewrite covers every normalized shape (joins, predicates,
-        // group-bys); the only a-priori gate is the fact table existing.
-        if self.catalog.get(&query.fact_table).is_err() {
-            return Eligibility::Ineligible(DeclineReason::MissingTable {
-                table: query.fact_table.clone(),
-            });
-        }
-        Eligibility::Eligible
-    }
-
     fn answer(&self, query: &AggQuery, spec: &ErrorSpec, seed: u64) -> Result<Attempt, AqpError> {
+        let ctx = LintContext::new(self.catalog);
+        if let Some(declined) = decline_if_blocked(self.kind(), query, &ctx) {
+            return Ok(declined);
+        }
         let start = Instant::now();
         let fact = self.catalog.get(&query.fact_table)?;
         let population_rows = fact.row_count() as u64;

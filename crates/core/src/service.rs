@@ -13,12 +13,14 @@
 //!    morsel-thread budget fairly ([`aqp_engine::PoolShare`]); results
 //!    are unaffected because engine output is thread-count invariant.
 //! 2. **Plan cache** — keyed on a fingerprint of the normalized plan and
-//!    the error spec, memoizing the lint [`Analysis`], the probed
-//!    [`RoutingDecision`], per-seed [`PilotPlan`]s, and an EWMA of the
-//!    answer wall. A hit skips the lint pass and the eligibility probes
-//!    entirely; when the cold run's route was deterministic the hit also
-//!    skips straight to the winning family (replaying a cached pilot plan
-//!    when the winner was the online sampler). Entries are invalidated by
+//!    the error spec, memoizing the lint [`Analysis`], the
+//!    [`RoutingDecision`] it implies (refreshed from each completed run),
+//!    per-seed [`PilotPlan`]s, and an EWMA of the answer wall. A hit
+//!    makes admission and [`AqpService::route`] a fingerprint lookup;
+//!    execution replays a cached pilot plan when the online sampler won
+//!    this seed before, and otherwise re-lints an approximate winner's
+//!    plan so a verdict that flipped under the entry is caught before a
+//!    family is attempted. Entries are invalidated by
 //!    [`AqpSession::maintain_synopses`], by quarantine transitions, and
 //!    by fact-table row-count changes — all folded into the session's
 //!    [`routing epoch`](AqpSession::routing_epoch).
@@ -35,8 +37,8 @@
 //! Answers produced through the service are bit-for-bit identical to a
 //! serial [`AqpSession::answer`] replay of the same `(plan, spec, seed)`
 //! stream: the fast paths only ever skip work whose outcome is already
-//! determined (lint on an unchanged epoch, probes with stable verdicts, a
-//! pilot whose only output — the planned rate — is memoized per seed).
+//! determined (lint on an unchanged epoch, a pilot whose only output —
+//! the planned rate — is memoized per seed).
 //! `tests/service.rs` pins this with a multi-threaded proptest.
 
 use std::collections::{HashMap, VecDeque};
@@ -52,12 +54,12 @@ use aqp_obs::names;
 use aqp_storage::Catalog;
 
 use crate::aggquery::AggQuery;
-use crate::answer::{ApproximateAnswer, CandidateDecision, CandidateOutcome, RoutingDecision};
+use crate::answer::{ApproximateAnswer, CandidateDecision, RoutingDecision};
 use crate::error::AqpError;
-use crate::online::{OnlineAqp, PilotPlan};
-use crate::session::{attach_trace, count_decision, exec_opts_with, AqpSession, SessionConfig};
+use crate::online::PilotPlan;
+use crate::session::{AqpSession, Replay, SessionConfig};
 use crate::spec::ErrorSpec;
-use crate::technique::{exact_answer_with, Attempt, Eligibility, TechniqueKind};
+use crate::technique::TechniqueKind;
 
 /// A per-query accuracy-and-latency contract negotiated at admission.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -221,7 +223,8 @@ impl ServiceReply {
 /// `aqp_plan_cache_total`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheEvent {
-    /// Fingerprint present and still valid: lint and probes skipped.
+    /// Fingerprint present and still valid: the memoized analysis and
+    /// route serve admission.
     Hit,
     /// Fingerprint never seen.
     Miss,
@@ -466,12 +469,8 @@ struct CacheEntry {
     /// the entry's validity check.
     fact_table: String,
     /// Routing template with walls zeroed; refreshed from each completed
-    /// run so it reflects runtime declines, not just probe verdicts.
+    /// run so it reflects runtime declines, not just static verdicts.
     decision: Arc<RoutingDecision>,
-    /// No candidate before the winner declined *at runtime* — every
-    /// earlier verdict is static or probed, hence stable within the
-    /// epoch, so the winner may be attempted directly.
-    clean_prefix: bool,
     epoch: u64,
     fact_rows: u64,
     /// Per-seed pilot plans captured from online-sampling wins. Keyed by
@@ -669,7 +668,8 @@ impl Fnv {
 
 /// FNV-1a over the plan tree (walked directly — no debug-format
 /// detour) plus the spec bits: equal plans collide, different plans or
-/// different specs (which change probe verdicts) do not.
+/// different specs (which change runtime declines, pilot plans and the
+/// wall estimate) do not.
 fn fingerprint(plan: &LogicalPlan, spec: &ErrorSpec) -> u64 {
     let mut h = Fnv::new();
     h.plan(plan);
@@ -686,7 +686,6 @@ fn zeroed_walls(decision: &RoutingDecision) -> RoutingDecision {
             .map(|c| CandidateDecision {
                 kind: c.kind,
                 outcome: c.outcome.clone(),
-                probe_wall: Duration::ZERO,
                 attempt_wall: Duration::ZERO,
             })
             .collect(),
@@ -694,27 +693,9 @@ fn zeroed_walls(decision: &RoutingDecision) -> RoutingDecision {
     }
 }
 
-/// True when every candidate before the winner failed for a *stable*
-/// reason (static or probed ineligibility). Runtime declines are
-/// seed-dependent, so their presence forces a full re-walk per query.
-fn clean_prefix(decision: &RoutingDecision) -> bool {
-    for c in &decision.candidates {
-        if c.kind == decision.winner {
-            return true;
-        }
-        if matches!(c.outcome, CandidateOutcome::DeclinedAtRuntime(_)) {
-            return false;
-        }
-    }
-    true
-}
-
 /// Everything `submit` needs from the prepare step.
 struct Prepared {
     analysis: Arc<Analysis>,
-    /// `None` on a cache hit (normalization is deferred to execution —
-    /// a hit's routing answer never needs it) and for out-of-shape plans.
-    query: Option<AggQuery>,
     fingerprint: Option<u64>,
     /// Present on a cache hit: the memoized route.
     route: Option<CachedRoute>,
@@ -723,7 +704,6 @@ struct Prepared {
 
 struct CachedRoute {
     decision: Arc<RoutingDecision>,
-    clean_prefix: bool,
     pilot: Option<PilotPlan>,
     /// `None` until a completed run has been folded in.
     estimated_wall: Option<Duration>,
@@ -815,15 +795,16 @@ impl<'a> AqpService<'a> {
 
     /// The routing decision for a plan, served from the plan cache when
     /// possible — the service analogue of [`AqpSession::probe`]. A warm
-    /// call is a fingerprint probe plus a validity check (no plan
-    /// normalization, no lint, no eligibility probes); a cold call runs
-    /// the full deliberation and caches it.
+    /// call is a fingerprint lookup plus a validity check (no plan
+    /// normalization, no lint); a cold call lints, reads the decision
+    /// off the verdicts and caches both.
     pub fn route(&self, plan: &LogicalPlan, spec: &ErrorSpec) -> Arc<RoutingDecision> {
         let prep = self.prepare(plan, spec, None);
         match prep.route {
             Some(route) => route.decision,
-            // Out-of-shape plans are uncacheable; probe from scratch.
-            None => Arc::new(self.session.probe(plan, spec)),
+            // Out-of-shape plans are uncacheable; decide from the lint
+            // `prepare` just ran.
+            None => Arc::new(self.session.decide(&prep.analysis)),
         }
     }
 
@@ -856,7 +837,7 @@ impl<'a> AqpService<'a> {
     ) -> Result<ServiceReply, AqpError> {
         let spec = contract.spec();
         let arrived = Instant::now();
-        let mut prep = self.prepare(plan, &spec, Some(seed));
+        let prep = self.prepare(plan, &spec, Some(seed));
         self.count_cache_event(prep.event);
 
         // ---- Contract admission ----
@@ -908,28 +889,25 @@ impl<'a> AqpService<'a> {
         // ---- Execution (fair thread split) ----
         let slot = self.share.join();
         let threads = self.share.fair_threads();
-        let mut ans = None;
-        if let Some(route) = &prep.route {
-            if route.clean_prefix {
-                // A hit skipped normalization; pay it now that the plan
-                // will actually execute.
-                let query = prep.query.take().or_else(|| AggQuery::from_plan(plan));
-                if let Some(query) = &query {
-                    ans =
-                        self.attempt_winner(query, &prep.analysis, route, &spec, seed, threads)?;
-                }
+        let mut replay = Replay {
+            analysis: Some(Arc::clone(&prep.analysis)),
+            threads: Some(threads),
+            pilot: None,
+        };
+        if let (CacheEvent::Hit, Some(route)) = (prep.event, &prep.route) {
+            if route.pilot.is_some() {
+                // The online sampler won this exact (plan, spec, seed)
+                // under this epoch, so it wins again: skip its pilot.
+                replay.pilot = route.pilot;
+            } else if route.decision.winner != TechniqueKind::Exact {
+                // Fault detection: a verdict that flipped since the entry
+                // was stamped (e.g. a synopsis rebuilt without an epoch
+                // bump) must not send the query to a family that can no
+                // longer serve it. Route on a fresh lint, not the memo.
+                replay.analysis = Some(Arc::new(self.session.lint_plan(plan)));
             }
         }
-        let mut ans = match ans {
-            Some(ans) => ans,
-            None => self.session.answer_with_analysis(
-                plan,
-                &spec,
-                seed,
-                Some(Arc::clone(&prep.analysis)),
-                Some(threads),
-            )?,
-        };
+        let mut ans = self.session.answer_with(plan, &spec, seed, replay)?;
         drop(slot);
         drop(guard);
 
@@ -985,7 +963,7 @@ impl<'a> AqpService<'a> {
     }
 
     /// Cache lookup / fill: on a hit, returns the memoized analysis and
-    /// route; on a miss or stale entry, lints, probes, and inserts.
+    /// route; on a miss or stale entry, lints, decides, and inserts.
     ///
     /// The hit path deliberately runs *before* plan normalization: a
     /// fingerprint probe plus two catalog reads is the entire cost of a
@@ -1008,12 +986,10 @@ impl<'a> AqpService<'a> {
                         analysis: Arc::clone(&entry.analysis),
                         route: Some(CachedRoute {
                             decision: Arc::clone(&entry.decision),
-                            clean_prefix: entry.clean_prefix,
                             pilot: seed.and_then(|s| entry.pilot_plans.get(&s).copied()),
                             estimated_wall: (entry.ewma_wall_us > 0.0)
                                 .then(|| Duration::from_micros(entry.ewma_wall_us as u64)),
                         }),
-                        query: None,
                         fingerprint: Some(fp),
                         event: CacheEvent::Hit,
                     };
@@ -1033,23 +1009,20 @@ impl<'a> AqpService<'a> {
             ));
             return Prepared {
                 analysis,
-                query: None,
                 fingerprint: None,
                 route: None,
                 event: CacheEvent::Uncacheable,
             };
         };
         let fact_rows = self.fact_rows(&query);
-        // Miss path: lint + probe outside the cache lock (both are
-        // metadata-only and contention here would serialize every cold
-        // query).
+        // Miss path: lint outside the cache lock (it is metadata-only and
+        // contention here would serialize every cold query).
         let analysis = Arc::new(aqp_analyze::lint_with(
             plan,
             Some(&query),
             &self.session.lint_context(),
         ));
-        let decision = Arc::new(probe_with(&self.session, &analysis, &query, spec));
-        let clean = clean_prefix(&decision);
+        let decision = Arc::new(self.session.decide(&analysis));
         {
             let mut inner = self.cache.inner.lock();
             while inner.map.len() >= self.cache.capacity {
@@ -1069,9 +1042,8 @@ impl<'a> AqpService<'a> {
                 fp,
                 CacheEntry {
                     analysis: Arc::clone(&analysis),
-                    fact_table: query.fact_table.clone(),
+                    fact_table: query.fact_table,
                     decision: Arc::clone(&decision),
-                    clean_prefix: clean,
                     epoch,
                     fact_rows,
                     pilot_plans: HashMap::new(),
@@ -1082,11 +1054,9 @@ impl<'a> AqpService<'a> {
         }
         Prepared {
             analysis,
-            query: Some(query),
             fingerprint: Some(fp),
             route: Some(CachedRoute {
                 decision,
-                clean_prefix: clean,
                 pilot: None,
                 estimated_wall: None,
             }),
@@ -1096,8 +1066,8 @@ impl<'a> AqpService<'a> {
 
     /// Folds one completed answer back into its cache entry: the wall
     /// EWMA for deadline estimates, the realized routing template (which
-    /// — unlike the probe-only template — records runtime declines), and
-    /// the pilot plan when the online sampler won.
+    /// — unlike the verdict-only template — records runtime declines),
+    /// and the pilot plan when the online sampler won.
     fn record_result(&self, fp: u64, seed: u64, ans: &ApproximateAnswer) {
         let mut inner = self.cache.inner.lock();
         let Some(entry) = inner.map.get_mut(&fp) else {
@@ -1111,7 +1081,6 @@ impl<'a> AqpService<'a> {
         };
         if let Some(routing) = &ans.report.routing {
             entry.decision = Arc::new(zeroed_walls(routing));
-            entry.clean_prefix = clean_prefix(&entry.decision);
             if routing.winner == TechniqueKind::OnlineSampling {
                 if let crate::answer::ExecutionPath::OnlineBlockSample {
                     pilot_rate,
@@ -1134,144 +1103,6 @@ impl<'a> AqpService<'a> {
                 }
             }
         }
-    }
-
-    /// The cache-hit fast path: attempt the memoized winner directly,
-    /// skipping probes (their verdicts are stable within the epoch) and —
-    /// for a seed whose pilot plan is cached — the pilot scan. Returns
-    /// `None` when the winner unexpectedly declines at runtime; the
-    /// caller falls back to the full routed walk, which double-charges
-    /// the declined attempt's rows exactly like a serial decline does.
-    fn attempt_winner(
-        &self,
-        query: &AggQuery,
-        analysis: &Arc<Analysis>,
-        route: &CachedRoute,
-        spec: &ErrorSpec,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Option<ApproximateAnswer>, AqpError> {
-        let winner = route.decision.winner;
-        let wall_start = Instant::now();
-        let root = aqp_obs::root_span("query");
-        let attempt = match winner {
-            TechniqueKind::Exact => {
-                let population = self
-                    .session
-                    .catalog()
-                    .get(&query.fact_table)
-                    .map(|t| t.row_count() as u64)
-                    .ok();
-                Attempt::Answered(exact_answer_with(
-                    self.session.catalog(),
-                    &query.to_plan(),
-                    population,
-                    exec_opts_with(analysis, Some(threads)),
-                )?)
-            }
-            TechniqueKind::OnlineSampling if route.pilot.is_some() => {
-                let Some(pilot) = route.pilot else {
-                    root.finish();
-                    return Ok(None);
-                };
-                let mut cfg = self.session.config().online;
-                cfg.threads = threads.max(1);
-                OnlineAqp::new(self.session.catalog(), cfg)
-                    .sample_with_plan(query, spec, seed, &pilot)?
-            }
-            kind => {
-                let Some(technique) = self
-                    .session
-                    .techniques_with_threads(Some(threads))
-                    .into_iter()
-                    .find(|t| t.kind() == kind)
-                else {
-                    root.finish();
-                    return Ok(None);
-                };
-                // Re-probe cheaply: eligibility is metadata-only, and a
-                // verdict that flipped since the entry was stamped (e.g. a
-                // synopsis dropped without an epoch bump) must fall back.
-                match technique.eligibility(query, spec) {
-                    Eligibility::Eligible => technique.answer(query, spec, seed)?,
-                    Eligibility::Ineligible(_) => {
-                        root.finish();
-                        return Ok(None);
-                    }
-                }
-            }
-        };
-        match attempt {
-            Attempt::Answered(mut ans) => {
-                let decision = (*route.decision).clone();
-                count_decision(&decision);
-                ans.report.routing = Some(decision);
-                attach_trace(&mut ans.report, root, wall_start);
-                self.session
-                    .maybe_audit(query, &mut ans, spec, analysis, winner);
-                ans.report.lints = Some(Arc::clone(analysis));
-                self.session.attach_accuracy(&mut ans);
-                Ok(Some(ans))
-            }
-            Attempt::Declined { .. } => {
-                root.finish();
-                Ok(None)
-            }
-        }
-    }
-}
-
-/// [`AqpSession::probe`] with a pre-computed analysis: the same walk,
-/// minus the second lint pass.
-fn probe_with(
-    session: &AqpSession<'_>,
-    analysis: &Analysis,
-    query: &AggQuery,
-    spec: &ErrorSpec,
-) -> RoutingDecision {
-    let mut candidates = Vec::new();
-    let mut winner: Option<TechniqueKind> = None;
-    for t in session.techniques_with_threads(None) {
-        if let Some(reason) = analysis.blocked_by(t.kind()) {
-            candidates.push(CandidateDecision {
-                kind: t.kind(),
-                outcome: CandidateOutcome::StaticallyIneligible(reason.clone()),
-                probe_wall: Duration::ZERO,
-                attempt_wall: Duration::ZERO,
-            });
-            continue;
-        }
-        let outcome = match t.eligibility(query, spec) {
-            Eligibility::Eligible => {
-                if winner.is_none() {
-                    winner = Some(t.kind());
-                    CandidateOutcome::Chosen
-                } else {
-                    CandidateOutcome::NotReached
-                }
-            }
-            Eligibility::Ineligible(r) => CandidateOutcome::Ineligible(r),
-        };
-        candidates.push(CandidateDecision {
-            kind: t.kind(),
-            outcome,
-            probe_wall: Duration::ZERO,
-            attempt_wall: Duration::ZERO,
-        });
-    }
-    candidates.push(CandidateDecision {
-        kind: TechniqueKind::Exact,
-        outcome: if winner.is_none() {
-            CandidateOutcome::Chosen
-        } else {
-            CandidateOutcome::NotReached
-        },
-        probe_wall: Duration::ZERO,
-        attempt_wall: Duration::ZERO,
-    });
-    RoutingDecision {
-        candidates,
-        winner: winner.unwrap_or(TechniqueKind::Exact),
     }
 }
 

@@ -27,6 +27,7 @@
 //! deliberation is recorded in the answer's
 //! [`RoutingDecision`].
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,7 +36,7 @@ use aqp_engine::{ExecOptions, LogicalPlan};
 use aqp_obs::scoreboard::{Scoreboard, ScoreboardConfig, ScoreboardSnapshot, Transition};
 use aqp_storage::Catalog;
 
-use aqp_analyze::{Analysis, LintContext, LintPolicy, QuarantineMeta, SynopsisMeta};
+use aqp_analyze::{Analysis, LintContext, LintPolicy, QuarantineMeta};
 
 use crate::aggquery::AggQuery;
 use crate::answer::{ApproximateAnswer, CandidateDecision, CandidateOutcome, RoutingDecision};
@@ -43,24 +44,13 @@ use crate::audit::{self, AuditConfig};
 use crate::error::AqpError;
 use crate::offline::{OfflineStore, OfflineTechnique};
 use crate::ola::OlaTechnique;
-use crate::online::{OnlineAqp, OnlineConfig};
+use crate::online::{OnlineAqp, OnlineConfig, PilotPlan};
 use crate::rewrite::RewriteTechnique;
 use crate::spec::ErrorSpec;
 use crate::technique::{exact_answer_with, Attempt, Technique, TechniqueKind};
 
-/// Static span name for a candidate's eligibility probe (span names are
+/// Static span name for a candidate's runtime attempt (span names are
 /// `&'static str` by design — no per-query allocation on the trace path).
-fn probe_span_name(kind: TechniqueKind) -> &'static str {
-    match kind {
-        TechniqueKind::OfflineSynopsis => "probe:offline-synopsis",
-        TechniqueKind::OnlineSampling => "probe:online-sampling",
-        TechniqueKind::OnlineAggregation => "probe:online-aggregation",
-        TechniqueKind::MiddlewareRewrite => "probe:rewrite-middleware",
-        TechniqueKind::Exact => "probe:exact",
-    }
-}
-
-/// Static span name for a candidate's runtime attempt.
 fn attempt_span_name(kind: TechniqueKind) -> &'static str {
     match kind {
         TechniqueKind::OfflineSynopsis => "attempt:offline-synopsis",
@@ -73,27 +63,19 @@ fn attempt_span_name(kind: TechniqueKind) -> &'static str {
 
 /// Counts a completed routing pass into the global registry: one
 /// `aqp_decline_total{reason=...}` tick per candidate that declined
-/// (a-priori or at runtime; [`DeclineReason::tag`] keeps cardinality
+/// (statically or at runtime; `DeclineReason::tag` keeps cardinality
 /// bounded) and one `aqp_routed_total{winner=...}` tick for the family
 /// that answered. Always on — sharded counters cost nanoseconds next to a
 /// routed query.
-pub(crate) fn count_decision(decision: &RoutingDecision) {
+fn count_decision(decision: &RoutingDecision) {
     use aqp_obs::names;
     let m = aqp_obs::metrics::global();
     for c in &decision.candidates {
-        match &c.outcome {
-            CandidateOutcome::Ineligible(r) | CandidateOutcome::DeclinedAtRuntime(r) => {
-                m.counter_labeled(names::DECLINE_TOTAL, names::DECLINE_REASON_LABEL, r.tag())
-                    .inc(1);
-            }
-            CandidateOutcome::StaticallyIneligible(r) => {
-                // A skipped probe is still a decline for accounting, plus
-                // its own counter so the analyzer's savings are visible.
-                m.counter_labeled(names::DECLINE_TOTAL, names::DECLINE_REASON_LABEL, r.tag())
-                    .inc(1);
-                m.counter(names::PROBES_SKIPPED_TOTAL).inc(1);
-            }
-            CandidateOutcome::Chosen | CandidateOutcome::NotReached => {}
+        if let CandidateOutcome::StaticallyIneligible(r) | CandidateOutcome::DeclinedAtRuntime(r) =
+            &c.outcome
+        {
+            m.counter_labeled(names::DECLINE_TOTAL, names::DECLINE_REASON_LABEL, r.tag())
+                .inc(1);
         }
     }
     m.counter_labeled(
@@ -110,7 +92,7 @@ pub(crate) fn count_decision(decision: &RoutingDecision) {
 /// measured so the `query` span's duration never exceeds `report.wall`,
 /// and trace assembly happens after, so collection cost is not billed to
 /// the query.
-pub(crate) fn attach_trace(
+fn attach_trace(
     report: &mut crate::answer::ExecutionReport,
     root: aqp_obs::Span,
     wall_start: Instant,
@@ -132,15 +114,11 @@ pub(crate) fn attach_trace(
 /// Engine options for the session's exact executions: defaults plus the
 /// analyzer's static group-cardinality bound, so kernel aggregation maps
 /// are pre-sized and never rehash on plans whose key shapes bound the
-/// group count (`x % k`, literals, global aggregates).
-fn exec_opts(analysis: &Analysis) -> ExecOptions {
-    exec_opts_with(analysis, None)
-}
-
-/// [`exec_opts`] with an optional worker-count override — how the
-/// concurrent service applies its fair [`aqp_engine::PoolShare`] split to
-/// exact executions without disturbing the single-caller default.
-pub(crate) fn exec_opts_with(analysis: &Analysis, threads: Option<usize>) -> ExecOptions {
+/// group count (`x % k`, literals, global aggregates) — with an optional
+/// worker-count override, how the concurrent service applies its fair
+/// [`aqp_engine::PoolShare`] split without disturbing the single-caller
+/// default.
+fn exec_opts(analysis: &Analysis, threads: Option<usize>) -> ExecOptions {
     let mut opts = ExecOptions::default().with_agg_hint(
         analysis
             .group_cardinality_hint
@@ -150,6 +128,36 @@ pub(crate) fn exec_opts_with(analysis: &Analysis, threads: Option<usize>) -> Exe
         opts.threads = t.max(1);
     }
     opts
+}
+
+/// What one pass down the candidate chain produced (see
+/// [`AqpSession::walk`]).
+struct Walk {
+    /// Every candidate's fate, exact last.
+    decision: RoutingDecision,
+    /// The winning family's answer. `None` when nothing was attempted or
+    /// no family answered: exact won, and running it is the caller's job.
+    answer: Option<ApproximateAnswer>,
+    /// Base-table rows consumed by attempts that declined at runtime.
+    declined_rows: u64,
+}
+
+/// What the concurrent service carries over from earlier runs of the same
+/// plan into [`AqpSession::answer_with`]. Each field only ever skips work
+/// whose outcome is already determined.
+#[derive(Default)]
+pub(crate) struct Replay {
+    /// A memoized [`Analysis`], skipping the lint pass. It must have been
+    /// produced by this session's own lint context at the current
+    /// [`routing_epoch`](AqpSession::routing_epoch); the caller owns that
+    /// freshness check.
+    pub analysis: Option<Arc<Analysis>>,
+    /// Worker-count override: the fair [`aqp_engine::PoolShare`] split.
+    pub threads: Option<usize>,
+    /// The pilot plan a cold run of this exact `(plan, spec, seed)`
+    /// solved for: the online sampler replays its final phase and skips
+    /// the pilot scan.
+    pub pilot: Option<PilotPlan>,
 }
 
 /// Tuning knobs for the routing policy.
@@ -288,16 +296,11 @@ impl<'a> AqpSession<'a> {
             rewrite_min_group_support: self.config.rewrite_min_group_support,
             progressive: self.config.progressive,
         });
-        for (table, column) in self.offline.stratified_tables() {
-            let staleness = self.offline.staleness(self.catalog, &table).ok();
-            ctx = ctx.with_synopsis(SynopsisMeta {
-                table,
-                stratified_on: column,
-                staleness,
-            });
+        for meta in self.offline.synopsis_metas(self.catalog) {
+            ctx = ctx.with_synopsis(meta);
         }
         // Active quarantines enter the context in basis points so the
-        // analyzer's predicted decline is `==` to the enforced one.
+        // reason on the verdict is `==` across two lints of one state.
         let floor_bp = (self.config.audit.coverage_floor * 10_000.0).round() as u32;
         for row in self.scoreboard.snapshot().rows {
             if !row.quarantined {
@@ -320,34 +323,33 @@ impl<'a> AqpSession<'a> {
 
     /// Statically analyzes `plan` against this session's catalog, synopsis
     /// inventory, and policy — the same [`Analysis`] that
-    /// [`AqpSession::answer`] runs before routing and attaches to the
-    /// report. Metadata-only; nothing is executed.
+    /// [`AqpSession::answer`] routes on and attaches to the report.
+    /// Metadata-only; nothing is executed.
     pub fn lint_plan(&self, plan: &LogicalPlan) -> Analysis {
         aqp_analyze::lint_plan(plan, &self.lint_context())
     }
 
-    /// The candidate chain in policy order (exact is implicit, last).
-    fn techniques(&self) -> Vec<Box<dyn Technique + '_>> {
-        self.techniques_with_threads(None)
-    }
-
-    /// The candidate chain with an optional worker-count override for the
-    /// data-touching families — the service's fair-share hook.
-    pub(crate) fn techniques_with_threads(
-        &self,
-        threads: Option<usize>,
-    ) -> Vec<Box<dyn Technique + '_>> {
+    /// The online sampler's configuration, with the service's fair-share
+    /// worker count when one is given.
+    fn online_config(&self, threads: Option<usize>) -> OnlineConfig {
         let mut online = self.config.online;
         if let Some(t) = threads {
             online.threads = t.max(1);
         }
+        online
+    }
+
+    /// The candidate chain in policy order (exact is implicit, last),
+    /// with an optional worker-count override for the data-touching
+    /// families — the service's fair-share hook.
+    pub(crate) fn techniques(&self, threads: Option<usize>) -> Vec<Box<dyn Technique + '_>> {
         let mut chain: Vec<Box<dyn Technique + '_>> = vec![
             Box::new(OfflineTechnique::new(
                 &self.offline,
                 self.catalog,
                 self.config.max_staleness,
             )),
-            Box::new(OnlineAqp::new(self.catalog, online)),
+            Box::new(OnlineAqp::new(self.catalog, self.online_config(threads))),
         ];
         if self.config.progressive {
             chain.push(Box::new(OlaTechnique::new(self.catalog)));
@@ -360,143 +362,147 @@ impl<'a> AqpSession<'a> {
         chain
     }
 
-    /// The decision the router *would* make, without executing anything:
-    /// the static analyzer rules out what it can (those probes are
-    /// skipped, recorded as
-    /// [`CandidateOutcome::StaticallyIneligible`]), and eligibility probes
-    /// cover the rest. No base data is touched. Runtime declines are
-    /// invisible here, so the probed winner is the first *eligible*
-    /// candidate, which the real [`AqpSession::answer`] may still fall
-    /// past.
-    pub fn probe(&self, plan: &LogicalPlan, spec: &ErrorSpec) -> RoutingDecision {
-        let query = AggQuery::from_plan(plan);
-        let analysis = aqp_analyze::lint_with(plan, query.as_ref(), &self.lint_context());
-        let Some(query) = query else {
-            return self.shape_blocked_decision(&analysis);
-        };
-        let mut candidates = Vec::new();
-        let mut winner: Option<TechniqueKind> = None;
-        for t in self.techniques() {
-            if let Some(reason) = analysis.blocked_by(t.kind()) {
-                candidates.push(CandidateDecision {
-                    kind: t.kind(),
-                    outcome: CandidateOutcome::StaticallyIneligible(reason.clone()),
-                    probe_wall: Duration::ZERO,
-                    attempt_wall: Duration::ZERO,
-                });
-                continue;
-            }
-            let probe_start = Instant::now();
-            let verdict = t.eligibility(&query, spec);
-            let probe_wall = probe_start.elapsed();
-            let outcome = match verdict {
-                crate::technique::Eligibility::Eligible => {
-                    if winner.is_none() {
-                        winner = Some(t.kind());
+    /// The candidate walk — the only loop over the chain. A family the
+    /// analysis blocks is recorded with its verdict's reason and never
+    /// touched. The first unblocked family is handed to `attempt` (inside
+    /// its `attempt:*` span): an answer wins and ends the attempts, a
+    /// runtime decline falls through to the next unblocked family.
+    /// Without `attempt` nothing runs and the first unblocked family is
+    /// the winner the router *would* choose, barring runtime declines.
+    /// Exact closes the chain and wins when no family did.
+    fn walk<E>(
+        &self,
+        analysis: &Analysis,
+        threads: Option<usize>,
+        mut attempt: Option<impl FnMut(&dyn Technique) -> Result<Attempt, E>>,
+    ) -> Result<Walk, E> {
+        let techniques = self.techniques(threads);
+        let mut candidates = Vec::with_capacity(techniques.len() + 1);
+        let mut winner = None;
+        let mut answer = None;
+        let mut declined_rows = 0;
+        for t in &techniques {
+            let kind = t.kind();
+            let mut attempt_wall = Duration::ZERO;
+            let outcome = if let Some(reason) = analysis.blocked_by(kind) {
+                CandidateOutcome::StaticallyIneligible(reason.clone())
+            } else if winner.is_some() {
+                CandidateOutcome::NotReached
+            } else if let Some(attempt) = attempt.as_mut() {
+                let mut span = aqp_obs::span(attempt_span_name(kind));
+                let attempt_start = Instant::now();
+                let attempted = attempt(t.as_ref())?;
+                attempt_wall = attempt_start.elapsed();
+                let outcome = match attempted {
+                    Attempt::Answered(ans) => {
+                        if span.is_recording() {
+                            span.set_detail("answered");
+                            span.set_rows(ans.report.rows_scanned);
+                        }
+                        winner = Some(kind);
+                        answer = Some(ans);
                         CandidateOutcome::Chosen
-                    } else {
-                        CandidateOutcome::NotReached
                     }
-                }
-                crate::technique::Eligibility::Ineligible(r) => CandidateOutcome::Ineligible(r),
+                    Attempt::Declined {
+                        reason,
+                        rows_scanned,
+                    } => {
+                        if span.is_recording() {
+                            span.set_detail(format!("declined: {reason}"));
+                            span.set_rows(rows_scanned);
+                        }
+                        declined_rows += rows_scanned;
+                        CandidateOutcome::DeclinedAtRuntime(reason)
+                    }
+                };
+                span.finish();
+                outcome
+            } else {
+                winner = Some(kind);
+                CandidateOutcome::Chosen
             };
             candidates.push(CandidateDecision {
-                kind: t.kind(),
+                kind,
                 outcome,
-                probe_wall,
-                attempt_wall: Duration::ZERO,
+                attempt_wall,
             });
         }
         candidates.push(CandidateDecision {
             kind: TechniqueKind::Exact,
-            outcome: if winner.is_none() {
-                CandidateOutcome::Chosen
-            } else {
+            outcome: if winner.is_some() {
                 CandidateOutcome::NotReached
+            } else {
+                CandidateOutcome::Chosen
             },
-            probe_wall: Duration::ZERO,
             attempt_wall: Duration::ZERO,
         });
-        RoutingDecision {
-            candidates,
-            winner: winner.unwrap_or(TechniqueKind::Exact),
+        Ok(Walk {
+            decision: RoutingDecision {
+                candidates,
+                winner: winner.unwrap_or(TechniqueKind::Exact),
+            },
+            answer,
+            declined_rows,
+        })
+    }
+
+    /// The decision the router would make on `analysis` without running
+    /// anything: the [walk](AqpSession::walk) with no attempts. Runtime
+    /// declines are invisible here, so the winner is the first
+    /// *unblocked* candidate, which a real answer may still fall past.
+    pub(crate) fn decide(&self, analysis: &Analysis) -> RoutingDecision {
+        type NoAttempt = fn(&dyn Technique) -> Result<Attempt, Infallible>;
+        match self.walk(analysis, None, None::<NoAttempt>) {
+            Ok(walk) => walk.decision,
+            Err(never) => match never {},
         }
     }
 
-    /// The routing decision for a plan the analyzer found out of shape:
-    /// every approximate family is statically ineligible with the
-    /// analyzer's verdict (always `UnsupportedShape` here) and exact wins.
-    fn shape_blocked_decision(&self, analysis: &Analysis) -> RoutingDecision {
-        let mut candidates: Vec<CandidateDecision> = self
-            .techniques()
-            .iter()
-            .map(|t| {
-                let reason = analysis.blocked_by(t.kind()).cloned().unwrap_or(
-                    aqp_analyze::DeclineReason::UnsupportedShape {
-                        detail: "plan is not a normalized star linear-aggregate query".to_string(),
-                    },
-                );
-                CandidateDecision {
-                    kind: t.kind(),
-                    outcome: CandidateOutcome::StaticallyIneligible(reason),
-                    probe_wall: Duration::ZERO,
-                    attempt_wall: Duration::ZERO,
-                }
-            })
-            .collect();
-        candidates.push(CandidateDecision {
-            kind: TechniqueKind::Exact,
-            outcome: CandidateOutcome::Chosen,
-            probe_wall: Duration::ZERO,
-            attempt_wall: Duration::ZERO,
-        });
-        RoutingDecision {
-            candidates,
-            winner: TechniqueKind::Exact,
-        }
+    /// The decision the router *would* make, without executing anything:
+    /// one lint pass, then [`CandidateOutcome::StaticallyIneligible`] for
+    /// every family the analyzer rules out and the first remaining one as
+    /// the winner. No base data is touched. Runtime declines are
+    /// invisible here, so the real [`AqpSession::answer`] may still fall
+    /// past the probed winner — which is also why the error contract
+    /// does not enter: no a-priori verdict depends on it, only the
+    /// runtime declines a probe cannot see.
+    pub fn probe(&self, plan: &LogicalPlan, _spec: &ErrorSpec) -> RoutingDecision {
+        self.decide(&self.lint_plan(plan))
     }
 
     /// Routes and answers: normalizes the plan once, runs the static
-    /// analyzer once (skipping eligibility probes for every family it
-    /// rules out), walks the remaining candidate chain (falling through on
-    /// runtime declines), and returns the winner's answer with the full
-    /// [`RoutingDecision`], the [`Analysis`], and the cost of any failed
-    /// attempts folded into its report.
+    /// analyzer once, walks the candidate chain (never touching a family
+    /// the analyzer rules out, falling through on runtime declines), and
+    /// returns the winner's answer with the full [`RoutingDecision`], the
+    /// [`Analysis`], and the cost of any failed attempts folded into its
+    /// report.
     pub fn answer(
         &self,
         plan: &LogicalPlan,
         spec: &ErrorSpec,
         seed: u64,
     ) -> Result<ApproximateAnswer, AqpError> {
-        self.answer_with_analysis(plan, spec, seed, None, None)
+        self.answer_with(plan, spec, seed, Replay::default())
     }
 
-    /// [`AqpSession::answer`] with two service hooks: a memoized
-    /// [`Analysis`] (skipping the lint pass — the plan cache's fast path)
-    /// and a worker-count override (the fair [`aqp_engine::PoolShare`]
-    /// split). `None`/`None` is exactly the single-caller behavior.
-    ///
-    /// A supplied analysis must have been produced by this session's own
-    /// lint context at the current [`routing_epoch`]
-    /// (see [`AqpSession::routing_epoch`]); the caller owns that
-    /// freshness check.
-    pub(crate) fn answer_with_analysis(
+    /// [`AqpSession::answer`] with the service's [`Replay`] hooks;
+    /// `Replay::default()` is exactly the single-caller behavior.
+    pub(crate) fn answer_with(
         &self,
         plan: &LogicalPlan,
         spec: &ErrorSpec,
         seed: u64,
-        cached_analysis: Option<Arc<Analysis>>,
-        threads: Option<usize>,
+        replay: Replay,
     ) -> Result<ApproximateAnswer, AqpError> {
-        // The report's wall is the *routed* wall — analysis, probes,
-        // failed attempts, and the winner — mirroring how declined rows
-        // are charged to the final answer. The root span starts a fresh
-        // trace; every probe, attempt, and engine operator below nests
-        // under it.
+        // The report's wall is the *routed* wall — analysis, failed
+        // attempts, and the winner — mirroring how declined rows are
+        // charged to the final answer. The root span starts a fresh
+        // trace; every attempt and engine operator below nests under it.
         let wall_start = Instant::now();
         let root = aqp_obs::root_span("query");
+        let threads = replay.threads;
         let query = AggQuery::from_plan(plan);
-        let analysis = if let Some(analysis) = cached_analysis {
+        let analysis = if let Some(analysis) = replay.analysis {
             analysis
         } else {
             let mut lint_span = aqp_obs::span("lint:analyze");
@@ -515,129 +521,46 @@ impl<'a> AqpSession<'a> {
             lint_span.finish();
             analysis
         };
-        let Some(query) = query else {
-            let decision = self.shape_blocked_decision(&analysis);
-            count_decision(&decision);
-            let mut ans =
-                exact_answer_with(self.catalog, plan, None, exec_opts_with(&analysis, threads))?;
-            ans.report.routing = Some(decision);
-            ans.report.lints = Some(analysis);
-            attach_trace(&mut ans.report, root, wall_start);
-            self.attach_accuracy(&mut ans);
-            return Ok(ans);
-        };
-        let techniques = self.techniques_with_threads(threads);
-        let mut candidates: Vec<CandidateDecision> = Vec::with_capacity(techniques.len() + 1);
-        let mut declined_rows: u64 = 0;
-        let mut answered: Option<(TechniqueKind, ApproximateAnswer)> = None;
-        for t in &techniques {
-            // The analyzer already proved this family's probe would
-            // decline (with this exact reason) — skip the probe.
-            if let Some(reason) = analysis.blocked_by(t.kind()) {
-                candidates.push(CandidateDecision {
-                    kind: t.kind(),
-                    outcome: CandidateOutcome::StaticallyIneligible(reason.clone()),
-                    probe_wall: Duration::ZERO,
-                    attempt_wall: Duration::ZERO,
-                });
-                continue;
-            }
-            if answered.is_some() {
-                // Already won — the remaining candidates were statically
-                // eligible, so by the consistency contract their probes
-                // would pass; record them unprobed.
-                candidates.push(CandidateDecision {
-                    kind: t.kind(),
-                    outcome: CandidateOutcome::NotReached,
-                    probe_wall: Duration::ZERO,
-                    attempt_wall: Duration::ZERO,
-                });
-                continue;
-            }
-            let mut probe_span = aqp_obs::span(probe_span_name(t.kind()));
-            let probe_start = Instant::now();
-            let verdict = t.eligibility(&query, spec);
-            let probe_wall = probe_start.elapsed();
-            if probe_span.is_recording() {
-                if let crate::technique::Eligibility::Ineligible(r) = &verdict {
-                    probe_span.set_detail(format!("ineligible: {r}"));
+        // An out-of-shape plan has no normalized query to hand a family —
+        // and needs none: the analyzer blocks every family on it, so the
+        // walk attempts nothing.
+        let attempt = query.as_ref().map(|q| {
+            move |t: &dyn Technique| match replay.pilot {
+                Some(pilot) if t.kind() == TechniqueKind::OnlineSampling => {
+                    OnlineAqp::new(self.catalog, self.online_config(threads))
+                        .sample_with_plan(q, spec, seed, &pilot)
                 }
+                _ => t.answer(q, spec, seed),
             }
-            probe_span.finish();
-            match verdict {
-                crate::technique::Eligibility::Ineligible(r) => {
-                    candidates.push(CandidateDecision {
-                        kind: t.kind(),
-                        outcome: CandidateOutcome::Ineligible(r),
-                        probe_wall,
-                        attempt_wall: Duration::ZERO,
-                    });
-                }
-                crate::technique::Eligibility::Eligible => {
-                    let mut attempt_span = aqp_obs::span(attempt_span_name(t.kind()));
-                    let attempt_start = Instant::now();
-                    let attempt = t.answer(&query, spec, seed)?;
-                    let attempt_wall = attempt_start.elapsed();
-                    match attempt {
-                        Attempt::Answered(ans) => {
-                            if attempt_span.is_recording() {
-                                attempt_span.set_detail("answered");
-                                attempt_span.set_rows(ans.report.rows_scanned);
-                            }
-                            candidates.push(CandidateDecision {
-                                kind: t.kind(),
-                                outcome: CandidateOutcome::Chosen,
-                                probe_wall,
-                                attempt_wall,
-                            });
-                            answered = Some((t.kind(), ans));
-                        }
-                        Attempt::Declined {
-                            reason,
-                            rows_scanned,
-                        } => {
-                            if attempt_span.is_recording() {
-                                attempt_span.set_detail(format!("declined: {reason}"));
-                                attempt_span.set_rows(rows_scanned);
-                            }
-                            declined_rows += rows_scanned;
-                            candidates.push(CandidateDecision {
-                                kind: t.kind(),
-                                outcome: CandidateOutcome::DeclinedAtRuntime(reason),
-                                probe_wall,
-                                attempt_wall,
-                            });
-                        }
-                    }
-                    attempt_span.finish();
-                }
-            }
-        }
-        let winner = match &answered {
-            Some((kind, _)) => *kind,
-            None => TechniqueKind::Exact,
-        };
-        let won = answered.is_some();
-        let mut exact_attempt_wall = Duration::ZERO;
-        let mut ans = match answered {
-            Some((_, ans)) => ans,
+        });
+        let Walk {
+            mut decision,
+            answer,
+            declined_rows,
+        } = self.walk(&analysis, threads, attempt)?;
+        let mut ans = match answer {
+            Some(ans) => ans,
             None => {
-                // Every family passed: run exactly, with the fact-table
-                // population so speedup ratios compare like-for-like.
+                // Every family passed: run exactly — the normalized plan
+                // with the fact-table population, so speedup ratios
+                // compare like-for-like, or the plan as given when it is
+                // out of shape.
                 let mut span = aqp_obs::span(attempt_span_name(TechniqueKind::Exact));
                 let attempt_start = Instant::now();
-                let population = self
-                    .catalog
-                    .get(&query.fact_table)
-                    .map(|t| t.row_count() as u64)
-                    .ok();
+                let normalized = query.as_ref().map(AggQuery::to_plan);
+                let population = query.as_ref().and_then(|q| {
+                    let fact = self.catalog.get(&q.fact_table).ok()?;
+                    Some(fact.row_count() as u64)
+                });
                 let ans = exact_answer_with(
                     self.catalog,
-                    &query.to_plan(),
+                    normalized.as_ref().unwrap_or(plan),
                     population,
-                    exec_opts_with(&analysis, threads),
+                    exec_opts(&analysis, threads),
                 )?;
-                exact_attempt_wall = attempt_start.elapsed();
+                if let Some(exact) = decision.candidates.last_mut() {
+                    exact.attempt_wall = attempt_start.elapsed();
+                }
                 if span.is_recording() {
                     span.set_detail("answered");
                     span.set_rows(ans.report.rows_scanned);
@@ -646,25 +569,18 @@ impl<'a> AqpSession<'a> {
                 ans
             }
         };
-        candidates.push(CandidateDecision {
-            kind: TechniqueKind::Exact,
-            outcome: if won {
-                CandidateOutcome::NotReached
-            } else {
-                CandidateOutcome::Chosen
-            },
-            probe_wall: Duration::ZERO,
-            attempt_wall: exact_attempt_wall,
-        });
-        let decision = RoutingDecision { candidates, winner };
         count_decision(&decision);
+        let winner = decision.winner;
         ans.report.rows_scanned += declined_rows;
         ans.report.routing = Some(decision);
         attach_trace(&mut ans.report, root, wall_start);
         // The audit runs after the trace and wall are sealed: its cost is
         // observably its own (report.audit.wall, aqp_audit_wall_us), never
-        // billed to the answer.
-        self.maybe_audit(&query, &mut ans, spec, &analysis, winner);
+        // billed to the answer. Exact winners are never audited, so an
+        // out-of-shape plan (exact by construction) needs no query here.
+        if let Some(query) = &query {
+            self.maybe_audit(query, &mut ans, spec, &analysis, winner);
+        }
         ans.report.lints = Some(analysis);
         self.attach_accuracy(&mut ans);
         Ok(ans)
@@ -674,7 +590,7 @@ impl<'a> AqpSession<'a> {
     /// answer: re-executes exactly, grades the promises, records the
     /// verdict in the scoreboard (possibly entering quarantine), and
     /// mirrors failed offline audits into the synopsis drift monitors.
-    pub(crate) fn maybe_audit(
+    fn maybe_audit(
         &self,
         query: &AggQuery,
         ans: &mut ApproximateAnswer,
@@ -696,8 +612,14 @@ impl<'a> AqpSession<'a> {
         let audit_root = aqp_obs::root_span("audit");
         let recording = audit_root.is_recording();
         let trace = audit_root.ctx().trace;
-        let outcome =
-            audit::audit_answer(self.catalog, query, ans, spec, exec_opts(analysis), winner);
+        let outcome = audit::audit_answer(
+            self.catalog,
+            query,
+            ans,
+            spec,
+            exec_opts(analysis, None),
+            winner,
+        );
         audit_root.finish();
         if recording {
             drop(aqp_obs::drain_trace(trace));
@@ -728,7 +650,7 @@ impl<'a> AqpSession<'a> {
 
     /// Attaches the scoreboard snapshot to the report once any audits
     /// have run, so `explain_analyze()` can render the accuracy table.
-    pub(crate) fn attach_accuracy(&self, ans: &mut ApproximateAnswer) {
+    fn attach_accuracy(&self, ans: &mut ApproximateAnswer) {
         let snapshot = self.scoreboard.snapshot();
         if !snapshot.rows.is_empty() {
             ans.report.accuracy = Some(Box::new(snapshot));

@@ -6,12 +6,10 @@
 //! the probability with which *all* of the query's aggregates must satisfy
 //! it jointly.
 
-use serde::{Deserialize, Serialize};
-
 /// A joint accuracy contract: with probability at least `confidence`,
 /// every aggregate of the query has relative error at most
 /// `relative_error`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorSpec {
     /// Maximum tolerated relative error, e.g. `0.05` for ±5%.
     pub relative_error: f64,

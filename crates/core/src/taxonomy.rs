@@ -8,24 +8,21 @@
 //!
 //! The four *routable* families (the ones behind
 //! [`crate::session::AqpSession`]) go one step further: their rows are
-//! **derived by probing [`crate::technique::Technique::eligibility`]**
-//! against canned scenario catalogs — a query with a predicate, a join, a
-//! group-by; a store with no synopsis; a store whose synopsis went stale —
-//! so those columns cannot drift from what the routing code actually
-//! accepts ([`derived_family_rows`]). The remaining rows describe
-//! building-block techniques (samplers, sketches) that have no router
-//! entry point and stay hand-described.
+//! **read off the static analyzer's verdicts** — the same
+//! `Analysis::blocked_by` the router routes on — for canned scenario
+//! sessions: a query with a predicate, a join; a session with no
+//! synopsis; a session whose synopsis went stale. Those columns are what
+//! the routing code accepts, not a description of it
+//! ([`derived_family_rows`]). The remaining rows describe building-block
+//! techniques (samplers, sketches) that have no router entry point and
+//! stay hand-described.
 
 use aqp_expr::{col, lit};
 use aqp_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 
 use crate::aggquery::{AggQuery, AggSpec, JoinSpec, LinearAgg};
-use crate::offline::{OfflineStore, OfflineTechnique};
-use crate::ola::OlaTechnique;
-use crate::online::{OnlineAqp, OnlineConfig};
-use crate::rewrite::RewriteTechnique;
-use crate::spec::ErrorSpec;
-use crate::technique::{Guarantee, Technique as TechniqueTrait};
+use crate::session::AqpSession;
+use crate::technique::{Guarantee, TechniqueKind};
 
 /// One implemented AQP technique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,15 +87,15 @@ pub struct Capability {
     pub implemented_in: &'static str,
 }
 
-/// The probe fact table: 640 rows in 10 blocks (block designs need ≥4
-/// blocks), a group column `g` and a measure `v`.
-fn probe_fact() -> aqp_storage::Table {
+/// The probe fact table: `rows` rows in blocks of 64 (640 rows make 10
+/// blocks; block designs need ≥4), a group column `g` and a measure `v`.
+fn probe_fact(rows: i64) -> aqp_storage::Table {
     let schema = Schema::new(vec![
         Field::new("g", DataType::Int64),
         Field::new("v", DataType::Float64),
     ]);
     let mut b = TableBuilder::with_block_capacity("probe_fact", schema, 64);
-    for i in 0..640i64 {
+    for i in 0..rows {
         b.push_row(&[Value::Int64(i % 8), Value::Float64((i % 13) as f64)])
             .expect("schema matches");
     }
@@ -136,55 +133,45 @@ fn probe_query(
     }
 }
 
-/// Derives the four routable families' capability rows by probing
-/// [`TechniqueTrait::eligibility`] against canned scenarios, instead of
-/// hand-maintaining them:
-///
-/// * *ad-hoc predicates* / *joins* — is a probe query with a predicate /
-///   a join eligible?
-/// * *a-priori error* — does [`TechniqueTrait::profile`] declare
-///   [`Guarantee::APriori`]?
-/// * *needs workload knowledge* — does the family become ineligible when
-///   no synopsis was pre-built for the probe table?
-/// * *needs maintenance* — does it become ineligible when the base table
-///   grows past the synopsis it was built on (staleness)?
-///
-/// Returned in order: offline stratified, online aggregation,
-/// pilot-planned sampling, middleware rewrite.
-pub fn derived_family_rows() -> Vec<Capability> {
-    // Scenario catalogs: fresh (synopsis built, data unchanged), bare (no
-    // synopsis ever built), stale (synopsis built, then the table grew).
-    let fresh = Catalog::new();
-    fresh.register(probe_fact()).expect("fresh probe_fact");
-    fresh.register(probe_dim()).expect("fresh probe_dim");
-    let fresh_store = OfflineStore::with_threads(1);
-    fresh_store
-        .build_stratified(&fresh, "probe_fact", "g", 128, 7)
-        .expect("probe synopsis");
-    let bare_store = OfflineStore::with_threads(1);
-    let stale = Catalog::new();
-    stale.register(probe_fact()).expect("stale probe_fact");
-    stale.register(probe_dim()).expect("stale probe_dim");
-    let stale_store = OfflineStore::with_threads(1);
-    stale_store
-        .build_stratified(&stale, "probe_fact", "g", 128, 7)
-        .expect("probe synopsis");
-    {
-        // Grow the base table 2×: staleness 1.0, far past any threshold.
-        let schema = Schema::new(vec![
-            Field::new("g", DataType::Int64),
-            Field::new("v", DataType::Float64),
-        ]);
-        let mut b = TableBuilder::with_block_capacity("probe_fact", schema, 64);
-        for i in 0..1280i64 {
-            b.push_row(&[Value::Int64(i % 8), Value::Float64((i % 13) as f64)])
-                .expect("schema matches");
-        }
-        stale.replace(b.finish());
-    }
+/// A scenario catalog: the probe fact table and its dimension.
+fn probe_catalog() -> Catalog {
+    let c = Catalog::new();
+    c.register(probe_fact(640)).expect("probe_fact");
+    c.register(probe_dim()).expect("probe_dim");
+    c
+}
 
-    let spec = ErrorSpec::new(0.05, 0.95);
-    let q_pred = probe_query(vec![], Some(col("v").lt(lit(6.0))), vec![]);
+/// Derives the four routable families' capability rows from the static
+/// analyzer's verdicts on canned scenarios, instead of hand-maintaining
+/// them:
+///
+/// * *ad-hoc predicates* / *joins* — is the family statically eligible
+///   for a probe query with a predicate / a join?
+/// * *a-priori error* — does the family's profile declare
+///   [`Guarantee::APriori`]?
+/// * *needs workload knowledge* — is the family blocked when no synopsis
+///   was pre-built for the probe table?
+/// * *needs maintenance* — is it blocked when the base table grows past
+///   the synopsis it was built on (staleness)?
+///
+/// Returned in routing-policy order.
+pub fn derived_family_rows() -> Vec<Capability> {
+    // Scenario sessions: fresh (synopsis built, data unchanged), bare (no
+    // synopsis ever built), stale (synopsis built, then the table grew
+    // 2×: staleness 1.0, far past any threshold).
+    let (fresh_data, bare_data, stale_data) = (probe_catalog(), probe_catalog(), probe_catalog());
+    let fresh = AqpSession::new(&fresh_data);
+    let bare = AqpSession::new(&bare_data);
+    let stale = AqpSession::new(&stale_data);
+    for (session, data) in [(&fresh, &fresh_data), (&stale, &stale_data)] {
+        session
+            .offline()
+            .build_stratified(data, "probe_fact", "g", 128, 7)
+            .expect("probe synopsis");
+    }
+    stale_data.replace(probe_fact(1280));
+
+    let q_pred = probe_query(vec![], Some(col("v").lt(lit(6.0))), vec![]).to_plan();
     let q_join = probe_query(
         vec![JoinSpec {
             dim_table: "probe_dim".into(),
@@ -193,73 +180,53 @@ pub fn derived_family_rows() -> Vec<Capability> {
         }],
         None,
         vec![],
-    );
+    )
+    .to_plan();
+    let pred_on_fresh = fresh.lint_plan(&q_pred);
+    let join_on_fresh = fresh.lint_plan(&q_join);
+    let pred_on_bare = bare.lint_plan(&q_pred);
+    let pred_on_stale = stale.lint_plan(&q_pred);
 
-    type Maker = for<'a> fn(&'a Catalog, &'a OfflineStore) -> Box<dyn TechniqueTrait + 'a>;
-    let families: [(Technique, Maker); 4] = [
-        (Technique::OfflineStratifiedSample, |c, s| {
-            Box::new(OfflineTechnique::new(s, c, 0.1))
-        }),
-        (Technique::OnlineAggregation, |c, _| {
-            Box::new(OlaTechnique::new(c))
-        }),
-        (Technique::PilotPlannedSampling, |c, _| {
-            Box::new(OnlineAqp::new(c, OnlineConfig::default()))
-        }),
-        (Technique::MiddlewareRewrite, |c, _| {
-            Box::new(RewriteTechnique::new(c, 0.05, 30))
-        }),
-    ];
-
+    let families = fresh.techniques(None);
     families
-        .into_iter()
-        .map(|(technique, make)| {
-            let on_fresh = make(&fresh, &fresh_store);
-            let profile = on_fresh.profile();
-            let adhoc_predicates = on_fresh.eligibility(&q_pred, &spec).is_eligible();
-            let joins = on_fresh.eligibility(&q_join, &spec).is_eligible();
-            let needs_workload_knowledge = !make(&fresh, &bare_store)
-                .eligibility(&q_pred, &spec)
-                .is_eligible();
-            let needs_maintenance = !make(&stale, &stale_store)
-                .eligibility(&q_pred, &spec)
-                .is_eligible();
-            Capability {
-                technique,
+        .iter()
+        .filter_map(|family| {
+            let kind = family.kind();
+            let profile = family.profile();
+            Some(Capability {
+                technique: match kind {
+                    TechniqueKind::OfflineSynopsis => Technique::OfflineStratifiedSample,
+                    TechniqueKind::OnlineSampling => Technique::PilotPlannedSampling,
+                    TechniqueKind::OnlineAggregation => Technique::OnlineAggregation,
+                    TechniqueKind::MiddlewareRewrite => Technique::MiddlewareRewrite,
+                    // The terminal is not an AQP technique: no row.
+                    TechniqueKind::Exact => return None,
+                },
                 answers: profile.answers,
                 a_priori_error: matches!(profile.guarantee, Guarantee::APriori),
-                adhoc_predicates,
-                joins,
-                needs_workload_knowledge,
-                needs_maintenance,
+                adhoc_predicates: pred_on_fresh.statically_eligible(kind),
+                joins: join_on_fresh.statically_eligible(kind),
+                needs_workload_knowledge: !pred_on_bare.statically_eligible(kind),
+                needs_maintenance: !pred_on_stale.statically_eligible(kind),
                 speedup_source: profile.speedup_source,
                 implemented_in: profile.implemented_in,
-            }
+            })
         })
         .collect()
 }
 
 /// The live capability matrix. Building-block rows are hand-described;
-/// the four routable family rows come from [`derived_family_rows`].
+/// the four routable family rows come from [`derived_family_rows`], each
+/// replacing its positional placeholder (the rewrite has none and goes
+/// last).
 pub fn capability_matrix() -> Vec<Capability> {
-    let mut derived = derived_family_rows();
-    let rewrite_row = derived.pop().expect("4 derived rows");
-    let pilot_row = derived.pop().expect("4 derived rows");
-    let ola_row = derived.pop().expect("4 derived rows");
-    let offline_row = derived.pop().expect("4 derived rows");
     let mut rows = hand_rows();
-    let pos = |rows: &[Capability], t: Technique| {
-        rows.iter()
-            .position(|c| c.technique == t)
-            .expect("placeholder present")
-    };
-    let i = pos(&rows, Technique::OfflineStratifiedSample);
-    rows[i] = offline_row;
-    let i = pos(&rows, Technique::OnlineAggregation);
-    rows[i] = ola_row;
-    let i = pos(&rows, Technique::PilotPlannedSampling);
-    rows[i] = pilot_row;
-    rows.push(rewrite_row);
+    for derived in derived_family_rows() {
+        match rows.iter_mut().find(|c| c.technique == derived.technique) {
+            Some(placeholder) => *placeholder = derived,
+            None => rows.push(derived),
+        }
+    }
     rows
 }
 
@@ -289,8 +256,8 @@ fn hand_rows() -> Vec<Capability> {
             speedup_source: "skips non-sampled blocks (I/O)",
             implemented_in: "aqp-sampling::bernoulli_blocks / block_srs",
         },
-        // Positional placeholder — content replaced by the eligibility
-        // probe in `derived_family_rows()`.
+        // Positional placeholder — content replaced by the analyzer's
+        // verdicts in `derived_family_rows()`.
         Capability {
             technique: Technique::OfflineStratifiedSample,
             answers: "(derived)",
@@ -412,8 +379,8 @@ fn hand_rows() -> Vec<Capability> {
             speedup_source: "top-B coefficient summary",
             implemented_in: "aqp-sketch::WaveletSynopsis",
         },
-        // Positional placeholders — content replaced by the eligibility
-        // probe in `derived_family_rows()`.
+        // Positional placeholders — content replaced by the analyzer's
+        // verdicts in `derived_family_rows()`.
         Capability {
             technique: Technique::OnlineAggregation,
             answers: "(derived)",
@@ -500,7 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn derived_rows_probe_real_eligibility() {
+    fn derived_rows_read_real_verdicts() {
         let rows = capability_matrix();
         let row = |t: Technique| {
             rows.iter()

@@ -4,13 +4,15 @@
 //! NSB's thesis is that no single AQP technique wins on generality,
 //! accuracy, and performance at once — which means a faithful *system*
 //! needs a layer the survey implies but never names: a uniform interface
-//! under which every family can state, **before running**, whether it can
-//! serve a query ([`Technique::eligibility`]) and, at runtime, either
-//! produce an answer or decline with a machine-readable reason
-//! ([`Technique::answer`] returning [`Attempt`]). The router in
-//! [`crate::session`] folds those answers into a policy; the taxonomy in
-//! [`crate::taxonomy`] re-derives the paper's capability matrix from the
-//! same eligibility probes, so the matrix cannot drift from the code.
+//! under which every family either produces an answer or declines with a
+//! machine-readable reason ([`Technique::answer`] returning [`Attempt`]).
+//! Whether a family can serve a query *before running* is not asked of
+//! the family: it is the static analyzer's per-family verdict
+//! (`aqp_analyze::TechniqueVerdict`), which the router in
+//! [`crate::session`] folds into a policy and the taxonomy in
+//! [`crate::taxonomy`] reads to derive the paper's capability matrix. A
+//! family handed a query directly consults the same verdict
+//! before it touches data, so there is one eligibility decision.
 //!
 //! The four families implementing this trait:
 //!
@@ -34,26 +36,9 @@ use crate::answer::{assemble_answer, ApproximateAnswer, ExecutionPath, Execution
 use crate::error::AqpError;
 use crate::spec::ErrorSpec;
 
+use aqp_analyze::LintContext;
+
 pub use aqp_analyze::{DeclineReason, Guarantee, TechniqueKind};
-
-/// A technique's a-priori verdict on whether it can serve a query under a
-/// spec. Cheap by contract: eligibility probes must not touch base data
-/// (the router runs every family's probe on every query).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Eligibility {
-    /// The technique can attempt the query (it may still decline at
-    /// runtime — see [`Attempt::Declined`]).
-    Eligible,
-    /// The technique cannot serve the query, and why.
-    Ineligible(DeclineReason),
-}
-
-impl Eligibility {
-    /// Whether this verdict is [`Eligibility::Eligible`].
-    pub fn is_eligible(&self) -> bool {
-        matches!(self, Self::Eligible)
-    }
-}
 
 /// Static self-description of a technique, for the derived taxonomy.
 #[derive(Debug, Clone, Copy)]
@@ -68,7 +53,7 @@ pub struct TechniqueProfile {
     pub guarantee: Guarantee,
 }
 
-/// The outcome of asking an eligible technique to answer.
+/// The outcome of asking a technique to answer.
 #[derive(Debug, Clone)]
 pub enum Attempt {
     /// The technique produced an answer.
@@ -86,8 +71,8 @@ pub enum Attempt {
     },
 }
 
-/// One AQP family as the router sees it: a-priori eligibility with
-/// machine-readable declines, plus execution that may decline at runtime.
+/// One AQP family as the router sees it: execution that may decline with
+/// a machine-readable reason.
 pub trait Technique {
     /// Which family this is.
     fn kind(&self) -> TechniqueKind;
@@ -95,14 +80,29 @@ pub trait Technique {
     /// Static self-description (feeds [`crate::taxonomy`]).
     fn profile(&self) -> TechniqueProfile;
 
-    /// Cheap a-priori verdict: can this technique serve `query` under
-    /// `spec`? Must not touch base-table data.
-    fn eligibility(&self, query: &AggQuery, spec: &ErrorSpec) -> Eligibility;
-
     /// Attempts the query. Returns [`Attempt::Declined`] for contract
-    /// failures discovered at runtime; `Err` only for genuine faults
-    /// (missing columns, storage errors).
+    /// failures discovered at runtime — and, before any data is touched,
+    /// for a query the family's own analyzer verdict blocks; `Err` only
+    /// for genuine faults (missing columns, storage errors).
     fn answer(&self, query: &AggQuery, spec: &ErrorSpec, seed: u64) -> Result<Attempt, AqpError>;
+}
+
+/// The guard at the head of every family's `answer`: declines a query
+/// the family's analyzer verdict blocks, with the verdict's reason. The
+/// router never sends one — it routes on the same verdicts — so this only
+/// fires for direct callers, who get a typed decline instead of a panic
+/// or an answer to a different question.
+pub(crate) fn decline_if_blocked(
+    kind: TechniqueKind,
+    query: &AggQuery,
+    ctx: &LintContext,
+) -> Option<Attempt> {
+    aqp_analyze::verdict_for(kind, query, ctx)
+        .blocked_by
+        .map(|reason| Attempt::Declined {
+            reason,
+            rows_scanned: 0,
+        })
 }
 
 /// Exact execution of an arbitrary plan, wrapped as an [`ApproximateAnswer`]
@@ -199,10 +199,134 @@ pub fn exact_answer_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggquery::{AggSpec, JoinSpec, LinearAgg};
+    use crate::session::AqpSession;
+    use aqp_expr::col;
+    use aqp_workload::{skewed_table, uniform_table};
 
+    /// No probe stands in front of `answer` any more, so every family's
+    /// `answer`, called directly on a query its own verdict blocks, must
+    /// decline with the analyzer's reason before touching data — never
+    /// panic, never answer the query that is left when the unsupported
+    /// part is ignored.
     #[test]
-    fn eligibility_predicate() {
-        assert!(Eligibility::Eligible.is_eligible());
-        assert!(!Eligibility::Ineligible(DeclineReason::JoinsUnsupported).is_eligible());
+    fn answer_declines_what_the_verdict_blocks() {
+        let catalog = Catalog::new();
+        catalog
+            .register(skewed_table("t", 20_000, 10, 1.0, 256, 3))
+            .unwrap();
+        catalog.register(uniform_table("d", 64, 64, 9)).unwrap();
+        let session = AqpSession::new(&catalog);
+        session
+            .offline()
+            .build_stratified(&catalog, "t", "g", 2_000, 1)
+            .unwrap();
+
+        let sum = |alias: &str| AggSpec {
+            kind: LinearAgg::Sum,
+            expr: col("v"),
+            alias: alias.into(),
+        };
+        let base = AggQuery {
+            fact_table: "t".into(),
+            joins: vec![],
+            predicate: None,
+            group_by: vec![],
+            aggregates: vec![sum("s")],
+        };
+        let joined = AggQuery {
+            joins: vec![JoinSpec {
+                dim_table: "d".into(),
+                fact_key: "g".into(),
+                dim_key: "id".into(),
+            }],
+            ..base.clone()
+        };
+        let grouped = AggQuery {
+            group_by: vec![(col("g"), "g".into())],
+            ..base.clone()
+        };
+        let no_aggregate = AggQuery {
+            aggregates: vec![],
+            ..base.clone()
+        };
+        let two_aggregates = AggQuery {
+            aggregates: vec![sum("s"), sum("s2")],
+            ..base.clone()
+        };
+        let ghost = AggQuery {
+            fact_table: "ghost".into(),
+            ..base
+        };
+        let one_aggregate = || DeclineReason::UnsupportedShape {
+            detail: "progressive aggregation serves exactly one aggregate".into(),
+        };
+        let missing = || DeclineReason::MissingTable {
+            table: "ghost".into(),
+        };
+        use TechniqueKind::*;
+        let cases = [
+            (
+                "join",
+                OfflineSynopsis,
+                &joined,
+                DeclineReason::JoinsUnsupported,
+            ),
+            (
+                "join",
+                OnlineAggregation,
+                &joined,
+                DeclineReason::JoinsUnsupported,
+            ),
+            (
+                "group-by",
+                OnlineAggregation,
+                &grouped,
+                DeclineReason::GroupByUnsupported,
+            ),
+            (
+                "no aggregate",
+                OnlineAggregation,
+                &no_aggregate,
+                one_aggregate(),
+            ),
+            (
+                "two aggregates",
+                OnlineAggregation,
+                &two_aggregates,
+                one_aggregate(),
+            ),
+            (
+                "missing table",
+                OfflineSynopsis,
+                &ghost,
+                DeclineReason::NoSynopsis {
+                    table: "ghost".into(),
+                },
+            ),
+            ("missing table", OnlineSampling, &ghost, missing()),
+            ("missing table", OnlineAggregation, &ghost, missing()),
+            ("missing table", MiddlewareRewrite, &ghost, missing()),
+        ];
+
+        let families = session.techniques(None);
+        let spec = ErrorSpec::new(0.1, 0.9);
+        for (input, kind, query, expected) in cases {
+            let analysis =
+                aqp_analyze::lint_with(&query.to_plan(), Some(query), &session.lint_context());
+            assert_eq!(
+                analysis.blocked_by(kind),
+                Some(&expected),
+                "{kind} on {input}: the session's verdict"
+            );
+            let family = families.iter().find(|t| t.kind() == kind).unwrap();
+            match family.answer(query, &spec, 7) {
+                Ok(Attempt::Declined {
+                    reason,
+                    rows_scanned: 0,
+                }) => assert_eq!(reason, expected, "{kind} on {input}"),
+                other => panic!("{kind} on {input}: expected a free decline, got {other:?}"),
+            }
+        }
     }
 }

@@ -214,9 +214,9 @@ where
     });
     let busy_total: Mutex<Duration> = Mutex::new(Duration::ZERO);
     let scope_start = obs_on.then(Instant::now);
-    let scoped = crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
+    std::thread::scope(|scope| {
+        let spawn_worker = |_| {
+            scope.spawn(|| {
                 let mut local: Vec<(usize, T)> = Vec::new();
                 let mut stats = ExecStats::default();
                 let mut busy = Duration::ZERO;
@@ -239,14 +239,18 @@ where
                 if obs_on {
                     *busy_total.lock() += busy;
                 }
-            });
+            })
+        };
+        let handles: Vec<_> = (0..workers).map(spawn_worker).collect();
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                // A worker panicked: re-raise its own payload on the
+                // calling thread (the scope still joins the rest first)
+                // rather than the scope's generic second panic.
+                std::panic::resume_unwind(payload);
+            }
         }
     });
-    if let Err(payload) = scoped {
-        // A worker panicked: re-raise the original payload on the calling
-        // thread rather than wrapping it in a second panic.
-        std::panic::resume_unwind(payload);
-    }
     if let Some(t0) = scope_start {
         let wall = t0.elapsed().as_secs_f64();
         let m = aqp_obs::metrics::global();

@@ -47,10 +47,6 @@ pub const DECLINE_TOTAL: &str = "aqp_decline_total";
 /// Label key for [`DECLINE_TOTAL`]: the machine-readable decline tag.
 pub const DECLINE_REASON_LABEL: &str = "reason";
 
-/// Counter: eligibility probes the router skipped because the static
-/// analyzer already blocked the family.
-pub const PROBES_SKIPPED_TOTAL: &str = "aqp_probes_skipped_total";
-
 /// Labeled counter: queries answered, keyed by [`ROUTED_WINNER_LABEL`].
 /// The label values are `TechniqueKind::name()` strings, enumerated in
 /// [`ROUTED_WINNER_TAGS`].
@@ -204,7 +200,6 @@ pub const ALL_METRIC_NAMES: &[&str] = &[
     POOL_WORKERS,
     POOL_WORKER_UTILIZATION,
     DECLINE_TOTAL,
-    PROBES_SKIPPED_TOTAL,
     ROUTED_TOTAL,
     SERVICE_QUEUE_WAIT_US,
     SERVICE_QUEUE_DEPTH,

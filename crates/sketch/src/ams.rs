@@ -7,13 +7,12 @@
 //! medians-of-means guarantee.
 
 use aqp_mergeable::MergeError;
-use serde::{Deserialize, Serialize};
 
 use crate::hash::{hash_bytes, hash_with_seed, sign_of};
 
 /// An AMS sketch: `depth` independent rows, each with `width` ±1 counters;
 /// the estimate is the median over rows of the mean of squared counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AmsSketch {
     width: usize,
     depth: usize,

@@ -1,12 +1,11 @@
 //! Bloom filter: approximate set membership with no false negatives.
 
 use aqp_mergeable::MergeError;
-use serde::{Deserialize, Serialize};
 
 use crate::hash::{hash_bytes, hash_with_seed};
 
 /// A Bloom filter with `m` bits and `k` hash functions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     num_bits: usize,

@@ -5,13 +5,12 @@
 //! better on skewed data where a few heavy hitters dominate the stream.
 
 use aqp_mergeable::MergeError;
-use serde::{Deserialize, Serialize};
 
 use crate::hash::{hash_bytes, hash_with_seed, sign_of};
 
 /// A Count-Sketch: `depth` rows of `width` signed counters; the estimate is
 /// the median across rows of `sign · counter`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CountSketch {
     width: usize,
     depth: usize,

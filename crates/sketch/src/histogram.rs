@@ -6,10 +6,9 @@
 //! equi-width buckets are cheaper to build but degrade badly on skew.
 
 use aqp_mergeable::MergeError;
-use serde::{Deserialize, Serialize};
 
 /// One histogram bucket over `[lo, hi)` (the last bucket is closed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bucket {
     /// Inclusive lower bound.
     pub lo: f64,
@@ -112,7 +111,7 @@ fn validated_buckets(buckets: Vec<Bucket>) -> Option<Vec<Bucket>> {
 }
 
 /// An equi-width histogram: `k` buckets of equal value-range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EquiWidthHistogram {
     buckets: Vec<Bucket>,
 }
@@ -199,7 +198,7 @@ impl EquiWidthHistogram {
 }
 
 /// An equi-depth histogram: `k` buckets each holding ≈ n/k rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EquiDepthHistogram {
     buckets: Vec<Bucket>,
 }

@@ -6,12 +6,11 @@
 //! 2-kilobyte HLL answers it to ~2% regardless of data size.
 
 use aqp_mergeable::MergeError;
-use serde::{Deserialize, Serialize};
 
 use crate::hash::{hash_bytes, mix64};
 
 /// A HyperLogLog sketch with `2^precision` registers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HyperLogLog {
     precision: u8,
     registers: Vec<u8>,

@@ -9,12 +9,11 @@
 use std::collections::BTreeSet;
 
 use aqp_mergeable::MergeError;
-use serde::{Deserialize, Serialize};
 
 use crate::hash::hash_bytes;
 
 /// A KMV sketch retaining the `k` minimum hashes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KmvSketch {
     k: usize,
     mins: BTreeSet<u64>,

@@ -20,7 +20,8 @@
 //! | Bloom filter | membership | false-positive rate `(1−e^{−kn/m})^k` | [`bloom`] |
 //!
 //! All sketches are mergeable (distributed-aggregation-friendly),
-//! serializable with `serde`, and deterministic given their seeds.
+//! serializable through the `Partial` wire format ([`codec`]), and
+//! deterministic given their seeds.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -6,11 +6,10 @@
 //! aggregates (medians, percentile dashboards).
 
 use aqp_mergeable::MergeError;
-use serde::{Deserialize, Serialize};
 
 /// One summary tuple: a value, the minimum-rank gap `g`, and the rank
 /// uncertainty `Δ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct GkTuple {
     v: f64,
     g: u64,
@@ -18,7 +17,7 @@ struct GkTuple {
 }
 
 /// A Greenwald–Khanna quantile summary with error parameter ε.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GkQuantiles {
     eps: f64,
     n: u64,

@@ -7,10 +7,9 @@
 //! NSB's synopsis family.
 
 use aqp_mergeable::MergeError;
-use serde::{Deserialize, Serialize};
 
 /// A truncated Haar wavelet decomposition of a (zero-padded) vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaveletSynopsis {
     /// Original (un-padded) length.
     len: usize,

@@ -2,8 +2,6 @@
 //! the delta-method propagation rules that let composite aggregates (AVG as
 //! SUM/COUNT, products, linear combinations) inherit valid intervals.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::{Normal, StudentT};
 use crate::interval::ConfidenceInterval;
 
@@ -13,7 +11,7 @@ use crate::interval::ConfidenceInterval;
 /// `Estimate` is what every approximate operator in this workspace returns.
 /// Converting to a [`ConfidenceInterval`] applies the CLT: a Student-t
 /// interval when the sample size is small, a normal interval otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// The point estimate.
     pub value: f64,

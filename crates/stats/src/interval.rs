@@ -1,14 +1,12 @@
 //! Confidence intervals and coverage accounting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::Normal;
 
 /// A closed real interval `[lo, hi]` carrying a nominal confidence level.
 ///
 /// Intervals are the lingua franca of every AQP answer in this workspace:
 /// estimators produce them, experiments measure their empirical coverage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Lower endpoint.
     pub lo: f64,

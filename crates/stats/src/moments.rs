@@ -5,10 +5,9 @@
 
 use aqp_mergeable::{tag, wire, CodecError, MergeError, Partial};
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Streaming count / mean / variance accumulator (Welford).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Moments {
     n: u64,
     mean: f64,
@@ -175,7 +174,7 @@ impl Partial for Moments {
 ///
 /// Uses reliability-weighted Welford; `variance()` is the frequency-weighted
 /// unbiased estimate with Bessel-style correction via effective sample size.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WeightedMoments {
     n: u64,
     w_sum: f64,

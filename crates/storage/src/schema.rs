@@ -1,12 +1,10 @@
 //! Schemas: ordered, named, typed fields.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::StorageError;
 use crate::value::DataType;
 
 /// One named, typed column declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Column name (unique within a schema).
     pub name: String,
@@ -37,7 +35,7 @@ impl Field {
 }
 
 /// An ordered collection of fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Vec<Field>,
 }

@@ -2,7 +2,7 @@
 //! analyzed statically — no base data is read — and printed with its
 //! verdict table, diagnostics, and suggested rewrites. Finishes with the
 //! session wiring: `EXPLAIN ANALYZE` carrying the lint table and the
-//! probes the router skipped on the analyzer's word.
+//! families the router never attempted on the analyzer's verdict.
 //!
 //! ```sh
 //! cargo run --release -p aqp-bench --example lint
@@ -164,8 +164,8 @@ fn main() {
     );
 
     // --- Session wiring: the router runs this same analysis once per
-    // query, skips the probes it rules out, and attaches the lint table
-    // to the answer's report.
+    // query, never attempts a family it rules out, and attaches the lint
+    // table to the answer's report.
     let session = AqpSession::new(&c);
     let ans = session
         .answer(&grouped_sum("t"), &ErrorSpec::new(0.2, 0.9), 7)
@@ -175,10 +175,10 @@ fn main() {
         println!("   {line}");
     }
     let routing = ans.report.routing.as_ref().unwrap();
-    let skipped = routing
+    let blocked = routing
         .candidates
         .iter()
         .filter(|cand| matches!(cand.outcome, CandidateOutcome::StaticallyIneligible(_)))
         .count();
-    println!("\n   probes skipped on static verdicts: {skipped}");
+    println!("\n   families blocked on static verdicts: {blocked}");
 }

@@ -40,8 +40,8 @@ fn main() {
         exact.stats().rows_scanned
     );
 
-    // 4. One front door: the session probes every family's eligibility and
-    //    routes to the first whose guarantee covers the contract.
+    // 4. One front door: the session reads every family's eligibility off
+    //    one static analysis and routes to the first that can answer.
     let session = AqpSession::new(&catalog);
     let answer = session.answer(&plan, &spec, 7).unwrap();
     let routing = answer.report.routing.as_ref().unwrap();

@@ -78,7 +78,7 @@ fn main() {
         stats.accepted, stats.degraded, stats.rejected
     );
     println!(
-        "plan cache: hits={} misses={} stale={} (the deliberation — lint,\n            eligibility probes, pilot planning — ran only on the misses)",
+        "plan cache: hits={} misses={} stale={} (the deliberation — lint and pilot\n            planning — ran in full only on the misses)",
         stats.cache_hits, stats.cache_misses, stats.cache_stale
     );
 

@@ -230,7 +230,7 @@ fn stale_synopsis_is_quarantined_and_recovers_after_maintenance() {
     assert!(accuracy.get("offline-synopsis").unwrap().quarantined);
 
     // Phase 3: while quarantined, routing declines the family statically
-    // with the machine-readable reason — probe skipped, lint A014 fired,
+    // with the machine-readable reason — never attempted, lint A014 fired,
     // counter ticked — and falls to the next family.
     let ans = session.answer(&grouped_sum_plan("t"), &spec, 77).unwrap();
     let routing = ans.report.routing.as_ref().unwrap();

@@ -133,11 +133,12 @@ proptest! {
         }
     }
 
-    /// Session-level: a routed grouped aggregate records probes and the
-    /// winning attempt under one `query` root, and the same invariants
-    /// hold for the full routing trace.
+    /// Session-level: a routed grouped aggregate records the lint pass
+    /// (the eligibility decision) and the winning attempt under one
+    /// `query` root, and the same invariants hold for the full routing
+    /// trace.
     #[test]
-    fn session_trace_nests_probes_and_attempts(
+    fn session_trace_nests_lint_and_attempts(
         xs in prop::collection::vec(-100_000i64..100_000, 2100..2600),
         seed in any::<u64>(),
     ) {
@@ -168,7 +169,7 @@ proptest! {
         for r in &records {
             prop_assert_eq!(r.trace, tree.record.trace, "span {} off-trace", r.name);
         }
-        prop_assert!(records.iter().any(|r| r.name.starts_with("probe:")));
+        prop_assert!(records.iter().any(|r| r.name == "lint:analyze"));
         prop_assert!(records.iter().any(|r| r.name.starts_with("attempt:")));
         let text = ans.report.explain_analyze();
         prop_assert!(text.contains("EXPLAIN ANALYZE"));
@@ -178,9 +179,9 @@ proptest! {
 }
 
 /// The routed span tree accounts for the report's wall clock: the `query`
-/// root covers every probe/attempt below it, its duration never exceeds
-/// the routed wall, and the winning attempt (plus declined attempts and
-/// probes) is visible in the rendered explain output with its timing.
+/// root covers the lint pass and every attempt below it, its duration
+/// never exceeds the routed wall, and the winning attempt (plus declined
+/// attempts) is visible in the rendered explain output with its timing.
 #[test]
 fn explain_analyze_accounts_for_routed_wall() {
     let xs: Vec<i64> = (0..30_000).map(|i| (i * 7919) % 5003 - 2500).collect();
@@ -197,7 +198,7 @@ fn explain_analyze_accounts_for_routed_wall() {
     let report = &ans.report;
     let tree = report.trace.as_ref().expect("trace attached");
     // The root's wall is bounded by the report's routed wall, and its
-    // direct children (probes + attempts) fit within it.
+    // direct children (lint + attempts) fit within it.
     let root_ns = tree.record.duration_ns;
     assert!(
         root_ns <= report.wall.as_nanos() as u64,
@@ -206,10 +207,10 @@ fn explain_analyze_accounts_for_routed_wall() {
     );
     assert!(
         tree.child_ns() <= root_ns,
-        "probe+attempt time {}ns exceeds query span {root_ns}ns",
+        "lint+attempt time {}ns exceeds query span {root_ns}ns",
         tree.child_ns()
     );
-    // Probe and attempt timing is attributed on the routing decision.
+    // Attempt timing is attributed on the routing decision.
     let routing = report.routing.as_ref().expect("routed");
     let attempted: Vec<_> = routing
         .candidates
@@ -218,10 +219,6 @@ fn explain_analyze_accounts_for_routed_wall() {
         .collect();
     assert!(!attempted.is_empty(), "someone must have attempted");
     let rendered = report.explain_analyze();
-    assert!(
-        rendered.contains("probe="),
-        "probe timing missing:\n{rendered}"
-    );
     assert!(
         rendered.contains("attempt="),
         "attempt timing missing:\n{rendered}"

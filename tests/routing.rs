@@ -7,9 +7,9 @@
 use proptest::prelude::*;
 
 use aqp_core::{
-    AggQuery, AqpSession, Attempt, CandidateOutcome, DeclineReason, ErrorSpec, ExecutionPath,
-    OfflineTechnique, OlaTechnique, OnlineAqp, RewriteTechnique, SessionConfig, Technique,
-    TechniqueKind,
+    AggQuery, AqpService, AqpSession, Attempt, CandidateOutcome, DeclineReason, ErrorSpec,
+    ExecutionPath, OfflineTechnique, OlaTechnique, OnlineAqp, RewriteTechnique, RoutingDecision,
+    ServiceConfig, SessionConfig, Technique, TechniqueKind,
 };
 use aqp_engine::{AggExpr, LogicalPlan, Query};
 use aqp_expr::{col, lit};
@@ -206,8 +206,10 @@ fn tiny_table_routes_to_online_aggregation() {
     ));
 }
 
-/// The probe must predict the same winner as answering when no runtime
-/// decline intervenes, and it must touch no base data (cheap by contract).
+/// The three entry points are one walk: the probe must predict what
+/// answering records when no runtime decline intervenes, and the service's
+/// `route` must return that same decision cold (lint + decide) and warm
+/// (the memoized decision).
 #[test]
 fn probe_agrees_with_answer_on_clean_paths() {
     let c = Catalog::new();
@@ -222,7 +224,21 @@ fn probe_agrees_with_answer_on_clean_paths() {
     let spec = ErrorSpec::new(0.1, 0.9);
     let probed = session.probe(&plan, &spec);
     let answered = session.answer(&plan, &spec, 7).unwrap();
-    assert_eq!(probed.winner, answered.report.routing.unwrap().winner);
+    let realized = answered.report.routing.unwrap();
+    assert_eq!(probed.winner, realized.winner);
+    let fates = |d: &RoutingDecision| -> Vec<_> {
+        d.candidates
+            .iter()
+            .map(|c| (c.kind, c.outcome.clone()))
+            .collect()
+    };
+    assert_eq!(fates(&probed), fates(&realized));
+    let service = AqpService::over(session, ServiceConfig::default());
+    let cold = service.route(&plan, &spec);
+    let warm = service.route(&plan, &spec);
+    assert_eq!(service.stats().cache_entries, 1, "the cold route cached");
+    assert_eq!(*cold, probed);
+    assert_eq!(*warm, probed);
 }
 
 proptest! {

@@ -85,7 +85,7 @@ proptest! {
         let spec = ErrorSpec::new(0.15, 0.9);
         let plans = [grouped_sum("t", threshold), ungrouped_sum("t")];
         // Repeat every job so the second occurrence replays warm cache
-        // state (memoized analysis, probes, and pilot plans).
+        // state (memoized analysis, decision, and pilot plans).
         let jobs: Vec<(usize, u64)> = seeds
             .iter()
             .flat_map(|&s| (0..plans.len()).map(move |p| (p, s)))
@@ -228,7 +228,7 @@ fn plan_cache_hits_then_invalidates() {
     assert_eq!(cache_of(&second), CacheEvent::Hit);
 
     // Maintenance bumps the routing epoch even when no synopsis needed
-    // rebuilding: cached probe verdicts may rest on anything it touched.
+    // rebuilding: cached verdicts may rest on anything it touched.
     service.session().maintain_synopses("t", 99).unwrap();
     let third = service.answer(&plan, &spec, 3).unwrap();
     assert_eq!(cache_of(&third), CacheEvent::Stale);
