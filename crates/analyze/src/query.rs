@@ -75,16 +75,20 @@ impl AggQuery {
         if let Some(p) = &self.predicate {
             q = q.filter(p.clone());
         }
-        let aggs = self
-            .aggregates
+        q.aggregate(self.group_by.clone(), self.agg_exprs()).build()
+    }
+
+    /// The aggregates as engine aggregate expressions (`COUNT(*)` drops
+    /// its ignored argument).
+    pub fn agg_exprs(&self) -> Vec<AggExpr> {
+        self.aggregates
             .iter()
             .map(|a| match a.kind {
                 LinearAgg::CountStar => AggExpr::count_star(&a.alias),
                 LinearAgg::Sum => AggExpr::sum(a.expr.clone(), &a.alias),
                 LinearAgg::Avg => AggExpr::avg(a.expr.clone(), &a.alias),
             })
-            .collect();
-        q.aggregate(self.group_by.clone(), aggs).build()
+            .collect()
     }
 
     /// Attempts to normalize an engine plan. Returns `None` when the plan

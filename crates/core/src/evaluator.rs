@@ -1,15 +1,25 @@
-//! Row-at-a-time evaluation of a star [`AggQuery`] against *sampled* fact
-//! blocks.
+//! Per-block evaluation of a star [`AggQuery`] against *sampled* fact
+//! blocks: an FK gather feeding the engine's block fold.
 //!
 //! The statistical machinery needs per-fact-block group totals (blocks are
-//! the sampling units), but a relational join repacks rows and destroys
-//! block boundaries. The evaluator avoids that by never materializing the
-//! join: dimension tables are pre-indexed by key, and each fact row is
-//! evaluated in place — FK lookups resolve dimension columns, the
-//! predicate runs over the virtual joined row, and the contribution is
-//! attributed to the row's group *and* its fact block.
+//! the sampling units), and folding one block into a fresh aggregate
+//! partial is exactly what [`aqp_engine::BlockFold`] does for the exact
+//! executor's morsels. The evaluator is that fold's second caller: it
+//! compiles the query's predicate, keys and aggregates once — onto the
+//! typed kernel when the shape is in its domain, the scalar path otherwise
+//! — folds each sampled block, and reads the `(f, g)` pairs the HT
+//! estimators consume straight out of the aggregate states.
 //!
-//! This per-row FK lookup is exactly why `sample(fact) ⋈ dim` is
+//! A relational join would repack rows and destroy block boundaries, so
+//! star joins never go through the engine's hash join. Dimension tables
+//! are indexed by their (unique) key once per query, every referenced
+//! column name is resolved once — fact columns first, then dimensions in
+//! join order — and per fact block the referenced dimension columns are
+//! *gathered* through the FK into a joined block of the same row order
+//! (rows with a NULL or dangling key drop, as in an inner join). The fold
+//! then runs over the joined block as it would over a plain one.
+//!
+//! That per-row FK lookup is exactly why `sample(fact) ⋈ dim` is
 //! statistically identical to `sample(fact ⋈ dim)` for foreign-key joins
 //! (each fact row joins to at most one dimension row, so sampling commutes
 //! with the join) — the one join shape NSB notes *is* safe to sample one
@@ -18,23 +28,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use aqp_engine::agg::KeyAtom;
-use aqp_expr::eval::eval_row;
-use aqp_storage::{Block, Catalog, Table, Value};
+use aqp_engine::agg::{AggState, GroupKey, KeyAtom};
+use aqp_engine::BlockFold;
+use aqp_storage::{Block, Catalog, Column, DataType, Field, Schema, Table, Value};
 
-use crate::aggquery::{AggQuery, LinearAgg};
+use crate::aggquery::AggQuery;
 use crate::error::AqpError;
-
-/// A fact row's contribution: its group key and, per aggregate, the
-/// `(numerator, denominator)` pair fed to the HT estimators.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowContribution {
-    /// Group key values (empty for a global aggregate).
-    pub group: Vec<Value>,
-    /// Per aggregate: `(f, g)` — SUM uses `(x, 0)`, COUNT `(1, 0)`,
-    /// AVG `(x, 1)` with NULL measures contributing `(0, 0)`.
-    pub per_agg: Vec<(f64, f64)>,
-}
 
 struct DimLookup {
     table: Arc<Table>,
@@ -43,20 +42,37 @@ struct DimLookup {
     index: HashMap<KeyAtom, (u32, u32)>,
 }
 
-/// Evaluates a star query one fact row at a time.
+/// Where a column of the joined block comes from.
+enum Source {
+    /// Fact column, by schema index.
+    Fact(usize),
+    /// Column of dimension `dim`, by that table's schema index.
+    Dim { dim: usize, col: usize },
+}
+
+/// One group's per-aggregate `(f, g)` totals within one block.
+pub type GroupTotals = (GroupKey, Vec<(f64, f64)>);
+
+/// Evaluates a star query one sampled fact block at a time.
 pub struct StarEvaluator {
-    query: AggQuery,
     fact: Arc<Table>,
     dims: Vec<DimLookup>,
+    /// Schema and column sources of the joined block (the FK and
+    /// referenced columns only); `None` when the query has no joins and
+    /// fact blocks are folded as they are.
+    joined: Option<(Arc<Schema>, Vec<Source>)>,
+    /// Per group key, whether its expression is FLOAT64-typed.
+    float_keys: Vec<bool>,
+    fold: BlockFold,
 }
 
 impl StarEvaluator {
-    /// Builds the evaluator: loads the fact table handle and hash-indexes
-    /// every dimension by its join key.
+    /// Builds the evaluator: loads the fact table handle, hash-indexes
+    /// every dimension by its join key, resolves the referenced columns
+    /// and compiles the block fold.
     ///
     /// Errors if a dimension key is duplicated (the FK assumption the
-    /// commuting argument rests on) or any referenced table/column is
-    /// missing.
+    /// commuting argument rests on) or any referenced table is missing.
     pub fn new(catalog: &Catalog, query: &AggQuery) -> Result<Self, AqpError> {
         let fact = catalog.get(&query.fact_table)?;
         let mut dims = Vec::with_capacity(query.joins.len());
@@ -68,14 +84,9 @@ impl StarEvaluator {
             for (bi, block) in table.iter_blocks() {
                 let keys = block.column(key_idx);
                 for ri in 0..block.len() {
-                    let v = keys.get(ri);
-                    if v.is_null() {
-                        continue;
-                    }
-                    if index
-                        .insert(KeyAtom::from_value(&v), (bi as u32, ri as u32))
-                        .is_some()
-                    {
+                    let (v, slot) = (keys.get(ri), (bi as u32, ri as u32));
+                    // NULL keys are never indexed: they match no fact row.
+                    if !v.is_null() && index.insert(KeyAtom::from_value(&v), slot).is_some() {
                         return Err(AqpError::Unsupported {
                             detail: format!(
                                 "dimension {} has duplicate key {v} in {}; \
@@ -92,10 +103,51 @@ impl StarEvaluator {
                 index,
             });
         }
+        let aggregates = query.agg_exprs();
+        let joined = (!dims.is_empty()).then(|| {
+            // Resolve each referenced name once: fact first, then
+            // dimensions in join order. A name nothing resolves stays out
+            // of the joined schema and surfaces as the fold's
+            // column-not-found error. The FK columns always ride along, so
+            // a joined block has its row count even when the query names
+            // no column (`COUNT(*)`).
+            let mut fields: Vec<Field> = Vec::new();
+            let mut sources = Vec::new();
+            let exprs = (query.predicate.iter())
+                .chain(query.group_by.iter().map(|(e, _)| e))
+                .chain(aggregates.iter().map(|a| &a.expr));
+            let fks = query.joins.iter().map(|j| j.fact_key.as_str());
+            for name in fks.chain(exprs.flat_map(|e| e.referenced_columns())) {
+                if fields.iter().any(|f| f.name == name) {
+                    continue;
+                }
+                let tables = std::iter::once(&fact).chain(dims.iter().map(|d| &d.table));
+                let hit = tables.enumerate().find_map(|(ti, t)| {
+                    let col = t.schema().index_of(name).ok()?;
+                    Some((ti, col, t.schema().field_at(col).clone()))
+                });
+                if let Some((ti, col, field)) = hit {
+                    fields.push(field);
+                    sources.push(match ti {
+                        0 => Source::Fact(col),
+                        _ => Source::Dim { dim: ti - 1, col },
+                    });
+                }
+            }
+            (Arc::new(Schema::new(fields)), sources)
+        });
+        let schema = joined.as_ref().map_or(fact.schema(), |(s, _)| s);
+        let predicates: Vec<_> = query.predicate.iter().collect();
+        let fold = BlockFold::compile(&predicates, &query.group_by, &aggregates, schema);
+        let float_keys = (query.group_by.iter())
+            .map(|(e, _)| matches!(e.data_type(schema), Ok(DataType::Float64)))
+            .collect();
         Ok(Self {
-            query: query.clone(),
             fact,
             dims,
+            joined,
+            float_keys,
+            fold,
         })
     }
 
@@ -104,74 +156,86 @@ impl StarEvaluator {
         &self.fact
     }
 
-    /// The query being evaluated.
-    pub fn query(&self) -> &AggQuery {
-        &self.query
+    /// Total rows in the dimension tables (scanned once to index them).
+    pub fn dim_rows(&self) -> u64 {
+        self.dims.iter().map(|d| d.table.row_count() as u64).sum()
     }
 
-    /// Evaluates one fact row (from a sampled block). Returns `None` when
-    /// the row contributes nothing: a join missed or the predicate did not
-    /// pass.
-    pub fn eval_row(&self, block: &Block, row: usize) -> Result<Option<RowContribution>, AqpError> {
-        // Resolve dimension rows through the FK indexes.
-        let mut dim_rows: Vec<(usize, usize)> = Vec::with_capacity(self.dims.len());
-        for d in &self.dims {
-            let fk = block.column(d.fact_key_idx).get(row);
-            if fk.is_null() {
-                return Ok(None);
-            }
-            match d.index.get(&KeyAtom::from_value(&fk)) {
-                Some(&(bi, ri)) => dim_rows.push((bi as usize, ri as usize)),
-                None => return Ok(None), // inner join: no match, no row
-            }
-        }
-        // Virtual-row resolver: fact columns first, then dimensions in
-        // join order.
-        let resolver = |name: &str| -> Option<Value> {
-            if let Ok(col) = block.column_by_name(name) {
-                return Some(col.get(row));
-            }
-            for (d, &(bi, ri)) in self.dims.iter().zip(&dim_rows) {
-                if let Ok(col) = d.table.block(bi).column_by_name(name) {
-                    return Some(col.get(ri));
-                }
-            }
-            None
-        };
-        if let Some(p) = &self.query.predicate {
-            match eval_row(p, &resolver)? {
-                Value::Bool(true) => {}
-                _ => return Ok(None), // FALSE or NULL: filtered out
-            }
-        }
-        let group = self
-            .query
-            .group_by
-            .iter()
-            .map(|(e, _)| eval_row(e, &resolver))
-            .collect::<Result<Vec<_>, _>>()?;
-        let per_agg = self
-            .query
-            .aggregates
-            .iter()
-            .map(|a| -> Result<(f64, f64), AqpError> {
-                Ok(match a.kind {
-                    LinearAgg::CountStar => (1.0, 0.0),
-                    LinearAgg::Sum => {
-                        let v = eval_row(&a.expr, &resolver)?;
-                        (v.as_f64().unwrap_or(0.0), 0.0)
-                    }
-                    LinearAgg::Avg => {
-                        let v = eval_row(&a.expr, &resolver)?;
-                        match v.as_f64() {
-                            Some(x) => (x, 1.0),
-                            None => (0.0, 0.0),
-                        }
-                    }
-                })
+    /// The compiled block fold (typed kernel or scalar path).
+    pub fn fold(&self) -> &BlockFold {
+        &self.fold
+    }
+
+    /// A canonical group key as values of the group-by expressions' types,
+    /// as the exact engine emits it: an integral FLOAT64 key, canonically
+    /// [`KeyAtom::Int`], comes back as `Float64`.
+    pub fn key_values(&self, key: &GroupKey) -> Vec<Value> {
+        (key.iter().zip(&self.float_keys))
+            .map(|(atom, &float)| match *atom {
+                KeyAtom::Int(i) if float => Value::Float64(i as f64),
+                _ => atom.to_value(),
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Some(RowContribution { group, per_agg }))
+            .collect()
+    }
+
+    /// Gathers the referenced columns of one fact block through the FK
+    /// indexes. Rows whose key is NULL or matches no dimension row drop.
+    /// `None` when the query has no joins.
+    fn join_block(&self, block: &Block) -> Option<Block> {
+        let (schema, sources) = self.joined.as_ref()?;
+        let nd = self.dims.len();
+        let mut rows: Vec<usize> = Vec::with_capacity(block.len());
+        // Row-major: `nd` dimension hits per surviving row.
+        let mut hits: Vec<(u32, u32)> = Vec::with_capacity(block.len() * nd);
+        for ri in 0..block.len() {
+            // NULL keys are never indexed, so NULL and dangling FKs both miss.
+            let row_hits = self.dims.iter().map_while(|d| {
+                let fk = block.column(d.fact_key_idx).get(ri);
+                d.index.get(&KeyAtom::from_value(&fk)).copied()
+            });
+            hits.extend(row_hits);
+            if hits.len() == (rows.len() + 1) * nd {
+                rows.push(ri);
+            } else {
+                hits.truncate(rows.len() * nd);
+            }
+        }
+        let columns = (sources.iter().zip(schema.fields()))
+            .map(|(source, field)| match *source {
+                Source::Fact(col) => block.column(col).take(&rows),
+                Source::Dim { dim, col } => {
+                    let table = &self.dims[dim].table;
+                    let mut out = Column::with_capacity(field.data_type, rows.len());
+                    for &(bi, ri) in hits.iter().skip(dim).step_by(nd) {
+                        out.push_slot(table.block(bi as usize).column(col), ri as usize);
+                    }
+                    out
+                }
+            })
+            .collect();
+        Some(Block::from_columns(Arc::clone(schema), columns))
+    }
+
+    /// Folds one sampled fact block and returns, for every group with a
+    /// qualifying row in it, the block's per-aggregate `(f, g)` totals —
+    /// SUM is `(Σx, 0)`, COUNT `(n, 0)`, AVG `(Σx, n)` over non-NULL `x`.
+    pub fn block_totals(&self, block: &Block) -> Result<Vec<GroupTotals>, AqpError> {
+        let joined = self.join_block(block);
+        let input = joined.as_ref().unwrap_or(block);
+        let mut acc = self.fold.new_acc(None);
+        if self.fold.fold(input, &mut acc, true)? == 0 {
+            return Ok(Vec::new());
+        }
+        let pair = |s: &AggState| match *s {
+            AggState::CountStar(n) => (n as f64, 0.0),
+            AggState::Sum { sum, .. } => (sum, 0.0),
+            AggState::Avg { sum, count } => (sum, count as f64),
+            _ => unreachable!("linear aggregates only"),
+        };
+        let groups = acc.into_groups().into_iter();
+        Ok(groups
+            .map(|(key, states)| (key, states.iter().map(pair).collect()))
+            .collect())
     }
 }
 
@@ -179,8 +243,9 @@ impl StarEvaluator {
 mod tests {
     use super::*;
     use crate::aggquery::AggSpec;
+    use crate::aggquery::LinearAgg;
     use aqp_expr::{col, lit};
-    use aqp_storage::{DataType, Field, Schema, TableBuilder};
+    use aqp_storage::{DataType, TableBuilder, Value};
 
     fn catalog() -> Catalog {
         let c = Catalog::new();
@@ -236,50 +301,83 @@ mod tests {
         }
     }
 
+    /// One block's totals, sorted by label.
+    fn totals(ev: &StarEvaluator, block: usize) -> Vec<(String, Vec<(f64, f64)>)> {
+        let mut out: Vec<_> = ev
+            .block_totals(ev.fact().block(block))
+            .unwrap()
+            .into_iter()
+            .map(|(key, pairs)| (key[0].to_value().to_string(), pairs))
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
     #[test]
     fn joins_and_groups_resolve() {
         let c = catalog();
         let ev = StarEvaluator::new(&c, &query(None)).unwrap();
-        let fact = ev.fact().clone();
-        // Row 0: fk 0 → label "lo".
-        let contrib = ev.eval_row(fact.block(0), 0).unwrap().unwrap();
-        assert_eq!(contrib.group, vec![Value::str("lo")]);
-        assert_eq!(contrib.per_agg, vec![(0.0, 0.0), (1.0, 0.0)]);
-        // Row 2: fk 2 → "hi", x = 2.
-        let contrib = ev.eval_row(fact.block(0), 2).unwrap().unwrap();
-        assert_eq!(contrib.group, vec![Value::str("hi")]);
-        assert_eq!(contrib.per_agg[0], (2.0, 0.0));
+        // Block 0 holds fk 0..4 with x = fk: "lo" gets rows 0, 1 and "hi"
+        // rows 2, 3.
+        assert_eq!(
+            totals(&ev, 0),
+            vec![
+                ("hi".to_string(), vec![(5.0, 0.0), (2.0, 0.0)]),
+                ("lo".to_string(), vec![(1.0, 0.0), (2.0, 0.0)]),
+            ]
+        );
     }
 
     #[test]
     fn dangling_fk_drops_row() {
         let c = catalog();
         let ev = StarEvaluator::new(&c, &query(None)).unwrap();
-        let fact = ev.fact().clone();
-        // Row 10 (block 2, offset 2) has fk 99.
-        let (bi, ri) = fact.locate_row(10);
-        assert!(ev.eval_row(fact.block(bi), ri).unwrap().is_none());
+        // Block 2 holds rows 8, 9 (fk 0, 1 → "lo") and the fk-99 row.
+        assert_eq!(
+            totals(&ev, 2),
+            vec![("lo".to_string(), vec![(17.0, 0.0), (2.0, 0.0)])]
+        );
+    }
+
+    #[test]
+    fn count_star_alone_counts_joined_rows() {
+        // No column is referenced: the joined block still has its rows.
+        let c = catalog();
+        let mut q = query(None);
+        q.group_by.clear();
+        q.aggregates.remove(0);
+        let ev = StarEvaluator::new(&c, &q).unwrap();
+        let got = ev.block_totals(ev.fact().block(2)).unwrap();
+        assert_eq!(got, vec![(vec![], vec![(2.0, 0.0)])]);
     }
 
     #[test]
     fn predicate_on_dim_column() {
         let c = catalog();
         let ev = StarEvaluator::new(&c, &query(Some(col("label").eq(lit("hi"))))).unwrap();
-        let fact = ev.fact().clone();
-        // fk 0 → "lo": filtered.
-        assert!(ev.eval_row(fact.block(0), 0).unwrap().is_none());
-        // fk 2 → "hi": passes.
-        assert!(ev.eval_row(fact.block(0), 2).unwrap().is_some());
+        assert!(
+            !ev.fold().is_kernel(),
+            "string predicate folds on the scalar path"
+        );
+        assert_eq!(
+            totals(&ev, 0),
+            vec![("hi".to_string(), vec![(5.0, 0.0), (2.0, 0.0)])]
+        );
     }
 
     #[test]
     fn predicate_on_fact_column() {
         let c = catalog();
         let ev = StarEvaluator::new(&c, &query(Some(col("x").gt_eq(lit(5.0))))).unwrap();
-        let fact = ev.fact().clone();
-        assert!(ev.eval_row(fact.block(0), 0).unwrap().is_none());
-        let (bi, ri) = fact.locate_row(5);
-        assert!(ev.eval_row(fact.block(bi), ri).unwrap().is_some());
+        assert!(totals(&ev, 0).is_empty(), "no row of block 0 qualifies");
+        // Block 1 holds x = 4..8 with fk 0..4; x ≥ 5 keeps fk 1, 2, 3.
+        assert_eq!(
+            totals(&ev, 1),
+            vec![
+                ("hi".to_string(), vec![(13.0, 0.0), (2.0, 0.0)]),
+                ("lo".to_string(), vec![(5.0, 0.0), (1.0, 0.0)]),
+            ]
+        );
     }
 
     #[test]
@@ -303,15 +401,17 @@ mod tests {
     fn avg_contribution_pairs() {
         let c = catalog();
         let mut q = query(None);
+        q.joins.clear();
+        q.group_by.clear();
         q.aggregates = vec![AggSpec {
             kind: LinearAgg::Avg,
             expr: col("x"),
             alias: "a".into(),
         }];
         let ev = StarEvaluator::new(&c, &q).unwrap();
-        let fact = ev.fact().clone();
-        let contrib = ev.eval_row(fact.block(0), 3).unwrap().unwrap();
-        assert_eq!(contrib.per_agg, vec![(3.0, 1.0)]);
+        assert!(ev.fold().is_kernel(), "numeric ungrouped shape compiles");
+        let got = ev.block_totals(ev.fact().block(0)).unwrap();
+        assert_eq!(got, vec![(vec![], vec![(6.0, 4.0)])]);
     }
 
     #[test]

@@ -18,6 +18,17 @@
 //! 4. **Final** — an independent block sample at rate `q` produces the
 //!    per-group estimates and Boole-adjusted confidence intervals.
 //!
+//! Both sampled phases cost what the exact engine's scan costs per row,
+//! because they run its inner loop: the one statistic the estimators and
+//! the planner need per sampled block is the per-group `(f, g)` block
+//! totals, and that is a block folded into a fresh aggregate partial —
+//! [`aqp_engine::BlockFold`], the fold `aqp-engine` runs over its morsels.
+//! [`StarEvaluator`] compiles it once per query (typed kernel or scalar
+//! path; FK joins gathered into the block first) and `accumulate` sums the
+//! squared totals in block order. The `online:pilot`/`online:final` spans
+//! say which fold ran (`[kernel]`/`[scalar]`), and each phase ticks
+//! `aqp_kernel_dispatch_total` once.
+//!
 //! Groups absent from the pilot are not covered by the contract (uniform
 //! samples miss small groups — experiment E3); the stratified/distinct
 //! samplers in `aqp-sampling` and the offline synopses exist precisely to
@@ -27,7 +38,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use aqp_analyze::LintContext;
-use aqp_engine::agg::KeyAtom;
+use aqp_engine::agg::GroupKey;
+use aqp_engine::fold::record_dispatch;
 use aqp_engine::LogicalPlan;
 use aqp_sampling::bernoulli_blocks;
 use aqp_stats::Estimate;
@@ -95,92 +107,44 @@ struct PairTotals {
 
 #[derive(Debug, Clone)]
 struct GroupAcc {
-    key: Vec<Value>,
     totals: Vec<PairTotals>,
-    cur: Vec<(f64, f64)>,
     blocks_seen: u64,
 }
 
 /// Accumulates per-group, per-aggregate block totals over a block sample.
 ///
-/// Each sampled block is an independent morsel: workers fold one block's
-/// rows into a partial group map (the exact serial inner loop), and the
-/// partials are merged in block order, so the summation tree — and hence
-/// the result — is identical at every thread count.
+/// Each sampled block is an independent morsel: workers fold one block
+/// into a fresh aggregate partial ([`StarEvaluator::block_totals`] — the
+/// engine's block fold, the same row-order inner loop the exact executor
+/// runs) and hand back that block's `(f, g)` totals per group. The
+/// totals are squared and summed here in block order, so the summation
+/// tree — and hence the result — is identical at every thread count. A
+/// group is counted once per block it has a qualifying row in.
 fn accumulate(
     evaluator: &StarEvaluator,
     sample: &aqp_sampling::Sample,
     threads: usize,
-) -> Result<(HashMap<Vec<KeyAtom>, GroupAcc>, u64), AqpError> {
-    let num_aggs = evaluator.query().aggregates.len();
-    let blocks: Vec<std::sync::Arc<aqp_storage::Block>> = sample
-        .table
-        .iter_blocks()
-        .map(|(_, b)| std::sync::Arc::clone(b))
-        .collect();
+) -> Result<(HashMap<GroupKey, GroupAcc>, u64), AqpError> {
+    record_dispatch(evaluator.fold().is_kernel());
+    let blocks = sample.table.blocks().to_vec();
     let sampled_blocks = blocks.len() as u64;
-    let partials = aqp_engine::pool::parallel_map(
-        blocks,
-        threads,
-        |_, block| -> Result<HashMap<Vec<KeyAtom>, GroupAcc>, AqpError> {
-            let mut groups: HashMap<Vec<KeyAtom>, GroupAcc> = HashMap::new();
-            let mut touched: Vec<Vec<KeyAtom>> = Vec::new();
-            for ri in 0..block.len() {
-                let Some(contrib) = evaluator.eval_row(&block, ri)? else {
-                    continue;
-                };
-                let atoms: Vec<KeyAtom> = contrib.group.iter().map(KeyAtom::from_value).collect();
-                let acc = groups.entry(atoms.clone()).or_insert_with(|| GroupAcc {
-                    key: contrib.group.clone(),
-                    totals: vec![PairTotals::default(); num_aggs],
-                    cur: vec![(0.0, 0.0); num_aggs],
-                    blocks_seen: 0,
-                });
-                if acc.cur.iter().all(|&(f, g)| f == 0.0 && g == 0.0) {
-                    touched.push(atoms);
-                }
-                for (slot, &(f, g)) in acc.cur.iter_mut().zip(&contrib.per_agg) {
-                    slot.0 += f;
-                    slot.1 += g;
-                }
+    let per_block =
+        aqp_engine::pool::parallel_map(blocks, threads, |_, block| evaluator.block_totals(&block));
+    let mut groups: HashMap<GroupKey, GroupAcc> = HashMap::new();
+    for block_groups in per_block {
+        for (key, pairs) in block_groups? {
+            let acc = groups.entry(key).or_insert_with(|| GroupAcc {
+                totals: vec![PairTotals::default(); pairs.len()],
+                blocks_seen: 0,
+            });
+            for (t, (f, g)) in acc.totals.iter_mut().zip(pairs) {
+                t.sf += f;
+                t.sf2 += f * f;
+                t.sg += g;
+                t.sg2 += g * g;
+                t.sfg += f * g;
             }
-            // Seal this block's totals for every touched group.
-            for atoms in &touched {
-                let acc = groups.get_mut(atoms).expect("touched implies present");
-                for (t, c) in acc.totals.iter_mut().zip(&mut acc.cur) {
-                    t.sf += c.0;
-                    t.sf2 += c.0 * c.0;
-                    t.sg += c.1;
-                    t.sg2 += c.1 * c.1;
-                    t.sfg += c.0 * c.1;
-                    *c = (0.0, 0.0);
-                }
-                acc.blocks_seen += 1;
-            }
-            Ok(groups)
-        },
-    );
-    // Merge phase: fold partial maps in block order (totals are per-block
-    // sums, so field-wise addition reproduces the serial fold exactly).
-    let mut groups: HashMap<Vec<KeyAtom>, GroupAcc> = HashMap::new();
-    for part in partials {
-        for (atoms, acc) in part? {
-            match groups.entry(atoms) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let dst = e.get_mut();
-                    for (t, s) in dst.totals.iter_mut().zip(&acc.totals) {
-                        t.sf += s.sf;
-                        t.sf2 += s.sf2;
-                        t.sg += s.sg;
-                        t.sg2 += s.sg2;
-                        t.sfg += s.sfg;
-                    }
-                    dst.blocks_seen += acc.blocks_seen;
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(acc);
-                }
-            }
+            acc.blocks_seen += 1;
         }
     }
     Ok((groups, sampled_blocks))
@@ -306,14 +270,9 @@ pub struct PilotPlan {
     pub final_rate: f64,
 }
 
-/// Row/shape bookkeeping threaded into the final phase: what the run has
-/// already scanned (pilot + dimension tables) and the population shape
-/// the estimators scale to.
+/// What a run has spent before its final phase: pilot rows and the clock.
 struct FinalCharge {
     pilot_rows: u64,
-    dim_rows: u64,
-    population_rows: u64,
-    big_m: u64,
     start: Instant,
 }
 
@@ -381,8 +340,7 @@ impl<'a> OnlineAqp<'a> {
         let start = Instant::now();
         let evaluator = StarEvaluator::new(self.catalog, query)?;
         let fact = evaluator.fact().clone();
-        let population_rows = fact.row_count() as u64;
-        let dim_rows = self.dim_rows(query);
+        let dim_rows = evaluator.dim_rows();
 
         // ---- Pilot phase ----
         // The pilot needs enough blocks for spread estimation (the
@@ -411,7 +369,7 @@ impl<'a> OnlineAqp<'a> {
         let (pilot_groups, pilot_blocks) = accumulate(&evaluator, &pilot, self.config.threads)?;
         if pilot_span.is_recording() {
             pilot_span.set_rows(pilot_rows);
-            pilot_span.set_detail(format!("rate={pilot_rate:.4}"));
+            pilot_span.set_detail(format!("rate={pilot_rate:.4} {}", evaluator.fold().tag()));
             aqp_obs::metrics::global()
                 .histogram(
                     aqp_obs::names::ONLINE_PILOT_US,
@@ -475,13 +433,7 @@ impl<'a> OnlineAqp<'a> {
                 pilot_rate,
                 final_rate: q_final,
             },
-            FinalCharge {
-                pilot_rows,
-                dim_rows,
-                population_rows,
-                big_m,
-                start,
-            },
+            FinalCharge { pilot_rows, start },
         )
     }
 
@@ -505,10 +457,6 @@ impl<'a> OnlineAqp<'a> {
         }
         let start = Instant::now();
         let evaluator = StarEvaluator::new(self.catalog, query)?;
-        let fact = evaluator.fact().clone();
-        let population_rows = fact.row_count() as u64;
-        let dim_rows = self.dim_rows(query);
-        let big_m = fact.block_count() as u64;
         self.final_phase(
             &evaluator,
             query,
@@ -517,9 +465,6 @@ impl<'a> OnlineAqp<'a> {
             *plan,
             FinalCharge {
                 pilot_rows: 0,
-                dim_rows,
-                population_rows,
-                big_m,
                 start,
             },
         )
@@ -534,21 +479,6 @@ impl<'a> OnlineAqp<'a> {
             query,
             &LintContext::new(self.catalog),
         )
-    }
-
-    /// Total rows in the query's dimension tables (charged to every
-    /// attempt that builds join hash maps).
-    fn dim_rows(&self, query: &AggQuery) -> u64 {
-        query
-            .joins
-            .iter()
-            .map(|j| {
-                self.catalog
-                    .get(&j.dim_table)
-                    .map(|t| t.row_count() as u64)
-                    .unwrap_or(0)
-            })
-            .sum()
     }
 
     /// The final sampling pass: an independent Bernoulli block sample at
@@ -567,8 +497,10 @@ impl<'a> OnlineAqp<'a> {
         charge: FinalCharge,
     ) -> Result<Attempt, AqpError> {
         let mut final_span = aqp_obs::span("online:final");
+        let fact = evaluator.fact();
+        let big_m = fact.block_count() as u64;
         let final_sample = bernoulli_blocks(
-            evaluator.fact(),
+            fact,
             plan.final_rate,
             seed.wrapping_mul(0x9E37_79B9).wrapping_add(1),
         );
@@ -577,6 +509,7 @@ impl<'a> OnlineAqp<'a> {
             accumulate(evaluator, &final_sample, self.config.threads)?;
         if final_span.is_recording() {
             final_span.set_rows(final_rows);
+            final_span.set_detail(evaluator.fold().tag().to_string());
         }
         final_span.finish();
         let ci_conf = spec
@@ -584,18 +517,18 @@ impl<'a> OnlineAqp<'a> {
             .confidence;
 
         let raw: Vec<(Vec<Value>, Vec<Estimate>)> = final_groups
-            .into_values()
-            .map(|acc| {
+            .into_iter()
+            .map(|(key, acc)| {
                 let estimates: Vec<Estimate> = query
                     .aggregates
                     .iter()
                     .zip(&acc.totals)
-                    .map(|(a, t)| estimate_from_totals(a.kind, t, final_blocks, charge.big_m))
+                    .map(|(a, t)| estimate_from_totals(a.kind, t, final_blocks, big_m))
                     .collect();
-                (acc.key, estimates)
+                (evaluator.key_values(&key), estimates)
             })
             .collect();
-        let rows_scanned = charge.pilot_rows + final_rows + charge.dim_rows;
+        let rows_scanned = charge.pilot_rows + final_rows + evaluator.dim_rows();
         Ok(Attempt::Answered(assemble_answer(
             query.group_by.iter().map(|(_, n)| n.clone()).collect(),
             query.aggregates.iter().map(|a| a.alias.clone()).collect(),
@@ -606,7 +539,7 @@ impl<'a> OnlineAqp<'a> {
                     pilot_rate: plan.pilot_rate,
                     final_rate: plan.final_rate,
                 },
-                population_rows: charge.population_rows,
+                population_rows: fact.row_count() as u64,
                 rows_touched: rows_scanned,
                 rows_scanned,
                 wall: charge.start.elapsed(),
@@ -801,6 +734,65 @@ mod tests {
             tight > loose,
             "tight spec rate {tight} should exceed loose spec rate {loose}"
         );
+    }
+
+    /// Regression: a group whose first rows in a block contribute exactly
+    /// zero (`SUM` over `0.0`s, NULLs, whole blocks of either) used to be
+    /// sealed once per such row, so `blocks_seen` could exceed the number
+    /// of sampled blocks, shrink the pilot-noise inflation and under-plan
+    /// the final rate. Adding `COUNT(*)` masked it (the count is non-zero
+    /// after a group's first row); both forms must now plan the same rate.
+    #[test]
+    fn blocks_seen_counts_each_block_once() {
+        use aqp_storage::{DataType, Field, Schema, TableBuilder};
+        let schema = Schema::new(vec![
+            Field::new("g", DataType::Int64),
+            Field::nullable("x", DataType::Float64),
+        ]);
+        let mut t = TableBuilder::with_block_capacity("z", schema, 32);
+        for i in 0..32 * 400usize {
+            let (block, off) = (i / 32, i % 32);
+            // Group 1: zero or NULL for whole blocks two times in three
+            // and for the leading rows of the rest; group 0: plain values.
+            let x = match (i % 2, block % 3, off) {
+                (0, ..) => Value::Float64(1.0 + (i % 7) as f64),
+                (_, 0, _) => Value::Float64(0.0),
+                (_, 1, _) => Value::Null,
+                (_, _, 0..=15) => Value::Float64(0.0),
+                _ => Value::Float64(((i * 37) % 101) as f64),
+            };
+            t.push_row(&[Value::Int64((i % 2) as i64), x]).unwrap();
+        }
+        let c = Catalog::new();
+        c.register(t.finish()).unwrap();
+        let fact = c.get("z").unwrap();
+        let big_m = fact.block_count() as u64;
+        let planned = |aggs: Vec<AggExpr>| {
+            let plan = Query::scan("z")
+                .aggregate(vec![(col("g"), "g".to_string())], aggs)
+                .build();
+            let q = AggQuery::from_plan(&plan).unwrap();
+            let evaluator = StarEvaluator::new(&c, &q).unwrap();
+            let (groups, blocks) =
+                accumulate(&evaluator, &bernoulli_blocks(&fact, 0.3, 5), 1).unwrap();
+            assert_eq!(groups.len(), 2);
+            groups
+                .values()
+                .map(|acc| {
+                    assert!(
+                        acc.blocks_seen <= blocks,
+                        "group seen in {} of {blocks} sampled blocks",
+                        acc.blocks_seen
+                    );
+                    let (t, seen) = (&acc.totals[0], acc.blocks_seen);
+                    required_rate(LinearAgg::Sum, t, blocks, big_m, 0.05, 1.96, seen, true)
+                })
+                .fold(0.0, f64::max)
+        };
+        let alone = planned(vec![AggExpr::sum(col("x"), "s")]);
+        let masked = planned(vec![AggExpr::sum(col("x"), "s"), AggExpr::count_star("n")]);
+        assert!(alone > 0.0 && alone < 1.0, "rate {alone} is spread-driven");
+        assert_eq!(alone.to_bits(), masked.to_bits());
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 use aqp_engine::agg::{AggExpr, AggState};
 use aqp_engine::pool::parallel_map;
+use aqp_engine::BlockFold;
 use aqp_mergeable::Partial;
 use aqp_sampling::{bernoulli_rows, reservoir_rows, Sample};
 use aqp_storage::{Table, Value};
@@ -45,21 +46,18 @@ fn merge_err(e: aqp_mergeable::MergeError) -> AqpError {
     }
 }
 
-/// Folds one shard into per-aggregate partial states.
+/// Folds one shard into per-aggregate partial states: every block, in
+/// order, through the engine's block fold (ungrouped, no predicate).
 fn fold_shard(shard: &Table, aggs: &[AggExpr]) -> Result<Vec<AggState>, AqpError> {
-    let mut states: Vec<AggState> = aggs.iter().map(|a| AggState::new(a.func)).collect();
+    let fold = BlockFold::compile(&[], &[], aggs, shard.schema());
+    let mut acc = fold.new_acc(None);
     for (_, block) in shard.iter_blocks() {
-        for ri in 0..block.len() {
-            let resolver = |name: &str| -> Option<Value> {
-                block.column_by_name(name).ok().map(|c| c.get(ri))
-            };
-            for (agg, state) in aggs.iter().zip(states.iter_mut()) {
-                let v = aqp_expr::eval::eval_row(&agg.expr, &resolver)?;
-                state.update(&v);
-            }
-        }
+        fold.fold(block, &mut acc, false)?;
     }
-    Ok(states)
+    Ok(match acc.into_groups().pop() {
+        Some((_, states)) => states,
+        None => aggs.iter().map(|a| AggState::new(a.func)).collect(),
+    })
 }
 
 /// Exact ungrouped aggregation over `table`, executed shard-at-a-time on

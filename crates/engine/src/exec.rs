@@ -14,7 +14,6 @@
 //! (see [`ExecOptions`]) bypasses the pool entirely and runs the legacy
 //! serial fold bit-for-bit.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -24,7 +23,8 @@ use aqp_storage::{Block, Catalog, Column, Schema, Table, Value};
 
 use crate::agg::{AggState, KeyAtom};
 use crate::error::EngineError;
-use crate::kernel::{tree_merge, FusedAggKernel, KernelAcc, PredKernel};
+use crate::fold::{record_dispatch, tree_merge, BlockFold, FoldAcc};
+use crate::kernel::PredKernel;
 use crate::plan::{LogicalPlan, SortKey};
 use crate::pool::{self, ExecOptions};
 use crate::result::{ExecStats, ResultSet};
@@ -177,21 +177,6 @@ fn classify_blocks(
             (Arc::clone(block), verdict)
         })
         .collect()
-}
-
-/// Records one plan dispatch on the always-on kernel/fallback counter.
-fn record_dispatch(kernel: bool) {
-    aqp_obs::metrics::global()
-        .counter_labeled(
-            aqp_obs::names::KERNEL_DISPATCH_TOTAL,
-            aqp_obs::names::KERNEL_DISPATCH_LABEL,
-            if kernel {
-                aqp_obs::names::KERNEL_DISPATCH_KERNEL
-            } else {
-                aqp_obs::names::KERNEL_DISPATCH_FALLBACK
-            },
-        )
-        .inc(1);
 }
 
 /// Feeds one scan's block accounting into the always-on prune-rate
@@ -490,8 +475,7 @@ fn exec_fused_agg(
         },
     };
     let t = catalog.get(table)?;
-    let Some(kernel) = FusedAggKernel::compile(&predicates, group_by, aggregates, t.schema())
-    else {
+    let Some(fold) = BlockFold::kernel(&predicates, group_by, aggregates, t.schema()) else {
         return Ok(None);
     };
     record_dispatch(true);
@@ -510,14 +494,16 @@ fn exec_fused_agg(
     // aggregate-over-scan shape the plan describes.
     let mut scan_span = aqp_obs::span("op:fused-scan");
     if scan_span.is_recording() {
-        scan_span.set_detail(format!("{table} [kernel]"));
+        scan_span.set_detail(format!("{table} {}", fold.tag()));
     }
     let op_ctx = aqp_obs::current_ctx();
-    let kernel_ref = &kernel;
-    let (partials, scan_stats) =
-        pool::parallel_map_with_stats(morsels, threads, |_, morsel, s| -> KernelAcc {
+    let fold = &fold;
+    let (partials, scan_stats) = pool::parallel_map_with_stats(
+        morsels,
+        threads,
+        |_, morsel, s| -> Result<FoldAcc, EngineError> {
             let mut span = aqp_obs::child_span("agg:partial", op_ctx);
-            let mut acc = kernel_ref.new_acc(opts.agg_hint);
+            let mut acc = fold.new_acc(opts.agg_hint);
             let mut rows_in = 0u64;
             for (block, verdict) in &morsel {
                 match verdict {
@@ -525,14 +511,15 @@ fn exec_fused_agg(
                     v => {
                         s.blocks_scanned += 1;
                         s.rows_scanned += block.len() as u64;
-                        rows_in +=
-                            kernel_ref.accumulate(block, &mut acc, *v == ScanVerdict::Evaluate);
+                        rows_in += fold.fold(block, &mut acc, *v == ScanVerdict::Evaluate)?;
                     }
                 }
             }
             span.set_rows(rows_in);
-            acc
-        });
+            Ok(acc)
+        },
+    );
+    let partials = partials.into_iter().collect::<Result<Vec<_>, _>>()?;
     *stats = stats.merge(&scan_stats);
     record_scan_counters(&scan_stats);
     if scan_span.is_recording() {
@@ -544,12 +531,13 @@ fn exec_fused_agg(
     }
     scan_span.finish();
     let mut merge_span = aqp_obs::span("agg:merge");
-    let acc = tree_merge(partials).unwrap_or_else(|| kernel.new_acc(None));
+    let acc = tree_merge(partials).unwrap_or_else(|| fold.new_acc(None));
     // Deterministic output order matching the scalar path's key sort:
     // NULL key first, then keys ascending.
     let group_rows: Vec<(Option<i64>, Vec<AggState>)> = match acc {
-        KernelAcc::Global(states) => vec![(None, states)],
-        KernelAcc::Grouped(map) => {
+        FoldAcc::Keyed(_) => unreachable!("kernel fold produced a scalar partial"),
+        FoldAcc::Global(states) => vec![(None, states)],
+        FoldAcc::Grouped(map) => {
             let (mut groups, null_group) = map.into_groups();
             groups.sort_unstable_by_key(|(k, _)| *k);
             let mut v = Vec::with_capacity(groups.len() + 1);
@@ -809,16 +797,17 @@ fn hash_aggregate(
     schema: &Arc<Schema>,
     threads: usize,
 ) -> Result<Vec<Arc<Block>>, EngineError> {
-    let mut groups: HashMap<Vec<KeyAtom>, Vec<AggState>> = if threads <= 1 {
+    let fold = BlockFold::scalar(&[], group_by, aggregates);
+    let mut entries = if threads <= 1 {
         let mut build_span = aqp_obs::span("agg:partial");
-        let mut groups = HashMap::new();
+        let mut acc = fold.new_acc(None);
         for block in batches {
-            accumulate_block(block, group_by, aggregates, &mut groups)?;
+            fold.fold(block, &mut acc, false)?;
         }
         if build_span.is_recording() {
             build_span.set_rows(batches.iter().map(|b| b.len() as u64).sum());
         }
-        groups
+        acc.into_groups()
     } else {
         // Phase 1: per-morsel partials. Phase 2: fold in morsel order, so
         // each group's states merge along a fixed, scheduling-independent
@@ -832,50 +821,40 @@ fn hash_aggregate(
             .map(|c| c.to_vec())
             .collect();
         let op_ctx = aqp_obs::current_ctx();
+        let fold = &fold;
         let partials = pool::parallel_map(
             morsels,
             threads,
-            |_, span| -> Result<HashMap<Vec<KeyAtom>, Vec<AggState>>, EngineError> {
+            |_, span| -> Result<FoldAcc, EngineError> {
                 let mut morsel = aqp_obs::child_span("agg:partial", op_ctx);
                 if morsel.is_recording() {
                     morsel.set_rows(span.iter().map(|b| b.len() as u64).sum());
                 }
-                let mut part = HashMap::new();
+                let mut part = fold.new_acc(None);
                 for block in &span {
-                    accumulate_block(block, group_by, aggregates, &mut part)?;
+                    fold.fold(block, &mut part, false)?;
                 }
                 Ok(part)
             },
         );
         let mut merge_span = aqp_obs::span("agg:merge");
-        let mut groups: HashMap<Vec<KeyAtom>, Vec<AggState>> = HashMap::new();
+        let mut acc = fold.new_acc(None);
         for part in partials {
-            for (key, states) in part? {
-                match groups.entry(key) {
-                    Entry::Occupied(mut e) => {
-                        for (dst, src) in e.get_mut().iter_mut().zip(states) {
-                            dst.merge(src);
-                        }
-                    }
-                    Entry::Vacant(v) => {
-                        v.insert(states);
-                    }
-                }
-            }
+            acc.merge_from(part?);
         }
-        merge_span.set_rows(groups.len() as u64);
+        let entries = acc.into_groups();
+        merge_span.set_rows(entries.len() as u64);
         merge_span.finish();
-        groups
+        entries
     };
     // SQL: a global aggregate over zero rows still yields one row.
-    if groups.is_empty() && group_by.is_empty() {
-        groups.insert(
+    if entries.is_empty() && group_by.is_empty() {
+        entries.push((
             Vec::new(),
             aggregates.iter().map(|a| AggState::new(a.func)).collect(),
-        );
+        ));
     }
     // Deterministic ordering.
-    let mut entries: Vec<(Vec<KeyAtom>, Vec<AggState>)> = groups.into_iter().collect();
     entries.sort_by(|a, b| cmp_keys(&a.0, &b.0));
 
     let mut out = Vec::new();
@@ -897,37 +876,6 @@ fn hash_aggregate(
         out.push(Arc::new(current));
     }
     Ok(out)
-}
-
-/// Folds one block's rows into a group map (the shared inner loop of both
-/// the serial fold and the per-morsel partial phase).
-fn accumulate_block(
-    block: &Block,
-    group_by: &[(Expr, String)],
-    aggregates: &[crate::agg::AggExpr],
-    groups: &mut HashMap<Vec<KeyAtom>, Vec<AggState>>,
-) -> Result<(), EngineError> {
-    let key_cols: Vec<Column> = group_by
-        .iter()
-        .map(|(e, _)| eval(e, block))
-        .collect::<Result<_, _>>()?;
-    let agg_cols: Vec<Column> = aggregates
-        .iter()
-        .map(|a| eval(&a.expr, block))
-        .collect::<Result<_, _>>()?;
-    for ri in 0..block.len() {
-        let key: Vec<KeyAtom> = key_cols
-            .iter()
-            .map(|c| KeyAtom::from_value(&c.get(ri)))
-            .collect();
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| aggregates.iter().map(|a| AggState::new(a.func)).collect());
-        for (state, col) in states.iter_mut().zip(&agg_cols) {
-            state.update(&col.get(ri));
-        }
-    }
-    Ok(())
 }
 
 /// Total order over composite keys for deterministic group output:

@@ -1,0 +1,301 @@
+//! The block fold: one block folded into an aggregate partial.
+//!
+//! Filter→aggregate over a block is the unit every aggregation in the
+//! system is built from, and it has two callers. The exact executor
+//! ([`crate::exec`]) folds the blocks of a morsel into one partial and
+//! merges partials along a fixed tree. The sampled paths in `aqp-core`
+//! fold each *sampled* block into a fresh partial and read the per-group
+//! totals out of it — blocks are the sampling unit, so block totals are
+//! the statistic. Both go through [`BlockFold`], compiled once per query:
+//! the typed [`FusedAggKernel`] when every predicate, key and aggregate
+//! argument is in its domain, otherwise the scalar `eval` path (is-true
+//! mask, filter, `Value`-typed updates), which stays the semantic
+//! reference. Where both compile they agree bit-for-bit on every block.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
+use aqp_expr::eval::{eval, eval_predicate_mask};
+use aqp_expr::Expr;
+use aqp_storage::{Block, Column, Schema};
+
+use crate::agg::{AggExpr, AggState, GroupKey, I64GroupMap, KeyAtom};
+use crate::error::EngineError;
+use crate::kernel::FusedAggKernel;
+
+/// Records one dispatch on the always-on kernel/fallback counter (one
+/// tick per compiled plan or sampling phase, not per block).
+pub fn record_dispatch(kernel: bool) {
+    aqp_obs::metrics::global()
+        .counter_labeled(
+            aqp_obs::names::KERNEL_DISPATCH_TOTAL,
+            aqp_obs::names::KERNEL_DISPATCH_LABEL,
+            if kernel {
+                aqp_obs::names::KERNEL_DISPATCH_KERNEL
+            } else {
+                aqp_obs::names::KERNEL_DISPATCH_FALLBACK
+            },
+        )
+        .inc(1);
+}
+
+/// Partial aggregation state for one morsel or block: one state vector
+/// (global aggregate), an `i64`-keyed group map (the kernel's grouped
+/// shape), or a composite-key map (the scalar fold's shape).
+pub enum FoldAcc {
+    /// Global (no GROUP BY) partial.
+    Global(Vec<AggState>),
+    /// Grouped partial keyed on a single `i64`.
+    Grouped(I64GroupMap),
+    /// Grouped partial keyed on canonicalized composite keys.
+    Keyed(HashMap<GroupKey, Vec<AggState>>),
+}
+
+impl FoldAcc {
+    /// Absorbs a later morsel's partial. `self` must cover the earlier
+    /// morsels — [`AggState::merge`] and [`I64GroupMap::merge_from`] are
+    /// order-sensitive for float sums and MIN/MAX ties.
+    pub fn merge_from(&mut self, other: FoldAcc) {
+        match (self, other) {
+            (FoldAcc::Global(a), FoldAcc::Global(b)) => {
+                for (x, y) in a.iter_mut().zip(b) {
+                    x.merge(y);
+                }
+            }
+            (FoldAcc::Grouped(a), FoldAcc::Grouped(b)) => a.merge_from(b),
+            (FoldAcc::Keyed(a), FoldAcc::Keyed(b)) => {
+                for (key, states) in b {
+                    match a.entry(key) {
+                        Entry::Occupied(mut e) => {
+                            for (dst, src) in e.get_mut().iter_mut().zip(states) {
+                                dst.merge(src);
+                            }
+                        }
+                        Entry::Vacant(v) => {
+                            v.insert(states);
+                        }
+                    }
+                }
+            }
+            _ => unreachable!("mismatched fold accumulator shapes"),
+        }
+    }
+
+    /// Consumes the partial, yielding every group's canonical key and
+    /// states (in no particular order; a global partial is the one group
+    /// with the empty key).
+    pub fn into_groups(self) -> Vec<(GroupKey, Vec<AggState>)> {
+        match self {
+            FoldAcc::Global(states) => vec![(Vec::new(), states)],
+            FoldAcc::Grouped(map) => {
+                let (groups, null_group) = map.into_groups();
+                let null = null_group.map(|states| (vec![KeyAtom::Null], states));
+                let keyed = groups.into_iter().map(|(k, s)| (vec![KeyAtom::Int(k)], s));
+                null.into_iter().chain(keyed).collect()
+            }
+            FoldAcc::Keyed(map) => map.into_iter().collect(),
+        }
+    }
+}
+
+/// Merges per-morsel partials along a fixed pairwise tree: `(0,1)`,
+/// `(2,3)`, … then pairs of pairs, until one remains. The tree shape
+/// depends only on the morsel count — never on the thread count — so a
+/// plan's result is bit-for-bit identical at every thread count,
+/// including 1.
+pub fn tree_merge(mut parts: Vec<FoldAcc>) -> Option<FoldAcc> {
+    while parts.len() > 1 {
+        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
+        let mut it = parts.into_iter();
+        while let Some(mut a) = it.next() {
+            if let Some(b) = it.next() {
+                a.merge_from(b);
+            }
+            next.push(a);
+        }
+        parts = next;
+    }
+    parts.pop()
+}
+
+/// A compiled filter→aggregate fold over blocks of one schema.
+pub struct BlockFold {
+    imp: FoldImpl,
+}
+
+enum FoldImpl {
+    Kernel(FusedAggKernel),
+    Scalar {
+        /// Predicates in application order.
+        predicates: Vec<Expr>,
+        group_by: Vec<Expr>,
+        aggregates: Vec<AggExpr>,
+    },
+}
+
+impl BlockFold {
+    /// The typed-kernel fold over blocks of `schema`, or `None` when some
+    /// predicate, key or aggregate argument is outside the kernel's domain.
+    pub fn kernel(
+        predicates: &[&Expr],
+        group_by: &[(Expr, String)],
+        aggregates: &[AggExpr],
+        schema: &Schema,
+    ) -> Option<BlockFold> {
+        let kernel = FusedAggKernel::compile(predicates, group_by, aggregates, schema)?;
+        Some(BlockFold {
+            imp: FoldImpl::Kernel(kernel),
+        })
+    }
+
+    /// The scalar fold: any predicate, key and aggregate the evaluator
+    /// accepts, over blocks of any schema that has the named columns.
+    pub fn scalar(
+        predicates: &[&Expr],
+        group_by: &[(Expr, String)],
+        aggregates: &[AggExpr],
+    ) -> BlockFold {
+        BlockFold {
+            imp: FoldImpl::Scalar {
+                predicates: predicates.iter().map(|&p| p.clone()).collect(),
+                group_by: group_by.iter().map(|(e, _)| e.clone()).collect(),
+                aggregates: aggregates.to_vec(),
+            },
+        }
+    }
+
+    /// The fold for blocks of `schema`: the typed kernel when the shape
+    /// is in its domain, the scalar path otherwise.
+    pub fn compile(
+        predicates: &[&Expr],
+        group_by: &[(Expr, String)],
+        aggregates: &[AggExpr],
+        schema: &Schema,
+    ) -> BlockFold {
+        Self::kernel(predicates, group_by, aggregates, schema)
+            .unwrap_or_else(|| Self::scalar(predicates, group_by, aggregates))
+    }
+
+    /// Whether the fold runs on the typed kernel (else the scalar path).
+    pub fn is_kernel(&self) -> bool {
+        matches!(self.imp, FoldImpl::Kernel(_))
+    }
+
+    /// `[kernel]` or `[scalar]`: the span-detail tag naming the path.
+    pub fn tag(&self) -> &'static str {
+        if self.is_kernel() {
+            "[kernel]"
+        } else {
+            "[scalar]"
+        }
+    }
+
+    /// A fresh (empty) partial. `hint` pre-sizes the kernel's group map.
+    pub fn new_acc(&self, hint: Option<usize>) -> FoldAcc {
+        match &self.imp {
+            FoldImpl::Kernel(k) => k.new_acc(hint),
+            FoldImpl::Scalar { .. } => FoldAcc::Keyed(HashMap::new()),
+        }
+    }
+
+    /// Folds one block's rows, in row order, into `acc`. Returns the
+    /// number of rows that passed the predicates; a block where none did
+    /// leaves `acc` untouched. `apply_predicates: false` skips predicate
+    /// evaluation — for blocks a zone map already proved all-true.
+    pub fn fold(
+        &self,
+        block: &Block,
+        acc: &mut FoldAcc,
+        apply_predicates: bool,
+    ) -> Result<u64, EngineError> {
+        match &self.imp {
+            FoldImpl::Kernel(k) => Ok(k.accumulate(block, acc, apply_predicates)),
+            FoldImpl::Scalar {
+                predicates,
+                group_by,
+                aggregates,
+            } => {
+                let mut filtered: Option<Block> = None;
+                if apply_predicates {
+                    for p in predicates {
+                        let cur = filtered.as_ref().unwrap_or(block);
+                        let mask = eval_predicate_mask(p, cur)?;
+                        if mask.iter().all(|&keep| keep) {
+                            continue;
+                        }
+                        if !mask.iter().any(|&keep| keep) {
+                            return Ok(0);
+                        }
+                        filtered = Some(cur.filter(&mask));
+                    }
+                }
+                let cur = filtered.as_ref().unwrap_or(block);
+                accumulate_block(cur, group_by, aggregates, acc)?;
+                Ok(cur.len() as u64)
+            }
+        }
+    }
+}
+
+/// The scalar inner loop: evaluates keys and aggregate arguments to
+/// columns, then updates `Value`-typed states row by row.
+fn accumulate_block(
+    block: &Block,
+    group_by: &[Expr],
+    aggregates: &[AggExpr],
+    acc: &mut FoldAcc,
+) -> Result<(), EngineError> {
+    let FoldAcc::Keyed(groups) = acc else {
+        unreachable!("scalar fold given a kernel-shaped accumulator");
+    };
+    let key_cols: Vec<Column> = group_by
+        .iter()
+        .map(|e| eval(e, block))
+        .collect::<Result<_, _>>()?;
+    let agg_cols: Vec<Column> = aggregates
+        .iter()
+        .map(|a| eval(&a.expr, block))
+        .collect::<Result<_, _>>()?;
+    for ri in 0..block.len() {
+        let key: GroupKey = key_cols
+            .iter()
+            .map(|c| KeyAtom::from_value(&c.get(ri)))
+            .collect();
+        let states = groups
+            .entry(key)
+            .or_insert_with(|| aggregates.iter().map(|a| AggState::new(a.func)).collect());
+        for (state, col) in states.iter_mut().zip(&agg_cols) {
+            state.update(&col.get(ri));
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agg::AggFunc;
+    use aqp_storage::Value;
+
+    #[test]
+    fn tree_merge_is_shape_stable() {
+        // 5 partials, each one value: tree is ((0,1),(2,3)),(4) regardless
+        // of how the caller computed them.
+        let parts: Vec<FoldAcc> = (0..5)
+            .map(|i| {
+                let mut s = AggState::new(AggFunc::Sum);
+                s.update_f64(0.1 * (i as f64 + 1.0));
+                FoldAcc::Global(vec![s])
+            })
+            .collect();
+        let merged = tree_merge(parts).expect("non-empty");
+        let FoldAcc::Global(states) = merged else {
+            panic!("global");
+        };
+        let expect = ((0.1 + 0.2) + (0.3 + 0.4)) + 0.5_f64;
+        let Value::Float64(got) = states[0].finish() else {
+            panic!("float");
+        };
+        assert_eq!(got.to_bits(), expect.to_bits());
+    }
+}

@@ -34,6 +34,7 @@ use aqp_expr::{BinaryOp, Expr};
 use aqp_storage::{Block, DataType, Schema, Value};
 
 use crate::agg::{AggExpr, AggFunc, AggState, I64GroupMap};
+use crate::fold::FoldAcc;
 
 /// A compiled numeric expression: evaluates over a block to a typed
 /// vector (or splat) without `Value` materialization.
@@ -403,52 +404,6 @@ enum AggInput {
     Num(NumExpr),
 }
 
-/// Partial aggregation state for one morsel: either one state vector
-/// (global aggregate) or an `i64`-keyed group map.
-pub enum KernelAcc {
-    /// Global (no GROUP BY) partial.
-    Global(Vec<AggState>),
-    /// Grouped partial.
-    Grouped(I64GroupMap),
-}
-
-impl KernelAcc {
-    /// Absorbs a later morsel's partial. `self` must cover the earlier
-    /// morsels — [`AggState::merge`] and [`I64GroupMap::merge_from`] are
-    /// order-sensitive for float sums and MIN/MAX ties.
-    pub fn merge_from(&mut self, other: KernelAcc) {
-        match (self, other) {
-            (KernelAcc::Global(a), KernelAcc::Global(b)) => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    x.merge(y);
-                }
-            }
-            (KernelAcc::Grouped(a), KernelAcc::Grouped(b)) => a.merge_from(b),
-            _ => unreachable!("mismatched kernel accumulator shapes"),
-        }
-    }
-}
-
-/// Merges per-morsel partials along a fixed pairwise tree: `(0,1)`,
-/// `(2,3)`, … then pairs of pairs, until one remains. The tree shape
-/// depends only on the morsel count — never on the thread count — so a
-/// plan's result is bit-for-bit identical at every thread count,
-/// including 1.
-pub fn tree_merge(mut parts: Vec<KernelAcc>) -> Option<KernelAcc> {
-    while parts.len() > 1 {
-        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-        let mut it = parts.into_iter();
-        while let Some(mut a) = it.next() {
-            if let Some(b) = it.next() {
-                a.merge_from(b);
-            }
-            next.push(a);
-        }
-        parts = next;
-    }
-    parts.pop()
-}
-
 /// A fully compiled filter→aggregate pipeline over one table's blocks.
 pub struct FusedAggKernel {
     predicate: Option<PredKernel>,
@@ -514,10 +469,10 @@ impl FusedAggKernel {
 
     /// A fresh (empty) partial accumulator. `hint` pre-sizes the group
     /// map (from the analyzer's cardinality hint, when available).
-    pub fn new_acc(&self, hint: Option<usize>) -> KernelAcc {
+    pub fn new_acc(&self, hint: Option<usize>) -> FoldAcc {
         match &self.key {
-            None => KernelAcc::Global(self.funcs.iter().map(|f| AggState::new(*f)).collect()),
-            Some(_) => KernelAcc::Grouped(I64GroupMap::new(self.funcs.clone(), hint.unwrap_or(64))),
+            None => FoldAcc::Global(self.funcs.iter().map(|f| AggState::new(*f)).collect()),
+            Some(_) => FoldAcc::Grouped(I64GroupMap::new(self.funcs.clone(), hint.unwrap_or(64))),
         }
     }
 
@@ -525,7 +480,7 @@ impl FusedAggKernel {
     /// rows that passed the predicate. `apply_predicates: false` skips
     /// mask evaluation entirely — for blocks whose zone map already
     /// proved every predicate true on every row.
-    pub fn accumulate(&self, block: &Block, acc: &mut KernelAcc, apply_predicates: bool) -> u64 {
+    pub fn accumulate(&self, block: &Block, acc: &mut FoldAcc, apply_predicates: bool) -> u64 {
         let n = block.len();
         let mask = if apply_predicates {
             self.predicate.as_ref().map(|p| p.selection_mask(block))
@@ -555,8 +510,8 @@ impl FusedAggKernel {
                 }
             }
             let states: &mut [AggState] = match (&key_vals, &mut *acc) {
-                (None, KernelAcc::Global(states)) => states,
-                (Some(kv), KernelAcc::Grouped(map)) => {
+                (None, FoldAcc::Global(states)) => states,
+                (Some(kv), FoldAcc::Grouped(map)) => {
                     if kv.is_valid(i) {
                         map.slot(kv.i64_at(i))
                     } else {
@@ -735,7 +690,7 @@ mod tests {
                 reference[j].update(&c.get(i));
             }
         }
-        let KernelAcc::Global(states) = acc else {
+        let FoldAcc::Global(states) = acc else {
             panic!("expected global accumulator");
         };
         for (j, (ks, rs)) in states.iter().zip(&reference).enumerate() {
@@ -762,7 +717,7 @@ mod tests {
         let mut acc = kernel.new_acc(Some(5));
         let passed = kernel.accumulate(&b, &mut acc, true);
         assert_eq!(passed, 50);
-        let KernelAcc::Grouped(map) = acc else {
+        let FoldAcc::Grouped(map) = acc else {
             panic!("expected grouped accumulator");
         };
         let (groups, null_group) = map.into_groups();
@@ -777,28 +732,6 @@ mod tests {
                 .sum();
             assert_eq!(states[1].finish(), Value::Float64(expect), "group {key}");
         }
-    }
-
-    #[test]
-    fn tree_merge_is_shape_stable() {
-        // 5 partials, each one value: tree is ((0,1),(2,3)),(4) regardless
-        // of how the caller computed them.
-        let parts: Vec<KernelAcc> = (0..5)
-            .map(|i| {
-                let mut s = AggState::new(AggFunc::Sum);
-                s.update_f64(0.1 * (i as f64 + 1.0));
-                KernelAcc::Global(vec![s])
-            })
-            .collect();
-        let merged = tree_merge(parts).expect("non-empty");
-        let KernelAcc::Global(states) = merged else {
-            panic!("global");
-        };
-        let expect = ((0.1 + 0.2) + (0.3 + 0.4)) + 0.5_f64;
-        let Value::Float64(got) = states[0].finish() else {
-            panic!("float");
-        };
-        assert_eq!(got.to_bits(), expect.to_bits());
     }
 
     #[test]
@@ -817,9 +750,7 @@ mod tests {
                 .expect("compiles");
         let mut acc = kernel.new_acc(None);
         kernel.accumulate(&b, &mut acc, true);
-        let KernelAcc::Grouped(map) = acc else {
-            panic!()
-        };
+        let FoldAcc::Grouped(map) = acc else { panic!() };
         let (groups, null_group) = map.into_groups();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].0, 1);

@@ -29,6 +29,7 @@
 pub mod agg;
 pub mod error;
 pub mod exec;
+pub mod fold;
 pub mod kernel;
 pub mod plan;
 pub mod pool;
@@ -37,6 +38,7 @@ pub mod result;
 pub use agg::{AggExpr, AggFunc};
 pub use error::EngineError;
 pub use exec::{execute, execute_with};
+pub use fold::{BlockFold, FoldAcc};
 pub use plan::{LogicalPlan, Query, SortKey};
 pub use pool::{ExecOptions, PoolShare, PoolSlot};
 pub use result::{ExecStats, ResultSet};

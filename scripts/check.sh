@@ -62,3 +62,10 @@ cargo run -q --release -p aqp-bench --bin bench_server
 # shape validation of every BENCH_*.json report — seconds, not the
 # minutes a full Criterion run costs.
 cargo run -q --release -p aqp-bench --bin bench_smoke
+
+# Repository benchmark smoke: benchmark/ is a workspace of its own, so
+# nothing above compiles it. All five workloads in both modes at 20 k
+# rows — proves it still builds against the crates' public API and still
+# grades every answer correct. --locked: the committed
+# benchmark/Cargo.lock is never rewritten.
+cargo run --release --quiet --locked --manifest-path benchmark/Cargo.toml -- --smoke

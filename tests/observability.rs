@@ -227,6 +227,13 @@ fn explain_analyze_accounts_for_routed_wall() {
         rendered.contains("trace:"),
         "span tree missing:\n{rendered}"
     );
+    // The sampled phases name the fold their blocks took, as the exact
+    // engine's fused scan does: INT64 key, numeric measure → typed kernel.
+    let pilot = rendered.lines().find(|l| l.contains("online:pilot"));
+    assert!(
+        pilot.is_some_and(|l| l.contains("[kernel]")),
+        "pilot span must carry its fold:\n{rendered}"
+    );
 }
 
 /// Disabled-tracer executions leave no residue: no spans buffered, no
