@@ -437,11 +437,8 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let catalog = catalog();
     let plan = sweep_plans().swap_remove(1).1; // group_by_1k
     let opts = ExecOptions::with_threads(4);
-    // Criterion only measures the disabled path: measuring with tracing on
-    // under Criterion's iteration counts would accumulate millions of span
-    // records. The enabled cost is measured with bounded reps (and drains)
-    // in write_obs_report.
-    aqp_obs::set_enabled(false);
+    // Criterion only measures the untraced path; the traced cost is
+    // measured with bounded reps in write_obs_report.
     c.bench_function("obs/disabled_group_by_1k", |b| {
         b.iter(|| execute_with(&plan, &catalog, opts).unwrap())
     });
@@ -449,33 +446,26 @@ fn bench_obs_overhead(c: &mut Criterion) {
 }
 
 /// Emits `BENCH_obs.json` at the workspace root: the aggregate-workload
-/// cost with the tracer off vs on, the spans one query emits, the
-/// tight-loop cost of a disabled span, and the projected no-op overhead —
-/// the acceptance criterion is that the disabled tracer costs <3% of the
+/// cost outside vs inside a trace scope, the spans one query emits, the
+/// tight-loop cost of an inert span, and the projected no-op overhead —
+/// the acceptance criterion is that the untraced path costs <3% of the
 /// bench_engine aggregate workload.
 fn write_obs_report(catalog: &Catalog) {
     const REPS: usize = 15;
     let (name, plan) = sweep_plans().swap_remove(1); // group_by_1k
     let opts = ExecOptions::with_threads(4);
     execute_with(&plan, catalog, opts).unwrap(); // warm-up
-    aqp_obs::set_enabled(false);
-    aqp_obs::drain();
     let (_, off_us) = median_us(REPS, || {
         execute_with(&plan, catalog, opts).unwrap();
     });
-    aqp_obs::set_enabled(true);
-    aqp_obs::drain();
-    execute_with(&plan, catalog, opts).unwrap();
-    let spans_per_query = aqp_obs::drain().len();
-    // Each timed run drains its records: the active cost includes both
-    // recording and collection, and the buffers stay bounded.
+    let traced = || aqp_obs::capture(|| execute_with(&plan, catalog, opts).unwrap());
+    let spans_per_query = traced().1.len();
+    // Each timed run owns and takes its trace: the active cost includes
+    // both recording and collection.
     let (_, on_us) = median_us(REPS, || {
-        execute_with(&plan, catalog, opts).unwrap();
-        aqp_obs::drain();
+        traced();
     });
-    aqp_obs::set_enabled(false);
-    aqp_obs::drain();
-    // Tight-loop cost of one disabled span (open + drop).
+    // Tight-loop cost of one inert span (open + drop).
     let iters = 200_000u32;
     let t0 = Instant::now();
     for _ in 0..iters {

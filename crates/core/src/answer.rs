@@ -140,8 +140,9 @@ pub struct ExecutionReport {
     /// was called directly.
     pub routing: Option<RoutingDecision>,
     /// The query's span tree, attached by [`crate::session::AqpSession`]
-    /// when tracing is enabled (`aqp_obs::set_enabled(true)`); `None`
-    /// otherwise. Excluded from equality: two answers produced the same
+    /// when the caller answered inside a trace scope
+    /// (`aqp_obs::capture(|| session.answer(..))`); `None` otherwise —
+    /// whatever other threads are tracing. Excluded from equality: two answers produced the same
     /// way are equal even though their wall-clock traces differ.
     pub trace: Option<Arc<aqp_obs::SpanNode>>,
     /// The static analysis the session ran before routing, when the answer
@@ -298,7 +299,7 @@ impl ExecutionReport {
             None => {
                 let _ = writeln!(
                     out,
-                    "trace: none (enable with aqp_obs::set_enabled(true) before answering)"
+                    "trace: none (answer inside aqp_obs::capture(|| ..) to record one)"
                 );
             }
         }

@@ -86,25 +86,23 @@ fn count_decision(decision: &RoutingDecision) {
     .inc(1);
 }
 
-/// Closes the query root span, stamps the routed wall, and — when tracing
-/// is enabled — drains this query's records into a tree attached to the
-/// report. Ordering matters: the root must close *before* the wall is
-/// measured so the `query` span's duration never exceeds `report.wall`,
-/// and trace assembly happens after, so collection cost is not billed to
-/// the query.
+/// Closes the query root span, stamps the routed wall, and — when the
+/// caller asked for a trace — assembles this query's own records into a
+/// tree attached to the report. Ordering matters: the root must close
+/// *before* the wall is measured so the `query` span's duration never
+/// exceeds `report.wall`, and trace assembly happens after, so collection
+/// cost is not billed to the query.
 fn attach_trace(
     report: &mut crate::answer::ExecutionReport,
     root: aqp_obs::Span,
     wall_start: Instant,
 ) {
-    let recording = root.is_recording();
     let trace = root.ctx().trace;
     root.finish();
     report.wall = wall_start.elapsed();
-    if !recording {
-        return;
-    }
-    let roots = aqp_obs::build_tree(aqp_obs::drain_trace(trace));
+    let Some(trace) = trace else { return };
+    debug_assert_eq!(trace.open_spans(), 0, "spans outlived the query root");
+    let roots = aqp_obs::build_tree(trace.take_records());
     report.trace = roots
         .into_iter()
         .find(|n| n.record.name == "query")
@@ -496,8 +494,9 @@ impl<'a> AqpSession<'a> {
     ) -> Result<ApproximateAnswer, AqpError> {
         // The report's wall is the *routed* wall — analysis, failed
         // attempts, and the winner — mirroring how declined rows are
-        // charged to the final answer. The root span starts a fresh
-        // trace; every attempt and engine operator below nests under it.
+        // charged to the final answer. When the caller is inside a trace
+        // the root span starts a fresh one of this query's own; every
+        // attempt and engine operator below nests under it.
         let wall_start = Instant::now();
         let root = aqp_obs::root_span("query");
         let threads = replay.threads;
@@ -606,12 +605,10 @@ impl<'a> AqpSession<'a> {
         if !audit::should_audit(cfg.seed, serial, cfg.rate) {
             return;
         }
-        // The audit gets its own root span and its records are discarded:
-        // the exact re-execution's operator spans must not pollute the
-        // query's already-attached trace.
+        // The audit gets its own root span, whose trace is dropped with
+        // it: the exact re-execution's operator spans must not land in the
+        // query's already-attached tree or in the caller's records.
         let audit_root = aqp_obs::root_span("audit");
-        let recording = audit_root.is_recording();
-        let trace = audit_root.ctx().trace;
         let outcome = audit::audit_answer(
             self.catalog,
             query,
@@ -621,9 +618,6 @@ impl<'a> AqpSession<'a> {
             winner,
         );
         audit_root.finish();
-        if recording {
-            drop(aqp_obs::drain_trace(trace));
-        }
         // An audit that itself errors grades nothing — the query already
         // answered; don't fail it retroactively.
         let Ok(outcome) = outcome else { return };

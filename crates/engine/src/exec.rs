@@ -103,7 +103,8 @@ fn node_table(plan: &LogicalPlan) -> Option<&str> {
 /// Span-wrapping shell around [`exec_node_inner`]: every operator node
 /// gets an `op:*` span carrying its output row count (and source table
 /// for scans), nested under the caller's span via the tracer's
-/// thread-local parenting. Inert — one atomic load — when tracing is off.
+/// thread-local parenting. Inert — one thread-local check — when the
+/// caller is not inside a trace.
 fn exec_node(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -391,7 +392,7 @@ fn exec_fused(
                 s.blocks_pruned += 1;
                 return Ok(None);
             }
-            let mut morsel = aqp_obs::child_span("morsel:scan", op_ctx);
+            let mut morsel = aqp_obs::child_span("morsel:scan", &op_ctx);
             s.blocks_scanned += 1;
             s.rows_scanned += block.len() as u64;
             let mut cur = block;
@@ -502,7 +503,7 @@ fn exec_fused_agg(
         morsels,
         threads,
         |_, morsel, s| -> Result<FoldAcc, EngineError> {
-            let mut span = aqp_obs::child_span("agg:partial", op_ctx);
+            let mut span = aqp_obs::child_span("agg:partial", &op_ctx);
             let mut acc = fold.new_acc(opts.agg_hint);
             let mut rows_in = 0u64;
             for (block, verdict) in &morsel {
@@ -586,7 +587,7 @@ fn filter_batches(
         batches,
         threads,
         |_, block| -> Result<Option<Arc<Block>>, EngineError> {
-            let mut morsel = aqp_obs::child_span("morsel:filter", op_ctx);
+            let mut morsel = aqp_obs::child_span("morsel:filter", &op_ctx);
             let mask = eval_predicate_mask(predicate, &block)?;
             let kept = if mask.iter().all(|&b| b) {
                 Some(block)
@@ -620,7 +621,7 @@ fn project_batches(
         batches,
         threads,
         |_, block| -> Result<Arc<Block>, EngineError> {
-            let mut morsel = aqp_obs::child_span("morsel:project", op_ctx);
+            let mut morsel = aqp_obs::child_span("morsel:project", &op_ctx);
             morsel.set_rows(block.len() as u64);
             let columns: Vec<Column> = exprs
                 .iter()
@@ -656,7 +657,7 @@ fn hash_join(
         right_batches.to_vec(),
         threads,
         |bi, block| -> Result<Matches, EngineError> {
-            let mut morsel = aqp_obs::child_span("join:build", op_ctx);
+            let mut morsel = aqp_obs::child_span("join:build", &op_ctx);
             morsel.set_rows(block.len() as u64);
             let keys = eval(right_key, &block)?;
             let mut part: Matches = HashMap::new();
@@ -684,7 +685,7 @@ fn hash_join(
         left_batches.to_vec(),
         threads,
         |_, block| -> Result<Vec<(usize, usize, usize)>, EngineError> {
-            let mut morsel = aqp_obs::child_span("join:probe", op_ctx);
+            let mut morsel = aqp_obs::child_span("join:probe", &op_ctx);
             let keys = eval(left_key, &block)?;
             let mut out = Vec::new();
             for li in 0..block.len() {
@@ -716,7 +717,7 @@ fn hash_join(
         chunks,
         threads,
         |_, chunk| -> Result<Arc<Block>, EngineError> {
-            let mut morsel = aqp_obs::child_span("join:materialize", op_ctx);
+            let mut morsel = aqp_obs::child_span("join:materialize", &op_ctx);
             morsel.set_rows(chunk.len() as u64);
             let mut block = Block::with_capacity(Arc::clone(schema), chunk.len());
             for &(lbi, li, bi, ri) in chunk {
@@ -826,7 +827,7 @@ fn hash_aggregate(
             morsels,
             threads,
             |_, span| -> Result<FoldAcc, EngineError> {
-                let mut morsel = aqp_obs::child_span("agg:partial", op_ctx);
+                let mut morsel = aqp_obs::child_span("agg:partial", &op_ctx);
                 if morsel.is_recording() {
                     morsel.set_rows(span.iter().map(|b| b.len() as u64).sum());
                 }

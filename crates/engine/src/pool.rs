@@ -203,9 +203,9 @@ where
     let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(items.into_iter().enumerate().collect());
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
     let total: Mutex<ExecStats> = Mutex::new(ExecStats::default());
-    // Pool telemetry is gated on the observability switch so the hot loop
-    // reads no clock and touches no metric when it is off (the default).
-    let obs_on = aqp_obs::is_enabled();
+    // Pool telemetry is gated on the caller being inside a trace so the
+    // hot loop reads no clock and touches no metric otherwise (the default).
+    let obs_on = aqp_obs::current_ctx().trace.is_some();
     let queue_wait = obs_on.then(|| {
         aqp_obs::metrics::global().histogram(
             aqp_obs::names::POOL_QUEUE_WAIT_US,

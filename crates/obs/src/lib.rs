@@ -5,9 +5,10 @@
 //!
 //! - a **span tracer** ([`trace`]): RAII spans with parent/child links
 //!   cheap enough to wrap every morsel, operator, eligibility probe,
-//!   technique attempt, and synopsis build — a single relaxed atomic
-//!   load when no collector is enabled (the default), so benches run
-//!   unperturbed;
+//!   technique attempt, and synopsis build — one thread-local check
+//!   when the calling thread is not inside a trace (the default), so
+//!   benches run unperturbed. A trace is a value: [`capture`] scopes one
+//!   around a call on the calling thread, and no other thread pays;
 //! - a **metrics registry** ([`metrics`]): counters, gauges, and
 //!   fixed-bucket histograms with lock-free per-worker shards merged on
 //!   read, exported as Prometheus text or JSON;
@@ -15,12 +16,13 @@
 //!   idiom used by the `exp_*` binaries and benches.
 //!
 //! ```
-//! let ((), spans) = aqp_obs::capture(|| {
+//! let ((), spans, open) = aqp_obs::capture(|| {
 //!     let mut op = aqp_obs::span("op:scan");
 //!     op.set_rows(1024);
 //! });
-//! assert_eq!(spans.len(), 1);
+//! assert_eq!((spans.len(), open), (1, 0));
 //! assert_eq!(spans[0].rows, 1024);
+//! assert!(!aqp_obs::span("op:scan").is_recording(), "no trace in scope");
 //! aqp_obs::metrics::global().counter("queries_total").inc(1);
 //! ```
 
@@ -34,7 +36,6 @@ pub mod timing;
 pub mod trace;
 
 pub use trace::{
-    build_tree, capture, child_span, current_ctx, drain, drain_trace, fmt_ns, is_enabled,
-    open_span_count, render_tree, root_span, set_enabled, span, Span, SpanCtx, SpanNode,
-    SpanRecord,
+    build_tree, capture, child_span, current_ctx, fmt_ns, render_tree, root_span, span, Span,
+    SpanCtx, SpanNode, SpanRecord, Trace,
 };

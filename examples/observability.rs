@@ -1,8 +1,8 @@
 //! Observability tour: run one query through each AQP family via the
-//! routing session with the tracer on, print `EXPLAIN ANALYZE` for every
-//! answer, run an audited workload whose ground-truth checks populate the
-//! per-technique accuracy scoreboard, and finish with the session's
-//! metrics in Prometheus exposition format.
+//! routing session, each inside its own trace scope, print `EXPLAIN
+//! ANALYZE` for every answer, run an audited workload whose ground-truth
+//! checks populate the per-technique accuracy scoreboard, and finish with
+//! the session's metrics in Prometheus exposition format.
 //!
 //! ```sh
 //! cargo run --release -p aqp-bench --example observability
@@ -15,7 +15,11 @@ use aqp_storage::Catalog;
 use aqp_workload::{skewed_table, uniform_table};
 
 fn explain(title: &str, session: &AqpSession, plan: &LogicalPlan, spec: &ErrorSpec) {
-    let ans = session.answer(plan, spec, 7).unwrap();
+    // A trace is asked for by scoping one around the call: spans and the
+    // trace tree are recorded for this answer only. Everything outside a
+    // scope — the synopsis build, the audited loop below — records
+    // nothing and costs nothing.
+    let (ans, _, _) = aqp_obs::capture(|| session.answer(plan, spec, 7).unwrap());
     let routing = ans.report.routing.as_ref().unwrap();
     println!("== {title} ==");
     println!("   winner: {}\n", routing.winner);
@@ -27,10 +31,6 @@ fn explain(title: &str, session: &AqpSession, plan: &LogicalPlan, spec: &ErrorSp
 }
 
 fn main() {
-    // Spans and the trace tree are recorded only while the tracer is on;
-    // the default is off and costs nothing.
-    aqp_obs::set_enabled(true);
-
     // --- 1. Offline synopsis: a fresh stratified sample matching the
     //        query's GROUP BY — answered without touching base data.
     let c = Catalog::new();

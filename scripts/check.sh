@@ -36,10 +36,25 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 # tests/docs.rs and run with the suite below.)
 scripts/check_doc_links.sh
 
-# Observability crate first: its suite includes the guarded disabled-span
+# Observability crate first: its suite includes the guarded inert-span
 # overhead smoke test, the cheapest signal when instrumentation regresses.
 cargo test -q -p aqp-obs
-cargo test -q
+
+# A trace is a value its caller owns: the tracer keeps no process state
+# beyond the id / thread-ordinal counters and the epoch (CURRENT and
+# THREAD_ORD are thread-locals).
+if grep -nE '\bstatic [A-Z_]+:' crates/obs/src/trace.rs |
+  grep -vE 'static (NEXT_ID|NEXT_THREAD|EPOCH|CURRENT|THREAD_ORD):'; then
+  echo "crates/obs/src/trace.rs declares process-global tracer state" >&2
+  exit 1
+fi
+
+# The span-isolation tests race traced against untraced threads, so one
+# green run proves little: run the binary 25 times (~0.1 s each).
+for _ in $(seq 25); do cargo test -q --test observability; done
+
+# --no-fail-fast: one red binary must not hide every binary after it.
+cargo test -q --no-fail-fast
 
 # Merge bench: partial decode+fold cost, per-synopsis wire size, and the
 # maintain-vs-rebuild gate (incremental maintenance must beat a rebuild

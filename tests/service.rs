@@ -9,7 +9,10 @@
 //! * goldens cover each admission verdict (accepted, degraded, strict
 //!   rejection, deadline rejection, queue-full backpressure) and each
 //!   plan-cache transition (miss → hit → stale after maintenance or a
-//!   table swap, pilot-plan replay on a warm hit).
+//!   table swap, pilot-plan replay on a warm hit);
+//! * tracing is per caller: clients that scope a trace around their own
+//!   `submit` get exactly their own query's span tree, and neither their
+//!   neighbours nor concurrent maintenance are traced or recorded.
 
 use std::time::Duration;
 
@@ -17,7 +20,7 @@ use proptest::prelude::*;
 
 use aqp_core::{
     AdmissionDecision, AqpService, AqpSession, CacheEvent, Contract, ErrorSpec, GuaranteeClass,
-    Rejection, ServiceConfig, TechniqueKind,
+    Rejection, ServiceConfig, ServiceReply, TechniqueKind,
 };
 use aqp_engine::{AggExpr, LogicalPlan, Query};
 use aqp_expr::{col, lit};
@@ -141,6 +144,131 @@ proptest! {
             prop_assert!(stats.cache_hits >= (jobs.len() / 2) as u64);
         }
     }
+}
+
+/// A client traces its own `submit` by wrapping it in `aqp_obs::capture`,
+/// and nobody else pays: of three clients on one service, the two that
+/// wrap get one `query` root per reply whose every record carries that
+/// reply's own trace id, the one that does not gets `trace: None`, and a
+/// fourth thread's concurrent `maintain_synopses` appears in no client's
+/// tree or captured records. All answers still equal the serial replay.
+#[test]
+fn traced_clients_do_not_trace_their_neighbours() {
+    use std::sync::Barrier;
+
+    let c = Catalog::new();
+    c.register(skewed_table("t", 20_000, 10, 1.0, 128, 11))
+        .unwrap();
+    let spec = ErrorSpec::new(0.15, 0.9);
+    let contract = Contract::new(spec.relative_error, spec.confidence);
+    let plans = [grouped_sum("t", 0.6), ungrouped_sum("t")];
+    let jobs: Vec<(usize, u64)> = (0..12u64)
+        .map(|i| ((i % 2) as usize, 100 + i / 4))
+        .collect();
+    let session_with_synopsis = || {
+        let session = AqpSession::new(&c);
+        session
+            .offline()
+            .build_stratified(&c, "t", "g", 3_000, 5)
+            .unwrap();
+        session
+    };
+    let reference = session_with_synopsis();
+    let expected: Vec<_> = jobs
+        .iter()
+        .map(|&(p, s)| reference.answer(&plans[p], &spec, s).unwrap())
+        .collect();
+
+    let service = AqpService::over(session_with_synopsis(), ServiceConfig::default());
+    // Every round starts and ends on a barrier the traced clients wait at
+    // from *inside* their capture: all four threads' work happens while
+    // both traces are in scope, by construction rather than by luck.
+    let round = Barrier::new(4);
+    let replies = std::thread::scope(|scope| {
+        // No rows are appended, so maintenance changes no answer — but it
+        // opens its `synopsis:maintain-*` span and bumps the routing epoch
+        // every round, on a thread nobody is tracing.
+        let maintainer = scope.spawn(|| {
+            let maintain = |i: usize| {
+                round.wait();
+                let maintained = service.session().maintain_synopses("t", i as u64);
+                round.wait();
+                maintained
+            };
+            (0..jobs.len()).map(maintain).collect::<Vec<_>>()
+        });
+        let clients = [true, true, false].map(|traced| {
+            let (service, plans, contract, jobs, round) =
+                (&service, &plans, &contract, &jobs, &round);
+            scope.spawn(move || {
+                let run = |&(p, s): &(usize, u64)| {
+                    let submit = || {
+                        round.wait();
+                        let reply = service.submit(&plans[p], contract, s);
+                        round.wait();
+                        reply
+                    };
+                    if traced {
+                        aqp_obs::capture(submit)
+                    } else {
+                        (submit(), Vec::new(), 0)
+                    }
+                };
+                (traced, jobs.iter().map(run).collect::<Vec<_>>())
+            })
+        });
+        for maintained in maintainer.join().unwrap() {
+            assert_eq!(maintained.unwrap(), 1, "one stratified synopsis on t");
+        }
+        clients.map(|h| h.join().unwrap())
+    });
+
+    let mut trace_ids = std::collections::HashSet::new();
+    for (client, (traced, answers)) in replies.iter().enumerate() {
+        for (i, ((reply, outside_query, open), want)) in answers.iter().zip(&expected).enumerate() {
+            let ctx = format!("client={client} traced={traced} job={i}");
+            let Ok(ServiceReply::Answered(ans)) = reply else {
+                panic!("no contract can fail here, got {reply:?}: {ctx}");
+            };
+            assert_eq!(*open, 0, "spans left open around submit: {ctx}");
+            assert_same_answer(ans, want, &ctx);
+            if !traced {
+                assert!(ans.report.trace.is_none(), "untraced reply traced: {ctx}");
+                continue;
+            }
+            let tree = ans.report.trace.as_ref().expect("traced reply");
+            assert_eq!(
+                (tree.record.name, tree.record.parent),
+                ("query", 0),
+                "{ctx}"
+            );
+            assert!(
+                trace_ids.insert(tree.record.trace),
+                "trace id shared: {ctx}"
+            );
+            let (mut records, mut stack) = (Vec::new(), vec![&**tree]);
+            while let Some(node) = stack.pop() {
+                records.push(&node.record);
+                stack.extend(&node.children);
+            }
+            assert!(records.len() > 1, "query tree has no children: {ctx}");
+            for r in &records {
+                assert_eq!(
+                    r.trace, tree.record.trace,
+                    "span {} off-trace: {ctx}",
+                    r.name
+                );
+            }
+            for r in records.into_iter().chain(outside_query) {
+                assert!(
+                    !r.name.starts_with("synopsis:"),
+                    "maintenance span {} in a client's trace: {ctx}",
+                    r.name
+                );
+            }
+        }
+    }
+    assert_eq!(trace_ids.len(), 2 * jobs.len());
 }
 
 /// A grouped query on a table too small for sampling, with no synopsis:
