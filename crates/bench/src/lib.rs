@@ -6,13 +6,47 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-use std::time::{Duration, Instant};
+pub mod report;
 
-/// Times a closure, returning its output and the elapsed wall time.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
+use std::time::Duration;
+
+use aqp_engine::{AggExpr, LogicalPlan, Query};
+use aqp_expr::{col, lit};
+use aqp_storage::Catalog;
+use aqp_workload::{build_star_schema, uniform_table, StarScale};
+
+/// The exact engine's bench data: a 500k-row uniform table `t` plus the
+/// tiny star schema. One definition, so the `bench_engine` Criterion
+/// groups and the `bench_gates` binary time the same thing.
+pub fn engine_bench_catalog() -> Catalog {
+    let c = Catalog::new();
+    c.register(uniform_table("t", 500_000, 1024, 1))
+        .expect("fresh catalog");
+    build_star_schema(&c, &StarScale::tiny(), 2).expect("fresh catalog");
+    c
+}
+
+/// The plans over `t` the kernel layer covers end to end: one scan-heavy
+/// fused filter, one merge-heavy group-by.
+pub fn kernel_plans() -> [(&'static str, LogicalPlan); 2] {
+    [
+        (
+            "filter_sum",
+            Query::scan("t")
+                .filter(col("sel").lt(lit(0.5)))
+                .aggregate(vec![], vec![AggExpr::sum(col("v"), "s")])
+                .build(),
+        ),
+        (
+            "group_by_1k",
+            Query::scan("t")
+                .aggregate(
+                    vec![(col("id").modulo(lit(1_000i64)), "g".to_string())],
+                    vec![AggExpr::count_star("n"), AggExpr::avg(col("v"), "a")],
+                )
+                .build(),
+        ),
+    ]
 }
 
 /// Times a closure over `reps` repetitions, returning the output of the
@@ -91,9 +125,6 @@ mod tests {
 
     #[test]
     fn timing_helpers() {
-        let (v, d) = timed(|| 7);
-        assert_eq!(v, 7);
-        assert!(d >= Duration::ZERO);
         let (v, d) = timed_median(3, || 42);
         assert_eq!(v, 42);
         assert!(d >= Duration::ZERO);

@@ -10,8 +10,8 @@
 //! default, whatever any other thread is doing — the span is an inert
 //! handle: a thread-local check, no clock read, no allocation, no lock.
 //! The overhead contract (< 100ns per inert span in release builds) is
-//! enforced by a guarded smoke test in this crate and recorded in
-//! `BENCH_obs.json` by the engine benches.
+//! enforced by a guarded smoke test in this crate and recorded as
+//! `noop_span_ns` in `BENCH_gates.json` by `bench_gates`.
 //!
 //! A recording span stores its start offset (nanoseconds since a
 //! process-wide epoch), duration, parent id, trace id, recording thread,

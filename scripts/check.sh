@@ -56,27 +56,19 @@ for _ in $(seq 25); do cargo test -q --test observability; done
 # --no-fail-fast: one red binary must not hide every binary after it.
 cargo test -q --no-fail-fast
 
-# Merge bench: partial decode+fold cost, per-synopsis wire size, and the
-# maintain-vs-rebuild gate (incremental maintenance must beat a rebuild
-# by >= 5x on a 1% append). Runs before bench_smoke so the freshly
-# emitted BENCH_merge.json is shape-checked along with the rest.
-cargo run -q --release -p aqp-bench --bin bench_merge
+# Bench gates: the five bounds the repo benchmark cannot see — kernel
+# path >= 2x scalar, inert spans < 3% of a query, synopsis maintenance
+# >= 5x cheaper than a rebuild on a 1% append, conformance scan <= 2 s,
+# 1%-rate audit overhead <= 5% — measured in one run, written to
+# BENCH_gates.json, non-zero exit when any gate misses its bound.
+cargo run -q --release -p aqp-bench --bin bench_gates
 
-# Audit bench: added wall of ground-truth auditing at 1% and 5% sampling
-# rates plus the scoreboard snapshot cost, with the always-on acceptance
-# gate (1%-rate overhead <= 5%). Emits BENCH_audit.json for bench_smoke.
-cargo run -q --release -p aqp-bench --bin bench_audit
-
-# Server bench: mixed-workload QPS/latency through the concurrent
-# service at 1/2/4/8 clients, cold-vs-cached routing cost (cache must be
-# >= 5x cheaper), and bounded-queue rejection under collision. Emits
-# BENCH_server.json for bench_smoke.
-cargo run -q --release -p aqp-bench --bin bench_server
-
-# Bench smoke: tiny-row kernel-vs-scalar equivalence at threads=1 plus
-# shape validation of every BENCH_*.json report — seconds, not the
-# minutes a full Criterion run costs.
-cargo run -q --release -p aqp-bench --bin bench_smoke
+# One ledger: that report is the only BENCH_*.json, and nothing in
+# crates/bench formats JSON by hand beside aqp_bench::report.
+if [ "$(echo BENCH_*.json)" != BENCH_gates.json ] || grep -rn 'format!("{{' crates/bench; then
+  echo "expected exactly BENCH_gates.json at the root and no hand-formatted JSON in crates/bench" >&2
+  exit 1
+fi
 
 # Repository benchmark smoke: benchmark/ is a workspace of its own, so
 # nothing above compiles it. All five workloads in both modes at 20 k
