@@ -19,13 +19,16 @@ use std::time::Instant;
 use parking_lot::RwLock;
 
 use aqp_analyze::{LintContext, LintPolicy, SynopsisMeta};
-use aqp_engine::agg::KeyAtom;
-use aqp_sampling::{stratified_sample_with_threads, Allocation, Sample};
+use aqp_engine::agg::{GroupKey, KeyAtom};
+use aqp_expr::eval::{eval, eval_predicate_mask};
+use aqp_expr::lit;
+use aqp_sampling::design::PairStats;
+use aqp_sampling::{stratified_sample_with_threads, Allocation, Sample, SampleDesign};
 use aqp_sketch::{GkQuantiles, HyperLogLog};
-use aqp_stats::Estimate;
-use aqp_storage::{Catalog, Value};
+use aqp_stats::{Estimate, Moments};
+use aqp_storage::{Catalog, Column, Value};
 
-use crate::aggquery::{AggQuery, LinearAgg};
+use crate::aggquery::{AggQuery, AggSpec, LinearAgg};
 use crate::answer::{assemble_answer, ApproximateAnswer, ExecutionPath, ExecutionReport};
 use crate::error::AqpError;
 use crate::spec::ErrorSpec;
@@ -527,110 +530,10 @@ impl OfflineStore {
             .ok_or_else(|| AqpError::Unsupported {
                 detail: format!("no stratified synopsis for {}", query.fact_table),
             })?;
-        let sample = &syn.sample;
-
-        // Precompute per-row contributions, indexed by block pointer + row.
-        let mut base_of_block: HashMap<usize, usize> = HashMap::new();
-        let mut base = 0usize;
-        for (bi, block) in sample.table.iter_blocks() {
-            base_of_block.insert(bi, base);
-            let _ = block;
-            base += sample.table.block(bi).len();
-        }
-        // Row-major: (group atoms, key values, per-agg (f,g)); None when
-        // filtered out.
-        type RowInfo = (Vec<KeyAtom>, Vec<Value>, Vec<(f64, f64)>);
-        let mut rows: Vec<Option<RowInfo>> = Vec::with_capacity(sample.num_rows());
-        for (_, block) in sample.table.iter_blocks() {
-            for ri in 0..block.len() {
-                let resolver = |name: &str| -> Option<Value> {
-                    block.column_by_name(name).ok().map(|c| c.get(ri))
-                };
-                let passes = match &query.predicate {
-                    None => true,
-                    Some(p) => matches!(aqp_expr::eval::eval_row(p, &resolver)?, Value::Bool(true)),
-                };
-                if !passes {
-                    rows.push(None);
-                    continue;
-                }
-                let key_vals: Vec<Value> = query
-                    .group_by
-                    .iter()
-                    .map(|(e, _)| aqp_expr::eval::eval_row(e, &resolver))
-                    .collect::<Result<_, _>>()?;
-                let atoms: Vec<KeyAtom> = key_vals.iter().map(KeyAtom::from_value).collect();
-                let per_agg: Vec<(f64, f64)> = query
-                    .aggregates
-                    .iter()
-                    .map(|a| -> Result<(f64, f64), AqpError> {
-                        Ok(match a.kind {
-                            LinearAgg::CountStar => (1.0, 0.0),
-                            LinearAgg::Sum => {
-                                let v = aqp_expr::eval::eval_row(&a.expr, &resolver)?;
-                                (v.as_f64().unwrap_or(0.0), 0.0)
-                            }
-                            LinearAgg::Avg => {
-                                let v = aqp_expr::eval::eval_row(&a.expr, &resolver)?;
-                                match v.as_f64() {
-                                    Some(x) => (x, 1.0),
-                                    None => (0.0, 0.0),
-                                }
-                            }
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                rows.push(Some((atoms, key_vals, per_agg)));
-            }
-        }
-
-        // Distinct groups present in the sample.
-        let mut group_keys: HashMap<Vec<KeyAtom>, Vec<Value>> = HashMap::new();
-        for r in rows.iter().flatten() {
-            group_keys.entry(r.0.clone()).or_insert_with(|| r.1.clone());
-        }
-        let num_estimates = (group_keys.len() * query.aggregates.len()).max(1);
+        let raw = scan(&syn.sample, query)?;
+        let num_estimates = (raw.len() * query.aggregates.len()).max(1);
         let conf = spec.split_across(num_estimates).confidence;
-
-        // Block pointer → base row id, so design closures can find the
-        // precomputed contribution of (block, row).
-        let block_base: HashMap<*const aqp_storage::Block, usize> = sample
-            .table
-            .iter_blocks()
-            .map(|(bi, b)| {
-                (
-                    std::sync::Arc::as_ptr(b),
-                    *base_of_block.get(&bi).expect("indexed above"),
-                )
-            })
-            .collect();
-
-        let mut raw: Vec<(Vec<Value>, Vec<Estimate>)> = Vec::with_capacity(group_keys.len());
-        for (atoms, key_vals) in group_keys {
-            let mut estimates = Vec::with_capacity(query.aggregates.len());
-            for (ai, agg) in query.aggregates.iter().enumerate() {
-                let value_of = |b: &aqp_storage::Block, i: usize| -> (f64, f64) {
-                    let base = block_base[&(b as *const aqp_storage::Block)];
-                    match &rows[base + i] {
-                        Some((g, _, per_agg)) if *g == atoms => per_agg[ai],
-                        _ => (0.0, 0.0),
-                    }
-                };
-                let est = match agg.kind {
-                    LinearAgg::CountStar | LinearAgg::Sum => {
-                        sample.estimate_sum_with(&mut |b, i| value_of(b, i).0)
-                    }
-                    LinearAgg::Avg => sample
-                        .estimate_avg_with(&mut |b, i| value_of(b, i).0, &mut |b, i| {
-                            value_of(b, i).1
-                        }),
-                };
-                estimates.push(est);
-            }
-            raw.push((key_vals, estimates));
-        }
-
-        let rows_scanned = sample.num_rows() as u64;
+        let rows_scanned = syn.sample.num_rows() as u64;
         if obs_span.is_recording() {
             obs_span.set_rows(rows_scanned);
         }
@@ -690,6 +593,103 @@ impl OfflineStore {
             .filter_map(|t| self.synopsis_meta(catalog, t))
             .collect()
     }
+}
+
+/// A group's key as the key columns typed it and, per stratum it has a
+/// qualifying row in (ascending), one Welford accumulator per aggregate.
+struct GroupCells {
+    key: Vec<Value>,
+    cells: Vec<(usize, Vec<Moments>)>,
+}
+
+/// Estimates every group × aggregate of `query` from a stratified sample
+/// in one pass: per block the predicate, key and measure expressions are
+/// evaluated once, by the engine's block evaluator, then each qualifying
+/// row updates its (stratum, group) cell. Turning cells into estimates is
+/// [`PairStats::stratified_domain`], the algebra the two-pass
+/// [`Sample::estimate_sum_with`] and `estimate_avg_with` end in.
+#[allow(clippy::type_complexity)] // the shape `assemble_answer` takes
+pub fn scan(
+    sample: &Sample,
+    query: &AggQuery,
+) -> Result<Vec<(Vec<Value>, Vec<Estimate>)>, AqpError> {
+    let SampleDesign::Stratified { strata, .. } = &sample.design else {
+        return Err(AqpError::Unsupported {
+            detail: format!("synopsis scan over a {} sample", sample.design.name()),
+        });
+    };
+    let mut index: HashMap<GroupKey, usize> = HashMap::new();
+    let mut groups: Vec<GroupCells> = Vec::new();
+    let mut key: GroupKey = Vec::with_capacity(query.group_by.len());
+    // Each row's stratum, in row order: strata tile the sample's rows (the
+    // sampler emits stratum by stratum, `Sample::merge` appends). A stratum
+    // is its row range, not its key — maintenance repeats keys.
+    let mut stratum_of_row = strata
+        .iter()
+        .enumerate()
+        .flat_map(|(h, s)| std::iter::repeat_n(h, s.row_end - s.row_start));
+    for (_, block) in sample.table.iter_blocks() {
+        let mask = match &query.predicate {
+            Some(p) => Some(eval_predicate_mask(p, block)?),
+            None => None,
+        };
+        let key_cols: Vec<Column> = query
+            .group_by
+            .iter()
+            .map(|(e, _)| eval(e, block))
+            .collect::<Result<_, _>>()?;
+        let measures: Vec<Column> = query
+            .aggregates
+            .iter()
+            .map(|a| match a.kind {
+                // COUNT(*) is SUM(1); its `expr` is not read.
+                LinearAgg::CountStar => eval(&lit(1i64), block),
+                LinearAgg::Sum | LinearAgg::Avg => eval(&a.expr, block),
+            })
+            .collect::<Result<_, _>>()?;
+        for i in 0..block.len() {
+            let h = stratum_of_row.next().expect("strata cover every row");
+            if mask.as_ref().is_some_and(|m| !m[i]) {
+                continue;
+            }
+            key.clear();
+            key.extend(key_cols.iter().map(|c| KeyAtom::from_value(&c.get(i))));
+            let gi = index.get(&key).copied().unwrap_or_else(|| {
+                index.insert(key.clone(), groups.len());
+                groups.push(GroupCells {
+                    key: key_cols.iter().map(|c| c.get(i)).collect(),
+                    cells: Vec::new(),
+                });
+                groups.len() - 1
+            });
+            let cells = &mut groups[gi].cells;
+            if cells.last().map(|c| c.0) != Some(h) {
+                cells.push((h, vec![Moments::new(); measures.len()]));
+            }
+            let (_, cell) = cells.last_mut().expect("pushed above");
+            for (hits, measure) in cell.iter_mut().zip(&measures) {
+                // A NULL measure is a zero, like a row outside the group.
+                if let Some(x) = measure.f64_at(i) {
+                    hits.push(x);
+                }
+            }
+        }
+    }
+    Ok(groups
+        .into_iter()
+        .map(|g| {
+            let estimate = |(a, agg): (usize, &AggSpec)| {
+                let hits = g.cells.iter().map(|(h, cell)| (*h, cell[a]));
+                let stats = PairStats::stratified_domain(strata, hits);
+                match agg.kind {
+                    LinearAgg::CountStar | LinearAgg::Sum => stats.total(),
+                    LinearAgg::Avg => stats.ratio(),
+                }
+            };
+            let estimates = query.aggregates.iter().enumerate().map(estimate);
+            (g.key, estimates.collect())
+        })
+        .collect())
 }
 
 /// The offline family as the router sees it: [`OfflineStore::answer`]

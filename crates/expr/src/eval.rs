@@ -393,233 +393,3 @@ mod tests {
         assert!(eval(&col("a").and(col("flag")), &b).is_err());
     }
 }
-
-/// Row-level evaluation: `resolver` maps a column name to its value for the
-/// current row (returning `None` for unknown columns, which is an error).
-///
-/// Semantics mirror [`eval`] exactly; this form exists for operators that
-/// assemble virtual rows from several sources (e.g. a fact-block row joined
-/// with dimension lookups) without materializing a block first.
-pub fn eval_row(expr: &Expr, resolver: &dyn Fn(&str) -> Option<Value>) -> Result<Value, ExprError> {
-    match expr {
-        Expr::Column(name) => resolver(name).ok_or_else(|| {
-            ExprError::Storage(aqp_storage::StorageError::ColumnNotFound { name: name.clone() })
-        }),
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Binary { left, op, right } => {
-            let l = eval_row(left, resolver)?;
-            let r = eval_row(right, resolver)?;
-            eval_binary_scalar(&l, *op, &r)
-        }
-        Expr::Not(inner) => match eval_row(inner, resolver)? {
-            Value::Bool(b) => Ok(Value::Bool(!b)),
-            Value::Null => Ok(Value::Null),
-            other => Err(ExprError::InvalidOperation {
-                detail: format!("NOT requires BOOL, got {other:?}"),
-            }),
-        },
-        Expr::IsNull(inner) => Ok(Value::Bool(eval_row(inner, resolver)?.is_null())),
-        Expr::Hash64(inner) => {
-            let v = eval_row(inner, resolver)?;
-            Ok(Value::Int64(stable_hash64(&v) as i64))
-        }
-    }
-}
-
-/// Scalar binary-op evaluation shared by [`eval_row`].
-fn eval_binary_scalar(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, ExprError> {
-    use BinaryOp::*;
-    match op {
-        And | Or => {
-            let a = match l {
-                Value::Bool(b) => Some(*b),
-                Value::Null => None,
-                other => {
-                    return Err(ExprError::InvalidOperation {
-                        detail: format!("AND/OR requires BOOL, got {other:?}"),
-                    })
-                }
-            };
-            let b = match r {
-                Value::Bool(b) => Some(*b),
-                Value::Null => None,
-                other => {
-                    return Err(ExprError::InvalidOperation {
-                        detail: format!("AND/OR requires BOOL, got {other:?}"),
-                    })
-                }
-            };
-            let v = if op == And {
-                match (a, b) {
-                    (Some(false), _) | (_, Some(false)) => Some(false),
-                    (Some(true), Some(true)) => Some(true),
-                    _ => None,
-                }
-            } else {
-                match (a, b) {
-                    (Some(true), _) | (_, Some(true)) => Some(true),
-                    (Some(false), Some(false)) => Some(false),
-                    _ => None,
-                }
-            };
-            Ok(v.map(Value::Bool).unwrap_or(Value::Null))
-        }
-        Eq | NotEq | Lt | LtEq | Gt | GtEq => Ok(match l.sql_cmp(r) {
-            None => Value::Null,
-            Some(ord) => Value::Bool(match op {
-                Eq => ord.is_eq(),
-                NotEq => ord.is_ne(),
-                Lt => ord.is_lt(),
-                LtEq => ord.is_le(),
-                Gt => ord.is_gt(),
-                GtEq => ord.is_ge(),
-                _ => unreachable!(),
-            }),
-        }),
-        Mod => match (l.as_i64(), r.as_i64()) {
-            (Some(a), Some(b)) if b != 0 => Ok(Value::Int64(a.wrapping_rem(b))),
-            (None, _) | (_, None) if l.is_null() || r.is_null() => Ok(Value::Null),
-            (Some(_), Some(_)) => Ok(Value::Null), // mod by zero
-            _ => Err(ExprError::InvalidOperation {
-                detail: "modulo requires INT64 operands".to_string(),
-            }),
-        },
-        Add | Sub | Mul | Div => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            let int_out = matches!((l, r), (Value::Int64(_), Value::Int64(_))) && op != Div;
-            let (a, b) = match (l.as_f64(), r.as_f64()) {
-                (Some(a), Some(b)) => (a, b),
-                _ => {
-                    return Err(ExprError::InvalidOperation {
-                        detail: format!("arithmetic on non-numeric values {l:?}, {r:?}"),
-                    })
-                }
-            };
-            let v = match op {
-                Add => a + b,
-                Sub => a - b,
-                Mul => a * b,
-                Div => {
-                    if b == 0.0 {
-                        return Ok(Value::Null);
-                    }
-                    a / b
-                }
-                _ => unreachable!(),
-            };
-            if int_out {
-                Ok(Value::Int64(v as i64))
-            } else {
-                Ok(Value::Float64(v))
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod row_eval_tests {
-    use super::*;
-    use crate::expr::{col, lit};
-
-    fn resolver(name: &str) -> Option<Value> {
-        match name {
-            "a" => Some(Value::Int64(6)),
-            "b" => Some(Value::Float64(1.5)),
-            "n" => Some(Value::Null),
-            "s" => Some(Value::str("hi")),
-            "t" => Some(Value::Bool(true)),
-            _ => None,
-        }
-    }
-
-    #[test]
-    fn scalar_arithmetic() {
-        assert_eq!(
-            eval_row(&col("a").add(lit(2i64)), &resolver).unwrap(),
-            Value::Int64(8)
-        );
-        assert_eq!(
-            eval_row(&col("a").mul(col("b")), &resolver).unwrap(),
-            Value::Float64(9.0)
-        );
-        assert_eq!(
-            eval_row(&col("a").div(lit(0i64)), &resolver).unwrap(),
-            Value::Null
-        );
-        assert_eq!(
-            eval_row(&col("a").modulo(lit(4i64)), &resolver).unwrap(),
-            Value::Int64(2)
-        );
-    }
-
-    #[test]
-    fn scalar_comparisons_and_logic() {
-        assert_eq!(
-            eval_row(&col("a").gt(lit(5i64)), &resolver).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            eval_row(&col("n").gt(lit(5i64)), &resolver).unwrap(),
-            Value::Null
-        );
-        // NULL AND false = false.
-        assert_eq!(
-            eval_row(
-                &col("n").gt(lit(5i64)).and(lit(1i64).eq(lit(2i64))),
-                &resolver
-            )
-            .unwrap(),
-            Value::Bool(false)
-        );
-        assert_eq!(
-            eval_row(&col("t").or(col("n").is_null().not()), &resolver).unwrap(),
-            Value::Bool(true)
-        );
-    }
-
-    #[test]
-    fn scalar_null_and_hash() {
-        assert_eq!(
-            eval_row(&col("n").is_null(), &resolver).unwrap(),
-            Value::Bool(true)
-        );
-        let h1 = eval_row(&col("s").hash64(), &resolver).unwrap();
-        let h2 = eval_row(&col("s").hash64(), &resolver).unwrap();
-        assert_eq!(h1, h2);
-    }
-
-    #[test]
-    fn unknown_column_errors() {
-        assert!(eval_row(&col("zzz"), &resolver).is_err());
-    }
-
-    #[test]
-    fn row_eval_matches_block_eval() {
-        use aqp_storage::{Block, Field, Schema};
-        use std::sync::Arc;
-        let schema = Arc::new(Schema::new(vec![
-            Field::new("a", DataType::Int64),
-            Field::nullable("b", DataType::Float64),
-        ]));
-        let mut blk = Block::new(schema);
-        blk.push_row(&[Value::Int64(6), Value::Float64(1.5)])
-            .unwrap();
-        blk.push_row(&[Value::Int64(2), Value::Null]).unwrap();
-        let exprs = [
-            col("a").add(col("b")),
-            col("a").gt(lit(3i64)).and(col("b").lt(lit(2.0))),
-            col("b").is_null(),
-            col("a").hash64(),
-        ];
-        for e in &exprs {
-            let block_out = eval(e, &blk).unwrap();
-            for i in 0..blk.len() {
-                let row_out =
-                    eval_row(e, &|name| blk.column_by_name(name).ok().map(|c| c.get(i))).unwrap();
-                assert_eq!(row_out, block_out.get(i), "expr {e} row {i}");
-            }
-        }
-    }
-}

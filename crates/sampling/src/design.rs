@@ -9,8 +9,10 @@
 //! All SUM/COUNT estimators are Horvitz–Thompson; AVG is the ratio
 //! estimator with design-correct numerator/denominator covariance.
 
-use aqp_stats::Estimate;
-use aqp_storage::{Block, DataType, Field, Schema, StorageError, Table, TableBuilder, Value};
+use std::sync::Arc;
+
+use aqp_stats::{Estimate, Moments};
+use aqp_storage::{Block, Column, DataType, Field, Schema, StorageError, Table, Value};
 
 /// Per-row Horvitz–Thompson weights.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,15 +161,123 @@ pub struct Sample {
 
 /// Sufficient statistics for a pair of HT totals (numerator f, denominator
 /// g) under one design: estimates, variances, covariance, and the number of
-/// independent sampling units.
-#[derive(Debug, Clone, Copy)]
-struct PairStats {
+/// independent sampling units. Independent parts (strata) add.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PairStats {
     est_f: f64,
     var_f: f64,
     est_g: f64,
     var_g: f64,
     cov: f64,
     units: u64,
+}
+
+impl PairStats {
+    /// One SRS-without-replacement stratum from the centered moments of
+    /// its `n` sampled units: totals `N·x̄` with fpc'd variances and
+    /// covariance.
+    fn srs(
+        n: u64,
+        mean_x: f64,
+        mean_y: f64,
+        sxx: f64,
+        syy: f64,
+        sxy: f64,
+        population: u64,
+    ) -> Self {
+        let big_n = population as f64;
+        if n == 0 {
+            return PairStats {
+                var_f: f64::MAX,
+                var_g: f64::MAX,
+                ..PairStats::default()
+            };
+        }
+        let nf = n as f64;
+        let fpc = (1.0 - nf / big_n).max(0.0);
+        let scale = big_n * big_n * fpc / nf;
+        let (var_f, var_g, cov) = if fpc == 0.0 {
+            // Census: no sampling variance regardless of sample size.
+            (0.0, 0.0, 0.0)
+        } else if n >= 2 {
+            let d = nf - 1.0;
+            (scale * (sxx / d), scale * (syy / d), scale * (sxy / d))
+        } else {
+            // A single unit cannot estimate dispersion.
+            (f64::MAX, f64::MAX, 0.0)
+        };
+        PairStats {
+            est_f: big_n * mean_x,
+            var_f,
+            est_g: big_n * mean_y,
+            var_g,
+            cov,
+            units: n,
+        }
+    }
+
+    /// A domain (a group under a predicate) of a stratified design, from
+    /// one pass over the domain's rows: `hits` lists, ascending, the strata
+    /// the domain occurs in with the moments of `x` over its rows there.
+    /// The pair is `(x, 1)` on those rows and `(0, 0)` on every other
+    /// sampled unit — zeros that still count, in strata the domain never
+    /// shows up in too. They enter by the parallel-Welford combine, which
+    /// gives the centered moments [`Sample::estimate_sum_with`] takes two
+    /// passes over every unit for; then, as there, SRS inside each stratum
+    /// and strata add.
+    pub fn stratified_domain(
+        strata: &[StratumMeta],
+        hits: impl Iterator<Item = (usize, Moments)>,
+    ) -> Self {
+        let mut hits = hits.peekable();
+        let mut total = PairStats::default();
+        for (h, s) in strata.iter().enumerate() {
+            let n = (s.row_end - s.row_start) as u64;
+            if n == 0 {
+                continue;
+            }
+            let hits = hits
+                .next_if(|c| c.0 == h)
+                .map_or_else(Moments::new, |c| c.1);
+            let (k, nf) = (hits.count() as f64, n as f64);
+            let mean_in = if k == 0.0 { 0.0 } else { hits.mean() };
+            // k·(n−k)/n: the between-part of merging k hits with n−k zeros.
+            let between = k * (nf - k) / nf;
+            total += Self::srs(
+                n,
+                hits.sum() / nf,
+                k / nf,
+                hits.sum_sq_dev() + mean_in * mean_in * between,
+                between,
+                mean_in * between,
+                s.population_size,
+            );
+        }
+        total
+    }
+
+    /// The `SUM(f)` (or COUNT) estimate.
+    pub fn total(&self) -> Estimate {
+        Estimate::new(self.est_f, self.var_f.max(0.0), self.units)
+    }
+
+    /// The `SUM(f) / SUM(g)` ratio (AVG) estimate, with the design's
+    /// numerator/denominator covariance.
+    pub fn ratio(&self) -> Estimate {
+        let denominator = Estimate::new(self.est_g, self.var_g.max(0.0), self.units);
+        self.total().ratio(&denominator, self.cov)
+    }
+}
+
+impl std::ops::AddAssign for PairStats {
+    fn add_assign(&mut self, part: PairStats) {
+        self.est_f += part.est_f;
+        self.var_f += part.var_f;
+        self.est_g += part.est_g;
+        self.var_g += part.var_g;
+        self.cov += part.cov;
+        self.units += part.units;
+    }
 }
 
 impl Sample {
@@ -179,8 +289,7 @@ impl Sample {
     /// Estimates `SUM(f)` over the population, where `f` maps a sampled row
     /// to its contribution (0.0 for rows outside the aggregation domain).
     pub fn estimate_sum_with(&self, f: &mut dyn FnMut(&Block, usize) -> f64) -> Estimate {
-        let stats = self.pair_stats(&mut |b, i| (f(b, i), 0.0));
-        Estimate::new(stats.est_f, stats.var_f.max(0.0), stats.units)
+        self.pair_stats(&mut |b, i| (f(b, i), 0.0)).total()
     }
 
     /// Estimates the population row count of the domain selected by the
@@ -196,13 +305,11 @@ impl Sample {
         f: &mut dyn FnMut(&Block, usize) -> f64,
         ind: &mut dyn FnMut(&Block, usize) -> f64,
     ) -> Estimate {
-        let stats = self.pair_stats(&mut |b, i| {
+        self.pair_stats(&mut |b, i| {
             let w = ind(b, i);
             (f(b, i) * w, w)
-        });
-        let numerator = Estimate::new(stats.est_f, stats.var_f.max(0.0), stats.units);
-        let denominator = Estimate::new(stats.est_g, stats.var_g.max(0.0), stats.units);
-        numerator.ratio(&denominator, stats.cov)
+        })
+        .ratio()
     }
 
     /// Convenience: estimated population SUM of a column (NULL counts as 0).
@@ -239,28 +346,32 @@ impl Sample {
         name: impl Into<String>,
         weight_column: &str,
     ) -> Result<Table, StorageError> {
-        let old = self.table.schema();
-        let mut fields = old.fields().to_vec();
+        let mut fields = self.table.schema().fields().to_vec();
         fields.push(Field::new(weight_column, DataType::Float64));
-        let mut builder = TableBuilder::with_block_capacity(
-            name,
-            Schema::new(fields),
-            self.table.block_capacity(),
-        );
+        let schema = Arc::new(Schema::new(fields));
         let mut global = 0usize;
-        for (_, block) in self.table.iter_blocks() {
-            for i in 0..block.len() {
-                // Row materialization is fine here: this appends a computed
-                // weight column (arity differs from the source block, so the
-                // typed gather does not apply) and runs once per synopsis
-                // build, not per query.
-                let mut row = block.row(i);
-                row.push(Value::Float64(self.weights.weight(global)));
-                builder.push_row(&row)?;
-                global += 1;
-            }
-        }
-        Ok(builder.finish())
+        // Block by block, so the sample's block boundaries — the engine's
+        // summation tree — carry over.
+        let blocks = self
+            .table
+            .blocks()
+            .iter()
+            .map(|block| {
+                let weights = (global..global + block.len())
+                    .map(|i| self.weights.weight(i))
+                    .collect();
+                global += block.len();
+                let mut columns = block.columns().to_vec();
+                columns.push(Column::from_f64(weights));
+                Arc::new(Block::from_columns(Arc::clone(&schema), columns))
+            })
+            .collect();
+        Ok(Table::from_blocks(
+            name,
+            schema,
+            blocks,
+            self.table.block_capacity(),
+        ))
     }
 
     /// Computes per-design sufficient statistics for the HT totals of two
@@ -399,14 +510,7 @@ impl Sample {
         strata: &[StratumMeta],
         fg: &mut dyn FnMut(&Block, usize) -> (f64, f64),
     ) -> PairStats {
-        let mut total = PairStats {
-            est_f: 0.0,
-            var_f: 0.0,
-            est_g: 0.0,
-            var_g: 0.0,
-            cov: 0.0,
-            units: 0,
-        };
+        let mut total = PairStats::default();
         for s in strata {
             let count = s.row_end - s.row_start;
             if count == 0 {
@@ -421,13 +525,7 @@ impl Sample {
                 xs.push(x);
                 ys.push(y);
             }
-            let part = srs_pair(&xs, &ys, s.population_size);
-            total.est_f += part.est_f;
-            total.var_f += part.var_f;
-            total.est_g += part.est_g;
-            total.var_g += part.var_g;
-            total.cov += part.cov;
-            total.units += part.units;
+            total += srs_pair(&xs, &ys, s.population_size);
         }
         total
     }
@@ -554,21 +652,9 @@ impl Sample {
 }
 
 /// SRS-without-replacement sufficient statistics for a pair of row
-/// functions: totals `N·x̄` with fpc'd variances and covariance.
+/// functions, by the two-pass (mean, then centered sums) computation.
 fn srs_pair(xs: &[f64], ys: &[f64], population: u64) -> PairStats {
-    let n = xs.len();
-    let big_n = population as f64;
-    if n == 0 {
-        return PairStats {
-            est_f: 0.0,
-            var_f: f64::MAX,
-            est_g: 0.0,
-            var_g: f64::MAX,
-            cov: 0.0,
-            units: 0,
-        };
-    }
-    let nf = n as f64;
+    let nf = xs.len() as f64;
     let mean_x: f64 = xs.iter().sum::<f64>() / nf;
     let mean_y: f64 = ys.iter().sum::<f64>() / nf;
     let (mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0);
@@ -578,34 +664,7 @@ fn srs_pair(xs: &[f64], ys: &[f64], population: u64) -> PairStats {
         syy += dy * dy;
         sxy += dx * dy;
     }
-    let fpc = (1.0 - nf / big_n).max(0.0);
-    let (var_x, var_y, cov_xy) = if fpc == 0.0 {
-        // Census: no sampling variance regardless of sample size.
-        (0.0, 0.0, 0.0)
-    } else if n >= 2 {
-        let d = nf - 1.0;
-        (sxx / d, syy / d, sxy / d)
-    } else {
-        // A single unit cannot estimate dispersion.
-        (f64::MAX, f64::MAX, 0.0)
-    };
-    let scale = big_n * big_n * fpc / nf;
-    PairStats {
-        est_f: big_n * mean_x,
-        var_f: if var_x == f64::MAX {
-            f64::MAX
-        } else {
-            scale * var_x
-        },
-        est_g: big_n * mean_y,
-        var_g: if var_y == f64::MAX {
-            f64::MAX
-        } else {
-            scale * var_y
-        },
-        cov: if n >= 2 { scale * cov_xy } else { 0.0 },
-        units: n as u64,
-    }
+    PairStats::srs(xs.len() as u64, mean_x, mean_y, sxx, syy, sxy, population)
 }
 
 #[cfg(test)]

@@ -79,6 +79,11 @@ impl Moments {
         self.max
     }
 
+    /// Sum of squared deviations from the mean, `Σ(x − x̄)²`; 0 when empty.
+    pub fn sum_sq_dev(&self) -> f64 {
+        self.m2
+    }
+
     /// Unbiased sample variance (divides by n−1); NaN when n < 2.
     pub fn variance(&self) -> f64 {
         if self.n < 2 {

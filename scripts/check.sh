@@ -70,6 +70,13 @@ if [ "$(echo BENCH_*.json)" != BENCH_gates.json ] || grep -rn 'format!("{{' crat
   exit 1
 fi
 
+# One expression evaluator: aqp_expr::eval is block-at-a-time only. No
+# row-level twin, and no per-row column-name resolver to feed one.
+if grep -rnE 'eval_row|dyn Fn\(&str\) -> Option<Value>' crates tests examples; then
+  echo "a row-at-a-time expression evaluator or column resolver is back" >&2
+  exit 1
+fi
+
 # Repository benchmark smoke: benchmark/ is a workspace of its own, so
 # nothing above compiles it. All five workloads in both modes at 20 k
 # rows — proves it still builds against the crates' public API and still
