@@ -45,17 +45,6 @@ fn bench_group_by(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_hash_join(c: &mut Criterion) {
-    let catalog = engine_bench_catalog();
-    let plan = Query::scan("lineitem")
-        .join(Query::scan("orders"), col("l_orderkey"), col("o_key"))
-        .aggregate(vec![], vec![AggExpr::sum(col("l_price"), "s")])
-        .build();
-    c.bench_function("engine/fk_join_aggregate", |b| {
-        b.iter(|| execute(&plan, &catalog).unwrap())
-    });
-}
-
 /// Kernel path (zone maps + fused masks + typed accumulators) against the
 /// scalar `eval` fallback, single thread, on the plans the kernels cover.
 fn bench_kernels(c: &mut Criterion) {
@@ -76,11 +65,5 @@ fn bench_kernels(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_scan_aggregate,
-    bench_group_by,
-    bench_hash_join,
-    bench_kernels
-);
+criterion_group!(benches, bench_scan_aggregate, bench_group_by, bench_kernels);
 criterion_main!(benches);

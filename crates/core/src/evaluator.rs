@@ -10,45 +10,34 @@
 //! — folds each sampled block, and reads the `(f, g)` pairs the HT
 //! estimators consume straight out of the aggregate states.
 //!
-//! A relational join would repack rows and destroy block boundaries, so
-//! star joins never go through the engine's hash join. Dimension tables
-//! are indexed by their (unique) key once per query, every referenced
-//! column name is resolved once — fact columns first, then dimensions in
-//! join order — and per fact block the referenced dimension columns are
-//! *gathered* through the FK into a joined block of the same row order
-//! (rows with a NULL or dangling key drop, as in an inner join). The fold
-//! then runs over the joined block as it would over a plain one.
+//! Star joins go through the engine's gather join, one
+//! [`aqp_engine::GatherJoin`] per dimension in join order — the same
+//! per-block step the exact executor runs per probe morsel, against the
+//! same key index the dimension [`Table`] caches, so a dimension is
+//! indexed once per table and not once per query. Per fact block the
+//! referenced dimension columns are *gathered* through the FK into a
+//! joined block of the same row order (rows with a NULL or dangling key
+//! drop, as in an inner join); names resolve as in the engine's join —
+//! fact columns first, then dimensions in join order. The fold then runs
+//! over the joined block as it would over a plain one.
 //!
 //! That per-row FK lookup is exactly why `sample(fact) ⋈ dim` is
 //! statistically identical to `sample(fact ⋈ dim)` for foreign-key joins
 //! (each fact row joins to at most one dimension row, so sampling commutes
 //! with the join) — the one join shape NSB notes *is* safe to sample one
-//! side of.
+//! side of. It holds only while the dimension key is unique, which the
+//! index knows: a duplicate key is refused.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use aqp_engine::agg::{AggState, GroupKey, KeyAtom};
-use aqp_engine::BlockFold;
-use aqp_storage::{Block, Catalog, Column, DataType, Field, Schema, Table, Value};
+use aqp_engine::{BlockFold, GatherJoin};
+use aqp_expr::col;
+use aqp_storage::{Block, Catalog, DataType, Table, Value};
 
 use crate::aggquery::AggQuery;
 use crate::error::AqpError;
-
-struct DimLookup {
-    table: Arc<Table>,
-    fact_key_idx: usize,
-    /// dim key → (block, row) within the dim table.
-    index: HashMap<KeyAtom, (u32, u32)>,
-}
-
-/// Where a column of the joined block comes from.
-enum Source {
-    /// Fact column, by schema index.
-    Fact(usize),
-    /// Column of dimension `dim`, by that table's schema index.
-    Dim { dim: usize, col: usize },
-}
 
 /// One group's per-aggregate `(f, g)` totals within one block.
 pub type GroupTotals = (GroupKey, Vec<(f64, f64)>);
@@ -56,87 +45,67 @@ pub type GroupTotals = (GroupKey, Vec<(f64, f64)>);
 /// Evaluates a star query one sampled fact block at a time.
 pub struct StarEvaluator {
     fact: Arc<Table>,
-    dims: Vec<DimLookup>,
-    /// Schema and column sources of the joined block (the FK and
-    /// referenced columns only); `None` when the query has no joins and
-    /// fact blocks are folded as they are.
-    joined: Option<(Arc<Schema>, Vec<Source>)>,
+    /// One gather join per dimension, in join order, each over the
+    /// previous one's output; empty when the query has no joins and fact
+    /// blocks are folded as they are.
+    joins: Vec<GatherJoin>,
+    /// Total rows of the dimension tables.
+    dim_rows: u64,
     /// Per group key, whether its expression is FLOAT64-typed.
     float_keys: Vec<bool>,
     fold: BlockFold,
 }
 
 impl StarEvaluator {
-    /// Builds the evaluator: loads the fact table handle, hash-indexes
-    /// every dimension by its join key, resolves the referenced columns
-    /// and compiles the block fold.
+    /// Builds the evaluator: loads the fact table handle, compiles one
+    /// gather join per dimension over the dimension's cached key index
+    /// (built here only if no earlier query has), keeping the FK and
+    /// referenced columns only, and compiles the block fold.
     ///
     /// Errors if a dimension key is duplicated (the FK assumption the
     /// commuting argument rests on) or any referenced table is missing.
     pub fn new(catalog: &Catalog, query: &AggQuery) -> Result<Self, AqpError> {
         let fact = catalog.get(&query.fact_table)?;
-        let mut dims = Vec::with_capacity(query.joins.len());
+        let aggregates = query.agg_exprs();
+        // The FK columns always ride along, so a joined block has its row
+        // count even when the query names no column (`COUNT(*)`). A name
+        // nothing resolves stays out of the joined schema and surfaces as
+        // the fold's column-not-found error.
+        let exprs = (query.predicate.iter())
+            .chain(query.group_by.iter().map(|(e, _)| e))
+            .chain(aggregates.iter().map(|a| &a.expr));
+        let needed: HashSet<&str> = (query.joins.iter().map(|j| j.fact_key.as_str()))
+            .chain(exprs.flat_map(|e| e.referenced_columns()))
+            .collect();
+        let mut joins: Vec<GatherJoin> = Vec::with_capacity(query.joins.len());
+        let mut dim_rows = 0u64;
         for j in &query.joins {
             let table = catalog.get(&j.dim_table)?;
-            let fact_key_idx = fact.schema().index_of(&j.fact_key)?;
-            let key_idx = table.schema().index_of(&j.dim_key)?;
-            let mut index = HashMap::with_capacity(table.row_count());
-            for (bi, block) in table.iter_blocks() {
-                let keys = block.column(key_idx);
-                for ri in 0..block.len() {
-                    let (v, slot) = (keys.get(ri), (bi as u32, ri as u32));
-                    // NULL keys are never indexed: they match no fact row.
-                    if !v.is_null() && index.insert(KeyAtom::from_value(&v), slot).is_some() {
-                        return Err(AqpError::Unsupported {
-                            detail: format!(
-                                "dimension {} has duplicate key {v} in {}; \
-                                 sampling one side of a many-to-many join is unsound",
-                                j.dim_table, j.dim_key
-                            ),
-                        });
-                    }
-                }
-            }
-            dims.push(DimLookup {
-                table,
-                fact_key_idx,
-                index,
-            });
-        }
-        let aggregates = query.agg_exprs();
-        let joined = (!dims.is_empty()).then(|| {
-            // Resolve each referenced name once: fact first, then
-            // dimensions in join order. A name nothing resolves stays out
-            // of the joined schema and surfaces as the fold's
-            // column-not-found error. The FK columns always ride along, so
-            // a joined block has its row count even when the query names
-            // no column (`COUNT(*)`).
-            let mut fields: Vec<Field> = Vec::new();
-            let mut sources = Vec::new();
-            let exprs = (query.predicate.iter())
-                .chain(query.group_by.iter().map(|(e, _)| e))
-                .chain(aggregates.iter().map(|a| &a.expr));
-            let fks = query.joins.iter().map(|j| j.fact_key.as_str());
-            for name in fks.chain(exprs.flat_map(|e| e.referenced_columns())) {
-                if fields.iter().any(|f| f.name == name) {
-                    continue;
-                }
-                let tables = std::iter::once(&fact).chain(dims.iter().map(|d| &d.table));
-                let hit = tables.enumerate().find_map(|(ti, t)| {
-                    let col = t.schema().index_of(name).ok()?;
-                    Some((ti, col, t.schema().field_at(col).clone()))
+            let probe_schema = joins.last().map_or(fact.schema(), GatherJoin::schema);
+            let join = GatherJoin::over_table(
+                probe_schema,
+                &col(&j.fact_key),
+                &table,
+                &col(&j.dim_key),
+                Some(&needed),
+            )?;
+            if let Some(dup) = join.index().first_duplicate() {
+                let key_idx = table.schema().index_of(&j.dim_key)?;
+                let v = table.block(dup.block as usize).column(key_idx);
+                return Err(AqpError::Unsupported {
+                    detail: format!(
+                        "dimension {} has duplicate key {} in {}; \
+                         sampling one side of a many-to-many join is unsound",
+                        j.dim_table,
+                        v.get(dup.row as usize),
+                        j.dim_key
+                    ),
                 });
-                if let Some((ti, col, field)) = hit {
-                    fields.push(field);
-                    sources.push(match ti {
-                        0 => Source::Fact(col),
-                        _ => Source::Dim { dim: ti - 1, col },
-                    });
-                }
             }
-            (Arc::new(Schema::new(fields)), sources)
-        });
-        let schema = joined.as_ref().map_or(fact.schema(), |(s, _)| s);
+            dim_rows += table.row_count() as u64;
+            joins.push(join);
+        }
+        let schema = joins.last().map_or(fact.schema(), GatherJoin::schema);
         let predicates: Vec<_> = query.predicate.iter().collect();
         let fold = BlockFold::compile(&predicates, &query.group_by, &aggregates, schema);
         let float_keys = (query.group_by.iter())
@@ -144,8 +113,8 @@ impl StarEvaluator {
             .collect();
         Ok(Self {
             fact,
-            dims,
-            joined,
+            joins,
+            dim_rows,
             float_keys,
             fold,
         })
@@ -156,9 +125,13 @@ impl StarEvaluator {
         &self.fact
     }
 
-    /// Total rows in the dimension tables (scanned once to index them).
+    /// Total rows in the dimension tables. Callers add it to
+    /// `rows_scanned` on every query, as when each query indexed its
+    /// dimensions itself: with the index cached on the table the rows are
+    /// no longer read, but the count keeps `rows_scanned` and the ns/row
+    /// figures read off it comparable across that change.
     pub fn dim_rows(&self) -> u64 {
-        self.dims.iter().map(|d| d.table.row_count() as u64).sum()
+        self.dim_rows
     }
 
     /// The compiled block fold (typed kernel or scalar path).
@@ -178,49 +151,14 @@ impl StarEvaluator {
             .collect()
     }
 
-    /// Gathers the referenced columns of one fact block through the FK
-    /// indexes. Rows whose key is NULL or matches no dimension row drop.
-    /// `None` when the query has no joins.
-    fn join_block(&self, block: &Block) -> Option<Block> {
-        let (schema, sources) = self.joined.as_ref()?;
-        let nd = self.dims.len();
-        let mut rows: Vec<usize> = Vec::with_capacity(block.len());
-        // Row-major: `nd` dimension hits per surviving row.
-        let mut hits: Vec<(u32, u32)> = Vec::with_capacity(block.len() * nd);
-        for ri in 0..block.len() {
-            // NULL keys are never indexed, so NULL and dangling FKs both miss.
-            let row_hits = self.dims.iter().map_while(|d| {
-                let fk = block.column(d.fact_key_idx).get(ri);
-                d.index.get(&KeyAtom::from_value(&fk)).copied()
-            });
-            hits.extend(row_hits);
-            if hits.len() == (rows.len() + 1) * nd {
-                rows.push(ri);
-            } else {
-                hits.truncate(rows.len() * nd);
-            }
-        }
-        let columns = (sources.iter().zip(schema.fields()))
-            .map(|(source, field)| match *source {
-                Source::Fact(col) => block.column(col).take(&rows),
-                Source::Dim { dim, col } => {
-                    let table = &self.dims[dim].table;
-                    let mut out = Column::with_capacity(field.data_type, rows.len());
-                    for &(bi, ri) in hits.iter().skip(dim).step_by(nd) {
-                        out.push_slot(table.block(bi as usize).column(col), ri as usize);
-                    }
-                    out
-                }
-            })
-            .collect();
-        Some(Block::from_columns(Arc::clone(schema), columns))
-    }
-
     /// Folds one sampled fact block and returns, for every group with a
     /// qualifying row in it, the block's per-aggregate `(f, g)` totals —
     /// SUM is `(Σx, 0)`, COUNT `(n, 0)`, AVG `(Σx, n)` over non-NULL `x`.
     pub fn block_totals(&self, block: &Block) -> Result<Vec<GroupTotals>, AqpError> {
-        let joined = self.join_block(block);
+        let mut joined: Option<Block> = None;
+        for join in &self.joins {
+            joined = Some(join.join_block(joined.as_ref().unwrap_or(block), None)?);
+        }
         let input = joined.as_ref().unwrap_or(block);
         let mut acc = self.fold.new_acc(None);
         if self.fold.fold(input, &mut acc, true)? == 0 {
@@ -245,7 +183,7 @@ mod tests {
     use crate::aggquery::AggSpec;
     use crate::aggquery::LinearAgg;
     use aqp_expr::{col, lit};
-    use aqp_storage::{DataType, TableBuilder, Value};
+    use aqp_storage::{DataType, Field, Schema, TableBuilder, Value};
 
     fn catalog() -> Catalog {
         let c = Catalog::new();

@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use aqp_analyze::LintContext;
-use aqp_engine::{execute, AggExpr, LogicalPlan, Query, ResultSet};
+use aqp_engine::{execute_with, AggExpr, ExecOptions, LogicalPlan, Query, ResultSet};
 use aqp_expr::{col, Expr};
 use aqp_sampling::{bernoulli_blocks, Sample};
 use aqp_stats::Estimate;
@@ -112,7 +112,7 @@ pub fn answer_via_rewrite(
     query: &AggQuery,
     sample: &Sample,
 ) -> Result<ResultSet, AqpError> {
-    execute_rewritten(catalog, query, sample, false)
+    execute_rewritten(catalog, query, sample, false, ExecOptions::default())
 }
 
 fn execute_rewritten(
@@ -120,16 +120,19 @@ fn execute_rewritten(
     query: &AggQuery,
     sample: &Sample,
     with_support: bool,
+    opts: ExecOptions,
 ) -> Result<ResultSet, AqpError> {
     let weighted = sample.to_weighted_table(SAMPLE_TABLE_NAME, WEIGHT_COLUMN)?;
     let scratch = Catalog::new();
     scratch.register(weighted)?;
     for j in &query.joins {
+        // A clone shares the dimension's cached key index, so the scratch
+        // catalog's join finds it built.
         let dim = catalog.get(&j.dim_table)?;
         scratch.register((*dim).clone())?;
     }
     let plan = build_plan(query, with_support);
-    Ok(execute(&plan, &scratch)?)
+    Ok(execute_with(&plan, &scratch, opts)?)
 }
 
 /// The middleware family as the router sees it: a weighted block sample is
@@ -147,6 +150,8 @@ pub struct RewriteTechnique<'a> {
     /// Decline when any output group is supported by fewer raw sample
     /// rows than this (point estimates from a handful of rows are noise).
     min_group_support: u64,
+    /// Engine worker count for the rewritten plan; `None` = all cores.
+    threads: Option<usize>,
 }
 
 impl<'a> RewriteTechnique<'a> {
@@ -156,7 +161,15 @@ impl<'a> RewriteTechnique<'a> {
             catalog,
             rate,
             min_group_support,
+            threads: None,
         }
+    }
+
+    /// Runs the rewritten plan on `threads` engine workers instead of all
+    /// cores — the per-query grant a concurrent service hands out.
+    pub fn with_threads(mut self, threads: Option<usize>) -> Self {
+        self.threads = threads;
+        self
     }
 }
 
@@ -199,9 +212,16 @@ impl Technique for RewriteTechnique<'_> {
                     .unwrap_or(0)
             })
             .sum();
+        // Dimension rows are charged on every query, as when the engine
+        // re-indexed each dimension per query: the cached key index means
+        // they are no longer read, but the count keeps `rows_scanned` and
+        // `rewrite.ns_per_row` comparable across that change.
         let rows_scanned = sample.num_rows() as u64 + dim_rows;
         let mut exec_span = aqp_obs::span("rewrite:exec");
-        let result = execute_rewritten(self.catalog, query, &sample, true)?;
+        let opts = self
+            .threads
+            .map_or_else(ExecOptions::default, ExecOptions::with_threads);
+        let result = execute_rewritten(self.catalog, query, &sample, true, opts)?;
         if exec_span.is_recording() {
             exec_span.set_rows(result.num_rows() as u64);
         }
@@ -256,6 +276,7 @@ impl Technique for RewriteTechnique<'_> {
 mod tests {
     use super::*;
     use crate::aggquery::{AggSpec, JoinSpec};
+    use aqp_engine::execute;
     use aqp_expr::lit;
     use aqp_sampling::{bernoulli_blocks, bernoulli_rows};
     use aqp_workload::{build_star_schema, StarScale};

@@ -352,11 +352,14 @@ impl<'a> AqpSession<'a> {
         if self.config.progressive {
             chain.push(Box::new(OlaTechnique::new(self.catalog)));
         }
-        chain.push(Box::new(RewriteTechnique::new(
-            self.catalog,
-            self.config.rewrite_rate,
-            self.config.rewrite_min_group_support,
-        )));
+        chain.push(Box::new(
+            RewriteTechnique::new(
+                self.catalog,
+                self.config.rewrite_rate,
+                self.config.rewrite_min_group_support,
+            )
+            .with_threads(threads),
+        ));
         chain
     }
 

@@ -6,6 +6,8 @@ use aqp_expr::Expr;
 use aqp_mergeable::{tag, wire, CodecError, MergeError, Partial};
 use aqp_stats::Moments;
 use aqp_storage::codec::{decode_value, encode_value};
+use aqp_storage::key::home_slot;
+pub use aqp_storage::KeyAtom;
 use aqp_storage::{DataType, Schema, Value};
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -127,63 +129,6 @@ impl AggExpr {
         match self.func {
             AggFunc::CountStar => Ok(DataType::Int64),
             _ => Ok(self.func.output_type(self.expr.data_type(schema)?)),
-        }
-    }
-}
-
-/// A hashable, equatable canonical form of a [`Value`] for group-by keys,
-/// join keys, and exact distinct counting.
-///
-/// Floats are canonicalized (integral floats fold onto integers, `-0.0`
-/// onto `0.0`) so `GROUP BY` agrees with [`Value::sql_cmp`] equality.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum KeyAtom {
-    /// NULL (groups together in GROUP BY, per SQL).
-    Null,
-    /// Canonical integer.
-    Int(i64),
-    /// Non-integral float, by bit pattern.
-    FloatBits(u64),
-    /// String.
-    Str(std::sync::Arc<str>),
-    /// Boolean.
-    Bool(bool),
-}
-
-impl KeyAtom {
-    /// Canonicalizes a value.
-    pub fn from_value(v: &Value) -> KeyAtom {
-        match v {
-            Value::Null => KeyAtom::Null,
-            Value::Int64(i) => KeyAtom::Int(*i),
-            Value::Float64(f) => {
-                let f = if *f == 0.0 { 0.0 } else { *f }; // fold -0.0
-                if f.fract() == 0.0 && f.abs() < 9.0e18 {
-                    KeyAtom::Int(f as i64)
-                } else if f.is_nan() {
-                    KeyAtom::FloatBits(f64::NAN.to_bits())
-                } else {
-                    KeyAtom::FloatBits(f.to_bits())
-                }
-            }
-            Value::Str(s) => KeyAtom::Str(std::sync::Arc::clone(s)),
-            Value::Bool(b) => KeyAtom::Bool(*b),
-        }
-    }
-
-    /// Whether the atom is NULL.
-    pub fn is_null(&self) -> bool {
-        matches!(self, KeyAtom::Null)
-    }
-
-    /// Back-conversion to a value (floats reconstructed from bits).
-    pub fn to_value(&self) -> Value {
-        match self {
-            KeyAtom::Null => Value::Null,
-            KeyAtom::Int(i) => Value::Int64(*i),
-            KeyAtom::FloatBits(b) => Value::Float64(f64::from_bits(*b)),
-            KeyAtom::Str(s) => Value::Str(std::sync::Arc::clone(s)),
-            KeyAtom::Bool(b) => Value::Bool(*b),
         }
     }
 }
@@ -654,9 +599,6 @@ impl Partial for AggState {
     }
 }
 
-/// Fibonacci multiplier for spreading i64 group keys across the table.
-const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// One dense group: its `i64` key and per-aggregate states.
 pub type GroupStates = (i64, Vec<AggState>);
 
@@ -696,18 +638,13 @@ impl I64GroupMap {
         self.funcs.iter().map(|f| AggState::new(*f)).collect()
     }
 
-    #[inline]
-    fn home_slot(key: i64, mask: usize) -> usize {
-        (((key as u64).wrapping_mul(FIB_HASH)) >> 32) as usize & mask
-    }
-
     fn find_or_insert(&mut self, key: i64) -> usize {
         // Keep load factor under 3/4 so linear probes stay short.
         if (self.groups.len() + 1) * 4 > self.table.len() * 3 {
             self.grow();
         }
         let mask = self.table.len() - 1;
-        let mut i = Self::home_slot(key, mask);
+        let mut i = home_slot(key, mask);
         loop {
             match self.table[i] {
                 0 => {
@@ -733,7 +670,7 @@ impl I64GroupMap {
         let mask = new_cap - 1;
         let mut table = vec![0u32; new_cap];
         for (gi, (key, _)) in self.groups.iter().enumerate() {
-            let mut i = Self::home_slot(*key, mask);
+            let mut i = home_slot(*key, mask);
             while table[i] != 0 {
                 i = (i + 1) & mask;
             }

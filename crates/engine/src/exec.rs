@@ -3,33 +3,40 @@
 //! Leaf scans are split into per-block *morsels* dispatched to a scoped
 //! worker pool ([`crate::pool`]). `Scan→Filter→Project` chains run fused:
 //! one worker carries a morsel through the whole chain without
-//! materializing intermediates. Hash aggregation and hash join run in two
-//! phases — per-morsel partial states (partial [`AggState`]s, partial
-//! build-side tables), then a merge pass folding partials *in morsel
-//! order*.
+//! materializing intermediates. A join is a [`GatherJoin`] per probe
+//! morsel against the build side's key index — the one a catalog table
+//! caches, so a dimension is indexed once per table, not once per query —
+//! with the filters above it that name only probe-side columns run
+//! *before* the probe (and handed to zone-map pruning), and only the
+//! columns the operators above it reference gathered. Under an
+//! `Aggregate` the joined morsel goes straight into the [`BlockFold`]: no
+//! join output is materialized. Aggregation runs in two phases —
+//! per-morsel partial [`AggState`]s, then a merge pass folding partials
+//! *in morsel order*.
 //!
 //! That fixed fold order is the determinism guarantee: the reduction tree
 //! depends only on data layout, never on scheduling, so a given plan
 //! produces identical results at every thread count. `threads == 1`
-//! (see [`ExecOptions`]) bypasses the pool entirely and runs the legacy
-//! serial fold bit-for-bit.
+//! (see [`ExecOptions`]) bypasses the pool entirely and runs the same
+//! morsels on the calling thread.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use aqp_expr::eval::{eval, eval_predicate_mask};
 use aqp_expr::{prune_predicate, Expr, PruneVerdict};
 use aqp_storage::{Block, Catalog, Column, Schema, Table, Value};
 
-use crate::agg::{AggState, KeyAtom};
+use crate::agg::{AggState, GroupKey, KeyAtom};
 use crate::error::EngineError;
 use crate::fold::{record_dispatch, tree_merge, BlockFold, FoldAcc};
+use crate::join::GatherJoin;
 use crate::kernel::PredKernel;
 use crate::plan::{LogicalPlan, SortKey};
 use crate::pool::{self, ExecOptions};
 use crate::result::{ExecStats, ResultSet};
 
-/// Rows per output block produced by row-assembling operators (join, agg).
+/// Rows per output block produced by the row-assembling aggregate output.
 const OUTPUT_BLOCK_ROWS: usize = 4096;
 
 /// Minimum total input rows before an operator pays for the worker pool;
@@ -111,6 +118,11 @@ fn exec_node(
     stats: &mut ExecStats,
     opts: &ExecOptions,
 ) -> Result<Vec<Arc<Block>>, EngineError> {
+    // A join and the filters above it are one operator, which opens its
+    // own `op:join` span (its detail comes from the compiled join).
+    if let Some(join) = peel_join(plan) {
+        return exec_join(&join, catalog, stats, opts);
+    }
     let mut span = aqp_obs::span(node_span_name(plan));
     if span.is_recording() {
         if let Some(table) = node_table(plan) {
@@ -228,31 +240,7 @@ fn exec_node_inner(
             let threads = morsel_threads(opts, batches.len(), rows);
             project_batches(batches, exprs, &schema, threads)
         }
-        LogicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => {
-            let left_batches = exec_node(left, catalog, stats, opts)?;
-            let right_batches = exec_node(right, catalog, stats, opts)?;
-            let schema = plan.schema(catalog)?;
-            let rows: u64 = left_batches
-                .iter()
-                .chain(&right_batches)
-                .map(|b| b.len() as u64)
-                .sum();
-            let morsels = left_batches.len().max(right_batches.len());
-            let threads = morsel_threads(opts, morsels, rows);
-            hash_join(
-                &left_batches,
-                &right_batches,
-                left_key,
-                right_key,
-                &schema,
-                threads,
-            )
-        }
+        LogicalPlan::Join { .. } => unreachable!("exec_node runs every join through exec_join"),
         LogicalPlan::Aggregate {
             input,
             group_by,
@@ -263,6 +251,9 @@ fn exec_node_inner(
                 exec_fused_agg(input, group_by, aggregates, &schema, catalog, stats, opts)?
             {
                 return Ok(out);
+            }
+            if let Some(join) = peel_join(input) {
+                return exec_join_agg(&join, group_by, aggregates, &schema, catalog, stats, opts);
             }
             record_dispatch(false);
             let batches = exec_node(input, catalog, stats, opts)?;
@@ -350,6 +341,23 @@ fn fuse(plan: &LogicalPlan) -> Option<FusedScan<'_>> {
             }
             _ => return None,
         }
+    }
+}
+
+/// A base table read in place — a bare scan or a project-free fused chain
+/// — as its name and predicates (innermost first): what an operator that
+/// classifies and folds the table's blocks itself can take as input.
+fn scan_chain(plan: &LogicalPlan) -> Option<(&str, Vec<&Expr>)> {
+    match plan {
+        LogicalPlan::Scan { table } => Some((table.as_str(), Vec::new())),
+        other => match fuse(other) {
+            Some(FusedScan {
+                table,
+                predicates,
+                project: None,
+            }) => Some((table, predicates)),
+            _ => None,
+        },
     }
 }
 
@@ -464,16 +472,8 @@ fn exec_fused_agg(
     if !opts.kernels {
         return Ok(None);
     }
-    let (table, predicates) = match input {
-        LogicalPlan::Scan { table } => (table.as_str(), Vec::new()),
-        _ => match fuse(input) {
-            Some(FusedScan {
-                table,
-                predicates,
-                project: None,
-            }) => (table, predicates),
-            _ => return Ok(None),
-        },
+    let Some((table, predicates)) = scan_chain(input) else {
+        return Ok(None);
     };
     let t = catalog.get(table)?;
     let Some(fold) = BlockFold::kernel(&predicates, group_by, aggregates, t.schema()) else {
@@ -533,46 +533,10 @@ fn exec_fused_agg(
     scan_span.finish();
     let mut merge_span = aqp_obs::span("agg:merge");
     let acc = tree_merge(partials).unwrap_or_else(|| fold.new_acc(None));
-    // Deterministic output order matching the scalar path's key sort:
-    // NULL key first, then keys ascending.
-    let group_rows: Vec<(Option<i64>, Vec<AggState>)> = match acc {
-        FoldAcc::Keyed(_) => unreachable!("kernel fold produced a scalar partial"),
-        FoldAcc::Global(states) => vec![(None, states)],
-        FoldAcc::Grouped(map) => {
-            let (mut groups, null_group) = map.into_groups();
-            groups.sort_unstable_by_key(|(k, _)| *k);
-            let mut v = Vec::with_capacity(groups.len() + 1);
-            if let Some(states) = null_group {
-                v.push((None, states));
-            }
-            v.extend(groups.into_iter().map(|(k, s)| (Some(k), s)));
-            v
-        }
-    };
-    merge_span.set_rows(group_rows.len() as u64);
+    let entries = acc.into_groups();
+    merge_span.set_rows(entries.len() as u64);
     merge_span.finish();
-    let grouped = !group_by.is_empty();
-    let mut out = Vec::new();
-    let mut current = Block::with_capacity(Arc::clone(out_schema), OUTPUT_BLOCK_ROWS);
-    let mut row: Vec<Value> = Vec::with_capacity(out_schema.len());
-    for (key, states) in group_rows {
-        row.clear();
-        if grouped {
-            row.push(key.map_or(Value::Null, Value::Int64));
-        }
-        row.extend(states.iter().map(AggState::finish));
-        current.push_row(&row).map_err(EngineError::Storage)?;
-        if current.len() == OUTPUT_BLOCK_ROWS {
-            out.push(Arc::new(std::mem::replace(
-                &mut current,
-                Block::with_capacity(Arc::clone(out_schema), OUTPUT_BLOCK_ROWS),
-            )));
-        }
-    }
-    if !current.is_empty() {
-        out.push(Arc::new(current));
-    }
-    Ok(Some(out))
+    emit_groups(entries, group_by.is_empty(), aggregates, out_schema).map(Some)
 }
 
 /// Applies a predicate to a batch list on up to `threads` workers.
@@ -633,159 +597,336 @@ fn project_batches(
     results.into_iter().collect()
 }
 
-/// Builds a hash table over the right side, probes with the left.
-/// With `threads > 1` both phases run two-phase: per-block partial build
-/// tables and per-block probe match lists, merged in block order, so the
-/// output is identical to the serial path's.
-fn hash_join(
-    left_batches: &[Arc<Block>],
-    right_batches: &[Arc<Block>],
-    left_key: &Expr,
-    right_key: &Expr,
-    schema: &Arc<Schema>,
-    threads: usize,
-) -> Result<Vec<Arc<Block>>, EngineError> {
-    if threads <= 1 {
-        return hash_join_serial(left_batches, right_batches, left_key, right_key, schema);
-    }
-    // Build phase: per-right-block partial tables, merged in block order so
-    // each key's match list carries (bi, ri) in ascending order — the same
-    // order the serial build produces.
-    type Matches = HashMap<KeyAtom, Vec<(usize, usize)>>;
-    let op_ctx = aqp_obs::current_ctx();
-    let build_parts = pool::parallel_map(
-        right_batches.to_vec(),
-        threads,
-        |bi, block| -> Result<Matches, EngineError> {
-            let mut morsel = aqp_obs::child_span("join:build", &op_ctx);
-            morsel.set_rows(block.len() as u64);
-            let keys = eval(right_key, &block)?;
-            let mut part: Matches = HashMap::new();
-            for ri in 0..block.len() {
-                let k = keys.get(ri);
-                if k.is_null() {
-                    continue; // NULL keys never join
-                }
-                part.entry(KeyAtom::from_value(&k))
-                    .or_default()
-                    .push((bi, ri));
-            }
-            Ok(part)
-        },
-    );
-    let mut table: Matches = HashMap::new();
-    for part in build_parts {
-        for (k, mut v) in part? {
-            table.entry(k).or_default().append(&mut v);
-        }
-    }
-    // Probe phase: per-left-block match triples.
-    let table = &table;
-    let probe_parts = pool::parallel_map(
-        left_batches.to_vec(),
-        threads,
-        |_, block| -> Result<Vec<(usize, usize, usize)>, EngineError> {
-            let mut morsel = aqp_obs::child_span("join:probe", &op_ctx);
-            let keys = eval(left_key, &block)?;
-            let mut out = Vec::new();
-            for li in 0..block.len() {
-                let k = keys.get(li);
-                if k.is_null() {
-                    continue;
-                }
-                if let Some(matches) = table.get(&KeyAtom::from_value(&k)) {
-                    for &(bi, ri) in matches {
-                        out.push((li, bi, ri));
-                    }
-                }
-            }
-            morsel.set_rows(out.len() as u64);
-            Ok(out)
-        },
-    );
-    let mut joined: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for (lbi, part) in probe_parts.into_iter().enumerate() {
-        for (li, bi, ri) in part? {
-            joined.push((lbi, li, bi, ri));
-        }
-    }
-    // Materialization: the global match list splits into independent
-    // OUTPUT_BLOCK_ROWS-sized output morsels — the same blocking the
-    // serial row-packing loop produces.
-    let chunks: Vec<&[(usize, usize, usize, usize)]> = joined.chunks(OUTPUT_BLOCK_ROWS).collect();
-    let blocks = pool::parallel_map(
-        chunks,
-        threads,
-        |_, chunk| -> Result<Arc<Block>, EngineError> {
-            let mut morsel = aqp_obs::child_span("join:materialize", &op_ctx);
-            morsel.set_rows(chunk.len() as u64);
-            let mut block = Block::with_capacity(Arc::clone(schema), chunk.len());
-            for &(lbi, li, bi, ri) in chunk {
-                block.gather_concat_row(&left_batches[lbi], li, &right_batches[bi], ri);
-            }
-            Ok(Arc::new(block))
-        },
-    );
-    blocks.into_iter().collect()
+/// A join together with the filters stacked directly above it: one
+/// operator, because a filter that names only probe-side columns runs
+/// before the probe.
+struct JoinNode<'a> {
+    left: &'a LogicalPlan,
+    right: &'a LogicalPlan,
+    left_key: &'a Expr,
+    right_key: &'a Expr,
+    /// Filters above the join, innermost first.
+    filters: Vec<&'a Expr>,
 }
 
-/// The legacy serial join: single build table, row-packing probe.
-fn hash_join_serial(
-    left_batches: &[Arc<Block>],
-    right_batches: &[Arc<Block>],
-    left_key: &Expr,
-    right_key: &Expr,
-    schema: &Arc<Schema>,
-) -> Result<Vec<Arc<Block>>, EngineError> {
-    // Build phase: key → (batch, row) list.
-    let mut build_span = aqp_obs::span("join:build");
-    let mut table: HashMap<KeyAtom, Vec<(usize, usize)>> = HashMap::new();
-    for (bi, block) in right_batches.iter().enumerate() {
-        let keys = eval(right_key, block)?;
-        for ri in 0..block.len() {
-            let k = keys.get(ri);
-            if k.is_null() {
-                continue; // NULL keys never join
+/// Recognizes zero or more `Filter`s over a `Join`.
+fn peel_join(plan: &LogicalPlan) -> Option<JoinNode<'_>> {
+    let mut filters = Vec::new();
+    let mut node = plan;
+    loop {
+        match node {
+            LogicalPlan::Filter { input, predicate } => {
+                filters.push(predicate);
+                node = input.as_ref();
             }
-            table
-                .entry(KeyAtom::from_value(&k))
-                .or_default()
-                .push((bi, ri));
+            LogicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+            } => {
+                filters.reverse();
+                return Some(JoinNode {
+                    left,
+                    right,
+                    left_key,
+                    right_key,
+                    filters,
+                });
+            }
+            _ => return None,
         }
     }
-    if build_span.is_recording() {
-        build_span.set_rows(right_batches.iter().map(|b| b.len() as u64).sum());
-    }
-    build_span.finish();
-    // Probe phase.
-    let _probe_span = aqp_obs::span("join:probe");
-    let mut out = Vec::new();
-    let mut current = Block::with_capacity(Arc::clone(schema), OUTPUT_BLOCK_ROWS);
-    for block in left_batches {
-        let keys = eval(left_key, block)?;
-        for li in 0..block.len() {
-            let k = keys.get(li);
-            if k.is_null() {
-                continue;
-            }
-            let Some(matches) = table.get(&KeyAtom::from_value(&k)) else {
-                continue;
-            };
-            for &(bi, ri) in matches {
-                current.gather_concat_row(block, li, &right_batches[bi], ri);
-                if current.len() == OUTPUT_BLOCK_ROWS {
-                    out.push(Arc::new(std::mem::replace(
-                        &mut current,
-                        Block::with_capacity(Arc::clone(schema), OUTPUT_BLOCK_ROWS),
-                    )));
+}
+
+/// A join ready to run one probe block at a time.
+struct PreparedJoin<'a> {
+    /// The probe side's base table when its blocks come straight off a
+    /// scan — the join then does that scan's block accounting.
+    probe_table: Option<&'a str>,
+    blocks: Vec<(Arc<Block>, ScanVerdict)>,
+    /// Predicates over the probe schema, applied to `Evaluate` blocks
+    /// before the probe: the probe side's own fused filters, then the
+    /// filters above the join that name only probe-side columns.
+    predicates: Vec<&'a Expr>,
+    kernel: Option<PredKernel>,
+    gather: GatherJoin,
+    /// Filters above the join that name a build-side column, innermost
+    /// first: evaluated on the joined block.
+    post: Vec<&'a Expr>,
+}
+
+impl PreparedJoin<'_> {
+    /// Accounts for, filters and joins one probe block; `None` when its
+    /// zone map pruned it.
+    fn join_block(
+        &self,
+        block: &Block,
+        verdict: ScanVerdict,
+        s: &mut ExecStats,
+    ) -> Result<Option<Block>, EngineError> {
+        if verdict == ScanVerdict::Pruned {
+            s.blocks_pruned += 1;
+            return Ok(None);
+        }
+        if self.probe_table.is_some() {
+            s.blocks_scanned += 1;
+            s.rows_scanned += block.len() as u64;
+        }
+        let mut selection: Option<Vec<bool>> = None;
+        if verdict == ScanVerdict::Evaluate {
+            if let Some(kernel) = &self.kernel {
+                selection = Some(kernel.selection_mask(block));
+            } else {
+                for pred in &self.predicates {
+                    let mask = eval_predicate_mask(pred, block)?;
+                    selection = Some(match selection {
+                        None => mask,
+                        Some(prev) => prev.iter().zip(&mask).map(|(a, b)| *a && *b).collect(),
+                    });
                 }
             }
         }
+        Ok(Some(self.gather.join_block(block, selection.as_deref())?))
     }
-    if !current.is_empty() {
-        out.push(Arc::new(current));
+
+    /// Folds the probe side's scan accounting into the query's and
+    /// annotates the `op:join` span (`fold`: the tag of the fold the
+    /// joined blocks fed, when an aggregate consumed them).
+    fn finish(
+        &self,
+        span: &mut aqp_obs::Span,
+        rows: u64,
+        scan: &ExecStats,
+        stats: &mut ExecStats,
+        fold: Option<&str>,
+    ) {
+        *stats = stats.merge(scan);
+        if self.probe_table.is_some() {
+            record_scan_counters(scan);
+        }
+        if span.is_recording() {
+            span.set_rows(rows);
+            let mut detail = format!("{} {}", self.probe_table.unwrap_or("-"), self.gather.tag());
+            if !self.predicates.is_empty() {
+                detail += &format!(" [filters before probe: {}]", self.predicates.len());
+            }
+            if scan.blocks_pruned > 0 {
+                detail += &format!(" [{} blocks pruned]", scan.blocks_pruned);
+            }
+            if let Some(fold) = fold {
+                detail += &format!(" -> fold {fold}");
+            }
+            span.set_detail(detail);
+        }
     }
+}
+
+/// Plans a join: resolves the probe side (a base table's classified
+/// blocks when it is a scan or project-free fused chain, else its
+/// executed batches), pushes down the filters that name only probe-side
+/// columns, and compiles the [`GatherJoin`] — over the build table's
+/// cached key index when the build side is a bare scan.
+///
+/// `above` holds the expressions of the operators above the join's
+/// filters; with the filters left for after the join they decide which
+/// columns are gathered. `None` gathers every column.
+fn prepare_join<'a>(
+    join: &JoinNode<'a>,
+    above: Option<&[&Expr]>,
+    catalog: &Catalog,
+    stats: &mut ExecStats,
+    opts: &ExecOptions,
+) -> Result<PreparedJoin<'a>, EngineError> {
+    let probe_schema = join.left.schema(catalog)?;
+    let (pushed, post): (Vec<&Expr>, Vec<&Expr>) = join.filters.iter().partition(|f| {
+        let mut names = f.referenced_columns().into_iter();
+        names.all(|name| probe_schema.index_of(name).is_ok())
+    });
+    let (probe_table, predicates, blocks) = match scan_chain(join.left) {
+        Some((table, mut predicates)) => {
+            predicates.extend(pushed);
+            let t = catalog.get(table)?;
+            let blocks = classify_blocks(&t, &predicates, opts.zone_pruning);
+            (Some(table), predicates, blocks)
+        }
+        None => {
+            let verdict = if pushed.is_empty() {
+                ScanVerdict::AllTrue
+            } else {
+                ScanVerdict::Evaluate
+            };
+            let batches = exec_node(join.left, catalog, stats, opts)?;
+            let blocks = batches.into_iter().map(|b| (b, verdict)).collect();
+            (None, pushed, blocks)
+        }
+    };
+    let kernel = if opts.kernels && !predicates.is_empty() {
+        PredKernel::compile(&predicates, &probe_schema)
+    } else {
+        None
+    };
+    if !predicates.is_empty() {
+        record_dispatch(kernel.is_some());
+    }
+    let needed: Option<HashSet<&str>> = above.map(|exprs| {
+        (exprs.iter().chain(&post))
+            .flat_map(|e| e.referenced_columns())
+            .collect()
+    });
+    let gather = match join.right {
+        LogicalPlan::Scan { table } => {
+            let t = catalog.get(table)?;
+            // Accounted as the scan it replaces, index cached or not, so
+            // `rows_scanned` and every ns/row read off it mean the same
+            // before and after a dimension's index exists.
+            stats.blocks_scanned += t.block_count() as u64;
+            stats.rows_scanned += t.row_count() as u64;
+            GatherJoin::over_table(
+                &probe_schema,
+                join.left_key,
+                &t,
+                join.right_key,
+                needed.as_ref(),
+            )?
+        }
+        other => {
+            let build_schema = other.schema(catalog)?;
+            let batches = exec_node(other, catalog, stats, opts)?;
+            GatherJoin::over_batches(
+                &probe_schema,
+                join.left_key,
+                &build_schema,
+                batches,
+                join.right_key,
+                needed.as_ref(),
+            )?
+        }
+    };
+    Ok(PreparedJoin {
+        probe_table,
+        blocks,
+        predicates,
+        kernel,
+        gather,
+        post,
+    })
+}
+
+/// Runs a join (and the filters above it) that no aggregate consumes:
+/// one joined output block per probe block, in probe order.
+fn exec_join(
+    join: &JoinNode<'_>,
+    catalog: &Catalog,
+    stats: &mut ExecStats,
+    opts: &ExecOptions,
+) -> Result<Vec<Arc<Block>>, EngineError> {
+    let mut span = aqp_obs::span("op:join");
+    let mut prepared = prepare_join(join, None, catalog, stats, opts)?;
+    let blocks = std::mem::take(&mut prepared.blocks);
+    let rows: u64 = blocks.iter().map(|(b, _)| b.len() as u64).sum();
+    let threads = morsel_threads(opts, blocks.len(), rows);
+    let op_ctx = aqp_obs::current_ctx();
+    let prepared = &prepared;
+    let (results, scan_stats) = pool::parallel_map_with_stats(
+        blocks,
+        threads,
+        |_, (block, verdict), s| -> Result<Option<Arc<Block>>, EngineError> {
+            let mut morsel = aqp_obs::child_span("join:probe", &op_ctx);
+            let Some(mut joined) = prepared.join_block(&block, verdict, s)? else {
+                return Ok(None);
+            };
+            for pred in &prepared.post {
+                let mask = eval_predicate_mask(pred, &joined)?;
+                if !mask.iter().all(|&keep| keep) {
+                    joined = joined.filter(&mask);
+                }
+            }
+            morsel.set_rows(joined.len() as u64);
+            Ok((!joined.is_empty()).then(|| Arc::new(joined)))
+        },
+    );
+    let mut out = Vec::new();
+    for r in results {
+        out.extend(r?);
+    }
+    let joined_rows = out.iter().map(|b| b.len() as u64).sum();
+    prepared.finish(&mut span, joined_rows, &scan_stats, stats, None);
     Ok(out)
+}
+
+/// Runs `Aggregate` over a join (and the filters above it) fused: each
+/// probe morsel's joined blocks go straight into a [`BlockFold`] — the
+/// typed kernel when the keys, arguments and remaining filters are in its
+/// domain, the scalar fold otherwise — and the per-morsel partials merge
+/// along the fixed [`tree_merge`] at every thread count. No join output
+/// is materialized beyond one block at a time.
+fn exec_join_agg(
+    join: &JoinNode<'_>,
+    group_by: &[(Expr, String)],
+    aggregates: &[crate::agg::AggExpr],
+    out_schema: &Arc<Schema>,
+    catalog: &Catalog,
+    stats: &mut ExecStats,
+    opts: &ExecOptions,
+) -> Result<Vec<Arc<Block>>, EngineError> {
+    let mut join_span = aqp_obs::span("op:join");
+    let above: Vec<&Expr> = (group_by.iter().map(|(e, _)| e))
+        .chain(aggregates.iter().map(|a| &a.expr))
+        .collect();
+    let mut prepared = prepare_join(join, Some(&above), catalog, stats, opts)?;
+    let fold = if opts.kernels {
+        let joined_schema = prepared.gather.schema();
+        BlockFold::compile(&prepared.post, group_by, aggregates, joined_schema)
+    } else {
+        BlockFold::scalar(&prepared.post, group_by, aggregates)
+    };
+    record_dispatch(fold.is_kernel());
+    // Morsel boundaries come from the probe side's full block list, so
+    // the partial tree — and the result — is the same with pruning on or
+    // off and at every thread count.
+    let blocks = std::mem::take(&mut prepared.blocks);
+    let rows: u64 = blocks.iter().map(|(b, _)| b.len() as u64).sum();
+    let morsels: Vec<Vec<(Arc<Block>, ScanVerdict)>> = blocks
+        .chunks(AGG_MORSEL_BLOCKS)
+        .map(|c| c.to_vec())
+        .collect();
+    let threads = morsel_threads(opts, morsels.len(), rows);
+    let op_ctx = aqp_obs::current_ctx();
+    let (prepared, fold) = (&prepared, &fold);
+    let (partials, scan_stats) = pool::parallel_map_with_stats(
+        morsels,
+        threads,
+        |_, morsel, s| -> Result<(FoldAcc, u64), EngineError> {
+            let mut span = aqp_obs::child_span("agg:partial", &op_ctx);
+            let mut acc = fold.new_acc(opts.agg_hint);
+            let mut joined_rows = 0u64;
+            for (block, verdict) in &morsel {
+                if let Some(joined) = prepared.join_block(block, *verdict, s)? {
+                    joined_rows += joined.len() as u64;
+                    fold.fold(&joined, &mut acc, true)?;
+                }
+            }
+            span.set_rows(joined_rows);
+            Ok((acc, joined_rows))
+        },
+    );
+    let mut accs = Vec::with_capacity(partials.len());
+    let mut joined_rows = 0u64;
+    for partial in partials {
+        let (acc, rows) = partial?;
+        accs.push(acc);
+        joined_rows += rows;
+    }
+    let tag = Some(fold.tag());
+    prepared.finish(&mut join_span, joined_rows, &scan_stats, stats, tag);
+    join_span.finish();
+    let mut merge_span = aqp_obs::span("agg:merge");
+    let acc = tree_merge(accs).unwrap_or_else(|| fold.new_acc(None));
+    let entries = acc.into_groups();
+    merge_span.set_rows(entries.len() as u64);
+    merge_span.finish();
+    emit_groups(entries, group_by.is_empty(), aggregates, out_schema)
 }
 
 /// Hash aggregation; deterministic output order (groups sorted by key).
@@ -799,7 +940,7 @@ fn hash_aggregate(
     threads: usize,
 ) -> Result<Vec<Arc<Block>>, EngineError> {
     let fold = BlockFold::scalar(&[], group_by, aggregates);
-    let mut entries = if threads <= 1 {
+    let entries = if threads <= 1 {
         let mut build_span = aqp_obs::span("agg:partial");
         let mut acc = fold.new_acc(None);
         for block in batches {
@@ -848,14 +989,24 @@ fn hash_aggregate(
         merge_span.finish();
         entries
     };
+    emit_groups(entries, group_by.is_empty(), aggregates, schema)
+}
+
+/// Packs aggregated groups into output blocks in deterministic order
+/// (groups sorted by key).
+fn emit_groups(
+    mut entries: Vec<(GroupKey, Vec<AggState>)>,
+    global: bool,
+    aggregates: &[crate::agg::AggExpr],
+    schema: &Arc<Schema>,
+) -> Result<Vec<Arc<Block>>, EngineError> {
     // SQL: a global aggregate over zero rows still yields one row.
-    if entries.is_empty() && group_by.is_empty() {
+    if entries.is_empty() && global {
         entries.push((
             Vec::new(),
             aggregates.iter().map(|a| AggState::new(a.func)).collect(),
         ));
     }
-    // Deterministic ordering.
     entries.sort_by(|a, b| cmp_keys(&a.0, &b.0));
 
     let mut out = Vec::new();
@@ -919,6 +1070,8 @@ fn cmp_atom(a: &KeyAtom, b: &KeyAtom) -> std::cmp::Ordering {
         (KeyAtom::Null, KeyAtom::Null) => Ordering::Equal,
         (KeyAtom::Bool(x), KeyAtom::Bool(y)) => x.cmp(y),
         (KeyAtom::Str(x), KeyAtom::Str(y)) => x.as_ref().cmp(y.as_ref()),
+        // Exact on integers: `f64` would tie distinct keys beyond 2^53.
+        (KeyAtom::Int(x), KeyAtom::Int(y)) => x.cmp(y),
         _ => atom_num(a)
             .partial_cmp(&atom_num(b))
             .unwrap_or(Ordering::Equal),
@@ -1452,7 +1605,7 @@ mod morsel_parallel_tests {
             .build();
         let serial = execute_with(&plan, &c, ExecOptions::serial()).unwrap();
         let parallel = execute_with(&plan, &c, ExecOptions::with_threads(4)).unwrap();
-        // Same rows, same 4096-row output blocking.
+        // Same rows, same blocking: one output block per probe block.
         let serial_sizes: Vec<usize> = serial.batches().iter().map(|b| b.len()).collect();
         let parallel_sizes: Vec<usize> = parallel.batches().iter().map(|b| b.len()).collect();
         assert_eq!(parallel_sizes, serial_sizes);

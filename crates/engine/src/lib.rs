@@ -5,15 +5,20 @@
 //! mirrors the shape of analytical engines NSB's systems run on:
 //!
 //! * [`plan`] — logical plans built through a typed builder
-//!   ([`Query`]): scan, filter, project, inner hash join,
+//!   ([`Query`]): scan, filter, project, inner equi-join,
 //!   group-by aggregate, sort, limit, union-all.
 //! * [`exec`] — morsel-driven physical execution: per-block morsels on a
-//!   scoped worker pool ([`pool`]), fused scan→filter→project chains, and
-//!   two-phase (partial + in-order merge) hash aggregation and join, with
-//!   scan accounting ([`ExecStats`]) so experiments can report *data
-//!   touched*, the scale-free proxy for I/O cost. Results are identical
-//!   at every thread count ([`ExecOptions`]); `threads == 1` is the
-//!   bit-for-bit serial fold.
+//!   scoped worker pool ([`pool`]), fused scan→filter→project chains,
+//!   joins probed per morsel and fused into the aggregate above them, and
+//!   two-phase (partial + in-order merge) hash aggregation, with scan
+//!   accounting ([`ExecStats`]) so experiments can report *data touched*,
+//!   the scale-free proxy for I/O cost. Results are identical at every
+//!   thread count ([`ExecOptions`]).
+//! * [`join`] — the gather join ([`GatherJoin`]): one probe block against
+//!   the key index its build table caches; pushed-down selection, pruned
+//!   columns. Shared with `aqp-core`'s sampled-block evaluator.
+//! * [`fold`] — the per-block filter→aggregate step ([`BlockFold`]),
+//!   typed kernel ([`kernel`]) or scalar.
 //! * [`agg`] — hash aggregation with SQL NULL semantics, including the
 //!   weighted aggregates (`SUM(x·w)`) middleware AQP rewrites rely on.
 //! * [`result`] — materialized result sets.
@@ -30,6 +35,7 @@ pub mod agg;
 pub mod error;
 pub mod exec;
 pub mod fold;
+pub mod join;
 pub mod kernel;
 pub mod plan;
 pub mod pool;
@@ -39,6 +45,7 @@ pub use agg::{AggExpr, AggFunc};
 pub use error::EngineError;
 pub use exec::{execute, execute_with};
 pub use fold::{BlockFold, FoldAcc};
+pub use join::GatherJoin;
 pub use plan::{LogicalPlan, Query, SortKey};
 pub use pool::{ExecOptions, PoolShare, PoolSlot};
 pub use result::{ExecStats, ResultSet};

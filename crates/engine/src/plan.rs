@@ -98,6 +98,25 @@ pub enum LogicalPlan {
     },
 }
 
+/// The fields of a join's output: the left side's, then the right side's,
+/// a right column whose name is already taken renamed `<name>_r`.
+pub(crate) fn join_fields(left: &Schema, right: &Schema) -> Vec<Field> {
+    let mut fields: Vec<Field> = left.fields().to_vec();
+    for f in right.fields() {
+        let name = if fields.iter().any(|g| g.name == f.name) {
+            format!("{}_r", f.name)
+        } else {
+            f.name.clone()
+        };
+        fields.push(Field {
+            name,
+            data_type: f.data_type,
+            nullable: f.nullable,
+        });
+    }
+    fields
+}
+
 impl LogicalPlan {
     /// Output schema of this plan against a catalog.
     pub fn schema(&self, catalog: &Catalog) -> Result<Arc<Schema>, EngineError> {
@@ -127,24 +146,10 @@ impl LogicalPlan {
                 }
                 Ok(Arc::new(Schema::new(fields)))
             }
-            LogicalPlan::Join { left, right, .. } => {
-                let ls = left.schema(catalog)?;
-                let rs = right.schema(catalog)?;
-                let mut fields: Vec<Field> = ls.fields().to_vec();
-                for f in rs.fields() {
-                    let name = if fields.iter().any(|g| g.name == f.name) {
-                        format!("{}_r", f.name)
-                    } else {
-                        f.name.clone()
-                    };
-                    fields.push(Field {
-                        name,
-                        data_type: f.data_type,
-                        nullable: f.nullable,
-                    });
-                }
-                Ok(Arc::new(Schema::new(fields)))
-            }
+            LogicalPlan::Join { left, right, .. } => Ok(Arc::new(Schema::new(join_fields(
+                left.schema(catalog)?.as_ref(),
+                right.schema(catalog)?.as_ref(),
+            )))),
             LogicalPlan::Aggregate {
                 input,
                 group_by,

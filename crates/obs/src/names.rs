@@ -28,6 +28,11 @@ pub const KERNEL_DISPATCH_KERNEL: &str = "kernel";
 /// Label value: the plan ran on the scalar `Value` path.
 pub const KERNEL_DISPATCH_FALLBACK: &str = "fallback";
 
+/// Counter: key indexes built — a table's cached per-column index on its
+/// first join, or a transient one over a join input that is not a stored
+/// column. Always on. Flat while a workload re-joins the same tables.
+pub const KEY_INDEX_BUILDS_TOTAL: &str = "aqp_key_index_builds_total";
+
 /// Histogram: time a morsel spends queued before a worker picks it up.
 pub const POOL_QUEUE_WAIT_US: &str = "engine_pool_queue_wait_us";
 
@@ -196,6 +201,7 @@ pub const ALL_METRIC_NAMES: &[&str] = &[
     BLOCKS_PRUNED_TOTAL,
     BLOCKS_SCANNED_TOTAL,
     KERNEL_DISPATCH_TOTAL,
+    KEY_INDEX_BUILDS_TOTAL,
     POOL_QUEUE_WAIT_US,
     POOL_WORKERS,
     POOL_WORKER_UTILIZATION,

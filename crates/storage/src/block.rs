@@ -140,9 +140,10 @@ impl Block {
     /// Materializes row `i` as values.
     ///
     /// Allocates a fresh `Vec<Value>` per call — convenience for tests,
-    /// display, and result inspection only. Hot paths (scan kernels, join
-    /// materialization, samplers) read column slices or gather with
-    /// [`Block::gather_row`] / [`Column::push_slot`] instead.
+    /// display, and result inspection only. Hot paths (scan kernels, the
+    /// gather join, samplers) read column slices or gather with
+    /// [`Block::gather_row`] / [`Column::push_slot`] / [`Column::take`]
+    /// instead.
     pub fn row(&self, i: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c.get(i)).collect()
     }
@@ -161,29 +162,6 @@ impl Block {
         );
         for (dst, s) in self.columns.iter_mut().zip(&src.columns) {
             dst.push_slot(s, i);
-        }
-        self.len += 1;
-    }
-
-    /// Appends the concatenation of `left` row `li` and `right` row `ri`
-    /// onto this block, whose columns are `left`'s followed by `right`'s
-    /// (the shape of a join output) — typed per-column copies, no
-    /// `Vec<Value>` materialization.
-    ///
-    /// # Panics
-    /// Panics on arity or column-type mismatch.
-    pub fn gather_concat_row(&mut self, left: &Block, li: usize, right: &Block, ri: usize) {
-        assert_eq!(
-            self.columns.len(),
-            left.columns.len() + right.columns.len(),
-            "gather_concat_row arity mismatch"
-        );
-        let (dl, dr) = self.columns.split_at_mut(left.columns.len());
-        for (dst, s) in dl.iter_mut().zip(&left.columns) {
-            dst.push_slot(s, li);
-        }
-        for (dst, s) in dr.iter_mut().zip(&right.columns) {
-            dst.push_slot(s, ri);
         }
         self.len += 1;
     }
@@ -301,35 +279,6 @@ mod tests {
             ],
         );
         assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn gather_concat_row_packs_join_rows() {
-        let left = sample_block();
-        let right = {
-            let s = Arc::new(Schema::new(vec![Field::new("k", DataType::Int64)]));
-            let mut b = Block::new(s);
-            b.push_row(&[Value::Int64(7)]).unwrap();
-            b.push_row(&[Value::Int64(8)]).unwrap();
-            b
-        };
-        let out_schema = Arc::new(Schema::new(vec![
-            Field::new("id", DataType::Int64),
-            Field::nullable("v", DataType::Float64),
-            Field::new("k", DataType::Int64),
-        ]));
-        let mut out = Block::new(out_schema);
-        out.gather_concat_row(&left, 1, &right, 0);
-        out.gather_concat_row(&left, 2, &right, 1);
-        assert_eq!(out.len(), 2);
-        assert_eq!(
-            out.row(0),
-            vec![Value::Int64(2), Value::Null, Value::Int64(7)]
-        );
-        assert_eq!(
-            out.row(1),
-            vec![Value::Int64(3), Value::Float64(30.0), Value::Int64(8)]
-        );
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! Modules:
 //! * [`value`] — scalar [`Value`]s and [`DataType`]s.
 //! * [`mod@column`] — typed columnar vectors with optional validity masks.
+//! * [`key`] — canonical keys ([`KeyAtom`]) and the per-column
+//!   [`KeyIndex`] a table caches for joins.
 //! * [`schema`] — named, typed fields.
 //! * [`block`] — the fixed-capacity columnar batch.
 //! * [`table`] — tables, builders, row/block iteration.
@@ -28,6 +30,7 @@ pub mod catalog;
 pub mod codec;
 pub mod column;
 pub mod error;
+pub mod key;
 pub mod schema;
 pub mod table;
 pub mod value;
@@ -38,6 +41,7 @@ pub use catalog::Catalog;
 pub use codec::{decode_table, encode_table};
 pub use column::Column;
 pub use error::StorageError;
+pub use key::{KeyAtom, KeyIndex, RowPos};
 pub use schema::{Field, Schema};
 pub use table::{Table, TableBuilder};
 pub use value::{DataType, Value};

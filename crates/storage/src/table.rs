@@ -6,6 +6,7 @@ use std::sync::{Arc, OnceLock};
 use crate::block::Block;
 use crate::column::Column;
 use crate::error::StorageError;
+use crate::key::KeyIndex;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::zone::ZoneMap;
@@ -27,6 +28,11 @@ pub struct Table {
     /// across table clones. Lazy so `from_blocks` stays zero-copy — a
     /// block sample must not pay a full pass over blocks it never reads.
     zones: Arc<Vec<OnceLock<ZoneMap>>>,
+    /// Lazily built key indexes, one slot per schema column, shared across
+    /// table clones like `zones`. Never invalidated: a table is immutable,
+    /// and every derived table (`from_blocks`, `shard`, `tail`, a merge, a
+    /// `Catalog::replace`d version) starts with empty slots of its own.
+    key_indexes: Arc<Vec<OnceLock<Arc<KeyIndex>>>>,
     block_capacity: usize,
     row_count: usize,
 }
@@ -56,12 +62,14 @@ impl Table {
             row_count += b.len();
         }
         let zones = Arc::new((0..blocks.len()).map(|_| OnceLock::new()).collect());
+        let key_indexes = Arc::new((0..schema.len()).map(|_| OnceLock::new()).collect());
         Self {
             name: name.into(),
             schema,
             blocks,
             offsets,
             zones,
+            key_indexes,
             block_capacity,
             row_count,
         }
@@ -71,6 +79,25 @@ impl Table {
     /// (shared across clones of this table).
     pub fn zone(&self, index: usize) -> &ZoneMap {
         self.zones[index].get_or_init(|| self.blocks[index].zone_map())
+    }
+
+    /// The key index over schema column `column` — canonical key → row
+    /// positions as `(block, row)` into [`Table::blocks`] — and whether
+    /// this call built it. Built once, on first use (concurrent first
+    /// uses block on the one build), then shared by every clone.
+    pub fn key_index(&self, column: usize) -> (Arc<KeyIndex>, bool) {
+        let mut built = false;
+        let index = self.key_indexes[column].get_or_init(|| {
+            built = true;
+            let keys: Vec<&Column> = self.blocks.iter().map(|b| b.column(column)).collect();
+            Arc::new(KeyIndex::build(&keys))
+        });
+        (Arc::clone(index), built)
+    }
+
+    /// Whether the key index over `column` has been built already.
+    pub fn has_key_index(&self, column: usize) -> bool {
+        self.key_indexes[column].get().is_some()
     }
 
     /// The table's name.
@@ -423,6 +450,59 @@ mod tests {
         // Clones share the cache.
         let t2 = t.clone();
         assert!(std::ptr::eq(t2.zone(1), t.zone(1)));
+    }
+
+    #[test]
+    fn key_index_cached_shared_by_clones_not_by_derivatives() {
+        let t = build(10, 4);
+        assert!(!t.has_key_index(0));
+        let (index, built) = t.key_index(0);
+        assert!(built);
+        assert!(index.is_unique());
+        let hit = index.get_i64(5);
+        assert_eq!((hit[0].block, hit[0].row), (1, 1));
+        // Cached: later uses, and clones, get the same index.
+        let clone = t.clone();
+        let (again, built) = clone.key_index(0);
+        assert!(!built);
+        assert!(Arc::ptr_eq(&index, &again));
+        assert!(!t.has_key_index(1), "one slot per column");
+        // Every derived table has other rows or other block positions:
+        // none sees the parent's index.
+        let derived = [
+            t.shard(2).remove(1),
+            t.tail(2),
+            t.tail(4),
+            Table::from_blocks("d", Arc::clone(t.schema()), t.blocks().to_vec(), 4),
+        ];
+        for d in &derived {
+            assert!(!d.has_key_index(0), "{} inherited an index", d.name());
+        }
+        let hit = derived[0].key_index(0).0.get_i64(5).to_vec();
+        assert_eq!(
+            (hit[0].block, hit[0].row),
+            (0, 1),
+            "shard 1 starts at block 1"
+        );
+    }
+
+    #[test]
+    fn racing_first_uses_build_the_key_index_once() {
+        let t = build(5_000, 64);
+        let barrier = std::sync::Barrier::new(8);
+        let results: Vec<(Arc<KeyIndex>, bool)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        t.key_index(0)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(results.iter().filter(|(_, built)| *built).count(), 1);
+        assert!(results.iter().all(|(i, _)| Arc::ptr_eq(i, &results[0].0)));
     }
 
     #[test]

@@ -77,6 +77,14 @@ if grep -rnE 'eval_row|dyn Fn\(&str\) -> Option<Value>' crates tests examples; t
   exit 1
 fi
 
+# One join: the engine's gather join over key indexes. No row-at-a-time
+# join assembly, no serial twin, and no per-query dimension map beside
+# the index a Table caches.
+if grep -rnE 'gather_concat_row|hash_join_serial|HashMap<KeyAtom, \(u32, u32\)>' crates; then
+  echo "a second join implementation or a per-query dimension index is back" >&2
+  exit 1
+fi
+
 # Repository benchmark smoke: benchmark/ is a workspace of its own, so
 # nothing above compiles it. All five workloads in both modes at 20 k
 # rows — proves it still builds against the crates' public API and still

@@ -12,6 +12,10 @@
 //!   serial fold bitwise;
 //! * `VAR_SAMP` (Welford serially, pairwise moment merges in parallel)
 //!   agrees to tight relative tolerance;
+//! * `join → filter → aggregate` fuses the gather join into per-morsel
+//!   partials merged along a fixed tree at *every* thread count, so for
+//!   arbitrary floats threads 1/2/4/8 agree bitwise, zone pruning on or
+//!   off;
 //! * the online sampler's per-block accumulation reproduces the serial
 //!   summation order exactly, so approximate answers are identical at
 //!   every thread count for *arbitrary* float data.
@@ -53,6 +57,46 @@ fn catalog_from(xs: &[i64], block_cap: usize, keys: i64) -> Catalog {
     c
 }
 
+/// `fact(id, k, v)` — `id` the row number, so its zone maps are tight —
+/// and `dim(k, name, bucket, w)` covering every key, with non-integral
+/// values on both sides.
+fn star_catalog(xs: &[i64], block_cap: usize, keys: i64) -> Catalog {
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::Int64),
+        Field::new("k", DataType::Int64),
+        Field::new("v", DataType::Float64),
+    ]);
+    let mut fact = TableBuilder::with_block_capacity("fact", schema, block_cap);
+    for (i, &x) in xs.iter().enumerate() {
+        let row = [
+            Value::Int64(i as i64),
+            Value::Int64(x.rem_euclid(keys)),
+            Value::Float64(x as f64 / 7.0),
+        ];
+        fact.push_row(&row).unwrap();
+    }
+    let dim_schema = Schema::new(vec![
+        Field::new("k", DataType::Int64),
+        Field::new("name", DataType::Str),
+        Field::new("bucket", DataType::Int64),
+        Field::new("w", DataType::Float64),
+    ]);
+    let mut dim = TableBuilder::with_block_capacity("dim", dim_schema, 8);
+    for k in 0..keys {
+        let row = [
+            Value::Int64(k),
+            Value::str(format!("n{}", k % 4)),
+            Value::Int64(k % 3),
+            Value::Float64(k as f64 * 0.3 + 1.0),
+        ];
+        dim.push_row(&row).unwrap();
+    }
+    let c = Catalog::new();
+    c.register(fact.finish()).unwrap();
+    c.register(dim.finish()).unwrap();
+    c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -87,8 +131,8 @@ proptest! {
         }
     }
 
-    /// Fused scan→filter→project and hash join: identical rows, stats, and
-    /// output blocking at every thread count.
+    /// Filter → gather join → aggregate: identical rows and stats at every
+    /// thread count.
     #[test]
     fn join_pipeline_identical_across_thread_counts(
         xs in prop::collection::vec(-500_000i64..500_000, 4200..5200),
@@ -111,6 +155,57 @@ proptest! {
             let par = execute_with(&plan, &c, ExecOptions::with_threads(threads)).unwrap();
             prop_assert_eq!(serial.rows(), par.rows(), "threads={}", threads);
             prop_assert_eq!(serial.stats(), par.stats(), "threads={}", threads);
+        }
+    }
+
+    /// Join → filter → aggregate over arbitrary (inexactly summable)
+    /// floats: grouped by a STR dimension column (scalar fold), by an
+    /// INT64 dimension column (kernel fold) and ungrouped, bit-identical
+    /// at threads 1/2/4/8 with zone pruning on and off. The filter on the
+    /// clustered `id` column is pushed below the join and prunes blocks.
+    #[test]
+    fn join_filter_aggregate_bit_identical_at_every_thread_count(
+        xs in prop::collection::vec(-1_000_000i64..1_000_000, 4200..5200),
+        cap in 16usize..96,
+    ) {
+        let c = star_catalog(&xs, cap, 23);
+        let half = (xs.len() / 2) as i64;
+        let keys: [Vec<(aqp_expr::Expr, String)>; 3] = [
+            vec![(col("name"), "name".to_string())],
+            vec![(col("bucket"), "bucket".to_string())],
+            vec![],
+        ];
+        for group_by in keys {
+            let plan = Query::scan("fact")
+                .join(Query::scan("dim"), col("k"), col("k"))
+                .filter(col("id").lt(lit(half)))
+                .filter(col("w").gt(lit(1.5)))
+                .aggregate(
+                    group_by,
+                    vec![
+                        AggExpr::count_star("n"),
+                        AggExpr::sum(col("v").mul(lit(0.1)), "s"),
+                        AggExpr::avg(col("v").mul(col("w")), "a"),
+                    ],
+                )
+                .build();
+            let reference = execute_with(&plan, &c, ExecOptions::serial()).unwrap();
+            prop_assert!(reference.stats().blocks_pruned > 0, "the pushed filter prunes");
+            for threads in [1, 2, 4, 8] {
+                for pruning in [true, false] {
+                    let opts = ExecOptions::with_threads(threads).with_zone_pruning(pruning);
+                    let got = execute_with(&plan, &c, opts).unwrap();
+                    prop_assert_eq!(
+                        reference.rows(), got.rows(),
+                        "threads={} pruning={}", threads, pruning
+                    );
+                    if pruning {
+                        prop_assert_eq!(reference.stats(), got.stats(), "threads={}", threads);
+                    } else {
+                        prop_assert_eq!(got.stats().blocks_pruned, 0);
+                    }
+                }
+            }
         }
     }
 

@@ -484,3 +484,85 @@ fn deadline_below_estimate_rejected_upfront() {
     let reply = service.submit(&plan, &relaxed, 3).unwrap();
     assert!(reply.rejection().is_none());
 }
+
+/// The per-query thread grant reaches the middleware rewrite. A star join
+/// under a contract the online sampler's rate cap cannot meet falls to
+/// `rewrite`; with a one-thread budget every span of the reply — the
+/// rewritten plan's morsels included — runs on the calling thread, with a
+/// wide budget the same morsels run on pool workers, and both replies
+/// carry the same bits.
+#[test]
+fn rewrite_honours_the_thread_grant() {
+    use aqp_core::SessionConfig;
+    use aqp_obs::SpanNode;
+    use aqp_workload::{build_star_schema, StarScale};
+
+    let c = Catalog::new();
+    let scale = StarScale {
+        orders: 4_000,
+        ..StarScale::tiny()
+    };
+    build_star_schema(&c, &scale, 23).unwrap();
+    let plan = Query::scan("lineitem")
+        .join(Query::scan("orders"), col("l_orderkey"), col("o_key"))
+        .filter(col("l_sel").lt(lit(0.8)))
+        .aggregate(
+            vec![(col("o_priority"), "priority".to_string())],
+            vec![AggExpr::sum(col("l_price"), "s")],
+        )
+        .build();
+    // The whole fact table as the rewrite's "sample": enough blocks that
+    // an unconstrained engine splits the plan into several morsels.
+    let session = SessionConfig {
+        rewrite_rate: 1.0,
+        ..SessionConfig::default()
+    };
+    let contract = Contract::new(0.0002, 0.99);
+    let traced = |thread_budget: usize| {
+        let config = ServiceConfig {
+            thread_budget,
+            ..ServiceConfig::default()
+        };
+        let service = AqpService::with_config(&c, session, config);
+        let (reply, _, open) = aqp_obs::capture(|| service.submit(&plan, &contract, 5).unwrap());
+        assert_eq!(open, 0);
+        let answer = reply.answered().expect("admitted");
+        let routing = answer.report.routing.as_ref().expect("routed");
+        assert_eq!(routing.winner, TechniqueKind::MiddlewareRewrite);
+        answer
+    };
+    fn threads_of(node: &SpanNode, under_rewrite: bool, out: &mut Vec<(&'static str, u64)>) {
+        let under_rewrite = under_rewrite || node.record.name == "rewrite:exec";
+        if under_rewrite {
+            out.push((node.record.name, node.record.thread));
+        }
+        for child in &node.children {
+            threads_of(child, under_rewrite, out);
+        }
+    }
+    let morsels = |answer: &aqp_core::ApproximateAnswer| {
+        let tree = answer.report.trace.as_ref().expect("traced reply");
+        let mut spans = Vec::new();
+        threads_of(tree, false, &mut spans);
+        let root = tree.record.thread;
+        let partials: Vec<bool> = (spans.iter())
+            .filter(|(name, _)| *name == "agg:partial")
+            .map(|(_, thread)| *thread == root)
+            .collect();
+        assert!(
+            partials.len() > 1,
+            "the plan splits into morsels: {spans:?}"
+        );
+        (spans.iter().all(|(_, t)| *t == root), partials)
+    };
+    let one = traced(1);
+    let (all_on_caller, _) = morsels(&one);
+    assert!(all_on_caller, "a one-thread grant must not reach the pool");
+    let wide = traced(8);
+    let (_, partials_on_caller) = morsels(&wide);
+    assert!(
+        partials_on_caller.iter().all(|on_caller| !on_caller),
+        "a wide grant runs the morsels on pool workers"
+    );
+    assert_same_answer(&one, &wide, "thread grant 1 vs 8");
+}
