@@ -710,8 +710,15 @@ impl I64GroupMap {
     /// result — is fixed by morsel order, not thread schedule. `other`'s
     /// first-seen group order is preserved for groups new to `self`.
     pub fn merge_from(&mut self, other: I64GroupMap) {
+        self.merge_rekeyed(other, |key| key);
+    }
+
+    /// [`I64GroupMap::merge_from`] with each of `other`'s keys passed
+    /// through `rekey` first — an injective map into `self`'s key domain
+    /// (a string code re-interned into another dictionary).
+    pub(crate) fn merge_rekeyed(&mut self, other: I64GroupMap, mut rekey: impl FnMut(i64) -> i64) {
         for (key, states) in other.groups {
-            let slot = self.slot(key);
+            let slot = self.slot(rekey(key));
             for (a, b) in slot.iter_mut().zip(states) {
                 a.merge(b);
             }

@@ -11,13 +11,21 @@
 //! argument is in its domain, otherwise the scalar `eval` path (is-true
 //! mask, filter, `Value`-typed updates), which stays the semantic
 //! reference. Where both compile they agree bit-for-bit on every block.
+//!
+//! A kernel partial grouped on a STR column keys its groups on dictionary
+//! codes ([`FoldAcc::Coded`]) and remembers the dictionary they belong
+//! to; a block or partial under another dictionary is re-coded by value
+//! on the way in. [`FoldAcc::into_groups`] is where codes become strings
+//! again — the only place they do — so every consumer sees canonical
+//! [`KeyAtom`]s, whichever path folded the rows.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use aqp_expr::eval::{eval, eval_predicate_mask};
 use aqp_expr::Expr;
-use aqp_storage::{Block, Column, Schema};
+use aqp_storage::{Block, Column, Schema, StrDict};
 
 use crate::agg::{AggExpr, AggState, GroupKey, I64GroupMap, KeyAtom};
 use crate::error::EngineError;
@@ -41,14 +49,42 @@ pub fn record_dispatch(kernel: bool) {
 
 /// Partial aggregation state for one morsel or block: one state vector
 /// (global aggregate), an `i64`-keyed group map (the kernel's grouped
-/// shape), or a composite-key map (the scalar fold's shape).
+/// shapes), or a composite-key map (the scalar fold's shape).
 pub enum FoldAcc {
     /// Global (no GROUP BY) partial.
     Global(Vec<AggState>),
     /// Grouped partial keyed on a single `i64`.
     Grouped(I64GroupMap),
+    /// Grouped partial keyed on a single STR key's dictionary code.
+    Coded {
+        /// The groups, keyed on codes of `dict`.
+        groups: I64GroupMap,
+        /// The dictionary the codes belong to; `None` until a block with
+        /// a non-NULL key arrives.
+        dict: Option<Arc<StrDict>>,
+    },
     /// Grouped partial keyed on canonicalized composite keys.
     Keyed(HashMap<GroupKey, Vec<AggState>>),
+}
+
+/// Whether codes of `from` are codes of the partial dictionary `dict` as
+/// they stand: the same dictionary, no codes on either side yet — then
+/// `dict` adopts `from` — or none in `from`. `false` means they must be
+/// re-coded by value ([`recode`]).
+pub(crate) fn shares_codes(dict: &mut Option<Arc<StrDict>>, from: &Arc<StrDict>) -> bool {
+    match dict {
+        Some(d) if !d.is_empty() => Arc::ptr_eq(d, from) || from.is_empty(),
+        _ => {
+            *dict = Some(Arc::clone(from));
+            true
+        }
+    }
+}
+
+/// The code in `dict` of the value `code` has in `from`, interned if new
+/// (into a copy of `dict`, if it is shared).
+pub(crate) fn recode(dict: &mut Arc<StrDict>, from: &StrDict, code: u32) -> u32 {
+    Arc::make_mut(dict).intern(from.value(code))
 }
 
 impl FoldAcc {
@@ -63,6 +99,19 @@ impl FoldAcc {
                 }
             }
             (FoldAcc::Grouped(a), FoldAcc::Grouped(b)) => a.merge_from(b),
+            (
+                FoldAcc::Coded { groups: a, dict },
+                FoldAcc::Coded {
+                    groups: b,
+                    dict: from,
+                },
+            ) => match from {
+                Some(from) if !shares_codes(dict, &from) => {
+                    let dict = dict.as_mut().expect("a non-empty dictionary");
+                    a.merge_rekeyed(b, |code| recode(dict, &from, code as u32) as i64);
+                }
+                _ => a.merge_from(b),
+            },
             (FoldAcc::Keyed(a), FoldAcc::Keyed(b)) => {
                 for (key, states) in b {
                     match a.entry(key) {
@@ -92,6 +141,16 @@ impl FoldAcc {
                 let null = null_group.map(|states| (vec![KeyAtom::Null], states));
                 let keyed = groups.into_iter().map(|(k, s)| (vec![KeyAtom::Int(k)], s));
                 null.into_iter().chain(keyed).collect()
+            }
+            FoldAcc::Coded { groups, dict } => {
+                let (groups, null_group) = groups.into_groups();
+                let null = null_group.map(|states| (vec![KeyAtom::Null], states));
+                let coded = groups.into_iter().map(|(code, states)| {
+                    let dict = dict.as_ref().expect("a coded group has its dictionary");
+                    let value = Arc::clone(dict.value(code as u32));
+                    (vec![KeyAtom::Str(value)], states)
+                });
+                null.into_iter().chain(coded).collect()
             }
             FoldAcc::Keyed(map) => map.into_iter().collect(),
         }

@@ -12,13 +12,14 @@
 //! * aggregate inputs evaluate to typed vectors consumed by the typed
 //!   [`AggState`] updates, so no per-row `Value` or per-row key `Vec` is
 //!   ever allocated;
-//! * grouped aggregation keys on a single `i64` expression through
-//!   [`I64GroupMap`].
+//! * grouped aggregation keys on a single `i64` expression, or on the
+//!   dictionary code of a single STR column, through [`I64GroupMap`].
 //!
-//! Anything the compiler does not model — strings, booleans, `NOT`,
-//! `IS NULL`, `hash64`, NULL literals, multi-column or non-integer group
-//! keys — makes [`FusedAggKernel::compile`] return `None` and the caller
-//! falls back to the scalar path, which remains the semantic reference.
+//! Strings are in the domain only as that group key: a string in a
+//! predicate or an aggregate argument, booleans, `NOT`, `IS NULL`,
+//! `hash64`, NULL literals, multi-column or FLOAT64 group keys make
+//! [`FusedAggKernel::compile`] return `None` and the caller falls back to
+//! the scalar path, which remains the semantic reference.
 //! Where both paths run, they agree bit-for-bit on every block: the
 //! kernels reproduce `eval`'s exact coercions (universal f64 comparison
 //! domain, wrapping integer arithmetic, NULL on division by zero).
@@ -29,12 +30,14 @@
 //! than special-cased.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use aqp_expr::{BinaryOp, Expr};
-use aqp_storage::{Block, DataType, Schema, Value};
+use aqp_storage::{Block, Column, DataType, Schema, StrDict, Value};
 
 use crate::agg::{AggExpr, AggFunc, AggState, I64GroupMap};
-use crate::fold::FoldAcc;
+use crate::fold::{recode, shares_codes, FoldAcc};
 
 /// A compiled numeric expression: evaluates over a block to a typed
 /// vector (or splat) without `Value` materialization.
@@ -404,11 +407,54 @@ enum AggInput {
     Num(NumExpr),
 }
 
+/// A compiled single-column group key.
+#[derive(Debug, Clone)]
+enum KeyExpr {
+    /// An INT64-typed numeric expression, grouped on its value.
+    Int(NumExpr),
+    /// A STR column, by schema index, grouped on its dictionary code.
+    Str(usize),
+}
+
+/// One block's group keys: `i64` values, or codes in the partial's
+/// dictionary with the column's validity mask.
+enum KeyVals<'a> {
+    Int(Vals<'a>),
+    Codes(Cow<'a, [u32]>, Option<&'a [bool]>),
+}
+
+/// The schema index of `e` if it is a bare STR column.
+fn str_column(e: &Expr, schema: &Schema) -> Option<usize> {
+    let Expr::Column(name) = e else { return None };
+    let i = schema.index_of(name).ok()?;
+    (schema.fields()[i].data_type == DataType::Str).then_some(i)
+}
+
+/// A STR key column's codes as codes of the partial's dictionary `dict`:
+/// borrowed when they already are ([`shares_codes`]), re-coded by value
+/// otherwise.
+fn codes_in<'a>(col: &'a Column, dict: &mut Option<Arc<StrDict>>) -> Cow<'a, [u32]> {
+    let (codes, from) = col.str_codes().expect("compiled against a STR column");
+    if shares_codes(dict, from) {
+        return Cow::Borrowed(codes);
+    }
+    let dict = dict.as_mut().expect("a non-empty dictionary");
+    let mut seen: HashMap<u32, u32> = HashMap::new();
+    let recoded = (codes.iter().enumerate()).map(|(i, &code)| {
+        if col.is_null(i) {
+            0
+        } else {
+            *seen.entry(code).or_insert_with(|| recode(dict, from, code))
+        }
+    });
+    Cow::Owned(recoded.collect())
+}
+
 /// A fully compiled filter→aggregate pipeline over one table's blocks.
 pub struct FusedAggKernel {
     predicate: Option<PredKernel>,
-    /// `None` = global aggregate; `Some` = single INT64-typed group key.
-    key: Option<NumExpr>,
+    /// `None` = global aggregate; `Some` = a single-column group key.
+    key: Option<KeyExpr>,
     inputs: Vec<AggInput>,
     funcs: Vec<AggFunc>,
 }
@@ -417,8 +463,9 @@ impl FusedAggKernel {
     /// Compiles a fused scan's predicates plus an aggregation against the
     /// base table schema. Returns `None` — caller falls back to the
     /// scalar path — when any piece is out of the kernel's domain:
-    /// non-numeric or NULL-literal expressions, `NOT`/`IS NULL`/`hash64`,
-    /// multi-column group keys, or non-INT64 key types.
+    /// non-numeric or NULL-literal expressions (a string is in it only as
+    /// a bare-column group key), `NOT`/`IS NULL`/`hash64`, multi-column
+    /// group keys, or FLOAT64 / BOOL keys.
     pub fn compile(
         predicates: &[&Expr],
         group_by: &[(Expr, String)],
@@ -432,13 +479,16 @@ impl FusedAggKernel {
         };
         let key = match group_by {
             [] => None,
-            [(expr, _)] => {
-                let k = compile_num(expr, schema)?;
-                if !k.is_int() {
-                    return None; // float keys canonicalize through KeyAtom
+            [(expr, _)] => match str_column(expr, schema) {
+                Some(i) => Some(KeyExpr::Str(i)),
+                None => {
+                    let k = compile_num(expr, schema)?;
+                    if !k.is_int() {
+                        return None; // float keys canonicalize through KeyAtom
+                    }
+                    Some(KeyExpr::Int(k))
                 }
-                Some(k)
-            }
+            },
             _ => return None,
         };
         let mut inputs = Vec::with_capacity(aggregates.len());
@@ -470,9 +520,14 @@ impl FusedAggKernel {
     /// A fresh (empty) partial accumulator. `hint` pre-sizes the group
     /// map (from the analyzer's cardinality hint, when available).
     pub fn new_acc(&self, hint: Option<usize>) -> FoldAcc {
+        let groups = || I64GroupMap::new(self.funcs.clone(), hint.unwrap_or(64));
         match &self.key {
             None => FoldAcc::Global(self.funcs.iter().map(|f| AggState::new(*f)).collect()),
-            Some(_) => FoldAcc::Grouped(I64GroupMap::new(self.funcs.clone(), hint.unwrap_or(64))),
+            Some(KeyExpr::Int(_)) => FoldAcc::Grouped(groups()),
+            Some(KeyExpr::Str(_)) => FoldAcc::Coded {
+                groups: groups(),
+                dict: None,
+            },
         }
     }
 
@@ -494,7 +549,15 @@ impl FusedAggKernel {
         if selected == 0 {
             return 0;
         }
-        let key_vals = self.key.as_ref().map(|k| k.eval(block));
+        let key_vals = match (&self.key, &mut *acc) {
+            (None, _) => None,
+            (Some(KeyExpr::Int(k)), _) => Some(KeyVals::Int(k.eval(block))),
+            (Some(KeyExpr::Str(ci)), FoldAcc::Coded { dict, .. }) => {
+                let col = block.column(*ci);
+                Some(KeyVals::Codes(codes_in(col, dict), col.validity_mask()))
+            }
+            _ => unreachable!("accumulator shape disagrees with kernel"),
+        };
         let agg_vals: Vec<Option<Vals<'_>>> = self
             .inputs
             .iter()
@@ -511,11 +574,18 @@ impl FusedAggKernel {
             }
             let states: &mut [AggState] = match (&key_vals, &mut *acc) {
                 (None, FoldAcc::Global(states)) => states,
-                (Some(kv), FoldAcc::Grouped(map)) => {
+                (Some(KeyVals::Int(kv)), FoldAcc::Grouped(map)) => {
                     if kv.is_valid(i) {
                         map.slot(kv.i64_at(i))
                     } else {
                         map.null_slot()
+                    }
+                }
+                (Some(KeyVals::Codes(codes, valid)), FoldAcc::Coded { groups, .. }) => {
+                    if valid.is_none_or(|m| m[i]) {
+                        groups.slot(i64::from(codes[i]))
+                    } else {
+                        groups.null_slot()
                     }
                 }
                 _ => unreachable!("accumulator shape disagrees with kernel"),
@@ -761,6 +831,75 @@ mod tests {
         );
     }
 
+    /// A block `(s, x)` of `keys` (`None` = NULL) with its own dictionary.
+    fn str_block(keys: &[Option<&str>]) -> Block {
+        let schema = Arc::new(Schema::new(vec![
+            Field::nullable("s", DataType::Str),
+            Field::new("x", DataType::Int64),
+        ]));
+        let mut b = Block::new(schema);
+        for (i, k) in keys.iter().enumerate() {
+            let k = k.map_or(Value::Null, Value::str);
+            b.push_row(&[k, Value::Int64(i as i64 + 1)]).unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn string_key_groups_on_codes_across_dictionaries() {
+        let a = str_block(&[Some("p"), None, Some(""), Some("p")]);
+        // Same values, other codes, plus one the first block lacks.
+        let b = str_block(&[Some("q"), Some("p"), Some(""), None]);
+        let aggs = vec![AggExpr::sum(col("x"), "sx"), AggExpr::count_star("n")];
+        let key = [(col("s"), "s".to_string())];
+        let kernel = FusedAggKernel::compile(&[], &key, &aggs, a.schema()).expect("compiles");
+        let run = |blocks: &[&Block]| {
+            let mut acc = kernel.new_acc(None);
+            for block in blocks {
+                kernel.accumulate(block, &mut acc, true);
+            }
+            let mut groups: Vec<(String, Vec<Value>)> = (acc.into_groups().into_iter())
+                .map(|(k, states)| {
+                    let k = format!("{:?}", k[0]);
+                    (k, states.iter().map(AggState::finish).collect())
+                })
+                .collect();
+            groups.sort_by(|x, y| x.0.cmp(&y.0));
+            groups
+        };
+        let sum = |x: f64, n: i64| vec![Value::Float64(x), Value::Int64(n)];
+        assert_eq!(
+            run(&[&a, &b]),
+            vec![
+                ("Null".into(), sum(6.0, 2)),
+                ("Str(\"\")".into(), sum(6.0, 2)),
+                ("Str(\"p\")".into(), sum(7.0, 3)),
+                ("Str(\"q\")".into(), sum(1.0, 1)),
+            ]
+        );
+        // The foreign block was re-coded into a copy: `a` is untouched.
+        assert_eq!(a.column(0).str_codes().unwrap().1.len(), 2);
+        // Partials folded apart merge to the same groups, either order.
+        let mut left = kernel.new_acc(None);
+        kernel.accumulate(&b, &mut left, true);
+        let mut right = kernel.new_acc(None);
+        kernel.accumulate(&a, &mut right, true);
+        left.merge_from(right);
+        let mut merged: Vec<String> = (left.into_groups().into_iter())
+            .map(|(k, states)| format!("{k:?} {:?}", states[1].finish()))
+            .collect();
+        merged.sort();
+        assert_eq!(
+            merged,
+            [
+                "[Null] Int64(2)",
+                "[Str(\"\")] Int64(2)",
+                "[Str(\"p\")] Int64(3)",
+                "[Str(\"q\")] Int64(1)"
+            ]
+        );
+    }
+
     #[test]
     fn compile_rejects_out_of_domain_aggregations() {
         let schema = Schema::new(vec![
@@ -778,10 +917,21 @@ mod tests {
             &schema
         )
         .is_none());
-        // Float keys fall back (KeyAtom canonicalization).
+        // Float keys fall back (KeyAtom canonicalization); a bare string
+        // column keys on its codes, and a string anywhere else falls back.
         assert!(
             FusedAggKernel::compile(&[], &[(col("v"), "g".to_string())], &ok, &schema).is_none()
         );
+        assert!(
+            FusedAggKernel::compile(&[], &[(col("s"), "g".to_string())], &ok, &schema).is_some()
+        );
+        assert!(FusedAggKernel::compile(
+            &[&col("s").eq(lit("x"))],
+            &[(col("s"), "g".to_string())],
+            &ok,
+            &schema
+        )
+        .is_none());
         // String/bool aggregate inputs fall back.
         assert!(
             FusedAggKernel::compile(&[], &[], &[AggExpr::min(col("s"), "m")], &schema).is_none()

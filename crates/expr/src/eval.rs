@@ -19,16 +19,11 @@ pub fn eval(expr: &Expr, block: &Block) -> Result<Column, ExprError> {
     match expr {
         Expr::Column(name) => Ok(block.column_by_name(name)?.clone()),
         Expr::Literal(v) => {
-            let dt = v.data_type().unwrap_or(DataType::Int64);
-            let mut out = Column::with_capacity(dt, n);
-            for _ in 0..n {
-                if v.is_null() {
-                    out.push_null();
-                } else {
-                    out.push(v).expect("literal type matches its own column");
-                }
-            }
-            Ok(out)
+            // One slot, gathered `n` times: a string literal is interned
+            // once, not once per row.
+            let mut one = Column::new(v.data_type().unwrap_or(DataType::Int64));
+            one.push(v).expect("literal type matches its own column");
+            Ok(one.take(&vec![0; n]))
         }
         Expr::Binary { left, op, right } => {
             let l = eval(left, block)?;

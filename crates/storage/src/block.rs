@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use crate::column::Column;
+use crate::dict::StrDict;
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -164,6 +165,44 @@ impl Block {
             dst.push_slot(s, i);
         }
         self.len += 1;
+    }
+
+    /// Points this block's STR columns at `dicts` (one slot per column,
+    /// `None` for non-STR ones) — the one dictionary per column the blocks
+    /// of an assembled table share. Each must extend the dictionary the
+    /// column's codes were minted in.
+    pub(crate) fn share_dicts(&mut self, dicts: &[Option<Arc<StrDict>>]) {
+        for (column, dict) in self.columns.iter_mut().zip(dicts) {
+            if let (Some(slot), Some(dict)) = (column.dict_mut(), dict) {
+                *slot = Arc::clone(dict);
+            }
+        }
+    }
+
+    /// Freezes the STR dictionaries this block alone owns (they are done
+    /// growing) and returns every STR column's, one slot per column — what
+    /// [`Block::share_dicts`] hands the other blocks of the table.
+    pub(crate) fn freeze_dicts(&mut self) -> Vec<Option<Arc<StrDict>>> {
+        (self.columns.iter_mut())
+            .map(|column| {
+                column.dict_mut().map(|dict| {
+                    if let Some(owned) = Arc::get_mut(dict) {
+                        owned.freeze();
+                    }
+                    Arc::clone(dict)
+                })
+            })
+            .collect()
+    }
+
+    /// Moves this block's STR dictionaries into `next` (a block of the
+    /// same schema), leaving it `next`'s.
+    pub(crate) fn hand_dicts_to(&mut self, next: &mut Block) {
+        for (from, to) in self.columns.iter_mut().zip(&mut next.columns) {
+            if let (Some(a), Some(b)) = (from.dict_mut(), to.dict_mut()) {
+                std::mem::swap(a, b);
+            }
+        }
     }
 
     /// Builds this block's [`crate::zone::ZoneMap`] (one pass per column).

@@ -5,7 +5,10 @@
 //! blocks, per-shard operators may materialize small result tables, and a
 //! coordinator concatenates them. The codec here serializes schema, blocks,
 //! and columns (including validity masks) into the workspace wire format so
-//! a table partial can be cached or shipped like any sketch.
+//! a table partial can be cached or shipped like any sketch. Strings go on
+//! the wire as values, one per slot (`""` under NULL), whatever their
+//! dictionary; a decoded table shares one dictionary per STR column, as a
+//! built one does.
 //!
 //! [`encode_value`]/[`decode_value`] are exported for downstream codecs
 //! (sampling designs carry stratum-key [`Value`]s in their headers).
@@ -17,6 +20,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::block::Block;
 use crate::column::Column;
+use crate::dict::StrDict;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::{DataType, Value};
@@ -134,10 +138,14 @@ fn encode_column(buf: &mut BytesMut, col: &Column) {
                 wire::write_f64(buf, v);
             }
         }
-        Column::Str { data, validity } => {
+        Column::Str {
+            codes,
+            dict,
+            validity,
+        } => {
             encode_validity(buf, validity);
-            for s in data {
-                wire::write_str(buf, s);
+            for (i, &code) in codes.iter().enumerate() {
+                wire::write_str(buf, if col.is_null(i) { "" } else { dict.value(code) });
             }
         }
         Column::Bool { data, validity } => {
@@ -149,7 +157,15 @@ fn encode_column(buf: &mut BytesMut, col: &Column) {
     }
 }
 
-fn decode_column(buf: &mut &[u8], dt: DataType, rows: usize) -> Result<Column, CodecError> {
+/// Decodes one column of `rows` slots. A STR column's values are interned
+/// into `dict`, the table's running dictionary for the column; the column
+/// itself is left to [`Block::share_dicts`].
+fn decode_column(
+    buf: &mut &[u8],
+    dt: DataType,
+    rows: usize,
+    dict: &mut StrDict,
+) -> Result<Column, CodecError> {
     let validity = if wire::read_u8(buf)? != 0 {
         wire::need(buf, rows)?;
         let mut mask = Vec::with_capacity(rows);
@@ -178,11 +194,17 @@ fn decode_column(buf: &mut &[u8], dt: DataType, rows: usize) -> Result<Column, C
             Column::Float64 { data, validity }
         }
         DataType::Str => {
-            let mut data = Vec::with_capacity(rows.min(1024));
-            for _ in 0..rows {
-                data.push(Arc::from(wire::read_str(buf)?.as_str()));
+            let mut codes = Vec::with_capacity(rows.min(1024));
+            for i in 0..rows {
+                let s = wire::read_str(buf)?;
+                let valid = validity.as_ref().is_none_or(|mask| mask[i]);
+                codes.push(if valid { dict.intern(&s) } else { 0 });
             }
-            Column::Str { data, validity }
+            Column::Str {
+                codes,
+                dict: Arc::default(),
+                validity,
+            }
         }
         DataType::Bool => {
             wire::need(buf, rows)?;
@@ -227,18 +249,31 @@ pub fn decode_table(mut buf: &[u8]) -> Result<Table, CodecError> {
     if num_blocks > MAX_BLOCKS {
         return Err(CodecError::BadDimensions);
     }
-    let mut blocks = Vec::with_capacity(num_blocks);
+    let mut blocks = Vec::with_capacity(num_blocks.min(1024));
+    let mut dicts: Vec<StrDict> = vec![StrDict::default(); schema.len()];
     for _ in 0..num_blocks {
         let rows = wire::read_u64(buf)? as usize;
         if rows > MAX_ROWS_PER_BLOCK {
             return Err(CodecError::BadDimensions);
         }
         let mut columns = Vec::with_capacity(schema.len());
-        for field in schema.fields() {
-            columns.push(decode_column(buf, field.data_type, rows)?);
+        for (field, dict) in schema.fields().iter().zip(&mut dicts) {
+            columns.push(decode_column(buf, field.data_type, rows, dict)?);
         }
-        blocks.push(Arc::new(Block::from_columns(Arc::clone(&schema), columns)));
+        blocks.push(Block::from_columns(Arc::clone(&schema), columns));
     }
+    let dicts: Vec<Option<Arc<StrDict>>> = (schema.fields().iter().zip(dicts))
+        .map(|(field, mut dict)| {
+            dict.freeze();
+            (field.data_type == DataType::Str).then(|| Arc::new(dict))
+        })
+        .collect();
+    let blocks = (blocks.into_iter())
+        .map(|mut block| {
+            block.share_dicts(&dicts);
+            Arc::new(block)
+        })
+        .collect();
     Ok(Table::from_blocks(name, schema, blocks, block_capacity))
 }
 

@@ -1,7 +1,18 @@
 //! Typed columnar vectors with optional validity (NULL) masks.
+//!
+//! Strings have one encoding: a `u32` code per slot into a shared
+//! [`StrDict`]. Every block a [`TableBuilder`](crate::TableBuilder) seals
+//! shares one dictionary per STR column, and the typed gathers (`take`,
+//! `push_slot`, `append`, `filter`, the samplers' and joins' row copies)
+//! copy codes whenever source and destination share a dictionary — a
+//! destination whose dictionary is still empty adopts the source's — and
+//! re-intern by value only otherwise. Everything that reads a string as a
+//! value ([`Column::get`], equality, the wire codec) goes through the
+//! dictionary, so no caller can tell codes from strings.
 
 use std::sync::Arc;
 
+use crate::dict::StrDict;
 use crate::error::StorageError;
 use crate::value::{DataType, Value};
 
@@ -10,7 +21,7 @@ use crate::value::{DataType, Value};
 /// Each variant holds a dense data vector plus an optional validity mask;
 /// `None` means every slot is valid (the common case, kept mask-free so scan
 /// kernels stay branch-light).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Column {
     /// 64-bit integers.
     Int64 {
@@ -26,10 +37,12 @@ pub enum Column {
         /// Validity mask.
         validity: Option<Vec<bool>>,
     },
-    /// UTF-8 strings (cheaply clonable).
+    /// UTF-8 strings, dictionary-encoded.
     Str {
-        /// Dense values.
-        data: Vec<Arc<str>>,
+        /// One code per slot into `dict` (unspecified where invalid).
+        codes: Vec<u32>,
+        /// The distinct values the codes index.
+        dict: Arc<StrDict>,
         /// Validity mask.
         validity: Option<Vec<bool>>,
     },
@@ -60,7 +73,8 @@ impl Column {
                 validity: None,
             },
             DataType::Str => Column::Str {
-                data: Vec::with_capacity(capacity),
+                codes: Vec::with_capacity(capacity),
+                dict: Arc::default(),
                 validity: None,
             },
             DataType::Bool => Column::Bool {
@@ -88,8 +102,11 @@ impl Column {
 
     /// Builds an all-valid column from strings.
     pub fn from_str_values<S: AsRef<str>>(data: impl IntoIterator<Item = S>) -> Self {
+        let mut dict = StrDict::default();
+        let codes = data.into_iter().map(|s| dict.intern(s.as_ref())).collect();
         Column::Str {
-            data: data.into_iter().map(|s| Arc::from(s.as_ref())).collect(),
+            codes,
+            dict: Arc::new(dict),
             validity: None,
         }
     }
@@ -117,7 +134,7 @@ impl Column {
         match self {
             Column::Int64 { data, .. } => data.len(),
             Column::Float64 { data, .. } => data.len(),
-            Column::Str { data, .. } => data.len(),
+            Column::Str { codes, .. } => codes.len(),
             Column::Bool { data, .. } => data.len(),
         }
     }
@@ -200,19 +217,18 @@ impl Column {
                     mask.push(true);
                 }
             }
-            Column::Str { data, validity } => match value {
+            Column::Str {
+                codes,
+                dict,
+                validity,
+            } => match value {
                 Value::Str(s) => {
-                    data.push(Arc::clone(s));
+                    codes.push(Arc::make_mut(dict).intern(s));
                     if let Some(mask) = validity {
                         mask.push(true);
                     }
                 }
-                _ => {
-                    return Err(mismatch(&Column::Str {
-                        data: vec![],
-                        validity: None,
-                    }))
-                }
+                _ => return Err(mismatch(&Column::new(DataType::Str))),
             },
             Column::Bool { data, validity } => match value {
                 Value::Bool(b) => {
@@ -242,7 +258,7 @@ impl Column {
         match self {
             Column::Int64 { data, .. } => data.push(0),
             Column::Float64 { data, .. } => data.push(0.0),
-            Column::Str { data, .. } => data.push(Arc::from("")),
+            Column::Str { codes, .. } => codes.push(0),
             Column::Bool { data, .. } => data.push(false),
         }
         self.validity_mut()
@@ -259,7 +275,7 @@ impl Column {
         match self {
             Column::Int64 { data, .. } => Value::Int64(data[i]),
             Column::Float64 { data, .. } => Value::Float64(data[i]),
-            Column::Str { data, .. } => Value::Str(Arc::clone(&data[i])),
+            Column::Str { codes, dict, .. } => Value::Str(Arc::clone(dict.value(codes[i]))),
             Column::Bool { data, .. } => Value::Bool(data[i]),
         }
     }
@@ -303,10 +319,20 @@ impl Column {
         }
     }
 
-    /// Raw string slice view; `None` for other column types.
-    pub fn str_values(&self) -> Option<&[Arc<str>]> {
+    /// Raw code view of a STR column — the codes (unspecified where
+    /// invalid) and the dictionary they index; `None` for other types.
+    pub fn str_codes(&self) -> Option<(&[u32], &Arc<StrDict>)> {
         match self {
-            Column::Str { data, .. } => Some(data),
+            Column::Str { codes, dict, .. } => Some((codes, dict)),
+            _ => None,
+        }
+    }
+
+    /// The dictionary of a STR column, for the storage layer to share one
+    /// dictionary across the blocks of a table it assembles.
+    pub(crate) fn dict_mut(&mut self) -> Option<&mut Arc<StrDict>> {
+        match self {
+            Column::Str { dict, .. } => Some(dict),
             _ => None,
         }
     }
@@ -325,6 +351,13 @@ impl Column {
     /// Panics on type mismatch; gathers happen strictly between columns
     /// of one schema.
     pub fn push_slot(&mut self, src: &Column, i: usize) {
+        if let (Column::Str { dict, .. }, Column::Str { dict: from, .. }) = (&mut *self, src) {
+            // A destination with no value yet adopts the source's
+            // dictionary — on a NULL slot too, as `take` would share it.
+            if dict.is_empty() && !Arc::ptr_eq(dict, from) {
+                *dict = Arc::clone(from);
+            }
+        }
         if src.is_null(i) {
             self.push_null();
             return;
@@ -349,8 +382,24 @@ impl Column {
                     mask.push(true);
                 }
             }
-            (Column::Str { data, validity }, Column::Str { data: s, .. }) => {
-                data.push(Arc::clone(&s[i]));
+            (
+                Column::Str {
+                    codes,
+                    dict,
+                    validity,
+                },
+                Column::Str {
+                    codes: s,
+                    dict: from,
+                    ..
+                },
+            ) => {
+                let code = if Arc::ptr_eq(dict, from) {
+                    s[i]
+                } else {
+                    Arc::make_mut(dict).intern(from.value(s[i]))
+                };
+                codes.push(code);
                 if let Some(mask) = validity {
                     mask.push(true);
                 }
@@ -382,8 +431,9 @@ impl Column {
                 data: indices.iter().map(|&i| data[i]).collect(),
                 validity,
             },
-            Column::Str { data, .. } => Column::Str {
-                data: indices.iter().map(|&i| Arc::clone(&data[i])).collect(),
+            Column::Str { codes, dict, .. } => Column::Str {
+                codes: indices.iter().map(|&i| codes[i]).collect(),
+                dict: Arc::clone(dict),
                 validity,
             },
             Column::Bool { data, .. } => Column::Bool {
@@ -393,7 +443,8 @@ impl Column {
         }
     }
 
-    /// Appends all slots of `other` (same type) onto `self`.
+    /// Appends all slots of `other` (same type) onto `self`, slot by slot
+    /// through [`Column::push_slot`].
     ///
     /// # Panics
     /// Panics on type mismatch — concatenation happens strictly between
@@ -405,12 +456,40 @@ impl Column {
             "append requires matching column types"
         );
         for i in 0..other.len() {
-            if other.is_null(i) {
-                self.push_null();
-            } else {
-                self.push(&other.get(i)).expect("types match");
-            }
+            self.push_slot(other, i);
         }
+    }
+}
+
+/// Value equality: same type, same validity, and equal values in every
+/// valid slot — two STR columns compare by string, whatever their
+/// dictionaries.
+impl PartialEq for Column {
+    fn eq(&self, other: &Column) -> bool {
+        // Validity first: only then are both sides' codes in a slot valid.
+        self.validity() == other.validity()
+            && match (self, other) {
+                (Column::Int64 { data: a, .. }, Column::Int64 { data: b, .. }) => a == b,
+                (Column::Float64 { data: a, .. }, Column::Float64 { data: b, .. }) => a == b,
+                (Column::Bool { data: a, .. }, Column::Bool { data: b, .. }) => a == b,
+                (
+                    Column::Str {
+                        codes: a, dict: da, ..
+                    },
+                    Column::Str {
+                        codes: b, dict: db, ..
+                    },
+                ) => {
+                    let same_dict = Arc::ptr_eq(da, db);
+                    a.len() == b.len()
+                        && (0..a.len()).all(|i| {
+                            self.is_null(i)
+                                || (same_dict && a[i] == b[i])
+                                || (!same_dict && da.value(a[i]) == db.value(b[i]))
+                        })
+                }
+                _ => false,
+            }
     }
 }
 
@@ -542,10 +621,54 @@ mod tests {
             Column::from_bool(vec![true]).bool_values(),
             Some(&[true][..])
         );
-        assert_eq!(
-            Column::from_str_values(["a"]).str_values().map(<[_]>::len),
-            Some(1)
-        );
+        let strs = Column::from_str_values(["a", "b", "a"]);
+        let (codes, dict) = strs.str_codes().expect("STR column");
+        assert_eq!(codes, &[0, 1, 0]);
+        assert_eq!(dict.value(1).as_ref(), "b");
+        assert!(c.str_codes().is_none());
+    }
+
+    #[test]
+    fn gathers_copy_codes_within_a_dictionary_and_reintern_across() {
+        let src = Column::from_str_values(["x", "y", "x"]);
+        let (_, src_dict) = src.str_codes().unwrap();
+        // An empty destination adopts the source's dictionary.
+        let mut dst = Column::new(DataType::Str);
+        dst.push_slot(&src, 1);
+        dst.append(&src);
+        assert!(Arc::ptr_eq(dst.str_codes().unwrap().1, src_dict));
+        assert_eq!(dst.str_codes().unwrap().0, &[1, 0, 1, 0]);
+        assert!(Arc::ptr_eq(
+            src.take(&[2, 0]).str_codes().unwrap().1,
+            src_dict
+        ));
+        // Another dictionary: re-interned by value, into a copy — the
+        // source's dictionary never changes under it.
+        let other = Column::from_str_values(["z", "x"]);
+        dst.append(&other);
+        assert_eq!(src_dict.len(), 2);
+        let values: Vec<Value> = (0..dst.len()).map(|i| dst.get(i)).collect();
+        let want: Vec<Value> = ["y", "x", "y", "x", "z", "x"].map(Value::str).into();
+        assert_eq!(values, want);
+        assert_eq!(dst.str_codes().unwrap().0[5], 0, "x kept its code");
+    }
+
+    #[test]
+    fn string_equality_is_by_value() {
+        let a = Column::from_str_values(["p", "q", "p"]);
+        let b = Column::from_str_values(["q", "p"]).take(&[1, 0, 1]);
+        assert_eq!(a, b, "same values under different codes");
+        assert_ne!(a, Column::from_str_values(["p", "q", "q"]));
+        let mut n1 = Column::from_str_values(["p"]);
+        n1.push_null();
+        let mut n2 = Column::from_str_values(["p", "q"]).take(&[0]);
+        n2.push_null();
+        assert_eq!(n1, n2, "NULL slots compare by validity only");
+        assert_ne!(n1, Column::from_str_values(["p", ""]));
+        // A NULL against a value, the NULL's dictionary empty.
+        let mut null = Column::new(DataType::Str);
+        null.push_null();
+        assert_ne!(Column::from_str_values(["p"]), null);
     }
 
     #[test]

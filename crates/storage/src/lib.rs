@@ -12,6 +12,8 @@
 //! Modules:
 //! * [`value`] — scalar [`Value`]s and [`DataType`]s.
 //! * [`mod@column`] — typed columnar vectors with optional validity masks.
+//! * [`dict`] — the [`StrDict`] a STR column's `u32` codes index, one per
+//!   column of a built table.
 //! * [`key`] — canonical keys ([`KeyAtom`]) and the per-column
 //!   [`KeyIndex`] a table caches for joins.
 //! * [`schema`] — named, typed fields.
@@ -29,6 +31,7 @@ pub mod block;
 pub mod catalog;
 pub mod codec;
 pub mod column;
+pub mod dict;
 pub mod error;
 pub mod key;
 pub mod schema;
@@ -40,6 +43,7 @@ pub use block::Block;
 pub use catalog::Catalog;
 pub use codec::{decode_table, encode_table};
 pub use column::Column;
+pub use dict::StrDict;
 pub use error::StorageError;
 pub use key::{KeyAtom, KeyIndex, RowPos};
 pub use schema::{Field, Schema};

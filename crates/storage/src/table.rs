@@ -1,10 +1,12 @@
 //! Tables: sequences of fixed-capacity blocks, plus the builder that seals
 //! blocks as they fill.
 
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use crate::block::Block;
 use crate::column::Column;
+use crate::dict::StrDict;
 use crate::error::StorageError;
 use crate::key::KeyIndex;
 use crate::schema::Schema;
@@ -234,8 +236,11 @@ impl Table {
         Table::from_blocks(name, Arc::clone(&self.schema), blocks, self.block_capacity)
     }
 
-    /// Approximate in-memory footprint in bytes (data vectors only).
+    /// Approximate in-memory footprint in bytes (data vectors only): 4
+    /// bytes per string code, and each distinct dictionary once however
+    /// many blocks share it.
     pub fn approx_bytes(&self) -> usize {
+        let mut dicts: HashSet<*const StrDict> = HashSet::new();
         let mut total = 0;
         for block in &self.blocks {
             for col in block.columns() {
@@ -243,7 +248,10 @@ impl Table {
                     Column::Int64 { data, .. } => data.len() * 8,
                     Column::Float64 { data, .. } => data.len() * 8,
                     Column::Bool { data, .. } => data.len(),
-                    Column::Str { data, .. } => data.iter().map(|s| s.len() + 16).sum::<usize>(),
+                    Column::Str { codes, dict, .. } => {
+                        let first_sight = dicts.insert(Arc::as_ptr(dict));
+                        codes.len() * 4 + if first_sight { dict.approx_bytes() } else { 0 }
+                    }
                 };
             }
         }
@@ -253,11 +261,17 @@ impl Table {
 
 /// Builds a [`Table`] row by row, sealing a block whenever it reaches the
 /// configured capacity.
+///
+/// Each STR column gets one dictionary for the whole table. It travels
+/// with the open block — a sealed block hands it on — so it has one owner
+/// while it grows and interning a value never copies it;
+/// [`finish`](TableBuilder::finish) then points every sealed block at it.
 #[derive(Debug)]
 pub struct TableBuilder {
     name: String,
     schema: Arc<Schema>,
-    blocks: Vec<Arc<Block>>,
+    /// Sealed blocks, their STR dictionaries still with the open block.
+    blocks: Vec<Block>,
     current: Block,
     block_capacity: usize,
     row_count: usize,
@@ -300,24 +314,30 @@ impl TableBuilder {
         self.row_count
     }
 
+    /// Seals the open block (full or not) and opens a fresh one, which
+    /// takes over the dictionaries.
+    fn seal(&mut self) {
+        let fresh = Block::with_capacity(Arc::clone(&self.schema), self.block_capacity);
+        let mut sealed = std::mem::replace(&mut self.current, fresh);
+        sealed.hand_dicts_to(&mut self.current);
+        self.blocks.push(sealed);
+    }
+
     /// Appends one row.
     pub fn push_row(&mut self, row: &[Value]) -> Result<(), StorageError> {
         self.current.push_row(row)?;
         self.row_count += 1;
         if self.current.len() == self.block_capacity {
-            let sealed = std::mem::replace(
-                &mut self.current,
-                Block::with_capacity(Arc::clone(&self.schema), self.block_capacity),
-            );
-            self.blocks.push(Arc::new(sealed));
+            self.seal();
         }
         Ok(())
     }
 
     /// Appends row `i` of `src` (same schema shape as the builder's) via
-    /// typed per-column copies — no `Vec<Value>` materialization. The
-    /// samplers' hot copy loops use this instead of
-    /// `push_row(&block.row(i))`.
+    /// typed per-column copies — no `Vec<Value>` materialization, and for
+    /// strings a code copy once the builder shares `src`'s dictionary
+    /// (adopted while its own is empty). The samplers' hot copy loops use
+    /// this instead of `push_row(&block.row(i))`.
     ///
     /// # Panics
     /// Panics on arity or column-type mismatch (see [`Block::gather_row`]).
@@ -325,11 +345,7 @@ impl TableBuilder {
         self.current.gather_row(src, i);
         self.row_count += 1;
         if self.current.len() == self.block_capacity {
-            let sealed = std::mem::replace(
-                &mut self.current,
-                Block::with_capacity(Arc::clone(&self.schema), self.block_capacity),
-            );
-            self.blocks.push(Arc::new(sealed));
+            self.seal();
         }
     }
 
@@ -349,20 +365,25 @@ impl TableBuilder {
     /// table, so block-design estimators can group rows correctly.
     pub fn seal_block(&mut self) {
         if !self.current.is_empty() {
-            let sealed = std::mem::replace(
-                &mut self.current,
-                Block::with_capacity(Arc::clone(&self.schema), self.block_capacity),
-            );
-            self.blocks.push(Arc::new(sealed));
+            self.seal();
         }
     }
 
-    /// Seals the final partial block and produces the immutable table.
+    /// Seals the final partial block and produces the immutable table,
+    /// every block sharing the open block's (now frozen) dictionaries —
+    /// which extend every dictionary a sealed block's codes were minted in.
     pub fn finish(mut self) -> Table {
+        let dicts = self.current.freeze_dicts();
+        let mut blocks: Vec<Arc<Block>> = (self.blocks.into_iter())
+            .map(|mut block| {
+                block.share_dicts(&dicts);
+                Arc::new(block)
+            })
+            .collect();
         if !self.current.is_empty() {
-            self.blocks.push(Arc::new(self.current));
+            blocks.push(Arc::new(self.current));
         }
-        Table::from_blocks(self.name, self.schema, self.blocks, self.block_capacity)
+        Table::from_blocks(self.name, self.schema, blocks, self.block_capacity)
     }
 }
 
@@ -438,6 +459,24 @@ mod tests {
     #[test]
     fn approx_bytes_grows_with_rows() {
         assert!(build(1000, 128).approx_bytes() > build(10, 128).approx_bytes());
+    }
+
+    #[test]
+    fn approx_bytes_counts_a_shared_dictionary_once() {
+        let schema = Schema::new(vec![Field::new("s", DataType::Str)]);
+        let mut b = TableBuilder::with_block_capacity("t", schema, 4);
+        for i in 0..40 {
+            b.push_row(&[Value::str(["ab", "cde"][i % 2])]).unwrap();
+        }
+        let t = b.finish();
+        assert_eq!(t.block_count(), 10);
+        let dict = t.block(0).column(0).str_codes().unwrap().1;
+        assert!(t
+            .blocks()
+            .iter()
+            .all(|b| Arc::ptr_eq(b.column(0).str_codes().unwrap().1, dict)));
+        // 40 codes, then "ab" and "cde" once each: not once per block.
+        assert_eq!(t.approx_bytes(), 40 * 4 + (2 + 16) + (3 + 16));
     }
 
     #[test]

@@ -85,6 +85,13 @@ if grep -rnE 'gather_concat_row|hash_join_serial|HashMap<KeyAtom, \(u32, u32\)>'
   exit 1
 fi
 
+# One string encoding: a STR column is u32 codes into a shared dictionary.
+# No per-row string vector beside it.
+if grep -nF 'Vec<Arc<str>>' crates/storage/src/column.rs; then
+  echo "a per-row string encoding is back in Column" >&2
+  exit 1
+fi
+
 # Repository benchmark smoke: benchmark/ is a workspace of its own, so
 # nothing above compiles it. All five workloads in both modes at 20 k
 # rows — proves it still builds against the crates' public API and still

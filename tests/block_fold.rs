@@ -4,7 +4,7 @@
 //! exact engine itself: `execute(AggQuery::to_plan())` over a catalog whose
 //! fact table is that one block. Counts and sums must agree bit-for-bit —
 //! with NULL keys and measures, INT64 / FLOAT64 / STR and two-column group
-//! keys (the typed kernel takes the first, the scalar path the rest), and
+//! keys (the typed kernel takes INT64 and STR, the scalar path the rest), and
 //! one- and two-dimension joins with NULL, dangling and
 //! dimension-predicate-filtered rows.
 //!
@@ -127,12 +127,13 @@ fn shapes() -> Vec<Shape> {
     let d1 = || join("d1", "fk1", "d1_key");
     let d2 = || join("d2", "fk2", "d2_key");
     vec![
-        // Typed kernel: ungrouped and INT64-keyed, numeric predicate.
+        // Typed kernel: ungrouped, INT64-keyed with a numeric predicate,
+        // and STR-keyed (on the dictionary code).
         (vec![], None, vec![], true),
         (vec![], Some(col("x").gt(lit(-20.0))), vec![col("ki")], true),
-        // Scalar path: FLOAT64, STR and two-column keys.
+        (vec![], None, vec![col("ks")], true),
+        // Scalar path: FLOAT64 and two-column keys.
         (vec![], Some(col("x").lt(lit(90.0))), vec![col("kf")], false),
-        (vec![], None, vec![col("ks")], false),
         (
             vec![],
             Some(col("n").gt_eq(lit(-10i64))),
@@ -140,14 +141,20 @@ fn shapes() -> Vec<Shape> {
             false,
         ),
         // One dimension: the joined block folds on the kernel (numeric
-        // dimension predicate, INT64 fact key) …
+        // dimension predicate, INT64 fact key or STR dimension key) …
         (
             vec![d1()],
             Some(col("d1_w").gt(lit(2.0))),
             vec![col("ki")],
             true,
         ),
-        // … and on the scalar path (STR dimension key and predicate).
+        (
+            vec![d1()],
+            Some(col("d1_w").gt(lit(2.0))),
+            vec![col("d1_s")],
+            true,
+        ),
+        // … and on the scalar path (STR dimension predicate).
         (
             vec![d1()],
             Some(col("d1_s").eq(lit("even"))),

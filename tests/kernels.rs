@@ -4,6 +4,10 @@
 //! those of the scalar `eval` path — with NULLs in both measures and group
 //! keys, with zone-map pruning on or off, at every thread count.
 //!
+//! The same holds for a STR group key, which the kernel folds on its
+//! dictionary code: NULL and `""` keys, non-ASCII values, and a table whose
+//! blocks come from two builders (two dictionaries, disagreeing codes).
+//!
 //! Two structural invariants ride along:
 //!
 //! * `blocks_scanned + blocks_pruned` is constant across pruning on/off
@@ -14,9 +18,10 @@
 
 use proptest::prelude::*;
 
-use aqp_engine::{execute_with, AggExpr, ExecOptions, LogicalPlan, Query};
+use aqp_engine::{execute_with, AggExpr, BlockFold, ExecOptions, LogicalPlan, Query};
 use aqp_expr::{col, lit};
-use aqp_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
+use aqp_mergeable::Partial;
+use aqp_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -48,6 +53,48 @@ fn catalog_from(xs: &[i64], block_cap: usize, keys: i64) -> Catalog {
     }
     let c = Catalog::new();
     c.register(t.finish()).unwrap();
+    c
+}
+
+/// The same table with a STR key `k`: NULL every 11th row, else one of
+/// five values (`""` and non-ASCII among them). `dicts == 2` builds the
+/// halves with two builders and merges them, so the table holds two
+/// dictionaries whose codes disagree.
+fn str_catalog_from(xs: &[i64], block_cap: usize, dicts: usize) -> Catalog {
+    const KEYS: [&str; 5] = ["", "α", "beta", "日本", "z"];
+    let schema = || {
+        Schema::new(vec![
+            Field::nullable("k", DataType::Str),
+            Field::nullable("v", DataType::Float64),
+            Field::new("s", DataType::Float64),
+        ])
+    };
+    let per_part = xs.len().div_ceil(dicts);
+    let mut parts = xs.chunks(per_part.max(1)).enumerate().map(|(p, part)| {
+        let mut t = TableBuilder::with_block_capacity("t", schema(), block_cap);
+        for (j, &x) in part.iter().enumerate() {
+            let i = p * per_part + j;
+            let k = if i % 11 == 3 {
+                Value::Null
+            } else {
+                Value::str(KEYS[x.rem_euclid(5) as usize])
+            };
+            let v = if i % 7 == 5 {
+                Value::Null
+            } else {
+                Value::Float64(x as f64)
+            };
+            t.push_row(&[k, v, Value::Float64((i / 256) as f64)])
+                .unwrap();
+        }
+        t.finish()
+    });
+    let mut table: Table = parts.next().expect("a non-empty table");
+    for part in parts {
+        Partial::merge(&mut table, &part).unwrap();
+    }
+    let c = Catalog::new();
+    c.register(table).unwrap();
     c
 }
 
@@ -210,6 +257,35 @@ proptest! {
             )
             .build();
         assert_equivalent(&fallback, &c)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// A STR group key folds on codes — across two dictionaries when the
+    /// table has them — and reproduces the scalar fold bit-for-bit.
+    #[test]
+    fn string_key_kernel_matches_scalar_bitwise(
+        xs in prop::collection::vec(-1_000_000i64..1_000_000, 4200..5200),
+        cap in 64usize..256,
+        hi in 3.0f64..14.0,
+        dicts in 1usize..3,
+    ) {
+        let c = str_catalog_from(&xs, cap, dicts);
+        let key = vec![(col("k"), "k".to_string())];
+        let aggs = vec![
+            AggExpr::count_star("n"),
+            AggExpr::sum(col("v"), "sv"),
+            AggExpr::avg(col("v"), "av"),
+            AggExpr::min(col("v"), "lo"),
+            AggExpr::max(col("v"), "hi"),
+        ];
+        let filter = col("s").lt(lit(hi));
+        let schema = c.get("t").unwrap().schema().clone();
+        prop_assert!(BlockFold::kernel(&[&filter], &key, &aggs, &schema).is_some());
+        let plan = Query::scan("t").filter(filter).aggregate(key, aggs).build();
+        assert_equivalent(&plan, &c)?;
     }
 }
 

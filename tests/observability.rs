@@ -21,11 +21,12 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use aqp_core::{AqpSession, ErrorSpec};
+use aqp_core::{AqpSession, ErrorSpec, TechniqueKind};
 use aqp_engine::{execute_with, AggExpr, ExecOptions, Query};
 use aqp_expr::{col, lit};
-use aqp_obs::SpanRecord;
+use aqp_obs::{SpanNode, SpanRecord};
 use aqp_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
+use aqp_workload::{build_star_schema, StarScale};
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -229,6 +230,58 @@ fn explain_analyze_accounts_for_routed_wall() {
     assert!(
         pilot.is_some_and(|l| l.contains("[kernel]")),
         "pilot span must carry its fold:\n{rendered}"
+    );
+}
+
+/// The first span named `name` in `node`'s subtree, depth first.
+fn find<'a>(node: &'a SpanNode, name: &str) -> Option<&'a SpanNode> {
+    if node.record.name == name {
+        return Some(node);
+    }
+    node.children.iter().find_map(|c| find(c, name))
+}
+
+/// The benchmark's `adhoc_join` shape — `lineitem ⋈ orders GROUP BY
+/// o_priority` under a contract online cannot meet — folds its STR key on
+/// the typed kernel in both sampled phases the router runs: the declined
+/// online pilot and the winning rewrite's engine join.
+#[test]
+fn string_keyed_star_join_folds_on_the_kernel_in_pilot_and_rewrite() {
+    let c = Catalog::new();
+    let scale = StarScale {
+        orders: 5_000,
+        block_capacity: 64,
+        ..StarScale::tiny()
+    };
+    build_star_schema(&c, &scale, 5).unwrap();
+    let plan = Query::scan("lineitem")
+        .join(Query::scan("orders"), col("l_orderkey"), col("o_key"))
+        .filter(col("l_sel").lt(lit(0.8)))
+        .aggregate(
+            vec![(col("o_priority"), "priority".to_string())],
+            vec![AggExpr::sum(col("l_price"), "s")],
+        )
+        .build();
+    let session = AqpSession::new(&c);
+    let spec = ErrorSpec::new(0.002, 0.95);
+    let (ans, _, _) = aqp_obs::capture(|| session.answer(&plan, &spec, 1).unwrap());
+    let routing = ans.report.routing.as_ref().expect("routed");
+    assert_eq!(
+        routing.winner,
+        TechniqueKind::MiddlewareRewrite,
+        "{}",
+        ans.report.explain_analyze()
+    );
+    let tree = ans.report.trace.as_ref().expect("trace attached");
+    let detail = |node: &SpanNode| node.record.detail.clone().unwrap_or_default();
+    let pilot = find(tree, "online:pilot").expect("online ran its pilot");
+    assert!(detail(pilot).contains("[kernel]"), "{}", detail(pilot));
+    let exec = find(tree, "rewrite:exec").expect("rewrite ran its plan");
+    let join = find(exec, "op:join").expect("the rewritten plan joins");
+    assert!(
+        detail(join).contains("-> fold [kernel]"),
+        "{}",
+        detail(join)
     );
 }
 
