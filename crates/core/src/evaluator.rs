@@ -1,25 +1,20 @@
 //! Per-block evaluation of a star [`AggQuery`] against *sampled* fact
-//! blocks: an FK gather feeding the engine's block fold.
+//! blocks: the exact engine's aggregate step, one sampled block at a time.
 //!
 //! The statistical machinery needs per-fact-block group totals (blocks are
 //! the sampling units), and folding one block into a fresh aggregate
-//! partial is exactly what [`aqp_engine::BlockFold`] does for the exact
-//! executor's morsels. The evaluator is that fold's second caller: it
-//! compiles the query's predicate, keys and aggregates once — onto the
-//! typed kernel when the shape is in its domain, the scalar path otherwise
-//! — folds each sampled block, and reads the `(f, g)` pairs the HT
-//! estimators consume straight out of the aggregate states.
-//!
-//! Star joins go through the engine's gather join, one
-//! [`aqp_engine::GatherJoin`] per dimension in join order — the same
-//! per-block step the exact executor runs per probe morsel, against the
-//! same key index the dimension [`Table`] caches, so a dimension is
-//! indexed once per table and not once per query. Per fact block the
-//! referenced dimension columns are *gathered* through the FK into a
-//! joined block of the same row order (rows with a NULL or dangling key
-//! drop, as in an inner join); names resolve as in the engine's join —
-//! fact columns first, then dimensions in join order. The fold then runs
-//! over the joined block as it would over a plain one.
+//! partial is exactly what the exact executor does to every block of a
+//! morsel. So the evaluator compiles the query's plan
+//! ([`AggQuery::to_plan`]) to the engine's own [`AggStep`] — the
+//! predicates that name only fact columns as a selection below the
+//! gathers, one gather join per dimension against the key index the
+//! dimension [`Table`] caches, then the block fold, typed kernel or scalar
+//! — runs it on each sampled block, and reads the `(f, g)` pairs the HT
+//! estimators consume straight out of the aggregate states. Where a
+//! predicate runs, which columns a join gathers and how names resolve
+//! (fact columns first, then dimensions in join order) is decided once, in
+//! the engine, for the exact and the sampled paths alike. Rows with a NULL
+//! or dangling key drop, as in an inner join.
 //!
 //! That per-row FK lookup is exactly why `sample(fact) ⋈ dim` is
 //! statistically identical to `sample(fact ⋈ dim)` for foreign-key joins
@@ -28,12 +23,10 @@
 //! side of. It holds only while the dimension key is unique, which the
 //! index knows: a duplicate key is refused.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use aqp_engine::agg::{AggState, GroupKey, KeyAtom};
-use aqp_engine::{BlockFold, GatherJoin};
-use aqp_expr::col;
+use aqp_engine::{AggStep, BlockFold};
 use aqp_storage::{Block, Catalog, DataType, Table, Value};
 
 use crate::aggquery::AggQuery;
@@ -45,78 +38,49 @@ pub type GroupTotals = (GroupKey, Vec<(f64, f64)>);
 /// Evaluates a star query one sampled fact block at a time.
 pub struct StarEvaluator {
     fact: Arc<Table>,
-    /// One gather join per dimension, in join order, each over the
-    /// previous one's output; empty when the query has no joins and fact
-    /// blocks are folded as they are.
-    joins: Vec<GatherJoin>,
+    step: AggStep,
     /// Total rows of the dimension tables.
     dim_rows: u64,
     /// Per group key, whether its expression is FLOAT64-typed.
     float_keys: Vec<bool>,
-    fold: BlockFold,
 }
 
 impl StarEvaluator {
-    /// Builds the evaluator: loads the fact table handle, compiles one
-    /// gather join per dimension over the dimension's cached key index
-    /// (built here only if no earlier query has), keeping the FK and
-    /// referenced columns only, and compiles the block fold.
+    /// Builds the evaluator: loads the fact table handle and compiles the
+    /// query's aggregate step (a dimension's key index is built here only
+    /// if no earlier query has built it).
     ///
     /// Errors if a dimension key is duplicated (the FK assumption the
     /// commuting argument rests on) or any referenced table is missing.
     pub fn new(catalog: &Catalog, query: &AggQuery) -> Result<Self, AqpError> {
         let fact = catalog.get(&query.fact_table)?;
-        let aggregates = query.agg_exprs();
-        // The FK columns always ride along, so a joined block has its row
-        // count even when the query names no column (`COUNT(*)`). A name
-        // nothing resolves stays out of the joined schema and surfaces as
-        // the fold's column-not-found error.
-        let exprs = (query.predicate.iter())
-            .chain(query.group_by.iter().map(|(e, _)| e))
-            .chain(aggregates.iter().map(|a| &a.expr));
-        let needed: HashSet<&str> = (query.joins.iter().map(|j| j.fact_key.as_str()))
-            .chain(exprs.flat_map(|e| e.referenced_columns()))
-            .collect();
-        let mut joins: Vec<GatherJoin> = Vec::with_capacity(query.joins.len());
+        let step = AggStep::compile(&query.to_plan(), catalog)?;
         let mut dim_rows = 0u64;
-        for j in &query.joins {
-            let table = catalog.get(&j.dim_table)?;
-            let probe_schema = joins.last().map_or(fact.schema(), GatherJoin::schema);
-            let join = GatherJoin::over_table(
-                probe_schema,
-                &col(&j.fact_key),
-                &table,
-                &col(&j.dim_key),
-                Some(&needed),
-            )?;
+        for (j, join) in query.joins.iter().zip(step.joins()) {
+            let build = join.build();
             if let Some(dup) = join.index().first_duplicate() {
-                let key_idx = table.schema().index_of(&j.dim_key)?;
-                let v = table.block(dup.block as usize).column(key_idx);
+                let block = &build[dup.block as usize];
+                let key = block.column(block.schema().index_of(&j.dim_key)?);
                 return Err(AqpError::Unsupported {
                     detail: format!(
                         "dimension {} has duplicate key {} in {}; \
                          sampling one side of a many-to-many join is unsound",
                         j.dim_table,
-                        v.get(dup.row as usize),
+                        key.get(dup.row as usize),
                         j.dim_key
                     ),
                 });
             }
-            dim_rows += table.row_count() as u64;
-            joins.push(join);
+            dim_rows += build.iter().map(|b| b.len() as u64).sum::<u64>();
         }
-        let schema = joins.last().map_or(fact.schema(), GatherJoin::schema);
-        let predicates: Vec<_> = query.predicate.iter().collect();
-        let fold = BlockFold::compile(&predicates, &query.group_by, &aggregates, schema);
         let float_keys = (query.group_by.iter())
-            .map(|(e, _)| matches!(e.data_type(schema), Ok(DataType::Float64)))
+            .map(|(e, _)| matches!(e.data_type(step.schema()), Ok(DataType::Float64)))
             .collect();
         Ok(Self {
             fact,
-            joins,
+            step,
             dim_rows,
             float_keys,
-            fold,
         })
     }
 
@@ -136,7 +100,7 @@ impl StarEvaluator {
 
     /// The compiled block fold (typed kernel or scalar path).
     pub fn fold(&self) -> &BlockFold {
-        &self.fold
+        self.step.fold()
     }
 
     /// A canonical group key as values of the group-by expressions' types,
@@ -151,17 +115,13 @@ impl StarEvaluator {
             .collect()
     }
 
-    /// Folds one sampled fact block and returns, for every group with a
-    /// qualifying row in it, the block's per-aggregate `(f, g)` totals —
-    /// SUM is `(Σx, 0)`, COUNT `(n, 0)`, AVG `(Σx, n)` over non-NULL `x`.
+    /// Runs the step on one sampled fact block and returns, for every
+    /// group with a qualifying row in it, the block's per-aggregate
+    /// `(f, g)` totals — SUM is `(Σx, 0)`, COUNT `(n, 0)`, AVG `(Σx, n)`
+    /// over non-NULL `x`.
     pub fn block_totals(&self, block: &Block) -> Result<Vec<GroupTotals>, AqpError> {
-        let mut joined: Option<Block> = None;
-        for join in &self.joins {
-            joined = Some(join.join_block(joined.as_ref().unwrap_or(block), None)?);
-        }
-        let input = joined.as_ref().unwrap_or(block);
-        let mut acc = self.fold.new_acc(None);
-        if self.fold.fold(input, &mut acc, true)? == 0 {
+        let mut acc = self.fold().new_acc(None);
+        if self.step.fold_block(block, true, &mut acc)? == 0 {
             return Ok(Vec::new());
         }
         let pair = |s: &AggState| match *s {

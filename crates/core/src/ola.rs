@@ -18,9 +18,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use aqp_analyze::LintContext;
-use aqp_engine::agg::KeyAtom;
-use aqp_expr::eval::eval_predicate_mask;
-use aqp_expr::Expr;
+use aqp_engine::agg::{AggState, KeyAtom};
+use aqp_engine::fold::record_dispatch;
+use aqp_engine::{AggExpr, BlockFold};
+use aqp_expr::{col, Expr};
 use aqp_stats::{Estimate, Moments};
 use aqp_storage::{Catalog, StorageError, Table};
 
@@ -35,8 +36,9 @@ use crate::technique::{
 /// Progressive single-table aggregation over a random block permutation.
 pub struct OnlineAggregator {
     table: Arc<Table>,
-    value_idx: usize,
-    predicate: Option<Expr>,
+    /// The predicate and `AVG(column)` — whose state is exactly the
+    /// block's `(Σ value, non-NULL count)` over passing rows.
+    fold: BlockFold,
     order: Vec<usize>,
     processed: usize,
     /// Per processed block: (Σ value over passing rows, passing row count).
@@ -53,13 +55,17 @@ impl OnlineAggregator {
         predicate: Option<Expr>,
         seed: u64,
     ) -> Result<Self, AqpError> {
-        let value_idx = table.schema().index_of(column)?;
+        // An unknown column errors here rather than at the first step.
+        table.schema().index_of(column)?;
+        let predicates: Vec<&Expr> = predicate.iter().collect();
+        let avg = [AggExpr::avg(col(column), "avg")];
+        let fold = BlockFold::new(&predicates, &[], &avg, table.schema(), true);
+        record_dispatch(fold.is_kernel());
         let mut order: Vec<usize> = (0..table.block_count()).collect();
         order.shuffle(&mut SmallRng::seed_from_u64(seed));
         Ok(Self {
             table,
-            value_idx,
-            predicate,
+            fold,
             order,
             processed: 0,
             block_sums: Moments::new(),
@@ -75,21 +81,15 @@ impl OnlineAggregator {
             return Ok(false);
         };
         let block = self.table.block(bi);
-        let mask: Option<Vec<bool>> = match &self.predicate {
-            Some(p) => Some(eval_predicate_mask(p, block)?),
-            None => None,
+        let mut acc = self.fold.new_acc(None);
+        self.fold.fold(block, &mut acc, true)?;
+        let (total, count) = match acc.into_groups().pop() {
+            Some((_, states)) => match states[..] {
+                [AggState::Avg { sum, count }] => (sum, count as f64),
+                _ => unreachable!("the fold computes one AVG"),
+            },
+            None => (0.0, 0.0),
         };
-        let col = block.column(self.value_idx);
-        let (mut total, mut count) = (0.0, 0.0);
-        for i in 0..block.len() {
-            if mask.as_ref().is_some_and(|m| !m[i]) {
-                continue;
-            }
-            if let Some(v) = col.f64_at(i) {
-                total += v;
-                count += 1.0;
-            }
-        }
         self.block_sums.push(total);
         self.block_pairs.push((total, count));
         self.rows_seen += block.len() as u64;

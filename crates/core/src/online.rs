@@ -22,11 +22,12 @@
 //! because they run its inner loop: the one statistic the estimators and
 //! the planner need per sampled block is the per-group `(f, g)` block
 //! totals, and that is a block folded into a fresh aggregate partial —
-//! [`aqp_engine::BlockFold`], the fold `aqp-engine` runs over its morsels.
-//! [`StarEvaluator`] compiles it once per query (typed kernel or scalar
-//! path; FK joins gathered into the block first) and `accumulate` sums the
-//! squared totals in block order. The `online:pilot`/`online:final` spans
-//! say which fold ran (`[kernel]`/`[scalar]`), and each phase ticks
+//! the engine's [`aqp_engine::AggStep`], the step `aqp-engine` runs over
+//! its morsels. [`StarEvaluator`] compiles it once per query (fact-only
+//! predicates below the FK gathers, then the typed kernel or scalar fold)
+//! and `accumulate` sums the squared totals in block order. The
+//! `online:pilot`/`online:final` spans say which fold ran
+//! (`[kernel]`/`[scalar]`), and each phase ticks
 //! `aqp_kernel_dispatch_total` once.
 //!
 //! Groups absent from the pilot are not covered by the contract (uniform

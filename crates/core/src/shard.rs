@@ -49,7 +49,7 @@ fn merge_err(e: aqp_mergeable::MergeError) -> AqpError {
 /// Folds one shard into per-aggregate partial states: every block, in
 /// order, through the engine's block fold (ungrouped, no predicate).
 fn fold_shard(shard: &Table, aggs: &[AggExpr]) -> Result<Vec<AggState>, AqpError> {
-    let fold = BlockFold::compile(&[], &[], aggs, shard.schema());
+    let fold = BlockFold::new(&[], &[], aggs, shard.schema(), true);
     let mut acc = fold.new_acc(None);
     for (_, block) in shard.iter_blocks() {
         fold.fold(block, &mut acc, false)?;

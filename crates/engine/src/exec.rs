@@ -3,35 +3,46 @@
 //! Leaf scans are split into per-block *morsels* dispatched to a scoped
 //! worker pool ([`crate::pool`]). `Scan→Filter→Project` chains run fused:
 //! one worker carries a morsel through the whole chain without
-//! materializing intermediates. A join is a [`GatherJoin`] per probe
-//! morsel against the build side's key index — the one a catalog table
-//! caches, so a dimension is indexed once per table, not once per query —
-//! with the filters above it that name only probe-side columns run
-//! *before* the probe (and handed to zone-map pruning), and only the
-//! columns the operators above it reference gathered. Under an
-//! `Aggregate` the joined morsel goes straight into the [`BlockFold`]: no
-//! join output is materialized. Aggregation runs in two phases —
-//! per-morsel partial [`AggState`]s, then a merge pass folding partials
-//! *in morsel order*.
+//! materializing intermediates. Every predicate conjunction outside a
+//! fused kernel is one compiled selection — the typed mask kernel when
+//! the shape allows, the scalar evaluator otherwise.
 //!
-//! That fixed fold order is the determinism guarantee: the reduction tree
-//! depends only on data layout, never on scheduling, so a given plan
-//! produces identical results at every thread count. `threads == 1`
-//! (see [`ExecOptions`]) bypasses the pool entirely and runs the same
-//! morsels on the calling thread.
+//! Every filter, projection and join, and the input of every `Aggregate`,
+//! runs as a *chain*: a source — a catalog table read in place, or any
+//! other plan executed to batches — then zero or more left-deep joins,
+//! with the filters around them. The chain compiles to one per-block step
+//! ([`AggStep`] under an aggregate): the filters that name only source
+//! columns as a selection
+//! pushed below the gathers (and handed to zone-map pruning), a
+//! [`GatherJoin`] per join against the build side's key index — the one a
+//! catalog table caches, so a dimension is indexed once per table, not
+//! once per query — gathering only the columns the operators above
+//! reference, then the [`BlockFold`] with the filters left over. Without a
+//! join the source's own filters stay inside the fold, as the kernel's
+//! fused mask, skipped on blocks a zone map proved all-true. Under an
+//! aggregate no join output is materialized beyond one block.
+//!
+//! Every `Aggregate` runs that step over morsels of `AGG_MORSEL_BLOCKS`
+//! source blocks, folds each morsel into a partial, and merges the
+//! partials along the fixed pairwise [`tree_merge`] at every thread count,
+//! 1 included. The tree depends only on data layout — never on
+//! scheduling, on the kernels or on zone pruning — so a plan produces
+//! bit-for-bit identical results at every thread count, with kernels and
+//! pruning on or off. `threads == 1` (see [`ExecOptions`]) bypasses the
+//! pool entirely and runs the same morsels on the calling thread.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use aqp_expr::eval::{eval, eval_predicate_mask};
+use aqp_expr::eval::eval;
 use aqp_expr::{prune_predicate, Expr, PruneVerdict};
 use aqp_storage::{Block, Catalog, Column, Schema, Table, Value};
 
-use crate::agg::{AggState, GroupKey, KeyAtom};
+use crate::agg::{AggExpr, AggState, GroupKey, KeyAtom};
 use crate::error::EngineError;
-use crate::fold::{record_dispatch, tree_merge, BlockFold, FoldAcc};
+use crate::fold::{record_dispatch, tree_merge, BlockFold, FoldAcc, Selection};
 use crate::join::GatherJoin;
-use crate::kernel::PredKernel;
 use crate::plan::{LogicalPlan, SortKey};
 use crate::pool::{self, ExecOptions};
 use crate::result::{ExecStats, ResultSet};
@@ -85,11 +96,9 @@ pub fn execute_with(
 /// Static span name for an operator node (fused chains report as one
 /// `op:fused-scan` span, matching how they execute).
 fn node_span_name(plan: &LogicalPlan) -> &'static str {
-    if fuse(plan).is_some() {
-        return "op:fused-scan";
-    }
     match plan {
         LogicalPlan::Scan { .. } => "op:scan",
+        _ if node_table(plan).is_some() => "op:fused-scan",
         LogicalPlan::Filter { .. } => "op:filter",
         LogicalPlan::Project { .. } => "op:project",
         LogicalPlan::Join { .. } => "op:join",
@@ -100,11 +109,15 @@ fn node_span_name(plan: &LogicalPlan) -> &'static str {
     }
 }
 
+/// The base table a scan reads, or a fused `Scan→Filter…→Project` chain:
+/// an optional `Project` over zero or more `Filter`s over a `Scan`.
 fn node_table(plan: &LogicalPlan) -> Option<&str> {
-    match plan {
-        LogicalPlan::Scan { table } => Some(table),
-        _ => fuse(plan).map(|f| f.table),
-    }
+    let input = match plan {
+        LogicalPlan::Project { input, .. } => input.as_ref(),
+        _ => plan,
+    };
+    let chain = Chain::of(input);
+    chain.table.filter(|_| chain.joins.is_empty())
 }
 
 /// Span-wrapping shell around [`exec_node_inner`]: every operator node
@@ -118,10 +131,11 @@ fn exec_node(
     stats: &mut ExecStats,
     opts: &ExecOptions,
 ) -> Result<Vec<Arc<Block>>, EngineError> {
-    // A join and the filters above it are one operator, which opens its
+    // A join and the filters around it are one operator, which opens its
     // own `op:join` span (its detail comes from the compiled join).
-    if let Some(join) = peel_join(plan) {
-        return exec_join(&join, catalog, stats, opts);
+    let chain = Chain::of(plan);
+    if !chain.joins.is_empty() {
+        return exec_chain(&chain, None, catalog, stats, opts);
     }
     let mut span = aqp_obs::span(node_span_name(plan));
     if span.is_recording() {
@@ -144,7 +158,7 @@ fn exec_node(
     Ok(out)
 }
 
-/// What a block's zone map says about a fused chain's predicate set.
+/// What a block's zone map says about the predicates run on a source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ScanVerdict {
     /// Some predicate can never be true on this block: skip it outright.
@@ -192,9 +206,26 @@ fn classify_blocks(
         .collect()
 }
 
-/// Feeds one scan's block accounting into the always-on prune-rate
-/// counters (`pruned / (pruned + scanned)` is the prune rate).
-fn record_scan_counters(scan_stats: &ExecStats) {
+/// Counts one source block in a morsel's scan accounting (`scanned`: the
+/// block comes off a base-table scan); `false` when its zone map pruned
+/// it.
+fn scan_block(scanned: bool, block: &Block, verdict: ScanVerdict, s: &mut ExecStats) -> bool {
+    if verdict == ScanVerdict::Pruned {
+        s.blocks_pruned += 1;
+        return false;
+    }
+    if scanned {
+        s.blocks_scanned += 1;
+        s.rows_scanned += block.len() as u64;
+    }
+    true
+}
+
+/// Folds one scan's block accounting into the query's and into the
+/// always-on prune-rate counters (`pruned / (pruned + scanned)` is the
+/// prune rate).
+fn record_scan(scan_stats: &ExecStats, stats: &mut ExecStats) {
+    *stats = stats.merge(scan_stats);
     let m = aqp_obs::metrics::global();
     if scan_stats.blocks_pruned > 0 {
         m.counter(aqp_obs::names::BLOCKS_PRUNED_TOTAL)
@@ -212,10 +243,6 @@ fn exec_node_inner(
     stats: &mut ExecStats,
     opts: &ExecOptions,
 ) -> Result<Vec<Arc<Block>>, EngineError> {
-    if let Some(fused) = fuse(plan) {
-        let out_schema = plan.schema(catalog)?;
-        return exec_fused(&fused, &out_schema, catalog, stats, opts);
-    }
     match plan {
         LogicalPlan::Scan { table } => {
             let t = catalog.get(table)?;
@@ -227,39 +254,19 @@ fn exec_node_inner(
             }
             Ok(out)
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let batches = exec_node(input, catalog, stats, opts)?;
-            let rows: u64 = batches.iter().map(|b| b.len() as u64).sum();
-            let threads = morsel_threads(opts, batches.len(), rows);
-            filter_batches(batches, predicate, threads)
-        }
+        LogicalPlan::Filter { .. } => exec_chain(&Chain::of(plan), None, catalog, stats, opts),
         LogicalPlan::Project { input, exprs } => {
-            let batches = exec_node(input, catalog, stats, opts)?;
-            let schema = plan.schema(catalog)?;
-            let rows: u64 = batches.iter().map(|b| b.len() as u64).sum();
-            let threads = morsel_threads(opts, batches.len(), rows);
-            project_batches(batches, exprs, &schema, threads)
+            let projection = Some((exprs.as_slice(), plan.schema(catalog)?));
+            exec_chain(&Chain::of(input), projection, catalog, stats, opts)
         }
-        LogicalPlan::Join { .. } => unreachable!("exec_node runs every join through exec_join"),
+        LogicalPlan::Join { .. } => unreachable!("exec_node runs every join through exec_chain"),
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggregates,
         } => {
             let schema = plan.schema(catalog)?;
-            if let Some(out) =
-                exec_fused_agg(input, group_by, aggregates, &schema, catalog, stats, opts)?
-            {
-                return Ok(out);
-            }
-            if let Some(join) = peel_join(input) {
-                return exec_join_agg(&join, group_by, aggregates, &schema, catalog, stats, opts);
-            }
-            record_dispatch(false);
-            let batches = exec_node(input, catalog, stats, opts)?;
-            let rows: u64 = batches.iter().map(|b| b.len() as u64).sum();
-            let threads = morsel_threads(opts, batches.len().div_ceil(AGG_MORSEL_BLOCKS), rows);
-            hash_aggregate(&batches, group_by, aggregates, &schema, threads)
+            exec_aggregate(input, group_by, aggregates, &schema, catalog, stats, opts)
         }
         LogicalPlan::Sort { input, keys } => {
             let batches = exec_node(input, catalog, stats, opts)?;
@@ -307,130 +314,375 @@ fn exec_node_inner(
     }
 }
 
-/// A `Scan→Filter…→Project` chain runnable as one fused per-morsel
-/// pipeline: each worker scans a block, applies the predicates in order,
-/// and projects, with no cross-operator materialization.
-struct FusedScan<'a> {
-    table: &'a str,
-    /// Predicates in application (innermost-first) order.
+/// A plan read as one per-block pipeline: a source, then zero or more
+/// left-deep joins, with the filters stacked between and above them.
+struct Chain<'a> {
+    /// The source: a catalog scan, or any other plan executed to batches.
+    source: &'a LogicalPlan,
+    /// The source's table when it is a catalog scan — the chain then
+    /// classifies, scans and accounts for its blocks itself.
+    table: Option<&'a str>,
+    /// Filters directly above the source, innermost first.
     predicates: Vec<&'a Expr>,
-    project: Option<&'a [(Expr, String)]>,
+    /// `(probe key, build side, build key)` per join, innermost first.
+    joins: Vec<(&'a Expr, &'a LogicalPlan, &'a Expr)>,
+    /// Filters above the innermost join, innermost first.
+    filters: Vec<&'a Expr>,
 }
 
-/// Recognizes a fusable chain: optional `Project` over zero or more
-/// `Filter`s over a `Scan`, with at least one non-scan operator.
-fn fuse(plan: &LogicalPlan) -> Option<FusedScan<'_>> {
-    let (project, mut node) = match plan {
-        LogicalPlan::Project { input, exprs } => (Some(exprs.as_slice()), input.as_ref()),
-        _ => (None, plan),
-    };
-    let mut predicates = Vec::new();
-    loop {
-        match node {
-            LogicalPlan::Filter { input, predicate } => {
-                predicates.push(predicate);
-                node = input.as_ref();
+/// A chain's compiled selection and gathers.
+struct Gathers {
+    /// Predicates run on each source block (before the first probe, if
+    /// there is a join).
+    selection: Selection,
+    joins: Vec<GatherJoin>,
+    /// Schema of the blocks the gathers hand on: the last join's output,
+    /// or the source's when there is no join.
+    schema: Arc<Schema>,
+}
+
+impl<'a> Chain<'a> {
+    fn of(plan: &'a LogicalPlan) -> Chain<'a> {
+        let (mut filters, mut joins, mut pending) = (Vec::new(), Vec::new(), Vec::new());
+        let mut node = plan;
+        loop {
+            match node {
+                LogicalPlan::Filter { input, predicate } => {
+                    pending.push(predicate);
+                    node = input.as_ref();
+                }
+                LogicalPlan::Join {
+                    left,
+                    right,
+                    left_key,
+                    right_key,
+                } => {
+                    filters.append(&mut pending);
+                    joins.push((left_key, right.as_ref(), right_key));
+                    node = left.as_ref();
+                }
+                source => {
+                    pending.reverse();
+                    filters.reverse();
+                    joins.reverse();
+                    let table = match source {
+                        LogicalPlan::Scan { table } => Some(table.as_str()),
+                        _ => None,
+                    };
+                    return Chain {
+                        source,
+                        table,
+                        predicates: pending,
+                        joins,
+                        filters,
+                    };
+                }
             }
-            LogicalPlan::Scan { table } if project.is_some() || !predicates.is_empty() => {
-                predicates.reverse();
-                return Some(FusedScan {
-                    table,
-                    predicates,
-                    project,
-                });
-            }
-            _ => return None,
         }
     }
-}
 
-/// A base table read in place — a bare scan or a project-free fused chain
-/// — as its name and predicates (innermost first): what an operator that
-/// classifies and folds the table's blocks itself can take as input.
-fn scan_chain(plan: &LogicalPlan) -> Option<(&str, Vec<&Expr>)> {
-    match plan {
-        LogicalPlan::Scan { table } => Some((table.as_str(), Vec::new())),
-        other => match fuse(other) {
-            Some(FusedScan {
-                table,
-                predicates,
-                project: None,
-            }) => Some((table, predicates)),
-            _ => None,
-        },
+    /// Compiles the selection and the gathers. The filters above the
+    /// joins that name only source columns join the source's own below
+    /// the first probe; the rest are returned for the gathered block.
+    /// `above` holds the expressions of the operator consuming the chain:
+    /// with those leftover filters they decide which columns each join
+    /// gathers (`None`: every column). Returns the gathers, the
+    /// predicates run on source blocks — which zone maps classify — and
+    /// those left for the gathered block (none without a join).
+    fn compile(
+        &self,
+        above: Option<&[&Expr]>,
+        catalog: &Catalog,
+        stats: &mut ExecStats,
+        opts: &ExecOptions,
+    ) -> Result<(Gathers, Vec<&'a Expr>, Vec<&'a Expr>), EngineError> {
+        let source_schema = self.source.schema(catalog)?;
+        if self.joins.is_empty() {
+            let gathers = Gathers {
+                selection: Selection::new(&self.predicates, &source_schema, opts.kernels),
+                joins: Vec::new(),
+                schema: source_schema,
+            };
+            return Ok((gathers, self.predicates.clone(), Vec::new()));
+        }
+        let (pushed, post): (Vec<&Expr>, Vec<&Expr>) = self.filters.iter().partition(|f| {
+            let mut names = f.referenced_columns().into_iter();
+            names.all(|name| source_schema.index_of(name).is_ok())
+        });
+        let below: Vec<&Expr> = self.predicates.iter().copied().chain(pushed).collect();
+        let builds = (self.joins.iter())
+            .map(|(_, build, _)| build.schema(catalog))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut joins: Vec<GatherJoin> = Vec::with_capacity(self.joins.len());
+        for (level, &(probe_key, build, build_key)) in self.joins.iter().enumerate() {
+            // What this join gathers: the columns referenced above and by
+            // later probe keys, plus every name a later build side has — a
+            // later build column is then renamed exactly as in the full
+            // join schema.
+            let needed: Option<HashSet<&str>> = above.map(|exprs| {
+                let later_keys = self.joins[level + 1..].iter().map(|&(key, _, _)| key);
+                let later_names = builds[level + 1..].iter().flat_map(|s| s.fields());
+                (exprs
+                    .iter()
+                    .copied()
+                    .chain(post.iter().copied())
+                    .chain(later_keys))
+                .flat_map(|e| e.referenced_columns())
+                .chain(later_names.map(|f| f.name.as_str()))
+                .collect()
+            });
+            let probe_schema = joins.last().map_or(&source_schema, GatherJoin::schema);
+            let gather = match build {
+                LogicalPlan::Scan { table } => {
+                    let t = catalog.get(table)?;
+                    // Accounted as the scan it replaces, index cached or
+                    // not, so `rows_scanned` and every ns/row read off it
+                    // mean the same before and after a dimension's index
+                    // exists.
+                    stats.blocks_scanned += t.block_count() as u64;
+                    stats.rows_scanned += t.row_count() as u64;
+                    GatherJoin::over_table(probe_schema, probe_key, &t, build_key, needed.as_ref())?
+                }
+                other => {
+                    let batches = exec_node(other, catalog, stats, opts)?;
+                    GatherJoin::over_batches(
+                        probe_schema,
+                        probe_key,
+                        &builds[level],
+                        batches,
+                        build_key,
+                        needed.as_ref(),
+                    )?
+                }
+            };
+            joins.push(gather);
+        }
+        let gathers = Gathers {
+            selection: Selection::new(&below, &source_schema, opts.kernels),
+            schema: Arc::clone(joins.last().map_or(&source_schema, GatherJoin::schema)),
+            joins,
+        };
+        Ok((gathers, below, post))
+    }
+
+    /// The source's blocks with their verdicts against `predicates`: a
+    /// table's classified by its zone maps, any other source executed to
+    /// batches (all `Evaluate` when there is a predicate).
+    fn source_blocks(
+        &self,
+        predicates: &[&Expr],
+        catalog: &Catalog,
+        stats: &mut ExecStats,
+        opts: &ExecOptions,
+    ) -> Result<Vec<(Arc<Block>, ScanVerdict)>, EngineError> {
+        if let Some(table) = self.table {
+            let t = catalog.get(table)?;
+            return Ok(classify_blocks(&t, predicates, opts.zone_pruning));
+        }
+        let verdict = if predicates.is_empty() {
+            ScanVerdict::AllTrue
+        } else {
+            ScanVerdict::Evaluate
+        };
+        let batches = exec_node(self.source, catalog, stats, opts)?;
+        Ok(batches.into_iter().map(|b| (b, verdict)).collect())
+    }
+
+    /// The `op:join` span detail: the source table, each join's index
+    /// tag, the predicates run before the probe, blocks pruned.
+    fn join_detail(&self, gathers: &Gathers, below: usize, pruned: u64) -> String {
+        let mut detail = self.table.unwrap_or("-").to_string();
+        for join in &gathers.joins {
+            detail += &format!(" {}", join.tag());
+        }
+        if below > 0 {
+            detail += &format!(" [filters before probe: {below}]");
+        }
+        if pruned > 0 {
+            detail += &format!(" [{pruned} blocks pruned]");
+        }
+        detail
     }
 }
 
-/// Runs a fused chain: one morsel per base-table block, scan accounting
-/// accumulated per worker and merged.
-fn exec_fused(
-    fused: &FusedScan<'_>,
-    out_schema: &Arc<Schema>,
+impl Gathers {
+    /// Selects and joins one source block (`evaluate: false` when a zone
+    /// map proved the selection true on every row); without a join, the
+    /// selected rows — `None` when none is. Output rows follow source row
+    /// order.
+    fn run<'b>(
+        &self,
+        block: &'b Block,
+        evaluate: bool,
+    ) -> Result<Option<Cow<'b, Block>>, EngineError> {
+        let selection = if evaluate {
+            &self.selection
+        } else {
+            &Selection::All
+        };
+        let Some((first, rest)) = self.joins.split_first() else {
+            return selection.apply(Cow::Borrowed(block));
+        };
+        let mut joined = first.join_block(block, selection.mask(block)?.as_deref())?;
+        for join in rest {
+            joined = join.join_block(&joined, None)?;
+        }
+        Ok(Some(Cow::Owned(joined)))
+    }
+}
+
+/// An aggregate's compiled per-block step: the selection pushed below the
+/// gathers, zero or more [`GatherJoin`]s, then the [`BlockFold`]. The
+/// exact executor runs it on every block of every morsel; the sampled
+/// paths in `aqp-core` run it on each sampled block, so where a predicate
+/// runs, which columns a join gathers and how names resolve are decided
+/// here, once, for both.
+pub struct AggStep {
+    gathers: Gathers,
+    fold: BlockFold,
+}
+
+impl AggStep {
+    /// Compiles the step of an `Aggregate` plan, over blocks of its
+    /// input's source (the fact table of a star plan), on the typed
+    /// kernels wherever the shape allows. A dimension joined on a bare
+    /// column uses the index its table caches, built here if no earlier
+    /// query has.
+    pub fn compile(plan: &LogicalPlan, catalog: &Catalog) -> Result<AggStep, EngineError> {
+        let LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggregates,
+        } = plan
+        else {
+            return Err(EngineError::InvalidPlan {
+                detail: "an aggregate step compiles from an Aggregate plan".to_string(),
+            });
+        };
+        let opts = ExecOptions {
+            threads: 1,
+            zone_pruning: false,
+            kernels: true,
+            agg_hint: None,
+        };
+        let mut stats = ExecStats::default();
+        let chain = Chain::of(input);
+        let (step, _) = compile_step(&chain, group_by, aggregates, catalog, &mut stats, &opts)?;
+        Ok(step)
+    }
+
+    /// The gather joins, in join order.
+    pub fn joins(&self) -> &[GatherJoin] {
+        &self.gathers.joins
+    }
+
+    /// The compiled block fold (typed kernel or scalar path).
+    pub fn fold(&self) -> &BlockFold {
+        &self.fold
+    }
+
+    /// Schema of the blocks the fold consumes.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.gathers.schema
+    }
+
+    /// Runs the step on one source block, folding the rows that pass
+    /// every predicate into `acc` in row order; returns how many did.
+    /// `evaluate: false` skips the predicates on the source — for blocks
+    /// a zone map proved all-true.
+    pub fn fold_block(
+        &self,
+        block: &Block,
+        evaluate: bool,
+        acc: &mut FoldAcc,
+    ) -> Result<u64, EngineError> {
+        let Some(input) = self.gathers.run(block, evaluate)? else {
+            return Ok(0);
+        };
+        // Without a join the fold's predicates are the source's own.
+        let apply = evaluate || !self.gathers.joins.is_empty();
+        self.fold.fold(&input, acc, apply)
+    }
+}
+
+/// Compiles an aggregate's step over `chain`; also returns the predicates
+/// run on source blocks, for zone-map classification.
+fn compile_step<'a>(
+    chain: &Chain<'a>,
+    group_by: &[(Expr, String)],
+    aggregates: &[AggExpr],
+    catalog: &Catalog,
+    stats: &mut ExecStats,
+    opts: &ExecOptions,
+) -> Result<(AggStep, Vec<&'a Expr>), EngineError> {
+    let above: Vec<&Expr> = (group_by.iter().map(|(e, _)| e))
+        .chain(aggregates.iter().map(|a| &a.expr))
+        .collect();
+    let (mut gathers, below, mut post) = chain.compile(Some(&above), catalog, stats, opts)?;
+    if gathers.joins.is_empty() {
+        // Without a join the source's filters stay inside the fold: the
+        // kernel's fused mask, skipped on blocks a zone map proved true.
+        gathers.selection = Selection::All;
+        post.clone_from(&below);
+    }
+    let fold = BlockFold::new(&post, group_by, aggregates, &gathers.schema, opts.kernels);
+    Ok((AggStep { gathers, fold }, below))
+}
+
+/// Projection expressions with their output schema.
+type Projection<'a> = (&'a [(Expr, String)], Arc<Schema>);
+
+/// Runs a chain no aggregate consumes — a filtered scan, a filter over any
+/// other input, joins with the filters around them — then `project` (with
+/// its output schema), one morsel and at most one output block per source
+/// block, in source order. Filters naming a build-side column run on the
+/// joined block.
+fn exec_chain(
+    chain: &Chain<'_>,
+    project: Option<Projection<'_>>,
     catalog: &Catalog,
     stats: &mut ExecStats,
     opts: &ExecOptions,
 ) -> Result<Vec<Arc<Block>>, EngineError> {
-    let t = catalog.get(fused.table)?;
-    let blocks = classify_blocks(&t, &fused.predicates, opts.zone_pruning);
-    // Predicates compile to a typed selection-mask kernel when every
-    // shape is modeled; otherwise the scalar mask path runs unchanged.
-    let pred_kernel = if opts.kernels && !fused.predicates.is_empty() {
-        PredKernel::compile(&fused.predicates, t.schema())
-    } else {
-        None
-    };
-    if !fused.predicates.is_empty() {
-        record_dispatch(pred_kernel.is_some());
-    }
+    let joins = !chain.joins.is_empty();
+    // Without a join the caller's operator span covers the chain.
+    let mut span = joins.then(|| aqp_obs::span("op:join"));
+    let (gathers, below, post) = chain.compile(None, catalog, stats, opts)?;
+    let post = Selection::new(&post, &gathers.schema, opts.kernels);
+    let blocks = chain.source_blocks(&below, catalog, stats, opts)?;
     let rows: u64 = blocks.iter().map(|(b, _)| b.len() as u64).sum();
     let threads = morsel_threads(opts, blocks.len(), rows);
-    // Pair the projection exprs with the output schema up front so the
-    // morsel closure never has to re-derive that they exist together.
-    let projection = fused.project.map(|exprs| (exprs, Arc::clone(out_schema)));
+    let morsel_name = match (joins, chain.table, &project) {
+        (true, ..) => "join:probe",
+        (false, Some(_), _) => "morsel:scan",
+        (false, None, Some(_)) => "morsel:project",
+        (false, None, None) => "morsel:filter",
+    };
     // Morsel spans run on pool worker threads, so they parent under the
     // operator span through an explicit context rather than the worker's
     // (empty) thread-local current span.
     let op_ctx = aqp_obs::current_ctx();
-    let pred_kernel = pred_kernel.as_ref();
+    let (gathers_ref, post, scanned) = (&gathers, &post, chain.table.is_some());
     let (results, scan_stats) = pool::parallel_map_with_stats(
         blocks,
         threads,
         |_, (block, verdict), s| -> Result<Option<Arc<Block>>, EngineError> {
-            if verdict == ScanVerdict::Pruned {
-                s.blocks_pruned += 1;
+            if !scan_block(scanned, &block, verdict, s) {
                 return Ok(None);
             }
-            let mut morsel = aqp_obs::child_span("morsel:scan", &op_ctx);
-            s.blocks_scanned += 1;
-            s.rows_scanned += block.len() as u64;
-            let mut cur = block;
-            if verdict == ScanVerdict::Evaluate {
-                if let Some(kernel) = pred_kernel {
-                    // One fused mask for the whole chain: rows where any
-                    // predicate is FALSE or NULL drop, exactly as under
-                    // one-predicate-at-a-time filtering.
-                    let mask = kernel.selection_mask(&cur);
-                    if mask.iter().all(|&keep| keep) {
-                        // Block passes whole: keep the shared reference.
-                    } else if mask.iter().any(|&keep| keep) {
-                        cur = Arc::new(cur.filter(&mask));
-                    } else {
-                        return Ok(None);
-                    }
-                } else {
-                    for pred in &fused.predicates {
-                        let mask = eval_predicate_mask(pred, &cur)?;
-                        if mask.iter().all(|&keep| keep) {
-                            // Block passes whole: keep the shared reference.
-                        } else if mask.iter().any(|&keep| keep) {
-                            cur = Arc::new(cur.filter(&mask));
-                        } else {
-                            return Ok(None);
-                        }
-                    }
-                }
-            }
-            if let Some((exprs, schema)) = &projection {
+            let mut morsel = aqp_obs::child_span(morsel_name, &op_ctx);
+            let evaluate = verdict == ScanVerdict::Evaluate;
+            let Some(rows) = gathers_ref.run(&block, evaluate)? else {
+                return Ok(None);
+            };
+            let Some(rows) = post.apply(rows)? else {
+                return Ok(None);
+            };
+            let mut cur = match rows {
+                Cow::Owned(rows) => Arc::new(rows),
+                Cow::Borrowed(_) => block,
+            };
+            if let Some((exprs, schema)) = &project {
                 let columns: Vec<Column> = exprs
                     .iter()
                     .map(|(e, _)| eval(e, &cur))
@@ -438,454 +690,49 @@ fn exec_fused(
                 cur = Arc::new(Block::from_columns(Arc::clone(schema), columns));
             }
             morsel.set_rows(cur.len() as u64);
-            Ok(Some(cur))
-        },
-    );
-    *stats = stats.merge(&scan_stats);
-    record_scan_counters(&scan_stats);
-    let mut out = Vec::new();
-    for r in results {
-        if let Some(block) = r? {
-            out.push(block);
-        }
-    }
-    Ok(out)
-}
-
-/// Tries the fused filter→aggregate kernel path: the aggregation's input
-/// is a bare scan or a project-free fused chain, and every predicate,
-/// group key, and aggregate argument compiles to a typed kernel. Returns
-/// `Ok(None)` to send the plan down the scalar path.
-///
-/// The kernel path always computes per-morsel partials and folds them
-/// along the fixed pairwise [`tree_merge`] — even at `threads == 1` — so
-/// a given plan's result is bit-for-bit identical at every thread count.
-fn exec_fused_agg(
-    input: &LogicalPlan,
-    group_by: &[(Expr, String)],
-    aggregates: &[crate::agg::AggExpr],
-    out_schema: &Arc<Schema>,
-    catalog: &Catalog,
-    stats: &mut ExecStats,
-    opts: &ExecOptions,
-) -> Result<Option<Vec<Arc<Block>>>, EngineError> {
-    if !opts.kernels {
-        return Ok(None);
-    }
-    let Some((table, predicates)) = scan_chain(input) else {
-        return Ok(None);
-    };
-    let t = catalog.get(table)?;
-    let Some(fold) = BlockFold::kernel(&predicates, group_by, aggregates, t.schema()) else {
-        return Ok(None);
-    };
-    record_dispatch(true);
-    let blocks = classify_blocks(&t, &predicates, opts.zone_pruning);
-    let rows: u64 = blocks.iter().map(|(b, _)| b.len() as u64).sum();
-    // Morsel boundaries come from the full block list (pruned blocks keep
-    // their slots and are skipped inside the morsel), so the partial
-    // tree — and hence the result — is identical with pruning on or off.
-    let morsels: Vec<Vec<(Arc<Block>, ScanVerdict)>> = blocks
-        .chunks(AGG_MORSEL_BLOCKS)
-        .map(|c| c.to_vec())
-        .collect();
-    let threads = morsel_threads(opts, morsels.len(), rows);
-    // The scan side of the fusion gets its own operator span (nested
-    // under the caller's `op:aggregate` span) so traces still show the
-    // aggregate-over-scan shape the plan describes.
-    let mut scan_span = aqp_obs::span("op:fused-scan");
-    if scan_span.is_recording() {
-        scan_span.set_detail(format!("{table} {}", fold.tag()));
-    }
-    let op_ctx = aqp_obs::current_ctx();
-    let fold = &fold;
-    let (partials, scan_stats) = pool::parallel_map_with_stats(
-        morsels,
-        threads,
-        |_, morsel, s| -> Result<FoldAcc, EngineError> {
-            let mut span = aqp_obs::child_span("agg:partial", &op_ctx);
-            let mut acc = fold.new_acc(opts.agg_hint);
-            let mut rows_in = 0u64;
-            for (block, verdict) in &morsel {
-                match verdict {
-                    ScanVerdict::Pruned => s.blocks_pruned += 1,
-                    v => {
-                        s.blocks_scanned += 1;
-                        s.rows_scanned += block.len() as u64;
-                        rows_in += fold.fold(block, &mut acc, *v == ScanVerdict::Evaluate)?;
-                    }
-                }
-            }
-            span.set_rows(rows_in);
-            Ok(acc)
-        },
-    );
-    let partials = partials.into_iter().collect::<Result<Vec<_>, _>>()?;
-    *stats = stats.merge(&scan_stats);
-    record_scan_counters(&scan_stats);
-    if scan_span.is_recording() {
-        scan_span.set_rows(scan_stats.rows_scanned);
-        scan_span.set_detail(format!(
-            "{table} [kernel, {} blocks pruned]",
-            scan_stats.blocks_pruned
-        ));
-    }
-    scan_span.finish();
-    let mut merge_span = aqp_obs::span("agg:merge");
-    let acc = tree_merge(partials).unwrap_or_else(|| fold.new_acc(None));
-    let entries = acc.into_groups();
-    merge_span.set_rows(entries.len() as u64);
-    merge_span.finish();
-    emit_groups(entries, group_by.is_empty(), aggregates, out_schema).map(Some)
-}
-
-/// Applies a predicate to a batch list on up to `threads` workers.
-/// Blocks are independent morsels; output order is preserved by index.
-fn filter_batches(
-    batches: Vec<Arc<Block>>,
-    predicate: &Expr,
-    threads: usize,
-) -> Result<Vec<Arc<Block>>, EngineError> {
-    let op_ctx = aqp_obs::current_ctx();
-    let results = pool::parallel_map(
-        batches,
-        threads,
-        |_, block| -> Result<Option<Arc<Block>>, EngineError> {
-            let mut morsel = aqp_obs::child_span("morsel:filter", &op_ctx);
-            let mask = eval_predicate_mask(predicate, &block)?;
-            let kept = if mask.iter().all(|&b| b) {
-                Some(block)
-            } else if mask.iter().any(|&b| b) {
-                Some(Arc::new(block.filter(&mask)))
-            } else {
-                None
-            };
-            morsel.set_rows(kept.as_ref().map_or(0, |b| b.len() as u64));
-            Ok(kept)
-        },
-    );
-    let mut out = Vec::new();
-    for r in results {
-        if let Some(kept) = r? {
-            out.push(kept);
-        }
-    }
-    Ok(out)
-}
-
-/// Evaluates projection expressions per block on up to `threads` workers.
-fn project_batches(
-    batches: Vec<Arc<Block>>,
-    exprs: &[(Expr, String)],
-    schema: &Arc<Schema>,
-    threads: usize,
-) -> Result<Vec<Arc<Block>>, EngineError> {
-    let op_ctx = aqp_obs::current_ctx();
-    let results = pool::parallel_map(
-        batches,
-        threads,
-        |_, block| -> Result<Arc<Block>, EngineError> {
-            let mut morsel = aqp_obs::child_span("morsel:project", &op_ctx);
-            morsel.set_rows(block.len() as u64);
-            let columns: Vec<Column> = exprs
-                .iter()
-                .map(|(e, _)| eval(e, &block))
-                .collect::<Result<_, _>>()?;
-            Ok(Arc::new(Block::from_columns(Arc::clone(schema), columns)))
-        },
-    );
-    results.into_iter().collect()
-}
-
-/// A join together with the filters stacked directly above it: one
-/// operator, because a filter that names only probe-side columns runs
-/// before the probe.
-struct JoinNode<'a> {
-    left: &'a LogicalPlan,
-    right: &'a LogicalPlan,
-    left_key: &'a Expr,
-    right_key: &'a Expr,
-    /// Filters above the join, innermost first.
-    filters: Vec<&'a Expr>,
-}
-
-/// Recognizes zero or more `Filter`s over a `Join`.
-fn peel_join(plan: &LogicalPlan) -> Option<JoinNode<'_>> {
-    let mut filters = Vec::new();
-    let mut node = plan;
-    loop {
-        match node {
-            LogicalPlan::Filter { input, predicate } => {
-                filters.push(predicate);
-                node = input.as_ref();
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => {
-                filters.reverse();
-                return Some(JoinNode {
-                    left,
-                    right,
-                    left_key,
-                    right_key,
-                    filters,
-                });
-            }
-            _ => return None,
-        }
-    }
-}
-
-/// A join ready to run one probe block at a time.
-struct PreparedJoin<'a> {
-    /// The probe side's base table when its blocks come straight off a
-    /// scan — the join then does that scan's block accounting.
-    probe_table: Option<&'a str>,
-    blocks: Vec<(Arc<Block>, ScanVerdict)>,
-    /// Predicates over the probe schema, applied to `Evaluate` blocks
-    /// before the probe: the probe side's own fused filters, then the
-    /// filters above the join that name only probe-side columns.
-    predicates: Vec<&'a Expr>,
-    kernel: Option<PredKernel>,
-    gather: GatherJoin,
-    /// Filters above the join that name a build-side column, innermost
-    /// first: evaluated on the joined block.
-    post: Vec<&'a Expr>,
-}
-
-impl PreparedJoin<'_> {
-    /// Accounts for, filters and joins one probe block; `None` when its
-    /// zone map pruned it.
-    fn join_block(
-        &self,
-        block: &Block,
-        verdict: ScanVerdict,
-        s: &mut ExecStats,
-    ) -> Result<Option<Block>, EngineError> {
-        if verdict == ScanVerdict::Pruned {
-            s.blocks_pruned += 1;
-            return Ok(None);
-        }
-        if self.probe_table.is_some() {
-            s.blocks_scanned += 1;
-            s.rows_scanned += block.len() as u64;
-        }
-        let mut selection: Option<Vec<bool>> = None;
-        if verdict == ScanVerdict::Evaluate {
-            if let Some(kernel) = &self.kernel {
-                selection = Some(kernel.selection_mask(block));
-            } else {
-                for pred in &self.predicates {
-                    let mask = eval_predicate_mask(pred, block)?;
-                    selection = Some(match selection {
-                        None => mask,
-                        Some(prev) => prev.iter().zip(&mask).map(|(a, b)| *a && *b).collect(),
-                    });
-                }
-            }
-        }
-        Ok(Some(self.gather.join_block(block, selection.as_deref())?))
-    }
-
-    /// Folds the probe side's scan accounting into the query's and
-    /// annotates the `op:join` span (`fold`: the tag of the fold the
-    /// joined blocks fed, when an aggregate consumed them).
-    fn finish(
-        &self,
-        span: &mut aqp_obs::Span,
-        rows: u64,
-        scan: &ExecStats,
-        stats: &mut ExecStats,
-        fold: Option<&str>,
-    ) {
-        *stats = stats.merge(scan);
-        if self.probe_table.is_some() {
-            record_scan_counters(scan);
-        }
-        if span.is_recording() {
-            span.set_rows(rows);
-            let mut detail = format!("{} {}", self.probe_table.unwrap_or("-"), self.gather.tag());
-            if !self.predicates.is_empty() {
-                detail += &format!(" [filters before probe: {}]", self.predicates.len());
-            }
-            if scan.blocks_pruned > 0 {
-                detail += &format!(" [{} blocks pruned]", scan.blocks_pruned);
-            }
-            if let Some(fold) = fold {
-                detail += &format!(" -> fold {fold}");
-            }
-            span.set_detail(detail);
-        }
-    }
-}
-
-/// Plans a join: resolves the probe side (a base table's classified
-/// blocks when it is a scan or project-free fused chain, else its
-/// executed batches), pushes down the filters that name only probe-side
-/// columns, and compiles the [`GatherJoin`] — over the build table's
-/// cached key index when the build side is a bare scan.
-///
-/// `above` holds the expressions of the operators above the join's
-/// filters; with the filters left for after the join they decide which
-/// columns are gathered. `None` gathers every column.
-fn prepare_join<'a>(
-    join: &JoinNode<'a>,
-    above: Option<&[&Expr]>,
-    catalog: &Catalog,
-    stats: &mut ExecStats,
-    opts: &ExecOptions,
-) -> Result<PreparedJoin<'a>, EngineError> {
-    let probe_schema = join.left.schema(catalog)?;
-    let (pushed, post): (Vec<&Expr>, Vec<&Expr>) = join.filters.iter().partition(|f| {
-        let mut names = f.referenced_columns().into_iter();
-        names.all(|name| probe_schema.index_of(name).is_ok())
-    });
-    let (probe_table, predicates, blocks) = match scan_chain(join.left) {
-        Some((table, mut predicates)) => {
-            predicates.extend(pushed);
-            let t = catalog.get(table)?;
-            let blocks = classify_blocks(&t, &predicates, opts.zone_pruning);
-            (Some(table), predicates, blocks)
-        }
-        None => {
-            let verdict = if pushed.is_empty() {
-                ScanVerdict::AllTrue
-            } else {
-                ScanVerdict::Evaluate
-            };
-            let batches = exec_node(join.left, catalog, stats, opts)?;
-            let blocks = batches.into_iter().map(|b| (b, verdict)).collect();
-            (None, pushed, blocks)
-        }
-    };
-    let kernel = if opts.kernels && !predicates.is_empty() {
-        PredKernel::compile(&predicates, &probe_schema)
-    } else {
-        None
-    };
-    if !predicates.is_empty() {
-        record_dispatch(kernel.is_some());
-    }
-    let needed: Option<HashSet<&str>> = above.map(|exprs| {
-        (exprs.iter().chain(&post))
-            .flat_map(|e| e.referenced_columns())
-            .collect()
-    });
-    let gather = match join.right {
-        LogicalPlan::Scan { table } => {
-            let t = catalog.get(table)?;
-            // Accounted as the scan it replaces, index cached or not, so
-            // `rows_scanned` and every ns/row read off it mean the same
-            // before and after a dimension's index exists.
-            stats.blocks_scanned += t.block_count() as u64;
-            stats.rows_scanned += t.row_count() as u64;
-            GatherJoin::over_table(
-                &probe_schema,
-                join.left_key,
-                &t,
-                join.right_key,
-                needed.as_ref(),
-            )?
-        }
-        other => {
-            let build_schema = other.schema(catalog)?;
-            let batches = exec_node(other, catalog, stats, opts)?;
-            GatherJoin::over_batches(
-                &probe_schema,
-                join.left_key,
-                &build_schema,
-                batches,
-                join.right_key,
-                needed.as_ref(),
-            )?
-        }
-    };
-    Ok(PreparedJoin {
-        probe_table,
-        blocks,
-        predicates,
-        kernel,
-        gather,
-        post,
-    })
-}
-
-/// Runs a join (and the filters above it) that no aggregate consumes:
-/// one joined output block per probe block, in probe order.
-fn exec_join(
-    join: &JoinNode<'_>,
-    catalog: &Catalog,
-    stats: &mut ExecStats,
-    opts: &ExecOptions,
-) -> Result<Vec<Arc<Block>>, EngineError> {
-    let mut span = aqp_obs::span("op:join");
-    let mut prepared = prepare_join(join, None, catalog, stats, opts)?;
-    let blocks = std::mem::take(&mut prepared.blocks);
-    let rows: u64 = blocks.iter().map(|(b, _)| b.len() as u64).sum();
-    let threads = morsel_threads(opts, blocks.len(), rows);
-    let op_ctx = aqp_obs::current_ctx();
-    let prepared = &prepared;
-    let (results, scan_stats) = pool::parallel_map_with_stats(
-        blocks,
-        threads,
-        |_, (block, verdict), s| -> Result<Option<Arc<Block>>, EngineError> {
-            let mut morsel = aqp_obs::child_span("join:probe", &op_ctx);
-            let Some(mut joined) = prepared.join_block(&block, verdict, s)? else {
-                return Ok(None);
-            };
-            for pred in &prepared.post {
-                let mask = eval_predicate_mask(pred, &joined)?;
-                if !mask.iter().all(|&keep| keep) {
-                    joined = joined.filter(&mask);
-                }
-            }
-            morsel.set_rows(joined.len() as u64);
-            Ok((!joined.is_empty()).then(|| Arc::new(joined)))
+            Ok((!cur.is_empty()).then_some(cur))
         },
     );
     let mut out = Vec::new();
     for r in results {
         out.extend(r?);
     }
-    let joined_rows = out.iter().map(|b| b.len() as u64).sum();
-    prepared.finish(&mut span, joined_rows, &scan_stats, stats, None);
+    record_scan(&scan_stats, stats);
+    if let Some(span) = span.as_mut().filter(|s| s.is_recording()) {
+        span.set_rows(out.iter().map(|b| b.len() as u64).sum());
+        span.set_detail(chain.join_detail(&gathers, below.len(), scan_stats.blocks_pruned));
+    }
     Ok(out)
 }
 
-/// Runs `Aggregate` over a join (and the filters above it) fused: each
-/// probe morsel's joined blocks go straight into a [`BlockFold`] — the
-/// typed kernel when the keys, arguments and remaining filters are in its
-/// domain, the scalar fold otherwise — and the per-morsel partials merge
-/// along the fixed [`tree_merge`] at every thread count. No join output
-/// is materialized beyond one block at a time.
-fn exec_join_agg(
-    join: &JoinNode<'_>,
+/// Runs an `Aggregate`: its input's chain compiled to one [`AggStep`],
+/// run over morsels of `AGG_MORSEL_BLOCKS` source blocks, each folded into
+/// a partial, the partials merged along [`tree_merge`]. Morsel boundaries
+/// come from the source's full block list — pruned blocks keep their
+/// slots and are skipped inside the morsel — so the merge tree, and the
+/// result, is the same at every thread count and with kernels and pruning
+/// on or off.
+fn exec_aggregate(
+    input: &LogicalPlan,
     group_by: &[(Expr, String)],
-    aggregates: &[crate::agg::AggExpr],
+    aggregates: &[AggExpr],
     out_schema: &Arc<Schema>,
     catalog: &Catalog,
     stats: &mut ExecStats,
     opts: &ExecOptions,
 ) -> Result<Vec<Arc<Block>>, EngineError> {
-    let mut join_span = aqp_obs::span("op:join");
-    let above: Vec<&Expr> = (group_by.iter().map(|(e, _)| e))
-        .chain(aggregates.iter().map(|a| &a.expr))
-        .collect();
-    let mut prepared = prepare_join(join, Some(&above), catalog, stats, opts)?;
-    let fold = if opts.kernels {
-        let joined_schema = prepared.gather.schema();
-        BlockFold::compile(&prepared.post, group_by, aggregates, joined_schema)
-    } else {
-        BlockFold::scalar(&prepared.post, group_by, aggregates)
+    let chain = Chain::of(input);
+    // A join, or a base table read in place, gets its own operator span
+    // under `op:aggregate`, so traces show the shape the plan describes;
+    // any other source opens its own spans as it executes.
+    let mut source_span = match (chain.joins.is_empty(), chain.table) {
+        (false, _) => Some(aqp_obs::span("op:join")),
+        (true, Some(_)) => Some(aqp_obs::span("op:fused-scan")),
+        (true, None) => None,
     };
-    record_dispatch(fold.is_kernel());
-    // Morsel boundaries come from the probe side's full block list, so
-    // the partial tree — and the result — is the same with pruning on or
-    // off and at every thread count.
-    let blocks = std::mem::take(&mut prepared.blocks);
+    let (step, below) = compile_step(&chain, group_by, aggregates, catalog, stats, opts)?;
+    record_dispatch(step.fold.is_kernel());
+    let blocks = chain.source_blocks(&below, catalog, stats, opts)?;
     let rows: u64 = blocks.iter().map(|(b, _)| b.len() as u64).sum();
     let morsels: Vec<Vec<(Arc<Block>, ScanVerdict)>> = blocks
         .chunks(AGG_MORSEL_BLOCKS)
@@ -893,103 +740,56 @@ fn exec_join_agg(
         .collect();
     let threads = morsel_threads(opts, morsels.len(), rows);
     let op_ctx = aqp_obs::current_ctx();
-    let (prepared, fold) = (&prepared, &fold);
+    let (step_ref, scanned) = (&step, chain.table.is_some());
     let (partials, scan_stats) = pool::parallel_map_with_stats(
         morsels,
         threads,
         |_, morsel, s| -> Result<(FoldAcc, u64), EngineError> {
             let mut span = aqp_obs::child_span("agg:partial", &op_ctx);
-            let mut acc = fold.new_acc(opts.agg_hint);
-            let mut joined_rows = 0u64;
+            let mut acc = step_ref.fold.new_acc(opts.agg_hint);
+            let mut folded = 0u64;
             for (block, verdict) in &morsel {
-                if let Some(joined) = prepared.join_block(block, *verdict, s)? {
-                    joined_rows += joined.len() as u64;
-                    fold.fold(&joined, &mut acc, true)?;
+                if scan_block(scanned, block, *verdict, s) {
+                    let evaluate = *verdict == ScanVerdict::Evaluate;
+                    folded += step_ref.fold_block(block, evaluate, &mut acc)?;
                 }
             }
-            span.set_rows(joined_rows);
-            Ok((acc, joined_rows))
+            span.set_rows(folded);
+            Ok((acc, folded))
         },
     );
     let mut accs = Vec::with_capacity(partials.len());
-    let mut joined_rows = 0u64;
+    let mut folded = 0u64;
     for partial in partials {
         let (acc, rows) = partial?;
         accs.push(acc);
-        joined_rows += rows;
+        folded += rows;
     }
-    let tag = Some(fold.tag());
-    prepared.finish(&mut join_span, joined_rows, &scan_stats, stats, tag);
-    join_span.finish();
+    record_scan(&scan_stats, stats);
+    if let Some(span) = source_span.as_mut().filter(|s| s.is_recording()) {
+        let pruned = scan_stats.blocks_pruned;
+        if chain.joins.is_empty() {
+            let path = if step.fold.is_kernel() {
+                "kernel"
+            } else {
+                "scalar"
+            };
+            let table = chain.table.unwrap_or("-");
+            span.set_rows(scan_stats.rows_scanned);
+            span.set_detail(format!("{table} [{path}, {pruned} blocks pruned]"));
+        } else {
+            let detail = chain.join_detail(&step.gathers, below.len(), pruned);
+            span.set_rows(folded);
+            span.set_detail(format!("{detail} -> fold {}", step.fold.tag()));
+        }
+    }
+    drop(source_span);
     let mut merge_span = aqp_obs::span("agg:merge");
-    let acc = tree_merge(accs).unwrap_or_else(|| fold.new_acc(None));
+    let acc = tree_merge(accs).unwrap_or_else(|| step.fold.new_acc(None));
     let entries = acc.into_groups();
     merge_span.set_rows(entries.len() as u64);
     merge_span.finish();
     emit_groups(entries, group_by.is_empty(), aggregates, out_schema)
-}
-
-/// Hash aggregation; deterministic output order (groups sorted by key).
-/// With `threads > 1` runs two-phase: per-block partial [`AggState`] maps
-/// merged in block order via [`AggState::merge`].
-fn hash_aggregate(
-    batches: &[Arc<Block>],
-    group_by: &[(Expr, String)],
-    aggregates: &[crate::agg::AggExpr],
-    schema: &Arc<Schema>,
-    threads: usize,
-) -> Result<Vec<Arc<Block>>, EngineError> {
-    let fold = BlockFold::scalar(&[], group_by, aggregates);
-    let entries = if threads <= 1 {
-        let mut build_span = aqp_obs::span("agg:partial");
-        let mut acc = fold.new_acc(None);
-        for block in batches {
-            fold.fold(block, &mut acc, false)?;
-        }
-        if build_span.is_recording() {
-            build_span.set_rows(batches.iter().map(|b| b.len() as u64).sum());
-        }
-        acc.into_groups()
-    } else {
-        // Phase 1: per-morsel partials. Phase 2: fold in morsel order, so
-        // each group's states merge along a fixed, scheduling-independent
-        // reduction tree. Aggregation morsels span several blocks
-        // (AGG_MORSEL_BLOCKS — a layout constant, never derived from the
-        // thread count, or results would vary with it): a partial map
-        // amortizes over the whole span, keeping the merge phase small
-        // even when group cardinality approaches the block size.
-        let morsels: Vec<Vec<Arc<Block>>> = batches
-            .chunks(AGG_MORSEL_BLOCKS)
-            .map(|c| c.to_vec())
-            .collect();
-        let op_ctx = aqp_obs::current_ctx();
-        let fold = &fold;
-        let partials = pool::parallel_map(
-            morsels,
-            threads,
-            |_, span| -> Result<FoldAcc, EngineError> {
-                let mut morsel = aqp_obs::child_span("agg:partial", &op_ctx);
-                if morsel.is_recording() {
-                    morsel.set_rows(span.iter().map(|b| b.len() as u64).sum());
-                }
-                let mut part = fold.new_acc(None);
-                for block in &span {
-                    fold.fold(block, &mut part, false)?;
-                }
-                Ok(part)
-            },
-        );
-        let mut merge_span = aqp_obs::span("agg:merge");
-        let mut acc = fold.new_acc(None);
-        for part in partials {
-            acc.merge_from(part?);
-        }
-        let entries = acc.into_groups();
-        merge_span.set_rows(entries.len() as u64);
-        merge_span.finish();
-        entries
-    };
-    emit_groups(entries, group_by.is_empty(), aggregates, schema)
 }
 
 /// Packs aggregated groups into output blocks in deterministic order
@@ -1577,24 +1377,30 @@ mod morsel_parallel_tests {
     #[test]
     fn fuse_recognizes_chains() {
         let scan_only = Query::scan("fact").build();
-        assert!(fuse(&scan_only).is_none());
+        assert_eq!(node_span_name(&scan_only), "op:scan");
         let filtered = Query::scan("fact").filter(col("v").lt(lit(1.0))).build();
-        let f = fuse(&filtered).expect("filter over scan fuses");
-        assert_eq!(f.table, "fact");
-        assert_eq!(f.predicates.len(), 1);
-        assert!(f.project.is_none());
+        assert_eq!(node_table(&filtered), Some("fact"));
+        assert_eq!(node_span_name(&filtered), "op:fused-scan");
         let chain = Query::scan("fact")
             .filter(col("v").lt(lit(1.0)))
             .filter(col("id").gt(lit(0i64)))
             .project(vec![(col("id"), "id".to_string())])
             .build();
-        let f = fuse(&chain).expect("project over filters over scan fuses");
-        assert_eq!(f.predicates.len(), 2);
-        assert!(f.project.is_some());
+        assert_eq!(node_span_name(&chain), "op:fused-scan");
+        let LogicalPlan::Project { input, .. } = &chain else {
+            panic!("a projection");
+        };
+        assert_eq!(Chain::of(input).predicates.len(), 2);
         let joined = Query::scan("fact")
             .join(Query::scan("dim"), col("k"), col("k"))
+            .filter(col("v").lt(lit(1.0)))
             .build();
-        assert!(fuse(&joined).is_none());
+        assert_eq!(node_table(&joined), None);
+        let c = Chain::of(&joined);
+        assert_eq!(
+            (c.table, c.joins.len(), c.filters.len()),
+            (Some("fact"), 1, 1)
+        );
     }
 
     #[test]

@@ -1,16 +1,24 @@
-//! The block fold: one block folded into an aggregate partial.
+//! The block fold: one block folded into an aggregate partial, and the
+//! predicate selection every operator filters blocks with.
 //!
 //! Filter→aggregate over a block is the unit every aggregation in the
-//! system is built from, and it has two callers. The exact executor
-//! ([`crate::exec`]) folds the blocks of a morsel into one partial and
-//! merges partials along a fixed tree. The sampled paths in `aqp-core`
-//! fold each *sampled* block into a fresh partial and read the per-group
-//! totals out of it — blocks are the sampling unit, so block totals are
-//! the statistic. Both go through [`BlockFold`], compiled once per query:
-//! the typed [`FusedAggKernel`] when every predicate, key and aggregate
-//! argument is in its domain, otherwise the scalar `eval` path (is-true
-//! mask, filter, `Value`-typed updates), which stays the semantic
-//! reference. Where both compile they agree bit-for-bit on every block.
+//! system is built from. It is the last stage of the engine's one
+//! aggregate step ([`crate::exec::AggStep`]), which the exact executor runs
+//! on every block of a morsel — merging morsel partials along a fixed tree
+//! — and the sampled paths in `aqp-core` run on each *sampled* block,
+//! reading the per-group totals out of a fresh partial (blocks are the
+//! sampling unit, so block totals are the statistic). Online aggregation
+//! and sharded exact aggregation fold blocks through it directly.
+//! [`BlockFold`] is compiled once per query: the typed [`FusedAggKernel`]
+//! when every predicate, key and aggregate argument is in its domain,
+//! otherwise the scalar `eval` path (is-true mask, `Value`-typed updates of
+//! the selected rows), which stays the semantic reference. Where both
+//! compile they agree bit-for-bit on every block.
+//!
+//! A predicate conjunction outside a fused kernel — a filtered scan, the
+//! selection pushed below a join, the filters above one, the scalar fold's
+//! — is one `Selection`: the typed [`PredKernel`] mask when it compiles,
+//! else the AND of `eval_predicate_mask` results.
 //!
 //! A kernel partial grouped on a STR column keys its groups on dictionary
 //! codes ([`FoldAcc::Coded`]) and remembers the dictionary they belong
@@ -19,6 +27,7 @@
 //! again — the only place they do — so every consumer sees canonical
 //! [`KeyAtom`]s, whichever path folded the rows.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,10 +38,11 @@ use aqp_storage::{Block, Column, Schema, StrDict};
 
 use crate::agg::{AggExpr, AggState, GroupKey, I64GroupMap, KeyAtom};
 use crate::error::EngineError;
-use crate::kernel::FusedAggKernel;
+use crate::kernel::{FusedAggKernel, PredKernel};
 
-/// Records one dispatch on the always-on kernel/fallback counter (one
-/// tick per compiled plan or sampling phase, not per block).
+/// Records one dispatch on the always-on kernel/fallback counter: one
+/// tick per `Aggregate` operator or sampling phase, labelled by the path
+/// of its fold — not per block, and not for predicates alone.
 pub fn record_dispatch(kernel: bool) {
     aqp_obs::metrics::global()
         .counter_labeled(
@@ -177,6 +187,78 @@ pub fn tree_merge(mut parts: Vec<FoldAcc>) -> Option<FoldAcc> {
     parts.pop()
 }
 
+/// A conjunction of predicates compiled once over blocks of one schema.
+/// A row is selected when every predicate is TRUE on it — FALSE and NULL
+/// drop it, exactly as applying the predicates one by one would.
+pub(crate) enum Selection {
+    /// No predicate: every row is selected.
+    All,
+    Kernel(PredKernel),
+    /// Predicates in application order, ANDed.
+    Scalar(Vec<Expr>),
+}
+
+impl Selection {
+    /// Compiles `predicates` over blocks of `schema`: the typed mask
+    /// kernel when `kernels` allows and every predicate is in its domain,
+    /// the scalar evaluator otherwise.
+    pub(crate) fn new(predicates: &[&Expr], schema: &Schema, kernels: bool) -> Selection {
+        if predicates.is_empty() {
+            return Selection::All;
+        }
+        match kernels.then(|| PredKernel::compile(predicates, schema)) {
+            Some(Some(kernel)) => Selection::Kernel(kernel),
+            _ => Selection::Scalar(predicates.iter().map(|&p| p.clone()).collect()),
+        }
+    }
+
+    /// The is-true mask of `block`'s selected rows; `None` when there is
+    /// no predicate.
+    pub(crate) fn mask(&self, block: &Block) -> Result<Option<Vec<bool>>, EngineError> {
+        Ok(match self {
+            Selection::All => None,
+            Selection::Kernel(k) => Some(k.selection_mask(block)),
+            Selection::Scalar(predicates) => {
+                // Each predicate runs only on the rows those before it kept.
+                let mut mask = vec![true; block.len()];
+                for p in predicates {
+                    let rows = if mask.contains(&false) {
+                        Cow::Owned(block.filter(&mask))
+                    } else {
+                        Cow::Borrowed(block)
+                    };
+                    if rows.is_empty() {
+                        break;
+                    }
+                    let kept = mask.iter_mut().filter(|keep| **keep);
+                    for (keep, m) in kept.zip(eval_predicate_mask(p, &rows)?) {
+                        *keep = m;
+                    }
+                }
+                Some(mask)
+            }
+        })
+    }
+
+    /// `block` reduced to its selected rows: the block itself when every
+    /// row is, `None` when none is.
+    pub(crate) fn apply<'b>(
+        &self,
+        block: Cow<'b, Block>,
+    ) -> Result<Option<Cow<'b, Block>>, EngineError> {
+        let Some(mask) = self.mask(&block)? else {
+            return Ok(Some(block));
+        };
+        Ok(if mask.iter().all(|&keep| keep) {
+            Some(block)
+        } else if mask.iter().any(|&keep| keep) {
+            Some(Cow::Owned(block.filter(&mask)))
+        } else {
+            None
+        })
+    }
+}
+
 /// A compiled filter→aggregate fold over blocks of one schema.
 pub struct BlockFold {
     imp: FoldImpl,
@@ -185,8 +267,7 @@ pub struct BlockFold {
 enum FoldImpl {
     Kernel(FusedAggKernel),
     Scalar {
-        /// Predicates in application order.
-        predicates: Vec<Expr>,
+        selection: Selection,
         group_by: Vec<Expr>,
         aggregates: Vec<AggExpr>,
     },
@@ -207,32 +288,25 @@ impl BlockFold {
         })
     }
 
-    /// The scalar fold: any predicate, key and aggregate the evaluator
-    /// accepts, over blocks of any schema that has the named columns.
-    pub fn scalar(
-        predicates: &[&Expr],
-        group_by: &[(Expr, String)],
-        aggregates: &[AggExpr],
-    ) -> BlockFold {
-        BlockFold {
-            imp: FoldImpl::Scalar {
-                predicates: predicates.iter().map(|&p| p.clone()).collect(),
-                group_by: group_by.iter().map(|(e, _)| e.clone()).collect(),
-                aggregates: aggregates.to_vec(),
-            },
-        }
-    }
-
-    /// The fold for blocks of `schema`: the typed kernel when the shape
-    /// is in its domain, the scalar path otherwise.
-    pub fn compile(
+    /// The fold for blocks of `schema`: the typed kernel when `kernels`
+    /// allows and the shape is in its domain, the scalar path — the
+    /// reference, which takes any predicate, key and aggregate the
+    /// evaluator accepts — otherwise.
+    pub fn new(
         predicates: &[&Expr],
         group_by: &[(Expr, String)],
         aggregates: &[AggExpr],
         schema: &Schema,
+        kernels: bool,
     ) -> BlockFold {
-        Self::kernel(predicates, group_by, aggregates, schema)
-            .unwrap_or_else(|| Self::scalar(predicates, group_by, aggregates))
+        let kernel = kernels.then(|| Self::kernel(predicates, group_by, aggregates, schema));
+        kernel.flatten().unwrap_or_else(|| BlockFold {
+            imp: FoldImpl::Scalar {
+                selection: Selection::new(predicates, schema, kernels),
+                group_by: group_by.iter().map(|(e, _)| e.clone()).collect(),
+                aggregates: aggregates.to_vec(),
+            },
+        })
     }
 
     /// Whether the fold runs on the typed kernel (else the scalar path).
@@ -270,40 +344,33 @@ impl BlockFold {
         match &self.imp {
             FoldImpl::Kernel(k) => Ok(k.accumulate(block, acc, apply_predicates)),
             FoldImpl::Scalar {
-                predicates,
+                selection,
                 group_by,
                 aggregates,
             } => {
-                let mut filtered: Option<Block> = None;
-                if apply_predicates {
-                    for p in predicates {
-                        let cur = filtered.as_ref().unwrap_or(block);
-                        let mask = eval_predicate_mask(p, cur)?;
-                        if mask.iter().all(|&keep| keep) {
-                            continue;
-                        }
-                        if !mask.iter().any(|&keep| keep) {
-                            return Ok(0);
-                        }
-                        filtered = Some(cur.filter(&mask));
-                    }
+                let selected = if apply_predicates {
+                    selection.apply(Cow::Borrowed(block))?
+                } else {
+                    Some(Cow::Borrowed(block))
+                };
+                match selected {
+                    Some(rows) => accumulate_block(&rows, group_by, aggregates, acc),
+                    None => Ok(0),
                 }
-                let cur = filtered.as_ref().unwrap_or(block);
-                accumulate_block(cur, group_by, aggregates, acc)?;
-                Ok(cur.len() as u64)
             }
         }
     }
 }
 
 /// The scalar inner loop: evaluates keys and aggregate arguments to
-/// columns, then updates `Value`-typed states row by row.
+/// columns, then updates `Value`-typed states for each row. Returns the
+/// rows folded.
 fn accumulate_block(
     block: &Block,
     group_by: &[Expr],
     aggregates: &[AggExpr],
     acc: &mut FoldAcc,
-) -> Result<(), EngineError> {
+) -> Result<u64, EngineError> {
     let FoldAcc::Keyed(groups) = acc else {
         unreachable!("scalar fold given a kernel-shaped accumulator");
     };
@@ -327,7 +394,7 @@ fn accumulate_block(
             state.update(&col.get(ri));
         }
     }
-    Ok(())
+    Ok(block.len() as u64)
 }
 
 #[cfg(test)]

@@ -12,10 +12,13 @@
 //! [`Column::take`], build columns through [`Column::push_slot`]. Output
 //! rows follow probe row order, a probe row's matches in build row order.
 //!
-//! Like [`crate::BlockFold`] this is a per-block step with two callers:
-//! the exact executor ([`crate::exec`]) runs it per probe morsel, and
-//! `aqp-core`'s `StarEvaluator` runs it on each *sampled* fact block —
-//! block boundaries survive because the join never repacks rows.
+//! A join is one stage of the engine's per-block step: the executor
+//! ([`crate::exec`]) compiles a chain of them — over the selection pushed
+//! below the first probe, and under the [`crate::BlockFold`] when an
+//! aggregate consumes the join — and runs it per probe block, for exact
+//! morsels and, through [`crate::AggStep`], for `aqp-core`'s *sampled*
+//! fact blocks alike. Block boundaries survive because the join never
+//! repacks rows.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -197,6 +200,11 @@ impl GatherJoin {
     /// The build side's key index.
     pub fn index(&self) -> &KeyIndex {
         &self.index
+    }
+
+    /// The build side's blocks, which the index's positions point into.
+    pub fn build(&self) -> &[Arc<Block>] {
+        &self.build
     }
 
     /// `[index cached|built, unique|multi, N cols gathered]`: the span

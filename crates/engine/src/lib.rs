@@ -8,17 +8,19 @@
 //!   ([`Query`]): scan, filter, project, inner equi-join,
 //!   group-by aggregate, sort, limit, union-all.
 //! * [`exec`] — morsel-driven physical execution: per-block morsels on a
-//!   scoped worker pool ([`pool`]), fused scan→filter→project chains,
-//!   joins probed per morsel and fused into the aggregate above them, and
-//!   two-phase (partial + in-order merge) hash aggregation, with scan
-//!   accounting ([`ExecStats`]) so experiments can report *data touched*,
-//!   the scale-free proxy for I/O cost. Results are identical at every
-//!   thread count ([`ExecOptions`]).
+//!   scoped worker pool ([`pool`]), fused scan→filter→project chains, and
+//!   one aggregate operator: every `Aggregate` runs one compiled per-block
+//!   step ([`AggStep`]: selection pushed below the gathers, gather joins,
+//!   block fold) per morsel and merges the partials along a fixed tree,
+//!   with scan accounting ([`ExecStats`]) so experiments can report *data
+//!   touched*, the scale-free proxy for I/O cost. Results are identical at
+//!   every thread count and with kernels on or off ([`ExecOptions`]).
+//!   `aqp-core`'s sampled-block evaluator runs the same step.
 //! * [`join`] — the gather join ([`GatherJoin`]): one probe block against
-//!   the key index its build table caches; pushed-down selection, pruned
-//!   columns. Shared with `aqp-core`'s sampled-block evaluator.
-//! * [`fold`] — the per-block filter→aggregate step ([`BlockFold`]),
-//!   typed kernel ([`kernel`]) or scalar.
+//!   the key index its build table caches, gathering only the columns
+//!   asked for.
+//! * [`fold`] — the per-block filter→aggregate fold ([`BlockFold`]),
+//!   typed kernel ([`kernel`]) or scalar, and the one predicate selection.
 //! * [`agg`] — hash aggregation with SQL NULL semantics, including the
 //!   weighted aggregates (`SUM(x·w)`) middleware AQP rewrites rely on.
 //! * [`result`] — materialized result sets.
@@ -43,7 +45,7 @@ pub mod result;
 
 pub use agg::{AggExpr, AggFunc};
 pub use error::EngineError;
-pub use exec::{execute, execute_with};
+pub use exec::{execute, execute_with, AggStep};
 pub use fold::{BlockFold, FoldAcc};
 pub use join::GatherJoin;
 pub use plan::{LogicalPlan, Query, SortKey};

@@ -22,17 +22,19 @@ use crate::result::ExecStats;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Number of worker threads for morsel-parallel operators. `1` runs
-    /// the serial path (bit-for-bit identical to the pre-parallel engine);
-    /// values above 1 enable the scoped worker pool. Never 0 (clamped).
+    /// every morsel on the calling thread; values above 1 enable the
+    /// scoped worker pool. Results are bit-for-bit identical at every
+    /// value: partials merge along a tree fixed by data layout. Never 0
+    /// (clamped).
     pub threads: usize,
     /// Whether fused scans may skip whole blocks whose zone map proves the
     /// predicate can never select a row. Pruning decisions depend only on
     /// data layout, so results and stats stay thread-count independent.
     pub zone_pruning: bool,
-    /// Whether aggregation may compile to typed column kernels (selection
-    /// masks feeding typed accumulators) instead of the scalar
-    /// `Value`-materializing path. Kernel-path results are bit-for-bit
-    /// identical across thread counts by construction.
+    /// Whether predicates and aggregation may compile to typed column
+    /// kernels (selection masks feeding typed accumulators) instead of the
+    /// scalar `Value`-materializing path, which stays the reference.
+    /// Results are bit-for-bit identical either way.
     pub kernels: bool,
     /// Expected group cardinality for aggregations, when a planner or the
     /// static analyzer can bound it (e.g. `GROUP BY col % 1000` has at

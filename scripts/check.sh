@@ -85,6 +85,16 @@ if grep -rnE 'gather_concat_row|hash_join_serial|HashMap<KeyAtom, \(u32, u32\)>'
   exit 1
 fi
 
+# One aggregate step: every Aggregate the engine runs is one operator over
+# the compiled select → gather → fold step, predicate selection is one
+# type, and the sampled paths reach joins only through that step.
+if grep -rnE 'fn (hash_aggregate|exec_fused_agg|exec_join_agg)\b' crates/engine/src ||
+  grep -nF 'eval_predicate_mask' crates/engine/src/exec.rs crates/core/src/ola.rs ||
+  grep -rnF 'GatherJoin::over_table' crates/core/src; then
+  echo "a second aggregate operator, predicate loop or sampled-path join chain is back" >&2
+  exit 1
+fi
+
 # One string encoding: a STR column is u32 codes into a shared dictionary.
 # No per-row string vector beside it.
 if grep -nF 'Vec<Arc<str>>' crates/storage/src/column.rs; then

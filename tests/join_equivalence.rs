@@ -7,6 +7,9 @@
 //! `Value::sql_cmp` calls them equal, and applies the filters above the
 //! join to the concatenated row. The engine must produce the same rows in
 //! the same order under the same column names, at one thread and at four.
+//! Under an aggregate the groups must be the reference's — for one join and
+//! for a two-dimension star, whose second dimension's renamed column
+//! (`x` → `x_r`) must survive the column pruning of the first join.
 //!
 //! Covered: duplicate keys on either side, NULL and dangling keys, empty
 //! sides, INT64 ⋈ FLOAT64 keys (integral, non-integral, `-0.0`), STR keys,
@@ -87,9 +90,30 @@ fn right_table(rows: &[RawRow], cap: usize) -> Table {
     b.finish()
 }
 
-/// Column positions in the concatenated row `l ++ r`.
+/// `d(dk, x, w)`: a nullable INT64 key over the range of `r.y`, and two
+/// payloads, `x` colliding with `l.x`.
+fn dim_table(rows: &[RawRow], cap: usize) -> Table {
+    let schema = Schema::new(vec![
+        Field::nullable("dk", DataType::Int64),
+        Field::new("x", DataType::Int64),
+        Field::new("w", DataType::Int64),
+    ]);
+    let mut b = TableBuilder::with_block_capacity("d", schema, cap);
+    for &(pick, x) in rows {
+        let key = match pick % 10 {
+            9 => Value::Null,
+            k => Value::Int64(k as i64),
+        };
+        b.push_row(&[key, Value::Int64(x), Value::Int64(x * 3 - 7)])
+            .unwrap();
+    }
+    b.finish()
+}
+
+/// Column positions in the concatenated row `l ++ r ++ d`.
 const X: usize = 3;
 const Y: usize = 8;
+const DX: usize = 11;
 
 type RowPred = fn(&[Value]) -> bool;
 
@@ -262,6 +286,85 @@ proptest! {
             .into_iter()
             .map(|(t, (n, sp, spr))| {
                 vec![Value::str(t), n.into(), (sp as f64).into(), (spr as f64).into()]
+            })
+            .collect();
+        for threads in [1, 4] {
+            let got = execute_with(&plan, &c, ExecOptions::with_threads(threads)).unwrap();
+            prop_assert_eq!(got.rows(), expect.clone(), "threads={}", threads);
+        }
+    }
+
+    /// A two-dimension star under an aggregate, `l ⋈ r ⋈ d`: the filters
+    /// above it name `l` only (below both probes), `r`, `d` through the
+    /// renamed `x_r`, and two sides at once; the aggregate sums a column
+    /// of `l` and two of `d`, one reachable only through the rename.
+    #[test]
+    fn star_join_under_aggregate_equals_nested_loop(
+        left in prop::collection::vec((0u8..60, 0i64..8), 0..40),
+        right in prop::collection::vec((0u8..60, 0i64..8), 0..14),
+        dims in prop::collection::vec((0u8..60, 0i64..8), 0..12),
+        lcap in 1usize..7,
+        filter_case in 0usize..6,
+    ) {
+        let c = Catalog::new();
+        let (l, r, d) = (left_table(&left, lcap), right_table(&right, 4), dim_table(&dims, 3));
+        c.register(l.clone()).unwrap();
+        c.register(r.clone()).unwrap();
+        c.register(d.clone()).unwrap();
+        let probe: (Expr, RowPred) = (col("x").lt(lit(4i64)), |row| int(&row[X]) < 4);
+        let middle: (Expr, RowPred) = (col("y").gt_eq(lit(2i64)), |row| int(&row[Y]) >= 2);
+        let dim: (Expr, RowPred) = (col("x_r").gt(lit(1i64)), |row| int(&row[DX]) > 1);
+        let both: (Expr, RowPred) = (col("x").add(col("x_r")).lt(lit(9i64)), |row| {
+            int(&row[X]) + int(&row[DX]) < 9
+        });
+        let filters = vec![
+            vec![],
+            vec![probe.clone()],
+            vec![middle.clone()],
+            vec![dim.clone()],
+            vec![both.clone()],
+            vec![dim, probe, both, middle],
+        ]
+        .swap_remove(filter_case);
+        let mut q = Query::scan("l")
+            .join(Query::scan("r"), col("a"), col("b"))
+            .join(Query::scan("d"), col("y"), col("dk"));
+        for (expr, _) in &filters {
+            q = q.filter(expr.clone());
+        }
+        let plan = q
+            .aggregate(
+                vec![(col("t"), "t".to_string())],
+                vec![
+                    AggExpr::count_star("n"),
+                    AggExpr::sum(col("p"), "sp"),
+                    AggExpr::sum(col("x_r"), "sx"),
+                    AggExpr::sum(col("w"), "sw"),
+                ],
+            )
+            .build();
+        let mut expect: std::collections::BTreeMap<String, [i64; 4]> = Default::default();
+        for lrow in rows_of(&l) {
+            for rrow in rows_of(&r) {
+                for drow in rows_of(&d) {
+                    if !keys_equal(&lrow[0], &rrow[0]) || !keys_equal(&rrow[3], &drow[0]) {
+                        continue;
+                    }
+                    let row: Vec<Value> = lrow.iter().chain(&rrow).chain(&drow).cloned().collect();
+                    if filters.iter().all(|(_, keep)| keep(&row)) {
+                        let e = expect.entry(row[7].to_string()).or_default();
+                        e[0] += 1;
+                        e[1] += int(&row[4]);
+                        e[2] += int(&row[DX]);
+                        e[3] += int(&row[12]);
+                    }
+                }
+            }
+        }
+        let expect: Vec<Vec<Value>> = expect
+            .into_iter()
+            .map(|(t, [n, sp, sx, sw])| {
+                vec![Value::str(t), n.into(), (sp as f64).into(), (sx as f64).into(), (sw as f64).into()]
             })
             .collect();
         for threads in [1, 4] {

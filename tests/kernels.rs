@@ -1,8 +1,10 @@
 //! Equivalence tests for the typed kernel layer (`aqp_engine::kernel`):
 //! the fused zone-map → selection-mask → typed-accumulator path must be a
 //! pure optimization. For every plan it covers, its rows are **bit-for-bit**
-//! those of the scalar `eval` path — with NULLs in both measures and group
-//! keys, with zone-map pruning on or off, at every thread count.
+//! those of the scalar `eval` path — over non-integral floats, whose sums
+//! depend on association order, with NULLs in both measures and group
+//! keys, with zone-map pruning on or off, at every thread count: every
+//! aggregate merges its morsel partials along the same fixed tree.
 //!
 //! The same holds for a STR group key, which the kernel folds on its
 //! dictionary code: NULL and `""` keys, non-ASCII values, and a table whose
@@ -15,18 +17,28 @@
 //!   `rows_scanned` never grows when pruning turns on;
 //! * per-config stats are identical across thread counts (morsel
 //!   boundaries are data-dependent, never scheduling-dependent).
+//!
+//! The last test pins `aqp_kernel_dispatch_total`: one tick per aggregate.
+
+use std::sync::{Mutex, PoisonError};
 
 use proptest::prelude::*;
 
 use aqp_engine::{execute_with, AggExpr, BlockFold, ExecOptions, LogicalPlan, Query};
 use aqp_expr::{col, lit};
 use aqp_mergeable::Partial;
+use aqp_obs::names;
 use aqp_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
+/// The dispatch counter is process-global: every test here that executes
+/// a plan holds this lock, so a counted delta belongs to the test that
+/// took it.
+static DISPATCH: Mutex<()> = Mutex::new(());
+
 /// Table `t(k, v, s)`: nullable INT64 group key (NULL every 11th row),
-/// nullable integer-valued FLOAT64 measure (NULL every 7th row), and a
+/// nullable non-integral FLOAT64 measure (NULL every 7th row), and a
 /// clustered FLOAT64 selector so zone maps actually prune some blocks.
 fn catalog_from(xs: &[i64], block_cap: usize, keys: i64) -> Catalog {
     let schema = Schema::new(vec![
@@ -44,7 +56,7 @@ fn catalog_from(xs: &[i64], block_cap: usize, keys: i64) -> Catalog {
         let v = if i % 7 == 5 {
             Value::Null
         } else {
-            Value::Float64(x as f64)
+            Value::Float64(x as f64 / 7.0)
         };
         // Clustered: long runs share a selector value, so whole blocks
         // fall outside the filter range and the zone map can prove it.
@@ -82,7 +94,7 @@ fn str_catalog_from(xs: &[i64], block_cap: usize, dicts: usize) -> Catalog {
             let v = if i % 7 == 5 {
                 Value::Null
             } else {
-                Value::Float64(x as f64)
+                Value::Float64(x as f64 / 7.0)
             };
             t.push_row(&[k, v, Value::Float64((i / 256) as f64)])
                 .unwrap();
@@ -118,6 +130,7 @@ fn configs() -> Vec<ExecOptions> {
 /// Runs `plan` under every configuration and asserts the full matrix of
 /// equivalences against the scalar serial baseline.
 fn assert_equivalent(plan: &LogicalPlan, c: &Catalog) -> Result<(), TestCaseError> {
+    let _guard = DISPATCH.lock().unwrap_or_else(PoisonError::into_inner);
     let baseline = execute_with(
         plan,
         c,
@@ -136,8 +149,8 @@ fn assert_equivalent(plan: &LogicalPlan, c: &Catalog) -> Result<(), TestCaseErro
             "kernels={} pruning={} threads={}",
             opts.kernels, opts.zone_pruning, opts.threads
         );
-        // Bit-for-bit rows: Value equality is exact (Float64 compares by
-        // bits through the integer-valued domain used here).
+        // Bit-for-bit rows: Value equality is float equality, which is
+        // bit equality on these values (no NaN, no -0.0).
         prop_assert_eq!(baseline.rows(), run.rows(), "rows diverge at {}", tag);
         prop_assert_eq!(
             baseline.schema(),
@@ -293,6 +306,7 @@ proptest! {
 /// pruning half of the proptests above is vacuously true.
 #[test]
 fn clustered_selector_prunes_blocks() {
+    let _guard = DISPATCH.lock().unwrap_or_else(PoisonError::into_inner);
     let xs: Vec<i64> = (0..20_000).map(|i| (i * 7919) % 100_000 - 50_000).collect();
     let c = catalog_from(&xs, 128, 23);
     let plan = Query::scan("t")
@@ -310,5 +324,81 @@ fn clustered_selector_prunes_blocks() {
     assert_eq!(
         pruned.stats().blocks_scanned + pruned.stats().blocks_pruned,
         unpruned.stats().blocks_scanned
+    );
+}
+
+/// `aqp_kernel_dispatch_total` ticks once per `Aggregate`, labelled by the
+/// path its fold took, and never for a filter alone: a filtered
+/// join-aggregate is one `kernel` tick (not a second one for the filter
+/// pushed below the join), a two-column-key aggregate over a filtered scan
+/// one `fallback` tick (and no `kernel` one for its filter).
+#[test]
+fn one_dispatch_tick_per_aggregate() {
+    let _guard = DISPATCH.lock().unwrap_or_else(PoisonError::into_inner);
+    let xs: Vec<i64> = (0..20_000).map(|i| (i * 7919) % 100_000 - 50_000).collect();
+    let c = catalog_from(&xs, 128, 23);
+    let mut dim = TableBuilder::new(
+        "d",
+        Schema::new(vec![
+            Field::new("dk", DataType::Int64),
+            Field::new("w", DataType::Float64),
+        ]),
+    );
+    for k in 0..23i64 {
+        dim.push_row(&[Value::Int64(k), Value::Float64(k as f64 * 0.5)])
+            .unwrap();
+    }
+    c.register(dim.finish()).unwrap();
+    let dispatches = || {
+        let m = aqp_obs::metrics::global();
+        [
+            names::KERNEL_DISPATCH_KERNEL,
+            names::KERNEL_DISPATCH_FALLBACK,
+        ]
+        .map(|path| {
+            m.counter_labeled(
+                names::KERNEL_DISPATCH_TOTAL,
+                names::KERNEL_DISPATCH_LABEL,
+                path,
+            )
+            .get()
+        })
+    };
+    let ticks = |plan: LogicalPlan| {
+        let before = dispatches();
+        execute_with(&plan, &c, ExecOptions::serial()).unwrap();
+        let after = dispatches();
+        [after[0] - before[0], after[1] - before[1]]
+    };
+    let join_agg = Query::scan("t")
+        .join(Query::scan("d"), col("k"), col("dk"))
+        .filter(col("s").lt(lit(10.0)))
+        .aggregate(vec![], vec![AggExpr::sum(col("w"), "sw")])
+        .build();
+    assert_eq!(
+        ticks(join_agg),
+        [1, 0],
+        "filtered join-aggregate: [kernel, fallback]"
+    );
+    let two_keys = Query::scan("t")
+        .filter(col("s").lt(lit(10.0)))
+        .aggregate(
+            vec![
+                (col("k"), "k".to_string()),
+                (col("k").modulo(lit(2i64)), "m".to_string()),
+            ],
+            vec![AggExpr::sum(col("v"), "sv")],
+        )
+        .build();
+    assert_eq!(
+        ticks(two_keys),
+        [0, 1],
+        "two-column key: [kernel, fallback]"
+    );
+    let filter_only = Query::scan("t").filter(col("s").lt(lit(10.0))).build();
+    assert_eq!(
+        ticks(filter_only),
+        [0, 0],
+        "no aggregate: [kernel, fallback]"
     );
 }

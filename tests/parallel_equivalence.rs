@@ -12,10 +12,10 @@
 //!   serial fold bitwise;
 //! * `VAR_SAMP` (Welford serially, pairwise moment merges in parallel)
 //!   agrees to tight relative tolerance;
-//! * `join → filter → aggregate` fuses the gather join into per-morsel
-//!   partials merged along a fixed tree at *every* thread count, so for
-//!   arbitrary floats threads 1/2/4/8 agree bitwise, zone pruning on or
-//!   off;
+//! * every aggregate — over a join, a filtered scan on the scalar path,
+//!   or a projection — folds per-morsel partials merged along a fixed
+//!   tree at *every* thread count, so for arbitrary floats threads
+//!   1/2/4/8 agree bitwise, zone pruning on or off;
 //! * the online sampler's per-block accumulation reproduces the serial
 //!   summation order exactly, so approximate answers are identical at
 //!   every thread count for *arbitrary* float data.
@@ -159,10 +159,14 @@ proptest! {
     }
 
     /// Join → filter → aggregate over arbitrary (inexactly summable)
-    /// floats: grouped by a STR dimension column (scalar fold), by an
-    /// INT64 dimension column (kernel fold) and ungrouped, bit-identical
-    /// at threads 1/2/4/8 with zone pruning on and off. The filter on the
-    /// clustered `id` column is pushed below the join and prunes blocks.
+    /// floats: grouped by a STR dimension column, by an INT64 dimension
+    /// column and ungrouped (all on the kernel fold), and by a STR and an
+    /// INT64 column (scalar fold); then, without a join, a two-column key
+    /// over a filtered scan (scalar fold) and an aggregate over a
+    /// projection, both keeping enough rows for the pool. All
+    /// bit-identical at threads 1/2/4/8 with zone pruning on and off. The
+    /// filter on the clustered `id` column — pushed below the join where
+    /// there is one — prunes blocks.
     #[test]
     fn join_filter_aggregate_bit_identical_at_every_thread_count(
         xs in prop::collection::vec(-1_000_000i64..1_000_000, 4200..5200),
@@ -170,13 +174,14 @@ proptest! {
     ) {
         let c = star_catalog(&xs, cap, 23);
         let half = (xs.len() / 2) as i64;
-        let keys: [Vec<(aqp_expr::Expr, String)>; 3] = [
+        let keys: [Vec<(aqp_expr::Expr, String)>; 4] = [
             vec![(col("name"), "name".to_string())],
             vec![(col("bucket"), "bucket".to_string())],
             vec![],
+            vec![(col("name"), "name".to_string()), (col("bucket"), "bucket".to_string())],
         ];
-        for group_by in keys {
-            let plan = Query::scan("fact")
+        let joined = keys.into_iter().map(|group_by| {
+            Query::scan("fact")
                 .join(Query::scan("dim"), col("k"), col("k"))
                 .filter(col("id").lt(lit(half)))
                 .filter(col("w").gt(lit(1.5)))
@@ -188,7 +193,38 @@ proptest! {
                         AggExpr::avg(col("v").mul(col("w")), "a"),
                     ],
                 )
-                .build();
+                .build()
+        });
+        // Drops the first block only: over 4096 rows stay.
+        let tail = col("id").gt_eq(lit(cap as i64));
+        let scanned = [
+            Query::scan("fact")
+                .filter(tail.clone())
+                .aggregate(
+                    vec![
+                        (col("k"), "k".to_string()),
+                        (col("id").modulo(lit(3i64)), "m".to_string()),
+                    ],
+                    vec![
+                        AggExpr::count_star("n"),
+                        AggExpr::sum(col("v").mul(lit(0.1)), "s"),
+                        AggExpr::avg(col("v"), "a"),
+                    ],
+                )
+                .build(),
+            Query::scan("fact")
+                .filter(tail)
+                .project(vec![
+                    (col("k"), "k".to_string()),
+                    (col("v").mul(lit(0.1)), "x".to_string()),
+                ])
+                .aggregate(
+                    vec![(col("k"), "k".to_string())],
+                    vec![AggExpr::sum(col("x"), "s"), AggExpr::avg(col("x"), "a")],
+                )
+                .build(),
+        ];
+        for plan in joined.chain(scanned) {
             let reference = execute_with(&plan, &c, ExecOptions::serial()).unwrap();
             prop_assert!(reference.stats().blocks_pruned > 0, "the pushed filter prunes");
             for threads in [1, 2, 4, 8] {
