@@ -22,7 +22,8 @@ use aqp_engine::agg::{AggState, KeyAtom};
 use aqp_engine::fold::record_dispatch;
 use aqp_engine::{AggExpr, BlockFold};
 use aqp_expr::{col, Expr};
-use aqp_stats::{Estimate, Moments};
+use aqp_sampling::design::{PairStats, UnitSums};
+use aqp_stats::Estimate;
 use aqp_storage::{Catalog, StorageError, Table};
 
 use crate::aggquery::{AggQuery, AggSpec, LinearAgg};
@@ -41,9 +42,8 @@ pub struct OnlineAggregator {
     fold: BlockFold,
     order: Vec<usize>,
     processed: usize,
-    /// Per processed block: (Σ value over passing rows, passing row count).
-    block_sums: Moments,
-    block_pairs: Vec<(f64, f64)>,
+    /// Over processed blocks: (Σ value over passing rows, passing row count).
+    sums: UnitSums,
     rows_seen: u64,
 }
 
@@ -68,8 +68,7 @@ impl OnlineAggregator {
             fold,
             order,
             processed: 0,
-            block_sums: Moments::new(),
-            block_pairs: Vec::new(),
+            sums: UnitSums::default(),
             rows_seen: 0,
         })
     }
@@ -90,8 +89,7 @@ impl OnlineAggregator {
             },
             None => (0.0, 0.0),
         };
-        self.block_sums.push(total);
-        self.block_pairs.push((total, count));
+        self.sums.push(total, count);
         self.rows_seen += block.len() as u64;
         self.processed += 1;
         Ok(true)
@@ -116,19 +114,16 @@ impl OnlineAggregator {
         self.rows_seen
     }
 
-    /// Running estimate of the population SUM: the processed prefix is an
-    /// SRS of blocks, so the cluster total estimator (with fpc) applies —
-    /// at 100% processed the interval collapses to the exact answer.
+    /// The processed prefix is an SRS of blocks, so the cluster estimator
+    /// (with fpc) applies — at 100% processed the interval collapses to
+    /// the exact answer.
+    fn stats(&self) -> PairStats {
+        PairStats::clusters(&self.sums, self.processed as u64, self.order.len() as u64)
+    }
+
+    /// Running estimate of the population SUM.
     pub fn estimate_sum(&self) -> Estimate {
-        if self.processed < 2 {
-            return Estimate::new(
-                self.block_sums.sum() * self.order.len().max(1) as f64
-                    / self.processed.max(1) as f64,
-                f64::MAX,
-                self.processed as u64,
-            );
-        }
-        aqp_stats::variance::cluster_total(&self.block_sums, self.order.len() as u64)
+        self.stats().total()
     }
 
     /// Processes blocks until the running SUM estimate's relative CI
@@ -163,19 +158,7 @@ impl OnlineAggregator {
     /// Running estimate of the population AVG (ratio of block sums to
     /// block counts under the SRS-of-blocks design).
     pub fn estimate_avg(&self) -> Estimate {
-        if self.processed < 2 {
-            let (t, c): (f64, f64) = self
-                .block_pairs
-                .iter()
-                .fold((0.0, 0.0), |acc, &(t, c)| (acc.0 + t, acc.1 + c));
-            return Estimate::new(if c > 0.0 { t / c } else { 0.0 }, f64::MAX, 1);
-        }
-        let totals: Vec<f64> = self.block_pairs.iter().map(|&(t, _)| t).collect();
-        let counts: Vec<f64> = self.block_pairs.iter().map(|&(_, c)| c).collect();
-        if counts.iter().sum::<f64>() == 0.0 {
-            return Estimate::new(0.0, f64::MAX, self.processed as u64);
-        }
-        aqp_stats::variance::cluster_mean(&totals, &counts, self.order.len() as u64)
+        self.stats().ratio()
     }
 }
 
@@ -492,6 +475,71 @@ mod tests {
         );
         while ola.step().unwrap() {}
         assert!((ola.estimate_avg().value - truth).abs() < 1e-9);
+    }
+
+    /// After k steps the running estimates are the SRS-of-blocks design
+    /// estimates of the processed prefix: the two-pass reference over a
+    /// `FixedSizeBlocks` sample of exactly those blocks.
+    #[test]
+    fn running_estimates_match_the_design_reference() {
+        use aqp_sampling::{RowWeights, Sample, SampleDesign};
+        let t = table();
+        let predicate = col("sel").lt(lit(0.5));
+        let (sel, v) = (
+            t.schema().index_of("sel").unwrap(),
+            t.schema().index_of("v").unwrap(),
+        );
+        let mut ola = OnlineAggregator::new(Arc::clone(&t), "v", Some(predicate), 8).unwrap();
+        for k in 1..=40 {
+            ola.step().unwrap();
+            if ![1, 2, 3, 10, 40].contains(&k) {
+                continue;
+            }
+            let prefix = ola.order[..k].iter().map(|&bi| Arc::clone(&t.blocks()[bi]));
+            let sample = Sample {
+                table: Table::from_blocks(
+                    "prefix",
+                    Arc::clone(t.schema()),
+                    prefix.collect(),
+                    t.block_capacity(),
+                ),
+                design: SampleDesign::FixedSizeBlocks {
+                    population_blocks: t.block_count() as u64,
+                    population_rows: t.row_count() as u64,
+                },
+                weights: RowWeights::Uniform(1.0),
+            };
+            let ind = |b: &aqp_storage::Block, i: usize| {
+                f64::from(u8::from(b.column(sel).f64_at(i).unwrap() < 0.5))
+            };
+            let x = |b: &aqp_storage::Block, i: usize| b.column(v).f64_at(i).unwrap();
+            let pairs = [
+                (
+                    ola.estimate_sum(),
+                    sample.estimate_sum_with(&mut |b, i| ind(b, i) * x(b, i)),
+                ),
+                (
+                    ola.estimate_avg(),
+                    sample.estimate_avg_with(&mut |b, i| x(b, i), &mut |b, i| ind(b, i)),
+                ),
+            ];
+            for (got, want) in pairs {
+                assert_eq!(got.n, want.n, "k={k}");
+                assert!(
+                    (got.value - want.value).abs() <= 1e-12 * want.value.abs(),
+                    "k={k}: value {} vs {}",
+                    got.value,
+                    want.value
+                );
+                assert!(
+                    got.variance == want.variance
+                        || (got.variance - want.variance).abs() <= 1e-9 * want.variance,
+                    "k={k}: variance {} vs {}",
+                    got.variance,
+                    want.variance
+                );
+            }
+        }
     }
 
     #[test]

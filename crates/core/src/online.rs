@@ -25,7 +25,11 @@
 //! the engine's [`aqp_engine::AggStep`], the step `aqp-engine` runs over
 //! its morsels. [`StarEvaluator`] compiles it once per query (fact-only
 //! predicates below the FK gathers, then the typed kernel or scalar fold)
-//! and `accumulate` sums the squared totals in block order. The
+//! and `accumulate` pushes the totals, in block order, into one
+//! [`UnitSums`] per group and aggregate. The planner reads the spread of
+//! block totals from those sums, and [`PairStats::clusters`] — the one
+//! block-sample estimator, which online aggregation ends in too — turns
+//! them into estimates. The
 //! `online:pilot`/`online:final` spans say which fold ran
 //! (`[kernel]`/`[scalar]`), and each phase ticks
 //! `aqp_kernel_dispatch_total` once.
@@ -43,6 +47,7 @@ use aqp_engine::agg::GroupKey;
 use aqp_engine::fold::record_dispatch;
 use aqp_engine::LogicalPlan;
 use aqp_sampling::bernoulli_blocks;
+use aqp_sampling::design::{PairStats, UnitSums};
 use aqp_stats::Estimate;
 use aqp_storage::{Catalog, Value};
 
@@ -94,21 +99,10 @@ impl Default for OnlineConfig {
     }
 }
 
-/// Per-(group, aggregate) sufficient statistics over sampled blocks:
-/// `Σt`, `Σt²` for numerator and denominator block totals plus the cross
-/// term, where `t` are per-block totals.
-#[derive(Debug, Clone, Copy, Default)]
-struct PairTotals {
-    sf: f64,
-    sf2: f64,
-    sg: f64,
-    sg2: f64,
-    sfg: f64,
-}
-
 #[derive(Debug, Clone)]
 struct GroupAcc {
-    totals: Vec<PairTotals>,
+    /// Per aggregate: the group's `(f, g)` block totals.
+    totals: Vec<UnitSums>,
     blocks_seen: u64,
 }
 
@@ -118,9 +112,9 @@ struct GroupAcc {
 /// into a fresh aggregate partial ([`StarEvaluator::block_totals`] — the
 /// engine's block fold, the same row-order inner loop the exact executor
 /// runs) and hand back that block's `(f, g)` totals per group. The
-/// totals are squared and summed here in block order, so the summation
-/// tree — and hence the result — is identical at every thread count. A
-/// group is counted once per block it has a qualifying row in.
+/// totals are pushed into [`UnitSums`] here in block order, so the
+/// summation tree — and hence the result — is identical at every thread
+/// count. A group is counted once per block it has a qualifying row in.
 fn accumulate(
     evaluator: &StarEvaluator,
     sample: &aqp_sampling::Sample,
@@ -135,15 +129,11 @@ fn accumulate(
     for block_groups in per_block {
         for (key, pairs) in block_groups? {
             let acc = groups.entry(key).or_insert_with(|| GroupAcc {
-                totals: vec![PairTotals::default(); pairs.len()],
+                totals: vec![UnitSums::default(); pairs.len()],
                 blocks_seen: 0,
             });
             for (t, (f, g)) in acc.totals.iter_mut().zip(pairs) {
-                t.sf += f;
-                t.sf2 += f * f;
-                t.sg += g;
-                t.sg2 += g * g;
-                t.sfg += f * g;
+                t.push(f, g);
             }
             acc.blocks_seen += 1;
         }
@@ -151,64 +141,14 @@ fn accumulate(
     Ok((groups, sampled_blocks))
 }
 
-/// Mean, variance, and covariance of per-block group totals over the
-/// sampled blocks, counting the blocks where the group is absent as zero
-/// totals. These feed the Hájek (ratio) estimators, whose error comes from
-/// block-total *spread* rather than the Bernoulli sample-size noise that
-/// ruins the plain HT estimator at small block counts.
-#[derive(Debug, Clone, Copy)]
-struct BlockSpread {
-    mean_f: f64,
-    mean_g: f64,
-    var_f: f64,
-    var_g: f64,
-    cov: f64,
-}
-
-fn block_spread(t: &PairTotals, m: u64) -> Option<BlockSpread> {
-    if m < 2 {
-        return None;
-    }
-    let mf = m as f64;
-    let mean_f = t.sf / mf;
-    let mean_g = t.sg / mf;
-    let d = mf - 1.0;
-    Some(BlockSpread {
-        mean_f,
-        mean_g,
-        var_f: ((t.sf2 - t.sf * t.sf / mf) / d).max(0.0),
-        var_g: ((t.sg2 - t.sg * t.sg / mf) / d).max(0.0),
-        cov: (t.sfg - t.sf * t.sg / mf) / d,
-    })
-}
-
-/// Hájek estimate for one aggregate: block-total mean scaled to the
-/// population block count, with SRS-of-blocks variance (fpc included).
-/// `m` = sampled blocks, `big_m` = population blocks.
-fn estimate_from_totals(kind: LinearAgg, t: &PairTotals, m: u64, big_m: u64) -> Estimate {
-    let mm = big_m as f64;
-    let fpc = (1.0 - m as f64 / mm).max(0.0);
-    let Some(s) = block_spread(t, m) else {
-        return Estimate::new(if m == 0 { 0.0 } else { t.sf * mm / m as f64 }, f64::MAX, m);
-    };
-    let scale = mm * mm * fpc / m as f64;
-    match kind {
-        LinearAgg::CountStar | LinearAgg::Sum => Estimate::new(mm * s.mean_f, scale * s.var_f, m),
-        LinearAgg::Avg => {
-            let num = Estimate::new(mm * s.mean_f, scale * s.var_f, m);
-            let den = Estimate::new(mm * s.mean_g, scale * s.var_g, m);
-            num.ratio(&den, scale * s.cov)
-        }
-    }
-}
-
 /// The minimum block-sampling rate meeting `(rel_err, z)` for one
-/// aggregate, from pilot spread statistics. `m0` = pilot blocks, `big_m` =
+/// aggregate, from the spread of the pilot's block totals (blocks where the
+/// group is absent count as zero totals). `m0` = pilot blocks, `big_m` =
 /// population blocks. Returns `1.0` when sampling cannot meet the target.
 #[allow(clippy::too_many_arguments)] // planner inputs are irreducibly many
 fn required_rate(
     kind: LinearAgg,
-    t: &PairTotals,
+    t: &UnitSums,
     m0: u64,
     big_m: u64,
     rel_err: f64,
@@ -216,9 +156,13 @@ fn required_rate(
     blocks_seen: u64,
     inflate: bool,
 ) -> f64 {
-    let Some(s) = block_spread(t, m0) else {
+    if m0 < 2 {
         return 1.0; // one pilot block: spread unobservable
-    };
+    }
+    let (mean_f, mean_g) = t.means(m0);
+    let (sff, sgg, sfg) = t.centered(m0);
+    let d = m0 as f64 - 1.0;
+    let (var_f, var_g, cov) = ((sff / d).max(0.0), (sgg / d).max(0.0), sfg / d);
     // Conservative inflation for pilot estimation noise; shrinks as the
     // group appears in more pilot blocks.
     let infl = if inflate {
@@ -231,17 +175,16 @@ fn required_rate(
     // (1−q)/q · B / M, with B the squared coefficient-of-variation term.
     let b = match kind {
         LinearAgg::CountStar | LinearAgg::Sum => {
-            if s.mean_f == 0.0 {
+            if mean_f == 0.0 {
                 return 1.0;
             }
-            s.var_f / (s.mean_f * s.mean_f)
+            var_f / (mean_f * mean_f)
         }
         LinearAgg::Avg => {
-            if s.mean_f == 0.0 || s.mean_g == 0.0 {
+            if mean_f == 0.0 || mean_g == 0.0 {
                 return 1.0;
             }
-            (s.var_f / (s.mean_f * s.mean_f) + s.var_g / (s.mean_g * s.mean_g)
-                - 2.0 * s.cov / (s.mean_f * s.mean_g))
+            (var_f / (mean_f * mean_f) + var_g / (mean_g * mean_g) - 2.0 * cov / (mean_f * mean_g))
                 .max(0.0)
         }
     } * infl;
@@ -524,7 +467,13 @@ impl<'a> OnlineAqp<'a> {
                     .aggregates
                     .iter()
                     .zip(&acc.totals)
-                    .map(|(a, t)| estimate_from_totals(a.kind, t, final_blocks, big_m))
+                    .map(|(a, t)| {
+                        let stats = PairStats::clusters(t, final_blocks, big_m);
+                        match a.kind {
+                            LinearAgg::CountStar | LinearAgg::Sum => stats.total(),
+                            LinearAgg::Avg => stats.ratio(),
+                        }
+                    })
                     .collect();
                 (evaluator.key_values(&key), estimates)
             })
@@ -794,6 +743,50 @@ mod tests {
         let masked = planned(vec![AggExpr::sum(col("x"), "s"), AggExpr::count_star("n")]);
         assert!(alone > 0.0 && alone < 1.0, "rate {alone} is spread-driven");
         assert_eq!(alone.to_bits(), masked.to_bits());
+    }
+
+    /// Regression: a final phase that drew a single block answered AVG
+    /// with the population-total expansion `M·Σx`. One block now gives
+    /// every aggregate its cluster estimate — AVG the block's own mean —
+    /// with an unobservable variance.
+    #[test]
+    fn one_sampled_block_answers_avg_with_the_block_mean() {
+        let c = Catalog::new();
+        c.register(uniform_table("t", 64 * 100, 64, 3)).unwrap();
+        let big_m = c.get("t").unwrap().block_count() as f64;
+        let plan = Query::scan("t")
+            .aggregate(
+                vec![],
+                vec![AggExpr::avg(col("v"), "a"), AggExpr::sum(col("v"), "s")],
+            )
+            .build();
+        let q = AggQuery::from_plan(&plan).unwrap();
+        let aqp = OnlineAqp::new(&c, OnlineConfig::default());
+        let plan = PilotPlan {
+            pilot_rate: 0.01,
+            final_rate: 1.0 / big_m,
+        };
+        let spec = ErrorSpec::new(0.05, 0.95);
+        // Replaying a plan does not floor the final rate: find a seed whose
+        // final sample is exactly one 64-row block.
+        let ans = (0..1_000)
+            .find_map(|seed| match aqp.sample_with_plan(&q, &spec, seed, &plan) {
+                Ok(Attempt::Answered(ans)) if ans.report.rows_scanned == 64 => Some(ans),
+                _ => None,
+            })
+            .expect("some seed draws exactly one block");
+        let (avg, sum) = (
+            ans.scalar_estimate("a").unwrap(),
+            ans.scalar_estimate("s").unwrap(),
+        );
+        // SUM is the block total scaled to the population: Σx = s / M.
+        let mean = sum.value / big_m / 64.0;
+        assert!(
+            (avg.value - mean).abs() <= 1e-12 * mean,
+            "AVG {} vs the block mean {mean}",
+            avg.value
+        );
+        assert_eq!((avg.variance, sum.variance), (f64::MAX, f64::MAX));
     }
 
     #[test]

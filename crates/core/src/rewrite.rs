@@ -11,11 +11,13 @@
 //! * `AVG(x)`         → `SUM(x · w) / SUM(w)` (a projection over two
 //!   rewritten aggregates)
 //!
-//! This module produces **point estimates** through the engine; the
-//! variance/interval path lives in [`crate::online`] (which needs
-//! per-block statistics the flat rewrite intentionally does not carry).
-//! `tests/middleware_equivalence.rs` proves the two paths' point values
-//! agree.
+//! This module produces **point estimates** through the engine. An
+//! interval needs the per-block totals the flat rewrite intentionally does
+//! not carry: every block-sampled family that has them — [`crate::online`]
+//! and [`crate::ola`] — ends in the one cluster estimator,
+//! `aqp_sampling::design::PairStats::clusters`.
+//! `tests/middleware_equivalence.rs` proves rewrite's and online's point
+//! values agree.
 
 use std::time::Instant;
 

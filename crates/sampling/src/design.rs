@@ -256,16 +256,73 @@ impl PairStats {
         total
     }
 
+    /// A domain of a cluster design: `sampled` units drawn by SRS from
+    /// `population` units, with the domain's per-unit totals summed in
+    /// `sums`. Units the domain is absent from count as `(0, 0)`. This is
+    /// the one block-sample estimator: the online sampler and online
+    /// aggregation both end here.
+    pub fn clusters(sums: &UnitSums, sampled: u64, population: u64) -> Self {
+        let (mean_f, mean_g) = sums.means(sampled);
+        let (sff, sgg, sfg) = sums.centered(sampled);
+        Self::srs(sampled, mean_f, mean_g, sff, sgg, sfg, population)
+    }
+
     /// The `SUM(f)` (or COUNT) estimate.
     pub fn total(&self) -> Estimate {
         Estimate::new(self.est_f, self.var_f.max(0.0), self.units)
     }
 
     /// The `SUM(f) / SUM(g)` ratio (AVG) estimate, with the design's
-    /// numerator/denominator covariance.
+    /// numerator/denominator covariance. From a single sampled unit the
+    /// ratio's spread is as unobservable as its parts'.
     pub fn ratio(&self) -> Estimate {
         let denominator = Estimate::new(self.est_g, self.var_g.max(0.0), self.units);
-        self.total().ratio(&denominator, self.cov)
+        let ratio = self.total().ratio(&denominator, self.cov);
+        if self.units == 1 && self.var_f == f64::MAX {
+            return Estimate::new(ratio.value, f64::MAX, 1);
+        }
+        ratio
+    }
+}
+
+/// Per-unit totals `(f, g)` of one domain, summed over the sampling units
+/// it appears in: `Σf`, `Σf²`, `Σg`, `Σg²` and `Σfg` — what
+/// [`PairStats::clusters`] estimates from, and what a planner reads the
+/// spread of unit totals from.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UnitSums {
+    sf: f64,
+    sf2: f64,
+    sg: f64,
+    sg2: f64,
+    sfg: f64,
+}
+
+impl UnitSums {
+    /// Adds one unit's totals.
+    pub fn push(&mut self, f: f64, g: f64) {
+        self.sf += f;
+        self.sf2 += f * f;
+        self.sg += g;
+        self.sg2 += g * g;
+        self.sfg += f * g;
+    }
+
+    /// The per-unit means of `f` and `g` over `units` sampled units.
+    pub fn means(&self, units: u64) -> (f64, f64) {
+        let m = units as f64;
+        (self.sf / m, self.sg / m)
+    }
+
+    /// The centered sums of squares and cross-products of `f` and `g`
+    /// over `units` sampled units: `(S_ff, S_gg, S_fg)`.
+    pub fn centered(&self, units: u64) -> (f64, f64, f64) {
+        let m = units as f64;
+        (
+            self.sf2 - self.sf * self.sf / m,
+            self.sg2 - self.sg * self.sg / m,
+            self.sfg - self.sf * self.sg / m,
+        )
     }
 }
 
@@ -919,6 +976,338 @@ mod tests {
         assert_eq!(RowWeights::Uniform(3.0).weight(17), 3.0);
         assert_eq!(RowWeights::PerRow(vec![1.0, 2.0]).weight(1), 2.0);
     }
+
+    fn sample(values: &[f64], cap: usize, design: SampleDesign, weights: RowWeights) -> Sample {
+        Sample {
+            table: small_table(values, cap),
+            design,
+            weights,
+        }
+    }
+
+    fn two_strata(a: (u64, usize), b: (u64, usize)) -> SampleDesign {
+        SampleDesign::Stratified {
+            column: "g".into(),
+            strata: vec![
+                StratumMeta {
+                    key: Value::str("a"),
+                    population_size: a.0,
+                    row_start: 0,
+                    row_end: a.1,
+                },
+                StratumMeta {
+                    key: Value::str("b"),
+                    population_size: b.0,
+                    row_start: a.1,
+                    row_end: a.1 + b.1,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn srs_rows_avg_with_fpc() {
+        let s = sample(
+            &[1.0, 2.0, 3.0, 4.0, 5.0],
+            8,
+            SampleDesign::FixedSizeRows {
+                population_rows: 10,
+            },
+            RowWeights::Uniform(2.0),
+        );
+        let avg = s.estimate_avg("v").unwrap();
+        assert!((avg.value - 3.0).abs() < 1e-12);
+        // The count is known exactly, so Var = Var(SUM)/N² = 25/100.
+        assert!((avg.variance - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn srs_census_avg_has_zero_variance() {
+        let s = sample(
+            &[1.0, 2.0, 3.0],
+            8,
+            SampleDesign::FixedSizeRows { population_rows: 3 },
+            RowWeights::Uniform(1.0),
+        );
+        let avg = s.estimate_avg("v").unwrap();
+        assert!((avg.value - 2.0).abs() < 1e-12);
+        assert_eq!(avg.variance, 0.0);
+    }
+
+    #[test]
+    fn bernoulli_full_rate_is_exact() {
+        let s = sample(
+            &[5.0, 10.0, 35.0],
+            2,
+            SampleDesign::BernoulliRows {
+                rate: 1.0,
+                population_rows: 3,
+            },
+            RowWeights::Uniform(1.0),
+        );
+        let sum = s.estimate_sum("v").unwrap();
+        assert_eq!((sum.value, sum.variance), (50.0, 0.0));
+        let count = s.estimate_count();
+        assert_eq!((count.value, count.variance), (3.0, 0.0));
+    }
+
+    #[test]
+    fn bernoulli_count_scaling() {
+        let s = sample(
+            &[1.0; 100],
+            16,
+            SampleDesign::BernoulliRows {
+                rate: 0.01,
+                population_rows: 10_000,
+            },
+            RowWeights::Uniform(100.0),
+        );
+        let count = s.estimate_count();
+        assert!((count.value - 10_000.0).abs() < 1e-9);
+        // (0.99/1e-4)·100 = 990000.
+        assert!((count.variance - 990_000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn bernoulli_avg_is_sample_mean() {
+        let values = [2.0, 4.0, 4.0, 5.0, 5.0, 5.0, 6.0, 6.0, 6.0, 7.0];
+        let s = sample(
+            &values,
+            4,
+            SampleDesign::BernoulliRows {
+                rate: 0.1,
+                population_rows: 100,
+            },
+            RowWeights::Uniform(10.0),
+        );
+        // The ratio estimator's point value is Σx / n whatever the rate.
+        let avg = s.estimate_avg("v").unwrap();
+        assert!((avg.value - 5.0).abs() < 1e-12);
+        // Numerator and denominator move together, so the AVG is far
+        // tighter than the SUM in relative terms.
+        let sum = s.estimate_sum("v").unwrap();
+        assert!(avg.relative_std_err() < sum.relative_std_err());
+    }
+
+    #[test]
+    fn bernoulli_avg_empty_sample_is_unusable() {
+        let s = sample(
+            &[],
+            4,
+            SampleDesign::BernoulliRows {
+                rate: 0.1,
+                population_rows: 100,
+            },
+            RowWeights::Uniform(10.0),
+        );
+        assert_eq!(s.estimate_avg("v").unwrap().variance, f64::MAX);
+    }
+
+    #[test]
+    fn bernoulli_blocks_full_rate_is_exact() {
+        let s = sample(
+            &[1.0, 2.0, 3.0, 4.0],
+            2,
+            SampleDesign::BernoulliBlocks {
+                rate: 1.0,
+                population_blocks: 2,
+                population_rows: 4,
+            },
+            RowWeights::Uniform(1.0),
+        );
+        let sum = s.estimate_sum("v").unwrap();
+        assert_eq!((sum.value, sum.variance, sum.n), (10.0, 0.0, 2));
+    }
+
+    #[test]
+    fn bilevel_full_rates_are_exact() {
+        let s = sample(
+            &[1.0, 2.0, 3.0, 4.0, 5.0],
+            2,
+            SampleDesign::BiLevel {
+                block_rate: 1.0,
+                row_rate: 1.0,
+                population_blocks: 3,
+                population_rows: 5,
+            },
+            RowWeights::Uniform(1.0),
+        );
+        let sum = s.estimate_sum("v").unwrap();
+        assert_eq!((sum.value, sum.variance, sum.n), (15.0, 0.0, 3));
+        let avg = s.estimate_avg("v").unwrap();
+        assert!((avg.value - 3.0).abs() < 1e-12);
+        assert_eq!(avg.variance, 0.0);
+    }
+
+    #[test]
+    fn distinct_capped_rows_are_exact() {
+        // Every row is within its key's cap: weight 1, no sampling noise.
+        let s = sample(
+            &[10.0, 20.0, 8.0],
+            8,
+            SampleDesign::Distinct {
+                columns: vec!["v".into()],
+                cap: 2,
+                rate: 0.25,
+                population_rows: 3,
+            },
+            RowWeights::PerRow(vec![1.0, 1.0, 1.0]),
+        );
+        let sum = s.estimate_sum("v").unwrap();
+        assert_eq!((sum.value, sum.variance), (38.0, 0.0));
+    }
+
+    #[test]
+    fn stratified_avg_exact_weighting() {
+        // Strata of population 80 and 20 with sample means 10 and 100.
+        let s = sample(
+            &[9.0, 10.0, 11.0, 99.0, 100.0, 101.0],
+            4,
+            two_strata((80, 3), (20, 3)),
+            RowWeights::PerRow([[80.0 / 3.0; 3], [20.0 / 3.0; 3]].concat()),
+        );
+        let avg = s.estimate_avg("v").unwrap();
+        assert!((avg.value - (0.8 * 10.0 + 0.2 * 100.0)).abs() < 1e-12);
+        assert!(avg.variance > 0.0);
+        assert_eq!(avg.n, 6);
+    }
+
+    #[test]
+    fn stratified_beats_srs_on_segregated_data() {
+        // When the strata separate the variance, the stratified variance is
+        // far below the one SRS would claim for the same rows.
+        let values: Vec<f64> = (0..50)
+            .map(|i| 10.0 + (i % 3) as f64)
+            .chain((0..50).map(|i| 1000.0 + (i % 3) as f64))
+            .collect();
+        let strat = sample(
+            &values,
+            16,
+            two_strata((5000, 50), (5000, 50)),
+            RowWeights::Uniform(100.0),
+        );
+        let srs = sample(
+            &values,
+            16,
+            SampleDesign::FixedSizeRows {
+                population_rows: 10_000,
+            },
+            RowWeights::Uniform(100.0),
+        );
+        let strat = strat.estimate_avg("v").unwrap();
+        let srs = srs.estimate_avg("v").unwrap();
+        assert!((strat.value - srs.value).abs() < 1e-9);
+        assert!(strat.variance < srs.variance / 100.0);
+    }
+
+    #[test]
+    fn stratified_skips_empty_stratum() {
+        let strata = two_strata((50, 2), (50, 0));
+        let s = sample(&[1.0, 2.0], 4, strata.clone(), RowWeights::Uniform(25.0));
+        // Only the observed stratum contributes: 50·1.5.
+        let sum = s.estimate_sum("v").unwrap();
+        assert!((sum.value - 75.0).abs() < 1e-12);
+        assert!((s.estimate_avg("v").unwrap().value - 1.5).abs() < 1e-12);
+        // The one-pass domain entry skips it the same way.
+        let SampleDesign::Stratified { strata, .. } = strata else {
+            unreachable!()
+        };
+        let hits = std::iter::once((0, Moments::from_slice(&[1.0, 2.0])));
+        let domain = PairStats::stratified_domain(&strata, hits).total();
+        assert!((domain.value - sum.value).abs() < 1e-12);
+        assert!((domain.variance - sum.variance).abs() < 1e-9 * sum.variance);
+    }
+
+    fn unit_sums(units: &[(f64, f64)]) -> UnitSums {
+        let mut sums = UnitSums::default();
+        for &(f, g) in units {
+            sums.push(f, g);
+        }
+        sums
+    }
+
+    #[test]
+    fn unit_sums_means_and_centered() {
+        let sums = unit_sums(&[(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]);
+        assert_eq!(sums.means(3), (2.0, 1.0));
+        assert_eq!(sums.centered(3), (2.0, 0.0, 0.0));
+        // Units absent from the domain still count in the means.
+        assert_eq!(sums.means(6), (1.0, 0.5));
+    }
+
+    #[test]
+    fn clusters_total_scaling() {
+        let sums = unit_sums(&[(10.0, 1.0), (12.0, 1.0), (8.0, 1.0), (10.0, 1.0)]);
+        let total = PairStats::clusters(&sums, 4, 100).total();
+        assert!((total.value - 1000.0).abs() < 1e-9);
+        // s² of the totals = 8/3; Var = 100²·0.96·(8/3)/4 = 6400.
+        assert!((total.variance - 6400.0).abs() < 1e-6);
+        assert_eq!(total.n, 4);
+    }
+
+    #[test]
+    fn clusters_ratio_estimator() {
+        let sums = unit_sums(&[(20.0, 10.0), (30.0, 15.0), (25.0, 12.0)]);
+        let avg = PairStats::clusters(&sums, 3, 50).ratio();
+        assert!((avg.value - 75.0 / 37.0).abs() < 1e-12);
+        assert!(avg.variance > 0.0);
+        assert_eq!(avg.n, 3);
+    }
+
+    #[test]
+    fn clusters_homogeneous_blocks_low_variance() {
+        // Every block has mean 2.0: the ratio's residuals vanish, though
+        // the block totals themselves vary.
+        let sums = unit_sums(&[(20.0, 10.0), (30.0, 15.0), (24.0, 12.0)]);
+        let stats = PairStats::clusters(&sums, 3, 50);
+        assert!((stats.ratio().value - 2.0).abs() < 1e-12);
+        assert!(stats.ratio().variance < 1e-12);
+        assert!(stats.total().variance > 1.0);
+    }
+
+    #[test]
+    fn clusters_census_has_zero_variance() {
+        let sums = unit_sums(&[(3.0, 2.0), (7.0, 2.0), (1.0, 1.0)]);
+        let stats = PairStats::clusters(&sums, 3, 3);
+        assert_eq!((stats.total().value, stats.total().variance), (11.0, 0.0));
+        assert!((stats.ratio().value - 11.0 / 5.0).abs() < 1e-12);
+        assert_eq!(stats.ratio().variance, 0.0);
+    }
+
+    #[test]
+    fn clusters_single_unit_is_unobservable() {
+        let stats = PairStats::clusters(&unit_sums(&[(6.0, 3.0)]), 1, 10);
+        let total = stats.total();
+        assert_eq!((total.value, total.variance, total.n), (60.0, f64::MAX, 1));
+        // AVG from one block is that block's mean, not a population total.
+        let avg = stats.ratio();
+        assert_eq!((avg.value, avg.variance, avg.n), (2.0, f64::MAX, 1));
+    }
+
+    #[test]
+    fn clusters_without_units_is_unusable() {
+        let stats = PairStats::clusters(&UnitSums::default(), 0, 10);
+        assert_eq!(stats.total().value, 0.0);
+        assert_eq!(stats.total().variance, f64::MAX);
+        assert_eq!(stats.ratio().variance, f64::MAX);
+    }
+
+    #[test]
+    fn clusters_absent_units_count_as_zero() {
+        // Pushing (0, 0) for the sampled units a domain is absent from
+        // changes nothing: `sampled` already counts them.
+        let present = unit_sums(&[(5.0, 1.0), (7.0, 2.0)]);
+        let padded = unit_sums(&[(5.0, 1.0), (0.0, 0.0), (7.0, 2.0), (0.0, 0.0)]);
+        let (a, b) = (
+            PairStats::clusters(&present, 4, 20),
+            PairStats::clusters(&padded, 4, 20),
+        );
+        assert_eq!(a.total(), b.total());
+        assert_eq!(a.ratio(), b.ratio());
+        // Against the same two units alone, the zeros widen the spread.
+        let alone = PairStats::clusters(&present, 2, 20).total();
+        assert!(a.total().variance > alone.variance);
+    }
 }
 
 #[cfg(test)]
@@ -941,8 +1330,77 @@ mod design_property_tests {
         b.finish()
     }
 
+    /// `got` equals the two-pass reference `want`: the same unit count,
+    /// value within 1e-12 relative, variance within 1e-9 relative (or
+    /// 1e-12·value² where a ratio's terms cancel), an unobservable
+    /// variance reproduced as such.
+    fn matches_reference(got: Estimate, want: Estimate) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.n, want.n);
+        prop_assert!(
+            (got.value - want.value).abs() <= 1e-12 * want.value.abs(),
+            "value {} vs {}",
+            got.value,
+            want.value
+        );
+        if want.variance >= f64::MAX {
+            prop_assert_eq!(got.variance, want.variance);
+        } else {
+            prop_assert!(
+                (got.variance - want.variance).abs()
+                    <= (1e-9 * want.variance).max(1e-12 * want.value * want.value),
+                "variance {} vs {}",
+                got.variance,
+                want.variance
+            );
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The one cluster entry — a domain's block totals pushed into
+        /// `UnitSums` for the blocks it appears in, then
+        /// `PairStats::clusters` — equals the two-pass SRS-of-blocks
+        /// reference over every sampled block, for SUM and AVG.
+        #[test]
+        fn clusters_match_two_pass_reference(
+            values in prop::collection::vec((0i64..4, -1e4f64..1e4), 1..300),
+            cap in 1usize..32,
+            unsampled in 0u64..40,
+        ) {
+            let t = keyed_table(&values, cap);
+            let sampled = t.block_count() as u64;
+            let population = sampled + unsampled;
+            // The domain: rows with key 0.
+            let mut sums = UnitSums::default();
+            for (_, block) in t.iter_blocks() {
+                let (mut tf, mut tg) = (0.0, 0.0);
+                for i in 0..block.len() {
+                    if block.column(0).f64_at(i) == Some(0.0) {
+                        tf += block.column(1).f64_at(i).unwrap();
+                        tg += 1.0;
+                    }
+                }
+                if tg > 0.0 {
+                    sums.push(tf, tg);
+                }
+            }
+            let got = PairStats::clusters(&sums, sampled, population);
+            let sample = Sample {
+                table: t,
+                design: SampleDesign::FixedSizeBlocks {
+                    population_blocks: population,
+                    population_rows: 0,
+                },
+                weights: RowWeights::Uniform(1.0),
+            };
+            let ind = |b: &Block, i: usize| f64::from(u8::from(b.column(0).f64_at(i) == Some(0.0)));
+            let sum = sample.estimate_sum_with(&mut |b, i| ind(b, i) * b.column(1).f64_at(i).unwrap());
+            matches_reference(got.total(), sum)?;
+            let avg = sample.estimate_avg_with(&mut |b, i| b.column(1).f64_at(i).unwrap(), &mut |b, i| ind(b, i));
+            matches_reference(got.ratio(), avg)?;
+        }
 
         /// HT count weights reconstruct the sample's own weighted size:
         /// Σ 1/π over sampled rows == estimate_count().value for every

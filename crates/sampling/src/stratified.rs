@@ -172,7 +172,7 @@ pub fn stratified_sample_with_threads(
                     }
                 })
                 .collect();
-            aqp_stats::variance::neyman_allocation(&sizes, &stds, *budget as u64)
+            neyman(&sizes, &stds, *budget as u64)
         }
         Allocation::Equal { per_stratum } => sizes
             .iter()
@@ -239,6 +239,35 @@ fn proportional(sizes: &[u64], budget: u64) -> Vec<u64> {
             }
         })
         .collect()
+}
+
+/// Neyman allocation: `n_h ∝ N_h·σ_h`, which minimizes the variance of the
+/// stratified mean for a budget of `n` rows. Falls back to proportional when
+/// every σ is zero; each stratum gets at least 1 row when non-empty, capped
+/// at its size.
+fn neyman(sizes: &[u64], std_devs: &[f64], budget: u64) -> Vec<u64> {
+    let weights: Vec<f64> = sizes
+        .iter()
+        .zip(std_devs)
+        .map(|(&n, &s)| n as f64 * s.max(0.0))
+        .collect();
+    let total: f64 = weights.iter().sum();
+    let mut alloc: Vec<u64> = if total <= 0.0 {
+        let pop: u64 = sizes.iter().sum();
+        sizes
+            .iter()
+            .map(|&n| ((n as f64 / pop as f64) * budget as f64).round() as u64)
+            .collect()
+    } else {
+        weights
+            .iter()
+            .map(|w| ((w / total) * budget as f64).round() as u64)
+            .collect()
+    };
+    for (a, &n) in alloc.iter_mut().zip(sizes) {
+        *a = (*a).clamp(u64::from(n > 0), n);
+    }
+    alloc
 }
 
 /// Congressional allocation: per-stratum max of proportional and equal,
@@ -462,5 +491,24 @@ mod tests {
         let c = congressional(&[990, 10], 100);
         assert!(c[1] >= 10); // senate floor, capped at size
         assert_eq!(congressional(&[0, 0], 10), vec![0, 0]);
+    }
+
+    #[test]
+    fn neyman_allocation_prefers_variable_strata() {
+        let alloc = neyman(&[1000, 1000], &[1.0, 9.0], 100);
+        assert_eq!(alloc.iter().sum::<u64>(), 100);
+        assert!(alloc[1] > alloc[0] * 5);
+    }
+
+    #[test]
+    fn neyman_allocation_caps_at_stratum_size() {
+        let alloc = neyman(&[5, 1000], &[100.0, 1.0], 100);
+        assert!(alloc[0] <= 5);
+    }
+
+    #[test]
+    fn neyman_degenerate_falls_back_to_proportional() {
+        let alloc = neyman(&[300, 700], &[0.0, 0.0], 100);
+        assert_eq!(alloc, vec![30, 70]);
     }
 }

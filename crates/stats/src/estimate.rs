@@ -128,10 +128,16 @@ impl Estimate {
     /// This is the textbook ratio estimator used for `AVG = SUM / COUNT`
     /// under Bernoulli sampling, where numerator and denominator are highly
     /// correlated. Returns an estimate with infinite variance when the
-    /// denominator is zero.
+    /// denominator is zero. At a zero numerator the relative form is 0·∞,
+    /// so the variance is its limit there, `Var(X)/Y²` (saturating at
+    /// `f64::MAX`).
     pub fn ratio(&self, denom: &Estimate, cov: f64) -> Estimate {
         if denom.value == 0.0 {
             return Estimate::new(0.0, f64::MAX, self.n.min(denom.n));
+        }
+        if self.value == 0.0 {
+            let v = (self.variance / (denom.value * denom.value)).min(f64::MAX);
+            return Estimate::new(0.0, v, self.n.min(denom.n));
         }
         let r = self.value / denom.value;
         let rel = self.variance / (self.value * self.value).max(f64::MIN_POSITIVE)
@@ -246,6 +252,21 @@ mod tests {
         let num = Estimate::new(10.0, 1.0, 100);
         let den = Estimate::new(0.0, 1.0, 100);
         let r = num.ratio_independent(&den);
+        assert_eq!(r.variance, f64::MAX);
+    }
+
+    #[test]
+    fn ratio_zero_numerator_keeps_its_variance() {
+        // 0·∞ used to be NaN, and NaN.max(0) claimed certainty.
+        let den = Estimate::new(2.0, 0.5, 10);
+        let r = Estimate::new(0.0, 100.0, 10).ratio(&den, 0.3);
+        assert_eq!(r.value, 0.0);
+        assert_eq!(r.variance, 25.0);
+        // The limit agrees with a numerator just off zero.
+        let near = Estimate::new(1e-9, 100.0, 10).ratio(&den, 0.3);
+        assert!((near.variance - 25.0).abs() < 1e-6, "{}", near.variance);
+        // An unobservable numerator stays unobservable.
+        let r = Estimate::new(0.0, f64::MAX, 10).ratio(&Estimate::new(0.5, 0.1, 10), 0.0);
         assert_eq!(r.variance, f64::MAX);
     }
 

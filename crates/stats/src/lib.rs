@@ -1,7 +1,8 @@
 //! Statistical foundations for approximate query processing.
 //!
 //! This crate implements, from scratch, everything the AQP layers above it
-//! need to turn a random sample into an *answer with a guarantee*:
+//! need to turn a sampling design's estimates into *answers with a
+//! guarantee*:
 //!
 //! * [`special`] — log-gamma, regularized incomplete gamma/beta, `erf`.
 //! * [`dist`] — standard normal, Student's *t*, and chi-squared
@@ -12,12 +13,12 @@
 //! * [`interval`] — confidence intervals and coverage accounting.
 //! * [`bounds`] — distribution-free concentration bounds (Hoeffding,
 //!   Chebyshev, Chernoff) and the sample-size planners derived from them.
-//! * [`bootstrap`] — percentile-bootstrap confidence intervals for arbitrary
-//!   statistics.
-//! * [`variance`] — design-based variance estimators for simple random,
-//!   Bernoulli, stratified, and cluster (block) sampling designs.
 //! * [`moments`] — streaming (Welford) moment accumulators, plain and
 //!   weighted.
+//!
+//! The design-based estimators themselves — which units were sampled and
+//! how their totals combine — live with the samplers, in
+//! `aqp_sampling::design`.
 //!
 //! The survey *Approximate Query Processing: No Silver Bullet* (SIGMOD 2017)
 //! treats the error model as one of the three axes of the AQP design space;
@@ -26,16 +27,13 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod bootstrap;
 pub mod bounds;
 pub mod dist;
 pub mod estimate;
 pub mod interval;
 pub mod moments;
 pub mod special;
-pub mod variance;
 
-pub use bootstrap::{bootstrap_ci, BootstrapConfig};
 pub use bounds::{chebyshev_sample_size, hoeffding_bound, hoeffding_sample_size};
 pub use dist::{ChiSquared, Normal, StudentT};
 pub use estimate::Estimate;

@@ -95,6 +95,15 @@ if grep -rnE 'fn (hash_aggregate|exec_fused_agg|exec_join_agg)\b' crates/engine/
   exit 1
 fi
 
+# One cluster estimator: every block-sampled family ends in
+# aqp_sampling::design::PairStats::clusters over UnitSums. No private
+# block-spread algebra beside it, and no uncalled estimator zoo in
+# aqp-stats.
+if grep -rnE 'cluster_total|cluster_mean|bootstrap_ci|struct PairTotals|struct BlockSpread|fn estimate_from_totals' crates; then
+  echo "a second cluster estimator or an uncalled aqp-stats estimator is back" >&2
+  exit 1
+fi
+
 # One string encoding: a STR column is u32 codes into a shared dictionary.
 # No per-row string vector beside it.
 if grep -nF 'Vec<Arc<str>>' crates/storage/src/column.rs; then
