@@ -14,6 +14,7 @@ use aqp_core::{
 };
 use aqp_engine::{AggExpr, LogicalPlan, Query};
 use aqp_expr::{col, lit};
+use aqp_obs::metrics::scoped;
 use aqp_storage::Catalog;
 use aqp_workload::{skewed_table, uniform_table};
 
@@ -201,23 +202,29 @@ fn main() {
             vec![AggExpr::sum(col("v"), "s")],
         )
         .build();
-    scenario(
-        "[E3-style] zipf(1.2) SUM..GROUP BY over 500k rows, fresh stratified synopsis",
-        &c,
-        &session,
-        &grouped,
-        &ErrorSpec::new(0.05, 0.95),
-    );
+    // Each scenario's forced families and exact baselines record into the
+    // session's registry too, beside what the router records there.
+    scoped(session.metrics(), || {
+        scenario(
+            "[E3-style] zipf(1.2) SUM..GROUP BY over 500k rows, fresh stratified synopsis",
+            &c,
+            &session,
+            &grouped,
+            &ErrorSpec::new(0.05, 0.95),
+        )
+    });
 
     // ---- E8-style: the same synopsis after the base table drifted +60%.
     c.replace(skewed_table("fact", 800_000, 50, 1.2, 1024, 29));
-    scenario(
-        "[E8-style] same query after the base table grew 500k -> 800k rows (stale synopsis)",
-        &c,
-        &session,
-        &grouped,
-        &ErrorSpec::new(0.2, 0.9),
-    );
+    scoped(session.metrics(), || {
+        scenario(
+            "[E8-style] same query after the base table grew 500k -> 800k rows (stale synopsis)",
+            &c,
+            &session,
+            &grouped,
+            &ErrorSpec::new(0.2, 0.9),
+        )
+    });
 
     // ---- E9-style: a hyper-selective predicate that defeats fixed-rate sampling.
     let c2 = Catalog::new();
@@ -228,13 +235,15 @@ fn main() {
         .filter(col("sel").lt(lit(1e-4)))
         .aggregate(vec![], vec![AggExpr::sum(col("v"), "s")])
         .build();
-    scenario(
-        "[E9-style] SUM WHERE sel < 1e-4 over 1M rows, no synopsis",
-        &c2,
-        &session2,
-        &cliff,
-        &ErrorSpec::new(0.05, 0.95),
-    );
+    scoped(session2.metrics(), || {
+        scenario(
+            "[E9-style] SUM WHERE sel < 1e-4 over 1M rows, no synopsis",
+            &c2,
+            &session2,
+            &cliff,
+            &ErrorSpec::new(0.05, 0.95),
+        )
+    });
 
     println!(
         "Claim check: the router picks the offline synopsis while it is fresh (E3), walks\n\
@@ -245,8 +254,10 @@ fn main() {
          silver bullet."
     );
 
-    // Every routed query above ticked the session's decline/winner
-    // counters; dump the registry so the run's telemetry is inspectable.
-    println!("\n--- session telemetry (Prometheus exposition) ---");
-    print!("{}", aqp_obs::metrics::global().to_prometheus_text());
+    // Every routed query above ticked its session's decline/winner
+    // counters; dump each registry so the run's telemetry is inspectable.
+    for (scenarios, session) in [("E3, E8", &session), ("E9", &session2)] {
+        println!("\n--- session telemetry, {scenarios} (Prometheus exposition) ---");
+        print!("{}", session.metrics().to_prometheus_text());
+    }
 }

@@ -5,7 +5,7 @@
 mod hot;
 
 pub fn emit() {
-    let m = aqp_obs::metrics::global();
+    let m = aqp_obs::metrics::MetricsRegistry::new();
     // C001: the series name is a string literal, not a names constant.
     m.counter("fixture_typo_total").inc(1);
     m.counter(aqp_obs::names::GOOD_TOTAL).inc(1);
@@ -21,6 +21,6 @@ pub fn traced() {
 mod tests {
     #[test]
     fn literals_in_tests_are_allowed() {
-        aqp_obs::metrics::global().counter("test_only_total").inc(1);
+        aqp_obs::metrics::MetricsRegistry::new().counter("test_only_total").inc(1);
     }
 }

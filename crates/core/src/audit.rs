@@ -123,7 +123,7 @@ pub(crate) fn should_audit(seed: u64, serial: u64, rate: f64) -> bool {
 }
 
 /// Re-executes `query` exactly and grades `ans` against the truth.
-/// Ticks the global audit metrics (`aqp_audit_total`,
+/// Ticks the audit metrics of the registry in scope (`aqp_audit_total`,
 /// `aqp_audit_ci_miss_total`, `aqp_audit_rel_err`, `aqp_audit_wall_us`,
 /// all labeled by technique).
 pub(crate) fn audit_answer(
@@ -183,15 +183,14 @@ pub(crate) fn audit_answer(
         groups_missing,
         wall: start.elapsed(),
     };
-    record_metrics(&outcome);
+    aqp_obs::metrics::record(|m| record_metrics(m, &outcome));
     Ok(outcome)
 }
 
-/// Mirrors the audit into the always-on global registry so Prometheus
-/// scrapes see cumulative per-technique audit health.
-fn record_metrics(o: &AuditOutcome) {
+/// Mirrors the audit into the registry in scope (the auditing session's)
+/// so Prometheus scrapes see cumulative per-technique audit health.
+fn record_metrics(m: &aqp_obs::metrics::MetricsRegistry, o: &AuditOutcome) {
     use aqp_obs::names;
-    let m = aqp_obs::metrics::global();
     let technique = o.technique.name();
     m.counter_labeled(names::AUDIT_TOTAL, names::TECHNIQUE_LABEL, technique)
         .inc(1);

@@ -14,6 +14,8 @@
 //!   and E8 measures the bias it causes.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::RwLock;
@@ -22,6 +24,7 @@ use aqp_analyze::{LintContext, LintPolicy, SynopsisMeta};
 use aqp_engine::agg::{GroupKey, KeyAtom};
 use aqp_expr::eval::{eval, eval_predicate_mask};
 use aqp_expr::lit;
+use aqp_obs::metrics::MetricsRegistry;
 use aqp_sampling::design::PairStats;
 use aqp_sampling::{stratified_sample_with_threads, Allocation, Sample, SampleDesign};
 use aqp_sketch::{GkQuantiles, HyperLogLog};
@@ -63,22 +66,6 @@ pub struct QuantileSynopsis {
     pub built_on_rows: u64,
 }
 
-/// Records one offline build's cost: a span (when tracing) plus the
-/// always-on `aqp_synopsis_build_us` histogram — synopsis construction is
-/// the offline family's up-front investment, so its cost must be visible
-/// next to the query-time speedup it buys.
-fn record_build_cost(span: &mut aqp_obs::Span, target: String, start: Instant) {
-    if span.is_recording() {
-        span.set_detail(target);
-    }
-    aqp_obs::metrics::global()
-        .histogram(
-            aqp_obs::names::SYNOPSIS_BUILD_US,
-            aqp_obs::metrics::LATENCY_US_BOUNDS,
-        )
-        .observe(start.elapsed().as_secs_f64() * 1e6);
-}
-
 /// The offline synopsis store.
 pub struct OfflineStore {
     stratified: RwLock<HashMap<String, StratifiedSynopsis>>,
@@ -94,6 +81,13 @@ pub struct OfflineStore {
     /// serially; its `Partial` merge exists for delta maintenance, where
     /// order is fixed (stored summary, then the append).
     threads: usize,
+    /// Where builds, maintenance and the drift gauges are recorded: the
+    /// owning session's registry, or one of the store's own.
+    metrics: Arc<MetricsRegistry>,
+    /// Bumped whenever a stratified synopsis is built or maintained — the
+    /// only store changes the analyzer's verdicts read (see
+    /// [`OfflineStore::synopsis_meta`]).
+    generation: AtomicU64,
 }
 
 impl Default for OfflineStore {
@@ -117,7 +111,36 @@ impl OfflineStore {
             quantiles: RwLock::new(HashMap::new()),
             failed_audits: RwLock::new(HashMap::new()),
             threads: threads.max(1),
+            metrics: Arc::default(),
+            generation: AtomicU64::new(0),
         }
+    }
+
+    /// How many times a stratified synopsis was built or maintained: a
+    /// verdict linted against this store stays valid while this holds.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// The store, recording into `metrics` from now on.
+    pub(crate) fn reporting_to(self, metrics: Arc<MetricsRegistry>) -> Self {
+        Self { metrics, ..self }
+    }
+
+    /// Records one offline build's cost: a span (when tracing) plus the
+    /// always-on `aqp_synopsis_build_us` histogram — synopsis construction
+    /// is the offline family's up-front investment, so its cost must be
+    /// visible next to the query-time speedup it buys.
+    fn record_build_cost(&self, span: &mut aqp_obs::Span, target: String, start: Instant) {
+        if span.is_recording() {
+            span.set_detail(target);
+        }
+        self.metrics
+            .histogram(
+                aqp_obs::names::SYNOPSIS_BUILD_US,
+                aqp_obs::metrics::LATENCY_US_BOUNDS,
+            )
+            .observe(start.elapsed().as_secs_f64() * 1e6);
     }
 
     /// Builds (or rebuilds) a stratified sample for `table`, stratified on
@@ -144,7 +167,7 @@ impl OfflineStore {
         if span.is_recording() {
             span.set_rows(sample.num_rows() as u64);
         }
-        record_build_cost(&mut span, format!("{table}.{column}"), build_start);
+        self.record_build_cost(&mut span, format!("{table}.{column}"), build_start);
         self.stratified.write().insert(
             table.to_string(),
             StratifiedSynopsis {
@@ -153,6 +176,7 @@ impl OfflineStore {
                 built_on_rows: t.row_count() as u64,
             },
         );
+        self.generation.fetch_add(1, Ordering::AcqRel);
         Ok(())
     }
 
@@ -173,10 +197,8 @@ impl OfflineStore {
         }
         // One morsel per block; HLL merge (register-wise max) is exact, so
         // the merged sketch equals the serial single-pass build.
-        let blocks: Vec<std::sync::Arc<aqp_storage::Block>> = t
-            .iter_blocks()
-            .map(|(_, b)| std::sync::Arc::clone(b))
-            .collect();
+        let blocks: Vec<Arc<aqp_storage::Block>> =
+            t.iter_blocks().map(|(_, b)| Arc::clone(b)).collect();
         let partials = aqp_engine::pool::parallel_map(blocks, self.threads, |_, block| {
             let mut hll = HyperLogLog::new(precision);
             let col = block.column(idx);
@@ -191,7 +213,7 @@ impl OfflineStore {
         for part in &partials {
             hll.merge(part).expect("partials share one precision");
         }
-        record_build_cost(&mut span, format!("{table}.{column}"), build_start);
+        self.record_build_cost(&mut span, format!("{table}.{column}"), build_start);
         self.distinct.write().insert(
             (table.to_string(), column.to_string()),
             DistinctSynopsis {
@@ -226,7 +248,7 @@ impl OfflineStore {
                 }
             }
         }
-        record_build_cost(&mut span, format!("{table}.{column}"), build_start);
+        self.record_build_cost(&mut span, format!("{table}.{column}"), build_start);
         self.quantiles.write().insert(
             (table.to_string(), column.to_string()),
             QuantileSynopsis {
@@ -284,11 +306,12 @@ impl OfflineStore {
             })?;
         syn.built_on_rows = t.row_count() as u64;
         drop(store);
+        self.generation.fetch_add(1, Ordering::AcqRel);
         self.reset_drift(table);
         if span.is_recording() {
             span.set_rows(delta_rows);
         }
-        aqp_obs::metrics::global()
+        self.metrics
             .counter(aqp_obs::names::SYNOPSIS_MAINTAINED_TOTAL)
             .inc(1);
         Ok(delta_rows)
@@ -334,7 +357,7 @@ impl OfflineStore {
         if span.is_recording() {
             span.set_rows(delta_rows);
         }
-        aqp_obs::metrics::global()
+        self.metrics
             .counter(aqp_obs::names::SYNOPSIS_MAINTAINED_TOTAL)
             .inc(1);
         Ok(delta_rows)
@@ -378,7 +401,7 @@ impl OfflineStore {
         if span.is_recording() {
             span.set_rows(delta_rows);
         }
-        aqp_obs::metrics::global()
+        self.metrics
             .counter(aqp_obs::names::SYNOPSIS_MAINTAINED_TOTAL)
             .inc(1);
         Ok(delta_rows)
@@ -443,7 +466,7 @@ impl OfflineStore {
         let built = syn.built_on_rows as f64;
         let staleness = (current - built).abs() / built.max(1.0);
         use aqp_obs::names;
-        let m = aqp_obs::metrics::global();
+        let m = &self.metrics;
         m.gauge_labeled(names::SYNOPSIS_STALENESS, names::TABLE_LABEL, table)
             .set(staleness);
         m.gauge_labeled(names::SYNOPSIS_ROWS_AT_BUILD, names::TABLE_LABEL, table)
@@ -460,7 +483,7 @@ impl OfflineStore {
         let mut map = self.failed_audits.write();
         let count = map.entry(table.to_string()).or_insert(0);
         *count += 1;
-        aqp_obs::metrics::global()
+        self.metrics
             .gauge_labeled(
                 aqp_obs::names::SYNOPSIS_FAILED_AUDITS,
                 aqp_obs::names::TABLE_LABEL,
@@ -478,7 +501,7 @@ impl OfflineStore {
     /// signal for `table` and zero its gauge.
     fn reset_drift(&self, table: &str) {
         self.failed_audits.write().remove(table);
-        aqp_obs::metrics::global()
+        self.metrics
             .gauge_labeled(
                 aqp_obs::names::SYNOPSIS_FAILED_AUDITS,
                 aqp_obs::names::TABLE_LABEL,

@@ -218,12 +218,16 @@ impl Technique for OlaTechnique<'_> {
         // The per-update CI trajectory is the progressive family's defining
         // observable: each block processed should shrink the live interval.
         let mut obs_span = aqp_obs::span("ola:progress");
-        let ci_hist = obs_span.is_recording().then(|| {
-            aqp_obs::metrics::global().histogram(
-                aqp_obs::names::OLA_CI_REL_HALF_WIDTH,
-                aqp_obs::metrics::REL_ERROR_BOUNDS,
-            )
-        });
+        let ci_hist = obs_span
+            .is_recording()
+            .then(aqp_obs::metrics::current)
+            .flatten()
+            .map(|m| {
+                m.histogram(
+                    aqp_obs::names::OLA_CI_REL_HALF_WIDTH,
+                    aqp_obs::metrics::REL_ERROR_BOUNDS,
+                )
+            });
         let estimate = loop {
             let stepped = ola.step()?;
             if ola.blocks_processed() >= 2 {

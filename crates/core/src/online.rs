@@ -314,12 +314,13 @@ impl<'a> OnlineAqp<'a> {
         if pilot_span.is_recording() {
             pilot_span.set_rows(pilot_rows);
             pilot_span.set_detail(format!("rate={pilot_rate:.4} {}", evaluator.fold().tag()));
-            aqp_obs::metrics::global()
-                .histogram(
+            aqp_obs::metrics::record(|m| {
+                m.histogram(
                     aqp_obs::names::ONLINE_PILOT_US,
                     aqp_obs::metrics::LATENCY_US_BOUNDS,
                 )
                 .observe(pilot_t0.elapsed().as_secs_f64() * 1e6);
+            });
         }
         pilot_span.finish();
         if pilot_groups.is_empty() || pilot_blocks < 2 {

@@ -9,21 +9,22 @@
 //!    is *rejected* ([`Rejection::QueueFull`]) instead of queueing
 //!    unboundedly — NSB's predictable-degradation argument. Queue wait
 //!    and occupancy feed the `aqp_service_*` series in
-//!    [`aqp_obs::names`]. In-flight queries split one machine-wide
+//!    [`aqp_obs::names`], recorded in the session's
+//!    [registry](AqpSession::metrics) like every other counter the service
+//!    keeps. In-flight queries split one machine-wide
 //!    morsel-thread budget fairly ([`aqp_engine::PoolShare`]); results
 //!    are unaffected because engine output is thread-count invariant.
 //! 2. **Plan cache** — keyed on a fingerprint of the normalized plan and
 //!    the error spec, memoizing the lint [`Analysis`], the
 //!    [`RoutingDecision`] it implies (refreshed from each completed run),
 //!    per-seed [`PilotPlan`]s, and an EWMA of the answer wall. A hit
-//!    makes admission and [`AqpService::route`] a fingerprint lookup;
-//!    execution replays a cached pilot plan when the online sampler won
-//!    this seed before, and otherwise re-lints an approximate winner's
-//!    plan so a verdict that flipped under the entry is caught before a
-//!    family is attempted. Entries are invalidated by
-//!    [`AqpSession::maintain_synopses`], by quarantine transitions, and
-//!    by fact-table row-count changes — all folded into the session's
-//!    [`routing epoch`](AqpSession::routing_epoch).
+//!    makes admission and [`AqpService::route`] a fingerprint lookup,
+//!    and execution routes on the memoized analysis — replaying a cached
+//!    pilot plan when the online sampler won this seed before. Entries
+//!    are invalidated by every change a verdict reads: synopsis builds
+//!    and maintenance, quarantine transitions (all folded into the
+//!    session's [`routing epoch`](AqpSession::routing_epoch)), and
+//!    fact-table row-count changes.
 //! 3. **Contract admission control** — each query carries a
 //!    [`Contract`] (max relative error, confidence, optional deadline).
 //!    Admission *accepts* it, *degrades* it (the analyzer proves only a
@@ -42,7 +43,6 @@
 //! `tests/service.rs` pins this with a multi-threaded proptest.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,6 +50,7 @@ use parking_lot::Mutex;
 
 use aqp_analyze::{Analysis, GuaranteeClass};
 use aqp_engine::{LogicalPlan, PoolShare};
+use aqp_obs::metrics::MetricsRegistry;
 use aqp_obs::names;
 use aqp_storage::Catalog;
 
@@ -291,7 +292,9 @@ pub struct AdmissionReport {
     pub estimated_wall: Option<Duration>,
 }
 
-/// A point-in-time view of the service's queues and caches.
+/// A point-in-time view of the service's queues and caches. The counts
+/// are reads of the `aqp_plan_cache_total` and `aqp_admission_total`
+/// series in the session's [registry](AqpSession::metrics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Queries waiting in the admission queue.
@@ -302,7 +305,8 @@ pub struct ServiceStats {
     pub cache_entries: usize,
     /// Plan-cache lookups that hit a valid entry.
     pub cache_hits: u64,
-    /// Plan-cache lookups that found nothing.
+    /// Plan-cache lookups that found nothing, or found the plan
+    /// uncacheable.
     pub cache_misses: u64,
     /// Plan-cache lookups that found an invalidated entry.
     pub cache_stale: u64,
@@ -335,6 +339,7 @@ struct Scheduler {
     cv: std::sync::Condvar,
     max_inflight: usize,
     queue_capacity: usize,
+    metrics: Arc<MetricsRegistry>,
 }
 
 // lock-order: state(via lock_state) < inner
@@ -357,21 +362,14 @@ impl Drop for SchedGuard<'_> {
     fn drop(&mut self) {
         let mut st = lock_state(self.sched);
         st.inflight = st.inflight.saturating_sub(1);
-        set_occupancy_gauges(&st);
+        self.sched.publish(&st);
         drop(st);
         self.sched.cv.notify_all();
     }
 }
 
-fn set_occupancy_gauges(st: &SchedState) {
-    let m = aqp_obs::metrics::global();
-    m.gauge(names::SERVICE_QUEUE_DEPTH)
-        .set(st.queue.len() as f64);
-    m.gauge(names::SERVICE_INFLIGHT).set(st.inflight as f64);
-}
-
 impl Scheduler {
-    fn new(max_inflight: usize, queue_capacity: usize) -> Self {
+    fn new(max_inflight: usize, queue_capacity: usize, metrics: Arc<MetricsRegistry>) -> Self {
         Self {
             state: std::sync::Mutex::new(SchedState {
                 inflight: 0,
@@ -381,7 +379,18 @@ impl Scheduler {
             cv: std::sync::Condvar::new(),
             max_inflight: max_inflight.max(1),
             queue_capacity,
+            metrics,
         }
+    }
+
+    /// Sets the occupancy gauges from the state just changed.
+    fn publish(&self, st: &SchedState) {
+        self.metrics
+            .gauge(names::SERVICE_QUEUE_DEPTH)
+            .set(st.queue.len() as f64);
+        self.metrics
+            .gauge(names::SERVICE_INFLIGHT)
+            .set(st.inflight as f64);
     }
 
     /// Waits for an execution slot in FIFO order. Returns the guard and
@@ -392,7 +401,7 @@ impl Scheduler {
         let mut st = lock_state(self);
         if st.queue.is_empty() && st.inflight < self.max_inflight {
             st.inflight += 1;
-            set_occupancy_gauges(&st);
+            self.publish(&st);
             return Ok((SchedGuard { sched: self }, Duration::ZERO));
         }
         if st.queue.len() >= self.queue_capacity {
@@ -404,12 +413,12 @@ impl Scheduler {
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         st.queue.push_back(ticket);
-        set_occupancy_gauges(&st);
+        self.publish(&st);
         loop {
             if st.queue.front() == Some(&ticket) && st.inflight < self.max_inflight {
                 st.queue.pop_front();
                 st.inflight += 1;
-                set_occupancy_gauges(&st);
+                self.publish(&st);
                 drop(st);
                 // More slots may remain for the next ticket in line.
                 self.cv.notify_all();
@@ -437,7 +446,7 @@ impl Scheduler {
             if timed_out && !(st.queue.front() == Some(&ticket) && st.inflight < self.max_inflight)
             {
                 st.queue.retain(|&t| t != ticket);
-                set_occupancy_gauges(&st);
+                self.publish(&st);
                 drop(st);
                 self.cv.notify_all();
                 let spent = wait_start.elapsed();
@@ -719,12 +728,6 @@ pub struct AqpService<'a> {
     share: PoolShare,
     sched: Scheduler,
     cache: PlanCache,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_stale: AtomicU64,
-    accepted: AtomicU64,
-    degraded: AtomicU64,
-    rejected: AtomicU64,
 }
 
 impl<'a> AqpService<'a> {
@@ -746,17 +749,15 @@ impl<'a> AqpService<'a> {
     /// in the concurrent service layer.
     pub fn over(session: AqpSession<'a>, config: ServiceConfig) -> Self {
         Self {
-            session,
             share: PoolShare::new(config.thread_budget),
-            sched: Scheduler::new(config.max_inflight, config.queue_capacity),
+            sched: Scheduler::new(
+                config.max_inflight,
+                config.queue_capacity,
+                Arc::clone(session.metrics()),
+            ),
             cache: PlanCache::new(config.cache_capacity),
+            session,
             config,
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_stale: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
         }
     }
 
@@ -774,17 +775,36 @@ impl<'a> AqpService<'a> {
 
     /// A point-in-time snapshot of queues and caches.
     pub fn stats(&self) -> ServiceStats {
+        let m = self.metrics();
+        let cache = |event: CacheEvent| {
+            m.counter_labeled(
+                names::PLAN_CACHE_TOTAL,
+                names::PLAN_CACHE_EVENT_LABEL,
+                event.tag(),
+            )
+            .get()
+        };
+        let admitted = |tag| {
+            m.counter_labeled(names::ADMISSION_TOTAL, names::ADMISSION_DECISION_LABEL, tag)
+                .get()
+        };
         ServiceStats {
             queue_depth: self.sched.queue_depth(),
             inflight: self.sched.inflight(),
             cache_entries: self.cache.len(),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_stale: self.cache_stale.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
+            cache_hits: cache(CacheEvent::Hit),
+            cache_misses: cache(CacheEvent::Miss) + cache(CacheEvent::Uncacheable),
+            cache_stale: cache(CacheEvent::Stale),
+            accepted: admitted("accepted"),
+            degraded: admitted("degraded"),
+            rejected: admitted("rejected"),
         }
+    }
+
+    /// The session's metrics registry, which the service's own series
+    /// (admission, plan cache, queue) share.
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        self.session.metrics()
     }
 
     /// Drops every plan-cache entry (benchmarks use this to time the cold
@@ -838,7 +858,13 @@ impl<'a> AqpService<'a> {
         let spec = contract.spec();
         let arrived = Instant::now();
         let prep = self.prepare(plan, &spec, Some(seed));
-        self.count_cache_event(prep.event);
+        self.metrics()
+            .counter_labeled(
+                names::PLAN_CACHE_TOTAL,
+                names::PLAN_CACHE_EVENT_LABEL,
+                prep.event.tag(),
+            )
+            .inc(1);
 
         // ---- Contract admission ----
         let best = prep.analysis.best_approximate();
@@ -879,7 +905,7 @@ impl<'a> AqpService<'a> {
                 return Ok(self.reject(rejection));
             }
         };
-        aqp_obs::metrics::global()
+        self.metrics()
             .histogram(
                 names::SERVICE_QUEUE_WAIT_US,
                 aqp_obs::metrics::LATENCY_US_BOUNDS,
@@ -889,24 +915,13 @@ impl<'a> AqpService<'a> {
         // ---- Execution (fair thread split) ----
         let slot = self.share.join();
         let threads = self.share.fair_threads();
-        let mut replay = Replay {
+        let replay = Replay {
             analysis: Some(Arc::clone(&prep.analysis)),
             threads: Some(threads),
-            pilot: None,
+            // On a hit whose seed the online sampler won under this epoch,
+            // it wins again: skip its pilot.
+            pilot: prep.route.as_ref().and_then(|r| r.pilot),
         };
-        if let (CacheEvent::Hit, Some(route)) = (prep.event, &prep.route) {
-            if route.pilot.is_some() {
-                // The online sampler won this exact (plan, spec, seed)
-                // under this epoch, so it wins again: skip its pilot.
-                replay.pilot = route.pilot;
-            } else if route.decision.winner != TechniqueKind::Exact {
-                // Fault detection: a verdict that flipped since the entry
-                // was stamped (e.g. a synopsis rebuilt without an epoch
-                // bump) must not send the query to a family that can no
-                // longer serve it. Route on a fresh lint, not the memo.
-                replay.analysis = Some(Arc::new(self.session.lint_plan(plan)));
-            }
-        }
         let mut ans = self.session.answer_with(plan, &spec, seed, replay)?;
         drop(slot);
         drop(guard);
@@ -915,11 +930,7 @@ impl<'a> AqpService<'a> {
         if let Some(fp) = prep.fingerprint {
             self.record_result(fp, seed, &ans);
         }
-        match &decision {
-            AdmissionDecision::Accepted => self.accepted.fetch_add(1, Ordering::Relaxed),
-            AdmissionDecision::Degraded { .. } => self.degraded.fetch_add(1, Ordering::Relaxed),
-        };
-        count_admission(decision.tag());
+        self.count_admission(decision.tag());
         ans.report.admission = Some(Box::new(AdmissionReport {
             decision,
             cache: prep.event,
@@ -930,25 +941,13 @@ impl<'a> AqpService<'a> {
     }
 
     fn reject(&self, rejection: Rejection) -> ServiceReply {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        count_admission("rejected");
+        self.count_admission("rejected");
         ServiceReply::Rejected(rejection)
     }
 
-    fn count_cache_event(&self, event: CacheEvent) {
-        match event {
-            CacheEvent::Hit => self.cache_hits.fetch_add(1, Ordering::Relaxed),
-            CacheEvent::Miss | CacheEvent::Uncacheable => {
-                self.cache_misses.fetch_add(1, Ordering::Relaxed)
-            }
-            CacheEvent::Stale => self.cache_stale.fetch_add(1, Ordering::Relaxed),
-        };
-        aqp_obs::metrics::global()
-            .counter_labeled(
-                names::PLAN_CACHE_TOTAL,
-                names::PLAN_CACHE_EVENT_LABEL,
-                event.tag(),
-            )
+    fn count_admission(&self, tag: &'static str) {
+        self.metrics()
+            .counter_labeled(names::ADMISSION_TOTAL, names::ADMISSION_DECISION_LABEL, tag)
             .inc(1);
     }
 
@@ -1030,7 +1029,7 @@ impl<'a> AqpService<'a> {
                     break;
                 };
                 inner.map.remove(&oldest);
-                aqp_obs::metrics::global()
+                self.metrics()
                     .counter_labeled(
                         names::PLAN_CACHE_TOTAL,
                         names::PLAN_CACHE_EVENT_LABEL,
@@ -1106,12 +1105,6 @@ impl<'a> AqpService<'a> {
     }
 }
 
-fn count_admission(tag: &'static str) {
-    aqp_obs::metrics::global()
-        .counter_labeled(names::ADMISSION_TOTAL, names::ADMISSION_DECISION_LABEL, tag)
-        .inc(1);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1142,7 +1135,7 @@ mod tests {
 
     #[test]
     fn scheduler_rejects_when_queue_full() {
-        let sched = Scheduler::new(1, 0);
+        let sched = Scheduler::new(1, 0, Arc::default());
         let (guard, wait) = sched.admit(None).expect("first admit");
         assert_eq!(wait, Duration::ZERO);
         match sched.admit(None) {
@@ -1156,7 +1149,7 @@ mod tests {
     #[test]
     fn scheduler_is_fifo_under_contention() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let sched = Scheduler::new(1, 16);
+        let sched = Scheduler::new(1, 16, Arc::default());
         let completed = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             let first = sched.admit(None).expect("head slot");
@@ -1179,7 +1172,7 @@ mod tests {
 
     #[test]
     fn queued_ticket_withdraws_at_deadline() {
-        let sched = Scheduler::new(1, 16);
+        let sched = Scheduler::new(1, 16, Arc::default());
         let guard = sched.admit(None).expect("head slot");
         let deadline = Instant::now() + Duration::from_millis(20);
         match sched.admit(Some(deadline)) {

@@ -33,6 +33,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aqp_engine::{ExecOptions, LogicalPlan};
+use aqp_obs::metrics::MetricsRegistry;
 use aqp_obs::scoreboard::{Scoreboard, ScoreboardConfig, ScoreboardSnapshot, Transition};
 use aqp_storage::Catalog;
 
@@ -61,15 +62,14 @@ fn attempt_span_name(kind: TechniqueKind) -> &'static str {
     }
 }
 
-/// Counts a completed routing pass into the global registry: one
+/// Counts a completed routing pass into the session's registry: one
 /// `aqp_decline_total{reason=...}` tick per candidate that declined
 /// (statically or at runtime; `DeclineReason::tag` keeps cardinality
 /// bounded) and one `aqp_routed_total{winner=...}` tick for the family
 /// that answered. Always on — sharded counters cost nanoseconds next to a
 /// routed query.
-fn count_decision(decision: &RoutingDecision) {
+fn count_decision(m: &MetricsRegistry, decision: &RoutingDecision) {
     use aqp_obs::names;
-    let m = aqp_obs::metrics::global();
     for c in &decision.candidates {
         if let CandidateOutcome::StaticallyIneligible(r) | CandidateOutcome::DeclinedAtRuntime(r) =
             &c.outcome
@@ -207,6 +207,9 @@ pub struct AqpSession<'a> {
     /// quarantine transition). The service's plan cache stamps entries
     /// with the epoch at insert and treats a mismatch as stale.
     epoch: AtomicU64,
+    /// Every counter, gauge and histogram this session, its synopsis
+    /// store, its service and the engine work it runs record.
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl<'a> AqpSession<'a> {
@@ -217,9 +220,10 @@ impl<'a> AqpSession<'a> {
 
     /// Creates a session with explicit configuration.
     pub fn with_config(catalog: &'a Catalog, config: SessionConfig) -> Self {
+        let metrics = Arc::new(MetricsRegistry::new());
         Self {
             catalog,
-            offline: OfflineStore::new(),
+            offline: OfflineStore::new().reporting_to(Arc::clone(&metrics)),
             scoreboard: Scoreboard::new(ScoreboardConfig {
                 window: config.audit.window,
                 coverage_floor: config.audit.coverage_floor,
@@ -227,15 +231,26 @@ impl<'a> AqpSession<'a> {
             }),
             audit_serial: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
+            metrics,
             config,
         }
     }
 
-    /// The current routing epoch (see the `epoch` field). Cached routing
-    /// decisions are only valid while the epoch they were captured under
-    /// still matches.
+    /// The current routing epoch: the `epoch` field plus the synopsis
+    /// store's generation, so building or maintaining a stratified
+    /// synopsis through [`AqpSession::offline`] moves it too. Both only grow, so the sum changes whenever either does.
+    /// Cached routing decisions are only valid while the epoch they were
+    /// captured under still matches.
     pub fn routing_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.epoch.load(Ordering::Acquire) + self.offline.generation()
+    }
+
+    /// This session's metrics registry: routing, audit, synopsis and
+    /// engine series of every query it answers, and the service series
+    /// of an [`AqpService`](crate::AqpService) over it. Another session
+    /// in the same process keeps its own.
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.metrics
     }
 
     /// This session's routing configuration.
@@ -487,8 +502,22 @@ impl<'a> AqpSession<'a> {
     }
 
     /// [`AqpSession::answer`] with the service's [`Replay`] hooks;
-    /// `Replay::default()` is exactly the single-caller behavior.
+    /// `Replay::default()` is exactly the single-caller behavior. The
+    /// engine and sampler metrics of the call record into this session's
+    /// registry.
     pub(crate) fn answer_with(
+        &self,
+        plan: &LogicalPlan,
+        spec: &ErrorSpec,
+        seed: u64,
+        replay: Replay,
+    ) -> Result<ApproximateAnswer, AqpError> {
+        aqp_obs::metrics::scoped(&self.metrics, || {
+            self.answer_scoped(plan, spec, seed, replay)
+        })
+    }
+
+    fn answer_scoped(
         &self,
         plan: &LogicalPlan,
         spec: &ErrorSpec,
@@ -571,7 +600,7 @@ impl<'a> AqpSession<'a> {
                 ans
             }
         };
-        count_decision(&decision);
+        count_decision(&self.metrics, &decision);
         let winner = decision.winner;
         ans.report.rows_scanned += declined_rows;
         ans.report.routing = Some(decision);
@@ -629,7 +658,7 @@ impl<'a> AqpSession<'a> {
         }
         let transition = self.scoreboard.record(winner.name(), outcome.observation());
         if transition == Transition::Entered {
-            aqp_obs::metrics::global()
+            self.metrics
                 .counter_labeled(
                     aqp_obs::names::QUARANTINED_TOTAL,
                     aqp_obs::names::TECHNIQUE_LABEL,

@@ -222,19 +222,20 @@ fn scan_block(scanned: bool, block: &Block, verdict: ScanVerdict, s: &mut ExecSt
 }
 
 /// Folds one scan's block accounting into the query's and into the
-/// always-on prune-rate counters (`pruned / (pruned + scanned)` is the
-/// prune rate).
+/// prune-rate counters of the metrics registry in scope
+/// (`pruned / (pruned + scanned)` is the prune rate).
 fn record_scan(scan_stats: &ExecStats, stats: &mut ExecStats) {
     *stats = stats.merge(scan_stats);
-    let m = aqp_obs::metrics::global();
-    if scan_stats.blocks_pruned > 0 {
-        m.counter(aqp_obs::names::BLOCKS_PRUNED_TOTAL)
-            .inc(scan_stats.blocks_pruned);
-    }
-    if scan_stats.blocks_scanned > 0 {
-        m.counter(aqp_obs::names::BLOCKS_SCANNED_TOTAL)
-            .inc(scan_stats.blocks_scanned);
-    }
+    aqp_obs::metrics::record(|m| {
+        if scan_stats.blocks_pruned > 0 {
+            m.counter(aqp_obs::names::BLOCKS_PRUNED_TOTAL)
+                .inc(scan_stats.blocks_pruned);
+        }
+        if scan_stats.blocks_scanned > 0 {
+            m.counter(aqp_obs::names::BLOCKS_SCANNED_TOTAL)
+                .inc(scan_stats.blocks_scanned);
+        }
+    });
 }
 
 fn exec_node_inner(

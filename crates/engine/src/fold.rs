@@ -40,12 +40,13 @@ use crate::agg::{AggExpr, AggState, GroupKey, I64GroupMap, KeyAtom};
 use crate::error::EngineError;
 use crate::kernel::{FusedAggKernel, PredKernel};
 
-/// Records one dispatch on the always-on kernel/fallback counter: one
-/// tick per `Aggregate` operator or sampling phase, labelled by the path
-/// of its fold — not per block, and not for predicates alone.
+/// Records one dispatch on the kernel/fallback counter of the metrics
+/// registry in scope: one tick per `Aggregate` operator or sampling
+/// phase, labelled by the path of its fold — not per block, and not for
+/// predicates alone.
 pub fn record_dispatch(kernel: bool) {
-    aqp_obs::metrics::global()
-        .counter_labeled(
+    aqp_obs::metrics::record(|m| {
+        m.counter_labeled(
             aqp_obs::names::KERNEL_DISPATCH_TOTAL,
             aqp_obs::names::KERNEL_DISPATCH_LABEL,
             if kernel {
@@ -55,6 +56,7 @@ pub fn record_dispatch(kernel: bool) {
             },
         )
         .inc(1);
+    });
 }
 
 /// Partial aggregation state for one morsel or block: one state vector

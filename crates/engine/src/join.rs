@@ -262,11 +262,9 @@ impl GatherJoin {
     }
 }
 
-/// Counts one key-index build on the always-on counter.
+/// Counts one key-index build on the metrics registry in scope.
 fn record_build() {
-    aqp_obs::metrics::global()
-        .counter(aqp_obs::names::KEY_INDEX_BUILDS_TOTAL)
-        .inc(1);
+    aqp_obs::metrics::record(|m| m.counter(aqp_obs::names::KEY_INDEX_BUILDS_TOTAL).inc(1));
 }
 
 #[cfg(test)]

@@ -208,8 +208,8 @@ where
     // Pool telemetry is gated on the caller being inside a trace so the
     // hot loop reads no clock and touches no metric otherwise (the default).
     let obs_on = aqp_obs::current_ctx().trace.is_some();
-    let queue_wait = obs_on.then(|| {
-        aqp_obs::metrics::global().histogram(
+    let queue_wait = obs_on.then(aqp_obs::metrics::current).flatten().map(|m| {
+        m.histogram(
             aqp_obs::names::POOL_QUEUE_WAIT_US,
             aqp_obs::metrics::LATENCY_US_BOUNDS,
         )
@@ -255,13 +255,14 @@ where
     });
     if let Some(t0) = scope_start {
         let wall = t0.elapsed().as_secs_f64();
-        let m = aqp_obs::metrics::global();
-        m.gauge(aqp_obs::names::POOL_WORKERS).set(workers as f64);
-        if wall > 0.0 {
-            let busy = busy_total.into_inner().as_secs_f64();
-            m.gauge(aqp_obs::names::POOL_WORKER_UTILIZATION)
-                .set(busy / (workers as f64 * wall));
-        }
+        aqp_obs::metrics::record(|m| {
+            m.gauge(aqp_obs::names::POOL_WORKERS).set(workers as f64);
+            if wall > 0.0 {
+                let busy = busy_total.into_inner().as_secs_f64();
+                m.gauge(aqp_obs::names::POOL_WORKER_UTILIZATION)
+                    .set(busy / (workers as f64 * wall));
+            }
+        });
     }
     let mut tagged = results.into_inner();
     tagged.sort_unstable_by_key(|(i, _)| *i);

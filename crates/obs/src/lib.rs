@@ -11,7 +11,9 @@
 //!   around a call on the calling thread, and no other thread pays;
 //! - a **metrics registry** ([`metrics`]): counters, gauges, and
 //!   fixed-bucket histograms with lock-free per-worker shards merged on
-//!   read, exported as Prometheus text or JSON;
+//!   read, exported as Prometheus text or JSON. A registry is a value,
+//!   like a trace: [`metrics::scoped`] puts one in scope for a call, and
+//!   instrumentation outside any scope records nowhere;
 //! - **timing helpers** ([`timing`]): the shared median-of-N wall-clock
 //!   idiom used by the `exp_*` binaries and benches.
 //!
@@ -23,7 +25,12 @@
 //! assert_eq!((spans.len(), open), (1, 0));
 //! assert_eq!(spans[0].rows, 1024);
 //! assert!(!aqp_obs::span("op:scan").is_recording(), "no trace in scope");
-//! aqp_obs::metrics::global().counter("queries_total").inc(1);
+//! let registry = std::sync::Arc::new(aqp_obs::metrics::MetricsRegistry::new());
+//! aqp_obs::metrics::scoped(&registry, || {
+//!     aqp_obs::metrics::record(|m| m.counter("queries_total").inc(1));
+//! });
+//! aqp_obs::metrics::record(|m| m.counter("queries_total").inc(1)); // no scope: nowhere
+//! assert_eq!(registry.counter("queries_total").get(), 1);
 //! ```
 
 #![warn(missing_docs)]

@@ -8,17 +8,59 @@
 //! metric takes a short registry lock, so hot loops should fetch their
 //! handle once up front.
 //!
+//! A registry is a value its owner holds, as a trace is: there is no
+//! process-wide one. Code that holds its registry records into it
+//! directly (the session and the service do). Code below it — the
+//! engine's operators, the samplers — records into the registry in
+//! scope: [`scoped`] installs one as the calling thread's for the
+//! duration of a call, and [`record`] runs against it, or does nothing
+//! when none is in scope. So two sessions in one process keep disjoint
+//! counters, and a bare engine call outside any session records nowhere.
+//! Work handed to pool workers records nothing; every built-in metric is
+//! recorded on the thread that opened the scope.
+//!
 //! Exporters: [`MetricsRegistry::to_prometheus_text`] emits the standard
 //! text exposition format, [`MetricsRegistry::to_json`] a stable JSON
 //! document; both iterate the registry's `BTreeMap`s, so output order is
 //! deterministic.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::trace::thread_ord;
+
+thread_local! {
+    static SCOPE: RefCell<Option<Arc<MetricsRegistry>>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` with `registry` as the calling thread's metrics scope, then
+/// restores the scope it replaced (also when `f` unwinds).
+pub fn scoped<T>(registry: &Arc<MetricsRegistry>, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<Arc<MetricsRegistry>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPE.with(|s| *s.borrow_mut() = self.0.take());
+        }
+    }
+    let _prev = Restore(SCOPE.with(|s| s.replace(Some(Arc::clone(registry)))));
+    f()
+}
+
+/// The calling thread's metrics scope, `None` outside any [`scoped`] call.
+pub fn current() -> Option<Arc<MetricsRegistry>> {
+    SCOPE.with(|s| s.borrow().clone())
+}
+
+/// Runs `f` against the registry in scope; a no-op outside any
+/// [`scoped`] call.
+pub fn record(f: impl FnOnce(&MetricsRegistry)) {
+    if let Some(m) = current() {
+        f(&m);
+    }
+}
 
 /// Shard count per metric; threads map on by ordinal modulo this.
 const SHARDS: usize = 16;
@@ -204,8 +246,8 @@ struct MetricKey {
     label: Option<(String, String)>,
 }
 
-/// A named collection of counters, gauges, and histograms. Most callers
-/// use the process-wide [`global`] registry; tests may build their own.
+/// A named collection of counters, gauges, and histograms. Each session
+/// owns one; see the module docs for how code below it records into it.
 #[derive(Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<MetricKey, Arc<Counter>>>,
@@ -213,18 +255,22 @@ pub struct MetricsRegistry {
     histograms: Mutex<BTreeMap<MetricKey, Arc<Histogram>>>,
 }
 
-/// The process-wide registry all built-in instrumentation reports to.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::default)
-}
-
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+impl std::fmt::Debug for MetricsRegistry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MetricsRegistry")
+            .field("counters", &lock(&self.counters).len())
+            .field("gauges", &lock(&self.gauges).len())
+            .field("histograms", &lock(&self.histograms).len())
+            .finish()
+    }
+}
+
 impl MetricsRegistry {
-    /// Creates an empty registry (tests; production uses [`global`]).
+    /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
     }
@@ -304,14 +350,6 @@ impl MetricsRegistry {
                 .entry(key)
                 .or_insert_with(|| Arc::new(Histogram::new(bounds))),
         )
-    }
-
-    /// Drops every registered metric (test isolation; live handles keep
-    /// their values but detach from the registry).
-    pub fn reset(&self) {
-        lock(&self.counters).clear();
-        lock(&self.gauges).clear();
-        lock(&self.histograms).clear();
     }
 
     /// Renders the registry in the Prometheus text exposition format,
@@ -472,6 +510,32 @@ mod tests {
         assert_eq!(c.get(), 8_000);
         // Same name resolves to the same counter.
         assert_eq!(reg.counter("hits").get(), 8_000);
+    }
+
+    #[test]
+    fn record_reaches_the_innermost_scope_and_nothing_outside_one() {
+        let tick = || record(|m| m.counter("ticks").inc(1));
+        tick();
+        assert!(current().is_none());
+        let (outer, inner) = (
+            Arc::new(MetricsRegistry::new()),
+            Arc::new(MetricsRegistry::new()),
+        );
+        scoped(&outer, || {
+            tick();
+            scoped(&inner, tick);
+            tick();
+            // Another thread is outside the scope this one opened.
+            std::thread::scope(|s| s.spawn(|| assert!(current().is_none())).join().unwrap());
+        });
+        assert!(current().is_none(), "the scope ends with the call");
+        assert_eq!(outer.counter("ticks").get(), 2);
+        assert_eq!(inner.counter("ticks").get(), 1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scoped(&outer, || panic!("boom"))
+        }));
+        assert!(unwound.is_err());
+        assert!(current().is_none(), "restored while unwinding");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Canonical metric names shared across crates.
 //!
-//! Metrics are looked up by string name in the global registry; a typo
+//! Metrics are looked up by string name in a registry; a typo
 //! silently creates a second time series. Emitters and dashboards/tests
 //! should both reference these constants so the names stay a single
 //! source of truth. [`ALL_METRIC_NAMES`] enumerates every series the
@@ -194,7 +194,7 @@ pub const SYNOPSIS_ROWS_APPENDED: &str = "aqp_synopsis_rows_appended";
 pub const SYNOPSIS_FAILED_AUDITS: &str = "aqp_synopsis_failed_audits";
 
 /// Every metric name the workspace emits. A session test scrapes the
-/// global registry after a mixed workload and asserts each series name
+/// session's registry after a mixed workload and asserts each series name
 /// appears here — so new emitters must register their name in this
 /// module, keeping it the single source of truth.
 pub const ALL_METRIC_NAMES: &[&str] = &[

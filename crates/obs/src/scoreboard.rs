@@ -22,7 +22,7 @@
 //!    longer exists say nothing about its replacement).
 //!
 //! Cumulative per-technique audit totals are *also* mirrored into the
-//! global metrics registry by the auditor (`aqp_audit_total` et al. in
+//! session's metrics registry by the auditor (`aqp_audit_total` et al. in
 //! [`crate::names`]); the scoreboard is the session-local windowed view
 //! the routing feedback pivots on.
 

@@ -2,7 +2,7 @@
 //! routing session, each inside its own trace scope, print `EXPLAIN
 //! ANALYZE` for every answer, run an audited workload whose ground-truth
 //! checks populate the per-technique accuracy scoreboard, and finish with
-//! the session's metrics in Prometheus exposition format.
+//! each session's metrics in Prometheus exposition format.
 //!
 //! ```sh
 //! cargo run --release -p aqp-bench --example observability
@@ -153,7 +153,13 @@ fn main() {
     println!("\n== accuracy scoreboard (windowed, per technique) ==\n");
     println!("{}", session5.accuracy().render_table());
 
-    // --- 6. Everything the five sessions recorded, scrape-ready.
-    println!("== metrics (Prometheus exposition) ==\n");
-    print!("{}", aqp_obs::metrics::global().to_prometheus_text());
+    // --- 6. Everything the five sessions recorded, scrape-ready: each
+    //        session keeps its own registry.
+    for (i, session) in [&session, &session2, &session3, &session4, &session5]
+        .into_iter()
+        .enumerate()
+    {
+        println!("== session {} metrics (Prometheus exposition) ==\n", i + 1);
+        print!("{}", session.metrics().to_prometheus_text());
+    }
 }

@@ -49,6 +49,16 @@ if grep -nE '\bstatic [A-Z_]+:' crates/obs/src/trace.rs |
   exit 1
 fi
 
+# Metrics are a value the session owns, as traces are: no process-wide
+# registry (SCOPE, the calling thread's registry in scope, is a
+# thread-local), and no test serialising behind a lock because a counter
+# is shared by the whole process.
+if grep -rnE 'metrics::global|static [A-Z_]+: (std::sync::)?Mutex<\(\)>' crates tests examples ||
+  grep -nE '\bstatic [A-Z_]+:' crates/obs/src/metrics.rs | grep -vE 'static SCOPE:'; then
+  echo "a process-wide metrics registry or a test-serialising mutex is back" >&2
+  exit 1
+fi
+
 # The span-isolation tests race traced against untraced threads, so one
 # green run proves little: run the binary 25 times (~0.1 s each).
 for _ in $(seq 25); do cargo test -q --test observability; done

@@ -247,7 +247,7 @@ fn stale_synopsis_is_quarantined_and_recovers_after_maintenance() {
     }
     let lints = ans.report.lints.as_ref().unwrap();
     assert!(lints.has(LintCode::A014TechniqueQuarantined));
-    let prom = aqp_obs::metrics::global().to_prometheus_text();
+    let prom = session.metrics().to_prometheus_text();
     assert!(prom.contains("aqp_quarantined_total{technique=\"offline-synopsis\"}"));
     assert!(prom.contains("aqp_audit_ci_miss_total{technique=\"offline-synopsis\"}"));
     let explain = ans.report.explain_analyze();
@@ -303,7 +303,7 @@ fn emitted_metric_names_come_from_the_names_table() {
     session.answer(&minmax, &spec, 3).unwrap();
     session.maintain_synopses("t", 5).unwrap();
 
-    let prom = aqp_obs::metrics::global().to_prometheus_text();
+    let prom = session.metrics().to_prometheus_text();
     for line in prom.lines() {
         if line.is_empty() || line.starts_with('#') {
             continue;

@@ -20,22 +20,18 @@
 //!
 //! The last test pins `aqp_kernel_dispatch_total`: one tick per aggregate.
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use aqp_engine::{execute_with, AggExpr, BlockFold, ExecOptions, LogicalPlan, Query};
 use aqp_expr::{col, lit};
 use aqp_mergeable::Partial;
+use aqp_obs::metrics::{scoped, MetricsRegistry};
 use aqp_obs::names;
 use aqp_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// The dispatch counter is process-global: every test here that executes
-/// a plan holds this lock, so a counted delta belongs to the test that
-/// took it.
-static DISPATCH: Mutex<()> = Mutex::new(());
 
 /// Table `t(k, v, s)`: nullable INT64 group key (NULL every 11th row),
 /// nullable non-integral FLOAT64 measure (NULL every 7th row), and a
@@ -130,7 +126,6 @@ fn configs() -> Vec<ExecOptions> {
 /// Runs `plan` under every configuration and asserts the full matrix of
 /// equivalences against the scalar serial baseline.
 fn assert_equivalent(plan: &LogicalPlan, c: &Catalog) -> Result<(), TestCaseError> {
-    let _guard = DISPATCH.lock().unwrap_or_else(PoisonError::into_inner);
     let baseline = execute_with(
         plan,
         c,
@@ -306,7 +301,6 @@ proptest! {
 /// pruning half of the proptests above is vacuously true.
 #[test]
 fn clustered_selector_prunes_blocks() {
-    let _guard = DISPATCH.lock().unwrap_or_else(PoisonError::into_inner);
     let xs: Vec<i64> = (0..20_000).map(|i| (i * 7919) % 100_000 - 50_000).collect();
     let c = catalog_from(&xs, 128, 23);
     let plan = Query::scan("t")
@@ -331,10 +325,10 @@ fn clustered_selector_prunes_blocks() {
 /// path its fold took, and never for a filter alone: a filtered
 /// join-aggregate is one `kernel` tick (not a second one for the filter
 /// pushed below the join), a two-column-key aggregate over a filtered scan
-/// one `fallback` tick (and no `kernel` one for its filter).
+/// one `fallback` tick (and no `kernel` one for its filter). Each run
+/// records into a registry of its own, so no other test's runs count.
 #[test]
 fn one_dispatch_tick_per_aggregate() {
-    let _guard = DISPATCH.lock().unwrap_or_else(PoisonError::into_inner);
     let xs: Vec<i64> = (0..20_000).map(|i| (i * 7919) % 100_000 - 50_000).collect();
     let c = catalog_from(&xs, 128, 23);
     let mut dim = TableBuilder::new(
@@ -349,26 +343,24 @@ fn one_dispatch_tick_per_aggregate() {
             .unwrap();
     }
     c.register(dim.finish()).unwrap();
-    let dispatches = || {
-        let m = aqp_obs::metrics::global();
+    let ticks = |plan: LogicalPlan| {
+        let registry = Arc::new(MetricsRegistry::new());
+        scoped(&registry, || {
+            execute_with(&plan, &c, ExecOptions::serial()).unwrap()
+        });
         [
             names::KERNEL_DISPATCH_KERNEL,
             names::KERNEL_DISPATCH_FALLBACK,
         ]
         .map(|path| {
-            m.counter_labeled(
-                names::KERNEL_DISPATCH_TOTAL,
-                names::KERNEL_DISPATCH_LABEL,
-                path,
-            )
-            .get()
+            registry
+                .counter_labeled(
+                    names::KERNEL_DISPATCH_TOTAL,
+                    names::KERNEL_DISPATCH_LABEL,
+                    path,
+                )
+                .get()
         })
-    };
-    let ticks = |plan: LogicalPlan| {
-        let before = dispatches();
-        execute_with(&plan, &c, ExecOptions::serial()).unwrap();
-        let after = dispatches();
-        [after[0] - before[0], after[1] - before[1]]
     };
     let join_agg = Query::scan("t")
         .join(Query::scan("d"), col("k"), col("dk"))

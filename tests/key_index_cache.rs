@@ -7,9 +7,10 @@
 //! answers follow a replaced dimension, a replacement that breaks key
 //! uniqueness is refused by the sampler and joined many-to-many by the
 //! engine, racing first uses build once, and a steady workload builds
-//! nothing after its first query.
+//! nothing after its first query. Each counting test reads a registry of
+//! its own, so the tests run in parallel.
 
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 
 use aqp_core::rewrite::answer_via_rewrite;
 use aqp_core::{
@@ -17,16 +18,13 @@ use aqp_core::{
 };
 use aqp_engine::{execute_with, AggExpr, ExecOptions, LogicalPlan, Query};
 use aqp_expr::{col, lit};
+use aqp_obs::metrics::{scoped, MetricsRegistry};
 use aqp_sampling::bernoulli_blocks;
 use aqp_storage::{Catalog, Table, TableBuilder, Value};
 use aqp_workload::{build_star_schema, StarScale};
 
-/// The build counter is process-global: every test that builds an index
-/// holds this lock, so a counted delta belongs to the test that took it.
-static BUILDS: Mutex<()> = Mutex::new(());
-
-fn builds() -> u64 {
-    aqp_obs::metrics::global()
+fn builds(registry: &MetricsRegistry) -> u64 {
+    registry
         .counter(aqp_obs::names::KEY_INDEX_BUILDS_TOTAL)
         .get()
 }
@@ -79,7 +77,6 @@ fn scalar(plan: &LogicalPlan, c: &Catalog) -> f64 {
 /// next exact, rewrite and online answers all join against the new rows.
 #[test]
 fn answers_follow_a_replaced_dimension() {
-    let _guard = BUILDS.lock().unwrap();
     let c = star(8_000, 3);
     let plan = join_count();
     let query = AggQuery::from_plan(&plan).expect("star shape");
@@ -125,7 +122,6 @@ fn answers_follow_a_replaced_dimension() {
 /// always had, while the exact engine returns the many-to-many result.
 #[test]
 fn duplicate_key_is_refused_by_online_and_joined_by_exact() {
-    let _guard = BUILDS.lock().unwrap();
     let c = star(1_000, 4);
     let plan = join_count();
     let query = AggQuery::from_plan(&plan).expect("star shape");
@@ -158,21 +154,20 @@ fn duplicate_key_is_refused_by_online_and_joined_by_exact() {
 /// once, and the build is counted once.
 #[test]
 fn racing_first_uses_build_once() {
-    let _guard = BUILDS.lock().unwrap();
     let c = star(2_000, 5);
     let plan = join_count();
     let expect = c.get("lineitem").unwrap().row_count() as f64;
-    let before = builds();
+    let registry = Arc::new(MetricsRegistry::new());
     let barrier = Barrier::new(8);
     std::thread::scope(|scope| {
         for _ in 0..8 {
             scope.spawn(|| {
                 barrier.wait();
-                assert_eq!(scalar(&plan, &c), expect);
+                assert_eq!(scoped(&registry, || scalar(&plan, &c)), expect);
             });
         }
     });
-    assert_eq!(builds() - before, 1);
+    assert_eq!(builds(&registry), 1);
 }
 
 /// A steady join workload through the front door — online pilots, the
@@ -181,7 +176,6 @@ fn racing_first_uses_build_once() {
 /// `join:build`.
 #[test]
 fn a_hundred_queries_build_one_index() {
-    let _guard = BUILDS.lock().unwrap();
     let c = star(4_000, 6);
     let service = AqpService::new(&c);
     let grouped = |theta: f64| {
@@ -194,7 +188,6 @@ fn a_hundred_queries_build_one_index() {
             )
             .build()
     };
-    let before = builds();
     for i in 0..100u64 {
         let plan = grouped(0.4 + 0.1 * (i % 5) as f64);
         // Tight contracts send the query past online's rate cap to the
@@ -206,7 +199,10 @@ fn a_hundred_queries_build_one_index() {
         let (reply, spans, _) = aqp_obs::capture(|| service.submit(&plan, &contract, i).unwrap());
         let answer = reply.answered().expect("admitted");
         // The exact baseline joins through the same cached index.
-        assert!(execute_with(&plan, &c, ExecOptions::default()).is_ok());
+        let exact = scoped(service.metrics(), || {
+            execute_with(&plan, &c, ExecOptions::default())
+        });
+        assert!(exact.is_ok());
         let tree: &aqp_obs::SpanNode = answer.report.trace.as_ref().expect("traced");
         let mut names = Vec::new();
         let mut stack = vec![tree];
@@ -221,5 +217,5 @@ fn a_hundred_queries_build_one_index() {
             "query {i}: {names:?}"
         );
     }
-    assert_eq!(builds() - before, 1, "one index for orders.o_key");
+    assert_eq!(builds(service.metrics()), 1, "one index for orders.o_key");
 }

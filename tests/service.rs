@@ -8,8 +8,10 @@
 //!   `(plan, spec, seed)` jobs;
 //! * goldens cover each admission verdict (accepted, degraded, strict
 //!   rejection, deadline rejection, queue-full backpressure) and each
-//!   plan-cache transition (miss → hit → stale after maintenance or a
-//!   table swap, pilot-plan replay on a warm hit);
+//!   plan-cache transition (miss → hit → stale after maintenance, a
+//!   synopsis build or a table swap, pilot-plan replay on a warm hit);
+//! * each service counts into its own session's registry: two services
+//!   in one process keep disjoint counters;
 //! * tracing is per caller: clients that scope a trace around their own
 //!   `submit` get exactly their own query's span tree, and neither their
 //!   neighbours nor concurrent maintenance are traced or recorded.
@@ -372,6 +374,94 @@ fn plan_cache_hits_then_invalidates() {
     assert_eq!(stats.cache_hits, 2);
     assert_eq!(stats.cache_stale, 2);
     assert_eq!(stats.cache_misses, 1);
+}
+
+/// A synopsis built through `session().offline()` under a cached plan
+/// moves the routing epoch: the next lookup is stale, so the plan is
+/// linted afresh and the new synopsis answers. A hit routes on its memo
+/// alone, so no store change a verdict reads may leave it valid.
+#[test]
+fn a_synopsis_built_under_a_cached_plan_stales_it() {
+    let c = Catalog::new();
+    c.register(skewed_table("t", 30_000, 10, 1.0, 128, 11))
+        .unwrap();
+    let service = AqpService::new(&c);
+    let plan = grouped_sum("t", 0.8);
+    let spec = ErrorSpec::new(0.15, 0.9);
+    let routed = |seed| {
+        let ans = service.answer(&plan, &spec, seed).unwrap();
+        let cache = ans.report.admission.as_ref().expect("admission").cache;
+        (cache, ans.report.routing.as_ref().expect("routed").winner)
+    };
+    let (cache, winner) = routed(1);
+    assert_eq!(cache, CacheEvent::Miss);
+    assert_ne!(winner, TechniqueKind::OfflineSynopsis, "no synopsis yet");
+    assert_eq!(routed(2), (CacheEvent::Hit, winner));
+    service
+        .session()
+        .offline()
+        .build_stratified(&c, "t", "g", 3_000, 5)
+        .unwrap();
+    assert_eq!(
+        routed(3),
+        (CacheEvent::Stale, TechniqueKind::OfflineSynopsis)
+    );
+    assert_eq!(routed(4), (CacheEvent::Hit, TechniqueKind::OfflineSynopsis));
+}
+
+/// Two services in one process keep disjoint counters: each session owns
+/// its registry, the service's series live in it, and the engine work a
+/// query runs records into the registry of the session that ran it.
+#[test]
+fn two_services_keep_disjoint_counters() {
+    use aqp_obs::names;
+    let c = Catalog::new();
+    c.register(skewed_table("t", 30_000, 10, 1.0, 128, 11))
+        .unwrap();
+    let [a, b, idle] = [(); 3].map(|()| AqpService::new(&c));
+    let spec = ErrorSpec::new(0.15, 0.9);
+    let routed = |s: &AqpService| -> u64 {
+        TechniqueKind::all()
+            .into_iter()
+            .map(|k| {
+                s.metrics()
+                    .counter_labeled(names::ROUTED_TOTAL, names::ROUTED_WINNER_LABEL, k.name())
+                    .get()
+            })
+            .sum()
+    };
+    let dispatched = |s: &AqpService| -> u64 {
+        [
+            names::KERNEL_DISPATCH_KERNEL,
+            names::KERNEL_DISPATCH_FALLBACK,
+        ]
+        .map(|path| {
+            s.metrics()
+                .counter_labeled(
+                    names::KERNEL_DISPATCH_TOTAL,
+                    names::KERNEL_DISPATCH_LABEL,
+                    path,
+                )
+                .get()
+        })
+        .iter()
+        .sum()
+    };
+    b.answer(&ungrouped_sum("t"), &spec, 9).unwrap();
+    let b_dispatched = dispatched(&b);
+    assert!(b_dispatched > 0, "b's query folded blocks");
+    for seed in 0..3 {
+        a.answer(&grouped_sum("t", 0.8), &spec, seed).unwrap();
+    }
+    assert_eq!((routed(&a), routed(&b), routed(&idle)), (3, 1, 0));
+    let (sa, sb, si) = (a.stats(), b.stats(), idle.stats());
+    assert_eq!((sa.cache_misses, sa.cache_hits, sa.accepted), (1, 2, 3));
+    assert_eq!((sb.cache_misses, sb.cache_hits, sb.accepted), (1, 0, 1));
+    assert_eq!((si.cache_misses, si.accepted), (0, 0));
+    assert!(dispatched(&a) >= 3, "a's queries folded blocks");
+    assert_eq!(dispatched(&b), b_dispatched, "a's work reached b");
+    assert_eq!(dispatched(&idle), 0);
+    assert!(!std::sync::Arc::ptr_eq(a.metrics(), b.metrics()));
 }
 
 /// A warm hit with a cached pilot plan replays the online sampler without
