@@ -18,8 +18,6 @@ pub struct LintPolicy {
     /// Minimum per-group sample rows the rewrite demands at runtime (used
     /// for the support-risk lint, not for a static verdict).
     pub rewrite_min_group_support: u64,
-    /// Whether progressive online aggregation participates in routing.
-    pub progressive: bool,
 }
 
 impl Default for LintPolicy {
@@ -28,7 +26,6 @@ impl Default for LintPolicy {
             max_staleness: 0.1,
             min_sampling_blocks: MIN_SAMPLING_BLOCKS,
             rewrite_min_group_support: 30,
-            progressive: true,
         }
     }
 }

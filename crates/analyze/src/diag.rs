@@ -27,15 +27,6 @@ pub enum Suggestion {
         /// The stale synopsis' table.
         table: String,
     },
-    /// The aggregate needs an offline extreme-value/distinct synopsis
-    /// (sampling cannot bound it): route exact or precompute one.
-    UseOfflineSynopsisForAggregate {
-        /// Offending aggregate alias.
-        alias: String,
-        /// Synopsis kind that would serve it, e.g. "extreme-value",
-        /// "distinct-sketch".
-        synopsis_kind: &'static str,
-    },
     /// Re-stratify the synopsis on the query's group column.
     RestratifySynopsis {
         /// The synopsis' table.
@@ -65,13 +56,6 @@ impl fmt::Display for Suggestion {
                 )
             }
             Self::RefreshSynopsis { table } => write!(f, "rebuild the synopsis for `{table}`"),
-            Self::UseOfflineSynopsisForAggregate {
-                alias,
-                synopsis_kind,
-            } => write!(
-                f,
-                "route exact or precompute a {synopsis_kind} synopsis for `{alias}`"
-            ),
             Self::RestratifySynopsis { table, column } => {
                 write!(f, "re-stratify `{table}`'s synopsis on `{column}`")
             }

@@ -185,11 +185,6 @@ fn shape_pass(plan: &LogicalPlan, diags: &mut Vec<Diagnostic>) {
                 continue;
             }
             non_closed += 1;
-            let synopsis_kind = match a.func {
-                aqp_engine::AggFunc::CountDistinct => "distinct-sketch",
-                aqp_engine::AggFunc::VarSamp => "second-moment",
-                _ => "extreme-value",
-            };
             diags.push(Diagnostic {
                 code: LintCode::A001NonClosedAggregate,
                 severity: Severity::Error,
@@ -200,10 +195,9 @@ fn shape_pass(plan: &LogicalPlan, diags: &mut Vec<Diagnostic>) {
                      sampling-based estimator can bound its error",
                     a.alias, a.func
                 ),
-                suggestion: Some(Suggestion::UseOfflineSynopsisForAggregate {
-                    alias: a.alias.clone(),
-                    synopsis_kind,
-                }),
+                // No family answers it from a synopsis either: exact is
+                // the route this system has.
+                suggestion: Some(Suggestion::RouteExact),
                 predicts: Some(DeclineReason::UnsupportedAggregate {
                     alias: a.alias.clone(),
                     detail: "not closed under uniform sampling".to_string(),

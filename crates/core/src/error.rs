@@ -26,6 +26,12 @@ pub enum AqpError {
         /// Why no sampling plan qualifies.
         detail: String,
     },
+    /// A client's accuracy contract is malformed: its error or confidence
+    /// lies outside (0, 1).
+    InvalidContract {
+        /// Which field, and the value it had.
+        detail: String,
+    },
 }
 
 impl fmt::Display for AqpError {
@@ -36,6 +42,7 @@ impl fmt::Display for AqpError {
             Self::Engine(e) => write!(f, "engine error: {e}"),
             Self::Unsupported { detail } => write!(f, "unsupported for AQP: {detail}"),
             Self::Infeasible { detail } => write!(f, "no feasible sampling plan: {detail}"),
+            Self::InvalidContract { detail } => write!(f, "invalid contract: {detail}"),
         }
     }
 }
@@ -85,5 +92,9 @@ mod tests {
             detail: "q > 1".into(),
         };
         assert!(e.to_string().contains("feasible"));
+        let e = AqpError::InvalidContract {
+            detail: "confidence must be in (0,1), got 1".into(),
+        };
+        assert!(e.to_string().starts_with("invalid contract"));
     }
 }

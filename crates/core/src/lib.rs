@@ -4,8 +4,10 @@
 //! The survey maps AQP along three axes — query **generality**, **error**
 //! guarantees, and **performance** — and shows every technique trades one
 //! for another. This crate implements every family the paper covers, on a
-//! shared substrate (`aqp-engine` for exact execution, `aqp-sampling` and
-//! `aqp-sketch` for the approximators, `aqp-stats` for the guarantees):
+//! shared substrate (`aqp-engine` for exact execution, `aqp-sampling` for
+//! the approximators, `aqp-stats` for the guarantees). The sketch zoo the
+//! capability matrix lists beside them answers no routed query and is
+//! measured by the experiments alone:
 //!
 //! * [`spec`] — the user-facing accuracy contract ([`ErrorSpec`]).
 //! * [`aggquery`] — the normalized star-aggregation form the planners
@@ -13,8 +15,8 @@
 //! * [`online`] — **query-time sampling**: pilot-planned two-phase block
 //!   sampling with a-priori guarantees and exact fallback
 //!   ([`OnlineAqp`]).
-//! * [`offline`] — **pre-computed synopses**: stratified samples, distinct
-//!   and quantile sketches, with staleness tracking ([`OfflineStore`]).
+//! * [`offline`] — **pre-computed synopses**: stratified samples with
+//!   staleness tracking and delta maintenance ([`OfflineStore`]).
 //! * [`ola`] — **online aggregation**: progressive estimates with live
 //!   intervals, plus ripple joins.
 //! * [`answer`] — approximate answers with per-group intervals and cost
@@ -39,7 +41,8 @@
 //! * [`service`] — the *concurrent* front door: a `Send + Sync`
 //!   [`AqpService`] sharing one session (and one morsel-thread budget)
 //!   across client threads, with bounded admission, a plan cache keyed on
-//!   normalized-plan fingerprints, and per-query accuracy
+//!   normalized-plan fingerprints (memoizing lint, route and a wall
+//!   estimate — never an answer's work), and per-query accuracy
 //!   [`Contract`]s that admission accepts, degrades, or rejects.
 //! * [`taxonomy`] — the paper's technique-vs-property matrix; the four
 //!   routable family rows are read off the static analyzer's verdicts,
@@ -107,7 +110,6 @@ pub use audit::{AuditConfig, AuditOutcome};
 pub use error::AqpError;
 pub use offline::{OfflineStore, OfflineTechnique};
 pub use ola::{OlaTechnique, OnlineAggregator, RippleJoin};
-pub use online::PilotPlan;
 pub use online::{OnlineAqp, OnlineConfig};
 pub use rewrite::RewriteTechnique;
 pub use service::{

@@ -1,10 +1,9 @@
 //! Pre-computed (offline) AQP: a synopsis store with staleness tracking.
 //!
 //! NSB's *pre-computed* camp buys its speed by committing ahead of time: a
-//! stratified sample keyed on an anticipated column set, per-column
-//! sketches for distinct counts and quantiles. At query time nothing but
-//! the synopsis is touched — the fastest possible path — but two failure
-//! modes come with it, both made measurable here:
+//! stratified sample keyed on an anticipated column set. At query time
+//! nothing but the synopsis is touched — the fastest possible path — but
+//! two failure modes come with it, both made measurable here:
 //!
 //! * **workload drift** — a query grouping by a column the sample was not
 //!   stratified on gets no per-group guarantee (small groups may be absent
@@ -27,7 +26,6 @@ use aqp_expr::lit;
 use aqp_obs::metrics::MetricsRegistry;
 use aqp_sampling::design::PairStats;
 use aqp_sampling::{stratified_sample_with_threads, Allocation, Sample, SampleDesign};
-use aqp_sketch::{GkQuantiles, HyperLogLog};
 use aqp_stats::{Estimate, Moments};
 use aqp_storage::{Catalog, Column, Value};
 
@@ -50,36 +48,16 @@ pub struct StratifiedSynopsis {
     pub built_on_rows: u64,
 }
 
-/// A per-column distinct-count synopsis.
-pub struct DistinctSynopsis {
-    /// The HLL sketch.
-    pub hll: HyperLogLog,
-    /// Base-table row count at build time.
-    pub built_on_rows: u64,
-}
-
-/// A per-column quantile synopsis.
-pub struct QuantileSynopsis {
-    /// The GK summary.
-    pub gk: GkQuantiles,
-    /// Base-table row count at build time.
-    pub built_on_rows: u64,
-}
-
 /// The offline synopsis store.
 pub struct OfflineStore {
     stratified: RwLock<HashMap<String, StratifiedSynopsis>>,
-    distinct: RwLock<HashMap<(String, String), DistinctSynopsis>>,
-    quantiles: RwLock<HashMap<(String, String), QuantileSynopsis>>,
     /// Ground-truth audits failed per table since the last maintenance —
     /// the drift signal staleness alone cannot see (appends that *shift
     /// the distribution* without moving the row count much).
     failed_audits: RwLock<HashMap<String, u64>>,
-    /// Worker threads for synopsis builds. HLL registers merge exactly
-    /// (per-register max is order-independent), so parallel builds are
-    /// identical to serial ones at any thread count. GK quantiles builds
-    /// serially; its `Partial` merge exists for delta maintenance, where
-    /// order is fixed (stored summary, then the append).
+    /// Worker threads for synopsis builds and maintenance. Congressional
+    /// stratification never consults moments, so the drawn sample is
+    /// identical at any thread count.
     threads: usize,
     /// Where builds, maintenance and the drift gauges are recorded: the
     /// owning session's registry, or one of the store's own.
@@ -107,8 +85,6 @@ impl OfflineStore {
     pub fn with_threads(threads: usize) -> Self {
         Self {
             stratified: RwLock::new(HashMap::new()),
-            distinct: RwLock::new(HashMap::new()),
-            quantiles: RwLock::new(HashMap::new()),
             failed_audits: RwLock::new(HashMap::new()),
             threads: threads.max(1),
             metrics: Arc::default(),
@@ -180,85 +156,6 @@ impl OfflineStore {
         Ok(())
     }
 
-    /// Builds a distinct-count synopsis for `(table, column)`.
-    pub fn build_distinct(
-        &self,
-        catalog: &Catalog,
-        table: &str,
-        column: &str,
-        precision: u8,
-    ) -> Result<(), AqpError> {
-        let mut span = aqp_obs::span("synopsis:build-distinct");
-        let build_start = Instant::now();
-        let t = catalog.get(table)?;
-        let idx = t.schema().index_of(column)?;
-        if span.is_recording() {
-            span.set_rows(t.row_count() as u64);
-        }
-        // One morsel per block; HLL merge (register-wise max) is exact, so
-        // the merged sketch equals the serial single-pass build.
-        let blocks: Vec<Arc<aqp_storage::Block>> =
-            t.iter_blocks().map(|(_, b)| Arc::clone(b)).collect();
-        let partials = aqp_engine::pool::parallel_map(blocks, self.threads, |_, block| {
-            let mut hll = HyperLogLog::new(precision);
-            let col = block.column(idx);
-            for i in 0..col.len() {
-                if !col.is_null(i) {
-                    hll.insert_hashed(aqp_expr::stable_hash64(&col.get(i)));
-                }
-            }
-            hll
-        });
-        let mut hll = HyperLogLog::new(precision);
-        for part in &partials {
-            hll.merge(part).expect("partials share one precision");
-        }
-        self.record_build_cost(&mut span, format!("{table}.{column}"), build_start);
-        self.distinct.write().insert(
-            (table.to_string(), column.to_string()),
-            DistinctSynopsis {
-                hll,
-                built_on_rows: t.row_count() as u64,
-            },
-        );
-        Ok(())
-    }
-
-    /// Builds a quantile synopsis for `(table, column)`.
-    pub fn build_quantiles(
-        &self,
-        catalog: &Catalog,
-        table: &str,
-        column: &str,
-        eps: f64,
-    ) -> Result<(), AqpError> {
-        let mut span = aqp_obs::span("synopsis:build-quantiles");
-        let build_start = Instant::now();
-        let t = catalog.get(table)?;
-        let idx = t.schema().index_of(column)?;
-        if span.is_recording() {
-            span.set_rows(t.row_count() as u64);
-        }
-        let mut gk = GkQuantiles::new(eps);
-        for (_, block) in t.iter_blocks() {
-            let col = block.column(idx);
-            for i in 0..col.len() {
-                if let Some(v) = col.f64_at(i) {
-                    gk.insert(v);
-                }
-            }
-        }
-        self.record_build_cost(&mut span, format!("{table}.{column}"), build_start);
-        self.quantiles.write().insert(
-            (table.to_string(), column.to_string()),
-            QuantileSynopsis {
-                gk,
-                built_on_rows: t.row_count() as u64,
-            },
-        );
-        Ok(())
-    }
-
     /// Incrementally maintains the stratified synopsis after an
     /// append-only delta: samples only the rows past `built_on_rows`
     /// ([`aqp_storage::Table::tail`]), then folds the delta sample into
@@ -317,100 +214,10 @@ impl OfflineStore {
         Ok(delta_rows)
     }
 
-    /// Incrementally maintains the distinct-count synopsis after an
-    /// append-only delta: sketches only the new rows and folds the
-    /// partial into the stored HLL (register-wise max — exactly the
-    /// sketch a full rebuild would produce). Returns the delta row count.
-    pub fn maintain_distinct(
-        &self,
-        catalog: &Catalog,
-        table: &str,
-        column: &str,
-    ) -> Result<u64, AqpError> {
-        let mut span = aqp_obs::span("synopsis:maintain-distinct");
-        let t = catalog.get(table)?;
-        let idx = t.schema().index_of(column)?;
-        let mut store = self.distinct.write();
-        let syn = store
-            .get_mut(&(table.to_string(), column.to_string()))
-            .ok_or_else(|| AqpError::Unsupported {
-                detail: format!("no distinct synopsis for {table}.{column}"),
-            })?;
-        let delta = t.tail(syn.built_on_rows as usize);
-        let delta_rows = delta.row_count() as u64;
-        if delta_rows == 0 {
-            return Ok(0);
-        }
-        let mut part = HyperLogLog::new(syn.hll.precision_for_codec());
-        for (_, block) in delta.iter_blocks() {
-            let col = block.column(idx);
-            for i in 0..col.len() {
-                if !col.is_null(i) {
-                    part.insert_hashed(aqp_expr::stable_hash64(&col.get(i)));
-                }
-            }
-        }
-        syn.hll
-            .merge(&part)
-            .expect("same precision by construction");
-        syn.built_on_rows = t.row_count() as u64;
-        if span.is_recording() {
-            span.set_rows(delta_rows);
-        }
-        self.metrics
-            .counter(aqp_obs::names::SYNOPSIS_MAINTAINED_TOTAL)
-            .inc(1);
-        Ok(delta_rows)
-    }
-
-    /// Incrementally maintains the quantile synopsis after an append-only
-    /// delta: summarizes only the new rows at the stored `eps` and merges
-    /// the two GK summaries (rank error stays within eps of the union).
-    /// Returns the delta row count.
-    pub fn maintain_quantiles(
-        &self,
-        catalog: &Catalog,
-        table: &str,
-        column: &str,
-    ) -> Result<u64, AqpError> {
-        let mut span = aqp_obs::span("synopsis:maintain-quantiles");
-        let t = catalog.get(table)?;
-        let idx = t.schema().index_of(column)?;
-        let mut store = self.quantiles.write();
-        let syn = store
-            .get_mut(&(table.to_string(), column.to_string()))
-            .ok_or_else(|| AqpError::Unsupported {
-                detail: format!("no quantile synopsis for {table}.{column}"),
-            })?;
-        let delta = t.tail(syn.built_on_rows as usize);
-        let delta_rows = delta.row_count() as u64;
-        if delta_rows == 0 {
-            return Ok(0);
-        }
-        let mut part = GkQuantiles::new(syn.gk.eps());
-        for (_, block) in delta.iter_blocks() {
-            let col = block.column(idx);
-            for i in 0..col.len() {
-                if let Some(v) = col.f64_at(i) {
-                    part.insert(v);
-                }
-            }
-        }
-        syn.gk.merge(&part).expect("same eps by construction");
-        syn.built_on_rows = t.row_count() as u64;
-        if span.is_recording() {
-            span.set_rows(delta_rows);
-        }
-        self.metrics
-            .counter(aqp_obs::names::SYNOPSIS_MAINTAINED_TOTAL)
-            .inc(1);
-        Ok(delta_rows)
-    }
-
-    /// Folds an append-only delta into **every** synopsis stored for
-    /// `table`, returning the number of synopses maintained. The
-    /// session-level entry point for keeping a whole table's synopsis set
-    /// fresh after ingest.
+    /// Folds an append-only delta into the synopsis stored for `table`
+    /// ([`OfflineStore::maintain_stratified`]), returning the number of
+    /// synopses maintained (0 or 1). The session-level entry point for
+    /// keeping a table's synopses fresh after ingest.
     pub fn maintain_all(
         &self,
         catalog: &Catalog,
@@ -422,30 +229,8 @@ impl OfflineStore {
             self.maintain_stratified(catalog, table, seed)?;
             maintained += 1;
         }
-        let distinct_cols: Vec<String> = self
-            .distinct
-            .read()
-            .keys()
-            .filter(|(t, _)| t == table)
-            .map(|(_, c)| c.clone())
-            .collect();
-        for col in distinct_cols {
-            self.maintain_distinct(catalog, table, &col)?;
-            maintained += 1;
-        }
-        let quantile_cols: Vec<String> = self
-            .quantiles
-            .read()
-            .keys()
-            .filter(|(t, _)| t == table)
-            .map(|(_, c)| c.clone())
-            .collect();
-        for col in quantile_cols {
-            self.maintain_quantiles(catalog, table, &col)?;
-            maintained += 1;
-        }
-        // Even when only sketch synopses exist for the table, maintenance
-        // repaired what the audits graded — clear the drift signal.
+        // Even with no delta to fold, maintenance repaired what the audits
+        // graded — clear the drift signal.
         self.reset_drift(table);
         Ok(maintained)
     }
@@ -508,22 +293,6 @@ impl OfflineStore {
                 table,
             )
             .set(0.0);
-    }
-
-    /// Approximate `COUNT(DISTINCT column)` from the HLL synopsis.
-    pub fn approx_count_distinct(&self, table: &str, column: &str) -> Option<f64> {
-        self.distinct
-            .read()
-            .get(&(table.to_string(), column.to_string()))
-            .map(|s| s.hll.estimate())
-    }
-
-    /// Approximate `phi`-quantile from the GK synopsis.
-    pub fn approx_quantile(&self, table: &str, column: &str, phi: f64) -> Option<f64> {
-        self.quantiles
-            .read()
-            .get(&(table.to_string(), column.to_string()))
-            .and_then(|s| s.gk.query(phi))
     }
 
     /// Answers a single-table star query from the stratified synopsis,
@@ -905,34 +674,16 @@ mod tests {
     }
 
     #[test]
-    fn distinct_synopsis() {
-        let c = catalog();
-        let store = OfflineStore::new();
-        store.build_distinct(&c, "t", "g", 12).unwrap();
-        let est = store.approx_count_distinct("t", "g").unwrap();
-        assert!((est - 50.0).abs() < 5.0, "distinct estimate {est}");
-        assert!(store.approx_count_distinct("t", "nope").is_none());
-    }
-
-    #[test]
     fn parallel_builds_match_serial() {
         let c = catalog();
         let serial = OfflineStore::with_threads(1);
-        serial.build_distinct(&c, "t", "g", 12).unwrap();
         serial.build_stratified(&c, "t", "g", 4_000, 7).unwrap();
         let serial_ans = serial
             .answer(&sum_by_g(), &ErrorSpec::new(0.1, 0.9))
             .unwrap();
         for threads in [2, 4, 8] {
             let par = OfflineStore::with_threads(threads);
-            par.build_distinct(&c, "t", "g", 12).unwrap();
             par.build_stratified(&c, "t", "g", 4_000, 7).unwrap();
-            // HLL merge is register-wise max: estimate is exactly equal.
-            assert_eq!(
-                serial.approx_count_distinct("t", "g").unwrap(),
-                par.approx_count_distinct("t", "g").unwrap(),
-                "threads={threads}"
-            );
             // Congressional stratification never consults moments, so the
             // drawn sample — and every estimate from it — is identical.
             let par_ans = par.answer(&sum_by_g(), &ErrorSpec::new(0.1, 0.9)).unwrap();
@@ -996,62 +747,17 @@ mod tests {
     }
 
     #[test]
-    fn maintain_distinct_matches_full_rebuild_exactly() {
-        let c = catalog();
-        let store = OfflineStore::new();
-        store.build_distinct(&c, "t", "g", 12).unwrap();
-        append_rows(&c, 5_000, 13);
-        assert_eq!(store.maintain_distinct(&c, "t", "g").unwrap(), 5_000);
-        let maintained = store.approx_count_distinct("t", "g").unwrap();
-        // HLL merge is register-wise max: maintain ≡ rebuild, bit for bit.
-        let rebuilt = OfflineStore::new();
-        rebuilt.build_distinct(&c, "t", "g", 12).unwrap();
-        assert_eq!(maintained, rebuilt.approx_count_distinct("t", "g").unwrap());
-    }
-
-    #[test]
-    fn maintain_quantiles_stays_within_eps() {
-        let c = catalog();
-        let store = OfflineStore::new();
-        store.build_quantiles(&c, "t", "v", 0.01).unwrap();
-        append_rows(&c, 25_000, 29);
-        assert_eq!(store.maintain_quantiles(&c, "t", "v").unwrap(), 25_000);
-        let med = store.approx_quantile("t", "v", 0.5).unwrap();
-        let mut vs = c.get("t").unwrap().column_f64("v").unwrap();
-        vs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        // Rank error of the merged summary stays within ~2·eps of the
-        // union; allow slack for interpolation at the rank boundary.
-        let rank = vs.partition_point(|&x| x < med) as f64 / vs.len() as f64;
-        assert!((rank - 0.5).abs() < 0.05, "median rank drifted to {rank}");
-    }
-
-    #[test]
     fn maintain_all_covers_every_synopsis_kind() {
         let c = catalog();
         let store = OfflineStore::new();
         store.build_stratified(&c, "t", "g", 2_000, 1).unwrap();
-        store.build_distinct(&c, "t", "g", 12).unwrap();
-        store.build_quantiles(&c, "t", "v", 0.02).unwrap();
         append_rows(&c, 2_500, 5);
-        assert_eq!(store.maintain_all(&c, "t", 7).unwrap(), 3);
+        store.note_failed_audit("t");
+        assert_eq!(store.maintain_all(&c, "t", 7).unwrap(), 1);
         assert_eq!(store.staleness(&c, "t").unwrap(), 0.0);
+        assert_eq!(store.failed_audits("t"), 0, "maintenance clears drift");
+        // Nothing left to fold: the synopsis still counts as maintained.
+        assert_eq!(store.maintain_all(&c, "t", 8).unwrap(), 1);
         assert_eq!(store.maintain_all(&c, "other", 7).unwrap(), 0);
-    }
-
-    #[test]
-    fn quantile_synopsis() {
-        let c = catalog();
-        let store = OfflineStore::new();
-        store.build_quantiles(&c, "t", "v", 0.01).unwrap();
-        let med = store.approx_quantile("t", "v", 0.5).unwrap();
-        // Ground-truth median.
-        let mut vs = c.get("t").unwrap().column_f64("v").unwrap();
-        vs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let truth = vs[vs.len() / 2];
-        assert!(
-            (med - truth).abs() / truth < 0.1,
-            "median {med} vs truth {truth}"
-        );
-        assert!(store.approx_quantile("t", "nope", 0.5).is_none());
     }
 }

@@ -126,35 +126,6 @@ impl OnlineAggregator {
         self.stats().total()
     }
 
-    /// Processes blocks until the running SUM estimate's relative CI
-    /// half-width at `spec.confidence` is at most `spec.relative_error`,
-    /// or the table is exhausted (exact). Returns the stopping estimate
-    /// and the number of blocks consumed.
-    ///
-    /// ⚠ *Peeking caveat (NSB §2.2, citing the A/B-testing literature):*
-    /// a confidence interval inspected repeatedly until it is narrow
-    /// enough does not carry its nominal simultaneous coverage; treat the
-    /// stopping interval as an engineering heuristic, not an a-priori
-    /// contract. The pilot-planned path in [`crate::online`] exists for
-    /// the contractual case.
-    pub fn run_until_spec(
-        &mut self,
-        spec: &crate::spec::ErrorSpec,
-    ) -> Result<(Estimate, usize), AqpError> {
-        loop {
-            let stepped = self.step()?;
-            if self.processed >= 2 {
-                let e = self.estimate_sum();
-                if e.ci(spec.confidence).relative_half_width() <= spec.relative_error {
-                    return Ok((e, self.processed));
-                }
-            }
-            if !stepped {
-                return Ok((self.estimate_sum(), self.processed));
-            }
-        }
-    }
-
     /// Running estimate of the population AVG (ratio of block sums to
     /// block counts under the SRS-of-blocks design).
     pub fn estimate_avg(&self) -> Estimate {
@@ -164,10 +135,17 @@ impl OnlineAggregator {
 
 /// The progressive family as the router sees it: a single-table,
 /// ungrouped `SUM`/`AVG` of one column, processed block-by-block until the
-/// live interval meets the spec (a-posteriori — subject to the peeking
-/// caveat documented on [`OnlineAggregator::run_until_spec`]). Grouped and
-/// joined progressive execution exist in this module ([`RippleJoin`]) but
-/// are interactive tools, not contract-driven routing targets.
+/// live interval's relative half-width meets the spec, or the table is
+/// exhausted (exact). Grouped and joined progressive execution exist in
+/// this module ([`RippleJoin`]) but are interactive tools, not
+/// contract-driven routing targets.
+///
+/// ⚠ *Peeking caveat (NSB §2.2, citing the A/B-testing literature):* a
+/// confidence interval inspected repeatedly until it is narrow enough does
+/// not carry its nominal simultaneous coverage, so the guarantee is
+/// a-posteriori — an engineering stop rule, not an a-priori contract. The
+/// pilot-planned path in [`crate::online`] exists for the contractual
+/// case.
 pub struct OlaTechnique<'a> {
     catalog: &'a Catalog,
 }
@@ -605,14 +583,37 @@ mod tests {
         );
     }
 
+    /// `OlaTechnique::answer` for `agg` over table `t` of `c`: the stopping
+    /// estimate and the fraction of the table it consumed.
+    fn ola_answer(c: &Catalog, agg: AggExpr, spec: ErrorSpec, seed: u64) -> (Estimate, f64) {
+        let plan = aqp_engine::Query::scan("t")
+            .aggregate(vec![], vec![agg])
+            .build();
+        let q = AggQuery::from_plan(&plan).unwrap();
+        let Attempt::Answered(ans) = OlaTechnique::new(c).answer(&q, &spec, seed).unwrap() else {
+            panic!("OLA declined an ungrouped single-column aggregate")
+        };
+        let ExecutionPath::OlaProgressive { fraction } = ans.report.path else {
+            panic!("unexpected path {:?}", ans.report.path)
+        };
+        (ans.groups[0].estimates[0], fraction)
+    }
+
+    /// `t` with `rows` rows in blocks of `cap`, registered in a catalog.
+    fn catalog_of(rows: usize, cap: usize, seed: u64) -> (Catalog, Vec<f64>) {
+        let c = Catalog::new();
+        let t = c.register(uniform_table("t", rows, cap, seed)).unwrap();
+        let vs = t.column_f64("v").unwrap();
+        (c, vs)
+    }
+
     #[test]
-    fn run_until_spec_stops_early_and_meets_target() {
-        let t = table();
-        let truth: f64 = t.column_f64("v").unwrap().iter().sum();
-        let mut ola = OnlineAggregator::new(Arc::clone(&t), "v", None, 6).unwrap();
-        let spec = crate::spec::ErrorSpec::new(0.02, 0.95);
-        let (est, blocks) = ola.run_until_spec(&spec).unwrap();
-        assert!(blocks < t.block_count(), "should stop before a full scan");
+    fn answer_stops_early_and_meets_target_for_sum() {
+        let (c, vs) = catalog_of(20_000, 128, 5);
+        let truth: f64 = vs.iter().sum();
+        let spec = ErrorSpec::new(0.02, 0.95);
+        let (est, fraction) = ola_answer(&c, AggExpr::sum(col("v"), "s"), spec, 6);
+        assert!(fraction < 1.0, "should stop before a full scan");
         assert!(est.ci(0.95).relative_half_width() <= 0.02);
         // The stopping interval should bracket the truth (up to the
         // peeking caveat; with one boundary crossing this is near-nominal).
@@ -624,14 +625,36 @@ mod tests {
     }
 
     #[test]
-    fn run_until_spec_exhausts_on_impossible_targets() {
-        let t = Arc::new(uniform_table("t2", 500, 50, 1));
-        let mut ola = OnlineAggregator::new(Arc::clone(&t), "v", None, 2).unwrap();
+    fn answer_stops_early_and_meets_target_for_avg() {
+        let (c, vs) = catalog_of(20_000, 128, 5);
+        let truth = vs.iter().sum::<f64>() / vs.len() as f64;
+        let spec = ErrorSpec::new(0.02, 0.95);
+        let (est, fraction) = ola_answer(&c, AggExpr::avg(col("v"), "a"), spec, 6);
+        assert!(fraction < 1.0, "should stop before a full scan");
+        assert!(est.ci(0.95).relative_half_width() <= 0.02);
+        assert!(
+            est.relative_error(truth) < 0.04,
+            "stopping error {} far outside the interval",
+            est.relative_error(truth)
+        );
+    }
+
+    #[test]
+    fn answer_exhausts_on_impossible_targets_for_sum() {
         // 10 blocks can't deliver 0.01% until the census collapses the CI.
-        let (est, blocks) = ola
-            .run_until_spec(&crate::spec::ErrorSpec::new(0.0001, 0.99))
-            .unwrap();
-        assert_eq!(blocks, t.block_count());
+        let (c, _) = catalog_of(500, 50, 1);
+        let spec = ErrorSpec::new(0.0001, 0.99);
+        let (est, fraction) = ola_answer(&c, AggExpr::sum(col("v"), "s"), spec, 2);
+        assert_eq!(fraction, 1.0);
+        assert_eq!(est.variance, 0.0); // census
+    }
+
+    #[test]
+    fn answer_exhausts_on_impossible_targets_for_avg() {
+        let (c, _) = catalog_of(500, 50, 1);
+        let spec = ErrorSpec::new(0.0001, 0.99);
+        let (est, fraction) = ola_answer(&c, AggExpr::avg(col("v"), "a"), spec, 2);
+        assert_eq!(fraction, 1.0);
         assert_eq!(est.variance, 0.0); // census
     }
 

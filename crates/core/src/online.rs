@@ -195,31 +195,6 @@ fn required_rate(
     b / (b + a)
 }
 
-/// The rates a two-phase run settled on, memoizable by a plan cache.
-///
-/// The final answer depends on the pilot *only* through the planned
-/// `final_rate` (the final sample is drawn at an independent derived
-/// seed), so replaying the final phase from a `PilotPlan` via
-/// [`OnlineAqp::sample_with_plan`] reproduces the cold run's groups
-/// bit-for-bit for the same `(query, spec, seed)` — while skipping the
-/// pilot scan entirely. Because the planned rate is seed-dependent
-/// (different pilots see different spreads), a plan is only valid for
-/// the exact seed it was captured under.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PilotPlan {
-    /// Pilot block-sampling rate the cold run used (reported in the
-    /// execution path so replayed reports render identically).
-    pub pilot_rate: f64,
-    /// Final Bernoulli block rate the planner solved for.
-    pub final_rate: f64,
-}
-
-/// What a run has spent before its final phase: pilot rows and the clock.
-struct FinalCharge {
-    pilot_rows: u64,
-    start: Instant,
-}
-
 /// The online AQP engine.
 pub struct OnlineAqp<'a> {
     catalog: &'a Catalog,
@@ -369,50 +344,33 @@ impl<'a> OnlineAqp<'a> {
         }
         plan_span.finish();
 
-        self.final_phase(
-            &evaluator,
-            query,
-            spec,
-            seed,
-            PilotPlan {
-                pilot_rate,
-                final_rate: q_final,
+        let (raw, final_rows) = self.final_phase(&evaluator, query, seed, q_final)?;
+        let ci_conf = spec
+            .split_across((raw.len() * query.aggregates.len()).max(1))
+            .confidence;
+        let rows_scanned = pilot_rows + final_rows + dim_rows;
+        Ok(Attempt::Answered(assemble_answer(
+            query.group_by.iter().map(|(_, n)| n.clone()).collect(),
+            query.aggregates.iter().map(|a| a.alias.clone()).collect(),
+            raw,
+            ci_conf,
+            ExecutionReport {
+                path: ExecutionPath::OnlineBlockSample {
+                    pilot_rate,
+                    final_rate: q_final,
+                },
+                population_rows: fact.row_count() as u64,
+                rows_touched: rows_scanned,
+                rows_scanned,
+                wall: start.elapsed(),
+                routing: None,
+                trace: None,
+                lints: None,
+                audit: None,
+                accuracy: None,
+                admission: None,
             },
-            FinalCharge { pilot_rows, start },
-        )
-    }
-
-    /// Replays the final phase of a previously planned two-phase run,
-    /// skipping the pilot scan. For the exact `(query, spec, seed)` a
-    /// cold [`try_sample`](OnlineAqp::try_sample) ran with, the returned
-    /// groups are bit-for-bit identical to the cold run's (same derived
-    /// final-phase seed, same rate, same merge order); only the report's
-    /// cost accounting differs (no pilot rows charged). Callers — the
-    /// service plan cache — must key the plan by seed and invalidate it
-    /// when the fact table changes.
-    pub fn sample_with_plan(
-        &self,
-        query: &AggQuery,
-        spec: &ErrorSpec,
-        seed: u64,
-        plan: &PilotPlan,
-    ) -> Result<Attempt, AqpError> {
-        if let Some(declined) = self.decline_if_blocked(query) {
-            return Ok(declined);
-        }
-        let start = Instant::now();
-        let evaluator = StarEvaluator::new(self.catalog, query)?;
-        self.final_phase(
-            &evaluator,
-            query,
-            spec,
-            seed,
-            *plan,
-            FinalCharge {
-                pilot_rows: 0,
-                start,
-            },
-        )
+        )))
     }
 
     /// The sampler's guard: a fact table that is missing, or has fewer
@@ -427,26 +385,24 @@ impl<'a> OnlineAqp<'a> {
     }
 
     /// The final sampling pass: an independent Bernoulli block sample at
-    /// the planned rate, folded into Hájek per-group estimates. The
-    /// final-phase seed is derived from the query seed (splitmix-style
-    /// multiply) so pilot and final samples are decorrelated yet fully
-    /// determined by `(seed, rate)` — the property the plan cache's
-    /// replay path relies on.
+    /// `final_rate`, folded into Hájek per-group estimates. Returns them
+    /// with the rows the sample drew. The final-phase seed is derived from
+    /// the query seed (splitmix-style multiply), so pilot and final samples
+    /// are decorrelated yet fully determined by `(seed, rate)`.
+    #[allow(clippy::type_complexity)] // the shape `assemble_answer` takes
     fn final_phase(
         &self,
         evaluator: &StarEvaluator,
         query: &AggQuery,
-        spec: &ErrorSpec,
         seed: u64,
-        plan: PilotPlan,
-        charge: FinalCharge,
-    ) -> Result<Attempt, AqpError> {
+        final_rate: f64,
+    ) -> Result<(Vec<(Vec<Value>, Vec<Estimate>)>, u64), AqpError> {
         let mut final_span = aqp_obs::span("online:final");
         let fact = evaluator.fact();
         let big_m = fact.block_count() as u64;
         let final_sample = bernoulli_blocks(
             fact,
-            plan.final_rate,
+            final_rate,
             seed.wrapping_mul(0x9E37_79B9).wrapping_add(1),
         );
         let final_rows = final_sample.num_rows() as u64;
@@ -457,11 +413,7 @@ impl<'a> OnlineAqp<'a> {
             final_span.set_detail(evaluator.fold().tag().to_string());
         }
         final_span.finish();
-        let ci_conf = spec
-            .split_across((final_groups.len() * query.aggregates.len()).max(1))
-            .confidence;
-
-        let raw: Vec<(Vec<Value>, Vec<Estimate>)> = final_groups
+        let raw = final_groups
             .into_iter()
             .map(|(key, acc)| {
                 let estimates: Vec<Estimate> = query
@@ -479,29 +431,7 @@ impl<'a> OnlineAqp<'a> {
                 (evaluator.key_values(&key), estimates)
             })
             .collect();
-        let rows_scanned = charge.pilot_rows + final_rows + evaluator.dim_rows();
-        Ok(Attempt::Answered(assemble_answer(
-            query.group_by.iter().map(|(_, n)| n.clone()).collect(),
-            query.aggregates.iter().map(|a| a.alias.clone()).collect(),
-            raw,
-            ci_conf,
-            ExecutionReport {
-                path: ExecutionPath::OnlineBlockSample {
-                    pilot_rate: plan.pilot_rate,
-                    final_rate: plan.final_rate,
-                },
-                population_rows: fact.row_count() as u64,
-                rows_touched: rows_scanned,
-                rows_scanned,
-                wall: charge.start.elapsed(),
-                routing: None,
-                trace: None,
-                lints: None,
-                audit: None,
-                accuracy: None,
-                admission: None,
-            },
-        )))
+        Ok((raw, final_rows))
     }
 
     /// Exact execution of a normalized query, wrapped as an answer.
@@ -763,23 +693,21 @@ mod tests {
             .build();
         let q = AggQuery::from_plan(&plan).unwrap();
         let aqp = OnlineAqp::new(&c, OnlineConfig::default());
-        let plan = PilotPlan {
-            pilot_rate: 0.01,
-            final_rate: 1.0 / big_m,
-        };
-        let spec = ErrorSpec::new(0.05, 0.95);
-        // Replaying a plan does not floor the final rate: find a seed whose
-        // final sample is exactly one 64-row block.
-        let ans = (0..1_000)
-            .find_map(|seed| match aqp.sample_with_plan(&q, &spec, seed, &plan) {
-                Ok(Attempt::Answered(ans)) if ans.report.rows_scanned == 64 => Some(ans),
-                _ => None,
-            })
+        let evaluator = StarEvaluator::new(&c, &q).unwrap();
+        // The final phase takes its rate as given (the planner floors it):
+        // find a seed whose final sample is exactly one 64-row block.
+        let raw = (0..1_000)
+            .find_map(
+                |seed| match aqp.final_phase(&evaluator, &q, seed, 1.0 / big_m) {
+                    Ok((raw, 64)) => Some(raw),
+                    _ => None,
+                },
+            )
             .expect("some seed draws exactly one block");
-        let (avg, sum) = (
-            ans.scalar_estimate("a").unwrap(),
-            ans.scalar_estimate("s").unwrap(),
-        );
+        let [(_, estimates)] = &raw[..] else {
+            panic!("one global group, got {}", raw.len())
+        };
+        let (avg, sum) = (estimates[0], estimates[1]);
         // SUM is the block total scaled to the population: Σx = s / M.
         let mean = sum.value / big_m / 64.0;
         assert!(

@@ -17,18 +17,20 @@
 //! 2. **Plan cache** — keyed on a fingerprint of the normalized plan and
 //!    the error spec, memoizing the lint [`Analysis`], the
 //!    [`RoutingDecision`] it implies (refreshed from each completed run),
-//!    per-seed [`PilotPlan`]s, and an EWMA of the answer wall. A hit
-//!    makes admission and [`AqpService::route`] a fingerprint lookup,
-//!    and execution routes on the memoized analysis — replaying a cached
-//!    pilot plan when the online sampler won this seed before. Entries
-//!    are invalidated by every change a verdict reads: synopsis builds
-//!    and maintenance, quarantine transitions (all folded into the
-//!    session's [`routing epoch`](AqpSession::routing_epoch)), and
-//!    fact-table row-count changes.
+//!    and an EWMA of the answer wall. A hit makes admission and
+//!    [`AqpService::route`] a fingerprint lookup, and execution routes on
+//!    the memoized analysis; the winning family then runs exactly what a
+//!    cold run runs. Entries are invalidated by every change a verdict
+//!    reads: synopsis builds and maintenance, quarantine transitions (all
+//!    folded into the session's
+//!    [`routing epoch`](AqpSession::routing_epoch)), and fact-table
+//!    row-count changes.
 //! 3. **Contract admission control** — each query carries a
 //!    [`Contract`] (max relative error, confidence, optional deadline).
-//!    Admission *accepts* it, *degrades* it (the analyzer proves only a
-//!    point-estimate family can answer: the query still runs, with the
+//!    A contract whose error or confidence lies outside (0, 1) is an
+//!    [`AqpError::InvalidContract`]. Admission *accepts* a well-formed
+//!    one, *degrades* it (the analyzer proves only a point-estimate
+//!    family can answer: the query still runs, with the
 //!    honest downgrade recorded in the answer's
 //!    [`AdmissionReport`]), or *rejects*
 //!    it with a typed [`Rejection`] — strict policies reject instead of
@@ -37,10 +39,9 @@
 //!
 //! Answers produced through the service are bit-for-bit identical to a
 //! serial [`AqpSession::answer`] replay of the same `(plan, spec, seed)`
-//! stream: the fast paths only ever skip work whose outcome is already
-//! determined (lint on an unchanged epoch, a pilot whose only output —
-//! the planned rate — is memoized per seed).
-//! `tests/service.rs` pins this with a multi-threaded proptest.
+//! stream: the only work a hit skips is the lint, whose verdicts cannot
+//! change while the epoch holds. `tests/service.rs` pins this with a
+//! multi-threaded proptest.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -57,10 +58,8 @@ use aqp_storage::Catalog;
 use crate::aggquery::AggQuery;
 use crate::answer::{ApproximateAnswer, CandidateDecision, RoutingDecision};
 use crate::error::AqpError;
-use crate::online::PilotPlan;
 use crate::session::{AqpSession, Replay, SessionConfig};
 use crate::spec::ErrorSpec;
-use crate::technique::TechniqueKind;
 
 /// A per-query accuracy-and-latency contract negotiated at admission.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,6 +96,7 @@ impl Contract {
     /// # Panics
     /// Panics when `max_rel_err` or `confidence` lie outside (0, 1) —
     /// the same construction contract as [`ErrorSpec::new`].
+    /// [`AqpService::submit`] checks with [`ErrorSpec::try_new`] instead.
     pub fn spec(&self) -> ErrorSpec {
         ErrorSpec::new(self.max_rel_err, self.confidence)
     }
@@ -482,10 +482,6 @@ struct CacheEntry {
     decision: Arc<RoutingDecision>,
     epoch: u64,
     fact_rows: u64,
-    /// Per-seed pilot plans captured from online-sampling wins. Keyed by
-    /// the exact seed: the planned rate is a function of the pilot, which
-    /// is a function of the seed.
-    pilot_plans: HashMap<u64, PilotPlan>,
     /// Exponentially weighted answer wall (µs); 0 = no sample yet.
     ewma_wall_us: f64,
 }
@@ -677,8 +673,8 @@ impl Fnv {
 
 /// FNV-1a over the plan tree (walked directly — no debug-format
 /// detour) plus the spec bits: equal plans collide, different plans or
-/// different specs (which change runtime declines, pilot plans and the
-/// wall estimate) do not.
+/// different specs (which change runtime declines and the wall estimate)
+/// do not.
 fn fingerprint(plan: &LogicalPlan, spec: &ErrorSpec) -> u64 {
     let mut h = Fnv::new();
     h.plan(plan);
@@ -713,7 +709,6 @@ struct Prepared {
 
 struct CachedRoute {
     decision: Arc<RoutingDecision>,
-    pilot: Option<PilotPlan>,
     /// `None` until a completed run has been folded in.
     estimated_wall: Option<Duration>,
 }
@@ -819,7 +814,7 @@ impl<'a> AqpService<'a> {
     /// normalization, no lint); a cold call lints, reads the decision
     /// off the verdicts and caches both.
     pub fn route(&self, plan: &LogicalPlan, spec: &ErrorSpec) -> Arc<RoutingDecision> {
-        let prep = self.prepare(plan, spec, None);
+        let prep = self.prepare(plan, spec);
         match prep.route {
             Some(route) => route.decision,
             // Out-of-shape plans are uncacheable; decide from the lint
@@ -848,16 +843,18 @@ impl<'a> AqpService<'a> {
 
     /// Admits, schedules, and answers one query under `contract`.
     /// Thread-safe: any number of client threads may call this
-    /// concurrently on a shared reference.
+    /// concurrently on a shared reference. A contract whose error or
+    /// confidence lies outside (0, 1), NaN included, is an
+    /// [`AqpError::InvalidContract`]: nothing is cached, counted or run.
     pub fn submit(
         &self,
         plan: &LogicalPlan,
         contract: &Contract,
         seed: u64,
     ) -> Result<ServiceReply, AqpError> {
-        let spec = contract.spec();
+        let spec = ErrorSpec::try_new(contract.max_rel_err, contract.confidence)?;
         let arrived = Instant::now();
-        let prep = self.prepare(plan, &spec, Some(seed));
+        let prep = self.prepare(plan, &spec);
         self.metrics()
             .counter_labeled(
                 names::PLAN_CACHE_TOTAL,
@@ -918,9 +915,6 @@ impl<'a> AqpService<'a> {
         let replay = Replay {
             analysis: Some(Arc::clone(&prep.analysis)),
             threads: Some(threads),
-            // On a hit whose seed the online sampler won under this epoch,
-            // it wins again: skip its pilot.
-            pilot: prep.route.as_ref().and_then(|r| r.pilot),
         };
         let mut ans = self.session.answer_with(plan, &spec, seed, replay)?;
         drop(slot);
@@ -928,7 +922,7 @@ impl<'a> AqpService<'a> {
 
         // ---- Bookkeeping ----
         if let Some(fp) = prep.fingerprint {
-            self.record_result(fp, seed, &ans);
+            self.record_result(fp, &ans);
         }
         self.count_admission(decision.tag());
         ans.report.admission = Some(Box::new(AdmissionReport {
@@ -967,7 +961,7 @@ impl<'a> AqpService<'a> {
     /// The hit path deliberately runs *before* plan normalization: a
     /// fingerprint probe plus two catalog reads is the entire cost of a
     /// warm routing decision.
-    fn prepare(&self, plan: &LogicalPlan, spec: &ErrorSpec, seed: Option<u64>) -> Prepared {
+    fn prepare(&self, plan: &LogicalPlan, spec: &ErrorSpec) -> Prepared {
         let fp = fingerprint(plan, spec);
         let epoch = self.session.routing_epoch();
         let mut event = CacheEvent::Miss;
@@ -985,7 +979,6 @@ impl<'a> AqpService<'a> {
                         analysis: Arc::clone(&entry.analysis),
                         route: Some(CachedRoute {
                             decision: Arc::clone(&entry.decision),
-                            pilot: seed.and_then(|s| entry.pilot_plans.get(&s).copied()),
                             estimated_wall: (entry.ewma_wall_us > 0.0)
                                 .then(|| Duration::from_micros(entry.ewma_wall_us as u64)),
                         }),
@@ -1045,7 +1038,6 @@ impl<'a> AqpService<'a> {
                     decision: Arc::clone(&decision),
                     epoch,
                     fact_rows,
-                    pilot_plans: HashMap::new(),
                     ewma_wall_us: 0.0,
                 },
             );
@@ -1056,7 +1048,6 @@ impl<'a> AqpService<'a> {
             fingerprint: Some(fp),
             route: Some(CachedRoute {
                 decision,
-                pilot: None,
                 estimated_wall: None,
             }),
             event,
@@ -1064,10 +1055,10 @@ impl<'a> AqpService<'a> {
     }
 
     /// Folds one completed answer back into its cache entry: the wall
-    /// EWMA for deadline estimates, the realized routing template (which
-    /// — unlike the verdict-only template — records runtime declines),
-    /// and the pilot plan when the online sampler won.
-    fn record_result(&self, fp: u64, seed: u64, ans: &ApproximateAnswer) {
+    /// EWMA for deadline estimates and the realized routing template
+    /// (which — unlike the verdict-only template — records runtime
+    /// declines).
+    fn record_result(&self, fp: u64, ans: &ApproximateAnswer) {
         let mut inner = self.cache.inner.lock();
         let Some(entry) = inner.map.get_mut(&fp) else {
             return;
@@ -1080,27 +1071,6 @@ impl<'a> AqpService<'a> {
         };
         if let Some(routing) = &ans.report.routing {
             entry.decision = Arc::new(zeroed_walls(routing));
-            if routing.winner == TechniqueKind::OnlineSampling {
-                if let crate::answer::ExecutionPath::OnlineBlockSample {
-                    pilot_rate,
-                    final_rate,
-                } = ans.report.path
-                {
-                    // Bound the per-entry seed map: these are tiny, but a
-                    // seed-per-query workload would otherwise grow one
-                    // forever.
-                    if entry.pilot_plans.len() >= 64 {
-                        entry.pilot_plans.clear();
-                    }
-                    entry.pilot_plans.insert(
-                        seed,
-                        PilotPlan {
-                            pilot_rate,
-                            final_rate,
-                        },
-                    );
-                }
-            }
         }
     }
 }

@@ -45,7 +45,7 @@ use crate::audit::{self, AuditConfig};
 use crate::error::AqpError;
 use crate::offline::{OfflineStore, OfflineTechnique};
 use crate::ola::OlaTechnique;
-use crate::online::{OnlineAqp, OnlineConfig, PilotPlan};
+use crate::online::{OnlineAqp, OnlineConfig};
 use crate::rewrite::RewriteTechnique;
 use crate::spec::ErrorSpec;
 use crate::technique::{exact_answer_with, Attempt, Technique, TechniqueKind};
@@ -140,9 +140,9 @@ struct Walk {
     declined_rows: u64,
 }
 
-/// What the concurrent service carries over from earlier runs of the same
-/// plan into [`AqpSession::answer_with`]. Each field only ever skips work
-/// whose outcome is already determined.
+/// What the concurrent service hands [`AqpSession::answer_with`]: a lint
+/// it already ran and its fair thread share. Neither changes what the
+/// query computes.
 #[derive(Default)]
 pub(crate) struct Replay {
     /// A memoized [`Analysis`], skipping the lint pass. It must have been
@@ -152,10 +152,6 @@ pub(crate) struct Replay {
     pub analysis: Option<Arc<Analysis>>,
     /// Worker-count override: the fair [`aqp_engine::PoolShare`] split.
     pub threads: Option<usize>,
-    /// The pilot plan a cold run of this exact `(plan, spec, seed)`
-    /// solved for: the online sampler replays its final phase and skips
-    /// the pilot scan.
-    pub pilot: Option<PilotPlan>,
 }
 
 /// Tuning knobs for the routing policy.
@@ -170,8 +166,6 @@ pub struct SessionConfig {
     /// Minimum raw sample rows per output group for the rewrite to stand
     /// behind its point estimates.
     pub rewrite_min_group_support: u64,
-    /// Whether progressive online aggregation participates in routing.
-    pub progressive: bool,
     /// The ground-truth audit sampler and quarantine policy (disabled by
     /// default: `rate` 0.0).
     pub audit: AuditConfig,
@@ -184,7 +178,6 @@ impl Default for SessionConfig {
             max_staleness: 0.1,
             rewrite_rate: 0.05,
             rewrite_min_group_support: 30,
-            progressive: true,
             audit: AuditConfig::default(),
         }
     }
@@ -270,8 +263,8 @@ impl<'a> AqpSession<'a> {
         self.catalog
     }
 
-    /// Folds an append-only delta into every synopsis stored for `table`
-    /// instead of rebuilding them (the cheap answer to E8-style drift —
+    /// Folds an append-only delta into the synopsis stored for `table`
+    /// instead of rebuilding it (the cheap answer to E8-style drift —
     /// see [`OfflineStore::maintain_all`]). Returns the number of
     /// synopses maintained; afterwards the offline path is fresh again
     /// ([`OfflineStore::staleness`] = 0) without any base-table rescan of
@@ -307,7 +300,6 @@ impl<'a> AqpSession<'a> {
             max_staleness: self.config.max_staleness,
             min_sampling_blocks: aqp_analyze::MIN_SAMPLING_BLOCKS,
             rewrite_min_group_support: self.config.rewrite_min_group_support,
-            progressive: self.config.progressive,
         });
         for meta in self.offline.synopsis_metas(self.catalog) {
             ctx = ctx.with_synopsis(meta);
@@ -356,26 +348,23 @@ impl<'a> AqpSession<'a> {
     /// with an optional worker-count override for the data-touching
     /// families — the service's fair-share hook.
     pub(crate) fn techniques(&self, threads: Option<usize>) -> Vec<Box<dyn Technique + '_>> {
-        let mut chain: Vec<Box<dyn Technique + '_>> = vec![
+        vec![
             Box::new(OfflineTechnique::new(
                 &self.offline,
                 self.catalog,
                 self.config.max_staleness,
             )),
             Box::new(OnlineAqp::new(self.catalog, self.online_config(threads))),
-        ];
-        if self.config.progressive {
-            chain.push(Box::new(OlaTechnique::new(self.catalog)));
-        }
-        chain.push(Box::new(
-            RewriteTechnique::new(
-                self.catalog,
-                self.config.rewrite_rate,
-                self.config.rewrite_min_group_support,
-            )
-            .with_threads(threads),
-        ));
-        chain
+            Box::new(OlaTechnique::new(self.catalog)),
+            Box::new(
+                RewriteTechnique::new(
+                    self.catalog,
+                    self.config.rewrite_rate,
+                    self.config.rewrite_min_group_support,
+                )
+                .with_threads(threads),
+            ),
+        ]
     }
 
     /// The candidate walk — the only loop over the chain. A family the
@@ -502,7 +491,7 @@ impl<'a> AqpSession<'a> {
     }
 
     /// [`AqpSession::answer`] with the service's [`Replay`] hooks;
-    /// `Replay::default()` is exactly the single-caller behavior. The
+    /// `Replay::default()` is the single-caller behavior. The
     /// engine and sampler metrics of the call record into this session's
     /// registry.
     pub(crate) fn answer_with(
@@ -555,15 +544,9 @@ impl<'a> AqpSession<'a> {
         // An out-of-shape plan has no normalized query to hand a family —
         // and needs none: the analyzer blocks every family on it, so the
         // walk attempts nothing.
-        let attempt = query.as_ref().map(|q| {
-            move |t: &dyn Technique| match replay.pilot {
-                Some(pilot) if t.kind() == TechniqueKind::OnlineSampling => {
-                    OnlineAqp::new(self.catalog, self.online_config(threads))
-                        .sample_with_plan(q, spec, seed, &pilot)
-                }
-                _ => t.answer(q, spec, seed),
-            }
-        });
+        let attempt = query
+            .as_ref()
+            .map(|q| move |t: &dyn Technique| t.answer(q, spec, seed));
         let Walk {
             mut decision,
             answer,

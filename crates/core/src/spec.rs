@@ -6,6 +6,8 @@
 //! the probability with which *all* of the query's aggregates must satisfy
 //! it jointly.
 
+use crate::error::AqpError;
+
 /// A joint accuracy contract: with probability at least `confidence`,
 /// every aggregate of the query has relative error at most
 /// `relative_error`.
@@ -23,18 +25,30 @@ impl ErrorSpec {
     /// # Panics
     /// Panics if either field is outside (0, 1).
     pub fn new(relative_error: f64, confidence: f64) -> Self {
-        assert!(
-            relative_error > 0.0 && relative_error < 1.0,
-            "relative error must be in (0,1), got {relative_error}"
-        );
-        assert!(
-            confidence > 0.0 && confidence < 1.0,
-            "confidence must be in (0,1), got {confidence}"
-        );
-        Self {
+        match Self::try_new(relative_error, confidence) {
+            Ok(spec) => spec,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`ErrorSpec::new`] for numbers a client sent: a field outside
+    /// (0, 1), NaN included, is an [`AqpError::InvalidContract`] naming
+    /// it instead of a panic.
+    pub fn try_new(relative_error: f64, confidence: f64) -> Result<Self, AqpError> {
+        for (name, v) in [
+            ("relative error", relative_error),
+            ("confidence", confidence),
+        ] {
+            if !(v > 0.0 && v < 1.0) {
+                return Err(AqpError::InvalidContract {
+                    detail: format!("{name} must be in (0,1), got {v}"),
+                });
+            }
+        }
+        Ok(Self {
             relative_error,
             confidence,
-        }
+        })
     }
 
     /// The per-aggregate spec when the joint contract covers `k` aggregate
@@ -82,6 +96,24 @@ mod tests {
         // Splitting across one aggregate is the identity.
         let same = s.split_across(1);
         assert!((same.confidence - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn try_new_names_the_field_outside_the_open_unit_interval() {
+        assert_eq!(ErrorSpec::try_new(0.1, 0.9), Ok(ErrorSpec::new(0.1, 0.9)));
+        for bad in [f64::NAN, 0.0, 1.0, 1.5, -0.1] {
+            for (spec, field) in [
+                (ErrorSpec::try_new(bad, 0.9), "relative error"),
+                (ErrorSpec::try_new(0.1, bad), "confidence"),
+            ] {
+                match spec {
+                    Err(AqpError::InvalidContract { detail }) => {
+                        assert!(detail.starts_with(field), "{detail}")
+                    }
+                    other => panic!("{field} = {bad}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

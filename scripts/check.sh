@@ -121,6 +121,17 @@ if grep -nF 'Vec<Arc<str>>' crates/storage/src/column.rs; then
   exit 1
 fi
 
+# Only state a routed query reads: aqp-core keeps no sketch synopsis no
+# family answers from (the sketch crate serves the experiments), and the
+# plan cache memoizes routing, never a seed's work. The capability
+# matrix's `implemented_in` strings name where each sketch lives, so the
+# crate is matched as a Rust path or a manifest dependency.
+if grep -rnF 'aqp_sketch' crates/core || grep -nF 'aqp-sketch' crates/core/Cargo.toml ||
+  grep -rnE 'sample_with_plan|pilot_plans|struct PilotPlan|build_distinct|build_quantiles|UseOfflineSynopsisForAggregate' crates; then
+  echo "an unrouted sketch synopsis or the per-seed pilot-plan replay is back" >&2
+  exit 1
+fi
+
 # Repository benchmark smoke: benchmark/ is a workspace of its own, so
 # nothing above compiles it. All five workloads in both modes at 20 k
 # rows — proves it still builds against the crates' public API and still

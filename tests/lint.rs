@@ -51,19 +51,41 @@ fn a001_non_closed_aggregate() {
     let d = a.diag(LintCode::A001NonClosedAggregate).expect("A001");
     assert_eq!(d.severity, Severity::Error);
     assert_eq!(d.path, "aggregate.aggregates[0]");
-    assert!(matches!(
-        d.suggestion,
-        Some(Suggestion::UseOfflineSynopsisForAggregate {
-            synopsis_kind: "extreme-value",
-            ..
-        })
-    ));
+    assert_eq!(d.suggestion, Some(Suggestion::RouteExact));
     assert!(matches!(
         d.predicts,
         Some(DeclineReason::UnsupportedAggregate { .. })
     ));
     assert_eq!(a.best_approximate(), GuaranteeClass::Unattainable);
     assert_eq!(a.best_attainable(), GuaranteeClass::Exact);
+}
+
+/// No family answers an aggregate sampling cannot bound — not from a
+/// synopsis either — so A001's only suggestion is the route the system
+/// has: exact, for extremes, distinct counts and second moments alike.
+#[test]
+fn a001_suggests_route_exact_for_every_non_closed_aggregate() {
+    let c = catalog();
+    let plan = Query::scan("t")
+        .aggregate(
+            vec![],
+            vec![
+                AggExpr::max(col("v"), "hi"),
+                AggExpr::count_distinct(col("id"), "d"),
+                AggExpr::new(aqp_engine::AggFunc::VarSamp, col("v"), "var"),
+            ],
+        )
+        .build();
+    let a = lint_plan(&plan, &LintContext::new(&c));
+    let a001: Vec<_> = a
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == LintCode::A001NonClosedAggregate)
+        .collect();
+    assert_eq!(a001.len(), 3);
+    for d in a001 {
+        assert_eq!(d.suggestion, Some(Suggestion::RouteExact), "{}", d.path);
+    }
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! Offline synopses vs online sampling on the same queries: both answer,
 //! with the cost/coverage/maintenance profile NSB attributes to each camp.
 
+use aqp_analyze::Suggestion;
 use aqp_core::{
-    AggQuery, AggSpec, ErrorSpec, ExecutionPath, LinearAgg, OfflineStore, OnlineAqp, OnlineConfig,
+    AggQuery, AggSpec, AqpSession, ErrorSpec, ExecutionPath, LinearAgg, LintCode, OfflineStore,
+    OnlineAqp, OnlineConfig, TechniqueKind,
 };
 use aqp_engine::{execute, AggExpr, Query};
 use aqp_expr::{col, lit};
-use aqp_storage::{Catalog, Value};
+use aqp_storage::Catalog;
 use aqp_workload::skewed_table;
 
 fn setup() -> (Catalog, OfflineStore) {
@@ -156,36 +158,26 @@ fn offline_serves_predicates_it_never_anticipated() {
     assert!(err < 0.2, "drifted-predicate error {err}");
 }
 
+/// A distinct count is not closed under sampling and no family answers
+/// it from a synopsis: the router runs it exactly, with A001 saying so,
+/// even beside a fresh stratified synopsis on the very column counted.
 #[test]
-fn sketch_synopses_answer_their_one_question_instantly() {
-    let (catalog, store) = setup();
-    store.build_distinct(&catalog, "t", "g", 12).unwrap();
-    store.build_quantiles(&catalog, "t", "v", 0.01).unwrap();
-
-    let d = store.approx_count_distinct("t", "g").unwrap();
-    assert!((d - 60.0).abs() < 6.0, "distinct {d}");
-
-    let med = store.approx_quantile("t", "v", 0.5).unwrap();
-    let mut vs = catalog.get("t").unwrap().column_f64("v").unwrap();
-    vs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let truth = vs[vs.len() / 2];
-    assert!(
-        (med - truth).abs() / truth < 0.05,
-        "median {med} vs {truth}"
-    );
-
-    // But the sketch cannot apply a predicate — that query must go
-    // elsewhere (the COUNT DISTINCT WHERE … case NSB calls out).
-    let exact_filtered = execute(
-        &Query::scan("t")
-            .filter(col("sel").lt(lit(0.001)))
-            .aggregate(vec![], vec![AggExpr::count_distinct(col("g"), "d")])
-            .build(),
-        &catalog,
-    )
-    .unwrap();
-    match exact_filtered.scalar() {
-        Value::Int64(n) => assert!(n < 60, "filtered distinct should be smaller"),
-        other => panic!("unexpected {other:?}"),
-    }
+fn count_distinct_routes_exact_with_a001() {
+    let (catalog, _) = setup();
+    let session = AqpSession::new(&catalog);
+    session
+        .offline()
+        .build_stratified(&catalog, "t", "g", 15_000, 3)
+        .unwrap();
+    let plan = Query::scan("t")
+        .aggregate(vec![], vec![AggExpr::count_distinct(col("g"), "d")])
+        .build();
+    let ans = session.answer(&plan, &ErrorSpec::new(0.1, 0.9), 1).unwrap();
+    assert_eq!(ans.report.path, ExecutionPath::Exact);
+    let routing = ans.report.routing.as_ref().unwrap();
+    assert_eq!(routing.winner, TechniqueKind::Exact);
+    let lints = ans.report.lints.as_ref().unwrap();
+    let a001 = lints.diag(LintCode::A001NonClosedAggregate).expect("A001");
+    assert_eq!(a001.suggestion, Some(Suggestion::RouteExact));
+    assert_eq!(ans.scalar_estimate("d").unwrap().value, 60.0);
 }

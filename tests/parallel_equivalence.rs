@@ -309,30 +309,46 @@ proptest! {
     }
 }
 
-/// Offline synopsis builds (HLL distinct, congressional stratification)
-/// are exact under parallel merge: estimates equal the serial build's.
+/// Offline synopsis builds (congressional stratification) are exact
+/// under parallel sampling: the drawn sample, and every estimate from it,
+/// equals the serial build's.
 #[test]
 fn offline_synopses_identical_across_thread_counts() {
-    use aqp_core::OfflineStore;
+    use aqp_core::{AggQuery, OfflineStore};
 
     let xs: Vec<i64> = (0..20_000).map(|i| (i * 7919) % 4001 - 2000).collect();
     let c = catalog_from(&xs, 64, 31);
+    let plan = Query::scan("fact")
+        .aggregate(
+            vec![(col("k"), "k".to_string())],
+            vec![AggExpr::sum(col("v"), "s"), AggExpr::avg(col("v"), "a")],
+        )
+        .build();
+    let q = AggQuery::from_plan(&plan).unwrap();
+    let spec = ErrorSpec::new(0.1, 0.9);
     let serial = OfflineStore::with_threads(1);
-    serial.build_distinct(&c, "fact", "v", 12).unwrap();
     serial.build_stratified(&c, "fact", "k", 3_000, 42).unwrap();
+    let serial_ans = serial.answer(&q, &spec).unwrap();
     for threads in PAR_THREADS {
         let par = OfflineStore::with_threads(threads);
-        par.build_distinct(&c, "fact", "v", 12).unwrap();
         par.build_stratified(&c, "fact", "k", 3_000, 42).unwrap();
         assert_eq!(
-            serial.approx_count_distinct("fact", "v").unwrap(),
-            par.approx_count_distinct("fact", "v").unwrap(),
+            serial.stratified_meta("fact"),
+            par.stratified_meta("fact"),
             "threads={threads}"
         );
-        assert_eq!(
-            serial.staleness(&c, "fact").unwrap(),
-            par.staleness(&c, "fact").unwrap(),
-            "threads={threads}"
-        );
+        let par_ans = par.answer(&q, &spec).unwrap();
+        assert_eq!(serial_ans.groups.len(), par_ans.groups.len());
+        for (ga, gb) in serial_ans.groups.iter().zip(&par_ans.groups) {
+            assert_eq!(ga.key, gb.key, "threads={threads}");
+            for (ea, eb) in ga.estimates.iter().zip(&gb.estimates) {
+                assert_eq!(ea.value.to_bits(), eb.value.to_bits(), "threads={threads}");
+                assert_eq!(
+                    ea.variance.to_bits(),
+                    eb.variance.to_bits(),
+                    "threads={threads}"
+                );
+            }
+        }
     }
 }

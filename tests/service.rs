@@ -9,7 +9,8 @@
 //! * goldens cover each admission verdict (accepted, degraded, strict
 //!   rejection, deadline rejection, queue-full backpressure) and each
 //!   plan-cache transition (miss → hit → stale after maintenance, a
-//!   synopsis build or a table swap, pilot-plan replay on a warm hit);
+//!   synopsis build or a table swap); a warm hit runs exactly what the
+//!   cold run ran, and a malformed contract is a typed error;
 //! * each service counts into its own session's registry: two services
 //!   in one process keep disjoint counters;
 //! * tracing is per caller: clients that scope a trace around their own
@@ -21,8 +22,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use aqp_core::{
-    AdmissionDecision, AqpService, AqpSession, CacheEvent, Contract, ErrorSpec, GuaranteeClass,
-    Rejection, ServiceConfig, ServiceReply, TechniqueKind,
+    AdmissionDecision, AqpError, AqpService, AqpSession, CacheEvent, Contract, ErrorSpec,
+    GuaranteeClass, Rejection, ServiceConfig, ServiceReply, TechniqueKind,
 };
 use aqp_engine::{AggExpr, LogicalPlan, Query};
 use aqp_expr::{col, lit};
@@ -77,8 +78,8 @@ proptest! {
 
     /// N client threads through one shared `AqpService` get exactly the
     /// answers a serial `AqpSession` replay produces — across cache
-    /// misses, hits (the jobs list repeats, so warm fast paths and cached
-    /// pilot plans are exercised), fair thread splits, and queueing.
+    /// misses, hits (the jobs list repeats, so the warm fast path is
+    /// exercised), fair thread splits, and queueing.
     #[test]
     fn concurrent_service_equals_serial_session(
         seeds in prop::collection::vec(any::<u64>(), 4..7),
@@ -89,8 +90,8 @@ proptest! {
         c.register(skewed_table("t", 20_000, 10, 1.0, 128, 11)).unwrap();
         let spec = ErrorSpec::new(0.15, 0.9);
         let plans = [grouped_sum("t", threshold), ungrouped_sum("t")];
-        // Repeat every job so the second occurrence replays warm cache
-        // state (memoized analysis, decision, and pilot plans).
+        // Repeat every job so the second occurrence routes on warm cache
+        // state (memoized analysis and decision).
         let jobs: Vec<(usize, u64)> = seeds
             .iter()
             .flat_map(|&s| (0..plans.len()).map(move |p| (p, s)))
@@ -464,32 +465,69 @@ fn two_services_keep_disjoint_counters() {
     assert!(!std::sync::Arc::ptr_eq(a.metrics(), b.metrics()));
 }
 
-/// A warm hit with a cached pilot plan replays the online sampler without
-/// re-running the pilot: identical groups, strictly fewer rows charged.
+/// The plan cache memoizes routing, never work: a warm hit on the same
+/// `(plan, spec, seed)` re-runs the online sampler's pilot and final phase
+/// and charges the same rows as the cold run, bit for bit.
 #[test]
-fn warm_hit_replays_pilot_plan() {
+fn warm_hit_runs_what_the_cold_run_ran() {
     let c = Catalog::new();
     c.register(skewed_table("t", 30_000, 10, 1.0, 128, 11))
         .unwrap();
     let service = AqpService::new(&c);
     let plan = grouped_sum("t", 0.8);
     // Loose spec so pilot-planned sampling wins the route.
-    let spec = ErrorSpec::new(0.4, 0.9);
-    let cold = service.answer(&plan, &spec, 42).unwrap();
+    let contract = Contract::new(0.4, 0.9);
+    let submit = || {
+        service
+            .submit(&plan, &contract, 42)
+            .unwrap()
+            .answered()
+            .unwrap()
+    };
+    let cold = submit();
     let winner = cold.report.routing.as_ref().unwrap().winner;
     assert_eq!(
         winner,
         TechniqueKind::OnlineSampling,
         "setup: sampler must win"
     );
-    let warm = service.answer(&plan, &spec, 42).unwrap();
-    assert_same_answer(&warm, &cold, "pilot replay");
-    assert!(
-        warm.report.rows_scanned < cold.report.rows_scanned,
-        "cached pilot plan must skip the pilot scan ({} !< {})",
-        warm.report.rows_scanned,
-        cold.report.rows_scanned
+    let warm = submit();
+    assert_eq!(
+        warm.report.admission.as_ref().unwrap().cache,
+        CacheEvent::Hit
     );
+    assert_same_answer(&warm, &cold, "warm hit");
+    assert_eq!(warm.report.rows_scanned, cold.report.rows_scanned);
+    assert_eq!(warm.report.path, cold.report.path);
+}
+
+/// A contract whose error or confidence lies outside (0, 1) is a typed
+/// error from `submit`, not a panic, and nothing is admitted or cached.
+#[test]
+fn malformed_contract_is_a_typed_error() {
+    let c = Catalog::new();
+    c.register(skewed_table("t", 30_000, 10, 1.0, 128, 11))
+        .unwrap();
+    let service = AqpService::new(&c);
+    let plan = grouped_sum("t", 0.8);
+    for bad in [f64::NAN, 0.0, 1.0, 1.5] {
+        for contract in [Contract::new(bad, 0.9), Contract::new(0.1, bad)] {
+            match service.submit(&plan, &contract, 1) {
+                Err(AqpError::InvalidContract { detail }) => {
+                    assert!(detail.contains("must be in (0,1)"), "{detail}");
+                }
+                other => panic!("{contract:?}: expected InvalidContract, got {other:?}"),
+            }
+        }
+    }
+    let stats = service.stats();
+    assert_eq!(
+        (stats.accepted, stats.rejected, stats.cache_entries),
+        (0, 0, 0)
+    );
+    // The service still answers a well-formed contract afterwards.
+    let reply = service.submit(&plan, &Contract::new(0.1, 0.9), 1).unwrap();
+    assert!(reply.answered().is_some());
 }
 
 /// With one execution slot and a zero-length queue, a query arriving while

@@ -152,8 +152,6 @@ fn e8_drift_answered_by_delta_maintenance_not_rebuild() {
     store
         .build_stratified(&catalog, "t", "g", 8_000, 5)
         .unwrap();
-    store.build_distinct(&catalog, "t", "g", 12).unwrap();
-    store.build_quantiles(&catalog, "t", "v", 0.02).unwrap();
 
     // Drift: a 25% append makes the synopsis stale.
     append_rows(&catalog, 20_000, 99);
@@ -163,9 +161,9 @@ fn e8_drift_answered_by_delta_maintenance_not_rebuild() {
     // rows it scanned, which is how we know it didn't rescan the base.
     let delta_rows = store.maintain_stratified(&catalog, "t", 7).unwrap();
     assert_eq!(delta_rows, 20_000);
-    // maintain_all touches every synopsis for the table (the already-fresh
-    // stratified one is a no-op inside it).
-    assert_eq!(store.maintain_all(&catalog, "t", 7).unwrap(), 3);
+    // maintain_all covers the table's synopsis (already fresh: a no-op
+    // inside it).
+    assert_eq!(store.maintain_all(&catalog, "t", 7).unwrap(), 1);
     assert_eq!(store.staleness(&catalog, "t").unwrap(), 0.0);
 
     // The maintained synopsis answers the post-drift query accurately.
@@ -175,10 +173,6 @@ fn e8_drift_answered_by_delta_maintenance_not_rebuild() {
     let ans = store.answer(&q, &ErrorSpec::new(0.1, 0.9)).unwrap();
     let err = ans.scalar_estimate("s").unwrap().relative_error(truth);
     assert!(err < 0.15, "post-maintenance error {err}");
-
-    // And the sketch synopses track the grown table too.
-    let d = store.approx_count_distinct("t", "g").unwrap();
-    assert!((d - 50.0).abs() < 5.0, "distinct after maintenance: {d}");
 
     // A second pass finds nothing to do.
     assert_eq!(store.maintain_stratified(&catalog, "t", 7).unwrap(), 0);
