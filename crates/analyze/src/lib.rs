@@ -63,7 +63,7 @@ pub use context::{LintContext, LintPolicy, QuarantineMeta, SynopsisMeta};
 pub use diag::{Diagnostic, Suggestion};
 pub use passes::verdict_for;
 pub use query::{AggQuery, AggSpec, JoinSpec, LinearAgg};
-pub use technique::{DeclineReason, Guarantee, TechniqueKind, MIN_SAMPLING_BLOCKS};
+pub use technique::{DeclineReason, TechniqueKind, MIN_SAMPLING_BLOCKS};
 
 use aqp_engine::LogicalPlan;
 

@@ -239,21 +239,6 @@ impl fmt::Display for DeclineReason {
     }
 }
 
-/// The error-guarantee class a technique offers — one of NSB's three axes,
-/// carried on the `Technique` trait so the capability matrix derives from
-/// code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Guarantee {
-    /// Error contract honored *before* execution (pilot-planned rates,
-    /// design-based synopsis estimators).
-    APriori,
-    /// Error known only *after* (or during) execution — progressive
-    /// intervals with the peeking caveat.
-    APosteriori,
-    /// Point estimates only; no interval is carried.
-    PointEstimate,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

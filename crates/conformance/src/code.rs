@@ -5,12 +5,15 @@
 //! rest of the codebase assumes: metric names come from one table, spans
 //! are closed, locks are taken in one order, panics are budgeted. Codes
 //! are append-only — `C001` will mean "metric name is a string literal"
-//! forever, so check.sh, CI, and the golden fixtures can key on them.
+//! forever, so check.sh, CI, and the golden fixtures can key on them. A
+//! retired code keeps its number unused: `C006` (the codec tag registry,
+//! retired with the wire format it policed) is never reissued.
 
 use std::fmt;
 
-/// A stable conformance code (`C001`–`C007`). The discriminant order is
-/// the registry order; new codes append.
+/// A stable conformance code (`C001`–`C007`; `C006` is retired and never
+/// reused). The discriminant order is the registry order; new codes
+/// append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Code {
     /// A metric-registry call (`counter`, `gauge`, `histogram`, or a
@@ -29,10 +32,8 @@ pub enum Code {
     /// is discarded as a statement (zero-duration span) or a root span
     /// binding is neither `.finish()`ed nor handed to `attach_trace`.
     C005SpanPairing,
-    /// The mergeable codec tag table has an orphan: a `tag::` constant no
-    /// codec or `Partial` impl references, or a `Partial` impl file that
-    /// never touches the tag table.
-    C006PartialTagRegistry,
+    // C006 is retired: it checked the codec tag registry of a wire format
+    // that no longer exists. Its number is never reused.
     /// A lock acquisition violates the file's declared lock order
     /// (`// lock-order: a < b < …`): a lower-ranked lock is taken while a
     /// higher-ranked guard is still live.
@@ -48,7 +49,6 @@ impl Code {
             Self::C003MissingDenyUnsafe => "C003",
             Self::C004UnsafeWithoutSafety => "C004",
             Self::C005SpanPairing => "C005",
-            Self::C006PartialTagRegistry => "C006",
             Self::C007LockOrder => "C007",
         }
     }
@@ -61,7 +61,6 @@ impl Code {
             Self::C003MissingDenyUnsafe => "crate root missing #![deny(unsafe_code)]",
             Self::C004UnsafeWithoutSafety => "unsafe without a SAFETY comment directly above",
             Self::C005SpanPairing => "tracer span opened but never finished",
-            Self::C006PartialTagRegistry => "codec tag table and Partial impls disagree",
             Self::C007LockOrder => "lock acquired against the declared lock order",
         }
     }
@@ -90,10 +89,6 @@ impl Code {
                 "a span dropped at the call statement records a zero-duration \
                  interval, silently corrupting every trace that contains it"
             }
-            Self::C006PartialTagRegistry => {
-                "Partial merge round-trips rely on one codec tag per state; an \
-                 unregistered state cannot cross a shard boundary"
-            }
             Self::C007LockOrder => {
                 "service.rs and pool.rs hold multiple Mutexes; a consistent \
                  acquisition order is the only static deadlock-freedom argument"
@@ -102,14 +97,13 @@ impl Code {
     }
 
     /// Every code, in registry order.
-    pub fn all() -> [Code; 7] {
+    pub fn all() -> [Code; 6] {
         [
             Self::C001MetricNameLiteral,
             Self::C002UnwrapBudget,
             Self::C003MissingDenyUnsafe,
             Self::C004UnsafeWithoutSafety,
             Self::C005SpanPairing,
-            Self::C006PartialTagRegistry,
             Self::C007LockOrder,
         ]
     }
@@ -198,9 +192,9 @@ mod tests {
 
     #[test]
     fn codes_are_stable_and_unique() {
-        let all = Code::all();
-        for (i, c) in all.iter().enumerate() {
-            assert_eq!(c.code(), format!("C{:03}", i + 1));
+        let codes: Vec<&str> = Code::all().iter().map(Code::code).collect();
+        assert_eq!(codes, ["C001", "C002", "C003", "C004", "C005", "C007"]);
+        for c in Code::all() {
             assert!(!c.title().is_empty());
             assert!(!c.invariant().is_empty());
         }

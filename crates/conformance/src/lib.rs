@@ -5,12 +5,11 @@
 //!
 //! **Source-model linter** ([`rules`]): a small Rust tokenizer
 //! ([`lex`]) and per-file source model ([`source`]) drive typed
-//! diagnostics `C001`–`C007` ([`code`]) over `crates/*/src` — metric
+//! diagnostics `C001`–`C007` ([`code`]; `C006` retired) over `crates/*/src` — metric
 //! names must come from `aqp_obs::names`, unwrap/expect stays out of
 //! panic-budgeted files, every crate root denies unsafe, `unsafe`
 //! pairs with a `SAFETY:` comment, tracer spans are provably closed,
-//! the codec tag registry has no orphans, and lock acquisitions follow
-//! each file's declared `// lock-order:`.
+//! and lock acquisitions follow each file's declared `// lock-order:`.
 //!
 //! **Mini-loom race checker** ([`mloom`], [`models`]): exhaustive
 //! enumeration of every interleaving of bounded models of the service

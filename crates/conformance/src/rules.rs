@@ -2,8 +2,7 @@
 //!
 //! Each rule is a pure function from parsed source to diagnostics; the
 //! scanner walks `crates/*/src/**/*.rs` under a root, parses once, and
-//! runs every rule. Cross-file facts (the codec tag registry) are
-//! computed over the whole file set.
+//! runs every rule on each file.
 
 use std::fs;
 use std::io;
@@ -141,7 +140,6 @@ pub fn scan_sources(cfg: &ScanConfig, sources: &[SourceFile]) -> ScanReport {
             cfg.lock_order_required.contains(&f.path),
         ));
     }
-    diags.extend(rule_partial_tags(sources));
     diags.sort_by_key(|d| (d.path.clone(), d.code));
     ScanReport {
         files: sources.len(),
@@ -465,96 +463,6 @@ fn path_chain_start(f: &SourceFile, i: usize) -> usize {
     }
 }
 
-/// C006 — the codec tag registry (`mod tag`) and the `Partial` impls
-/// must agree: no orphan constants, no impl file outside the registry
-/// that never touches the tag table.
-fn rule_partial_tags(sources: &[SourceFile]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    // Find the registry: `mod tag { … }`.
-    let mut registry: Option<(usize, usize, usize)> = None; // (file, open, close)
-    for (fi, f) in sources.iter().enumerate() {
-        for i in 0..f.tokens().len() {
-            if f.is_ident(i, "mod") && f.is_ident(i + 1, "tag") && f.is_punct(i + 2, b'{') {
-                if let Some(close) = f.matching_brace(i + 2) {
-                    registry = Some((fi, i + 2, close));
-                }
-            }
-        }
-    }
-    let (reg_file, reg_open, reg_close) = match registry {
-        Some(r) => r,
-        None => return out, // nothing to check in this file set
-    };
-    let reg = &sources[reg_file];
-    // Constants declared in the registry.
-    let mut consts: Vec<(String, usize)> = Vec::new();
-    for i in reg_open..reg_close {
-        if reg.is_ident(i, "const")
-            && reg.tokens().get(i + 1).map(|t| t.kind) == Some(TokKind::Ident)
-        {
-            consts.push((reg.tok_text(i + 1).to_string(), i + 1));
-        }
-    }
-    // References: `tag :: NAME` anywhere outside the registry body.
-    let mut referenced: Vec<bool> = vec![false; consts.len()];
-    for (fi, f) in sources.iter().enumerate() {
-        for i in 0..f.tokens().len() {
-            if fi == reg_file && i > reg_open && i < reg_close {
-                continue;
-            }
-            if f.is_ident(i, "tag") && f.is_punct(i + 1, b':') && f.is_punct(i + 2, b':') {
-                let target = f.tok_text(i + 3);
-                if let Some(pos) = consts.iter().position(|(n, _)| n == target) {
-                    referenced[pos] = true;
-                }
-            }
-        }
-    }
-    for (idx, (name, tok)) in consts.iter().enumerate() {
-        if !referenced[idx] {
-            out.push(Diagnostic {
-                code: Code::C006PartialTagRegistry,
-                severity: Severity::Error,
-                path: reg.at(*tok),
-                message: format!(
-                    "codec tag `tag::{name}` is declared but no codec or Partial impl \
-                     references it"
-                ),
-                suggestion: Some("wire the tag into the encode/decode tables or remove it".into()),
-            });
-        }
-    }
-    // Every `impl Partial for` file (other than the registry's own file)
-    // must reference the tag table somewhere.
-    for (fi, f) in sources.iter().enumerate() {
-        if fi == reg_file {
-            continue;
-        }
-        let mut impl_at = None;
-        let mut has_ref = false;
-        for i in 0..f.tokens().len() {
-            if f.is_ident(i, "impl") && f.is_ident(i + 1, "Partial") && f.is_ident(i + 2, "for") {
-                impl_at.get_or_insert(i);
-            }
-            if f.is_ident(i, "tag") && f.is_punct(i + 1, b':') && f.is_punct(i + 2, b':') {
-                has_ref = true;
-            }
-        }
-        if let (Some(at), false) = (impl_at, has_ref) {
-            out.push(Diagnostic {
-                code: Code::C006PartialTagRegistry,
-                severity: Severity::Error,
-                path: f.at(at),
-                message: "file implements `Partial` but never references the codec tag \
-                          table — the state cannot cross a shard boundary"
-                    .into(),
-                suggestion: Some("register the state's wire tag in `mod tag` and use it".into()),
-            });
-        }
-    }
-    out
-}
-
 /// A parsed `// lock-order: a < b(via helper) < c` declaration.
 #[derive(Debug, Clone, Default)]
 struct LockOrder {
@@ -846,26 +754,6 @@ mod tests {
         let raii = "fn f() { let mut sp = aqp_obs::span(\"op\"); sp.rows(1); }";
         let r = scan_sources(&cfg_for("x"), &one("crates/x/src/a.rs", raii));
         assert_eq!(r.with_code(Code::C005SpanPairing).len(), 0);
-    }
-
-    #[test]
-    fn c006_orphan_tag_and_unregistered_impl() {
-        let registry = "pub mod tag { pub const USED: u8 = 1; pub const ORPHAN: u8 = 2; }";
-        let user = "fn enc() -> u8 { tag::USED }";
-        let impl_no_tag = "impl Partial for Thing { fn merge(&mut self, o: Self) {} }";
-        let files = vec![
-            SourceFile::parse(
-                "crates/m/src/lib.rs",
-                format!("#![deny(unsafe_code)]\n{registry}"),
-            ),
-            SourceFile::parse("crates/u/src/codec.rs", user),
-            SourceFile::parse("crates/u/src/state.rs", impl_no_tag),
-        ];
-        let r = scan_sources(&cfg_for("x"), &files);
-        let c006 = r.with_code(Code::C006PartialTagRegistry);
-        assert_eq!(c006.len(), 2, "{:?}", r.diagnostics);
-        assert!(c006.iter().any(|d| d.message.contains("ORPHAN")));
-        assert!(c006.iter().any(|d| d.message.contains("never references")));
     }
 
     #[test]

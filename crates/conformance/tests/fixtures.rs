@@ -40,7 +40,6 @@ fn fixture_counts_are_golden() {
             ("C003", 1),
             ("C004", 1),
             ("C005", 1),
-            ("C006", 2),
             ("C007", 1),
         ],
         "diagnostics: {:#?}",

@@ -28,9 +28,6 @@
 //! * [`rewrite`] — VerdictDB-style middleware: the same queries answered
 //!   by rewriting over a weighted sample and running the *unmodified*
 //!   exact engine ([`rewrite::answer_via_rewrite`]).
-//! * [`shard`] — **shard-then-merge execution** on the `Partial`
-//!   contract: per-shard partials serialized, merged in shard order
-//!   (exact bit-for-bit, approximate with design-correct variance).
 //! * [`technique`] — the uniform [`Technique`] trait all four families
 //!   implement: execution that may decline with a machine-readable
 //!   reason, guarded by the family's own analyzer verdict.
@@ -96,7 +93,6 @@ pub mod online;
 pub mod rewrite;
 pub mod service;
 pub mod session;
-pub mod shard;
 pub mod spec;
 pub mod taxonomy;
 pub mod technique;
@@ -117,10 +113,9 @@ pub use service::{
     ServiceReply, ServiceStats,
 };
 pub use session::{AqpSession, SessionConfig};
-pub use shard::{bernoulli_sample_sharded, exact_aggregate_sharded, srs_sample_sharded};
 pub use spec::ErrorSpec;
 pub use technique::{
-    exact_answer, exact_answer_with, Attempt, DeclineReason, Guarantee, Technique, TechniqueKind,
+    exact_answer, exact_answer_with, Attempt, DeclineReason, Technique, TechniqueKind,
     TechniqueProfile,
 };
 

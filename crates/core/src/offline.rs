@@ -34,8 +34,7 @@ use crate::answer::{assemble_answer, ApproximateAnswer, ExecutionPath, Execution
 use crate::error::AqpError;
 use crate::spec::ErrorSpec;
 use crate::technique::{
-    decline_if_blocked, Attempt, DeclineReason, Guarantee, Technique, TechniqueKind,
-    TechniqueProfile,
+    decline_if_blocked, Attempt, DeclineReason, Technique, TechniqueKind, TechniqueProfile,
 };
 
 /// A stored stratified-sample synopsis.
@@ -167,7 +166,9 @@ impl OfflineStore {
     ///
     /// This is the cheap answer to the E8 drift scenario: a 1% append
     /// costs ~1% of a rebuild instead of a full rescan. Rows *replaced*
-    /// (not appended) still require [`OfflineStore::build_stratified`].
+    /// (not appended) still require [`OfflineStore::build_stratified`]: a
+    /// table with fewer rows than the synopsis was built on is
+    /// [`AqpError::Unsupported`], and the stored synopsis stays as it was.
     pub fn maintain_stratified(
         &self,
         catalog: &Catalog,
@@ -180,6 +181,16 @@ impl OfflineStore {
         let syn = store.get_mut(table).ok_or_else(|| AqpError::Unsupported {
             detail: format!("no stratified synopsis for {table}"),
         })?;
+        if (t.row_count() as u64) < syn.built_on_rows {
+            return Err(AqpError::Unsupported {
+                detail: format!(
+                    "{table} has {} rows, fewer than the {} its synopsis was built on: \
+                     rows replaced, not appended: rebuild with `build_stratified`",
+                    t.row_count(),
+                    syn.built_on_rows
+                ),
+            });
+        }
         let delta = t.tail(syn.built_on_rows as usize);
         let delta_rows = delta.row_count() as u64;
         if delta_rows == 0 {
@@ -517,7 +528,6 @@ impl Technique for OfflineTechnique<'_> {
                 "linear aggregates on the synopsized table, grouped by the stratification column",
             speedup_source: "pre-built stratified sample; no base data touched at query time",
             implemented_in: "core::offline",
-            guarantee: Guarantee::APriori,
         }
     }
 

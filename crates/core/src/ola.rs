@@ -30,9 +30,7 @@ use crate::aggquery::{AggQuery, AggSpec, LinearAgg};
 use crate::answer::{assemble_answer, ExecutionPath, ExecutionReport};
 use crate::error::AqpError;
 use crate::spec::ErrorSpec;
-use crate::technique::{
-    decline_if_blocked, Attempt, Guarantee, Technique, TechniqueKind, TechniqueProfile,
-};
+use crate::technique::{decline_if_blocked, Attempt, Technique, TechniqueKind, TechniqueProfile};
 
 /// Progressive single-table aggregation over a random block permutation.
 pub struct OnlineAggregator {
@@ -167,7 +165,6 @@ impl Technique for OlaTechnique<'_> {
             answers: "ungrouped single-table SUM/AVG of one column, with predicates",
             speedup_source: "stop as soon as the live interval meets the spec",
             implemented_in: "core::ola",
-            guarantee: Guarantee::APosteriori,
         }
     }
 

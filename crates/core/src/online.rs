@@ -57,25 +57,26 @@ use crate::error::AqpError;
 use crate::evaluator::StarEvaluator;
 use crate::spec::ErrorSpec;
 use crate::technique::{
-    decline_if_blocked, exact_answer, Attempt, DeclineReason, Guarantee, Technique, TechniqueKind,
+    decline_if_blocked, exact_answer, Attempt, DeclineReason, Technique, TechniqueKind,
     TechniqueProfile,
 };
+
+/// Block-sampling rate of the pilot phase.
+const PILOT_RATE: f64 = 0.01;
+
+/// When the query has a GROUP BY, the pilot rate rises so that any group
+/// with at least this many rows appears in the pilot with probability
+/// ≥ 99% (Chernoff/union-bound planning via
+/// [`aqp_stats::bounds::group_coverage_rate`]). Groups smaller than the
+/// pilot happens to see stay outside the contract either way.
+const MIN_COVERED_GROUP_ROWS: u64 = 1_000;
 
 /// Tuning knobs for the online planner.
 #[derive(Debug, Clone, Copy)]
 pub struct OnlineConfig {
-    /// Block-sampling rate of the pilot phase.
-    pub pilot_rate: f64,
     /// Beyond this final rate, sampling is judged not to pay off and the
     /// query runs exactly.
     pub max_final_rate: f64,
-    /// When the query has a GROUP BY, raise the pilot rate so that any
-    /// group with at least this many rows appears in the pilot with
-    /// probability ≥ 99% (Chernoff/union-bound planning via
-    /// [`aqp_stats::bounds::group_coverage_rate`]). `None` disables the
-    /// adjustment; groups smaller than the pilot happens to see stay
-    /// outside the contract either way.
-    pub min_covered_group_rows: Option<u64>,
     /// Apply the conservative pilot-noise inflation when planning the
     /// final rate (default). Disabling it is an ablation: the planner
     /// trusts the pilot's spread estimate at face value, which experiment
@@ -90,9 +91,7 @@ pub struct OnlineConfig {
 impl Default for OnlineConfig {
     fn default() -> Self {
         Self {
-            pilot_rate: 0.01,
             max_final_rate: 0.2,
-            min_covered_group_rows: Some(1_000),
             pilot_inflation: true,
             threads: aqp_engine::pool::default_threads(),
         }
@@ -266,14 +265,14 @@ impl<'a> OnlineAqp<'a> {
         // literature's "at least 30 units" rule); adapt the rate upward on
         // small tables.
         let big_m = fact.block_count() as u64;
-        let mut pilot_rate = self.config.pilot_rate.max(30.0 / big_m as f64);
-        if let (Some(min_rows), false) = (
-            self.config.min_covered_group_rows,
-            query.group_by.is_empty(),
-        ) {
-            // A group of `min_rows` rows spans at least ceil(min_rows/cap)
-            // blocks; block sampling misses it only if it misses them all.
-            let blocks_per_group = min_rows.div_ceil(fact.block_capacity() as u64).max(1);
+        let mut pilot_rate = PILOT_RATE.max(30.0 / big_m as f64);
+        if !query.group_by.is_empty() {
+            // A group of `MIN_COVERED_GROUP_ROWS` rows spans at least
+            // ceil(rows/cap) blocks; block sampling misses it only if it
+            // misses them all.
+            let blocks_per_group = MIN_COVERED_GROUP_ROWS
+                .div_ceil(fact.block_capacity() as u64)
+                .max(1);
             // Union-bound over a pessimistic group count (≤ population
             // blocks) at 1% total miss probability.
             let coverage =
@@ -462,7 +461,6 @@ impl Technique for OnlineAqp<'_> {
             answers: "linear aggregates over star joins with ad-hoc predicates",
             speedup_source: "pilot-planned Bernoulli block sampling",
             implemented_in: "core::online",
-            guarantee: Guarantee::APriori,
         }
     }
 
@@ -799,8 +797,8 @@ mod two_dim_tests {
 
     #[test]
     fn group_coverage_pilot_floor_applies() {
-        // With min_covered_group_rows set, a grouped query must get a
-        // pilot rate at least at the coverage floor.
+        // A grouped query's pilot rate is at least the coverage floor that
+        // keeps every group of MIN_COVERED_GROUP_ROWS rows in the pilot.
         let c = Catalog::new();
         build_star_schema(&c, &StarScale::small(), 56).unwrap();
         let plan = Query::scan("lineitem")
@@ -809,33 +807,23 @@ mod two_dim_tests {
                 vec![AggExpr::count_star("n")],
             )
             .build();
-        let with_floor = OnlineAqp::new(
-            &c,
-            OnlineConfig {
-                min_covered_group_rows: Some(2_000),
-                ..OnlineConfig::default()
-            },
-        );
-        let ans = with_floor
+        let config = OnlineConfig::default();
+        let ans = OnlineAqp::new(&c, config)
             .answer_plan(&plan, &ErrorSpec::new(0.1, 0.9), 3)
             .unwrap();
         if let ExecutionPath::OnlineBlockSample { pilot_rate, .. } = ans.report.path {
-            let without_floor = OnlineAqp::new(
-                &c,
-                OnlineConfig {
-                    min_covered_group_rows: None,
-                    ..OnlineConfig::default()
-                },
+            let fact = c.get("lineitem").unwrap();
+            let blocks_per_group = MIN_COVERED_GROUP_ROWS
+                .div_ceil(fact.block_capacity() as u64)
+                .max(1);
+            let blocks = (fact.block_count() as u64).min(1_000);
+            let floor = aqp_stats::bounds::group_coverage_rate(blocks_per_group, blocks, 0.01)
+                .min(config.max_final_rate)
+                .min(0.5);
+            assert!(
+                pilot_rate >= floor,
+                "pilot {pilot_rate} under the floor {floor}"
             );
-            let ans2 = without_floor
-                .answer_plan(&plan, &ErrorSpec::new(0.1, 0.9), 3)
-                .unwrap();
-            if let ExecutionPath::OnlineBlockSample {
-                pilot_rate: base, ..
-            } = ans2.report.path
-            {
-                assert!(pilot_rate >= base, "floor must not lower the pilot rate");
-            }
         }
         // All 7 ship modes are large: every one must be in the answer.
         assert_eq!(ans.groups.len(), 7);

@@ -33,8 +33,7 @@ use crate::answer::{assemble_answer, ExecutionPath, ExecutionReport};
 use crate::error::AqpError;
 use crate::spec::ErrorSpec;
 use crate::technique::{
-    decline_if_blocked, Attempt, DeclineReason, Guarantee, Technique, TechniqueKind,
-    TechniqueProfile,
+    decline_if_blocked, Attempt, DeclineReason, Technique, TechniqueKind, TechniqueProfile,
 };
 
 /// The reserved name the rewritten plan scans instead of the fact table.
@@ -185,7 +184,6 @@ impl Technique for RewriteTechnique<'_> {
             answers: "any normalized star linear-aggregate query, rewritten over a weighted sample",
             speedup_source: "fixed-rate sample through the unmodified exact engine",
             implemented_in: "core::rewrite",
-            guarantee: Guarantee::PointEstimate,
         }
     }
 

@@ -113,6 +113,9 @@ impl Default for Contract {
     }
 }
 
+/// Plan-cache entries kept (FIFO eviction).
+const CACHE_CAPACITY: usize = 256;
+
 /// Tuning knobs for the service layer (the session keeps its own
 /// [`SessionConfig`]).
 #[derive(Debug, Clone, Copy)]
@@ -123,8 +126,6 @@ pub struct ServiceConfig {
     /// with [`Rejection::QueueFull`]. `0` disables queueing entirely
     /// (admit-or-reject).
     pub queue_capacity: usize,
-    /// Plan-cache entries kept (FIFO eviction).
-    pub cache_capacity: usize,
     /// When `true`, a contract the analyzer proves no guarantee-carrying
     /// family can honor is rejected ([`Rejection::ContractUnattainable`])
     /// instead of degraded to a point estimate.
@@ -140,7 +141,6 @@ impl Default for ServiceConfig {
         Self {
             max_inflight: threads.max(1),
             queue_capacity: 64,
-            cache_capacity: 256,
             strict_contracts: false,
             thread_budget: threads,
         }
@@ -750,7 +750,7 @@ impl<'a> AqpService<'a> {
                 config.queue_capacity,
                 Arc::clone(session.metrics()),
             ),
-            cache: PlanCache::new(config.cache_capacity),
+            cache: PlanCache::new(CACHE_CAPACITY),
             session,
             config,
         }

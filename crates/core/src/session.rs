@@ -268,7 +268,9 @@ impl<'a> AqpSession<'a> {
     /// see [`OfflineStore::maintain_all`]). Returns the number of
     /// synopses maintained; afterwards the offline path is fresh again
     /// ([`OfflineStore::staleness`] = 0) without any base-table rescan of
-    /// pre-existing rows.
+    /// pre-existing rows. A table that shrank had rows replaced, not
+    /// appended: that is [`AqpError::Unsupported`](crate::AqpError), and
+    /// the synopsis, the routing epoch and the scoreboard stay as they were.
     pub fn maintain_synopses(&self, table: &str, seed: u64) -> Result<usize, crate::AqpError> {
         let n = self.offline.maintain_all(self.catalog, table, seed)?;
         // Audits of the replaced synopsis say nothing about the maintained

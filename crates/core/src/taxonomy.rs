@@ -17,12 +17,13 @@
 //! techniques (samplers, sketches) that have no router entry point and
 //! stay hand-described.
 
+use aqp_analyze::GuaranteeClass;
 use aqp_expr::{col, lit};
 use aqp_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 
 use crate::aggquery::{AggQuery, AggSpec, JoinSpec, LinearAgg};
 use crate::session::AqpSession;
-use crate::technique::{Guarantee, TechniqueKind};
+use crate::technique::TechniqueKind;
 
 /// One implemented AQP technique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,8 +148,8 @@ fn probe_catalog() -> Catalog {
 ///
 /// * *ad-hoc predicates* / *joins* — is the family statically eligible
 ///   for a probe query with a predicate / a join?
-/// * *a-priori error* — does the family's profile declare
-///   [`Guarantee::APriori`]?
+/// * *a-priori error* — does the analyzer grade the family
+///   [`GuaranteeClass::APriori`] on the predicate query?
 /// * *needs workload knowledge* — is the family blocked when no synopsis
 ///   was pre-built for the probe table?
 /// * *needs maintenance* — is it blocked when the base table grows past
@@ -203,7 +204,7 @@ pub fn derived_family_rows() -> Vec<Capability> {
                     TechniqueKind::Exact => return None,
                 },
                 answers: profile.answers,
-                a_priori_error: matches!(profile.guarantee, Guarantee::APriori),
+                a_priori_error: pred_on_fresh.verdict(kind).guarantee == GuaranteeClass::APriori,
                 adhoc_predicates: pred_on_fresh.statically_eligible(kind),
                 joins: join_on_fresh.statically_eligible(kind),
                 needs_workload_knowledge: !pred_on_bare.statically_eligible(kind),

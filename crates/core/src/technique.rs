@@ -38,7 +38,7 @@ use crate::spec::ErrorSpec;
 
 use aqp_analyze::LintContext;
 
-pub use aqp_analyze::{DeclineReason, Guarantee, TechniqueKind};
+pub use aqp_analyze::{DeclineReason, TechniqueKind};
 
 /// Static self-description of a technique, for the derived taxonomy.
 #[derive(Debug, Clone, Copy)]
@@ -49,8 +49,6 @@ pub struct TechniqueProfile {
     pub speedup_source: &'static str,
     /// Which module implements it.
     pub implemented_in: &'static str,
-    /// The error-guarantee class it offers.
-    pub guarantee: Guarantee,
 }
 
 /// The outcome of asking a technique to answer.

@@ -3,13 +3,11 @@
 use std::collections::HashSet;
 
 use aqp_expr::Expr;
-use aqp_mergeable::{tag, wire, CodecError, MergeError, Partial};
+use aqp_mergeable::{MergeError, Partial};
 use aqp_stats::Moments;
-use aqp_storage::codec::{decode_value, encode_value};
 use aqp_storage::key::home_slot;
 pub use aqp_storage::KeyAtom;
 use aqp_storage::{DataType, Schema, Value};
-use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::EngineError;
 
@@ -474,128 +472,11 @@ impl AggState {
     }
 }
 
-const STATE_COUNT_STAR: u8 = 0;
-const STATE_COUNT: u8 = 1;
-const STATE_SUM: u8 = 2;
-const STATE_AVG: u8 = 3;
-const STATE_MIN: u8 = 4;
-const STATE_MAX: u8 = 5;
-const STATE_COUNT_DISTINCT: u8 = 6;
-const STATE_VAR_SAMP: u8 = 7;
-
-/// Decoder cap: a distinct set larger than this is corrupt, not data.
-const MAX_DISTINCT: usize = 1 << 28;
-
-fn encode_opt_value(buf: &mut BytesMut, v: &Option<Value>) {
-    match v {
-        None => buf.put_u8(0),
-        Some(v) => {
-            buf.put_u8(1);
-            encode_value(buf, v);
-        }
-    }
-}
-
-fn decode_opt_value(buf: &mut &[u8]) -> Result<Option<Value>, CodecError> {
-    match wire::read_u8(buf)? {
-        0 => Ok(None),
-        1 => Ok(Some(decode_value(buf)?)),
-        _ => Err(CodecError::BadDimensions),
-    }
-}
-
-/// Aggregate partials ship between shards as a variant byte plus the
-/// variant's accumulator fields; MIN/MAX carry their candidate through the
-/// scalar value codec and VAR_SAMP embeds the [`Moments`] partial's own
-/// length-prefixed wire form.
+/// Aggregate partials merge through [`AggState::try_merge`]: a mismatched
+/// function is an error, never a panic.
 impl Partial for AggState {
     fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
         self.try_merge(other)
-    }
-
-    fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(32);
-        wire::write_header(&mut buf, tag::AGG_STATE);
-        match self {
-            AggState::CountStar(n) => {
-                buf.put_u8(STATE_COUNT_STAR);
-                buf.put_u64(*n);
-            }
-            AggState::Count(n) => {
-                buf.put_u8(STATE_COUNT);
-                buf.put_u64(*n);
-            }
-            AggState::Sum { sum, saw } => {
-                buf.put_u8(STATE_SUM);
-                wire::write_f64(&mut buf, *sum);
-                buf.put_u8(u8::from(*saw));
-            }
-            AggState::Avg { sum, count } => {
-                buf.put_u8(STATE_AVG);
-                wire::write_f64(&mut buf, *sum);
-                buf.put_u64(*count);
-            }
-            AggState::Min(best) => {
-                buf.put_u8(STATE_MIN);
-                encode_opt_value(&mut buf, best);
-            }
-            AggState::Max(best) => {
-                buf.put_u8(STATE_MAX);
-                encode_opt_value(&mut buf, best);
-            }
-            AggState::CountDistinct(set) => {
-                buf.put_u8(STATE_COUNT_DISTINCT);
-                buf.put_u32(set.len() as u32);
-                for atom in set {
-                    encode_value(&mut buf, &atom.to_value());
-                }
-            }
-            AggState::VarSamp(m) => {
-                buf.put_u8(STATE_VAR_SAMP);
-                let inner = Partial::to_bytes(m);
-                buf.put_u32(inner.len() as u32);
-                buf.put_slice(&inner);
-            }
-        }
-        buf.freeze()
-    }
-
-    fn from_bytes(mut buf: &[u8]) -> Result<Self, CodecError> {
-        let buf = &mut buf;
-        wire::read_header(buf, tag::AGG_STATE)?;
-        match wire::read_u8(buf)? {
-            STATE_COUNT_STAR => Ok(AggState::CountStar(wire::read_u64(buf)?)),
-            STATE_COUNT => Ok(AggState::Count(wire::read_u64(buf)?)),
-            STATE_SUM => Ok(AggState::Sum {
-                sum: wire::read_f64(buf)?,
-                saw: wire::read_u8(buf)? != 0,
-            }),
-            STATE_AVG => Ok(AggState::Avg {
-                sum: wire::read_f64(buf)?,
-                count: wire::read_u64(buf)?,
-            }),
-            STATE_MIN => Ok(AggState::Min(decode_opt_value(buf)?)),
-            STATE_MAX => Ok(AggState::Max(decode_opt_value(buf)?)),
-            STATE_COUNT_DISTINCT => {
-                let n = wire::read_u32(buf)? as usize;
-                if n > MAX_DISTINCT {
-                    return Err(CodecError::BadDimensions);
-                }
-                let mut set = HashSet::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    set.insert(KeyAtom::from_value(&decode_value(buf)?));
-                }
-                Ok(AggState::CountDistinct(set))
-            }
-            STATE_VAR_SAMP => {
-                let len = wire::read_u32(buf)? as usize;
-                wire::need(buf, len)?;
-                let m = Moments::from_bytes(&buf[..len])?;
-                *buf = &buf[len..];
-                Ok(AggState::VarSamp(m))
-            }
-            _ => Err(CodecError::BadDimensions),
-        }
     }
 }
 
@@ -913,56 +794,79 @@ mod tests {
         assert_eq!(a.finish(), Value::Float64(4.0));
     }
 
+    const EVERY_FUNC: [AggFunc; 8] = [
+        AggFunc::CountStar,
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::CountDistinct,
+        AggFunc::VarSamp,
+    ];
+
     #[test]
-    fn agg_state_partial_roundtrips_every_variant() {
-        let values = [
-            Value::Float64(3.0),
-            Value::Null,
-            Value::Int64(-2),
-            Value::str("zeta"),
-            Value::Bool(true),
-            Value::Float64(7.5),
-        ];
-        for func in [
-            AggFunc::CountStar,
-            AggFunc::Count,
-            AggFunc::Sum,
-            AggFunc::Avg,
-            AggFunc::Min,
-            AggFunc::Max,
-            AggFunc::CountDistinct,
-            AggFunc::VarSamp,
-        ] {
-            for feed in [0, values.len()] {
-                let mut state = AggState::new(func);
-                for v in &values[..feed] {
-                    state.update(v);
-                }
-                let bytes = Partial::to_bytes(&state);
-                let back = AggState::from_bytes(&bytes).unwrap();
-                assert_eq!(
-                    format!("{:?}", back.finish()),
-                    format!("{:?}", state.finish()),
-                    "{func} fed {feed}"
-                );
-                // Decoded partials keep merging.
-                let mut merged = back;
-                Partial::merge(&mut merged, &state).unwrap();
-                // And corruption is an error, never a panic.
-                for cut in 0..bytes.len() {
-                    assert!(
-                        AggState::from_bytes(&bytes[..cut]).is_err(),
-                        "{func} cut {cut}"
-                    );
-                }
+    fn partial_merge_matches_inherent_merge_for_every_function() {
+        let fold = |func, values: &[Value]| {
+            let mut s = AggState::new(func);
+            values.iter().for_each(|v| s.update(v));
+            s
+        };
+        let left = [Value::Float64(3.0), Value::Null, Value::Int64(-2)];
+        let right = [Value::Float64(7.5), Value::Int64(5), Value::Float64(3.0)];
+        let bits = |v: Value| match v {
+            Value::Float64(x) => format!("f{}", x.to_bits()),
+            other => format!("{other:?}"),
+        };
+        for func in EVERY_FUNC {
+            let (a, b) = (fold(func, &left), fold(func, &right));
+            let mut via_trait = a.clone();
+            Partial::merge(&mut via_trait, &b).unwrap();
+            let mut inherent = a;
+            inherent.merge(b);
+            assert_eq!(bits(via_trait.finish()), bits(inherent.finish()), "{func}");
+        }
+    }
+
+    #[test]
+    fn try_merge_refuses_every_mismatched_pair() {
+        for mine in EVERY_FUNC {
+            for theirs in EVERY_FUNC.into_iter().filter(|&f| f != mine) {
+                let mut a = AggState::new(mine);
+                a.update(&Value::Int64(4));
+                let before = a.finish();
+                let err = Partial::merge(&mut a, &AggState::new(theirs)).unwrap_err();
+                let MergeError::Incompatible {
+                    kind: "agg-state",
+                    expected,
+                    found,
+                } = &err
+                else {
+                    panic!("{mine} / {theirs}: {err}");
+                };
+                assert_eq!(expected, AggState::new(mine).state_name());
+                assert_eq!(found, AggState::new(theirs).state_name());
+                assert_eq!(a.finish(), before, "{mine} changed by a refused merge");
             }
         }
-        let mut wrong = Partial::to_bytes(&AggState::new(AggFunc::Sum)).to_vec();
-        wrong[0] ^= 0xFF;
-        assert!(matches!(
-            AggState::from_bytes(&wrong),
-            Err(CodecError::BadMagic(_))
-        ));
+    }
+
+    #[test]
+    fn tied_min_max_keep_the_earlier_partial() {
+        // INT64 3 and FLOAT64 3.0 compare equal: the merge keeps the
+        // earlier partial's value, as the serial fold keeps the first.
+        for func in [AggFunc::Min, AggFunc::Max] {
+            let mut serial = AggState::new(func);
+            let mut earlier = AggState::new(func);
+            let mut later = AggState::new(func);
+            serial.update(&Value::Int64(3));
+            serial.update(&Value::Float64(3.0));
+            earlier.update(&Value::Int64(3));
+            later.update(&Value::Float64(3.0));
+            earlier.merge(later);
+            assert_eq!(earlier.finish(), Value::Int64(3), "{func}");
+            assert_eq!(serial.finish(), Value::Int64(3), "{func}");
+        }
     }
 
     #[test]
@@ -1165,5 +1069,77 @@ mod tests {
             DataType::Int64
         );
         assert_eq!(format!("{}", AggFunc::Avg), "AVG");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Feeds `(key, value)` rows into `m`; a `None` key is the NULL group.
+    fn feed(m: &mut I64GroupMap, rows: &[(Option<i64>, i64)]) {
+        for &(key, v) in rows {
+            let slot = match key {
+                Some(k) => m.slot(k),
+                None => m.null_slot(),
+            };
+            for state in slot {
+                state.update_i64(v);
+            }
+        }
+    }
+
+    /// A map's finished groups, in order, and its finished NULL group.
+    type Finished = (Vec<(i64, Vec<Value>)>, Option<Vec<Value>>);
+
+    fn observe(m: I64GroupMap) -> Finished {
+        let finish = |states: Vec<AggState>| states.iter().map(AggState::finish).collect();
+        let (groups, null) = m.into_groups();
+        (
+            groups.into_iter().map(|(k, s)| (k, finish(s))).collect(),
+            null.map(finish),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Morsel partials of a grouped aggregation merged in morsel
+        /// order reproduce the single-map fold exactly: the same groups in
+        /// the same first-seen order, the same NULL group, the same states.
+        #[test]
+        fn group_map_merge_matches_a_single_map_for_any_split(
+            rows in proptest::collection::vec((0u8..12, -40i64..40, -1_000i64..1_000), 0..300),
+            cuts in proptest::collection::vec(0.0f64..1.0, 0..4),
+        ) {
+            // Selector 0 is the NULL key; 10 and 11 the ends of the domain.
+            let rows: Vec<(Option<i64>, i64)> = rows
+                .into_iter()
+                .map(|(sel, k, v)| {
+                    let key = match sel {
+                        0 => None,
+                        10 => Some(i64::MIN),
+                        11 => Some(i64::MAX),
+                        _ => Some(k),
+                    };
+                    (key, v)
+                })
+                .collect();
+            let funcs = vec![AggFunc::CountStar, AggFunc::Sum, AggFunc::Min, AggFunc::CountDistinct];
+            let mut single = I64GroupMap::new(funcs.clone(), 4);
+            feed(&mut single, &rows);
+            let mut bounds: Vec<usize> = cuts.iter().map(|f| (f * rows.len() as f64) as usize).collect();
+            bounds.extend([0, rows.len()]);
+            bounds.sort_unstable();
+            let mut merged = I64GroupMap::new(funcs.clone(), 4);
+            for w in bounds.windows(2) {
+                let mut part = I64GroupMap::new(funcs.clone(), 4);
+                feed(&mut part, &rows[w[0]..w[1]]);
+                merged.merge_from(part);
+            }
+            prop_assert_eq!(merged.len(), single.len());
+            prop_assert_eq!(observe(merged), observe(single));
+        }
     }
 }

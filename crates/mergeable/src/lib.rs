@@ -1,18 +1,15 @@
-//! The `Partial` contract: two-step aggregation for every synopsis.
+//! The `Partial` contract: mergeable partial aggregates.
 //!
-//! NSB's offline-synopsis pain points — expensive rebuilds under drift and
-//! per-aggregate specialization — dissolve once every summary in the system
-//! speaks one *partial aggregation* protocol (the approach VerdictDB uses to
-//! universalize AQP across backends): compute a partial per shard, `merge`
-//! partials associatively, serialize them with a self-describing header so
-//! they can be cached or shipped between nodes, and `finish` only at the
-//! very end.
+//! NSB values a synopsis for being *mergeable*: an append-only delta can be
+//! summarised on its own and folded into the stored summary instead of
+//! rebuilding it from the whole table. Every summary in the system speaks
+//! one *partial aggregation* protocol: build a partial per disjoint piece
+//! of the data, [`Partial::merge`] partials associatively, and finish only
+//! at the very end.
 //!
-//! This crate is the substrate: the [`Partial`] trait, the typed
+//! This crate is the substrate: the [`Partial`] trait and the typed
 //! [`MergeError`] returned when two partials are statistically or
-//! structurally incompatible, the [`CodecError`] returned when a wire buffer
-//! is corrupt, the workspace-wide [`tag`] registry, and the [`wire`] helpers
-//! every codec builds its header and payload from.
+//! structurally incompatible.
 //!
 //! # Laws
 //!
@@ -29,32 +26,18 @@
 //!
 //! `tests/merge_laws.rs` at the workspace root property-tests these laws
 //! for every implementation at 1, 2, 4, and 8 partitions.
-//!
-//! # Wire format
-//!
-//! Every serialized partial starts with the same two bytes — a type tag
-//! from [`tag`] and a format version — followed by a type-owned payload.
-//! Decoders reject wrong tags ([`CodecError::BadMagic`]), unknown versions
-//! ([`CodecError::BadVersion`]), truncated buffers
-//! ([`CodecError::Truncated`]), and implausible dimensions
-//! ([`CodecError::BadDimensions`]) — they must *never* panic on garbage.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-use bytes::Bytes;
 use std::fmt;
-
-/// Current wire-format version, written after the type tag by every codec.
-pub const CODEC_VERSION: u8 = 1;
 
 /// Why two partials refused to merge.
 ///
 /// Merging is only defined between partials of the same type *and* the same
 /// parameters (sketch width/precision/seed, histogram boundaries, sampling
 /// design, aggregate function). A mismatch is an error the caller can
-/// handle — never a panic — because in a sharded or multi-node setting the
-/// incompatible partial may come from outside the process.
+/// handle — never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeError {
     /// The partials are the same kind but were built with different
@@ -97,280 +80,18 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// Decoding failure for a serialized partial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecError {
-    /// The buffer ended before the payload did.
-    Truncated,
-    /// The leading tag byte does not identify the expected type.
-    BadMagic(u8),
-    /// The format version is newer than this build understands.
-    BadVersion(u8),
-    /// Header dimensions are zero, absurdly large, or inconsistent.
-    BadDimensions,
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::Truncated => write!(f, "buffer truncated"),
-            CodecError::BadMagic(b) => write!(f, "bad magic byte {b:#04x}"),
-            CodecError::BadVersion(v) => write!(f, "unsupported codec version {v}"),
-            CodecError::BadDimensions => write!(f, "implausible dimensions in header"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-/// A mergeable, serializable partial aggregate.
+/// A mergeable partial aggregate.
 ///
-/// See the crate docs for the algebraic laws and the wire contract.
-pub trait Partial: Sized {
+/// See the crate docs for the algebraic laws.
+pub trait Partial {
     /// Folds `other` into `self`. Returns [`MergeError`] (leaving `self`
     /// unchanged) when the two partials are incompatible.
     fn merge(&mut self, other: &Self) -> Result<(), MergeError>;
-
-    /// Serializes into the versioned, self-describing wire format.
-    fn to_bytes(&self) -> Bytes;
-
-    /// Decodes a buffer produced by [`Partial::to_bytes`]. Must reject —
-    /// never panic on — corrupt headers and truncated payloads.
-    fn from_bytes(buf: &[u8]) -> Result<Self, CodecError>;
-}
-
-/// Folds an ordered slice of partials left-to-right into one, preserving
-/// shard order so order-sensitive floating-point state stays deterministic.
-/// Returns `None` for an empty slice.
-pub fn merge_ordered<T: Partial + Clone>(parts: &[T]) -> Result<Option<T>, MergeError> {
-    let mut iter = parts.iter();
-    let Some(first) = iter.next() else {
-        return Ok(None);
-    };
-    let mut acc = first.clone();
-    for part in iter {
-        acc.merge(part)?;
-    }
-    Ok(Some(acc))
-}
-
-/// The workspace-wide tag registry: the first byte of every serialized
-/// partial. Tags are never reused across types, so a buffer is
-/// self-describing even out of context.
-pub mod tag {
-    /// Count-Min sketch (kept at its pre-registry value for wire
-    /// compatibility with earlier builds).
-    pub const COUNT_MIN: u8 = 0xC1;
-    /// HyperLogLog (kept at its pre-registry value).
-    pub const HLL: u8 = 0xB2;
-    /// Count-Sketch.
-    pub const COUNT_SKETCH: u8 = 0xC5;
-    /// AMS tug-of-war F₂ sketch.
-    pub const AMS: u8 = 0xA5;
-    /// KMV distinct-count sketch.
-    pub const KMV: u8 = 0x4B;
-    /// Bloom filter.
-    pub const BLOOM: u8 = 0xBF;
-    /// Greenwald–Khanna quantile summary.
-    pub const GK: u8 = 0x61;
-    /// Equi-width histogram.
-    pub const EQUI_WIDTH: u8 = 0xE1;
-    /// Equi-depth histogram.
-    pub const EQUI_DEPTH: u8 = 0xE2;
-    /// Haar wavelet synopsis.
-    pub const WAVELET: u8 = 0x3A;
-    /// Plain streaming moments (Welford).
-    pub const MOMENTS: u8 = 0x30;
-    /// Weighted streaming moments.
-    pub const WEIGHTED_MOMENTS: u8 = 0x57;
-    /// Columnar table (block-structured).
-    pub const TABLE: u8 = 0x7B;
-    /// Sample: table + design + Horvitz–Thompson weights.
-    pub const SAMPLE: u8 = 0x5A;
-    /// Engine aggregate accumulator (`AggState`).
-    pub const AGG_STATE: u8 = 0xA6;
-}
-
-/// Checked big-endian wire primitives shared by every codec.
-///
-/// [`bytes::Buf`]'s raw getters panic past the end of the buffer; these
-/// variants return [`CodecError::Truncated`] instead, which is what lets
-/// every decoder promise "errors, never panics" on garbage input.
-pub mod wire {
-    use super::{CodecError, CODEC_VERSION};
-    use bytes::{Buf, BufMut, BytesMut};
-
-    /// Writes the two-byte header: type tag, then [`CODEC_VERSION`].
-    pub fn write_header(buf: &mut BytesMut, tag: u8) {
-        buf.put_u8(tag);
-        buf.put_u8(CODEC_VERSION);
-    }
-
-    /// Reads and validates the two-byte header against `expected_tag`.
-    pub fn read_header(buf: &mut &[u8], expected_tag: u8) -> Result<(), CodecError> {
-        let tag = read_u8(buf)?;
-        if tag != expected_tag {
-            return Err(CodecError::BadMagic(tag));
-        }
-        let version = read_u8(buf)?;
-        if version != CODEC_VERSION {
-            return Err(CodecError::BadVersion(version));
-        }
-        Ok(())
-    }
-
-    /// Fails with [`CodecError::Truncated`] unless `n` bytes remain.
-    pub fn need(buf: &&[u8], n: usize) -> Result<(), CodecError> {
-        if buf.remaining() < n {
-            Err(CodecError::Truncated)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Reads one byte.
-    pub fn read_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
-        need(buf, 1)?;
-        Ok(buf.get_u8())
-    }
-
-    /// Reads a big-endian `u32`.
-    pub fn read_u32(buf: &mut &[u8]) -> Result<u32, CodecError> {
-        need(buf, 4)?;
-        Ok(buf.get_u32())
-    }
-
-    /// Reads a big-endian `u64`.
-    pub fn read_u64(buf: &mut &[u8]) -> Result<u64, CodecError> {
-        need(buf, 8)?;
-        Ok(buf.get_u64())
-    }
-
-    /// Reads a big-endian `i64` (two's complement).
-    pub fn read_i64(buf: &mut &[u8]) -> Result<i64, CodecError> {
-        Ok(read_u64(buf)? as i64)
-    }
-
-    /// Reads an `f64` from its big-endian IEEE-754 bit pattern.
-    pub fn read_f64(buf: &mut &[u8]) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(read_u64(buf)?))
-    }
-
-    /// Writes an `i64` as big-endian two's complement.
-    pub fn write_i64(buf: &mut BytesMut, v: i64) {
-        buf.put_u64(v as u64);
-    }
-
-    /// Writes an `f64` as its big-endian IEEE-754 bit pattern.
-    pub fn write_f64(buf: &mut BytesMut, v: f64) {
-        buf.put_u64(v.to_bits());
-    }
-
-    /// Reads a length-prefixed UTF-8 string (u32 length).
-    pub fn read_str(buf: &mut &[u8]) -> Result<String, CodecError> {
-        let len = read_u32(buf)? as usize;
-        need(buf, len)?;
-        let mut bytes = vec![0u8; len];
-        buf.copy_to_slice(&mut bytes);
-        String::from_utf8(bytes).map_err(|_| CodecError::BadDimensions)
-    }
-
-    /// Writes a length-prefixed UTF-8 string (u32 length).
-    ///
-    /// # Panics
-    /// Panics if the string is longer than `u32::MAX` bytes.
-    pub fn write_str(buf: &mut BytesMut, s: &str) {
-        assert!(s.len() <= u32::MAX as usize, "string too long for wire");
-        buf.put_u32(s.len() as u32);
-        buf.put_slice(s.as_bytes());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::{BufMut, BytesMut};
-
-    /// Minimal law-abiding Partial: a plain counter.
-    #[derive(Debug, Clone, PartialEq)]
-    struct Counter(u64);
-
-    impl Partial for Counter {
-        fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
-            self.0 += other.0;
-            Ok(())
-        }
-
-        fn to_bytes(&self) -> Bytes {
-            let mut buf = BytesMut::with_capacity(10);
-            wire::write_header(&mut buf, 0x01);
-            buf.put_u64(self.0);
-            buf.freeze()
-        }
-
-        fn from_bytes(mut buf: &[u8]) -> Result<Self, CodecError> {
-            wire::read_header(&mut buf, 0x01)?;
-            Ok(Counter(wire::read_u64(&mut buf)?))
-        }
-    }
-
-    #[test]
-    fn counter_roundtrip_and_merge() {
-        let mut a = Counter(3);
-        a.merge(&Counter(4)).unwrap();
-        assert_eq!(a, Counter(7));
-        let b = Counter::from_bytes(&a.to_bytes()).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn header_rejects_wrong_tag_and_version() {
-        let bytes = Counter(1).to_bytes();
-        let mut wrong_tag = bytes.to_vec();
-        wrong_tag[0] = 0x99;
-        assert_eq!(
-            Counter::from_bytes(&wrong_tag),
-            Err(CodecError::BadMagic(0x99))
-        );
-        let mut wrong_version = bytes.to_vec();
-        wrong_version[1] = 200;
-        assert_eq!(
-            Counter::from_bytes(&wrong_version),
-            Err(CodecError::BadVersion(200))
-        );
-    }
-
-    #[test]
-    fn truncation_errors_never_panic() {
-        let bytes = Counter(42).to_bytes();
-        for cut in 0..bytes.len() {
-            assert_eq!(
-                Counter::from_bytes(&bytes[..cut]),
-                Err(CodecError::Truncated),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_ordered_folds_in_order() {
-        let parts = vec![Counter(1), Counter(2), Counter(3)];
-        assert_eq!(merge_ordered(&parts).unwrap(), Some(Counter(6)));
-        let none: Vec<Counter> = Vec::new();
-        assert_eq!(merge_ordered(&none).unwrap(), None);
-    }
-
-    #[test]
-    fn wire_str_roundtrip() {
-        let mut buf = BytesMut::new();
-        wire::write_str(&mut buf, "héllo");
-        let mut slice: &[u8] = &buf;
-        assert_eq!(wire::read_str(&mut slice).unwrap(), "héllo");
-        // Truncated string payload errors.
-        let short: &[u8] = &buf[..buf.len() - 1];
-        let mut s = short;
-        assert_eq!(wire::read_str(&mut s), Err(CodecError::Truncated));
-    }
 
     #[test]
     fn error_display() {
@@ -380,6 +101,10 @@ mod tests {
             found: "precision 10".into(),
         };
         assert!(e.to_string().contains("hyperloglog"));
-        assert!(CodecError::BadMagic(0xFF).to_string().contains("0xff"));
+        let e = MergeError::Unsupported {
+            kind: "sample",
+            reason: "rates differ".into(),
+        };
+        assert!(e.to_string().contains("rates differ"));
     }
 }

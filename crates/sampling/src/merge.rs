@@ -3,8 +3,9 @@
 //! Two samples drawn independently from *disjoint* partitions of a
 //! population combine into one valid sample of the union — if the designs
 //! are reconciled correctly. That reconciliation is per-stratum weight
-//! bookkeeping, and it is what makes shard-then-merge execution
-//! statistically sound rather than merely convenient:
+//! bookkeeping, and it is what makes folding in a partial drawn from a
+//! disjoint partition (an append-only delta, a shard) statistically sound
+//! rather than merely convenient:
 //!
 //! * **Stratified + stratified** (same column): strata are independent SRS
 //!   units, so the merged sample simply carries both strata lists (row
@@ -27,15 +28,8 @@
 //!   exists without re-scanning (the frequency cap and the fixed block
 //!   count are global properties), so merging returns
 //!   [`MergeError::Unsupported`].
-//!
-//! The codec serializes design, weights, and rows ([`aqp_storage::codec`])
-//! under [`tag::SAMPLE`] so shard samples can be shipped and merged
-//! off-node.
 
-use aqp_mergeable::{tag, wire, CodecError, MergeError, Partial};
-use aqp_storage::codec::{decode_value, encode_value};
-use aqp_storage::{decode_table, encode_table};
-use bytes::{BufMut, Bytes, BytesMut};
+use aqp_mergeable::{MergeError, Partial};
 
 use crate::design::{RowWeights, Sample, SampleDesign, StratumMeta};
 
@@ -297,236 +291,11 @@ impl Sample {
     }
 }
 
-const DESIGN_BERNOULLI_ROWS: u8 = 0;
-const DESIGN_BERNOULLI_BLOCKS: u8 = 1;
-const DESIGN_FIXED_ROWS: u8 = 2;
-const DESIGN_FIXED_BLOCKS: u8 = 3;
-const DESIGN_STRATIFIED: u8 = 4;
-const DESIGN_UNIVERSE: u8 = 5;
-const DESIGN_BILEVEL: u8 = 6;
-const DESIGN_DISTINCT: u8 = 7;
-
-/// Decoder cap: a sample declaring more strata / weights than this is
-/// corrupt (strata and weights are bounded by sampled rows in practice).
-const MAX_ITEMS: usize = 1 << 28;
-
-fn encode_design(buf: &mut BytesMut, design: &SampleDesign) {
-    match design {
-        SampleDesign::BernoulliRows {
-            rate,
-            population_rows,
-        } => {
-            buf.put_u8(DESIGN_BERNOULLI_ROWS);
-            wire::write_f64(buf, *rate);
-            buf.put_u64(*population_rows);
-        }
-        SampleDesign::BernoulliBlocks {
-            rate,
-            population_blocks,
-            population_rows,
-        } => {
-            buf.put_u8(DESIGN_BERNOULLI_BLOCKS);
-            wire::write_f64(buf, *rate);
-            buf.put_u64(*population_blocks);
-            buf.put_u64(*population_rows);
-        }
-        SampleDesign::FixedSizeRows { population_rows } => {
-            buf.put_u8(DESIGN_FIXED_ROWS);
-            buf.put_u64(*population_rows);
-        }
-        SampleDesign::FixedSizeBlocks {
-            population_blocks,
-            population_rows,
-        } => {
-            buf.put_u8(DESIGN_FIXED_BLOCKS);
-            buf.put_u64(*population_blocks);
-            buf.put_u64(*population_rows);
-        }
-        SampleDesign::Stratified { column, strata } => {
-            buf.put_u8(DESIGN_STRATIFIED);
-            wire::write_str(buf, column);
-            buf.put_u32(strata.len() as u32);
-            for s in strata {
-                encode_value(buf, &s.key);
-                buf.put_u64(s.population_size);
-                buf.put_u64(s.row_start as u64);
-                buf.put_u64(s.row_end as u64);
-            }
-        }
-        SampleDesign::Universe {
-            column,
-            rate,
-            population_rows,
-        } => {
-            buf.put_u8(DESIGN_UNIVERSE);
-            wire::write_str(buf, column);
-            wire::write_f64(buf, *rate);
-            buf.put_u64(*population_rows);
-        }
-        SampleDesign::BiLevel {
-            block_rate,
-            row_rate,
-            population_blocks,
-            population_rows,
-        } => {
-            buf.put_u8(DESIGN_BILEVEL);
-            wire::write_f64(buf, *block_rate);
-            wire::write_f64(buf, *row_rate);
-            buf.put_u64(*population_blocks);
-            buf.put_u64(*population_rows);
-        }
-        SampleDesign::Distinct {
-            columns,
-            cap,
-            rate,
-            population_rows,
-        } => {
-            buf.put_u8(DESIGN_DISTINCT);
-            buf.put_u32(columns.len() as u32);
-            for c in columns {
-                wire::write_str(buf, c);
-            }
-            buf.put_u64(*cap as u64);
-            wire::write_f64(buf, *rate);
-            buf.put_u64(*population_rows);
-        }
-    }
-}
-
-fn decode_design(buf: &mut &[u8]) -> Result<SampleDesign, CodecError> {
-    match wire::read_u8(buf)? {
-        DESIGN_BERNOULLI_ROWS => Ok(SampleDesign::BernoulliRows {
-            rate: wire::read_f64(buf)?,
-            population_rows: wire::read_u64(buf)?,
-        }),
-        DESIGN_BERNOULLI_BLOCKS => Ok(SampleDesign::BernoulliBlocks {
-            rate: wire::read_f64(buf)?,
-            population_blocks: wire::read_u64(buf)?,
-            population_rows: wire::read_u64(buf)?,
-        }),
-        DESIGN_FIXED_ROWS => Ok(SampleDesign::FixedSizeRows {
-            population_rows: wire::read_u64(buf)?,
-        }),
-        DESIGN_FIXED_BLOCKS => Ok(SampleDesign::FixedSizeBlocks {
-            population_blocks: wire::read_u64(buf)?,
-            population_rows: wire::read_u64(buf)?,
-        }),
-        DESIGN_STRATIFIED => {
-            let column = wire::read_str(buf)?;
-            let n = wire::read_u32(buf)? as usize;
-            if n > MAX_ITEMS {
-                return Err(CodecError::BadDimensions);
-            }
-            let mut strata = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let key = decode_value(buf)?;
-                let population_size = wire::read_u64(buf)?;
-                let row_start = wire::read_u64(buf)? as usize;
-                let row_end = wire::read_u64(buf)? as usize;
-                if row_end < row_start {
-                    return Err(CodecError::BadDimensions);
-                }
-                strata.push(StratumMeta {
-                    key,
-                    population_size,
-                    row_start,
-                    row_end,
-                });
-            }
-            Ok(SampleDesign::Stratified { column, strata })
-        }
-        DESIGN_UNIVERSE => Ok(SampleDesign::Universe {
-            column: wire::read_str(buf)?,
-            rate: wire::read_f64(buf)?,
-            population_rows: wire::read_u64(buf)?,
-        }),
-        DESIGN_BILEVEL => Ok(SampleDesign::BiLevel {
-            block_rate: wire::read_f64(buf)?,
-            row_rate: wire::read_f64(buf)?,
-            population_blocks: wire::read_u64(buf)?,
-            population_rows: wire::read_u64(buf)?,
-        }),
-        DESIGN_DISTINCT => {
-            let n = wire::read_u32(buf)? as usize;
-            if n > MAX_ITEMS {
-                return Err(CodecError::BadDimensions);
-            }
-            let mut columns = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                columns.push(wire::read_str(buf)?);
-            }
-            Ok(SampleDesign::Distinct {
-                columns,
-                cap: wire::read_u64(buf)? as usize,
-                rate: wire::read_f64(buf)?,
-                population_rows: wire::read_u64(buf)?,
-            })
-        }
-        _ => Err(CodecError::BadDimensions),
-    }
-}
-
-/// Samples serialize as design + weights + rows and merge by partition
-/// pooling (see [`Sample::merge`] for the statistical contract).
+/// Samples merge by partition pooling (see [`Sample::merge`] for the
+/// statistical contract).
 impl Partial for Sample {
     fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
         Sample::merge(self, other)
-    }
-
-    fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64 + self.table.approx_bytes());
-        wire::write_header(&mut buf, tag::SAMPLE);
-        encode_design(&mut buf, &self.design);
-        match &self.weights {
-            RowWeights::Uniform(w) => {
-                buf.put_u8(0);
-                wire::write_f64(&mut buf, *w);
-            }
-            RowWeights::PerRow(ws) => {
-                buf.put_u8(1);
-                buf.put_u32(ws.len() as u32);
-                for &w in ws {
-                    wire::write_f64(&mut buf, w);
-                }
-            }
-        }
-        buf.put_slice(&encode_table(&self.table));
-        buf.freeze()
-    }
-
-    fn from_bytes(mut buf: &[u8]) -> Result<Self, CodecError> {
-        let buf = &mut buf;
-        wire::read_header(buf, tag::SAMPLE)?;
-        let design = decode_design(buf)?;
-        let weights = match wire::read_u8(buf)? {
-            0 => RowWeights::Uniform(wire::read_f64(buf)?),
-            1 => {
-                let n = wire::read_u32(buf)? as usize;
-                wire::need(buf, n.checked_mul(8).ok_or(CodecError::BadDimensions)?)?;
-                let mut ws = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ws.push(wire::read_f64(buf)?);
-                }
-                RowWeights::PerRow(ws)
-            }
-            _ => return Err(CodecError::BadDimensions),
-        };
-        let table = decode_table(buf)?;
-        if let RowWeights::PerRow(ws) = &weights {
-            if ws.len() != table.row_count() {
-                return Err(CodecError::BadDimensions);
-            }
-        }
-        if let SampleDesign::Stratified { strata, .. } = &design {
-            if strata.iter().any(|s| s.row_end > table.row_count()) {
-                return Err(CodecError::BadDimensions);
-            }
-        }
-        Ok(Sample {
-            table,
-            design,
-            weights,
-        })
     }
 }
 
@@ -682,6 +451,242 @@ mod tests {
         assert_eq!(a.num_rows(), snapshot_rows, "failed merge must not mutate");
     }
 
+    /// A three-row sample of `small_table` under `design`.
+    fn with_design(design: SampleDesign, weights: RowWeights) -> Sample {
+        Sample {
+            table: small_table(&[1.0, 2.0, 3.0], 2),
+            design,
+            weights,
+        }
+    }
+
+    #[test]
+    fn every_design_merges_with_itself_or_refuses_typed() {
+        let stratum = StratumMeta {
+            key: Value::str("a"),
+            population_size: 12,
+            row_start: 0,
+            row_end: 3,
+        };
+        // (design, the design two copies of it merge to; None = refused)
+        let cases = vec![
+            (
+                SampleDesign::BernoulliRows {
+                    rate: 0.25,
+                    population_rows: 12,
+                },
+                Some(SampleDesign::BernoulliRows {
+                    rate: 0.25,
+                    population_rows: 24,
+                }),
+            ),
+            (
+                SampleDesign::BernoulliBlocks {
+                    rate: 0.5,
+                    population_blocks: 4,
+                    population_rows: 12,
+                },
+                Some(SampleDesign::BernoulliBlocks {
+                    rate: 0.5,
+                    population_blocks: 8,
+                    population_rows: 24,
+                }),
+            ),
+            (
+                SampleDesign::FixedSizeRows {
+                    population_rows: 12,
+                },
+                Some(SampleDesign::Stratified {
+                    column: "__shard".into(),
+                    strata: vec![
+                        StratumMeta {
+                            key: Value::Int64(0),
+                            ..stratum.clone()
+                        },
+                        StratumMeta {
+                            key: Value::Int64(1),
+                            row_start: 3,
+                            row_end: 6,
+                            ..stratum.clone()
+                        },
+                    ],
+                }),
+            ),
+            (
+                SampleDesign::FixedSizeBlocks {
+                    population_blocks: 4,
+                    population_rows: 12,
+                },
+                None,
+            ),
+            (
+                SampleDesign::Stratified {
+                    column: "g".into(),
+                    strata: vec![stratum.clone()],
+                },
+                Some(SampleDesign::Stratified {
+                    column: "g".into(),
+                    strata: vec![
+                        stratum.clone(),
+                        StratumMeta {
+                            row_start: 3,
+                            row_end: 6,
+                            ..stratum.clone()
+                        },
+                    ],
+                }),
+            ),
+            (
+                SampleDesign::Universe {
+                    column: "v".into(),
+                    rate: 0.3,
+                    population_rows: 12,
+                },
+                Some(SampleDesign::Universe {
+                    column: "v".into(),
+                    rate: 0.3,
+                    population_rows: 24,
+                }),
+            ),
+            (
+                SampleDesign::BiLevel {
+                    block_rate: 0.5,
+                    row_rate: 0.5,
+                    population_blocks: 4,
+                    population_rows: 12,
+                },
+                Some(SampleDesign::BiLevel {
+                    block_rate: 0.5,
+                    row_rate: 0.5,
+                    population_blocks: 8,
+                    population_rows: 24,
+                }),
+            ),
+            (
+                SampleDesign::Distinct {
+                    columns: vec!["v".into()],
+                    cap: 2,
+                    rate: 0.25,
+                    population_rows: 12,
+                },
+                None,
+            ),
+        ];
+        for (design, expected) in cases {
+            for weights in [
+                RowWeights::Uniform(4.0),
+                RowWeights::PerRow(vec![1.0, 2.0, 4.0]),
+            ] {
+                let part = with_design(design.clone(), weights);
+                let mut merged = part.clone();
+                match (merged.merge(&part), &expected) {
+                    (Ok(()), Some(want)) => {
+                        assert_eq!(&merged.design, want);
+                        assert_eq!(merged.num_rows(), 6);
+                        for i in 0..3 {
+                            assert_eq!(merged.weights.weight(i), part.weights.weight(i));
+                            assert_eq!(merged.weights.weight(3 + i), part.weights.weight(i));
+                        }
+                        // The weighted total of the pooled rows is the sum
+                        // of the parts' totals.
+                        let whole = merged.estimate_sum("v").unwrap().value;
+                        let each = part.estimate_sum("v").unwrap().value;
+                        assert!((whole - 2.0 * each).abs() < 1e-9, "{}", design.name());
+                    }
+                    (Err(MergeError::Unsupported { kind: "sample", .. }), None) => {
+                        assert_eq!(merged.design, part.design);
+                        assert_eq!(merged.num_rows(), 3);
+                    }
+                    (got, _) => panic!("{}: unexpected merge outcome {got:?}", design.name()),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failed_merge_leaves_the_sample_unchanged() {
+        let bern = |rate: f64| {
+            with_design(
+                SampleDesign::BernoulliRows {
+                    rate,
+                    population_rows: 12,
+                },
+                RowWeights::PerRow(vec![1.0, 2.0, 4.0]),
+            )
+        };
+        let universe = |column: &str| {
+            with_design(
+                SampleDesign::Universe {
+                    column: column.into(),
+                    rate: 0.5,
+                    population_rows: 12,
+                },
+                RowWeights::Uniform(2.0),
+            )
+        };
+        let bilevel = |row_rate: f64| {
+            with_design(
+                SampleDesign::BiLevel {
+                    block_rate: 0.5,
+                    row_rate,
+                    population_blocks: 4,
+                    population_rows: 12,
+                },
+                RowWeights::Uniform(4.0),
+            )
+        };
+        // Same design, but the other sample's rows have another schema:
+        // the table merge is the step that refuses.
+        let mut other_schema = bern(0.25);
+        other_schema.table = {
+            let schema = Schema::new(vec![Field::new("w", DataType::Int64)]);
+            let mut b = TableBuilder::new("o", schema);
+            b.push_row(&[Value::Int64(1)]).unwrap();
+            b.finish()
+        };
+        let pairs = [
+            (bern(0.25), bern(0.5)),
+            (universe("v"), universe("w")),
+            (bilevel(0.5), bilevel(0.25)),
+            (bern(0.25), universe("v")),
+            (bern(0.25), other_schema),
+        ];
+        for (receiver, offered) in pairs {
+            let mut s = receiver.clone();
+            assert!(s.merge(&offered).is_err(), "{}", receiver.design.name());
+            assert_eq!(s.design, receiver.design);
+            assert_eq!(s.weights, receiver.weights);
+            assert_eq!(s.num_rows(), receiver.num_rows());
+            assert!((0..3).all(|i| s.table.row(i) == receiver.table.row(i)));
+        }
+    }
+
+    #[test]
+    fn srs_joins_a_shard_stratified_sample_from_the_left() {
+        // A lone SRS shard merged with an already-merged pair takes the
+        // first stratum and shifts the pair's row ranges behind it.
+        let lone = srs(&[5.0, 6.0], 4);
+        let mut pair = srs(&[1.0, 2.0], 4);
+        pair.merge(&srs(&[3.0, 4.0, 7.0], 9)).unwrap();
+        let parts = lone.estimate_sum("v").unwrap().value + pair.estimate_sum("v").unwrap().value;
+        let mut acc = lone;
+        acc.merge(&pair).unwrap();
+        match &acc.design {
+            SampleDesign::Stratified { column, strata } => {
+                assert_eq!(column, "__shard");
+                let ranges: Vec<(usize, usize, u64)> = strata
+                    .iter()
+                    .map(|s| (s.row_start, s.row_end, s.population_size))
+                    .collect();
+                assert_eq!(ranges, vec![(0, 2, 4), (2, 4, 4), (4, 7, 9)]);
+                assert_eq!(strata[0].key, Value::Int64(-1));
+            }
+            other => panic!("unexpected design {other:?}"),
+        }
+        assert_eq!(acc.num_rows(), 7);
+        assert!((acc.estimate_sum("v").unwrap().value - parts).abs() < 1e-9);
+    }
+
     #[test]
     fn unsupported_pairs_error_without_panicking() {
         let bern = Sample {
@@ -715,149 +720,51 @@ mod tests {
             MergeError::Unsupported { kind: "sample", .. }
         ));
     }
-
-    #[test]
-    fn codec_roundtrips_every_design() {
-        let table = small_table(&[1.0, 2.0, 3.0], 2);
-        let designs = vec![
-            SampleDesign::BernoulliRows {
-                rate: 0.25,
-                population_rows: 12,
-            },
-            SampleDesign::BernoulliBlocks {
-                rate: 0.5,
-                population_blocks: 4,
-                population_rows: 12,
-            },
-            SampleDesign::FixedSizeRows {
-                population_rows: 12,
-            },
-            SampleDesign::FixedSizeBlocks {
-                population_blocks: 4,
-                population_rows: 12,
-            },
-            SampleDesign::Stratified {
-                column: "g".into(),
-                strata: vec![StratumMeta {
-                    key: Value::str("a"),
-                    population_size: 12,
-                    row_start: 0,
-                    row_end: 3,
-                }],
-            },
-            SampleDesign::Universe {
-                column: "v".into(),
-                rate: 0.3,
-                population_rows: 12,
-            },
-            SampleDesign::BiLevel {
-                block_rate: 0.5,
-                row_rate: 0.5,
-                population_blocks: 4,
-                population_rows: 12,
-            },
-            SampleDesign::Distinct {
-                columns: vec!["v".into()],
-                cap: 2,
-                rate: 0.25,
-                population_rows: 12,
-            },
-        ];
-        for design in designs {
-            for weights in [
-                RowWeights::Uniform(4.0),
-                RowWeights::PerRow(vec![1.0, 2.0, 4.0]),
-            ] {
-                let s = Sample {
-                    table: table.clone(),
-                    design: design.clone(),
-                    weights: weights.clone(),
-                };
-                let back = Sample::from_bytes(&Partial::to_bytes(&s)).unwrap();
-                assert_eq!(back.design, s.design);
-                assert_eq!(back.weights, s.weights);
-                assert_eq!(back.num_rows(), s.num_rows());
-                // Estimation behaves identically after the roundtrip.
-                if !matches!(design, SampleDesign::FixedSizeBlocks { .. }) {
-                    assert_eq!(
-                        back.estimate_sum("v").unwrap().value,
-                        s.estimate_sum("v").unwrap().value
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn codec_rejects_corruption() {
-        let s = srs(&[1.0, 2.0], 4);
-        let bytes = Partial::to_bytes(&s);
-        for cut in 0..bytes.len() {
-            assert!(Sample::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-        let mut wrong = bytes.to_vec();
-        wrong[0] = 0x11;
-        assert!(matches!(
-            Sample::from_bytes(&wrong),
-            Err(CodecError::BadMagic(0x11))
-        ));
-        // Mismatched per-row weight count is caught.
-        let bad = Sample {
-            table: small_table(&[1.0, 2.0], 4),
-            design: SampleDesign::FixedSizeRows { population_rows: 4 },
-            weights: RowWeights::PerRow(vec![2.0]),
-        };
-        assert_eq!(
-            Sample::from_bytes(&Partial::to_bytes(&bad)).err(),
-            Some(CodecError::BadDimensions)
-        );
-    }
-
-    #[test]
-    fn merged_sample_roundtrips() {
-        let mut a = srs(&[1.0, 2.0, 3.0, 4.0], 8);
-        a.merge(&srs(&[10.0, 20.0, 30.0], 6)).unwrap();
-        let back = Sample::from_bytes(&Partial::to_bytes(&a)).unwrap();
-        assert_eq!(back.design, a.design);
-        assert_eq!(
-            back.estimate_sum("v").unwrap().value,
-            a.estimate_sum("v").unwrap().value
-        );
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::bernoulli::bernoulli_rows;
     use aqp_storage::{DataType, Field, Schema, TableBuilder, Value};
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Sampler-produced Bernoulli samples roundtrip through the codec
-        /// with identical estimates; truncation always errors.
+        /// Equal-rate Bernoulli samples of two disjoint tables pool into
+        /// one Bernoulli sample of the union: rows and population add,
+        /// the rate stays, and the HT total and its variance add.
         #[test]
-        fn bernoulli_samples_roundtrip(
-            values in prop::collection::vec(-1e6f64..1e6, 1..200),
+        fn bernoulli_merge_pools_rows_and_keeps_the_rate(
+            left in prop::collection::vec(-1e6f64..1e6, 1..200),
+            right in prop::collection::vec(-1e6f64..1e6, 1..200),
             seed in any::<u64>(),
-            frac in 0.0f64..1.0,
         ) {
-            let schema = Schema::new(vec![Field::new("v", DataType::Float64)]);
-            let mut b = TableBuilder::with_block_capacity("p", schema, 16);
-            for &v in &values {
-                b.push_row(&[Value::Float64(v)]).unwrap();
-            }
-            let s = bernoulli_rows(&b.finish(), 0.4, seed);
-            let bytes = Partial::to_bytes(&s);
-            let back = Sample::from_bytes(&bytes).unwrap();
-            prop_assert_eq!(back.num_rows(), s.num_rows());
-            let (e0, e1) = (s.estimate_sum("v").unwrap(), back.estimate_sum("v").unwrap());
-            prop_assert_eq!(e0.value, e1.value);
-            prop_assert_eq!(e0.variance, e1.variance);
-            let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-            prop_assert!(Sample::from_bytes(&bytes[..cut]).is_err());
+            let table = |vals: &[f64]| {
+                let schema = Schema::new(vec![Field::new("v", DataType::Float64)]);
+                let mut b = TableBuilder::with_block_capacity("p", schema, 16);
+                for &v in vals {
+                    b.push_row(&[Value::Float64(v)]).unwrap();
+                }
+                b.finish()
+            };
+            let a = crate::bernoulli_rows(&table(&left), 0.4, seed);
+            let b = crate::bernoulli_rows(&table(&right), 0.4, seed ^ 1);
+            let (ea, eb) = (a.estimate_sum("v").unwrap(), b.estimate_sum("v").unwrap());
+            let mut merged = a.clone();
+            merged.merge(&b).unwrap();
+            prop_assert_eq!(merged.num_rows(), a.num_rows() + b.num_rows());
+            prop_assert_eq!(
+                &merged.design,
+                &SampleDesign::BernoulliRows {
+                    rate: 0.4,
+                    population_rows: (left.len() + right.len()) as u64,
+                }
+            );
+            let em = merged.estimate_sum("v").unwrap();
+            let tol = |x: f64| 1e-9 * (1.0 + x.abs());
+            prop_assert!((em.value - (ea.value + eb.value)).abs() < tol(em.value));
+            prop_assert!((em.variance - (ea.variance + eb.variance)).abs() < tol(em.variance));
         }
 
         /// Merging two disjoint-partition SRS shards yields the same point

@@ -105,36 +105,6 @@ impl AmsSketch {
         }
         Ok(())
     }
-
-    /// Codec accessor: the hash seed.
-    pub fn seed_for_codec(&self) -> u64 {
-        self.seed
-    }
-
-    /// Codec accessor: the raw counter array (row-major depth × width).
-    pub fn counters_for_codec(&self) -> &[i64] {
-        &self.counters
-    }
-
-    /// Codec constructor: reassembles a sketch from its raw parts.
-    /// Returns `None` when the counter array does not match the declared
-    /// dimensions.
-    pub fn from_codec_parts(
-        width: usize,
-        depth: usize,
-        seed: u64,
-        counters: Vec<i64>,
-    ) -> Option<Self> {
-        if width == 0 || depth == 0 || counters.len() != width * depth {
-            return None;
-        }
-        Some(Self {
-            width,
-            depth,
-            seed,
-            counters,
-        })
-    }
 }
 
 #[cfg(test)]

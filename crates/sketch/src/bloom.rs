@@ -117,37 +117,6 @@ impl BloomFilter {
         self.inserted += other.inserted;
         Ok(())
     }
-
-    /// Codec accessor: the hash seed.
-    pub fn seed_for_codec(&self) -> u64 {
-        self.seed
-    }
-
-    /// Codec accessor: the raw 64-bit words of the bit array.
-    pub fn words_for_codec(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Codec constructor: reassembles a filter from its raw parts.
-    /// Returns `None` when the word array does not match the declared size.
-    pub fn from_codec_parts(
-        num_bits: usize,
-        num_hashes: u32,
-        seed: u64,
-        inserted: u64,
-        bits: Vec<u64>,
-    ) -> Option<Self> {
-        if num_bits == 0 || num_hashes == 0 || bits.len() != num_bits.div_ceil(64) {
-            return None;
-        }
-        Some(Self {
-            bits,
-            num_bits,
-            num_hashes,
-            inserted,
-            seed,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -134,38 +134,6 @@ impl CountMinSketch {
         std::f64::consts::E / self.width as f64 * self.total as f64 * other.total as f64
     }
 
-    /// Codec accessor: the hash seed.
-    pub fn seed_for_codec(&self) -> u64 {
-        self.seed
-    }
-
-    /// Codec accessor: the raw counter array (row-major depth × width).
-    pub fn counters_for_codec(&self) -> &[u64] {
-        &self.counters
-    }
-
-    /// Codec constructor: reassembles a sketch from its raw parts.
-    /// Returns `None` when the counter array does not match the declared
-    /// dimensions.
-    pub fn from_codec_parts(
-        width: usize,
-        depth: usize,
-        seed: u64,
-        total: u64,
-        counters: Vec<u64>,
-    ) -> Option<Self> {
-        if width == 0 || depth == 0 || counters.len() != width * depth {
-            return None;
-        }
-        Some(Self {
-            width,
-            depth,
-            seed,
-            counters,
-            total,
-        })
-    }
-
     /// Merges another sketch with identical dimensions and seed
     /// (counter-wise sum — exactly the sketch of the concatenated streams).
     /// Returns a typed error on dimension or seed mismatch.

@@ -94,22 +94,6 @@ fn merge_buckets(
     Ok(())
 }
 
-/// Shared codec validation: buckets non-empty, finite, ordered.
-fn validated_buckets(buckets: Vec<Bucket>) -> Option<Vec<Bucket>> {
-    if buckets.is_empty() {
-        return None;
-    }
-    for (i, b) in buckets.iter().enumerate() {
-        if !b.lo.is_finite() || !b.hi.is_finite() || b.lo > b.hi || b.sum.is_nan() {
-            return None;
-        }
-        if i > 0 && buckets[i - 1].hi > b.lo {
-            return None;
-        }
-    }
-    Some(buckets)
-}
-
 /// An equi-width histogram: `k` buckets of equal value-range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EquiWidthHistogram {
@@ -187,13 +171,6 @@ impl EquiWidthHistogram {
     /// sums add). Returns a typed error on boundary mismatch.
     pub fn merge(&mut self, other: &EquiWidthHistogram) -> Result<(), MergeError> {
         merge_buckets("equi-width-histogram", &mut self.buckets, &other.buckets)
-    }
-
-    /// Codec constructor: reassembles a histogram from its buckets.
-    /// Returns `None` when the bucket list is empty, unordered, or
-    /// non-finite.
-    pub fn from_codec_parts(buckets: Vec<Bucket>) -> Option<Self> {
-        validated_buckets(buckets).map(|buckets| Self { buckets })
     }
 }
 
@@ -283,13 +260,6 @@ impl EquiDepthHistogram {
     /// the concatenated data). Returns a typed error on boundary mismatch.
     pub fn merge(&mut self, other: &EquiDepthHistogram) -> Result<(), MergeError> {
         merge_buckets("equi-depth-histogram", &mut self.buckets, &other.buckets)
-    }
-
-    /// Codec constructor: reassembles a histogram from its buckets.
-    /// Returns `None` when the bucket list is empty, unordered, or
-    /// non-finite.
-    pub fn from_codec_parts(buckets: Vec<Bucket>) -> Option<Self> {
-        validated_buckets(buckets).map(|buckets| Self { buckets })
     }
 }
 

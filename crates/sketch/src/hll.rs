@@ -99,29 +99,6 @@ impl HyperLogLog {
         }
     }
 
-    /// Codec accessor: the precision parameter.
-    pub fn precision_for_codec(&self) -> u8 {
-        self.precision
-    }
-
-    /// Codec accessor: the raw register array.
-    pub fn registers_for_codec(&self) -> &[u8] {
-        &self.registers
-    }
-
-    /// Codec constructor: reassembles a sketch from its raw parts.
-    /// Returns `None` when the register array does not match the declared
-    /// precision.
-    pub fn from_codec_parts(precision: u8, registers: Vec<u8>) -> Option<Self> {
-        if !(4..=16).contains(&precision) || registers.len() != 1usize << precision {
-            return None;
-        }
-        Some(Self {
-            precision,
-            registers,
-        })
-    }
-
     /// Merges another sketch of the same precision (register-wise max).
     /// Equivalent to sketching the union of the two streams; leaves `self`
     /// untouched and returns a typed error on precision mismatch.

@@ -89,26 +89,9 @@ impl KmvSketch {
         Ok(())
     }
 
-    /// Codec accessor: the retained minimum hashes in ascending order.
-    pub fn mins_for_codec(&self) -> impl Iterator<Item = u64> + '_ {
-        self.mins.iter().copied()
-    }
-
     /// Number of retained hashes (≤ k).
     pub fn num_retained(&self) -> usize {
         self.mins.len()
-    }
-
-    /// Codec constructor: reassembles a sketch from its raw parts.
-    /// Returns `None` when `k < 3` or more than `k` hashes are given.
-    pub fn from_codec_parts(k: usize, mins: Vec<u64>) -> Option<Self> {
-        if k < 3 || mins.len() > k {
-            return None;
-        }
-        Some(Self {
-            k,
-            mins: mins.into_iter().collect(),
-        })
     }
 
     /// Jaccard-similarity estimate between two sketches (same k): the

@@ -175,39 +175,6 @@ impl GkQuantiles {
         self.compress();
         Ok(())
     }
-
-    /// Codec accessor: `(value, g, Δ)` triples in value order.
-    pub fn tuples_for_codec(&self) -> impl Iterator<Item = (f64, u64, u64)> + '_ {
-        self.tuples.iter().map(|t| (t.v, t.g, t.delta))
-    }
-
-    /// Codec constructor: reassembles a summary from its raw parts.
-    /// Returns `None` when ε is out of range, values are NaN or unsorted,
-    /// or the tuple gaps do not sum to `n`.
-    pub fn from_codec_parts(eps: f64, n: u64, tuples: Vec<(f64, u64, u64)>) -> Option<Self> {
-        if !(eps > 0.0 && eps < 0.5) {
-            return None;
-        }
-        let mut g_sum = 0u64;
-        for (idx, &(v, g, _)) in tuples.iter().enumerate() {
-            if v.is_nan() || (idx > 0 && tuples[idx - 1].0 > v) {
-                return None;
-            }
-            g_sum = g_sum.checked_add(g)?;
-        }
-        if g_sum != n {
-            return None;
-        }
-        Some(Self {
-            eps,
-            n,
-            tuples: tuples
-                .into_iter()
-                .map(|(v, g, delta)| GkTuple { v, g, delta })
-                .collect(),
-            since_compress: 0,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -134,40 +134,6 @@ impl WaveletSynopsis {
         self.coefficients = merged;
         Ok(())
     }
-
-    /// Codec accessor: the original (un-padded) vector length.
-    pub fn len_for_codec(&self) -> usize {
-        self.len
-    }
-
-    /// Codec accessor: the retained `(index, coefficient)` pairs in index
-    /// order.
-    pub fn coefficients_for_codec(&self) -> &[(u32, f64)] {
-        &self.coefficients
-    }
-
-    /// Codec constructor: reassembles a synopsis from its raw parts.
-    /// Returns `None` when `len == 0` or coefficients are out of range,
-    /// unsorted, or non-finite.
-    pub fn from_codec_parts(len: usize, coefficients: Vec<(u32, f64)>) -> Option<Self> {
-        if len == 0 {
-            return None;
-        }
-        let padded = len.next_power_of_two();
-        for (pos, &(i, c)) in coefficients.iter().enumerate() {
-            if i as usize >= padded || !c.is_finite() {
-                return None;
-            }
-            if pos > 0 && coefficients[pos - 1].0 >= i {
-                return None;
-            }
-        }
-        Some(Self {
-            len,
-            padded,
-            coefficients,
-        })
-    }
 }
 
 /// In-place normalized Haar transform (length must be a power of two).

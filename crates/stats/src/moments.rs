@@ -3,8 +3,7 @@
 //! These are the single-pass building blocks every sampler-fed estimator
 //! uses: numerically stable mean/variance without storing the sample.
 
-use aqp_mergeable::{tag, wire, CodecError, MergeError, Partial};
-use bytes::{BufMut, Bytes, BytesMut};
+use aqp_mergeable::{MergeError, Partial};
 
 /// Streaming count / mean / variance accumulator (Welford).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -147,31 +146,6 @@ impl Partial for Moments {
         *self = Moments::merge(self, other);
         Ok(())
     }
-
-    fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(2 + 6 * 8);
-        wire::write_header(&mut buf, tag::MOMENTS);
-        buf.put_u64(self.n);
-        wire::write_f64(&mut buf, self.mean);
-        wire::write_f64(&mut buf, self.m2);
-        wire::write_f64(&mut buf, self.min);
-        wire::write_f64(&mut buf, self.max);
-        wire::write_f64(&mut buf, self.sum);
-        buf.freeze()
-    }
-
-    fn from_bytes(mut buf: &[u8]) -> Result<Self, CodecError> {
-        let buf = &mut buf;
-        wire::read_header(buf, tag::MOMENTS)?;
-        Ok(Moments {
-            n: wire::read_u64(buf)?,
-            mean: wire::read_f64(buf)?,
-            m2: wire::read_f64(buf)?,
-            min: wire::read_f64(buf)?,
-            max: wire::read_f64(buf)?,
-            sum: wire::read_f64(buf)?,
-        })
-    }
 }
 
 /// Weighted streaming moments, for Horvitz–Thompson-weighted samples
@@ -296,31 +270,6 @@ impl Partial for WeightedMoments {
         *self = WeightedMoments::merge(self, other);
         Ok(())
     }
-
-    fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(2 + 6 * 8);
-        wire::write_header(&mut buf, tag::WEIGHTED_MOMENTS);
-        buf.put_u64(self.n);
-        wire::write_f64(&mut buf, self.w_sum);
-        wire::write_f64(&mut buf, self.w2_sum);
-        wire::write_f64(&mut buf, self.mean);
-        wire::write_f64(&mut buf, self.m2);
-        wire::write_f64(&mut buf, self.weighted_sum);
-        buf.freeze()
-    }
-
-    fn from_bytes(mut buf: &[u8]) -> Result<Self, CodecError> {
-        let buf = &mut buf;
-        wire::read_header(buf, tag::WEIGHTED_MOMENTS)?;
-        Ok(WeightedMoments {
-            n: wire::read_u64(buf)?,
-            w_sum: wire::read_f64(buf)?,
-            w2_sum: wire::read_f64(buf)?,
-            mean: wire::read_f64(buf)?,
-            m2: wire::read_f64(buf)?,
-            weighted_sum: wire::read_f64(buf)?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -431,51 +380,51 @@ mod tests {
     }
 
     #[test]
-    fn partial_roundtrip_and_header_checks() {
-        let m = Moments::from_slice(&[2.0, 4.0, 9.0]);
-        let bytes = Partial::to_bytes(&m);
-        assert_eq!(Moments::from_bytes(&bytes).unwrap(), m);
-        // Empty state roundtrips too (±∞ min/max survive the wire).
-        let e = Moments::new();
-        assert_eq!(Moments::from_bytes(&Partial::to_bytes(&e)).unwrap(), e);
-
-        let mut w = WeightedMoments::new();
-        w.push(10.0, 2.0);
-        w.push(20.0, 4.0);
-        assert_eq!(
-            WeightedMoments::from_bytes(&Partial::to_bytes(&w)).unwrap(),
-            w
-        );
-
-        // Cross-type decode is rejected by the tag.
-        assert!(matches!(
-            WeightedMoments::from_bytes(&bytes),
-            Err(CodecError::BadMagic(t)) if t == tag::MOMENTS
-        ));
-        // Truncation at every cut errors, never panics.
-        for cut in 0..bytes.len() {
-            assert_eq!(
-                Moments::from_bytes(&bytes[..cut]),
-                Err(CodecError::Truncated),
-                "cut {cut}"
-            );
-        }
-        // A future version is rejected.
-        let mut future = bytes.to_vec();
-        future[1] += 1;
-        assert!(matches!(
-            Moments::from_bytes(&future),
-            Err(CodecError::BadVersion(_))
-        ));
-    }
-
-    #[test]
     fn partial_merge_matches_inherent() {
         let a = Moments::from_slice(&[1.0, 2.0, 3.0]);
         let b = Moments::from_slice(&[10.0, 20.0]);
         let mut via_trait = a;
         Partial::merge(&mut via_trait, &b).unwrap();
         assert_eq!(via_trait, a.merge(&b));
+    }
+
+    #[test]
+    fn merge_is_stable_at_a_large_mean() {
+        // Chan et al.'s combine works on centered sums: partials of data
+        // at 1e9 ± 1 keep the variance a naive Σx² − (Σx)²/n would lose.
+        let xs: Vec<f64> = (0..1_000)
+            .map(|i| 1e9 + ((i * 7) % 13) as f64 / 6.0 - 1.0)
+            .collect();
+        let all = Moments::from_slice(&xs);
+        let mut merged = Moments::new();
+        for part in xs.chunks(97) {
+            Partial::merge(&mut merged, &Moments::from_slice(part)).unwrap();
+        }
+        let centered: f64 = xs.iter().map(|x| (x - 1e9) * (x - 1e9)).sum::<f64>();
+        let shift = xs.iter().map(|x| x - 1e9).sum::<f64>() / xs.len() as f64;
+        let truth = (centered - xs.len() as f64 * shift * shift) / (xs.len() - 1) as f64;
+        assert!(truth > 0.3, "{truth}");
+        assert!(
+            (merged.variance() - truth).abs() < 1e-6 * truth,
+            "{}",
+            merged.variance()
+        );
+        assert!((merged.variance() - all.variance()).abs() < 1e-6 * truth);
+    }
+
+    #[test]
+    fn weighted_partial_merge_matches_inherent() {
+        let mut a = WeightedMoments::new();
+        let mut b = WeightedMoments::new();
+        for i in 0..5 {
+            a.push(i as f64, 1.0 + i as f64);
+            b.push(10.0 * i as f64, 0.5);
+        }
+        let mut via_trait = a;
+        Partial::merge(&mut via_trait, &b).unwrap();
+        assert_eq!(via_trait, a.merge(&b));
+        assert_eq!(via_trait.count(), 10);
+        assert_eq!(via_trait.weight_sum(), 15.0 + 2.5);
     }
 }
 
@@ -484,37 +433,79 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// Cutting a stream anywhere and merging the two accumulators
+        /// gives the one-pass accumulator: count, min and max exactly,
+        /// sum, mean and variance within round-off.
         #[test]
-        fn moments_wire_roundtrip(xs in proptest::collection::vec(-1e9f64..1e9, 0..50)) {
-            let m = Moments::from_slice(&xs);
-            prop_assert_eq!(Moments::from_bytes(&Partial::to_bytes(&m)).unwrap(), m);
-        }
-
-        #[test]
-        fn weighted_wire_roundtrip(
-            xs in proptest::collection::vec((-1e6f64..1e6, 0.1f64..100.0), 0..50),
+        fn moments_merge_matches_one_pass_for_any_split(
+            xs in proptest::collection::vec(-1e6f64..1e6, 0..80),
+            cut in 0.0f64..1.0,
         ) {
-            let mut w = WeightedMoments::new();
-            for &(x, wt) in &xs {
-                w.push(x, wt);
+            let at = (cut * xs.len() as f64) as usize;
+            let all = Moments::from_slice(&xs);
+            let mut merged = Moments::from_slice(&xs[..at]);
+            Partial::merge(&mut merged, &Moments::from_slice(&xs[at..])).unwrap();
+            prop_assert_eq!(merged.count(), all.count());
+            if !xs.is_empty() {
+                prop_assert_eq!(merged.min(), all.min());
+                prop_assert_eq!(merged.max(), all.max());
+                prop_assert!(close(merged.sum(), all.sum()));
+                prop_assert!(close(merged.mean(), all.mean()));
+                prop_assert!(close(merged.sum_sq_dev(), all.sum_sq_dev()));
             }
-            prop_assert_eq!(
-                WeightedMoments::from_bytes(&Partial::to_bytes(&w)).unwrap(),
-                w
-            );
         }
 
+        /// The weighted accumulator obeys the same law, with the weight
+        /// masses and the Horvitz–Thompson sum carried through.
         #[test]
-        fn truncated_moments_never_panic(
-            xs in proptest::collection::vec(-1e9f64..1e9, 0..20),
-            frac in 0.0f64..1.0,
+        fn weighted_merge_matches_one_pass_for_any_split(
+            xs in proptest::collection::vec((-1e6f64..1e6, 0.1f64..100.0), 1..80),
+            cut in 0.0f64..1.0,
         ) {
-            let bytes = Partial::to_bytes(&Moments::from_slice(&xs));
-            let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-            prop_assert!(Moments::from_bytes(&bytes[..cut]).is_err());
+            let at = (cut * xs.len() as f64) as usize;
+            let fold = |part: &[(f64, f64)]| {
+                let mut w = WeightedMoments::new();
+                part.iter().for_each(|&(x, wt)| w.push(x, wt));
+                w
+            };
+            let all = fold(&xs);
+            let mut merged = fold(&xs[..at]);
+            Partial::merge(&mut merged, &fold(&xs[at..])).unwrap();
+            prop_assert_eq!(merged.count(), all.count());
+            prop_assert!(close(merged.weight_sum(), all.weight_sum()));
+            prop_assert!(close(merged.weighted_sum(), all.weighted_sum()));
+            prop_assert!(close(merged.mean(), all.mean()));
+            prop_assert!(close(merged.effective_sample_size(), all.effective_sample_size()));
+            if xs.len() > 1 {
+                prop_assert!(close(merged.variance(), all.variance()));
+            }
+        }
+
+        /// An empty accumulator is the identity on either side, bit for bit.
+        #[test]
+        fn merging_an_empty_accumulator_is_the_identity(
+            xs in proptest::collection::vec((-1e6f64..1e6, 0.1f64..100.0), 0..40),
+        ) {
+            let plain = Moments::from_slice(&xs.iter().map(|&(x, _)| x).collect::<Vec<_>>());
+            let mut weighted = WeightedMoments::new();
+            xs.iter().for_each(|&(x, w)| weighted.push(x, w));
+            for (l, r) in [(plain, Moments::new()), (Moments::new(), plain)] {
+                let mut m = l;
+                Partial::merge(&mut m, &r).unwrap();
+                prop_assert_eq!(m, plain);
+            }
+            for (l, r) in [(weighted, WeightedMoments::new()), (WeightedMoments::new(), weighted)] {
+                let mut m = l;
+                Partial::merge(&mut m, &r).unwrap();
+                prop_assert_eq!(m, weighted);
+            }
         }
     }
 }

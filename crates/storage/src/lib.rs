@@ -18,18 +18,16 @@
 //!   [`KeyIndex`] a table caches for joins.
 //! * [`schema`] — named, typed fields.
 //! * [`block`] — the fixed-capacity columnar batch.
-//! * [`table`] — tables, builders, row/block iteration.
+//! * [`table`] — tables, builders, row/block iteration, and the `Partial`
+//!   merge (zero-copy block concatenation: an append-only delta).
 //! * [`catalog`] — a thread-safe name → table map.
 //! * [`error`] — storage error type.
-//! * [`codec`] — the table wire codec and `Partial` impl (tables merge by
-//!   zero-copy block concatenation for shard-then-merge execution).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod block;
 pub mod catalog;
-pub mod codec;
 pub mod column;
 pub mod dict;
 pub mod error;
@@ -41,7 +39,6 @@ pub mod zone;
 
 pub use block::Block;
 pub use catalog::Catalog;
-pub use codec::{decode_table, encode_table};
 pub use column::Column;
 pub use dict::StrDict;
 pub use error::StorageError;

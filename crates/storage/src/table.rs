@@ -4,6 +4,8 @@
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
+use aqp_mergeable::{MergeError, Partial};
+
 use crate::block::Block;
 use crate::column::Column;
 use crate::dict::StrDict;
@@ -32,7 +34,7 @@ pub struct Table {
     zones: Arc<Vec<OnceLock<ZoneMap>>>,
     /// Lazily built key indexes, one slot per schema column, shared across
     /// table clones like `zones`. Never invalidated: a table is immutable,
-    /// and every derived table (`from_blocks`, `shard`, `tail`, a merge, a
+    /// and every derived table (`from_blocks`, `tail`, a merge, a
     /// `Catalog::replace`d version) starts with empty slots of its own.
     key_indexes: Arc<Vec<OnceLock<Arc<KeyIndex>>>>,
     block_capacity: usize,
@@ -178,31 +180,6 @@ impl Table {
         Ok(out)
     }
 
-    /// Partitions the table into exactly `n` contiguous shards along block
-    /// boundaries — the unit of shard-then-merge execution. Zero-copy: each
-    /// shard shares the parent's `Arc<Block>`s. Shard `j` takes blocks
-    /// `[j·B/n, (j+1)·B/n)`, so every block lands in exactly one shard (in
-    /// order) and shards may be empty when `n` exceeds the block count.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn shard(&self, n: usize) -> Vec<Table> {
-        assert!(n > 0, "shard count must be positive");
-        let len = self.blocks.len();
-        (0..n)
-            .map(|j| {
-                let lo = j * len / n;
-                let hi = (j + 1) * len / n;
-                Table::from_blocks(
-                    format!("{}__shard_{j}", self.name),
-                    Arc::clone(&self.schema),
-                    self.blocks[lo..hi].to_vec(),
-                    self.block_capacity,
-                )
-            })
-            .collect()
-    }
-
     /// The rows `from_row..` as a new table — the *delta* view incremental
     /// synopsis maintenance folds in after an append. Whole trailing blocks
     /// are shared zero-copy; if `from_row` cuts a block, that block's tail
@@ -256,6 +233,41 @@ impl Table {
             }
         }
         total
+    }
+}
+
+fn schema_summary(schema: &Schema) -> String {
+    let cols: Vec<String> = schema
+        .fields()
+        .iter()
+        .map(|f| format!("{}:{}", f.name, f.data_type))
+        .collect();
+    format!("[{}]", cols.join(", "))
+}
+
+/// Tables merge by block concatenation — the append an incremental
+/// synopsis maintenance pass then folds in as a delta. Zero-copy: the
+/// merged table shares the input blocks' `Arc`s. Schemas must be
+/// identical; the receiving table's name and block capacity win.
+/// Merge-equals-union is exact: the merged table holds precisely the rows
+/// of both inputs, in order.
+impl Partial for Table {
+    fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
+        if self.schema.as_ref() != other.schema.as_ref() {
+            return Err(MergeError::Incompatible {
+                kind: "table",
+                expected: schema_summary(&self.schema),
+                found: schema_summary(&other.schema),
+            });
+        }
+        let blocks = self.blocks.iter().chain(&other.blocks).cloned().collect();
+        *self = Table::from_blocks(
+            std::mem::take(&mut self.name),
+            Arc::clone(&self.schema),
+            blocks,
+            self.block_capacity,
+        );
+        Ok(())
     }
 }
 
@@ -509,7 +521,7 @@ mod tests {
         // Every derived table has other rows or other block positions:
         // none sees the parent's index.
         let derived = [
-            t.shard(2).remove(1),
+            Table::from_blocks("s", Arc::clone(t.schema()), t.blocks()[1..].to_vec(), 4),
             t.tail(2),
             t.tail(4),
             Table::from_blocks("d", Arc::clone(t.schema()), t.blocks().to_vec(), 4),
@@ -521,7 +533,7 @@ mod tests {
         assert_eq!(
             (hit[0].block, hit[0].row),
             (0, 1),
-            "shard 1 starts at block 1"
+            "the suffix starts at block 1"
         );
     }
 
@@ -545,26 +557,161 @@ mod tests {
     }
 
     #[test]
-    fn shard_partitions_blocks_in_order() {
-        let t = build(20, 4); // 5 blocks
-        for n in [1, 2, 4, 8] {
-            let shards = t.shard(n);
-            assert_eq!(shards.len(), n, "n={n}");
-            let total: usize = shards.iter().map(Table::row_count).sum();
-            assert_eq!(total, 20, "n={n}");
-            // Rows appear in original order across the shard sequence.
-            let mut seen = Vec::new();
-            for s in &shards {
-                for i in 0..s.row_count() {
-                    seen.push(s.row(i)[0].clone());
-                }
-            }
-            let expect: Vec<Value> = (0..20).map(|i| Value::Int64(i as i64)).collect();
-            assert_eq!(seen, expect, "n={n}");
+    fn merge_concatenates_rows_in_order() {
+        let a = build(10, 4);
+        let b = build(25, 4);
+        let mut merged = a.clone();
+        Partial::merge(&mut merged, &b).unwrap();
+        assert_eq!(merged.row_count(), 35);
+        for i in 0..10 {
+            assert_eq!(merged.row(i), a.row(i));
         }
-        // Shards share block Arcs with the parent (zero-copy).
-        let shards = t.shard(2);
-        assert!(Arc::ptr_eq(shards[0].block(0), t.block(0)));
+        for i in 0..25 {
+            assert_eq!(merged.row(10 + i), b.row(i));
+        }
+        // Zero-copy: blocks are shared, not duplicated.
+        assert!(Arc::ptr_eq(merged.block(0), a.block(0)));
+    }
+
+    #[test]
+    fn merge_rejects_schema_mismatch() {
+        let mut a = build(3, 4);
+        let other = TableBuilder::new("o", Schema::new(vec![Field::new("x", DataType::Int64)]));
+        let err = Partial::merge(&mut a, &other.finish()).unwrap_err();
+        assert!(
+            matches!(err, MergeError::Incompatible { kind: "table", .. }),
+            "{err}"
+        );
+        assert_eq!(a.row_count(), 3);
+    }
+
+    /// Four columns of every type, NULLs in `price`, and a string
+    /// dictionary of its own.
+    fn mixed(name: &str, n: usize, tag_prefix: &str) -> Table {
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::nullable("price", DataType::Float64),
+            Field::new("tag", DataType::Str),
+            Field::new("flag", DataType::Bool),
+        ]);
+        let mut b = TableBuilder::with_block_capacity(name, schema, 7);
+        for i in 0..n {
+            let price = if i % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Float64(i as f64 * 1.5)
+            };
+            b.push_row(&[
+                Value::Int64(i as i64),
+                price,
+                Value::str(format!("{tag_prefix}{}", i % 3)),
+                Value::Bool(i % 2 == 0),
+            ])
+            .unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn merge_keeps_nulls_strings_and_both_dictionaries() {
+        let a = mixed("a", 23, "x");
+        let b = mixed("b", 12, "y");
+        let mut merged = a.clone();
+        Partial::merge(&mut merged, &b).unwrap();
+        assert_eq!(merged.row_count(), 35);
+        assert_eq!(merged.block_count(), a.block_count() + b.block_count());
+        for i in 0..23 {
+            assert_eq!(merged.row(i), a.row(i));
+        }
+        for i in 0..12 {
+            assert_eq!(merged.row(23 + i), b.row(i));
+        }
+        assert_eq!(merged.row(0)[1], Value::Null);
+        assert_eq!(merged.row(23)[2], Value::str("y0"));
+        // Each input's dictionary is kept, and counted once.
+        assert_eq!(merged.approx_bytes(), a.approx_bytes() + b.approx_bytes());
+    }
+
+    #[test]
+    fn merge_with_an_empty_table_is_identity() {
+        let t = mixed("t", 10, "x");
+        let empty = mixed("e", 0, "x");
+        let mut right = t.clone();
+        Partial::merge(&mut right, &empty).unwrap();
+        let mut left = empty.clone();
+        Partial::merge(&mut left, &t).unwrap();
+        for merged in [&right, &left] {
+            assert_eq!(merged.row_count(), 10);
+            assert_eq!(merged.schema(), t.schema());
+            assert!((0..10).all(|i| merged.row(i) == t.row(i)));
+        }
+        assert_eq!(right.name(), "t");
+        assert_eq!(left.name(), "e", "the receiver's name wins");
+        let mut both = empty.clone();
+        Partial::merge(&mut both, &empty).unwrap();
+        assert_eq!((both.row_count(), both.block_count()), (0, 0));
+    }
+
+    #[test]
+    fn merge_rejects_a_type_or_nullability_change() {
+        let base = || Schema::new(vec![Field::new("x", DataType::Int64)]);
+        let mut a = TableBuilder::new("a", base()).finish();
+        let retyped = Schema::new(vec![Field::new("x", DataType::Float64)]);
+        let nullable = Schema::new(vec![Field::nullable("x", DataType::Int64)]);
+        for schema in [retyped, nullable] {
+            let err = Partial::merge(&mut a, &TableBuilder::new("o", schema).finish()).unwrap_err();
+            assert!(
+                matches!(err, MergeError::Incompatible { kind: "table", .. }),
+                "{err}"
+            );
+            assert_eq!(a.schema().as_ref(), &base());
+        }
+        assert!(Partial::merge(&mut a, &TableBuilder::new("o", base()).finish()).is_ok());
+    }
+
+    #[test]
+    fn merge_keeps_the_receivers_block_capacity() {
+        let mut a = build(6, 4); // blocks 4 + 2
+        let b = mixed("b", 0, "x");
+        assert!(Partial::merge(&mut a, &b).is_err(), "schemas differ");
+        let b = build(9, 8); // one block of 8, one of 1
+        Partial::merge(&mut a, &b).unwrap();
+        assert_eq!(a.block_capacity(), 4);
+        let sizes: Vec<usize> = a.blocks().iter().map(|b| b.len()).collect();
+        assert_eq!(sizes, vec![4, 2, 8, 1], "blocks are shared, not re-cut");
+        assert_eq!(a.locate_row(6), (2, 0));
+        assert_eq!(a.row(14)[0], Value::Int64(8));
+    }
+
+    #[test]
+    fn tail_of_a_merged_table_is_the_appended_table() {
+        let a = build(10, 4); // blocks 4 + 4 + 2: the append starts mid-capacity
+        let b = build(9, 4);
+        let mut merged = a.clone();
+        Partial::merge(&mut merged, &b).unwrap();
+        let delta = merged.tail(a.row_count());
+        assert_eq!(delta.row_count(), b.row_count());
+        assert!((0..9).all(|i| delta.row(i) == b.row(i)));
+        // The append is block-aligned, so the delta shares b's blocks.
+        assert!(Arc::ptr_eq(delta.block(0), b.block(0)));
+    }
+
+    #[test]
+    fn merged_table_builds_fresh_zone_maps_and_key_index() {
+        let a = build(10, 4);
+        let b = build(6, 4); // ids 0..6 again: the merged key is not unique
+        assert!(a.key_index(0).0.is_unique());
+        let mut merged = a.clone();
+        Partial::merge(&mut merged, &b).unwrap();
+        assert!(!merged.has_key_index(0));
+        let (index, built) = merged.key_index(0);
+        assert!(built);
+        assert!(!index.is_unique());
+        let hits: Vec<(u32, u32)> = index.get_i64(5).iter().map(|p| (p.block, p.row)).collect();
+        assert_eq!(hits, vec![(1, 1), (4, 1)]);
+        // Zone maps of the appended blocks describe b's rows.
+        assert_eq!(merged.zone(3).column(0).bounds, Some((0.0, 3.0)));
+        assert_eq!(merged.zone(4).column(1).bounds, Some((8.0, 10.0)));
     }
 
     #[test]
@@ -651,5 +798,104 @@ mod from_blocks_tests {
         let schema = Arc::new(Schema::new(vec![Field::new("id", DataType::Int64)]));
         let t = Table::from_blocks("s", schema, vec![], 8);
         assert_eq!(t.row_count(), 0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::schema::Field;
+    use crate::value::DataType;
+    use proptest::prelude::*;
+
+    fn table(name: &str, rows: &[(i64, f64, bool)], cap: usize) -> Table {
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int64),
+            Field::new("b", DataType::Float64),
+            Field::new("c", DataType::Bool),
+        ]);
+        let mut b = TableBuilder::with_block_capacity(name, schema, cap);
+        for &(x, y, z) in rows {
+            b.push_row(&[Value::Int64(x), Value::Float64(y), Value::Bool(z)])
+                .unwrap();
+        }
+        b.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Cutting a table's rows at arbitrary points and merging the
+        /// pieces back gives the table's rows, in order.
+        #[test]
+        fn arbitrary_splits_merge_back_to_the_whole(
+            rows in proptest::collection::vec((any::<i64>(), -1e12f64..1e12, any::<bool>()), 0..60),
+            cuts in proptest::collection::vec(0.0f64..1.0, 0..4),
+            cap in 1usize..16,
+        ) {
+            let whole = table("p", &rows, cap);
+            let mut bounds: Vec<usize> = cuts.iter().map(|f| (f * rows.len() as f64) as usize).collect();
+            bounds.push(0);
+            bounds.push(rows.len());
+            bounds.sort_unstable();
+            let mut merged = table("p", &[], cap);
+            for w in bounds.windows(2) {
+                Partial::merge(&mut merged, &table("piece", &rows[w[0]..w[1]], cap)).unwrap();
+            }
+            prop_assert_eq!(merged.row_count(), whole.row_count());
+            prop_assert_eq!(merged.name(), "p");
+            for i in 0..whole.row_count() {
+                prop_assert_eq!(merged.row(i), whole.row(i));
+            }
+        }
+
+        /// A merged table has a partial block wherever an input ended
+        /// mid-capacity; row lookup and the delta view must see through
+        /// it: `tail(k)` is exactly rows `k..` for every `k`.
+        #[test]
+        fn tail_of_a_merged_table_is_its_suffix_at_every_cut(
+            sizes in proptest::collection::vec(0usize..20, 1..4),
+            cap in 1usize..8,
+        ) {
+            let mut merged = table("m", &[], cap);
+            let mut ids = Vec::new();
+            for (p, &n) in sizes.iter().enumerate() {
+                let rows: Vec<(i64, f64, bool)> =
+                    (0..n).map(|i| ((100 * p + i) as i64, i as f64, p % 2 == 0)).collect();
+                ids.extend(rows.iter().map(|r| Value::Int64(r.0)));
+                Partial::merge(&mut merged, &table("part", &rows, cap)).unwrap();
+            }
+            prop_assert_eq!(merged.row_count(), ids.len());
+            for (i, id) in ids.iter().enumerate() {
+                prop_assert_eq!(&merged.row(i)[0], id);
+            }
+            for k in 0..=ids.len() {
+                let delta = merged.tail(k);
+                prop_assert_eq!(delta.row_count(), ids.len() - k);
+                for (j, id) in ids[k..].iter().enumerate() {
+                    prop_assert_eq!(&delta.row(j)[0], id);
+                }
+            }
+        }
+
+        /// A table with another schema is refused with a typed error,
+        /// never a panic, and the receiver keeps its rows.
+        #[test]
+        fn mismatched_schemas_never_panic(
+            n in 0usize..40,
+            other_cols in 1usize..4,
+            other_type in 0usize..4,
+        ) {
+            let mut t = table("p", &vec![(1, 2.0, true); n], 8);
+            let types = [DataType::Int64, DataType::Float64, DataType::Str, DataType::Bool];
+            let fields = (0..other_cols)
+                .map(|i| Field::new(format!("o{i}"), types[(other_type + i) % 4]))
+                .collect();
+            let other = TableBuilder::new("o", Schema::new(fields)).finish();
+            let err = Partial::merge(&mut t, &other).unwrap_err();
+            let is_table_mismatch = matches!(err, MergeError::Incompatible { kind: "table", .. });
+            prop_assert!(is_table_mismatch);
+            prop_assert_eq!(t.row_count(), n);
+        }
     }
 }

@@ -19,9 +19,9 @@ cargo clippy --workspace --all-targets -- \
   -D clippy::unnecessary_cast \
   -D clippy::redundant_clone
 
-# Conformance gate: the typed source linter (C001-C007 — metric names
-# from aqp_obs::names, unwrap budget, deny(unsafe_code) presence, SAFETY
-# pairing, span pairing, codec tag registry, declared lock orders) plus
+# Conformance gate: the typed source linter (C001-C007, C006 retired —
+# metric names from aqp_obs::names, unwrap budget, deny(unsafe_code)
+# presence, SAFETY pairing, span pairing, declared lock orders) plus
 # the exhaustive mini-loom race check of the admission scheduler and
 # plan-cache epoch models. One line per gate; non-zero exit on any
 # Error-severity C-code or model violation.
@@ -129,6 +129,16 @@ fi
 if grep -rnF 'aqp_sketch' crates/core || grep -nF 'aqp-sketch' crates/core/Cargo.toml ||
   grep -rnE 'sample_with_plan|pilot_plans|struct PilotPlan|build_distinct|build_quantiles|UseOfflineSynopsisForAggregate' crates; then
   echo "an unrouted sketch synopsis or the per-seed pilot-plan replay is back" >&2
+  exit 1
+fi
+
+# Partial means merge: no binary wire format beside it. No codec or
+# codec accessor on any partial, no tag registry or wire helpers, no
+# shard-then-serialize demo, and no `bytes` shim for them to lean on.
+if grep -rnE 'fn to_bytes|fn from_bytes|CodecError|CODEC_VERSION|pub mod wire|pub mod tag|_sharded\(|_for_codec|from_codec_parts' crates ||
+  grep -nE '^[[:space:]]*bytes[[:space:]]*[.=]' crates/*/Cargo.toml ||
+  [ -e crates/shim-bytes ] || [ -e crates/core/src/shard.rs ]; then
+  echo "a partial wire format, the bytes shim or shard.rs is back" >&2
   exit 1
 fi
 

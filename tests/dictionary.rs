@@ -3,7 +3,7 @@
 //!
 //! Generated columns — NULLs, `""`, duplicates, non-ASCII — are built four
 //! ways (one builder; two builders merged through `Partial::merge`, so two
-//! dictionaries; `tail` / `shard` derivatives; a codec round trip), and
+//! dictionaries; a `tail` and a block subset of the first), and
 //! every read and gather (`get`, `row`, `PartialEq`, `take`, `filter`,
 //! `push_slot`, `gather_row`, `append`) must agree with a plain
 //! `Vec<Option<String>>`. A builder gives every block of a column one
@@ -165,29 +165,21 @@ proptest! {
         prop_assert!(dicts(&merged) <= 2);
         check_table(&merged, &want, "merged")?;
 
-        // Derivatives share the parent's dictionary.
+        // Derivatives share the parent's dictionary: a tail, and the block
+        // subset a block sample takes.
         let tail = one.tail(mid);
         check_table(&tail, &want[mid..], "tail")?;
-        let shards = one.shard(3);
-        let mut offset = 0;
-        for (j, shard) in shards.iter().enumerate() {
-            let rows = &want[offset..offset + shard.row_count()];
-            check_table(shard, rows, &format!("shard {j}"))?;
-            offset += shard.row_count();
-        }
+        let skip = one.block_count() / 2;
+        let blocks = one.blocks()[skip..].to_vec();
+        let subset = Table::from_blocks("s", Arc::clone(one.schema()), blocks, cap);
+        check_table(&subset, &want[skip * cap..], "block subset")?;
 
-        for derived in shards.iter().chain([&tail]) {
+        for derived in [&tail, &subset] {
             for block in derived.blocks() {
                 let parent = dict(one.block(0).column(0));
                 prop_assert!(Arc::ptr_eq(dict(block.column(0)), parent), "derived dictionary");
             }
         }
-
-        // A codec round trip decodes to one dictionary again.
-        let back = Table::from_bytes(&Partial::to_bytes(&merged)).unwrap();
-        prop_assert!(dicts(&back) <= 1);
-        check_table(&back, &want, "codec")?;
-        prop_assert_eq!(Partial::to_bytes(&back), Partial::to_bytes(&merged), "wire bytes");
     }
 }
 

@@ -13,17 +13,27 @@
 //!
 //! Union partials are built on the morsel pool at threads {1, 2, 4, 8} —
 //! the schedule must never leak into the merged answer.
+//!
+//! Two statistical checks ride along for `Sample`: samples drawn from
+//! disjoint tables and merged answer like one sample of their union (the
+//! `Table` merge), with a CI that covers the truth and keeps its width.
+//! And two-step aggregation is checked end to end: `AggState` partials
+//! folded per disjoint part and merged in part order give the engine's
+//! answer over the union, bit for bit where the arithmetic is exact.
 
 use aqp_engine::agg::{AggFunc, AggState};
 use aqp_engine::pool::parallel_map;
+use aqp_engine::{execute, AggExpr, Query};
+use aqp_expr::col;
 use aqp_mergeable::Partial;
-use aqp_sampling::{reservoir_rows, Sample};
+use aqp_sampling::{bernoulli_rows, reservoir_rows, Sample};
 use aqp_sketch::{
     AmsSketch, BloomFilter, CountMinSketch, CountSketch, EquiDepthHistogram, EquiWidthHistogram,
     GkQuantiles, HyperLogLog, KmvSketch, WaveletSynopsis,
 };
 use aqp_stats::{Moments, WeightedMoments};
-use aqp_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
+use aqp_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
+use aqp_workload::{skewed_table, uniform_table};
 use proptest::prelude::*;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -487,6 +497,272 @@ proptest! {
                 let (a, b) = (observe(&fold), observe(&serial));
                 assert!(close(&a, &b, 1e-9), "{func}: union {a:?} vs serial {b:?}");
             }
+        }
+    }
+}
+
+/// Part counts the sample-merge checks split one union into.
+const PART_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Spreads per-part seeds so adjacent parts never reuse a random stream.
+const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Eight disjoint uniform tables of `rows / 8` rows each.
+fn disjoint_pieces(rows: usize, seed: u64) -> Vec<Table> {
+    pieces_with_capacity(rows, 512, seed)
+}
+
+/// Eight disjoint uniform tables of `rows / 8` rows each, in blocks of
+/// `cap` rows.
+fn pieces_with_capacity(rows: usize, cap: usize, seed: u64) -> Vec<Table> {
+    (0..8u64)
+        .map(|j| {
+            uniform_table(
+                "t",
+                rows / 8,
+                cap,
+                seed.wrapping_add(j.wrapping_mul(SEED_STRIDE)),
+            )
+        })
+        .collect()
+}
+
+/// The pieces grouped into `n` parts, each the `Table` merge of
+/// consecutive pieces, so every `n` splits the same union.
+fn parts_of(pieces: &[Table], n: usize) -> Vec<Table> {
+    (0..n)
+        .map(|j| {
+            let group = &pieces[j * pieces.len() / n..(j + 1) * pieces.len() / n];
+            let mut part = group[0].clone();
+            for p in &group[1..] {
+                Partial::merge(&mut part, p).unwrap();
+            }
+            part
+        })
+        .collect()
+}
+
+/// Draws one sample per part and folds them in part order.
+fn merged_sample(parts: &[Table], draw: impl Fn(&Table, u64) -> Sample) -> Sample {
+    let mut acc = draw(&parts[0], 0);
+    for (j, part) in parts.iter().enumerate().skip(1) {
+        acc.merge(&draw(part, (j as u64).wrapping_mul(SEED_STRIDE)))
+            .unwrap();
+    }
+    acc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Equal-rate Bernoulli samples of disjoint parts pool into one
+    /// Bernoulli sample of the union: its 99 % CI covers the truth, and
+    /// its width stays within 2× of one sample drawn from the union.
+    #[test]
+    fn merged_bernoulli_samples_cover_the_union(seed in any::<u64>()) {
+        let pieces = disjoint_pieces(30_000, seed);
+        let union = parts_of(&pieces, 1).remove(0);
+        let truth = union.column_f64("v").unwrap().iter().sum::<f64>();
+        let base = bernoulli_rows(&union, 0.1, seed ^ 0xA5A5).estimate_sum("v").unwrap();
+        for n in PART_COUNTS {
+            let merged = merged_sample(&parts_of(&pieces, n), |t, offset| {
+                bernoulli_rows(t, 0.1, (seed ^ 0xA5A5).wrapping_add(offset))
+            });
+            let est = merged.estimate_sum("v").unwrap();
+            let ci = est.ci(0.99);
+            prop_assert!(
+                ci.lo <= truth && truth <= ci.hi,
+                "parts={}: truth {} outside [{}, {}]", n, truth, ci.lo, ci.hi
+            );
+            let width_ratio = (est.variance / base.variance).sqrt();
+            prop_assert!(
+                (0.5..2.0).contains(&width_ratio),
+                "parts={}: CI width ratio {}", n, width_ratio
+            );
+        }
+    }
+
+    /// Fixed-size SRS of disjoint parts, merged as a stratified sample,
+    /// keeps the total budget and a CI width within 2× of one SRS of the
+    /// union.
+    #[test]
+    fn merged_srs_samples_keep_their_ci_width(seed in any::<u64>()) {
+        let pieces = disjoint_pieces(24_000, seed);
+        let union = parts_of(&pieces, 1).remove(0);
+        let budget = 2_400usize;
+        let base = reservoir_rows(&union, budget, seed ^ 0x5A5A).estimate_sum("v").unwrap();
+        for n in PART_COUNTS {
+            let merged = merged_sample(&parts_of(&pieces, n), |t, offset| {
+                reservoir_rows(t, budget / n, (seed ^ 0x5A5A).wrapping_add(offset))
+            });
+            prop_assert_eq!(merged.num_rows(), budget / n * n);
+            let est = merged.estimate_sum("v").unwrap();
+            let width_ratio = (est.variance / base.variance).sqrt();
+            prop_assert!(
+                (0.5..2.0).contains(&width_ratio),
+                "parts={}: CI width ratio {}", n, width_ratio
+            );
+        }
+    }
+}
+
+/// Folds column `c` of every row of `t` into one fresh state per
+/// `(function, column)` pair.
+fn fold_part(t: &Table, funcs: &[(AggFunc, usize)]) -> Vec<AggState> {
+    let mut states: Vec<AggState> = funcs.iter().map(|&(f, _)| AggState::new(f)).collect();
+    for i in 0..t.row_count() {
+        let row = t.row(i);
+        for (state, &(_, c)) in states.iter_mut().zip(funcs) {
+            state.update(&row[c]);
+        }
+    }
+    states
+}
+
+/// Two-step aggregation: one partial per part, merged in part order.
+fn two_step(parts: &[Table], funcs: &[(AggFunc, usize)]) -> Vec<Value> {
+    let mut acc = fold_part(&parts[0], funcs);
+    for part in &parts[1..] {
+        for (a, b) in acc.iter_mut().zip(fold_part(part, funcs)) {
+            Partial::merge(a, &b).unwrap();
+        }
+    }
+    acc.iter().map(AggState::finish).collect()
+}
+
+/// The engine's single-row answer for `aggs` over `table`.
+fn engine_answer(table: &Table, aggs: Vec<AggExpr>) -> Vec<Value> {
+    let catalog = Catalog::new();
+    catalog.register(table.clone()).unwrap();
+    let plan = Query::scan(table.name()).aggregate(vec![], aggs).build();
+    execute(&plan, &catalog).unwrap().row(0)
+}
+
+fn bits(v: &Value) -> String {
+    match v {
+        Value::Float64(x) => format!("f{}", x.to_bits()),
+        other => format!("{other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Order-independent aggregates (counts, extrema, integer-valued sums
+    /// and averages) folded per part and merged are the engine's answer
+    /// over the union to the bit, at every part count.
+    #[test]
+    fn per_part_agg_states_merge_to_the_engine_answer(
+        rows in 500usize..6_000,
+        cap_idx in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let cap = [64usize, 256, 1024][cap_idx];
+        let pieces = pieces_with_capacity(rows, cap, seed);
+        let union = parts_of(&pieces, 1).remove(0);
+        let engine = engine_answer(&union, vec![
+            AggExpr::count_star("c"),
+            AggExpr::sum(col("id"), "s"),
+            AggExpr::avg(col("id"), "a"),
+            AggExpr::min(col("v"), "lo"),
+            AggExpr::max(col("v"), "hi"),
+        ]);
+        let funcs = [
+            (AggFunc::CountStar, 0),
+            (AggFunc::Sum, 0),
+            (AggFunc::Avg, 0),
+            (AggFunc::Min, 1),
+            (AggFunc::Max, 1),
+        ];
+        for n in PART_COUNTS {
+            let merged = two_step(&parts_of(&pieces, n), &funcs);
+            prop_assert_eq!(merged.len(), engine.len());
+            for (a, b) in merged.iter().zip(&engine) {
+                prop_assert_eq!(bits(a), bits(b), "parts={}", n);
+            }
+        }
+    }
+}
+
+/// Float sums, averages and variances folded per part agree with the
+/// engine at machine precision; exact distinct sets merge exactly.
+#[test]
+fn per_part_float_aggregates_match_the_engine_at_machine_precision() {
+    let pieces = pieces_with_capacity(20_000, 256, 17);
+    let union = parts_of(&pieces, 1).remove(0);
+    let engine = engine_answer(
+        &union,
+        vec![
+            AggExpr::sum(col("v"), "s"),
+            AggExpr::avg(col("sel"), "a"),
+            AggExpr::new(AggFunc::VarSamp, col("v"), "var"),
+            AggExpr::count_distinct(col("id"), "d"),
+        ],
+    );
+    // Each piece numbers its rows from 0: the union has rows/8 ids.
+    assert_eq!(engine[3], Value::Int64(2_500));
+    let funcs = [
+        (AggFunc::Sum, 1),
+        (AggFunc::Avg, 2),
+        (AggFunc::VarSamp, 1),
+        (AggFunc::CountDistinct, 0),
+    ];
+    for n in PART_COUNTS {
+        let merged = two_step(&parts_of(&pieces, n), &funcs);
+        for (k, (a, b)) in merged.iter().zip(&engine).enumerate() {
+            match (a, b) {
+                (Value::Float64(x), Value::Float64(y)) => assert!(
+                    (x - y).abs() <= 1e-12 * x.abs().max(y.abs()),
+                    "parts={n} aggregate {k}: {x} vs {y}"
+                ),
+                _ => assert_eq!(a, b, "parts={n} aggregate {k}"),
+            }
+        }
+    }
+}
+
+/// Two-step aggregation and append-only growth compose: over a table
+/// grown by a `Table` merge, folding the base and the delta separately,
+/// or every block separately, gives the engine's answer to the bit.
+#[test]
+fn two_step_aggregation_agrees_on_the_grown_table() {
+    let catalog = Catalog::new();
+    let base = skewed_table("t", 40_000, 50, 1.1, 256, 23);
+    let delta = skewed_table("t", 4_000, 50, 1.1, 256, 31);
+    catalog.register(base.clone()).unwrap();
+    let mut grown = base.clone();
+    Partial::merge(&mut grown, &delta).unwrap();
+    catalog.replace(grown);
+    let grown = catalog.get("t").unwrap();
+    assert_eq!(grown.row_count(), 44_000);
+    let plan = Query::scan("t")
+        .aggregate(
+            vec![],
+            vec![
+                AggExpr::count_star("c"),
+                AggExpr::min(col("v"), "lo"),
+                AggExpr::max(col("v"), "hi"),
+                AggExpr::count_distinct(col("g"), "groups"),
+            ],
+        )
+        .build();
+    let engine = execute(&plan, &catalog).unwrap().row(0);
+    assert_eq!(engine[0], Value::Int64(44_000));
+    let funcs = [
+        (AggFunc::CountStar, 0),
+        (AggFunc::Min, 1),
+        (AggFunc::Max, 1),
+        (AggFunc::CountDistinct, 0),
+    ];
+    let blocks: Vec<Table> = grown
+        .blocks()
+        .iter()
+        .map(|b| Table::from_blocks("t", grown.schema().clone(), vec![b.clone()], 256))
+        .collect();
+    for parts in [vec![base, delta], blocks] {
+        let merged = two_step(&parts, &funcs);
+        for (a, b) in merged.iter().zip(&engine) {
+            assert_eq!(bits(a), bits(b), "{} parts", parts.len());
         }
     }
 }

@@ -10,13 +10,17 @@
 //! 3. **Census differential**: with a budget of twice the table's rows
 //!    every stratum is a census, so the offline family must return exactly
 //!    the exact engine's groups with zero variance.
+//!
+//! Maintenance rides along: an append-only delta is folded into the
+//! stored synopsis instead of a rebuild, and a table that shrank is
+//! refused without touching anything.
 
 use proptest::prelude::*;
 
 use aqp_core::offline::scan;
 use aqp_core::{
-    AggQuery, AggSpec, ApproximateAnswer, Attempt, ErrorSpec, LinearAgg, OfflineStore,
-    OfflineTechnique, Technique,
+    AggQuery, AggSpec, ApproximateAnswer, AqpError, AqpSession, Attempt, AuditConfig, ErrorSpec,
+    LinearAgg, OfflineStore, OfflineTechnique, SessionConfig, Technique,
 };
 use aqp_engine::execute;
 use aqp_expr::{col, lit, Expr};
@@ -25,6 +29,7 @@ use aqp_sampling::design::StratumMeta;
 use aqp_sampling::{RowWeights, Sample, SampleDesign};
 use aqp_stats::Estimate;
 use aqp_storage::{Block, Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
+use aqp_workload::skewed_table;
 
 /// splitmix64: the generated tables' only source of variation.
 fn next(state: &mut u64) -> u64 {
@@ -550,4 +555,197 @@ fn a_census_synopsis_answers_exactly() {
     store.build_stratified(&c, "fact", "g", 6_000, 1).unwrap();
     let q = query(None, &["kf", "ks"], &SUM_AVG_COUNT);
     check(&store.answer(&q, &spec).unwrap(), &q);
+}
+
+/// Appends `extra` freshly generated rows to table `t` in `c` via the
+/// Table `Partial` merge — an append-only delta, prefix untouched.
+fn append_rows(c: &Catalog, extra: usize, seed: u64) {
+    let base = c.get("t").unwrap();
+    let delta = skewed_table("t", extra, 50, 1.1, 256, seed);
+    let mut extended = (*base).clone();
+    Partial::merge(&mut extended, &delta).unwrap();
+    c.replace(extended);
+}
+
+fn sum_v_query() -> AggQuery {
+    AggQuery {
+        fact_table: "t".into(),
+        joins: vec![],
+        predicate: None,
+        group_by: vec![],
+        aggregates: vec![AggSpec {
+            kind: LinearAgg::Sum,
+            expr: col("v"),
+            alias: "s".into(),
+        }],
+    }
+}
+
+/// The E8 drift scenario: data grows append-only, the stored synopsis
+/// goes stale, and a delta-fold maintenance pass — touching only the new
+/// rows — restores freshness and accuracy without a rebuild.
+#[test]
+fn e8_drift_answered_by_delta_maintenance_not_rebuild() {
+    let catalog = Catalog::new();
+    catalog
+        .register(skewed_table("t", 80_000, 50, 1.1, 256, 17))
+        .unwrap();
+    let store = OfflineStore::new();
+    store
+        .build_stratified(&catalog, "t", "g", 8_000, 5)
+        .unwrap();
+
+    // Drift: a 25% append makes the synopsis stale.
+    append_rows(&catalog, 20_000, 99);
+    assert!(store.staleness(&catalog, "t").unwrap() > 0.15);
+
+    // Maintenance folds delta partials in — it reports exactly the delta
+    // rows it scanned, which is how we know it didn't rescan the base.
+    let delta_rows = store.maintain_stratified(&catalog, "t", 7).unwrap();
+    assert_eq!(delta_rows, 20_000);
+    // maintain_all covers the table's synopsis (already fresh: a no-op
+    // inside it).
+    assert_eq!(store.maintain_all(&catalog, "t", 7).unwrap(), 1);
+    assert_eq!(store.staleness(&catalog, "t").unwrap(), 0.0);
+
+    // The maintained synopsis answers the post-drift query accurately.
+    let q = sum_v_query();
+    let exact = execute(&q.to_plan(), &catalog).unwrap();
+    let truth = exact.rows()[0][0].as_f64().unwrap();
+    let ans = store.answer(&q, &ErrorSpec::new(0.1, 0.9)).unwrap();
+    let err = ans.scalar_estimate("s").unwrap().relative_error(truth);
+    assert!(err < 0.15, "post-maintenance error {err}");
+
+    // A second pass finds nothing to do.
+    assert_eq!(store.maintain_stratified(&catalog, "t", 7).unwrap(), 0);
+}
+
+/// A table that shrank had rows replaced, not appended: there is no delta
+/// to fold. Maintenance says so, and leaves the stored synopsis, the
+/// routing epoch and the accuracy scoreboard as they were.
+#[test]
+fn maintenance_refuses_a_table_that_shrank() {
+    let c = Catalog::new();
+    c.register(skewed_table("t", 20_000, 50, 1.1, 256, 17))
+        .unwrap();
+    let config = SessionConfig {
+        audit: AuditConfig {
+            rate: 1.0,
+            ..AuditConfig::default()
+        },
+        ..SessionConfig::default()
+    };
+    let session = AqpSession::with_config(&c, config);
+    session
+        .offline()
+        .build_stratified(&c, "t", "g", 2_000, 5)
+        .unwrap();
+    let spec = ErrorSpec::new(0.1, 0.9);
+    session.answer(&sum_v_query().to_plan(), &spec, 1).unwrap();
+
+    c.replace(skewed_table("t", 10_000, 50, 1.1, 256, 18));
+    let epoch = session.routing_epoch();
+    let accuracy = session.accuracy();
+    assert!(
+        !accuracy.rows.is_empty(),
+        "the audited answer is on the board"
+    );
+    let metas = format!("{:?}", session.offline().synopsis_metas(&c));
+
+    let err = session.maintain_synopses("t", 7).unwrap_err();
+    assert!(
+        matches!(&err, AqpError::Unsupported { detail } if detail.contains("rebuild with `build_stratified`")),
+        "{err}"
+    );
+    assert_eq!(session.routing_epoch(), epoch);
+    assert_eq!(session.accuracy(), accuracy);
+    assert_eq!(format!("{:?}", session.offline().synopsis_metas(&c)), metas);
+    assert_eq!(session.offline().staleness(&c, "t").unwrap(), 0.5);
+}
+
+/// Appends arrive one after another: each maintenance pass folds exactly
+/// the rows appended since the last one, whether one append or several
+/// accumulated, and the synopsis keeps answering the grown table.
+#[test]
+fn successive_appends_each_fold_only_their_delta() {
+    let catalog = Catalog::new();
+    catalog
+        .register(skewed_table("t", 60_000, 50, 1.1, 256, 41))
+        .unwrap();
+    let store = OfflineStore::new();
+    store
+        .build_stratified(&catalog, "t", "g", 6_000, 3)
+        .unwrap();
+
+    append_rows(&catalog, 6_000, 42);
+    assert_eq!(store.maintain_stratified(&catalog, "t", 8).unwrap(), 6_000);
+    append_rows(&catalog, 2_000, 43);
+    append_rows(&catalog, 1_000, 44);
+    assert!(store.staleness(&catalog, "t").unwrap() > 0.04);
+    assert_eq!(store.maintain_stratified(&catalog, "t", 9).unwrap(), 3_000);
+    assert_eq!(store.staleness(&catalog, "t").unwrap(), 0.0);
+
+    let q = sum_v_query();
+    let truth = execute(&q.to_plan(), &catalog).unwrap().rows()[0][0]
+        .as_f64()
+        .unwrap();
+    let ans = store.answer(&q, &ErrorSpec::new(0.1, 0.9)).unwrap();
+    let err = ans.scalar_estimate("s").unwrap().relative_error(truth);
+    assert!(err < 0.15, "error after three folded appends {err}");
+}
+
+/// The remedy the shrink refusal names works: after `build_stratified`
+/// on the replaced table, maintenance folds appends again.
+#[test]
+fn a_rebuild_after_shrinkage_restores_maintenance() {
+    let c = Catalog::new();
+    c.register(skewed_table("t", 20_000, 50, 1.1, 256, 17))
+        .unwrap();
+    let store = OfflineStore::new();
+    store.build_stratified(&c, "t", "g", 2_000, 5).unwrap();
+    c.replace(skewed_table("t", 10_000, 50, 1.1, 256, 18));
+    assert!(matches!(
+        store.maintain_stratified(&c, "t", 7),
+        Err(AqpError::Unsupported { .. })
+    ));
+
+    store.build_stratified(&c, "t", "g", 1_000, 6).unwrap();
+    assert_eq!(store.staleness(&c, "t").unwrap(), 0.0);
+    append_rows(&c, 2_500, 19);
+    assert_eq!(store.maintain_stratified(&c, "t", 8).unwrap(), 2_500);
+    assert_eq!(store.staleness(&c, "t").unwrap(), 0.0);
+}
+
+/// The success path beside the shrink refusal: after an append, session
+/// maintenance folds the delta, moves the routing epoch (cached
+/// staleness verdicts are now wrong) and clears the offline synopsis's
+/// audit window, whose audits describe the synopsis before the fold.
+#[test]
+fn session_maintenance_after_an_append_refreshes_routing_and_audits() {
+    let c = Catalog::new();
+    c.register(skewed_table("t", 20_000, 50, 1.1, 256, 17))
+        .unwrap();
+    let config = SessionConfig {
+        audit: AuditConfig {
+            rate: 1.0,
+            ..AuditConfig::default()
+        },
+        ..SessionConfig::default()
+    };
+    let session = AqpSession::with_config(&c, config);
+    session
+        .offline()
+        .build_stratified(&c, "t", "g", 2_000, 5)
+        .unwrap();
+    let spec = ErrorSpec::new(0.1, 0.9);
+    session.answer(&sum_v_query().to_plan(), &spec, 1).unwrap();
+    assert!(session.accuracy().get("offline-synopsis").is_some());
+
+    append_rows(&c, 2_000, 21);
+    assert!(session.offline().staleness(&c, "t").unwrap() > 0.0);
+    let epoch = session.routing_epoch();
+    assert_eq!(session.maintain_synopses("t", 7).unwrap(), 1);
+    assert!(session.routing_epoch() > epoch);
+    assert_eq!(session.offline().staleness(&c, "t").unwrap(), 0.0);
+    assert!(session.accuracy().get("offline-synopsis").is_none());
 }
