@@ -37,9 +37,10 @@ fn main() {
             cm.insert(&item.to_le_bytes(), 1);
             cs.insert(&item.to_le_bytes(), 1);
         }
-        // Mean error over the 1000 most frequent keys.
+        // Mean error over the 1000 most frequent keys, ties broken by key
+        // so the probe set does not depend on `HashMap` order.
         let mut top: Vec<(&u64, &u64)> = truth.iter().collect();
-        top.sort_by(|a, b| b.1.cmp(a.1));
+        top.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
         let (mut cm_err, mut cs_err) = (0.0f64, 0.0f64);
         let probe = top.iter().take(1000).collect::<Vec<_>>();
         for &&(k, &t) in &probe {

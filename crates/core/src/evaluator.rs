@@ -23,13 +23,17 @@
 //! side of. It holds only while the dimension key is unique, which the
 //! index knows: a duplicate key is refused.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use aqp_engine::agg::{AggState, GroupKey, KeyAtom};
+use aqp_engine::fold::record_dispatch;
 use aqp_engine::{AggStep, BlockFold};
+use aqp_sampling::design::{PairStats, UnitSums};
+use aqp_stats::Estimate;
 use aqp_storage::{Block, Catalog, DataType, Table, Value};
 
-use crate::aggquery::AggQuery;
+use crate::aggquery::{AggQuery, LinearAgg};
 use crate::error::AqpError;
 
 /// One group's per-aggregate `(f, g)` totals within one block.
@@ -43,6 +47,8 @@ pub struct StarEvaluator {
     dim_rows: u64,
     /// Per group key, whether its expression is FLOAT64-typed.
     float_keys: Vec<bool>,
+    /// Per aggregate, which estimate its totals finish as.
+    kinds: Vec<LinearAgg>,
 }
 
 impl StarEvaluator {
@@ -81,6 +87,7 @@ impl StarEvaluator {
             step,
             dim_rows,
             float_keys,
+            kinds: query.aggregates.iter().map(|a| a.kind).collect(),
         })
     }
 
@@ -134,6 +141,94 @@ impl StarEvaluator {
         Ok(groups
             .map(|(key, states)| (key, states.iter().map(pair).collect()))
             .collect())
+    }
+}
+
+/// One group's sums over a block sample: per aggregate, the `(f, g)`
+/// totals of the sampled blocks the group has a qualifying row in.
+#[derive(Debug, Clone)]
+pub struct GroupSums {
+    /// Per aggregate: the group's block totals.
+    pub totals: Vec<UnitSums>,
+    /// Sampled blocks the group appears in.
+    pub blocks_seen: u64,
+}
+
+/// Per-group block totals over one block sample of a [`StarEvaluator`]'s
+/// fact table, pushed one block at a time in sample order — so the
+/// summation order, and every estimate, is the same however the blocks
+/// were folded. A sampled block a group is absent from counts as its
+/// `(0, 0)` unit, through [`PairStats::clusters`].
+#[derive(Debug)]
+pub struct SampledTotals {
+    groups: HashMap<GroupKey, GroupSums>,
+    blocks: u64,
+}
+
+impl SampledTotals {
+    /// An empty sample for `evaluator`'s query. Ticks
+    /// `aqp_kernel_dispatch_total` once, labelled by the fold its blocks
+    /// will run.
+    pub fn new(evaluator: &StarEvaluator) -> Self {
+        record_dispatch(evaluator.fold().is_kernel());
+        Self {
+            groups: HashMap::new(),
+            blocks: 0,
+        }
+    }
+
+    /// Adds one sampled block: its [`StarEvaluator::block_totals`].
+    pub fn push(&mut self, block: Vec<GroupTotals>) {
+        self.blocks += 1;
+        for (key, pairs) in block {
+            let group = self.groups.entry(key).or_insert_with(|| GroupSums {
+                totals: vec![UnitSums::default(); pairs.len()],
+                blocks_seen: 0,
+            });
+            for (t, (f, g)) in group.totals.iter_mut().zip(pairs) {
+                t.push(f, g);
+            }
+            group.blocks_seen += 1;
+        }
+    }
+
+    /// Sampled blocks pushed so far.
+    pub fn blocks(&self) -> u64 {
+        self.blocks
+    }
+
+    /// The groups seen so far.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = &GroupSums> {
+        self.groups.values()
+    }
+
+    /// Per group, its key values and per-aggregate estimates — the shape
+    /// [`crate::answer::assemble_answer`] takes — with the sampled blocks
+    /// an SRS of the fact table's: SUM and COUNT finish as the cluster
+    /// total, AVG as the cluster ratio. An ungrouped query has its one
+    /// global group, as the exact engine emits it, even before a row
+    /// qualifies.
+    pub fn estimates(&self, evaluator: &StarEvaluator) -> Vec<(Vec<Value>, Vec<Estimate>)> {
+        let population_blocks = evaluator.fact.block_count() as u64;
+        let finish = |totals: &[UnitSums]| -> Vec<Estimate> {
+            (evaluator.kinds.iter().zip(totals))
+                .map(|(kind, t)| {
+                    let stats = PairStats::clusters(t, self.blocks, population_blocks);
+                    match kind {
+                        LinearAgg::CountStar | LinearAgg::Sum => stats.total(),
+                        LinearAgg::Avg => stats.ratio(),
+                    }
+                })
+                .collect()
+        };
+        let mut raw: Vec<_> = (self.groups.iter())
+            .map(|(key, group)| (evaluator.key_values(key), finish(&group.totals)))
+            .collect();
+        if raw.is_empty() && evaluator.float_keys.is_empty() {
+            let none = vec![UnitSums::default(); evaluator.kinds.len()];
+            raw.push((vec![], finish(&none)));
+        }
+        raw
     }
 }
 

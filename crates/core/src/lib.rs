@@ -18,7 +18,7 @@
 //! * [`offline`] — **pre-computed synopses**: stratified samples with
 //!   staleness tracking and delta maintenance ([`OfflineStore`]).
 //! * [`ola`] — **online aggregation**: progressive estimates with live
-//!   intervals, plus ripple joins.
+//!   intervals, the online sampler's block loop with a CI stop rule.
 //! * [`answer`] — approximate answers with per-group intervals and cost
 //!   accounting.
 //! * [`audit`] — ground-truth accuracy auditing: a seeded sampler picks
@@ -105,7 +105,7 @@ pub use answer::{
 pub use audit::{AuditConfig, AuditOutcome};
 pub use error::AqpError;
 pub use offline::{OfflineStore, OfflineTechnique};
-pub use ola::{OlaTechnique, OnlineAggregator, RippleJoin};
+pub use ola::{OlaTechnique, OnlineAggregator};
 pub use online::{OnlineAqp, OnlineConfig};
 pub use rewrite::RewriteTechnique;
 pub use service::{
@@ -116,7 +116,6 @@ pub use session::{AqpSession, SessionConfig};
 pub use spec::ErrorSpec;
 pub use technique::{
     exact_answer, exact_answer_with, Attempt, DeclineReason, Technique, TechniqueKind,
-    TechniqueProfile,
 };
 
 // The static analyzer's surface, re-exported so session users can consume

@@ -33,9 +33,7 @@ use crate::aggquery::{AggQuery, AggSpec, LinearAgg};
 use crate::answer::{assemble_answer, ApproximateAnswer, ExecutionPath, ExecutionReport};
 use crate::error::AqpError;
 use crate::spec::ErrorSpec;
-use crate::technique::{
-    decline_if_blocked, Attempt, DeclineReason, Technique, TechniqueKind, TechniqueProfile,
-};
+use crate::technique::{decline_if_blocked, Attempt, DeclineReason, Technique, TechniqueKind};
 
 /// A stored stratified-sample synopsis.
 pub struct StratifiedSynopsis {
@@ -520,15 +518,6 @@ impl<'a> OfflineTechnique<'a> {
 impl Technique for OfflineTechnique<'_> {
     fn kind(&self) -> TechniqueKind {
         TechniqueKind::OfflineSynopsis
-    }
-
-    fn profile(&self) -> TechniqueProfile {
-        TechniqueProfile {
-            answers:
-                "linear aggregates on the synopsized table, grouped by the stratification column",
-            speedup_source: "pre-built stratified sample; no base data touched at query time",
-            implemented_in: "core::offline",
-        }
     }
 
     fn answer(&self, query: &AggQuery, spec: &ErrorSpec, _seed: u64) -> Result<Attempt, AqpError> {

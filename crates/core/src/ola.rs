@@ -1,72 +1,56 @@
-//! Online aggregation (Hellerstein et al.) and ripple joins.
+//! Online aggregation (Hellerstein et al.).
 //!
 //! The third family NSB surveys: process data in random order, show a
 //! running estimate with a shrinking confidence interval, stop when the
 //! user is satisfied. The CI shrinks as `1/√n` — and reaching zero error
 //! requires touching everything, which is NSB's bound on this family's
-//! speedup. The single-table aggregator processes whole *blocks* in a
-//! random permutation (the processed prefix is an exact SRS of blocks, so
-//! the cluster estimators apply); the ripple join grows both sides of a
-//! join in step.
+//! speedup. It is the online sampler's block loop ([`crate::online`]) with
+//! another stop rule: the same [`StarEvaluator`] folds each block, the
+//! same [`SampledTotals`] sums them, and the same cluster estimator
+//! finishes them, over whole *blocks* in a seeded random permutation (the
+//! processed prefix is an exact SRS of blocks). The pilot-planned sampler
+//! stops at the rate its pilot planned; [`OlaTechnique`] stops when the
+//! live interval is narrow enough.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use aqp_analyze::LintContext;
-use aqp_engine::agg::{AggState, KeyAtom};
-use aqp_engine::fold::record_dispatch;
-use aqp_engine::{AggExpr, BlockFold};
-use aqp_expr::{col, Expr};
-use aqp_sampling::design::{PairStats, UnitSums};
 use aqp_stats::Estimate;
-use aqp_storage::{Catalog, StorageError, Table};
+use aqp_storage::{Catalog, Value};
 
-use crate::aggquery::{AggQuery, AggSpec, LinearAgg};
+use crate::aggquery::AggQuery;
 use crate::answer::{assemble_answer, ExecutionPath, ExecutionReport};
 use crate::error::AqpError;
+use crate::evaluator::{SampledTotals, StarEvaluator};
 use crate::spec::ErrorSpec;
-use crate::technique::{decline_if_blocked, Attempt, Technique, TechniqueKind, TechniqueProfile};
+use crate::technique::{decline_if_blocked, Attempt, Technique, TechniqueKind};
 
-/// Progressive single-table aggregation over a random block permutation.
+/// Progressive aggregation of a star query over a random block
+/// permutation of its fact table.
 pub struct OnlineAggregator {
-    table: Arc<Table>,
-    /// The predicate and `AVG(column)` — whose state is exactly the
-    /// block's `(Σ value, non-NULL count)` over passing rows.
-    fold: BlockFold,
+    evaluator: StarEvaluator,
     order: Vec<usize>,
-    processed: usize,
-    /// Over processed blocks: (Σ value over passing rows, passing row count).
-    sums: UnitSums,
+    /// Over the processed prefix of `order`.
+    totals: SampledTotals,
     rows_seen: u64,
 }
 
 impl OnlineAggregator {
-    /// Starts a progressive aggregation of `column` (optionally filtered).
-    pub fn new(
-        table: Arc<Table>,
-        column: &str,
-        predicate: Option<Expr>,
-        seed: u64,
-    ) -> Result<Self, AqpError> {
-        // An unknown column errors here rather than at the first step.
-        table.schema().index_of(column)?;
-        let predicates: Vec<&Expr> = predicate.iter().collect();
-        let avg = [AggExpr::avg(col(column), "avg")];
-        let fold = BlockFold::new(&predicates, &[], &avg, table.schema(), true);
-        record_dispatch(fold.is_kernel());
-        let mut order: Vec<usize> = (0..table.block_count()).collect();
+    /// Starts a progressive aggregation of `query`, its fact blocks in the
+    /// order `seed` shuffles them into. Errors as [`StarEvaluator::new`]
+    /// does — an unknown column here rather than at the first step.
+    pub fn new(catalog: &Catalog, query: &AggQuery, seed: u64) -> Result<Self, AqpError> {
+        let evaluator = StarEvaluator::new(catalog, query)?;
+        let mut order: Vec<usize> = (0..evaluator.fact().block_count()).collect();
         order.shuffle(&mut SmallRng::seed_from_u64(seed));
         Ok(Self {
-            table,
-            fold,
+            totals: SampledTotals::new(&evaluator),
+            evaluator,
             order,
-            processed: 0,
-            sums: UnitSums::default(),
             rows_seen: 0,
         })
     }
@@ -74,28 +58,18 @@ impl OnlineAggregator {
     /// Processes the next block. Returns `false` when everything has been
     /// consumed.
     pub fn step(&mut self) -> Result<bool, AqpError> {
-        let Some(&bi) = self.order.get(self.processed) else {
+        let Some(&bi) = self.order.get(self.blocks_processed()) else {
             return Ok(false);
         };
-        let block = self.table.block(bi);
-        let mut acc = self.fold.new_acc(None);
-        self.fold.fold(block, &mut acc, true)?;
-        let (total, count) = match acc.into_groups().pop() {
-            Some((_, states)) => match states[..] {
-                [AggState::Avg { sum, count }] => (sum, count as f64),
-                _ => unreachable!("the fold computes one AVG"),
-            },
-            None => (0.0, 0.0),
-        };
-        self.sums.push(total, count);
+        let block = self.evaluator.fact().block(bi);
+        self.totals.push(self.evaluator.block_totals(block)?);
         self.rows_seen += block.len() as u64;
-        self.processed += 1;
         Ok(true)
     }
 
     /// Blocks processed so far.
     pub fn blocks_processed(&self) -> usize {
-        self.processed
+        self.totals.blocks() as usize
     }
 
     /// Fraction of the table consumed.
@@ -103,40 +77,30 @@ impl OnlineAggregator {
         if self.order.is_empty() {
             1.0
         } else {
-            self.processed as f64 / self.order.len() as f64
+            self.blocks_processed() as f64 / self.order.len() as f64
         }
     }
 
-    /// Rows touched so far.
+    /// Fact rows touched so far.
     pub fn rows_seen(&self) -> u64 {
         self.rows_seen
     }
 
-    /// The processed prefix is an SRS of blocks, so the cluster estimator
-    /// (with fpc) applies — at 100% processed the interval collapses to
-    /// the exact answer.
-    fn stats(&self) -> PairStats {
-        PairStats::clusters(&self.sums, self.processed as u64, self.order.len() as u64)
-    }
-
-    /// Running estimate of the population SUM.
-    pub fn estimate_sum(&self) -> Estimate {
-        self.stats().total()
-    }
-
-    /// Running estimate of the population AVG (ratio of block sums to
-    /// block counts under the SRS-of-blocks design).
-    pub fn estimate_avg(&self) -> Estimate {
-        self.stats().ratio()
+    /// The running per-group estimates, in the shape
+    /// [`assemble_answer`] takes. The processed prefix is an SRS of
+    /// blocks, so the cluster estimator (with fpc) applies — at 100%
+    /// processed every interval collapses to the exact answer.
+    pub fn estimates(&self) -> Vec<(Vec<Value>, Vec<Estimate>)> {
+        self.totals.estimates(&self.evaluator)
     }
 }
 
-/// The progressive family as the router sees it: a single-table,
-/// ungrouped `SUM`/`AVG` of one column, processed block-by-block until the
-/// live interval's relative half-width meets the spec, or the table is
-/// exhausted (exact). Grouped and joined progressive execution exist in
-/// this module ([`RippleJoin`]) but are interactive tools, not
-/// contract-driven routing targets.
+/// The progressive family as the router sees it: the online aggregator
+/// run block by block until every live interval's relative half-width
+/// meets the spec, or the table is exhausted (exact). The aggregator
+/// folds grouped and joined queries too, but the analyzer admits only an
+/// ungrouped single-table `SUM`/`AVG` of one column here, so grouped and
+/// joined queries stay with the planned families.
 ///
 /// ⚠ *Peeking caveat (NSB §2.2, citing the A/B-testing literature):* a
 /// confidence interval inspected repeatedly until it is narrow enough does
@@ -160,36 +124,15 @@ impl Technique for OlaTechnique<'_> {
         TechniqueKind::OnlineAggregation
     }
 
-    fn profile(&self) -> TechniqueProfile {
-        TechniqueProfile {
-            answers: "ungrouped single-table SUM/AVG of one column, with predicates",
-            speedup_source: "stop as soon as the live interval meets the spec",
-            implemented_in: "core::ola",
-        }
-    }
-
     fn answer(&self, query: &AggQuery, spec: &ErrorSpec, seed: u64) -> Result<Attempt, AqpError> {
         // Joins, group-bys and anything but one SUM/AVG of a bare column
-        // are out of shape: decline them rather than answer the ungrouped
-        // single-table query that is left when they are ignored.
+        // are out of shape: decline them before touching data.
         let ctx = LintContext::new(self.catalog);
         if let Some(declined) = decline_if_blocked(self.kind(), query, &ctx) {
             return Ok(declined);
         }
         let start = Instant::now();
-        let [agg @ AggSpec {
-            expr: Expr::Column(column),
-            ..
-        }] = query.aggregates.as_slice()
-        else {
-            return Err(AqpError::Unsupported {
-                detail: "progressive aggregation serves one SUM/AVG of a bare column".to_string(),
-            });
-        };
-        let fact = self.catalog.get(&query.fact_table)?;
-        let population_rows = fact.row_count() as u64;
-        let mut ola =
-            OnlineAggregator::new(Arc::clone(&fact), column, query.predicate.clone(), seed)?;
+        let mut ola = OnlineAggregator::new(self.catalog, query, seed)?;
         // The per-update CI trajectory is the progressive family's defining
         // observable: each block processed should shrink the live interval.
         let mut obs_span = aqp_obs::span("ola:progress");
@@ -203,28 +146,24 @@ impl Technique for OlaTechnique<'_> {
                     aqp_obs::metrics::REL_ERROR_BOUNDS,
                 )
             });
-        let estimate = loop {
+        let raw = loop {
             let stepped = ola.step()?;
+            let raw = ola.estimates();
             if ola.blocks_processed() >= 2 {
-                let e = match agg.kind {
-                    LinearAgg::Avg => ola.estimate_avg(),
-                    _ => ola.estimate_sum(),
-                };
-                let rel = e.ci(spec.confidence).relative_half_width();
+                let rels: Vec<f64> = (raw.iter().flat_map(|(_, estimates)| estimates))
+                    .map(|e| e.ci(spec.confidence).relative_half_width())
+                    .collect();
                 if let Some(h) = &ci_hist {
-                    if rel.is_finite() {
-                        h.observe(rel);
-                    }
+                    rels.iter()
+                        .filter(|r| r.is_finite())
+                        .for_each(|&r| h.observe(r));
                 }
-                if rel <= spec.relative_error {
-                    break e;
+                if rels.iter().all(|&r| r <= spec.relative_error) {
+                    break raw;
                 }
             }
             if !stepped {
-                break match agg.kind {
-                    LinearAgg::Avg => ola.estimate_avg(),
-                    _ => ola.estimate_sum(),
-                };
+                break raw;
             }
         };
         let rows_scanned = ola.rows_seen();
@@ -234,15 +173,15 @@ impl Technique for OlaTechnique<'_> {
         }
         obs_span.finish();
         Ok(Attempt::Answered(assemble_answer(
-            vec![],
-            vec![agg.alias.clone()],
-            vec![(vec![], vec![estimate])],
+            query.group_by.iter().map(|(_, n)| n.clone()).collect(),
+            query.aggregates.iter().map(|a| a.alias.clone()).collect(),
+            raw,
             spec.confidence,
             ExecutionReport {
                 path: ExecutionPath::OlaProgressive {
                     fraction: ola.fraction_processed(),
                 },
-                population_rows,
+                population_rows: ola.evaluator.fact().row_count() as u64,
                 rows_touched: rows_scanned,
                 rows_scanned,
                 wall: start.elapsed(),
@@ -257,112 +196,69 @@ impl Technique for OlaTechnique<'_> {
     }
 }
 
-/// A ripple join: both inputs are consumed in random row order, and the
-/// join's SUM is estimated from the seen-so-far corner of the cross
-/// product. Converges to the exact join sum when both sides are fully
-/// consumed; convergence is slow when key-match density is low — the
-/// behaviour E7 measures.
-pub struct RippleJoin {
-    left: Vec<(KeyAtom, f64)>,
-    right: Vec<KeyAtom>,
-    l_seen: usize,
-    r_seen: usize,
-    /// key → Σ measure over seen left rows.
-    left_sums: HashMap<KeyAtom, f64>,
-    /// key → count of seen right rows.
-    right_counts: HashMap<KeyAtom, f64>,
-    matched_sum: f64,
-}
-
-impl RippleJoin {
-    /// Prepares a ripple join of `left.key = right.key`, summing
-    /// `left.measure` over the join result.
-    pub fn new(
-        left: &Table,
-        left_key: &str,
-        measure: &str,
-        right: &Table,
-        right_key: &str,
-        seed: u64,
-    ) -> Result<Self, StorageError> {
-        let lk = left.schema().index_of(left_key)?;
-        let lm = left.schema().index_of(measure)?;
-        let rk = right.schema().index_of(right_key)?;
-        let mut lrows = Vec::with_capacity(left.row_count());
-        for (_, block) in left.iter_blocks() {
-            for i in 0..block.len() {
-                lrows.push((
-                    KeyAtom::from_value(&block.column(lk).get(i)),
-                    block.column(lm).f64_at(i).unwrap_or(0.0),
-                ));
-            }
-        }
-        let mut rrows = Vec::with_capacity(right.row_count());
-        for (_, block) in right.iter_blocks() {
-            for i in 0..block.len() {
-                rrows.push(KeyAtom::from_value(&block.column(rk).get(i)));
-            }
-        }
-        let mut rng = SmallRng::seed_from_u64(seed);
-        lrows.shuffle(&mut rng);
-        rrows.shuffle(&mut rng);
-        Ok(Self {
-            left: lrows,
-            right: rrows,
-            l_seen: 0,
-            r_seen: 0,
-            left_sums: HashMap::new(),
-            right_counts: HashMap::new(),
-            matched_sum: 0.0,
-        })
-    }
-
-    /// Consumes up to `batch` rows from each side. Returns `false` when
-    /// both sides are exhausted.
-    pub fn step(&mut self, batch: usize) -> bool {
-        let mut advanced = false;
-        for _ in 0..batch {
-            if let Some((k, m)) = self.left.get(self.l_seen).cloned() {
-                self.matched_sum += m * self.right_counts.get(&k).copied().unwrap_or(0.0);
-                *self.left_sums.entry(k).or_insert(0.0) += m;
-                self.l_seen += 1;
-                advanced = true;
-            }
-            if let Some(k) = self.right.get(self.r_seen).cloned() {
-                self.matched_sum += self.left_sums.get(&k).copied().unwrap_or(0.0);
-                *self.right_counts.entry(k).or_insert(0.0) += 1.0;
-                self.r_seen += 1;
-                advanced = true;
-            }
-        }
-        advanced
-    }
-
-    /// Fractions of each side consumed.
-    pub fn progress(&self) -> (f64, f64) {
-        (
-            self.l_seen as f64 / self.left.len().max(1) as f64,
-            self.r_seen as f64 / self.right.len().max(1) as f64,
-        )
-    }
-
-    /// Running estimate of `SUM(measure)` over the full join: the seen
-    /// corner scaled by `(N_l/k_l)·(N_r/k_r)`.
-    pub fn estimate_sum(&self) -> f64 {
-        if self.l_seen == 0 || self.r_seen == 0 {
-            return 0.0;
-        }
-        let scale = (self.left.len() as f64 / self.l_seen as f64)
-            * (self.right.len() as f64 / self.r_seen as f64);
-        self.matched_sum * scale
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqp_expr::{col, lit};
+    use std::ops::{Deref, DerefMut};
+    use std::sync::Arc;
+
+    use aqp_engine::AggExpr;
+    use aqp_expr::{col, lit, Expr};
+    use aqp_storage::Table;
     use aqp_workload::uniform_table;
+
+    use crate::aggquery::{AggSpec, LinearAgg};
+
+    /// The single-column view most tests below read: `SUM(column)` and
+    /// `AVG(column)` of one table under an optional predicate, run as one
+    /// [`super::OnlineAggregator`], which it derefs to.
+    struct OnlineAggregator(super::OnlineAggregator);
+
+    impl OnlineAggregator {
+        fn new(
+            table: Arc<Table>,
+            column: &str,
+            predicate: Option<Expr>,
+            seed: u64,
+        ) -> Result<Self, AqpError> {
+            let catalog = Catalog::new();
+            catalog.register(Table::clone(&table))?;
+            let agg = |kind, alias: &str| AggSpec {
+                kind,
+                expr: col(column),
+                alias: alias.into(),
+            };
+            let query = AggQuery {
+                fact_table: table.name().into(),
+                joins: vec![],
+                predicate,
+                group_by: vec![],
+                aggregates: vec![agg(LinearAgg::Sum, "s"), agg(LinearAgg::Avg, "a")],
+            };
+            super::OnlineAggregator::new(&catalog, &query, seed).map(Self)
+        }
+
+        fn estimate_sum(&self) -> Estimate {
+            self.estimates()[0].1[0]
+        }
+
+        fn estimate_avg(&self) -> Estimate {
+            self.estimates()[0].1[1]
+        }
+    }
+
+    impl Deref for OnlineAggregator {
+        type Target = super::OnlineAggregator;
+        fn deref(&self) -> &Self::Target {
+            &self.0
+        }
+    }
+
+    impl DerefMut for OnlineAggregator {
+        fn deref_mut(&mut self) -> &mut Self::Target {
+            &mut self.0
+        }
+    }
 
     fn table() -> Arc<Table> {
         Arc::new(uniform_table("t", 20_000, 128, 5))
@@ -521,65 +417,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ripple_join_converges_to_exact() {
-        use aqp_storage::{DataType, Field, Schema, TableBuilder, Value};
-        // left: 2000 rows keyed 0..100 with measure; right: 500 rows keyed 0..100.
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::Int64),
-            Field::new("m", DataType::Float64),
-        ]);
-        let mut b = TableBuilder::new("l", schema);
-        for i in 0..2000i64 {
-            b.push_row(&[Value::Int64(i % 100), Value::Float64((i % 7) as f64)])
-                .unwrap();
-        }
-        let left = b.finish();
-        let schema = Schema::new(vec![Field::new("k", DataType::Int64)]);
-        let mut b = TableBuilder::new("r", schema);
-        for i in 0..500i64 {
-            b.push_row(&[Value::Int64(i % 100)]).unwrap();
-        }
-        let right = b.finish();
-        // Exact: every left row matches 5 right rows.
-        let truth: f64 = (0..2000).map(|i| ((i % 7) as f64) * 5.0).sum();
-        let mut rj = RippleJoin::new(&left, "k", "m", &right, "k", 7).unwrap();
-        while rj.step(100) {}
-        assert!((rj.estimate_sum() - truth).abs() < 1e-6);
-        assert_eq!(rj.progress(), (1.0, 1.0));
-    }
-
-    #[test]
-    fn ripple_join_partial_estimate_reasonable() {
-        use aqp_storage::{DataType, Field, Schema, TableBuilder, Value};
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::Int64),
-            Field::new("m", DataType::Float64),
-        ]);
-        let mut b = TableBuilder::new("l", schema);
-        for i in 0..10_000i64 {
-            b.push_row(&[Value::Int64(i % 50), Value::Float64(1.0)])
-                .unwrap();
-        }
-        let left = b.finish();
-        let schema = Schema::new(vec![Field::new("k", DataType::Int64)]);
-        let mut b = TableBuilder::new("r", schema);
-        for i in 0..10_000i64 {
-            b.push_row(&[Value::Int64(i % 50)]).unwrap();
-        }
-        let right = b.finish();
-        let truth = 10_000.0 * 200.0; // each left row matches 200 right rows
-        let mut rj = RippleJoin::new(&left, "k", "m", &right, "k", 3).unwrap();
-        for _ in 0..10 {
-            rj.step(100);
-        }
-        let est = rj.estimate_sum();
-        assert!(
-            (est - truth).abs() / truth < 0.3,
-            "partial ripple estimate {est} vs {truth}"
-        );
-    }
-
     /// `OlaTechnique::answer` for `agg` over table `t` of `c`: the stopping
     /// estimate and the fraction of the table it consumed.
     fn ola_answer(c: &Catalog, agg: AggExpr, spec: ErrorSpec, seed: u64) -> (Estimate, f64) {
@@ -653,6 +490,53 @@ mod tests {
         let (est, fraction) = ola_answer(&c, AggExpr::avg(col("v"), "a"), spec, 2);
         assert_eq!(fraction, 1.0);
         assert_eq!(est.variance, 0.0); // census
+    }
+
+    /// The shared evaluator folds what the router never sends here: a
+    /// grouped aggregate over a dimension join under predicates on both
+    /// sides. Stepped to the end it is the exact answer, group for group.
+    #[test]
+    fn grouped_join_converges_to_exact() {
+        let c = Catalog::new();
+        aqp_workload::build_star_schema(&c, &aqp_workload::StarScale::small(), 3).unwrap();
+        let plan = aqp_engine::Query::scan("lineitem")
+            .join(
+                aqp_engine::Query::scan("orders"),
+                col("l_orderkey"),
+                col("o_key"),
+            )
+            .filter(col("l_sel").lt(lit(0.5)).and(col("o_month").lt(lit(7i64))))
+            .aggregate(
+                vec![(col("o_priority"), "o_priority".to_string())],
+                vec![
+                    AggExpr::sum(col("l_price"), "rev"),
+                    AggExpr::count_star("n"),
+                    AggExpr::avg(col("l_quantity"), "q"),
+                ],
+            )
+            .build();
+        let q = AggQuery::from_plan(&plan).unwrap();
+        let mut ola = super::OnlineAggregator::new(&c, &q, 9).unwrap();
+        while ola.step().unwrap() {}
+        assert_eq!(ola.fraction_processed(), 1.0);
+        let got = ola.estimates();
+        let exact = aqp_engine::execute(&q.to_plan(), &c).unwrap().rows();
+        assert_eq!(got.len(), exact.len());
+        for row in &exact {
+            let (_, estimates) = (got.iter())
+                .find(|(key, _)| key[..] == row[..1])
+                .unwrap_or_else(|| panic!("group {:?} missing", row[0]));
+            for (e, want) in estimates.iter().zip(&row[1..]) {
+                let want = want.as_f64().unwrap();
+                assert!(
+                    (e.value - want).abs() <= 1e-9 * want.abs(),
+                    "group {:?}: {} vs exact {want}",
+                    row[0],
+                    e.value
+                );
+                assert_eq!(e.variance, 0.0, "group {:?}: census", row[0]);
+            }
+        }
     }
 
     #[test]

@@ -25,11 +25,13 @@
 //! the engine's [`aqp_engine::AggStep`], the step `aqp-engine` runs over
 //! its morsels. [`StarEvaluator`] compiles it once per query (fact-only
 //! predicates below the FK gathers, then the typed kernel or scalar fold)
-//! and `accumulate` pushes the totals, in block order, into one
-//! [`UnitSums`] per group and aggregate. The planner reads the spread of
-//! block totals from those sums, and [`PairStats::clusters`] — the one
-//! block-sample estimator, which online aggregation ends in too — turns
-//! them into estimates. The
+//! and `accumulate` pushes the totals, in block order, into
+//! [`SampledTotals`] — one [`UnitSums`] per group and aggregate. The
+//! planner reads the spread of block totals from those sums, and
+//! [`SampledTotals::estimates`] turns them into estimates through
+//! `PairStats::clusters`, the one block-sample estimator: online
+//! aggregation ([`crate::ola`]) is the same fold and finish over a block
+//! permutation, with a different stop rule. The
 //! `online:pilot`/`online:final` spans say which fold ran
 //! (`[kernel]`/`[scalar]`), and each phase ticks
 //! `aqp_kernel_dispatch_total` once.
@@ -39,26 +41,22 @@
 //! samplers in `aqp-sampling` and the offline synopses exist precisely to
 //! fix that.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use aqp_analyze::LintContext;
-use aqp_engine::agg::GroupKey;
-use aqp_engine::fold::record_dispatch;
 use aqp_engine::LogicalPlan;
 use aqp_sampling::bernoulli_blocks;
-use aqp_sampling::design::{PairStats, UnitSums};
+use aqp_sampling::design::UnitSums;
 use aqp_stats::Estimate;
 use aqp_storage::{Catalog, Value};
 
 use crate::aggquery::{AggQuery, LinearAgg};
 use crate::answer::{assemble_answer, ApproximateAnswer, ExecutionPath, ExecutionReport};
 use crate::error::AqpError;
-use crate::evaluator::StarEvaluator;
+use crate::evaluator::{SampledTotals, StarEvaluator};
 use crate::spec::ErrorSpec;
 use crate::technique::{
     decline_if_blocked, exact_answer, Attempt, DeclineReason, Technique, TechniqueKind,
-    TechniqueProfile,
 };
 
 /// Block-sampling rate of the pilot phase.
@@ -98,46 +96,28 @@ impl Default for OnlineConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct GroupAcc {
-    /// Per aggregate: the group's `(f, g)` block totals.
-    totals: Vec<UnitSums>,
-    blocks_seen: u64,
-}
-
 /// Accumulates per-group, per-aggregate block totals over a block sample.
 ///
 /// Each sampled block is an independent morsel: workers fold one block
 /// into a fresh aggregate partial ([`StarEvaluator::block_totals`] — the
 /// engine's block fold, the same row-order inner loop the exact executor
 /// runs) and hand back that block's `(f, g)` totals per group. The
-/// totals are pushed into [`UnitSums`] here in block order, so the
+/// totals are pushed into [`SampledTotals`] here in block order, so the
 /// summation tree — and hence the result — is identical at every thread
-/// count. A group is counted once per block it has a qualifying row in.
+/// count.
 fn accumulate(
     evaluator: &StarEvaluator,
     sample: &aqp_sampling::Sample,
     threads: usize,
-) -> Result<(HashMap<GroupKey, GroupAcc>, u64), AqpError> {
-    record_dispatch(evaluator.fold().is_kernel());
+) -> Result<SampledTotals, AqpError> {
+    let mut totals = SampledTotals::new(evaluator);
     let blocks = sample.table.blocks().to_vec();
-    let sampled_blocks = blocks.len() as u64;
     let per_block =
         aqp_engine::pool::parallel_map(blocks, threads, |_, block| evaluator.block_totals(&block));
-    let mut groups: HashMap<GroupKey, GroupAcc> = HashMap::new();
-    for block_groups in per_block {
-        for (key, pairs) in block_groups? {
-            let acc = groups.entry(key).or_insert_with(|| GroupAcc {
-                totals: vec![UnitSums::default(); pairs.len()],
-                blocks_seen: 0,
-            });
-            for (t, (f, g)) in acc.totals.iter_mut().zip(pairs) {
-                t.push(f, g);
-            }
-            acc.blocks_seen += 1;
-        }
+    for block in per_block {
+        totals.push(block?);
     }
-    Ok((groups, sampled_blocks))
+    Ok(totals)
 }
 
 /// The minimum block-sampling rate meeting `(rel_err, z)` for one
@@ -284,7 +264,8 @@ impl<'a> OnlineAqp<'a> {
         let pilot_t0 = Instant::now();
         let pilot = bernoulli_blocks(&fact, pilot_rate, seed);
         let pilot_rows = pilot.num_rows() as u64;
-        let (pilot_groups, pilot_blocks) = accumulate(&evaluator, &pilot, self.config.threads)?;
+        let pilot_totals = accumulate(&evaluator, &pilot, self.config.threads)?;
+        let pilot_blocks = pilot_totals.blocks();
         if pilot_span.is_recording() {
             pilot_span.set_rows(pilot_rows);
             pilot_span.set_detail(format!("rate={pilot_rate:.4} {}", evaluator.fold().tag()));
@@ -297,7 +278,7 @@ impl<'a> OnlineAqp<'a> {
             });
         }
         pilot_span.finish();
-        if pilot_groups.is_empty() || pilot_blocks < 2 {
+        if pilot_totals.groups().len() == 0 || pilot_blocks < 2 {
             // Nothing matched in the pilot: no basis for planning.
             return Ok(Attempt::Declined {
                 reason: DeclineReason::EmptyPilot,
@@ -307,11 +288,11 @@ impl<'a> OnlineAqp<'a> {
 
         // ---- Planning ----
         let mut plan_span = aqp_obs::span("online:plan");
-        let num_estimates = pilot_groups.len() * query.aggregates.len();
+        let num_estimates = pilot_totals.groups().len() * query.aggregates.len();
         let per_agg_spec = spec.split_across(num_estimates.max(1));
         let z = per_agg_spec.z();
         let mut q_final: f64 = 0.0;
-        for acc in pilot_groups.values() {
+        for acc in pilot_totals.groups() {
             for (agg, t) in query.aggregates.iter().zip(&acc.totals) {
                 let r = required_rate(
                     agg.kind,
@@ -343,7 +324,7 @@ impl<'a> OnlineAqp<'a> {
         }
         plan_span.finish();
 
-        let (raw, final_rows) = self.final_phase(&evaluator, query, seed, q_final)?;
+        let (raw, final_rows) = self.final_phase(&evaluator, seed, q_final)?;
         let ci_conf = spec
             .split_across((raw.len() * query.aggregates.len()).max(1))
             .confidence;
@@ -384,7 +365,7 @@ impl<'a> OnlineAqp<'a> {
     }
 
     /// The final sampling pass: an independent Bernoulli block sample at
-    /// `final_rate`, folded into Hájek per-group estimates. Returns them
+    /// `final_rate`, folded into per-group cluster estimates. Returns them
     /// with the rows the sample drew. The final-phase seed is derived from
     /// the query seed (splitmix-style multiply), so pilot and final samples
     /// are decorrelated yet fully determined by `(seed, rate)`.
@@ -392,45 +373,23 @@ impl<'a> OnlineAqp<'a> {
     fn final_phase(
         &self,
         evaluator: &StarEvaluator,
-        query: &AggQuery,
         seed: u64,
         final_rate: f64,
     ) -> Result<(Vec<(Vec<Value>, Vec<Estimate>)>, u64), AqpError> {
         let mut final_span = aqp_obs::span("online:final");
-        let fact = evaluator.fact();
-        let big_m = fact.block_count() as u64;
         let final_sample = bernoulli_blocks(
-            fact,
+            evaluator.fact(),
             final_rate,
             seed.wrapping_mul(0x9E37_79B9).wrapping_add(1),
         );
         let final_rows = final_sample.num_rows() as u64;
-        let (final_groups, final_blocks) =
-            accumulate(evaluator, &final_sample, self.config.threads)?;
+        let final_totals = accumulate(evaluator, &final_sample, self.config.threads)?;
         if final_span.is_recording() {
             final_span.set_rows(final_rows);
             final_span.set_detail(evaluator.fold().tag().to_string());
         }
         final_span.finish();
-        let raw = final_groups
-            .into_iter()
-            .map(|(key, acc)| {
-                let estimates: Vec<Estimate> = query
-                    .aggregates
-                    .iter()
-                    .zip(&acc.totals)
-                    .map(|(a, t)| {
-                        let stats = PairStats::clusters(t, final_blocks, big_m);
-                        match a.kind {
-                            LinearAgg::CountStar | LinearAgg::Sum => stats.total(),
-                            LinearAgg::Avg => stats.ratio(),
-                        }
-                    })
-                    .collect();
-                (evaluator.key_values(&key), estimates)
-            })
-            .collect();
-        Ok((raw, final_rows))
+        Ok((final_totals.estimates(evaluator), final_rows))
     }
 
     /// Exact execution of a normalized query, wrapped as an answer.
@@ -454,14 +413,6 @@ impl<'a> OnlineAqp<'a> {
 impl Technique for OnlineAqp<'_> {
     fn kind(&self) -> TechniqueKind {
         TechniqueKind::OnlineSampling
-    }
-
-    fn profile(&self) -> TechniqueProfile {
-        TechniqueProfile {
-            answers: "linear aggregates over star joins with ad-hoc predicates",
-            speedup_source: "pilot-planned Bernoulli block sampling",
-            implemented_in: "core::online",
-        }
     }
 
     fn answer(&self, query: &AggQuery, spec: &ErrorSpec, seed: u64) -> Result<Attempt, AqpError> {
@@ -652,11 +603,11 @@ mod tests {
                 .build();
             let q = AggQuery::from_plan(&plan).unwrap();
             let evaluator = StarEvaluator::new(&c, &q).unwrap();
-            let (groups, blocks) =
-                accumulate(&evaluator, &bernoulli_blocks(&fact, 0.3, 5), 1).unwrap();
-            assert_eq!(groups.len(), 2);
-            groups
-                .values()
+            let totals = accumulate(&evaluator, &bernoulli_blocks(&fact, 0.3, 5), 1).unwrap();
+            let blocks = totals.blocks();
+            assert_eq!(totals.groups().len(), 2);
+            totals
+                .groups()
                 .map(|acc| {
                     assert!(
                         acc.blocks_seen <= blocks,
@@ -696,7 +647,7 @@ mod tests {
         // find a seed whose final sample is exactly one 64-row block.
         let raw = (0..1_000)
             .find_map(
-                |seed| match aqp.final_phase(&evaluator, &q, seed, 1.0 / big_m) {
+                |seed| match aqp.final_phase(&evaluator, seed, 1.0 / big_m) {
                     Ok((raw, 64)) => Some(raw),
                     _ => None,
                 },

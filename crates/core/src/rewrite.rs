@@ -32,9 +32,7 @@ use crate::aggquery::{AggQuery, LinearAgg};
 use crate::answer::{assemble_answer, ExecutionPath, ExecutionReport};
 use crate::error::AqpError;
 use crate::spec::ErrorSpec;
-use crate::technique::{
-    decline_if_blocked, Attempt, DeclineReason, Technique, TechniqueKind, TechniqueProfile,
-};
+use crate::technique::{decline_if_blocked, Attempt, DeclineReason, Technique, TechniqueKind};
 
 /// The reserved name the rewritten plan scans instead of the fact table.
 pub const SAMPLE_TABLE_NAME: &str = "__aqp_weighted_sample";
@@ -177,14 +175,6 @@ impl<'a> RewriteTechnique<'a> {
 impl Technique for RewriteTechnique<'_> {
     fn kind(&self) -> TechniqueKind {
         TechniqueKind::MiddlewareRewrite
-    }
-
-    fn profile(&self) -> TechniqueProfile {
-        TechniqueProfile {
-            answers: "any normalized star linear-aggregate query, rewritten over a weighted sample",
-            speedup_source: "fixed-rate sample through the unmodified exact engine",
-            implemented_in: "core::rewrite",
-        }
     }
 
     fn answer(&self, query: &AggQuery, spec: &ErrorSpec, seed: u64) -> Result<Attempt, AqpError> {

@@ -54,7 +54,7 @@ pub enum Technique {
     Histogram,
     /// Haar wavelet synopsis.
     Wavelet,
-    /// Online aggregation / ripple join.
+    /// Online aggregation.
     OnlineAggregation,
     /// Two-phase pilot-planned online sampling (the planner in
     /// [`crate::online`]).
@@ -193,24 +193,46 @@ pub fn derived_family_rows() -> Vec<Capability> {
         .iter()
         .filter_map(|family| {
             let kind = family.kind();
-            let profile = family.profile();
+            // What each family answers, where its speedup comes from, and
+            // the module implementing it.
+            let (technique, answers, speedup_source, implemented_in) = match kind {
+                TechniqueKind::OfflineSynopsis => (
+                    Technique::OfflineStratifiedSample,
+                    "linear aggregates on the synopsized table, grouped by the stratification column",
+                    "pre-built stratified sample; no base data touched at query time",
+                    "core::offline",
+                ),
+                TechniqueKind::OnlineSampling => (
+                    Technique::PilotPlannedSampling,
+                    "linear aggregates over star joins with ad-hoc predicates",
+                    "pilot-planned Bernoulli block sampling",
+                    "core::online",
+                ),
+                TechniqueKind::OnlineAggregation => (
+                    Technique::OnlineAggregation,
+                    "ungrouped single-table SUM/AVG of one column, with predicates",
+                    "stop as soon as the live interval meets the spec",
+                    "core::ola",
+                ),
+                TechniqueKind::MiddlewareRewrite => (
+                    Technique::MiddlewareRewrite,
+                    "any normalized star linear-aggregate query, rewritten over a weighted sample",
+                    "fixed-rate sample through the unmodified exact engine",
+                    "core::rewrite",
+                ),
+                // The terminal is not an AQP technique: no row.
+                TechniqueKind::Exact => return None,
+            };
             Some(Capability {
-                technique: match kind {
-                    TechniqueKind::OfflineSynopsis => Technique::OfflineStratifiedSample,
-                    TechniqueKind::OnlineSampling => Technique::PilotPlannedSampling,
-                    TechniqueKind::OnlineAggregation => Technique::OnlineAggregation,
-                    TechniqueKind::MiddlewareRewrite => Technique::MiddlewareRewrite,
-                    // The terminal is not an AQP technique: no row.
-                    TechniqueKind::Exact => return None,
-                },
-                answers: profile.answers,
+                technique,
+                answers,
                 a_priori_error: pred_on_fresh.verdict(kind).guarantee == GuaranteeClass::APriori,
                 adhoc_predicates: pred_on_fresh.statically_eligible(kind),
                 joins: join_on_fresh.statically_eligible(kind),
                 needs_workload_knowledge: !pred_on_bare.statically_eligible(kind),
                 needs_maintenance: !pred_on_stale.statically_eligible(kind),
-                speedup_source: profile.speedup_source,
-                implemented_in: profile.implemented_in,
+                speedup_source,
+                implemented_in,
             })
         })
         .collect()

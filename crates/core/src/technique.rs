@@ -40,17 +40,6 @@ use aqp_analyze::LintContext;
 
 pub use aqp_analyze::{DeclineReason, TechniqueKind};
 
-/// Static self-description of a technique, for the derived taxonomy.
-#[derive(Debug, Clone, Copy)]
-pub struct TechniqueProfile {
-    /// What queries the technique answers.
-    pub answers: &'static str,
-    /// Where its speedup comes from.
-    pub speedup_source: &'static str,
-    /// Which module implements it.
-    pub implemented_in: &'static str,
-}
-
 /// The outcome of asking a technique to answer.
 #[derive(Debug, Clone)]
 pub enum Attempt {
@@ -74,9 +63,6 @@ pub enum Attempt {
 pub trait Technique {
     /// Which family this is.
     fn kind(&self) -> TechniqueKind;
-
-    /// Static self-description (feeds [`crate::taxonomy`]).
-    fn profile(&self) -> TechniqueProfile;
 
     /// Attempts the query. Returns [`Attempt::Declined`] for contract
     /// failures discovered at runtime — and, before any data is touched,

@@ -267,6 +267,22 @@ impl PairStats {
         Self::srs(sampled, mean_f, mean_g, sff, sgg, sfg, population)
     }
 
+    /// Poisson sampling of units, each kept independently with
+    /// probability `q`, from the totals of the `units` kept:
+    /// Horvitz–Thompson totals `Σf/q` with `Var = (1−q)/q²·Σf²` and
+    /// `Cov = (1−q)/q²·Σfg`.
+    fn poisson(sums: &UnitSums, q: f64, units: u64) -> Self {
+        let c = (1.0 - q) / (q * q);
+        PairStats {
+            est_f: sums.sf / q,
+            var_f: c * sums.sf2,
+            est_g: sums.sg / q,
+            var_g: c * sums.sg2,
+            cov: c * sums.sfg,
+            units,
+        }
+    }
+
     /// The `SUM(f)` (or COUNT) estimate.
     pub fn total(&self) -> Estimate {
         Estimate::new(self.est_f, self.var_f.max(0.0), self.units)
@@ -287,8 +303,8 @@ impl PairStats {
 
 /// Per-unit totals `(f, g)` of one domain, summed over the sampling units
 /// it appears in: `Σf`, `Σf²`, `Σg`, `Σg²` and `Σfg` — what
-/// [`PairStats::clusters`] estimates from, and what a planner reads the
-/// spread of unit totals from.
+/// [`PairStats::clusters`] and the Bernoulli-style designs estimate from,
+/// and what a planner reads the spread of unit totals from.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnitSums {
     sf: f64,
@@ -454,70 +470,51 @@ impl Sample {
         }
     }
 
-    /// Bernoulli(q) over rows: HT with `Var = (1−q)/q²·Σx²`,
-    /// `Cov = (1−q)/q²·Σfg`.
-    fn bernoulli_row_stats(
-        &self,
-        q: f64,
-        fg: &mut dyn FnMut(&Block, usize) -> (f64, f64),
-    ) -> PairStats {
-        let (mut sf, mut sf2, mut sg, mut sg2, mut sfg) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        let mut n = 0u64;
-        for (_, block) in self.table.iter_blocks() {
-            for i in 0..block.len() {
-                let (x, y) = fg(block, i);
-                sf += x;
-                sf2 += x * x;
-                sg += y;
-                sg2 += y * y;
-                sfg += x * y;
-                n += 1;
-            }
-        }
-        let c = (1.0 - q) / (q * q);
-        PairStats {
-            est_f: sf / q,
-            var_f: c * sf2,
-            est_g: sg / q,
-            var_g: c * sg2,
-            cov: c * sfg,
-            units: n,
-        }
-    }
-
-    /// Bernoulli(q) over blocks: same HT algebra with block totals as the
-    /// sampling units — the within-block correlation NSB warns about lives
-    /// entirely in these totals.
-    fn bernoulli_block_stats(
-        &self,
-        q: f64,
-        fg: &mut dyn FnMut(&Block, usize) -> (f64, f64),
-    ) -> PairStats {
-        let (mut sf, mut sf2, mut sg, mut sg2, mut sfg) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        let mut m = 0u64;
-        for (_, block) in self.table.iter_blocks() {
+    /// Each sampled block's `(Σf, Σg)`, in block order.
+    fn block_totals<'a>(
+        &'a self,
+        fg: &'a mut dyn FnMut(&Block, usize) -> (f64, f64),
+    ) -> impl Iterator<Item = (f64, f64)> + 'a {
+        self.table.iter_blocks().map(move |(_, block)| {
             let (mut tf, mut tg) = (0.0, 0.0);
             for i in 0..block.len() {
                 let (x, y) = fg(block, i);
                 tf += x;
                 tg += y;
             }
-            sf += tf;
-            sf2 += tf * tf;
-            sg += tg;
-            sg2 += tg * tg;
-            sfg += tf * tg;
-            m += 1;
+            (tf, tg)
+        })
+    }
+
+    /// Bernoulli(q) over rows: Poisson HT with the rows as the units.
+    fn bernoulli_row_stats(
+        &self,
+        q: f64,
+        fg: &mut dyn FnMut(&Block, usize) -> (f64, f64),
+    ) -> PairStats {
+        let mut sums = UnitSums::default();
+        for (_, block) in self.table.iter_blocks() {
+            for i in 0..block.len() {
+                let (x, y) = fg(block, i);
+                sums.push(x, y);
+            }
         }
-        let c = (1.0 - q) / (q * q);
-        PairStats {
-            est_f: sf / q,
-            var_f: c * sf2,
-            est_g: sg / q,
-            var_g: c * sg2,
-            cov: c * sfg,
-            units: m,
+        PairStats::poisson(&sums, q, self.num_rows() as u64)
+    }
+
+    /// Bernoulli(q) over blocks: the same HT algebra with block totals as
+    /// the units — the within-block correlation NSB warns about lives
+    /// entirely in these totals.
+    fn bernoulli_block_stats(
+        &self,
+        q: f64,
+        fg: &mut dyn FnMut(&Block, usize) -> (f64, f64),
+    ) -> PairStats {
+        let mut sums = UnitSums::default();
+        for (tf, tg) in self.block_totals(fg) {
+            sums.push(tf, tg);
         }
+        PairStats::poisson(&sums, q, self.table.block_count() as u64)
     }
 
     /// SRS without replacement over rows: `T̂ = N·x̄` with fpc, ratio
@@ -545,18 +542,7 @@ impl Sample {
         population_blocks: u64,
         fg: &mut dyn FnMut(&Block, usize) -> (f64, f64),
     ) -> PairStats {
-        let mut xs = Vec::with_capacity(self.table.block_count());
-        let mut ys = Vec::with_capacity(self.table.block_count());
-        for (_, block) in self.table.iter_blocks() {
-            let (mut tf, mut tg) = (0.0, 0.0);
-            for i in 0..block.len() {
-                let (x, y) = fg(block, i);
-                tf += x;
-                tg += y;
-            }
-            xs.push(tf);
-            ys.push(tg);
-        }
+        let (xs, ys): (Vec<f64>, Vec<f64>) = self.block_totals(fg).unzip();
         srs_pair(&xs, &ys, population_blocks)
     }
 
@@ -588,20 +574,21 @@ impl Sample {
     }
 
     /// Universe sampling: the sampled *keys* are the independent units; all
-    /// rows of a key enter together, so totals are per-key.
+    /// rows of a key enter together, so totals are per-key. Keys enter the
+    /// sums in ascending hash order, so an estimate reproduces bit for bit.
     fn universe_stats(
         &self,
         column: &str,
         q: f64,
         fg: &mut dyn FnMut(&Block, usize) -> (f64, f64),
     ) -> PairStats {
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
         let idx = self
             .table
             .schema()
             .index_of(column)
             .expect("universe key column exists in the sample by construction");
-        let mut per_key: HashMap<u64, (f64, f64)> = HashMap::new();
+        let mut per_key: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
         for (_, block) in self.table.iter_blocks() {
             let col = block.column(idx);
             for i in 0..block.len() {
@@ -612,23 +599,11 @@ impl Sample {
                 e.1 += y;
             }
         }
-        let (mut sf, mut sf2, mut sg, mut sg2, mut sfg) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        for (tf, tg) in per_key.values() {
-            sf += tf;
-            sf2 += tf * tf;
-            sg += tg;
-            sg2 += tg * tg;
-            sfg += tf * tg;
+        let mut sums = UnitSums::default();
+        for &(tf, tg) in per_key.values() {
+            sums.push(tf, tg);
         }
-        let c = (1.0 - q) / (q * q);
-        PairStats {
-            est_f: sf / q,
-            var_f: c * sf2,
-            est_g: sg / q,
-            var_g: c * sg2,
-            cov: c * sfg,
-            units: per_key.len() as u64,
-        }
+        PairStats::poisson(&sums, q, per_key.len() as u64)
     }
 
     /// Two-stage Bernoulli (bi-level): HT with
@@ -904,6 +879,43 @@ mod tests {
         // clustering is what inflates join-friendly designs.
         assert!((sum.variance - 306.0).abs() < 1e-12);
         assert_eq!(sum.n, 2); // two key-units
+    }
+
+    /// Per-key totals enter the sums in a fixed order, so estimating twice
+    /// from one universe sample of 1 000 keys agrees to the last bit.
+    #[test]
+    fn universe_estimates_reproduce_bit_for_bit() {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("v", DataType::Float64),
+        ]);
+        let mut b = TableBuilder::with_block_capacity("t", schema, 64);
+        for i in 0..5_000i64 {
+            let v = (i as f64 * 0.37).sin() * 1e3 + (i as f64).sqrt();
+            b.push_row(&[Value::Int64(i % 1_000), Value::Float64(v)])
+                .unwrap();
+        }
+        let s = Sample {
+            table: b.finish(),
+            design: SampleDesign::Universe {
+                column: "k".into(),
+                rate: 0.3,
+                population_rows: 16_000,
+            },
+            weights: RowWeights::Uniform(1.0 / 0.3),
+        };
+        let bits = |e: Estimate| (e.value.to_bits(), e.variance.to_bits(), e.n);
+        let estimate = || {
+            (
+                bits(s.estimate_sum("v").unwrap()),
+                bits(s.estimate_avg("v").unwrap()),
+            )
+        };
+        let first = estimate();
+        assert_eq!(first.0 .2, 1_000, "one unit per key");
+        for _ in 0..3 {
+            assert_eq!(estimate(), first);
+        }
     }
 
     #[test]

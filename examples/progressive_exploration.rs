@@ -1,23 +1,25 @@
 //! Interactive exploration with online aggregation: watch the running
 //! estimate and its confidence interval tighten as random blocks stream
-//! in, stop when it is good enough — and see a ripple join converge on a
-//! two-table aggregate.
+//! in, and stop when it is good enough. A ripple join over two tables
+//! converges in experiment E7 (`exp_e07_ola`), which carries it.
 //!
 //! ```sh
 //! cargo run --release -p aqp-bench --example progressive_exploration
 //! ```
 
-use std::sync::Arc;
-
-use aqp_core::{OnlineAggregator, RippleJoin};
+use aqp_core::{AggQuery, OnlineAggregator};
+use aqp_engine::{AggExpr, Query};
 use aqp_expr::{col, lit};
 use aqp_storage::Catalog;
-use aqp_workload::{build_star_schema, skewed_table, StarScale};
+use aqp_workload::skewed_table;
 
 fn main() {
     // Single-table progressive AVG with a live interval.
     println!("== progressive AVG(v) WHERE sel < 0.3 over 1M skewed rows ==\n");
-    let table = Arc::new(skewed_table("t", 1_000_000, 100, 1.1, 1024, 3));
+    let catalog = Catalog::new();
+    let table = catalog
+        .register(skewed_table("t", 1_000_000, 100, 1.1, 1024, 3))
+        .unwrap();
     let truth = {
         let sel = table.column_f64("sel").unwrap();
         let v = table.column_f64("v").unwrap();
@@ -31,8 +33,12 @@ fn main() {
         s / n
     };
     println!("ground truth: {truth:.4}\n");
-    let mut ola =
-        OnlineAggregator::new(Arc::clone(&table), "v", Some(col("sel").lt(lit(0.3))), 17).unwrap();
+    let plan = Query::scan("t")
+        .filter(col("sel").lt(lit(0.3)))
+        .aggregate(vec![], vec![AggExpr::avg(col("v"), "avg")])
+        .build();
+    let query = AggQuery::from_plan(&plan).unwrap();
+    let mut ola = OnlineAggregator::new(&catalog, &query, 17).unwrap();
     println!(
         "{:>9} {:>12} {:>24} {:>10}",
         "blocks", "estimate", "95% interval", "rel.width"
@@ -44,7 +50,7 @@ fn main() {
                 break;
             }
         }
-        let e = ola.estimate_avg();
+        let e = ola.estimates()[0].1[0];
         let ci = e.ci(0.95);
         println!(
             "{:>9} {:>12.4} [{:>10.4}, {:>9.4}] {:>9.3}%",
@@ -63,41 +69,6 @@ fn main() {
     }
     println!(
         "\nfinal error vs truth: {:.5}%",
-        100.0 * (ola.estimate_avg().value - truth).abs() / truth
-    );
-
-    // Ripple join: progressive SUM over a join.
-    println!("\n== ripple join: SUM(l_price) over lineitem ⋈ orders ==\n");
-    let catalog = Catalog::new();
-    build_star_schema(&catalog, &StarScale::small(), 5).unwrap();
-    let lineitem = catalog.get("lineitem").unwrap();
-    let orders = catalog.get("orders").unwrap();
-    let truth: f64 = lineitem.column_f64("l_price").unwrap().iter().sum();
-    // FK join: every lineitem matches exactly one order, so the join SUM
-    // equals the fact-side SUM — easy to verify.
-    let mut rj = RippleJoin::new(&lineitem, "l_orderkey", "l_price", &orders, "o_key", 11).unwrap();
-    println!(
-        "{:>16} {:>16} {:>10}",
-        "progress (L,R)", "estimate", "error"
-    );
-    for _ in 0..12 {
-        rj.step(8_000);
-        let (pl, pr) = rj.progress();
-        let est = rj.estimate_sum();
-        println!(
-            "{:>7.1}%,{:>6.1}% {:>16.0} {:>9.2}%",
-            100.0 * pl,
-            100.0 * pr,
-            est,
-            100.0 * (est - truth).abs() / truth,
-        );
-        if pl >= 1.0 && pr >= 1.0 {
-            break;
-        }
-    }
-    while rj.step(50_000) {}
-    println!(
-        "\nconsumed everything: estimate {:.0} vs truth {truth:.0}",
-        rj.estimate_sum()
+        100.0 * (ola.estimates()[0].1[0].value - truth).abs() / truth
     );
 }

@@ -114,6 +114,19 @@ if grep -rnE 'cluster_total|cluster_mean|bootstrap_ci|struct PairTotals|struct B
   exit 1
 fi
 
+# One block loop: online aggregation is the online sampler's loop
+# (StarEvaluator per block, SampledTotals over the prefix) with a CI stop
+# rule, so ola.rs compiles no fold and reads no aggregate state of its
+# own; the ripple join lives in exp_e07_ola, not aqp-core; and the
+# Bernoulli-style sample designs push their units into UnitSums instead of
+# hand-rolling the sums.
+if grep -nE 'BlockFold::new|AggState::' crates/core/src/ola.rs ||
+  grep -rn 'struct RippleJoin' crates/core ||
+  grep -nF 'let (mut sf, mut sf2' crates/sampling/src/design.rs; then
+  echo "a private OLA fold, the ripple join in aqp-core or hand-rolled HT sums are back" >&2
+  exit 1
+fi
+
 # One string encoding: a STR column is u32 codes into a shared dictionary.
 # No per-row string vector beside it.
 if grep -nF 'Vec<Arc<str>>' crates/storage/src/column.rs; then
