@@ -80,7 +80,7 @@ impl AggQuery {
 
     /// The aggregates as engine aggregate expressions (`COUNT(*)` drops
     /// its ignored argument).
-    pub fn agg_exprs(&self) -> Vec<AggExpr> {
+    fn agg_exprs(&self) -> Vec<AggExpr> {
         self.aggregates
             .iter()
             .map(|a| match a.kind {
@@ -173,11 +173,6 @@ impl AggQuery {
             }
         }
     }
-
-    /// Total number of aggregate estimates per group (for Boole splitting).
-    pub fn num_aggregates(&self) -> usize {
-        self.aggregates.len()
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +203,7 @@ mod tests {
         assert_eq!(q.joins[0].dim_table, "orders");
         assert_eq!(q.joins[0].fact_key, "l_orderkey");
         assert!(q.predicate.is_some());
-        assert_eq!(q.num_aggregates(), 2);
+        assert_eq!(q.aggregates.len(), 2);
         assert_eq!(q.to_plan(), plan);
     }
 

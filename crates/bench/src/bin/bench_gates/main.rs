@@ -124,8 +124,9 @@ fn span_gate(catalog: &Catalog) -> Gate {
     }
 }
 
-/// One full-workspace pass of the C001–C007 source linter (tokenize +
-/// rules over every `crates/*/src` file): `scripts/check.sh` runs it on
+/// One full-workspace pass of the C001–C008 source linter (tokenize +
+/// rules over every `crates/*/src` file, plus the C008 name index over
+/// the files that call them): `scripts/check.sh` runs it on
 /// every gate, so it must stay cheap.
 fn conformance_gate() -> Gate {
     let cfg = aqp_conformance::ScanConfig::workspace(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));

@@ -1,5 +1,5 @@
 //! Shared harness utilities for the experiment binaries (`src/bin/exp_*`)
-//! and Criterion benches that reproduce, one by one, the claims of
+//! and the `bench_gates` binary that reproduce, one by one, the claims of
 //! *Approximate Query Processing: No Silver Bullet* (see `EXPERIMENTS.md`
 //! for the claim ↔ experiment index).
 
@@ -15,9 +15,8 @@ use aqp_expr::{col, lit};
 use aqp_storage::Catalog;
 use aqp_workload::uniform_table;
 
-/// The exact engine's bench data: a 500k-row uniform table `t`. One
-/// definition, so the `bench_engine` Criterion groups and the
-/// `bench_gates` binary time the same thing. (Joins are measured through
+/// The exact engine's bench data: a 500k-row uniform table `t`, which the
+/// `bench_gates` binary's kernel gate times. (Joins are measured through
 /// the front door: `engine.ns_per_row` on the repo benchmark's
 /// `adhoc_join`.)
 pub fn engine_bench_catalog() -> Catalog {

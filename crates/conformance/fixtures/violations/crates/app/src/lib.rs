@@ -1,6 +1,6 @@
 #![deny(unsafe_code)]
-//! Golden fixture: seeds exactly one C001 and one C005 violation. This
-//! file is scanned by `tests/fixtures.rs`, never compiled.
+//! Golden fixture: seeds exactly one C001, one C005 and one C008
+//! violation. This file is scanned by `tests/fixtures.rs`, never compiled.
 
 mod hot;
 
@@ -16,6 +16,10 @@ pub fn traced() {
     // immediately and records a zero-duration interval.
     aqp_obs::span("fixture:op");
 }
+
+// C008: no other file names it (`tests/callers.rs` calls every other
+// public fixture function).
+pub fn orphan() {}
 
 #[cfg(test)]
 mod tests {

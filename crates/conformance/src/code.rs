@@ -3,7 +3,8 @@
 //! Where aqp-lint's A-codes check *query plans* against NSB's frontier,
 //! the C-codes check the *workspace source* against the invariants the
 //! rest of the codebase assumes: metric names come from one table, spans
-//! are closed, locks are taken in one order, panics are budgeted. Codes
+//! are closed, locks are taken in one order, panics are budgeted, public
+//! items have callers. Codes
 //! are append-only — `C001` will mean "metric name is a string literal"
 //! forever, so check.sh, CI, and the golden fixtures can key on them. A
 //! retired code keeps its number unused: `C006` (the codec tag registry,
@@ -11,7 +12,7 @@
 
 use std::fmt;
 
-/// A stable conformance code (`C001`–`C007`; `C006` is retired and never
+/// A stable conformance code (`C001`–`C008`; `C006` is retired and never
 /// reused). The discriminant order is the registry order; new codes
 /// append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,6 +39,10 @@ pub enum Code {
     /// (`// lock-order: a < b < …`): a lower-ranked lock is taken while a
     /// higher-ranked guard is still live.
     C007LockOrder,
+    /// A `pub fn` or `pub const` in a library crate's non-test source
+    /// whose name no other file mentions: nothing outside its own file
+    /// calls it, so it is dead or should not be public.
+    C008UnreferencedPub,
 }
 
 impl Code {
@@ -50,6 +55,7 @@ impl Code {
             Self::C004UnsafeWithoutSafety => "C004",
             Self::C005SpanPairing => "C005",
             Self::C007LockOrder => "C007",
+            Self::C008UnreferencedPub => "C008",
         }
     }
 
@@ -62,6 +68,7 @@ impl Code {
             Self::C004UnsafeWithoutSafety => "unsafe without a SAFETY comment directly above",
             Self::C005SpanPairing => "tracer span opened but never finished",
             Self::C007LockOrder => "lock acquired against the declared lock order",
+            Self::C008UnreferencedPub => "pub fn/const with no reference outside its own file",
         }
     }
 
@@ -93,11 +100,16 @@ impl Code {
                 "service.rs and pool.rs hold multiple Mutexes; a consistent \
                  acquisition order is the only static deadlock-freedom argument"
             }
+            Self::C008UnreferencedPub => {
+                "a library crate holds only what a routed query, an experiment or a \
+                 gate calls; a public item nothing names is surface to keep up for \
+                 no caller"
+            }
         }
     }
 
     /// Every code, in registry order.
-    pub fn all() -> [Code; 6] {
+    pub fn all() -> [Code; 7] {
         [
             Self::C001MetricNameLiteral,
             Self::C002UnwrapBudget,
@@ -105,6 +117,7 @@ impl Code {
             Self::C004UnsafeWithoutSafety,
             Self::C005SpanPairing,
             Self::C007LockOrder,
+            Self::C008UnreferencedPub,
         ]
     }
 }
@@ -193,7 +206,10 @@ mod tests {
     #[test]
     fn codes_are_stable_and_unique() {
         let codes: Vec<&str> = Code::all().iter().map(Code::code).collect();
-        assert_eq!(codes, ["C001", "C002", "C003", "C004", "C005", "C007"]);
+        assert_eq!(
+            codes,
+            ["C001", "C002", "C003", "C004", "C005", "C007", "C008"]
+        );
         for c in Code::all() {
             assert!(!c.title().is_empty());
             assert!(!c.invariant().is_empty());

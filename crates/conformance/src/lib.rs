@@ -5,11 +5,12 @@
 //!
 //! **Source-model linter** ([`rules`]): a small Rust tokenizer
 //! ([`lex`]) and per-file source model ([`source`]) drive typed
-//! diagnostics `C001`–`C007` ([`code`]; `C006` retired) over `crates/*/src` — metric
+//! diagnostics `C001`–`C008` ([`code`]; `C006` retired) over `crates/*/src` — metric
 //! names must come from `aqp_obs::names`, unwrap/expect stays out of
 //! panic-budgeted files, every crate root denies unsafe, `unsafe`
 //! pairs with a `SAFETY:` comment, tracer spans are provably closed,
-//! and lock acquisitions follow each file's declared `// lock-order:`.
+//! lock acquisitions follow each file's declared `// lock-order:`, and
+//! every library `pub fn`/`pub const` is named by some other file.
 //!
 //! **Mini-loom race checker** ([`mloom`], [`models`]): exhaustive
 //! enumeration of every interleaving of bounded models of the service
@@ -36,5 +37,5 @@ pub mod source;
 pub use code::{Code, Diagnostic, Severity};
 pub use mloom::{explore, Explored, Model};
 pub use models::{CacheCfg, CacheModel, CacheMutation, SchedCfg, SchedModel, SchedMutation};
-pub use rules::{scan_sources, scan_workspace, ScanConfig, ScanReport};
+pub use rules::{scan_workspace, ScanConfig, ScanReport};
 pub use source::SourceFile;

@@ -2,8 +2,12 @@
 //!
 //! Each rule is a pure function from parsed source to diagnostics; the
 //! scanner walks `crates/*/src/**/*.rs` under a root, parses once, and
-//! runs every rule on each file.
+//! runs every per-file rule on each of those files. C008 also reads the
+//! files that may call a library (`crates/*/{tests,examples}`, `tests/`,
+//! `examples/` and the repo benchmark's `benchmark/src/`) through one
+//! name index built per scan.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -73,7 +77,13 @@ impl ScanReport {
     }
 }
 
-/// Scan everything under `cfg.root/crates/*/src`, run all rules.
+/// Directories outside `crates/*` whose files may reference a library's
+/// public items (C008). `benchmark/target` is never walked.
+const REFERENCE_DIRS: [&str; 3] = ["tests", "examples", "benchmark/src"];
+
+/// Scan `cfg.root/crates/*/src` with every rule, reading the crates'
+/// `tests/` and `examples/`, the root `tests/` and `examples/`, and
+/// `benchmark/src/` as C008 references.
 pub fn scan_workspace(cfg: &ScanConfig) -> io::Result<ScanReport> {
     let mut files = Vec::new();
     let crates_dir = cfg.root.join("crates");
@@ -84,9 +94,17 @@ pub fn scan_workspace(cfg: &ScanConfig) -> io::Result<ScanReport> {
         .collect();
     crate_dirs.sort();
     for dir in crate_dirs {
-        let src = dir.join("src");
-        if src.is_dir() {
-            collect_rs(&src, &mut files)?;
+        for sub in ["src", "tests", "examples"] {
+            let d = dir.join(sub);
+            if d.is_dir() {
+                collect_rs(&d, &mut files)?;
+            }
+        }
+    }
+    for sub in REFERENCE_DIRS {
+        let d = cfg.root.join(sub);
+        if d.is_dir() {
+            collect_rs(&d, &mut files)?;
         }
     }
     files.sort();
@@ -115,11 +133,11 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Run every rule over already-parsed sources (the fixture tests enter
-/// here with synthetic files).
-pub fn scan_sources(cfg: &ScanConfig, sources: &[SourceFile]) -> ScanReport {
+/// Run every rule over already-parsed sources: the per-file rules on
+/// library sources (`crates/<c>/src/`), C008 across all of them.
+fn scan_sources(cfg: &ScanConfig, sources: &[SourceFile]) -> ScanReport {
     let mut diags = Vec::new();
-    for f in sources {
+    for f in sources.iter().filter(|f| is_library_source(&f.path)) {
         let exempt = cfg
             .api_exempt_prefixes
             .iter()
@@ -140,11 +158,19 @@ pub fn scan_sources(cfg: &ScanConfig, sources: &[SourceFile]) -> ScanReport {
             cfg.lock_order_required.contains(&f.path),
         ));
     }
+    diags.extend(rule_unreferenced_pub(sources));
     diags.sort_by_key(|d| (d.path.clone(), d.code));
     ScanReport {
         files: sources.len(),
         diagnostics: diags,
     }
+}
+
+/// True for a file under `crates/<c>/src/`.
+fn is_library_source(path: &str) -> bool {
+    path.strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+        .is_some_and(|(_, rest)| rest.starts_with("src/"))
 }
 
 const REGISTRY_FNS: [&str; 6] = [
@@ -644,6 +670,114 @@ fn guard_binding(f: &SourceFile, i: usize) -> Option<(String, usize)> {
     Some((name, close + 1))
 }
 
+/// Declarations C008 never flags: the experiments and bench gates
+/// (`crates/bench`), the vendored shims, and binaries. Their public items
+/// are entry points, not library surface.
+const C008_EXEMPT_PREFIXES: [&str; 2] = ["crates/bench/", "crates/shim-"];
+const C008_EXEMPT_BIN: [&str; 2] = ["/src/main.rs", "/src/bin/"];
+
+/// `in_use[i]` ⇔ token `i` belongs to a `use …;` item. A re-export names
+/// an item without calling it, so C008 does not count it as a reference.
+fn use_items(f: &SourceFile) -> Vec<bool> {
+    let mut in_use = vec![false; f.tokens().len()];
+    let mut inside = false;
+    for (i, flag) in in_use.iter_mut().enumerate() {
+        if f.is_ident(i, "use") {
+            inside = true;
+        }
+        *flag = inside;
+        if f.is_punct(i, b';') {
+            inside = false;
+        }
+    }
+    in_use
+}
+
+/// If the non-test token `i` is `pub` opening a `pub fn` or `pub const`
+/// item (not `pub(crate)`), the token index of the item's name.
+fn pub_item_name(f: &SourceFile, i: usize) -> Option<usize> {
+    if f.in_test[i] || !f.is_ident(i, "pub") {
+        return None;
+    }
+    let mut k = i + 1;
+    loop {
+        match f.tok_text(k) {
+            "fn" => break,
+            "const" if f.is_punct(k + 2, b':') => break,
+            "const" | "unsafe" | "async" | "extern" => k += 1,
+            _ if f.tokens().get(k).is_some_and(|t| t.kind == TokKind::Str) => k += 1,
+            _ => return None,
+        }
+    }
+    let name = k + 1;
+    let is_name = f
+        .tokens()
+        .get(name)
+        .is_some_and(|t| t.kind == TokKind::Ident);
+    (is_name && f.tok_text(name) != "_").then_some(name)
+}
+
+/// C008 — a `pub fn` / `pub const` in a library source whose name is no
+/// identifier token of any other scanned file (outside `use` items).
+fn rule_unreferenced_pub(sources: &[SourceFile]) -> Vec<Diagnostic> {
+    let uses: Vec<Vec<bool>> = sources.iter().map(use_items).collect();
+    // Name → files (by index, ascending) that mention it outside a `use`.
+    let mut index: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (fi, f) in sources.iter().enumerate() {
+        for (i, t) in f.tokens().iter().enumerate() {
+            if t.kind == TokKind::Ident && !uses[fi][i] {
+                let files = index.entry(t.text(&f.text)).or_default();
+                if files.last() != Some(&fi) {
+                    files.push(fi);
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (fi, f) in sources.iter().enumerate() {
+        let exempt = !is_library_source(&f.path)
+            || C008_EXEMPT_PREFIXES.iter().any(|p| f.path.starts_with(p))
+            || C008_EXEMPT_BIN.iter().any(|p| f.path.contains(p));
+        if exempt {
+            continue;
+        }
+        for i in 0..f.tokens().len() {
+            let Some(name_at) = pub_item_name(f, i) else {
+                continue;
+            };
+            let name = f.tok_text(name_at);
+            let elsewhere = index.get(name).is_some_and(|v| v.iter().any(|&o| o != fi));
+            if elsewhere {
+                continue;
+            }
+            let kind = f.tok_text(name_at - 1);
+            // A call site, not a declaration (`fn name` / `const NAME`).
+            let called_here = (1..f.tokens().len()).any(|j| {
+                f.is_ident(j, name)
+                    && !f.in_test[j]
+                    && !uses[fi][j]
+                    && !f.is_ident(j - 1, "fn")
+                    && !f.is_ident(j - 1, "const")
+            });
+            out.push(Diagnostic {
+                code: Code::C008UnreferencedPub,
+                severity: Severity::Error,
+                path: f.at(name_at),
+                message: format!("`pub {kind} {name}` is named by no other file"),
+                suggestion: Some(
+                    if called_here {
+                        "drop `pub`: only this file calls it"
+                    } else {
+                        "delete it, with any test whose only subject it is"
+                    }
+                    .into(),
+                ),
+            });
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -810,6 +944,185 @@ mod tests {
             0,
             "{:?}",
             r.diagnostics
+        );
+    }
+
+    /// C008's findings over `(path, source)` files, as `(message, suggestion)`.
+    fn c008(files: &[(&str, &str)]) -> Vec<(String, String)> {
+        let sources: Vec<SourceFile> = files
+            .iter()
+            .map(|(path, src)| SourceFile::parse(*path, *src))
+            .collect();
+        scan_sources(&cfg_for("x"), &sources)
+            .with_code(Code::C008UnreferencedPub)
+            .iter()
+            .map(|d| (d.message.clone(), d.suggestion.clone().unwrap_or_default()))
+            .collect()
+    }
+
+    #[test]
+    fn c008_flags_a_pub_fn_no_other_file_names() {
+        let lib = "pub fn orphan() {}\npub fn api() { helper() }\npub fn helper() {}\n\
+                   pub fn tested() {}\n#[cfg(test)]\nmod tests { fn t() { super::tested(); } }";
+        let found = c008(&[
+            ("crates/x/src/lib.rs", lib),
+            ("crates/y/src/lib.rs", "fn f() { x::api(); }"),
+        ]);
+        let messages: Vec<&str> = found.iter().map(|(m, _)| m.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "`pub fn orphan` is named by no other file",
+                "`pub fn helper` is named by no other file",
+                "`pub fn tested` is named by no other file",
+            ]
+        );
+        // Called by its own file's code: private. Called by nothing, or only
+        // by its own tests: dead.
+        assert!(found[0].1.starts_with("delete it"));
+        assert!(found[1].1.starts_with("drop `pub`"));
+        assert!(found[2].1.starts_with("delete it"));
+    }
+
+    #[test]
+    fn c008_a_reexport_is_not_a_reference() {
+        let found = c008(&[
+            ("crates/x/src/lib.rs", "pub mod a;\npub use a::hidden;"),
+            ("crates/x/src/a.rs", "pub fn hidden() {}"),
+            (
+                "crates/y/src/lib.rs",
+                "use x::{a::hidden, other};\nfn f() { other(); }",
+            ),
+        ]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].0.contains("hidden"));
+    }
+
+    #[test]
+    fn c008_callers_in_tests_examples_and_the_benchmark_count() {
+        for caller in [
+            "tests/end_to_end.rs",
+            "crates/y/tests/it.rs",
+            "benchmark/src/main.rs",
+            "examples/demo.rs",
+            "crates/y/examples/demo.rs",
+        ] {
+            let found = c008(&[
+                ("crates/x/src/lib.rs", "pub fn served() {}"),
+                (caller, "pub fn uncalled_helper() { x::served(); }"),
+            ]);
+            assert!(found.is_empty(), "{caller}: {found:?}");
+        }
+    }
+
+    #[test]
+    fn c008_exempts_bench_shims_and_binaries() {
+        for path in [
+            "crates/bench/src/lib.rs",
+            "crates/bench/src/bin/exp_t1.rs",
+            "crates/shim-rand/src/lib.rs",
+            "crates/x/src/main.rs",
+            "crates/x/src/bin/tool.rs",
+        ] {
+            let found = c008(&[(path, "pub fn entry() {}\npub const N: u8 = 1;")]);
+            assert!(found.is_empty(), "{path}: {found:?}");
+        }
+        let found = c008(&[("crates/x/src/lib.rs", "pub fn entry() {}")]);
+        assert_eq!(found.len(), 1);
+    }
+
+    #[test]
+    fn c008_ignores_restricted_visibility_and_test_items() {
+        let src = "pub(crate) fn a() {}\npub(super) fn b() {}\nfn c() {}\n\
+                   #[cfg(test)]\npub fn d() {}\n\
+                   #[cfg(test)]\nmod tests { pub fn e() {} pub const F: u8 = 0; }";
+        assert!(c008(&[("crates/x/src/lib.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn c008_comments_and_strings_are_not_references() {
+        let other = "// lonely() is documented here\n/// See [`lonely`].\n\
+                     fn f() { let s = \"lonely\"; let r = r#\"lonely\"#; }";
+        let found = c008(&[
+            ("crates/x/src/lib.rs", "pub fn lonely() {}"),
+            ("crates/y/src/lib.rs", other),
+        ]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].0.contains("lonely"));
+    }
+
+    #[test]
+    fn c008_pub_const_is_handled_like_pub_fn() {
+        let lib = "pub const LIMIT: usize = 3;\npub const USED: usize = 4;\n\
+                   pub const fn twice(x: u8) -> u8 { x * 2 }\n\
+                   pub const unsafe fn raw() {}";
+        let found = c008(&[
+            ("crates/x/src/lib.rs", lib),
+            ("tests/it.rs", "fn t() { assert_eq!(x::USED, 4); }"),
+        ]);
+        let messages: Vec<&str> = found.iter().map(|(m, _)| m.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "`pub const LIMIT` is named by no other file",
+                "`pub fn twice` is named by no other file",
+                "`pub fn raw` is named by no other file",
+            ]
+        );
+    }
+
+    #[test]
+    fn c008_a_method_call_from_another_file_is_a_reference() {
+        let lib = "pub struct T;\nimpl T {\n    pub fn served(&self) {}\n    pub fn unserved(&self) {}\n}";
+        let found = c008(&[
+            ("crates/x/src/lib.rs", lib),
+            ("crates/y/src/lib.rs", "fn f(t: &x::T) { t.served(); }"),
+        ]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].0, "`pub fn unserved` is named by no other file");
+    }
+
+    #[test]
+    fn c008_a_method_only_its_own_file_calls_should_be_private() {
+        let lib = "pub struct T;\nimpl T {\n    pub fn run(&self) { self.step() }\n\
+                   pub fn step(&self) {}\n}";
+        let found = c008(&[
+            ("crates/x/src/lib.rs", lib),
+            ("tests/it.rs", "fn t() { x::T.run(); }"),
+        ]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].0.contains("step"));
+        assert!(found[0].1.starts_with("drop `pub`"));
+    }
+
+    #[test]
+    fn c008_a_multiline_use_item_ends_at_its_semicolon() {
+        let caller = "use x::{\n    first,\n    second,\n};\nfn f() { second(); }";
+        let found = c008(&[
+            (
+                "crates/x/src/lib.rs",
+                "pub fn first() {}\npub fn second() {}",
+            ),
+            ("crates/y/src/lib.rs", caller),
+        ]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].0.contains("first"));
+    }
+
+    #[test]
+    fn c008_sees_through_fn_qualifiers() {
+        let lib = "pub async fn fetch() {}\npub unsafe fn poke() {}\n\
+                   pub extern \"C\" fn exported() {}\npub const unsafe fn cheap() {}";
+        let found = c008(&[("crates/x/src/lib.rs", lib)]);
+        let messages: Vec<&str> = found.iter().map(|(m, _)| m.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "`pub fn fetch` is named by no other file",
+                "`pub fn poke` is named by no other file",
+                "`pub fn exported` is named by no other file",
+                "`pub fn cheap` is named by no other file",
+            ]
         );
     }
 }

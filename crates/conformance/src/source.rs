@@ -84,7 +84,7 @@ impl SourceFile {
     }
 
     /// Index of the `}` matching the `{` at token `open`, if balanced.
-    pub fn matching_brace(&self, open: usize) -> Option<usize> {
+    fn matching_brace(&self, open: usize) -> Option<usize> {
         matching_close(self.tokens(), open, b'{', b'}')
     }
 

@@ -354,22 +354,12 @@ impl ApproximateAnswer {
         let idx = self.aggregates.iter().position(|a| a == alias)?;
         Some(&self.global().estimates[idx])
     }
-
-    /// Worst observed relative half-width across all groups and
-    /// aggregates — what the user compares against the spec.
-    pub fn max_relative_half_width(&self) -> f64 {
-        self.groups
-            .iter()
-            .flat_map(|g| g.intervals.iter())
-            .map(ConfidenceInterval::relative_half_width)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// The one shared assembly path for every technique: builds intervals at
-/// `confidence` from each estimate, sorts groups with [`cmp_group_keys`],
-/// and attaches the report. Families must not hand-roll this — the copies
-/// used to drift on group ordering.
+/// `confidence` from each estimate, sorts groups by key (NULL < bool <
+/// numeric < string, then by value), and attaches the report. Families
+/// must not hand-roll this — the copies used to drift on group ordering.
 pub fn assemble_answer(
     group_by: Vec<String>,
     aggregates: Vec<String>,
@@ -456,13 +446,6 @@ mod tests {
     fn touched_fraction() {
         let a = answer();
         assert!((a.report.touched_fraction() - (PILOT_RATE + FINAL_RATE)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_relative_half_width_is_worst_case() {
-        let a = answer();
-        // Group b has rel half-width ~0.2·t, far worse than group a's.
-        assert!(a.max_relative_half_width() > 0.15);
     }
 
     #[test]
@@ -570,7 +553,7 @@ mod tests {
 
 /// Deterministic total order over group keys (NULL < bool < numeric <
 /// string, then by value) — used to sort answer groups.
-pub fn cmp_group_keys(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+fn cmp_group_keys(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     fn rank(v: &Value) -> u8 {
         match v {

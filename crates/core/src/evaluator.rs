@@ -113,7 +113,7 @@ impl StarEvaluator {
     /// A canonical group key as values of the group-by expressions' types,
     /// as the exact engine emits it: an integral FLOAT64 key, canonically
     /// [`KeyAtom::Int`], comes back as `Float64`.
-    pub fn key_values(&self, key: &GroupKey) -> Vec<Value> {
+    fn key_values(&self, key: &GroupKey) -> Vec<Value> {
         (key.iter().zip(&self.float_keys))
             .map(|(atom, &float)| match *atom {
                 KeyAtom::Int(i) if float => Value::Float64(i as f64),

@@ -374,7 +374,7 @@ impl OfflineStore {
     /// What the static analyzer needs to know about `table`'s stratified
     /// synopsis, if one exists: its column and its current staleness
     /// (`None` when the base table is gone). Metadata-only.
-    pub fn synopsis_meta(&self, catalog: &Catalog, table: &str) -> Option<SynopsisMeta> {
+    fn synopsis_meta(&self, catalog: &Catalog, table: &str) -> Option<SynopsisMeta> {
         let (stratified_on, _) = self.stratified_meta(table)?;
         Some(SynopsisMeta {
             table: table.to_string(),
@@ -383,9 +383,9 @@ impl OfflineStore {
         })
     }
 
-    /// [`OfflineStore::synopsis_meta`] for every synopsized table, in
-    /// table-name order — the session's synopsis inventory for the lint
-    /// context.
+    /// What the static analyzer needs to know about every stratified
+    /// synopsis (its column and current staleness), in table-name order —
+    /// the session's synopsis inventory for the lint context.
     pub fn synopsis_metas(&self, catalog: &Catalog) -> Vec<SynopsisMeta> {
         let mut tables: Vec<String> = self.stratified.read().keys().cloned().collect();
         tables.sort();

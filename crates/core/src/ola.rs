@@ -82,7 +82,7 @@ impl OnlineAggregator {
     }
 
     /// Fact rows touched so far.
-    pub fn rows_seen(&self) -> u64 {
+    fn rows_seen(&self) -> u64 {
         self.rows_seen
     }
 

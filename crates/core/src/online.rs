@@ -226,7 +226,7 @@ impl<'a> OnlineAqp<'a> {
     /// the failed attempt consumed) instead. This is the router-facing
     /// entry point; [`OnlineAqp::answer`] wraps it with the traditional
     /// decline-to-exact behavior.
-    pub fn try_sample(
+    fn try_sample(
         &self,
         query: &AggQuery,
         spec: &ErrorSpec,
@@ -405,7 +405,7 @@ impl<'a> OnlineAqp<'a> {
 
     /// Exact execution of an arbitrary plan, wrapped as an answer with
     /// zero-width intervals.
-    pub fn exact_plan(&self, plan: &LogicalPlan) -> Result<ApproximateAnswer, AqpError> {
+    fn exact_plan(&self, plan: &LogicalPlan) -> Result<ApproximateAnswer, AqpError> {
         exact_answer(self.catalog, plan, None)
     }
 }

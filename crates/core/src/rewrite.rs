@@ -35,21 +35,15 @@ use crate::spec::ErrorSpec;
 use crate::technique::{decline_if_blocked, Attempt, DeclineReason, Technique, TechniqueKind};
 
 /// The reserved name the rewritten plan scans instead of the fact table.
-pub const SAMPLE_TABLE_NAME: &str = "__aqp_weighted_sample";
+const SAMPLE_TABLE_NAME: &str = "__aqp_weighted_sample";
 /// The reserved weight-column name appended to the sample.
-pub const WEIGHT_COLUMN: &str = "__aqp_w";
+const WEIGHT_COLUMN: &str = "__aqp_w";
 /// Alias of the hidden per-group raw-row count appended when the caller
 /// wants support observability (see [`RewriteTechnique`]).
 const SUPPORT_ALIAS: &str = "__aqp_support";
 
-/// Rewrites `query` to run over a weighted sample table registered as
-/// [`SAMPLE_TABLE_NAME`]. Returns the plan only; see [`answer_via_rewrite`]
-/// for the end-to-end path.
-pub fn rewrite_plan(query: &AggQuery) -> LogicalPlan {
-    build_plan(query, false)
-}
-
-/// The rewrite rules, with an optional hidden `COUNT(*)` per group so the
+/// The rewrite rules over a weighted sample table registered as
+/// [`SAMPLE_TABLE_NAME`], with an optional hidden `COUNT(*)` per group so the
 /// caller can observe how many raw sample rows support each output row
 /// (the gate [`RewriteTechnique`] declines on).
 fn build_plan(query: &AggQuery, with_support: bool) -> LogicalPlan {
@@ -352,7 +346,7 @@ mod tests {
 
     #[test]
     fn rewrite_plan_shape() {
-        let plan = rewrite_plan(&query());
+        let plan = build_plan(&query(), false);
         // Root is the ratio projection; the sample table is scanned.
         assert!(matches!(plan, LogicalPlan::Project { .. }));
         assert_eq!(plan.scanned_tables(), vec![SAMPLE_TABLE_NAME, "orders"]);

@@ -13,7 +13,7 @@
 //! sessions: a query with a predicate, a join; a session with no
 //! synopsis; a session whose synopsis went stale. Those columns are what
 //! the routing code accepts, not a description of it
-//! ([`derived_family_rows`]). The remaining rows describe building-block
+//! (`derived_family_rows`). The remaining rows describe building-block
 //! techniques (samplers, sketches) that have no router entry point and
 //! stay hand-described.
 
@@ -156,7 +156,7 @@ fn probe_catalog() -> Catalog {
 ///   the synopsis it was built on (staleness)?
 ///
 /// Returned in routing-policy order.
-pub fn derived_family_rows() -> Vec<Capability> {
+fn derived_family_rows() -> Vec<Capability> {
     // Scenario sessions: fresh (synopsis built, data unchanged), bare (no
     // synopsis ever built), stale (synopsis built, then the table grew
     // 2×: staleness 1.0, far past any threshold).
@@ -242,7 +242,7 @@ pub fn derived_family_rows() -> Vec<Capability> {
 /// the four routable family rows come from [`derived_family_rows`], each
 /// replacing its positional placeholder (the rewrite has none and goes
 /// last).
-pub fn capability_matrix() -> Vec<Capability> {
+fn capability_matrix() -> Vec<Capability> {
     let mut rows = hand_rows();
     for derived in derived_family_rows() {
         match rows.iter_mut().find(|c| c.technique == derived.technique) {
@@ -277,7 +277,7 @@ fn hand_rows() -> Vec<Capability> {
             needs_workload_knowledge: false,
             needs_maintenance: false,
             speedup_source: "skips non-sampled blocks (I/O)",
-            implemented_in: "aqp-sampling::bernoulli_blocks / block_srs",
+            implemented_in: "aqp-sampling::bernoulli_blocks",
         },
         // Positional placeholder — content replaced by the analyzer's
         // verdicts in `derived_family_rows()`.

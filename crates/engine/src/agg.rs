@@ -415,7 +415,7 @@ impl AggState {
     /// [`MergeError::Incompatible`] instead of a panic, and `self` is left
     /// unchanged on error. The panicking by-value `merge` remains the hot
     /// path inside the operators, where the planner guarantees alignment.
-    pub fn try_merge(&mut self, other: &AggState) -> Result<(), MergeError> {
+    fn try_merge(&mut self, other: &AggState) -> Result<(), MergeError> {
         if std::mem::discriminant(self) != std::mem::discriminant(other) {
             return Err(MergeError::Incompatible {
                 kind: "agg-state",
@@ -472,8 +472,8 @@ impl AggState {
     }
 }
 
-/// Aggregate partials merge through [`AggState::try_merge`]: a mismatched
-/// function is an error, never a panic.
+/// Aggregate partials merge through the fallible `try_merge`: a
+/// mismatched function is an error, never a panic.
 impl Partial for AggState {
     fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
         self.try_merge(other)

@@ -512,11 +512,6 @@ impl FusedAggKernel {
         })
     }
 
-    /// Whether the kernel aggregates without a GROUP BY.
-    pub fn is_global(&self) -> bool {
-        self.key.is_none()
-    }
-
     /// A fresh (empty) partial accumulator. `hint` pre-sizes the group
     /// map (from the analyzer's cardinality hint, when available).
     pub fn new_acc(&self, hint: Option<usize>) -> FoldAcc {
@@ -747,7 +742,7 @@ mod tests {
         ];
         let pred = col("v").lt(lit(18.0));
         let kernel = FusedAggKernel::compile(&[&pred], &[], &aggs, b.schema()).expect("compiles");
-        assert!(kernel.is_global());
+        assert!(kernel.key.is_none());
         let mut acc = kernel.new_acc(None);
         kernel.accumulate(&b, &mut acc, true);
         // Scalar reference: filter then update with Values.
@@ -783,7 +778,7 @@ mod tests {
             b.schema(),
         )
         .expect("compiles");
-        assert!(!kernel.is_global());
+        assert!(kernel.key.is_some());
         let mut acc = kernel.new_acc(Some(5));
         let passed = kernel.accumulate(&b, &mut acc, true);
         assert_eq!(passed, 50);

@@ -131,7 +131,7 @@ impl PoolShare {
     }
 
     /// Queries currently holding a slot.
-    pub fn active(&self) -> usize {
+    fn active(&self) -> usize {
         self.active.load(std::sync::atomic::Ordering::Relaxed)
     }
 

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use aqp_storage::{Block, Column, Schema, StorageError, Value};
+use aqp_storage::{Block, Schema, StorageError, Value};
 
 /// Counters describing how much data an execution touched.
 ///
@@ -132,25 +132,6 @@ impl ResultSet {
         }
         Ok(out)
     }
-
-    /// Concatenates all batches into one block.
-    pub fn to_block(&self) -> Block {
-        if self.batches.len() == 1 {
-            return (*self.batches[0]).clone();
-        }
-        let mut columns: Vec<Column> = self
-            .schema
-            .fields()
-            .iter()
-            .map(|f| Column::with_capacity(f.data_type, self.num_rows()))
-            .collect();
-        for b in &self.batches {
-            for (dst, src) in columns.iter_mut().zip(b.columns()) {
-                dst.append(src);
-            }
-        }
-        Block::from_columns(Arc::clone(&self.schema), columns)
-    }
 }
 
 #[cfg(test)]
@@ -204,14 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn to_block_concatenates() {
-        let r = two_batch_result();
-        let b = r.to_block();
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.row(2)[1], Value::Float64(3.5));
-    }
-
-    #[test]
     fn scalar_contract() {
         let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int64)]));
         let mut b = Block::new(Arc::clone(&schema));
@@ -239,5 +212,18 @@ mod tests {
         assert_eq!(m.blocks_pruned, 5);
         assert_eq!(m.rows_scanned, 30);
         assert_eq!(m.rows_output, 12);
+    }
+
+    #[test]
+    fn rows_concatenate_batches_in_order() {
+        let r = two_batch_result();
+        assert_eq!(
+            r.rows(),
+            vec![
+                vec![Value::Int64(1), Value::Float64(1.5)],
+                vec![Value::Int64(2), Value::Null],
+                vec![Value::Int64(3), Value::Float64(3.5)],
+            ]
+        );
     }
 }

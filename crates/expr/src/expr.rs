@@ -37,7 +37,7 @@ pub enum BinaryOp {
 
 impl BinaryOp {
     /// Whether the operator yields a boolean.
-    pub fn is_predicate(&self) -> bool {
+    fn is_predicate(&self) -> bool {
         matches!(
             self,
             Self::Eq

@@ -153,13 +153,6 @@ impl Scoreboard {
         }
     }
 
-    /// Whether `technique` is currently quarantined.
-    pub fn is_quarantined(&self, technique: &str) -> bool {
-        lock(&self.windows)
-            .get(technique)
-            .is_some_and(|w| w.quarantined)
-    }
-
     /// Currently quarantined techniques, sorted by name.
     pub fn quarantined(&self) -> Vec<String> {
         lock(&self.windows)
@@ -174,11 +167,6 @@ impl Scoreboard {
     /// the old synopsis no longer describe what the router would serve.
     pub fn reset(&self, technique: &str) {
         lock(&self.windows).remove(technique);
-    }
-
-    /// Clears every window (test isolation).
-    pub fn reset_all(&self) {
-        lock(&self.windows).clear();
     }
 
     /// A consistent read of every technique's windowed scores.
@@ -328,6 +316,10 @@ impl ScoreboardSnapshot {
 mod tests {
     use super::*;
 
+    fn is_quarantined(sb: &Scoreboard, technique: &str) -> bool {
+        sb.quarantined().iter().any(|t| t == technique)
+    }
+
     fn hit() -> AuditObservation {
         AuditObservation {
             ok: true,
@@ -358,7 +350,7 @@ mod tests {
         for _ in 0..7 {
             assert_eq!(sb.record("online-sampling", miss()), Transition::None);
         }
-        assert!(!sb.is_quarantined("online-sampling"));
+        assert!(!is_quarantined(&sb, "online-sampling"));
     }
 
     #[test]
@@ -372,7 +364,7 @@ mod tests {
         assert_eq!(sb.record("offline-synopsis", miss()), Transition::None);
         // window now [h h h h h h m m] -> 0.75, not below floor.
         assert_eq!(sb.record("offline-synopsis", miss()), Transition::Entered);
-        assert!(sb.is_quarantined("offline-synopsis"));
+        assert!(is_quarantined(&sb, "offline-synopsis"));
         assert_eq!(sb.quarantined(), vec!["offline-synopsis".to_string()]);
         // Fresh hits push the misses out again.
         let mut released = false;
@@ -382,7 +374,7 @@ mod tests {
             }
         }
         assert!(released);
-        assert!(!sb.is_quarantined("offline-synopsis"));
+        assert!(!is_quarantined(&sb, "offline-synopsis"));
     }
 
     #[test]
@@ -391,9 +383,9 @@ mod tests {
         for _ in 0..4 {
             sb.record("offline-synopsis", miss());
         }
-        assert!(sb.is_quarantined("offline-synopsis"));
+        assert!(is_quarantined(&sb, "offline-synopsis"));
         sb.reset("offline-synopsis");
-        assert!(!sb.is_quarantined("offline-synopsis"));
+        assert!(!is_quarantined(&sb, "offline-synopsis"));
         assert!(sb.snapshot().get("offline-synopsis").is_none());
     }
 

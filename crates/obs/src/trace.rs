@@ -337,7 +337,7 @@ impl SpanNode {
 
     /// Duration not accounted for by direct children (saturating: with
     /// parallel workers, summed child wall time can exceed the parent).
-    pub fn self_ns(&self) -> u64 {
+    fn self_ns(&self) -> u64 {
         self.record.duration_ns.saturating_sub(self.child_ns())
     }
 }

@@ -9,7 +9,6 @@
 //! | Bernoulli rows | yes (must inspect every row) | any linear aggregate | [`bernoulli`] |
 //! | Bernoulli **blocks** | **no** (skips whole blocks) | linear aggregates, wider CIs if rows cluster | [`bernoulli`] |
 //! | Reservoir (fixed-size SRS) | yes | linear aggregates | [`reservoir`] |
-//! | Fixed-size block SRS | no | linear aggregates | [`reservoir`] |
 //! | Stratified (proportional / Neyman / congressional) | yes, offline | group-by without missing groups | [`stratified`] |
 //! | Universe (hash of a key) | yes¹ | **joins on the sampled key** | [`universe`] |
 //! | Distinct (frequency cap) | yes | rare groups, error-bounded group-by | [`distinct`] |
@@ -42,6 +41,6 @@ pub use design::{RowWeights, Sample, SampleDesign};
 pub use distinct::distinct_sample;
 pub use outlier::{build_outlier_index, OutlierIndex};
 pub use pps::{pps_sample, PpsSample};
-pub use reservoir::{block_srs, reservoir_rows};
+pub use reservoir::reservoir_rows;
 pub use stratified::{stratified_sample, stratified_sample_with_threads, Allocation};
 pub use universe::universe_sample;

@@ -531,7 +531,7 @@ mod tests {
                         StratumMeta {
                             row_start: 3,
                             row_end: 6,
-                            ..stratum.clone()
+                            ..stratum
                         },
                     ],
                 }),

@@ -115,33 +115,6 @@ impl OutlierIndex {
         let remainder = self.sample.estimate_sum(&self.column)?;
         Ok(Estimate::exact(exact).add_independent(&remainder))
     }
-
-    /// Estimates the population SUM of the indexed column over the domain
-    /// selected by `pred` (a row predicate over `(block, row)` of either
-    /// partition). The outlier partition is filtered exactly.
-    pub fn estimate_sum_where(
-        &self,
-        pred: &mut dyn FnMut(&aqp_storage::Block, usize) -> bool,
-    ) -> Result<Estimate, StorageError> {
-        let idx = self.outliers.schema().index_of(&self.column)?;
-        let mut exact = 0.0;
-        for (_, block) in self.outliers.iter_blocks() {
-            for i in 0..block.len() {
-                if pred(block, i) {
-                    exact += block.column(idx).f64_at(i).unwrap_or(0.0);
-                }
-            }
-        }
-        let sidx = self.sample.table.schema().index_of(&self.column)?;
-        let remainder = self.sample.estimate_sum_with(&mut |b, i| {
-            if pred(b, i) {
-                b.column(sidx).f64_at(i).unwrap_or(0.0)
-            } else {
-                0.0
-            }
-        });
-        Ok(Estimate::exact(exact).add_independent(&remainder))
-    }
 }
 
 #[cfg(test)]
@@ -230,28 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn filtered_estimate() {
-        let t = heavy_tailed(30_000, 11);
-        let vs = t.column_f64("v").unwrap();
-        let truth: f64 = vs.iter().filter(|&&v| v > 2.0).sum();
-        let oi = build_outlier_index(&t, "v", 0.02, 0.1, 13).unwrap();
-        let vi_out = oi.outliers.schema().index_of("v").unwrap();
-        let _ = vi_out;
-        let e = oi
-            .estimate_sum_where(&mut |b, i| {
-                b.column_by_name("v")
-                    .map(|c| c.f64_at(i).unwrap_or(0.0) > 2.0)
-                    .unwrap_or(false)
-            })
-            .unwrap();
-        assert!(
-            e.relative_error(truth) < 0.1,
-            "filtered rel err {}",
-            e.relative_error(truth)
-        );
-    }
-
-    #[test]
     fn footprint_accounting() {
         let t = heavy_tailed(10_000, 15);
         let oi = build_outlier_index(&t, "v", 0.01, 0.05, 1).unwrap();
@@ -267,5 +218,22 @@ mod tests {
     fn rejects_bad_fraction() {
         let t = heavy_tailed(100, 0);
         let _ = build_outlier_index(&t, "v", 1.0, 0.1, 0);
+    }
+
+    #[test]
+    fn full_rate_remainder_makes_the_sum_exact() {
+        // The split loses no row: outliers plus a census of the remainder
+        // give the population SUM with zero variance.
+        let t = heavy_tailed(5_000, 21);
+        let truth: f64 = t.column_f64("v").unwrap().iter().sum();
+        let oi = build_outlier_index(&t, "v", 0.05, 1.0, 22).unwrap();
+        assert_eq!(oi.stored_rows(), 5_000);
+        let e = oi.estimate_sum().unwrap();
+        assert!(
+            (e.value - truth).abs() <= 1e-9 * truth,
+            "{} vs {truth}",
+            e.value
+        );
+        assert_eq!(e.variance, 0.0);
     }
 }

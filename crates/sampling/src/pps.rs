@@ -86,7 +86,7 @@ pub fn pps_sample(
 
 impl PpsSample {
     /// Number of draws.
-    pub fn num_draws(&self) -> usize {
+    fn num_draws(&self) -> usize {
         self.table.row_count()
     }
 

@@ -1,8 +1,6 @@
-//! Fixed-size simple random sampling: reservoir sampling over rows, and
-//! SRS over blocks (the `tsm_system_rows` analogue).
+//! Fixed-size simple random sampling: reservoir sampling over rows.
 
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use aqp_storage::{Table, TableBuilder};
@@ -52,45 +50,6 @@ pub fn reservoir_rows(table: &Table, n: usize, seed: u64) -> Sample {
             1.0
         } else {
             population as f64 / actual as f64
-        }),
-    }
-}
-
-/// Simple random sample of exactly `min(m, blocks)` whole blocks, chosen
-/// without replacement. Selected blocks are shared by reference; rejected
-/// blocks are never read.
-///
-/// # Panics
-/// Panics if `m == 0`.
-pub fn block_srs(table: &Table, m: usize, seed: u64) -> Sample {
-    assert!(m > 0, "block sample size must be positive");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let total = table.block_count();
-    let mut indices: Vec<usize> = (0..total).collect();
-    indices.shuffle(&mut rng);
-    let mut chosen: Vec<usize> = indices.into_iter().take(m.min(total)).collect();
-    chosen.sort_unstable(); // preserve storage order for locality
-    let blocks = chosen
-        .iter()
-        .map(|&i| std::sync::Arc::clone(table.block(i)))
-        .collect();
-    let sampled = Table::from_blocks(
-        format!("{}__blocksrs_{m}", table.name()),
-        std::sync::Arc::clone(table.schema()),
-        blocks,
-        table.block_capacity(),
-    );
-    let actual = sampled.block_count();
-    Sample {
-        table: sampled,
-        design: SampleDesign::FixedSizeBlocks {
-            population_blocks: total as u64,
-            population_rows: table.row_count() as u64,
-        },
-        weights: RowWeights::Uniform(if actual == 0 {
-            1.0
-        } else {
-            total as f64 / actual as f64
         }),
     }
 }
@@ -159,41 +118,18 @@ mod tests {
     }
 
     #[test]
-    fn block_srs_exact_block_count() {
-        let t = table(1000, 50); // 20 blocks
-        let s = block_srs(&t, 5, 9);
-        assert_eq!(s.table.block_count(), 5);
-        assert_eq!(s.num_rows(), 250);
-        // Shares Arcs.
-        for sb in s.table.blocks() {
-            assert!(t.blocks().iter().any(|tb| std::sync::Arc::ptr_eq(tb, sb)));
-        }
-    }
-
-    #[test]
-    fn block_srs_caps_at_population() {
-        let t = table(100, 50);
-        let s = block_srs(&t, 10, 0);
-        assert_eq!(s.table.block_count(), 2);
-        assert_eq!(s.estimate_sum("v").unwrap().variance, 0.0); // census fpc
-    }
-
-    #[test]
-    fn block_srs_unbiased_across_seeds() {
-        let t = table(5_000, 50);
-        let truth: f64 = t.column_f64("v").unwrap().iter().sum();
-        let mut total = 0.0;
-        let trials = 300;
-        for seed in 0..trials {
-            total += block_srs(&t, 20, seed).estimate_sum("v").unwrap().value;
-        }
-        let mean = total / trials as f64;
-        assert!((mean - truth).abs() / truth < 0.03);
-    }
-
-    #[test]
     #[should_panic(expected = "must be positive")]
     fn zero_reservoir_rejected() {
         reservoir_rows(&table(10, 4), 0, 0);
+    }
+
+    #[test]
+    fn reservoir_is_deterministic_per_seed() {
+        let t = table(5_000, 64);
+        let a = reservoir_rows(&t, 100, 42).table.column_f64("v").unwrap();
+        let b = reservoir_rows(&t, 100, 42).table.column_f64("v").unwrap();
+        let c = reservoir_rows(&t, 100, 43).table.column_f64("v").unwrap();
+        assert_eq!(a, b);
+        assert_ne!(a, c);
     }
 }

@@ -44,16 +44,6 @@ impl BloomFilter {
         Self::new(m.max(64), k, seed)
     }
 
-    /// Bits in the filter.
-    pub fn num_bits(&self) -> usize {
-        self.num_bits
-    }
-
-    /// Number of hash functions.
-    pub fn num_hashes(&self) -> u32 {
-        self.num_hashes
-    }
-
     /// Items inserted so far.
     pub fn inserted(&self) -> u64 {
         self.inserted
@@ -62,15 +52,6 @@ impl BloomFilter {
     /// Memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
         self.bits.len() * 8
-    }
-
-    /// Expected false-positive rate at the current load:
-    /// `(1 − e^{−kn/m})^k`.
-    pub fn expected_fp_rate(&self) -> f64 {
-        let k = self.num_hashes as f64;
-        let n = self.inserted as f64;
-        let m = self.num_bits as f64;
-        (1.0 - (-k * n / m).exp()).powf(k)
     }
 
     /// Inserts an item.
@@ -145,14 +126,12 @@ mod tests {
             .count();
         let rate = fps as f64 / 100_000.0;
         assert!(rate < 0.03, "fp rate {rate}");
-        assert!((bf.expected_fp_rate() - 0.01).abs() < 0.01);
     }
 
     #[test]
     fn empty_contains_nothing() {
         let bf = BloomFilter::new(1024, 3, 0);
         assert!(!bf.contains(b"anything"));
-        assert_eq!(bf.expected_fp_rate(), 0.0);
     }
 
     #[test]
@@ -182,7 +161,7 @@ mod tests {
     fn sizing_math() {
         let bf = BloomFilter::with_rate(1000, 0.01, 0);
         // ~9.6 bits/item, ~7 hashes.
-        assert!((9000..11000).contains(&bf.num_bits()), "{}", bf.num_bits());
-        assert!((6..=8).contains(&bf.num_hashes()));
+        assert!((9000..11000).contains(&bf.num_bits), "{}", bf.num_bits);
+        assert!((6..=8).contains(&bf.num_hashes));
     }
 }

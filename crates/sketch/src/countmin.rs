@@ -32,16 +32,6 @@ impl CountMinSketch {
         }
     }
 
-    /// Creates a sketch sized for a target (ε, δ) guarantee:
-    /// estimates exceed truth by more than `eps·N` with probability ≤ `delta`.
-    pub fn with_error(eps: f64, delta: f64, seed: u64) -> Self {
-        assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-        let width = (std::f64::consts::E / eps).ceil() as usize;
-        let depth = (1.0 / delta).ln().ceil().max(1.0) as usize;
-        Self::new(width, depth, seed)
-    }
-
     /// Width (counters per row).
     pub fn width(&self) -> usize {
         self.width
@@ -126,14 +116,6 @@ impl CountMinSketch {
             .unwrap_or(0)
     }
 
-    /// The analytic one-sided error bound of [`inner_product`]:
-    /// `(e/width)·N₁·N₂`.
-    ///
-    /// [`inner_product`]: CountMinSketch::inner_product
-    pub fn inner_product_error_bound(&self, other: &CountMinSketch) -> f64 {
-        std::f64::consts::E / self.width as f64 * self.total as f64 * other.total as f64
-    }
-
     /// Merges another sketch with identical dimensions and seed
     /// (counter-wise sum — exactly the sketch of the concatenated streams).
     /// Returns a typed error on dimension or seed mismatch.
@@ -181,7 +163,8 @@ mod tests {
     #[test]
     fn error_within_analytic_bound() {
         // Zipf-ish stream, check ε·N bound holds for all queried items.
-        let mut cm = CountMinSketch::with_error(0.01, 0.01, 3);
+        // ε = δ = 1 %: width ⌈e/ε⌉ = 272, depth ⌈ln(1/δ)⌉ = 5.
+        let mut cm = CountMinSketch::new(272, 5, 3);
         let mut truth = std::collections::HashMap::new();
         for i in 0..20_000u64 {
             let key = (i % 200).pow(2) % 977; // lumpy distribution
@@ -269,7 +252,10 @@ mod tests {
         let est = r.inner_product(&s);
         assert!(est >= 5000, "never underestimates: {est}");
         assert!(
-            (est as f64) <= 5000.0 + r.inner_product_error_bound(&s),
+            // The one-sided bound (e/width)·N₁·N₂.
+            (est as f64)
+                <= 5000.0
+                    + std::f64::consts::E / r.width() as f64 * r.total() as f64 * s.total() as f64,
             "est {est} above analytic bound"
         );
         // Wide sketch on small streams: should be nearly exact.
@@ -297,10 +283,15 @@ mod tests {
     }
 
     #[test]
-    fn sizing_from_guarantee() {
-        let cm = CountMinSketch::with_error(0.001, 0.01, 0);
-        assert!(cm.width() >= 2718);
-        assert!(cm.depth() >= 4);
-        assert!(cm.size_bytes() >= cm.width() * cm.depth() * 8);
+    fn dimensions_set_footprint_and_error_bound() {
+        // ε = 0.1 %, δ = 1 %: width ⌈e/ε⌉ = 2719, depth ⌈ln(1/δ)⌉ = 5.
+        let mut cm = CountMinSketch::new(2719, 5, 0);
+        assert_eq!((cm.width(), cm.depth()), (2719, 5));
+        assert_eq!(cm.size_bytes(), 2719 * 5 * 8);
+        assert_eq!(cm.error_bound(), 0.0);
+        cm.insert(b"a", 600);
+        cm.insert(b"b", 400);
+        assert_eq!(cm.total(), 1000);
+        assert!((cm.error_bound() - std::f64::consts::E / 2719.0 * 1000.0).abs() < 1e-12);
     }
 }

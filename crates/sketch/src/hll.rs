@@ -33,11 +33,6 @@ impl HyperLogLog {
         }
     }
 
-    /// The number of registers m.
-    pub fn num_registers(&self) -> usize {
-        self.registers.len()
-    }
-
     /// Memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
         self.registers.len()

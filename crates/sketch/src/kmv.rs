@@ -2,9 +2,8 @@
 //!
 //! Keeps the k smallest hash values seen; if the k-th smallest maps to
 //! position `u ∈ (0,1)` on the unit interval, the distinct count is about
-//! `(k−1)/u`. KMV supports *set operations* (intersection/union estimates)
-//! that HLL cannot do directly — which is why theta-sketch families build
-//! on it.
+//! `(k−1)/u`. Two sketches merge into the sketch of their union (the k
+//! smallest of both), the property theta-sketch families build on.
 
 use std::collections::BTreeSet;
 
@@ -93,41 +92,6 @@ impl KmvSketch {
     pub fn num_retained(&self) -> usize {
         self.mins.len()
     }
-
-    /// Jaccard-similarity estimate between two sketches (same k): the
-    /// fraction of the combined k minimum values present in both.
-    pub fn jaccard(&self, other: &KmvSketch) -> f64 {
-        assert_eq!(self.k, other.k, "Jaccard requires equal k");
-        // k smallest of the union.
-        let union: Vec<u64> = self
-            .mins
-            .iter()
-            .chain(other.mins.iter())
-            .copied()
-            .collect::<BTreeSet<u64>>()
-            .into_iter()
-            .take(self.k)
-            .collect();
-        if union.is_empty() {
-            return 0.0;
-        }
-        let both = union
-            .iter()
-            .filter(|h| self.mins.contains(h) && other.mins.contains(h))
-            .count();
-        both as f64 / union.len() as f64
-    }
-
-    /// Distinct count of the intersection, via Jaccard × union estimate.
-    /// # Panics
-    /// Panics if `k` differs (via [`KmvSketch::jaccard`]).
-    pub fn intersection_estimate(&self, other: &KmvSketch) -> f64 {
-        let mut union = self.clone();
-        union
-            .merge(other)
-            .expect("jaccard already requires equal k");
-        self.jaccard(other) * union.estimate()
-    }
 }
 
 #[cfg(test)]
@@ -184,28 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn jaccard_estimates_overlap() {
-        // |A|=|B|=60k, |A∩B|=20k, |A∪B|=100k → J = 0.2.
-        let a = filled(0..60_000, 2048);
-        let b = filled(40_000..100_000, 2048);
-        let j = a.jaccard(&b);
-        assert!((j - 0.2).abs() < 0.05, "jaccard {j}");
-        let inter = a.intersection_estimate(&b);
-        assert!(
-            (inter - 20_000.0).abs() / 20_000.0 < 0.3,
-            "intersection {inter}"
-        );
-    }
-
-    #[test]
-    fn jaccard_identical_and_disjoint() {
-        let a = filled(0..10_000, 512);
-        assert!((a.jaccard(&a) - 1.0).abs() < 1e-12);
-        let b = filled(50_000..60_000, 512);
-        assert!(a.jaccard(&b) < 0.02);
-    }
-
-    #[test]
     fn merge_rejects_mismatch_without_panicking() {
         let mut a = KmvSketch::new(64);
         let snapshot = a.clone();
@@ -221,5 +163,27 @@ mod tests {
     #[should_panic(expected = "k must be at least 3")]
     fn k_lower_bound() {
         KmvSketch::new(2);
+    }
+
+    #[test]
+    fn merge_is_order_independent() {
+        let (a, b) = (filled(0..30_000, 256), filled(20_000..50_000, 256));
+        let mut ab = a.clone();
+        ab.merge(&b).unwrap();
+        let mut ba = b.clone();
+        ba.merge(&a).unwrap();
+        assert_eq!(ab.num_retained(), 256);
+        assert_eq!(ab.estimate(), ba.estimate());
+    }
+
+    #[test]
+    fn merging_an_empty_sketch_is_the_identity() {
+        let a = filled(0..5_000, 128);
+        let mut merged = a.clone();
+        merged.merge(&KmvSketch::new(128)).unwrap();
+        assert_eq!(merged.estimate(), a.estimate());
+        let mut from_empty = KmvSketch::new(128);
+        from_empty.merge(&a).unwrap();
+        assert_eq!(from_empty.estimate(), a.estimate());
     }
 }

@@ -271,7 +271,7 @@ mod tests {
             KmvSketch::num_retained,
         );
         same_size(
-            EquiWidthHistogram::build_in_range(&values(a.clone()), 32, 0.0, 100.0),
+            EquiWidthHistogram::build_in_range(&values(a), 32, 0.0, 100.0),
             EquiWidthHistogram::build_in_range(&values(b), 32, 0.0, 100.0),
             EquiWidthHistogram::size_bytes,
         );

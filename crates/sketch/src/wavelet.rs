@@ -49,11 +49,6 @@ impl WaveletSynopsis {
         }
     }
 
-    /// Number of retained coefficients.
-    pub fn num_coefficients(&self) -> usize {
-        self.coefficients.len()
-    }
-
     /// Memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
         self.coefficients.len() * (4 + 8)
@@ -68,12 +63,6 @@ impl WaveletSynopsis {
         inverse_haar(&mut buf);
         buf.truncate(self.len);
         buf
-    }
-
-    /// Approximate value at index `i`.
-    pub fn point(&self, i: usize) -> f64 {
-        assert!(i < self.len, "index {i} out of bounds");
-        self.reconstruct()[i]
     }
 
     /// Approximate sum over indices `[a, b]` (inclusive, clamped).
@@ -236,8 +225,8 @@ mod tests {
     fn point_queries() {
         let data = vec![5.0, 7.0, 1.0, 3.0];
         let w = WaveletSynopsis::build(&data, 4);
-        for (i, &v) in data.iter().enumerate() {
-            assert!((w.point(i) - v).abs() < 1e-10);
+        for (r, v) in w.reconstruct().iter().zip(&data) {
+            assert!((r - v).abs() < 1e-10);
         }
     }
 
@@ -261,8 +250,8 @@ mod tests {
     fn space_accounting() {
         let data: Vec<f64> = (0..1024).map(|i| i as f64).collect();
         let w = WaveletSynopsis::build(&data, 32);
-        assert!(w.num_coefficients() <= 32);
-        assert_eq!(w.size_bytes(), w.num_coefficients() * 12);
+        assert!(w.coefficients.len() <= 32);
+        assert_eq!(w.size_bytes(), w.coefficients.len() * 12);
     }
 
     #[test]

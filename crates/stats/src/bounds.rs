@@ -1,95 +1,9 @@
-//! Distribution-free concentration bounds and the sample-size planners AQP
-//! derives from them.
+//! The group-coverage planner AQP derives from a Chernoff-style bound.
 //!
 //! *No Silver Bullet* frames a-priori error guarantees as one of the hardest
 //! asks in AQP. Before any data is seen, the only guarantees available are
-//! distribution-free (Hoeffding/Chebyshev); once a pilot sample estimates the
-//! variance, the far tighter CLT planner applies.
-
-use crate::dist::Normal;
-
-/// Hoeffding bound: for n i.i.d. observations bounded in `[a, b]`, the
-/// probability that the sample mean deviates from the true mean by more than
-/// `eps` is at most `2·exp(−2nε² / (b−a)²)`.
-///
-/// Returns that failure-probability bound.
-///
-/// # Panics
-/// Panics if `b < a` or `eps <= 0` or `n == 0`.
-pub fn hoeffding_bound(n: u64, range: (f64, f64), eps: f64) -> f64 {
-    let (a, b) = range;
-    assert!(b >= a, "range must satisfy b >= a");
-    assert!(eps > 0.0, "eps must be positive");
-    assert!(n > 0, "n must be positive");
-    if b == a {
-        return 0.0;
-    }
-    let w = b - a;
-    (2.0 * (-2.0 * n as f64 * eps * eps / (w * w)).exp()).min(1.0)
-}
-
-/// Minimum sample size so that the Hoeffding bound on
-/// `P(|mean − truth| > eps)` is at most `delta`.
-///
-/// # Panics
-/// Panics on degenerate arguments (`eps <= 0`, `delta` outside (0,1), `b < a`).
-pub fn hoeffding_sample_size(range: (f64, f64), eps: f64, delta: f64) -> u64 {
-    let (a, b) = range;
-    assert!(b >= a, "range must satisfy b >= a");
-    assert!(eps > 0.0, "eps must be positive");
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-    if b == a {
-        return 1;
-    }
-    let w = b - a;
-    let n = w * w * (2.0 / delta).ln() / (2.0 * eps * eps);
-    n.ceil() as u64
-}
-
-/// Chebyshev-based sample size: with population variance `var`, the sample
-/// mean of n observations satisfies `P(|mean − μ| > eps) ≤ var / (n·ε²)`.
-/// Returns the minimum n making that at most `delta`.
-///
-/// # Panics
-/// Panics if `var < 0`, `eps <= 0`, or `delta` outside (0,1).
-pub fn chebyshev_sample_size(var: f64, eps: f64, delta: f64) -> u64 {
-    assert!(var >= 0.0, "variance must be non-negative");
-    assert!(eps > 0.0, "eps must be positive");
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-    if var == 0.0 {
-        return 1;
-    }
-    (var / (eps * eps * delta)).ceil() as u64
-}
-
-/// CLT-based sample size for an *absolute* error target: the minimum n such
-/// that a `confidence`-level normal interval for the mean has half-width at
-/// most `eps`, given population variance `var`.
-pub fn clt_sample_size(var: f64, eps: f64, confidence: f64) -> u64 {
-    assert!(var >= 0.0, "variance must be non-negative");
-    assert!(eps > 0.0, "eps must be positive");
-    if var == 0.0 {
-        return 1;
-    }
-    let z = Normal::two_sided_critical(confidence);
-    ((z * z * var) / (eps * eps)).ceil() as u64
-}
-
-/// CLT-based sample size for a *relative* error target on the mean: minimum n
-/// such that the relative half-width is at most `rel_err`, given the
-/// coefficient of variation `cv = σ/|μ|` (estimated from a pilot).
-///
-/// This is the planner at the heart of pilot-based a-priori AQP: `n ≥
-/// (z·cv/ε_rel)²`.
-pub fn clt_relative_sample_size(cv: f64, rel_err: f64, confidence: f64) -> u64 {
-    assert!(cv >= 0.0, "coefficient of variation must be non-negative");
-    assert!(rel_err > 0.0, "relative error target must be positive");
-    if cv == 0.0 {
-        return 1;
-    }
-    let z = Normal::two_sided_critical(confidence);
-    ((z * cv / rel_err).powi(2)).ceil() as u64
-}
+//! distribution-free; the one a routed query uses is how large a Bernoulli
+//! rate must be for every group of a given size to appear in the sample.
 
 /// Chernoff-style group-coverage planner: the minimum Bernoulli sampling rate
 /// `q` such that a group of at least `group_size` rows appears in the sample
@@ -107,79 +21,16 @@ pub fn group_coverage_rate(group_size: u64, num_groups: u64, delta: f64) -> f64 
     ((num_groups as f64 / delta).ln() / group_size as f64).min(1.0)
 }
 
-/// Probability that a group of `group_size` rows is entirely missed by
-/// Bernoulli(q) row sampling: `(1 − q)^group_size`.
-pub fn group_miss_probability(group_size: u64, q: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "q must be in [0,1]");
-    (1.0 - q).powf(group_size as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn hoeffding_bound_decreases_in_n() {
-        let b1 = hoeffding_bound(100, (0.0, 1.0), 0.05);
-        let b2 = hoeffding_bound(1000, (0.0, 1.0), 0.05);
-        assert!(b2 < b1);
-        assert!(b1 <= 1.0);
-    }
-
-    #[test]
-    fn hoeffding_bound_reference() {
-        // 2 exp(-2 * 1000 * 0.0025) = 2 e^{-5}.
-        let b = hoeffding_bound(1000, (0.0, 1.0), 0.05);
-        assert!((b - 2.0 * (-5.0f64).exp()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hoeffding_degenerate_range() {
-        assert_eq!(hoeffding_bound(10, (3.0, 3.0), 0.1), 0.0);
-        assert_eq!(hoeffding_sample_size((3.0, 3.0), 0.1, 0.05), 1);
-    }
-
-    #[test]
-    fn hoeffding_sample_size_achieves_bound() {
-        let n = hoeffding_sample_size((0.0, 1.0), 0.02, 0.05);
-        assert!(hoeffding_bound(n, (0.0, 1.0), 0.02) <= 0.05 + 1e-12);
-        assert!(hoeffding_bound(n - 1, (0.0, 1.0), 0.02) > 0.05);
-    }
-
-    #[test]
-    fn chebyshev_vs_hoeffding() {
-        // For bounded [0,1] data with var 1/4 (worst case) Hoeffding is
-        // tighter than Chebyshev at small delta.
-        let h = hoeffding_sample_size((0.0, 1.0), 0.05, 0.01);
-        let c = chebyshev_sample_size(0.25, 0.05, 0.01);
-        assert!(h < c);
-    }
-
-    #[test]
-    fn clt_is_tightest() {
-        let clt = clt_sample_size(0.25, 0.05, 0.99);
-        let h = hoeffding_sample_size((0.0, 1.0), 0.05, 0.01);
-        assert!(clt < h);
-    }
-
-    #[test]
-    fn clt_relative_sample_size_reference() {
-        // cv=1, 5% rel err, 95% conf: (1.96/0.05)^2 ≈ 1537.
-        let n = clt_relative_sample_size(1.0, 0.05, 0.95);
-        assert!((1530..=1545).contains(&n), "n = {n}");
-    }
-
-    #[test]
-    fn clt_zero_variance() {
-        assert_eq!(clt_sample_size(0.0, 0.01, 0.95), 1);
-        assert_eq!(clt_relative_sample_size(0.0, 0.01, 0.95), 1);
-    }
-
-    #[test]
     fn group_coverage_rate_bounds_miss_prob() {
         let q = group_coverage_rate(1000, 50, 0.01);
-        // Union bound: 50 * miss <= 0.01.
-        assert!(50.0 * group_miss_probability(1000, q) <= 0.0101);
+        // Union bound: 50 * miss <= 0.01, where a group of 1000 rows is
+        // missed by Bernoulli(q) with probability (1 − q)^1000.
+        assert!(50.0 * (1.0 - q).powf(1000.0) <= 0.0101);
     }
 
     #[test]
@@ -188,9 +39,12 @@ mod tests {
     }
 
     #[test]
-    fn group_miss_probability_monotone() {
-        assert!(group_miss_probability(100, 0.05) > group_miss_probability(100, 0.10));
-        assert_eq!(group_miss_probability(100, 1.0), 0.0);
-        assert_eq!(group_miss_probability(100, 0.0), 1.0);
+    fn group_coverage_rate_is_monotone() {
+        let q = group_coverage_rate(1000, 50, 0.01);
+        // Larger groups are easier to hit; more groups or a smaller δ ask
+        // for a higher rate.
+        assert!(group_coverage_rate(2000, 50, 0.01) < q);
+        assert!(group_coverage_rate(1000, 500, 0.01) > q);
+        assert!(group_coverage_rate(1000, 50, 0.001) > q);
     }
 }

@@ -11,11 +11,6 @@ use crate::special::{erf, reg_inc_beta, reg_lower_gamma};
 pub struct Normal;
 
 impl Normal {
-    /// Probability density function.
-    pub fn pdf(x: f64) -> f64 {
-        (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
-    }
-
     /// Cumulative distribution function Φ(x).
     pub fn cdf(x: f64) -> f64 {
         0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
@@ -115,7 +110,7 @@ impl StudentT {
     }
 
     /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
+    fn pdf(&self, x: f64) -> f64 {
         let v = self.df;
         let ln_c = crate::special::ln_gamma((v + 1.0) / 2.0)
             - crate::special::ln_gamma(v / 2.0)
@@ -193,7 +188,7 @@ impl ChiSquared {
     }
 
     /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
+    fn pdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             return 0.0;
         }

@@ -1,6 +1,6 @@
 //! The [`Estimate`] type: a point estimate with a variance estimate, plus
 //! the delta-method propagation rules that let composite aggregates (AVG as
-//! SUM/COUNT, products, linear combinations) inherit valid intervals.
+//! SUM/COUNT, sums of independent estimates) inherit valid intervals.
 
 use crate::dist::{Normal, StudentT};
 use crate::interval::ConfidenceInterval;
@@ -48,7 +48,7 @@ impl Estimate {
     }
 
     /// Standard error of the estimator.
-    pub fn std_err(&self) -> f64 {
+    fn std_err(&self) -> f64 {
         self.variance.sqrt()
     }
 
@@ -97,28 +97,11 @@ impl Estimate {
         )
     }
 
-    /// Difference of two independent estimates.
-    pub fn sub_independent(&self, other: &Estimate) -> Estimate {
-        Estimate::new(
-            self.value - other.value,
-            self.variance + other.variance,
-            self.n.min(other.n),
-        )
-    }
-
     /// Scales the estimate by a deterministic constant `c`: variance scales
     /// by `c²`. This is the Horvitz–Thompson "inverse inclusion probability"
     /// upscaling step.
     pub fn scale(&self, c: f64) -> Estimate {
         Estimate::new(self.value * c, self.variance * c * c, self.n)
-    }
-
-    /// Product of two independent estimates via the delta method:
-    /// `Var(XY) ≈ Y²Var(X) + X²Var(Y)`.
-    pub fn mul_independent(&self, other: &Estimate) -> Estimate {
-        let v =
-            other.value * other.value * self.variance + self.value * self.value * other.variance;
-        Estimate::new(self.value * other.value, v, self.n.min(other.n))
     }
 
     /// Ratio of two estimates with known covariance, via the delta method:
@@ -146,11 +129,6 @@ impl Estimate {
                 * (self.value * denom.value).signum();
         let v = (r * r * rel).max(0.0);
         Estimate::new(r, v, self.n.min(denom.n))
-    }
-
-    /// Ratio of two *independent* estimates (zero covariance).
-    pub fn ratio_independent(&self, denom: &Estimate) -> Estimate {
-        self.ratio(denom, 0.0)
     }
 }
 
@@ -200,16 +178,13 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_independent() {
+    fn add_independent_sums_variances() {
         let a = Estimate::new(10.0, 1.0, 50);
         let b = Estimate::new(20.0, 3.0, 80);
         let s = a.add_independent(&b);
         assert_eq!(s.value, 30.0);
         assert_eq!(s.variance, 4.0);
         assert_eq!(s.n, 50);
-        let d = a.sub_independent(&b);
-        assert_eq!(d.value, -10.0);
-        assert_eq!(d.variance, 4.0);
     }
 
     #[test]
@@ -220,20 +195,10 @@ mod tests {
     }
 
     #[test]
-    fn product_delta_method() {
-        let a = Estimate::new(3.0, 0.01, 1000);
-        let b = Estimate::new(4.0, 0.04, 1000);
-        let p = a.mul_independent(&b);
-        assert_eq!(p.value, 12.0);
-        // 16*0.01 + 9*0.04 = 0.52
-        assert!((p.variance - 0.52).abs() < 1e-12);
-    }
-
-    #[test]
     fn ratio_independent_delta_method() {
         let num = Estimate::new(100.0, 25.0, 1000); // rel var 25/10000 = 0.0025
         let den = Estimate::new(50.0, 4.0, 1000); // rel var 4/2500 = 0.0016
-        let r = num.ratio_independent(&den);
+        let r = num.ratio(&den, 0.0);
         assert!((r.value - 2.0).abs() < 1e-12);
         assert!((r.variance - 4.0 * 0.0041).abs() < 1e-10);
     }
@@ -251,7 +216,7 @@ mod tests {
     fn ratio_zero_denominator() {
         let num = Estimate::new(10.0, 1.0, 100);
         let den = Estimate::new(0.0, 1.0, 100);
-        let r = num.ratio_independent(&den);
+        let r = num.ratio(&den, 0.0);
         assert_eq!(r.variance, f64::MAX);
     }
 
@@ -298,5 +263,13 @@ mod tests {
     #[should_panic(expected = "variance must be >= 0")]
     fn rejects_negative_variance() {
         Estimate::new(1.0, -0.5, 10);
+    }
+
+    #[test]
+    fn ratio_of_exact_estimates_is_exact() {
+        let r = Estimate::exact(-6.0).ratio(&Estimate::exact(4.0), 0.0);
+        assert_eq!(r.value, -1.5);
+        assert_eq!(r.variance, 0.0);
+        assert_eq!(r.ci(0.99).width(), 0.0);
     }
 }

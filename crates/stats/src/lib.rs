@@ -9,10 +9,9 @@
 //!   distributions with CDFs and quantile (inverse-CDF) functions.
 //! * [`estimate`] — the [`Estimate`] type: a point value
 //!   plus a variance estimate, convertible to a CLT confidence interval, with
-//!   error-propagation rules for ratios, products, and sums.
+//!   error-propagation rules for ratios and sums.
 //! * [`interval`] — confidence intervals and coverage accounting.
-//! * [`bounds`] — distribution-free concentration bounds (Hoeffding,
-//!   Chebyshev, Chernoff) and the sample-size planners derived from them.
+//! * [`bounds`] — the Chernoff-style group-coverage planner.
 //! * [`moments`] — streaming (Welford) moment accumulators, plain and
 //!   weighted.
 //!
@@ -34,7 +33,6 @@ pub mod interval;
 pub mod moments;
 pub mod special;
 
-pub use bounds::{chebyshev_sample_size, hoeffding_bound, hoeffding_sample_size};
 pub use dist::{ChiSquared, Normal, StudentT};
 pub use estimate::Estimate;
 pub use interval::ConfidenceInterval;

@@ -92,27 +92,9 @@ impl Moments {
         }
     }
 
-    /// Population variance (divides by n); NaN when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Variance of the sample mean, `s²/n`; NaN when n < 2.
-    pub fn variance_of_mean(&self) -> f64 {
-        if self.n < 2 {
-            f64::NAN
-        } else {
-            self.variance() / self.n as f64
-        }
     }
 
     /// Merges two accumulators (parallel Welford / Chan et al.).
@@ -214,7 +196,7 @@ impl WeightedMoments {
 
     /// Effective sample size `(Σw)² / Σw²` (Kish). Equals n for equal
     /// weights; smaller when weights are uneven.
-    pub fn effective_sample_size(&self) -> f64 {
+    fn effective_sample_size(&self) -> f64 {
         if self.w2_sum == 0.0 {
             0.0
         } else {
@@ -229,15 +211,6 @@ impl WeightedMoments {
             return f64::NAN;
         }
         (self.m2 / self.w_sum) * (neff / (neff - 1.0))
-    }
-
-    /// Variance of the weighted mean, `s² / n_eff`.
-    pub fn variance_of_mean(&self) -> f64 {
-        let neff = self.effective_sample_size();
-        if neff <= 1.0 {
-            return f64::NAN;
-        }
-        self.variance() / neff
     }
 
     /// Merges two accumulators.
@@ -281,7 +254,7 @@ mod tests {
         let m = Moments::from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(m.count(), 8);
         assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.population_variance() - 4.0).abs() < 1e-12);
+        assert!((m.m2 - 32.0).abs() < 1e-12);
         assert!((m.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(m.min(), 2.0);
         assert_eq!(m.max(), 9.0);
@@ -297,7 +270,7 @@ mod tests {
         s.push(3.0);
         assert_eq!(s.mean(), 3.0);
         assert!(s.variance().is_nan());
-        assert_eq!(s.population_variance(), 0.0);
+        assert_eq!(s.m2, 0.0);
     }
 
     #[test]

@@ -56,19 +56,6 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
     }
 }
 
-/// Regularized upper incomplete gamma function `Q(a, x) = 1 − P(a, x)`.
-pub fn reg_upper_gamma(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0 && x >= 0.0, "reg_upper_gamma domain: a > 0, x >= 0");
-    if x == 0.0 {
-        return 1.0;
-    }
-    if x < a + 1.0 {
-        1.0 - gamma_series(a, x)
-    } else {
-        gamma_cont_frac(a, x)
-    }
-}
-
 /// Series expansion of P(a, x); converges fast for x < a + 1.
 fn gamma_series(a: f64, x: f64) -> f64 {
     let mut ap = a;
@@ -193,17 +180,6 @@ pub fn erf(x: f64) -> f64 {
     }
 }
 
-/// Complementary error function `erfc(x) = 1 − erf(x)`, evaluated through
-/// the *upper* incomplete gamma so the right tail keeps full relative
-/// precision (important for small tail probabilities in sample planning).
-pub fn erfc(x: f64) -> f64 {
-    if x < 0.0 {
-        2.0 - erfc(-x)
-    } else {
-        reg_upper_gamma(0.5, x * x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,7 +223,6 @@ mod tests {
     fn incomplete_gamma_boundaries() {
         assert_eq!(reg_lower_gamma(2.0, 0.0), 0.0);
         close(reg_lower_gamma(1.0, 1e9), 1.0, 1e-12);
-        assert_eq!(reg_upper_gamma(2.0, 0.0), 1.0);
     }
 
     #[test]
@@ -260,11 +235,28 @@ mod tests {
 
     #[test]
     fn incomplete_gamma_complement() {
+        // Around the branch switch x = a + 1 the series for P and the
+        // continued fraction for Q both converge, and must sum to one.
         for &a in &[0.5, 1.0, 3.0, 10.0] {
-            for &x in &[0.1, 1.0, 5.0, 20.0] {
-                close(reg_lower_gamma(a, x) + reg_upper_gamma(a, x), 1.0, 1e-12);
+            for &dx in &[-0.5, 0.0, 0.5, 2.0] {
+                let x = a + 1.0 + dx;
+                close(gamma_series(a, x) + gamma_cont_frac(a, x), 1.0, 1e-12);
             }
+            // So P(a, x) is continuous where it changes branch.
+            close(
+                reg_lower_gamma(a, a + 1.0 - 1e-9),
+                reg_lower_gamma(a, a + 1.0),
+                1e-8,
+            );
         }
+    }
+
+    #[test]
+    fn erfc_right_tail_precision() {
+        // Q(1/2, x²) = erfc(x); the continued fraction keeps full relative
+        // accuracy in the tail, where 1 − P would cancel. erfc(3) ≈ 2.209e-5.
+        let v = gamma_cont_frac(0.5, 9.0);
+        assert!((v - 2.209_049_699_858_544e-5).abs() / v < 1e-8, "{v}");
     }
 
     #[test]
@@ -275,13 +267,6 @@ mod tests {
         close(erf(1.0), 0.842_700_792_949_714_9, 1e-10);
         close(erf(2.0), 0.995_322_265_018_952_7, 1e-10);
         close(erf(-1.0), -0.842_700_792_949_714_9, 1e-10);
-    }
-
-    #[test]
-    fn erfc_right_tail_precision() {
-        // erfc(3) ≈ 2.209e-5; relative accuracy matters in the tail.
-        let v = erfc(3.0);
-        assert!((v - 2.209_049_699_858_544e-5).abs() / v < 1e-8);
     }
 
     #[test]

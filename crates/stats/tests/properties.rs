@@ -1,12 +1,10 @@
 //! Property-based tests for the statistical foundations: distribution
-//! identities, planner monotonicity, and estimator algebra.
+//! identities, the group-coverage planner, and estimator algebra.
 
 use proptest::prelude::*;
 
-use aqp_stats::bounds::{
-    chebyshev_sample_size, clt_relative_sample_size, group_miss_probability, hoeffding_bound,
-    hoeffding_sample_size,
-};
+use aqp_stats::bounds::group_coverage_rate;
+use aqp_stats::special::{erf, reg_inc_beta, reg_lower_gamma};
 use aqp_stats::{ChiSquared, Estimate, Normal, StudentT};
 
 proptest! {
@@ -49,51 +47,53 @@ proptest! {
         prop_assert!((c.cdf(x) - p).abs() < 1e-7, "df={df} p={p} x={x}");
     }
 
-    /// Hoeffding sample size achieves its own bound and is monotone.
+    /// The two-sided critical value leaves `confidence` mass between ±z.
     #[test]
-    fn hoeffding_planner_consistency(
-        eps in 0.001f64..0.3,
-        delta in 0.001f64..0.3,
-        width in 0.1f64..100.0,
+    fn two_sided_critical_covers_its_confidence(c in 0.01f64..0.999) {
+        let z = Normal::two_sided_critical(c);
+        prop_assert!(z > 0.0);
+        prop_assert!((Normal::cdf(z) - Normal::cdf(-z) - c).abs() < 1e-8, "c={c} z={z}");
+    }
+
+    /// erf is odd, bounded by 1 and non-decreasing.
+    #[test]
+    fn erf_odd_bounded_monotone(x in -6.0f64..6.0, d in 1e-6f64..2.0) {
+        prop_assert!((erf(-x) + erf(x)).abs() < 1e-12);
+        prop_assert!(erf(x).abs() <= 1.0);
+        prop_assert!(erf(x + d) >= erf(x) - 1e-15);
+    }
+
+    /// P(a, ·) is a CDF in x: within [0, 1] and non-decreasing.
+    #[test]
+    fn lower_gamma_is_a_cdf(a in 0.1f64..50.0, x in 0.0f64..100.0, d in 1e-6f64..10.0) {
+        let p = reg_lower_gamma(a, x);
+        prop_assert!((0.0..=1.0).contains(&p), "a={a} x={x} p={p}");
+        prop_assert!(reg_lower_gamma(a, x + d) >= p - 1e-12, "a={a} x={x} d={d}");
+    }
+
+    /// Reflection: I_x(a, b) = 1 − I_{1−x}(b, a).
+    #[test]
+    fn inc_beta_reflection(a in 0.1f64..50.0, b in 0.1f64..50.0, x in 0.0f64..1.0) {
+        let i = reg_inc_beta(a, b, x);
+        prop_assert!((0.0..=1.0).contains(&i));
+        prop_assert!((i + reg_inc_beta(b, a, 1.0 - x) - 1.0).abs() < 1e-9, "a={a} b={b} x={x}");
+    }
+
+    /// The coverage rate meets its own union bound, and is monotone: larger
+    /// groups need less, more groups or a smaller δ need more.
+    #[test]
+    fn coverage_rate_meets_union_bound(
+        size in 1u64..100_000,
+        groups in 1u64..10_000,
+        delta in 0.001f64..0.5,
     ) {
-        let n = hoeffding_sample_size((0.0, width), eps, delta);
-        prop_assert!(hoeffding_bound(n, (0.0, width), eps) <= delta + 1e-12);
-        // Tighter eps needs more samples.
-        let n_tighter = hoeffding_sample_size((0.0, width), eps / 2.0, delta);
-        prop_assert!(n_tighter >= n);
-        // Wider data needs more samples.
-        let n_wider = hoeffding_sample_size((0.0, width * 2.0), eps, delta);
-        prop_assert!(n_wider >= n);
-    }
-
-    /// CLT planner is monotone in cv and eps, and never beats 1 sample.
-    #[test]
-    fn clt_planner_monotone(cv in 0.0f64..10.0, eps in 0.005f64..0.5) {
-        let n = clt_relative_sample_size(cv, eps, 0.95);
-        prop_assert!(n >= 1);
-        prop_assert!(clt_relative_sample_size(cv * 2.0, eps, 0.95) >= n);
-        prop_assert!(clt_relative_sample_size(cv, eps / 2.0, 0.95) >= n);
-        prop_assert!(clt_relative_sample_size(cv, eps, 0.99) >= n);
-    }
-
-    /// Chebyshev is never tighter than CLT for the same inputs (it is
-    /// distribution-free, so it must pay).
-    #[test]
-    fn chebyshev_weaker_than_clt(var in 0.01f64..100.0, eps in 0.01f64..1.0) {
-        let cheb = chebyshev_sample_size(var, eps, 0.05);
-        let clt = aqp_stats::bounds::clt_sample_size(var, eps, 0.95);
-        prop_assert!(cheb >= clt);
-    }
-
-    /// Group miss probability is monotone in both arguments.
-    #[test]
-    fn miss_probability_monotone(size in 1u64..10_000, q in 0.0f64..1.0) {
-        let p = group_miss_probability(size, q);
-        prop_assert!((0.0..=1.0).contains(&p));
-        prop_assert!(group_miss_probability(size + 1, q) <= p + 1e-15);
-        if q < 0.99 {
-            prop_assert!(group_miss_probability(size, (q + 0.01).min(1.0)) <= p + 1e-15);
-        }
+        let q = group_coverage_rate(size, groups, delta);
+        prop_assert!(q > 0.0 && q <= 1.0);
+        let miss_any = groups as f64 * (1.0 - q).powf(size as f64);
+        prop_assert!(miss_any <= delta * (1.0 + 1e-9), "q={q} miss={miss_any}");
+        prop_assert!(group_coverage_rate(size * 2, groups, delta) <= q);
+        prop_assert!(group_coverage_rate(size, groups * 2, delta) >= q);
+        prop_assert!(group_coverage_rate(size, groups, delta / 2.0) >= q);
     }
 
     /// Estimator algebra: scaling and independent addition compose the way

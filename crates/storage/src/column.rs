@@ -111,14 +111,6 @@ impl Column {
         }
     }
 
-    /// Builds an all-valid column from booleans.
-    pub fn from_bool(data: Vec<bool>) -> Self {
-        Column::Bool {
-            data,
-            validity: None,
-        }
-    }
-
     /// The column's data type.
     pub fn data_type(&self) -> DataType {
         match self {
@@ -311,14 +303,6 @@ impl Column {
         }
     }
 
-    /// Raw `bool` slice view; `None` for other column types.
-    pub fn bool_values(&self) -> Option<&[bool]> {
-        match self {
-            Column::Bool { data, .. } => Some(data),
-            _ => None,
-        }
-    }
-
     /// Raw code view of a STR column — the codes (unspecified where
     /// invalid) and the dictionary they index; `None` for other types.
     pub fn str_codes(&self) -> Option<(&[u32], &Arc<StrDict>)> {
@@ -506,6 +490,14 @@ fn take_mask(validity: &Option<Vec<bool>>, indices: &[usize]) -> Option<Vec<bool
 mod tests {
     use super::*;
 
+    /// An all-valid BOOL column.
+    fn bools(data: Vec<bool>) -> Column {
+        Column::Bool {
+            data,
+            validity: None,
+        }
+    }
+
     #[test]
     fn push_and_get_roundtrip() {
         let mut c = Column::new(DataType::Int64);
@@ -542,7 +534,7 @@ mod tests {
     fn f64_view() {
         let c = Column::from_i64(vec![1, 2]);
         assert_eq!(c.f64_at(0), Some(1.0));
-        let c = Column::from_bool(vec![true, false]);
+        let c = bools(vec![true, false]);
         assert_eq!(c.f64_at(0), Some(1.0));
         assert_eq!(c.f64_at(1), Some(0.0));
         let c = Column::from_str_values(["a"]);
@@ -591,7 +583,7 @@ mod tests {
     #[should_panic(expected = "matching column types")]
     fn append_rejects_mismatch() {
         let mut a = Column::from_i64(vec![1]);
-        a.append(&Column::from_bool(vec![true]));
+        a.append(&bools(vec![true]));
     }
 
     #[test]
@@ -617,10 +609,6 @@ mod tests {
         c.push_null();
         assert_eq!(c.f64_values(), Some(&[1.5, 0.0][..]));
         assert_eq!(c.validity_mask(), Some(&[true, false][..]));
-        assert_eq!(
-            Column::from_bool(vec![true]).bool_values(),
-            Some(&[true][..])
-        );
         let strs = Column::from_str_values(["a", "b", "a"]);
         let (codes, dict) = strs.str_codes().expect("STR column");
         assert_eq!(codes, &[0, 1, 0]);
@@ -690,7 +678,7 @@ mod tests {
     #[should_panic(expected = "push_slot type mismatch")]
     fn push_slot_rejects_mismatch() {
         let mut dst = Column::new(DataType::Int64);
-        dst.push_slot(&Column::from_bool(vec![true]), 0);
+        dst.push_slot(&bools(vec![true]), 0);
     }
 
     #[test]

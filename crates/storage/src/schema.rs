@@ -87,11 +87,6 @@ impl Schema {
         self.index_of(name).map(|i| &self.fields[i])
     }
 
-    /// Field at a positional index.
-    pub fn field_at(&self, index: usize) -> &Field {
-        &self.fields[index]
-    }
-
     /// Column names in order.
     pub fn names(&self) -> Vec<&str> {
         self.fields.iter().map(|f| f.name.as_str()).collect()
@@ -117,7 +112,7 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.index_of("price").unwrap(), 1);
         assert_eq!(s.field("tag").unwrap().data_type, DataType::Str);
-        assert_eq!(s.field_at(0).name, "id");
+        assert_eq!(s.fields()[0].name, "id");
         assert_eq!(s.names(), vec!["id", "price", "tag"]);
     }
 

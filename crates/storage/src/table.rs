@@ -18,7 +18,7 @@ use crate::zone::ZoneMap;
 /// Default number of rows per block — the same order of magnitude as rows
 /// per page in row stores and per row-group stripe in column stores, so
 /// block-sampling experiments exercise realistic block counts.
-pub const DEFAULT_BLOCK_CAPACITY: usize = 1024;
+const DEFAULT_BLOCK_CAPACITY: usize = 1024;
 
 /// An immutable block-structured table.
 #[derive(Debug, Clone)]
@@ -361,17 +361,6 @@ impl TableBuilder {
         }
     }
 
-    /// Appends many rows.
-    pub fn push_rows<'a>(
-        &mut self,
-        rows: impl IntoIterator<Item = &'a [Value]>,
-    ) -> Result<(), StorageError> {
-        for row in rows {
-            self.push_row(row)?;
-        }
-        Ok(())
-    }
-
     /// Seals the current partial block immediately (no-op when empty).
     /// Samplers use this to preserve source-block boundaries in a sampled
     /// table, so block-design estimators can group rows correctly.
@@ -701,7 +690,7 @@ mod tests {
         let a = build(10, 4);
         let b = build(6, 4); // ids 0..6 again: the merged key is not unique
         assert!(a.key_index(0).0.is_unique());
-        let mut merged = a.clone();
+        let mut merged = a;
         Partial::merge(&mut merged, &b).unwrap();
         assert!(!merged.has_key_index(0));
         let (index, built) = merged.key_index(0);
@@ -729,16 +718,6 @@ mod tests {
         // Degenerate cases.
         assert_eq!(t.tail(10).row_count(), 0);
         assert_eq!(t.tail(0).row_count(), 10);
-    }
-
-    #[test]
-    fn push_rows_bulk() {
-        let schema = Schema::new(vec![Field::new("id", DataType::Int64)]);
-        let mut b = TableBuilder::new("t", schema);
-        let rows: Vec<Vec<Value>> = (0..5).map(|i| vec![Value::Int64(i)]).collect();
-        b.push_rows(rows.iter().map(|r| r.as_slice())).unwrap();
-        assert_eq!(b.row_count(), 5);
-        assert_eq!(b.finish().row_count(), 5);
     }
 
     #[test]
@@ -897,5 +876,22 @@ mod proptests {
             prop_assert!(is_table_mismatch);
             prop_assert_eq!(t.row_count(), n);
         }
+    }
+
+    #[test]
+    fn push_row_rejects_a_wrong_arity_row_without_counting_it() {
+        let schema = Schema::new(vec![Field::new("id", DataType::Int64)]);
+        let mut b = TableBuilder::with_block_capacity("t", schema, 2);
+        b.push_row(&[Value::Int64(0)]).unwrap();
+        let err = b.push_row(&[Value::Int64(1), Value::Int64(2)]);
+        assert!(
+            matches!(err, Err(StorageError::ArityMismatch { .. })),
+            "{err:?}"
+        );
+        b.push_row(&[Value::Int64(3)]).unwrap();
+        assert_eq!(b.row_count(), 2);
+        let t = b.finish();
+        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.column_f64("id").unwrap(), vec![0.0, 3.0]);
     }
 }

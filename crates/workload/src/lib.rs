@@ -25,5 +25,5 @@ pub mod zipf;
 
 pub use queries::{generate_workload, GeneratedQuery, WorkloadConfig};
 pub use star::{build_star_schema, StarScale};
-pub use tables::{group_sizes_table, skewed_table, uniform_table};
+pub use tables::{skewed_table, uniform_table};
 pub use zipf::Zipf;

@@ -61,9 +61,9 @@ pub struct GeneratedQuery {
 }
 
 /// The measure an offline synopsis would anticipate.
-pub const ANTICIPATED_MEASURE: &str = "l_price";
+const ANTICIPATED_MEASURE: &str = "l_price";
 /// The group-by column an offline synopsis would be stratified on.
-pub const ANTICIPATED_GROUP: &str = "l_shipmode";
+const ANTICIPATED_GROUP: &str = "l_shipmode";
 
 const DRIFT_MEASURES: [&str; 2] = ["l_quantity", "l_discount"];
 const DRIFT_GROUPS: [&str; 2] = ["l_partkey", "o_priority"];

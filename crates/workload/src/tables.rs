@@ -64,36 +64,6 @@ pub fn skewed_table(
     b.finish()
 }
 
-/// A table whose group sizes are *exactly* the provided vector: group `i`
-/// has `sizes[i]` rows, values `v` uniform in `[100·i, 100·i + 50)`. Rows
-/// are interleaved round-robin so groups spread across blocks (worst case
-/// for block sampling's group coverage).
-pub fn group_sizes_table(name: &str, sizes: &[usize], block_capacity: usize, seed: u64) -> Table {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let schema = Schema::new(vec![
-        Field::new("g", DataType::Int64),
-        Field::new("v", DataType::Float64),
-    ]);
-    let mut b = TableBuilder::with_block_capacity(name, schema, block_capacity);
-    let mut remaining: Vec<usize> = sizes.to_vec();
-    let mut alive = true;
-    while alive {
-        alive = false;
-        for (g, r) in remaining.iter_mut().enumerate() {
-            if *r > 0 {
-                *r -= 1;
-                alive = true;
-                b.push_row(&[
-                    Value::Int64(g as i64),
-                    Value::Float64(100.0 * g as f64 + rng.gen::<f64>() * 50.0),
-                ])
-                .expect("generated row matches schema");
-            }
-        }
-    }
-    b.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,45 +105,13 @@ mod tests {
     }
 
     #[test]
-    fn group_sizes_exact() {
-        let t = group_sizes_table("g", &[100, 10, 3], 16, 1);
-        assert_eq!(t.row_count(), 113);
-        let mut counts: HashMap<i64, usize> = HashMap::new();
-        for g in t.column_f64("g").unwrap() {
-            *counts.entry(g as i64).or_default() += 1;
+    fn skewed_table_deterministic() {
+        let a = skewed_table("s", 500, 20, 1.1, 64, 9);
+        let b = skewed_table("s", 500, 20, 1.1, 64, 9);
+        for c in ["g", "v", "sel"] {
+            assert_eq!(a.column_f64(c).unwrap(), b.column_f64(c).unwrap());
         }
-        assert_eq!(counts[&0], 100);
-        assert_eq!(counts[&1], 10);
-        assert_eq!(counts[&2], 3);
-    }
-
-    #[test]
-    fn group_values_separated() {
-        let t = group_sizes_table("g", &[50, 50], 16, 1);
-        let (gi, vi) = (
-            t.schema().index_of("g").unwrap(),
-            t.schema().index_of("v").unwrap(),
-        );
-        for (_, blk) in t.iter_blocks() {
-            for i in 0..blk.len() {
-                let g = blk.column(gi).f64_at(i).unwrap();
-                let v = blk.column(vi).f64_at(i).unwrap();
-                assert!(v >= 100.0 * g && v < 100.0 * g + 50.0);
-            }
-        }
-    }
-
-    #[test]
-    fn groups_interleave_across_blocks() {
-        // Round-robin means the tiny group is NOT confined to one block.
-        let t = group_sizes_table("g", &[1000, 20], 32, 1);
-        let mut blocks_with_g1 = 0;
-        let gi = t.schema().index_of("g").unwrap();
-        for (_, blk) in t.iter_blocks() {
-            if (0..blk.len()).any(|i| blk.column(gi).f64_at(i) == Some(1.0)) {
-                blocks_with_g1 += 1;
-            }
-        }
-        assert!(blocks_with_g1 > 1, "tiny group should span blocks");
+        let other = skewed_table("s", 500, 20, 1.1, 64, 10);
+        assert_ne!(a.column_f64("v").unwrap(), other.column_f64("v").unwrap());
     }
 }

@@ -46,21 +46,20 @@ impl Zipf {
         let u: f64 = self.rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-
-    /// Exact probability of item `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        assert!(k < self.cdf.len(), "item out of domain");
-        if k == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[k] - self.cdf[k - 1]
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exact probability of item `k`, read off the sampler's CDF table.
+    fn pmf(z: &Zipf, k: usize) -> f64 {
+        if k == 0 {
+            z.cdf[0]
+        } else {
+            z.cdf[k] - z.cdf[k - 1]
+        }
+    }
 
     #[test]
     fn uniform_when_s_zero() {
@@ -91,10 +90,10 @@ mod tests {
     #[test]
     fn pmf_sums_to_one_and_decreases() {
         let z = Zipf::new(100, 1.0, 0);
-        let total: f64 = (0..100).map(|k| z.pmf(k)).sum();
+        let total: f64 = (0..100).map(|k| pmf(&z, k)).sum();
         assert!((total - 1.0).abs() < 1e-12);
         for k in 1..100 {
-            assert!(z.pmf(k) <= z.pmf(k - 1) + 1e-15);
+            assert!(pmf(&z, k) <= pmf(&z, k - 1) + 1e-15);
         }
     }
 
@@ -116,12 +115,31 @@ mod tests {
             counts[z.sample()] += 1;
         }
         for (k, &count) in counts.iter().enumerate() {
-            let expected = z.pmf(k) * n as f64;
+            let expected = pmf(&z, k) * n as f64;
             let got = count as f64;
             assert!(
                 (got - expected).abs() < 5.0 * expected.sqrt().max(10.0),
                 "item {k}: got {got}, expected {expected}"
             );
+        }
+    }
+
+    #[test]
+    fn samples_stay_in_the_domain() {
+        for s in [0.0, 1.0, 3.0] {
+            let mut z = Zipf::new(7, s, 3);
+            assert_eq!(z.domain(), 7);
+            let mut seen = [false; 7];
+            for _ in 0..5_000 {
+                let k = z.sample();
+                assert!(k < 7, "s={s} drew {k}");
+                seen[k] = true;
+            }
+            // Item 0 is always the mode; at s = 0 every item turns up.
+            assert!(seen[0]);
+            if s == 0.0 {
+                assert!(seen.iter().all(|&b| b));
+            }
         }
     }
 }

@@ -19,9 +19,10 @@ cargo clippy --workspace --all-targets -- \
   -D clippy::unnecessary_cast \
   -D clippy::redundant_clone
 
-# Conformance gate: the typed source linter (C001-C007, C006 retired —
+# Conformance gate: the typed source linter (C001-C008, C006 retired —
 # metric names from aqp_obs::names, unwrap budget, deny(unsafe_code)
-# presence, SAFETY pairing, span pairing, declared lock orders) plus
+# presence, SAFETY pairing, span pairing, declared lock orders, no
+# library pub fn/const that no other file names) plus
 # the exhaustive mini-loom race check of the admission scheduler and
 # plan-cache epoch models. One line per gate; non-zero exit on any
 # Error-severity C-code or model violation.
@@ -152,6 +153,16 @@ if grep -rnE 'fn to_bytes|fn from_bytes|CodecError|CODEC_VERSION|pub mod wire|pu
   grep -nE '^[[:space:]]*bytes[[:space:]]*[.=]' crates/*/Cargo.toml ||
   [ -e crates/shim-bytes ] || [ -e crates/core/src/shard.rs ]; then
   echo "a partial wire format, the bytes shim or shard.rs is back" >&2
+  exit 1
+fi
+
+# No Criterion layer: its four benches had no runner (no gate, test or
+# workload ran them), so neither they, their manifest entries nor the shim
+# that compiled them come back.
+if [ -e crates/shim-criterion ] || [ -e crates/bench/benches ] ||
+  grep -nE '^[[:space:]]*criterion[[:space:]]*[.=]|\.criterion\]|^\[\[bench\]\]' \
+    Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
+  echo "the Criterion layer (shim-criterion, crates/bench/benches, a criterion key or a [[bench]] entry) is back" >&2
   exit 1
 fi
 
