@@ -6,14 +6,18 @@
 //! budget the operator spends to *know* the error budget holds. The 5%
 //! rate and the cost of one `AqpSession::accuracy()` scoreboard snapshot
 //! (the per-scrape price of the coverage table) ride along as detail.
-
-use std::time::Duration;
+//!
+//! The rates are interleaved inside each repetition (in alternating order)
+//! and every overhead is the median of per-repetition ratios to that
+//! repetition's unaudited run, so host drift between repetitions cancels
+//! instead of reading as audit cost.
 
 use aqp_bench::report::{Bound, Gate, Json};
 use aqp_bench::timed_median;
 use aqp_core::{AqpSession, AuditConfig, ErrorSpec, SessionConfig};
 use aqp_engine::{AggExpr, LogicalPlan, Query};
 use aqp_expr::col;
+use aqp_obs::timing::{median, time_us};
 use aqp_storage::Catalog;
 use aqp_workload::uniform_table;
 
@@ -31,21 +35,33 @@ pub fn gate() -> Gate {
     let plan = sum_plan();
     let spec = ErrorSpec::new(0.1, 0.95);
 
-    let runs = RATES.map(|rate| run_workload(&catalog, &plan, &spec, rate));
-    let base = runs[0].0.as_secs_f64();
-    let overhead_pct = |wall: Duration| (wall.as_secs_f64() / base - 1.0).max(0.0) * 100.0;
-    let rates = RATES.iter().zip(&runs).map(|(&rate, &(wall, audits))| {
+    // walls[rep][rate], µs; audits per rate are deterministic.
+    let mut walls = [[0.0; RATES.len()]; REPS];
+    let mut audits = [0; RATES.len()];
+    for (rep, wall) in walls.iter_mut().enumerate() {
+        for i in 0..RATES.len() {
+            let r = if rep % 2 == 0 { i } else { RATES.len() - 1 - i };
+            let (n, us) = time_us(|| run_workload(&catalog, &plan, &spec, RATES[r]));
+            (wall[r], audits[r]) = (us, n);
+        }
+    }
+    let overhead_pct =
+        |r: usize| (median_over_reps(&walls, |w| w[r] / w[0]) - 1.0).max(0.0) * 100.0;
+    let rates = RATES.iter().enumerate().map(|(r, &rate)| {
         Json::obj([
             ("rate", rate.into()),
-            ("wall_ms", Json::rounded(wall.as_secs_f64() * 1e3, 3)),
-            ("audits", audits.into()),
-            ("overhead_pct", Json::rounded(overhead_pct(wall), 2)),
+            (
+                "wall_ms",
+                Json::rounded(median_over_reps(&walls, |w| w[r]) / 1e3, 3),
+            ),
+            ("audits", audits[r].into()),
+            ("overhead_pct", Json::rounded(overhead_pct(r), 2)),
         ])
     });
     Gate {
         name: "audit_overhead_pct_at_1pct",
         claim: "auditing 1% of routed answers against ground truth adds at most 5% wall",
-        measured: overhead_pct(runs[1].0),
+        measured: overhead_pct(1),
         bound: Bound::AtMost(MAX_OVERHEAD_PCT_AT_1PCT),
         detail: Json::obj([
             ("rows", ROWS.into()),
@@ -65,32 +81,29 @@ fn sum_plan() -> LogicalPlan {
         .build()
 }
 
-/// Median wall over `REPS` runs of the routed workload at one audit rate
-/// (each on a fresh session, whose construction is noise beside 600
-/// queries), plus the (deterministic) number of queries the sampler picked.
-fn run_workload(
-    catalog: &Catalog,
-    plan: &LogicalPlan,
-    spec: &ErrorSpec,
-    rate: f64,
-) -> (Duration, usize) {
-    let (audits, wall) = timed_median(REPS, || {
-        let config = SessionConfig {
-            audit: AuditConfig {
-                rate,
-                seed: 0xBE9C,
-                ..AuditConfig::default()
-            },
-            ..SessionConfig::default()
-        };
-        let session = AqpSession::with_config(catalog, config);
-        let audited = |seed| {
-            let ans = session.answer(plan, spec, seed).expect("routed answer");
-            ans.report.audit.is_some()
-        };
-        (0..QUERIES).filter(|&seed| audited(seed)).count()
-    });
-    (wall, audits)
+/// The median over repetitions of `f` of one repetition's walls.
+fn median_over_reps(walls: &[[f64; RATES.len()]], f: impl Fn(&[f64; RATES.len()]) -> f64) -> f64 {
+    median(&mut walls.iter().map(f).collect::<Vec<_>>())
+}
+
+/// One run of the routed workload at one audit rate, on a fresh session
+/// (whose construction is noise beside 600 queries): the number of
+/// queries the sampler picked for audit.
+fn run_workload(catalog: &Catalog, plan: &LogicalPlan, spec: &ErrorSpec, rate: f64) -> usize {
+    let config = SessionConfig {
+        audit: AuditConfig {
+            rate,
+            seed: 0xBE9C,
+            ..AuditConfig::default()
+        },
+        ..SessionConfig::default()
+    };
+    let session = AqpSession::with_config(catalog, config);
+    let audited = |seed| {
+        let ans = session.answer(plan, spec, seed).expect("routed answer");
+        ans.report.audit.is_some()
+    };
+    (0..QUERIES).filter(|&seed| audited(seed)).count()
 }
 
 /// Cost of one scoreboard snapshot on a session warmed with a full

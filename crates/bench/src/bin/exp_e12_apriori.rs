@@ -5,11 +5,17 @@
 //!
 //! Workload: SUM(v) WHERE sel < 0.3 over 1M skewed rows, targets ε ∈
 //! {1%, 2%, 5%, 10%} at 95% confidence, 40 planner runs per target.
+//!
+//! A second table prices the pilot a contract costs: rows and wall of the
+//! pilot and final phases (read from their `online:*` spans) for
+//! `SUM(v) WHERE sel < 0.6` over 2M skewed rows in 1024-row blocks,
+//! ungrouped and `GROUP BY g` (12 groups), at ε ∈ {15%, 5%}.
 
 use aqp_bench::TablePrinter;
 use aqp_core::{ErrorSpec, ExecutionPath, OnlineAqp, OnlineConfig};
 use aqp_engine::{execute, AggExpr, Query};
 use aqp_expr::{col, lit};
+use aqp_obs::SpanRecord;
 use aqp_stats::Moments;
 use aqp_storage::Catalog;
 use aqp_workload::skewed_table;
@@ -82,4 +88,69 @@ fn main() {
          —\nthe cost of a guarantee made *before* seeing the data, as NSB \
          predicts."
     );
+    pilot_cost();
+}
+
+/// Pilot and final phase of one warm answer per shape and target.
+fn pilot_cost() {
+    println!("\nPilot cost: SUM(v) WHERE sel < 0.6, 2M rows, 12 groups, 1024-row blocks, seed 7\n");
+    let catalog = Catalog::new();
+    catalog
+        .register(skewed_table("t", 2_000_000, 12, 1.0, 1024, 7))
+        .unwrap();
+    let aqp = OnlineAqp::new(&catalog, OnlineConfig::default());
+    let p = TablePrinter::new(
+        &[
+            "shape",
+            "ε",
+            "pilot rate",
+            "pilot rows",
+            "pilot ms",
+            "final rate",
+            "final rows",
+            "final ms",
+        ],
+        &[10, 5, 11, 11, 9, 11, 11, 9],
+    );
+    for grouped in [false, true] {
+        let keys = if grouped {
+            vec![(col("g"), "g".to_string())]
+        } else {
+            vec![]
+        };
+        let plan = Query::scan("t")
+            .filter(col("sel").lt(lit(0.6)))
+            .aggregate(keys, vec![AggExpr::sum(col("v"), "s")])
+            .build();
+        for eps in [0.15, 0.05] {
+            let spec = ErrorSpec::new(eps, 0.95);
+            aqp.answer_plan(&plan, &spec, 7).unwrap();
+            let (ans, spans, _) = aqp_obs::capture(|| aqp.answer_plan(&plan, &spec, 7).unwrap());
+            let phase = |name: &str| -> (u64, f64) {
+                let spans = spans.iter().filter(|s| s.name == name);
+                spans.fold((0, 0.0), |(rows, ms), s: &SpanRecord| {
+                    (rows + s.rows, ms + s.duration_ns as f64 / 1e6)
+                })
+            };
+            let (pilot_rate, final_rate) = match ans.report.path {
+                ExecutionPath::OnlineBlockSample {
+                    pilot_rate,
+                    final_rate,
+                } => (format!("{pilot_rate:.4}"), format!("{final_rate:.4}")),
+                ref other => ("-".into(), format!("{other:?}")),
+            };
+            let ((pilot_rows, pilot_ms), (final_rows, final_ms)) =
+                (phase("online:pilot"), phase("online:final"));
+            p.row(&[
+                (if grouped { "grouped" } else { "ungrouped" }).to_string(),
+                format!("{:.2}", eps),
+                pilot_rate,
+                pilot_rows.to_string(),
+                format!("{pilot_ms:.2}"),
+                final_rate,
+                final_rows.to_string(),
+                format!("{final_ms:.2}"),
+            ]);
+        }
+    }
 }

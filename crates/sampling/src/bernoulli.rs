@@ -8,6 +8,8 @@
 //! * [`bernoulli_blocks`] flips one coin per **block** and never touches
 //!   the rows of rejected blocks; the sampled table *shares* the selected
 //!   blocks (`Arc`), so its cost is proportional to the sampled fraction.
+//!   [`bernoulli_block_range`] is its general form, which lets a sample
+//!   grow without redrawing the blocks it already has.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -52,7 +54,8 @@ pub fn bernoulli_rows(table: &Table, rate: f64, seed: u64) -> Sample {
     }
 }
 
-/// Block-level Bernoulli(rate) sampling.
+/// Block-level Bernoulli(rate) sampling: the `[0, rate)` case of
+/// [`bernoulli_block_range`].
 ///
 /// Every block is independently included with probability `rate`; selected
 /// blocks are shared by reference (zero copy), rejected blocks are never
@@ -61,14 +64,30 @@ pub fn bernoulli_rows(table: &Table, rate: f64, seed: u64) -> Sample {
 /// # Panics
 /// Panics if `rate` is outside `(0, 1]`.
 pub fn bernoulli_blocks(table: &Table, rate: f64, seed: u64) -> Sample {
+    bernoulli_block_range(table, 0.0, rate, seed)
+}
+
+/// The blocks whose seeded uniform draw `u` falls in `[lo, hi)`.
+///
+/// One uniform is drawn per block in table order, so under one seed the
+/// ranges nest: `[0, a)` and `[a, b)` partition `[0, b)`'s blocks. A
+/// sample grown from rate `a` to `b` folds only the `[a, b)` blocks, and
+/// the union is exactly `bernoulli_blocks(table, b, seed)`. On its own the
+/// range is a Bernoulli block sample at rate `hi − lo`.
+///
+/// # Panics
+/// Panics unless `0 ≤ lo < hi ≤ 1`.
+pub fn bernoulli_block_range(table: &Table, lo: f64, hi: f64, seed: u64) -> Sample {
     assert!(
-        rate > 0.0 && rate <= 1.0,
-        "rate must be in (0,1], got {rate}"
+        0.0 <= lo && lo < hi && hi <= 1.0,
+        "rate must be in (0,1], got [{lo}, {hi})"
     );
+    let rate = hi - lo;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut blocks = Vec::new();
     for (_, block) in table.iter_blocks() {
-        if rng.gen::<f64>() < rate {
+        let u = rng.gen::<f64>();
+        if lo <= u && u < hi {
             blocks.push(std::sync::Arc::clone(block));
         }
     }
@@ -186,6 +205,25 @@ mod tests {
     #[should_panic(expected = "rate must be in (0,1]")]
     fn rejects_zero_rate() {
         bernoulli_rows(&table(10, 4), 0.0, 0);
+    }
+
+    /// Growing a sample from rate `a` to `b` draws exactly the blocks a
+    /// fresh sample at `b` would, each once.
+    #[test]
+    fn block_ranges_nest() {
+        let t = table(20_000, 16);
+        for seed in 0..20 {
+            let ptrs = |s: &Sample| -> Vec<*const aqp_storage::Block> {
+                s.table.blocks().iter().map(Arc::as_ptr).collect()
+            };
+            let mut grown = ptrs(&bernoulli_block_range(&t, 0.0, 0.05, seed));
+            grown.extend(ptrs(&bernoulli_block_range(&t, 0.05, 0.2, seed)));
+            grown.sort();
+            let mut fresh = ptrs(&bernoulli_blocks(&t, 0.2, seed));
+            fresh.sort();
+            assert!(!fresh.is_empty());
+            assert_eq!(grown, fresh, "seed {seed}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod reservoir;
 pub mod stratified;
 pub mod universe;
 
-pub use bernoulli::{bernoulli_blocks, bernoulli_rows};
+pub use bernoulli::{bernoulli_block_range, bernoulli_blocks, bernoulli_rows};
 pub use bilevel::bilevel_sample;
 pub use design::{RowWeights, Sample, SampleDesign};
 pub use distinct::distinct_sample;

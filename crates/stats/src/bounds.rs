@@ -13,7 +13,10 @@
 /// `(1 − q)^group_size ≤ exp(−q·group_size)`; union-bounding over
 /// `num_groups` groups gives `q ≥ ln(num_groups/δ) / group_size`.
 ///
-/// Used by E3/E12 and by the online planner's pilot-rate choice.
+/// The bound holds for any sampling unit: its one caller, the online
+/// planner's final-rate floor, counts `group_size` in blocks, because a
+/// Bernoulli block sample misses a group only by missing every block that
+/// holds it.
 pub fn group_coverage_rate(group_size: u64, num_groups: u64, delta: f64) -> f64 {
     assert!(group_size > 0, "group_size must be positive");
     assert!(num_groups > 0, "num_groups must be positive");

@@ -39,6 +39,24 @@ impl ConfidenceInterval {
         Self::new(value, value, confidence)
     }
 
+    /// Wilson score interval for a binomial proportion: `hits` successes
+    /// in `trials` (> 0) at two-sided `confidence`. Its `lo` alone is the
+    /// one-sided lower bound at `(1 + confidence) / 2`.
+    pub fn wilson(hits: u64, trials: u64, confidence: f64) -> Self {
+        let n = trials as f64;
+        let p = hits as f64 / n;
+        let z = Normal::two_sided_critical(confidence);
+        let z2 = z * z;
+        let denom = 1.0 + z2 / n;
+        let center = (p + z2 / (2.0 * n)) / denom;
+        let margin = z * ((p * (1.0 - p) + z2 / (4.0 * n)) / n).sqrt() / denom;
+        Self::new(
+            (center - margin).max(0.0),
+            (center + margin).min(1.0),
+            confidence,
+        )
+    }
+
     /// Interval width `hi − lo`.
     pub fn width(&self) -> f64 {
         self.hi - self.lo
@@ -124,19 +142,11 @@ impl CoverageCounter {
     /// Wilson score interval for the coverage proportion itself, so coverage
     /// experiments can distinguish sampling noise from genuine under-coverage.
     pub fn coverage_interval(&self, confidence: f64) -> ConfidenceInterval {
-        let n = self.trials as f64;
-        assert!(n > 0.0, "coverage_interval requires at least one trial");
-        let p = self.coverage();
-        let z = Normal::two_sided_critical(confidence);
-        let z2 = z * z;
-        let denom = 1.0 + z2 / n;
-        let center = (p + z2 / (2.0 * n)) / denom;
-        let margin = z * ((p * (1.0 - p) + z2 / (4.0 * n)) / n).sqrt() / denom;
-        ConfidenceInterval::new(
-            (center - margin).max(0.0),
-            (center + margin).min(1.0),
-            confidence,
-        )
+        assert!(
+            self.trials > 0,
+            "coverage_interval requires at least one trial"
+        );
+        ConfidenceInterval::wilson(self.hits, self.trials, confidence)
     }
 }
 

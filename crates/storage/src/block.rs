@@ -108,7 +108,8 @@ impl Block {
         self.schema.index_of(name).map(|i| &self.columns[i])
     }
 
-    /// Appends a row of values.
+    /// Appends a row of values. The whole row is checked before any
+    /// column grows, so a rejected row leaves the block as it was.
     pub fn push_row(&mut self, row: &[Value]) -> Result<(), StorageError> {
         if row.len() != self.schema.len() {
             return Err(StorageError::ArityMismatch {
@@ -116,14 +117,13 @@ impl Block {
                 actual: row.len(),
             });
         }
-        for ((value, column), field) in row.iter().zip(&mut self.columns).zip(self.schema.fields())
-        {
+        for ((value, column), field) in row.iter().zip(&self.columns).zip(self.schema.fields()) {
             if value.is_null() && !field.nullable {
                 return Err(StorageError::NullViolation {
                     column: field.name.clone(),
                 });
             }
-            column.push(value).map_err(|e| match e {
+            column.check(value).map_err(|e| match e {
                 StorageError::TypeMismatch {
                     expected, actual, ..
                 } => StorageError::TypeMismatch {
@@ -133,6 +133,9 @@ impl Block {
                 },
                 other => other,
             })?;
+        }
+        for (value, column) in row.iter().zip(&mut self.columns) {
+            column.push_checked(value);
         }
         self.len += 1;
         Ok(())
@@ -253,6 +256,48 @@ mod tests {
         b.push_row(&[Value::Int64(3), Value::Float64(30.0)])
             .unwrap();
         b
+    }
+
+    /// Regression: a row rejected by a later column used to leave the
+    /// earlier columns one value longer than the block.
+    #[test]
+    fn rejected_row_leaves_every_column_as_it_was() {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::nullable("v", DataType::Float64),
+            Field::new("s", DataType::Str),
+            Field::new("flag", DataType::Bool),
+        ]));
+        let mut b = Block::new(schema);
+        let err = b.push_row(&[
+            Value::Int64(1),
+            Value::Float64(1.5),
+            Value::str("a"),
+            Value::Int64(0),
+        ]);
+        assert_eq!(
+            err,
+            Err(StorageError::TypeMismatch {
+                column: "flag".into(),
+                expected: DataType::Bool,
+                actual: DataType::Int64,
+            })
+        );
+        let err = b.push_row(&[Value::Int64(1), Value::Null, Value::Null, Value::Bool(true)]);
+        assert!(
+            matches!(&err, Err(StorageError::NullViolation { column }) if column == "s"),
+            "{err:?}"
+        );
+        let row = vec![
+            Value::Int64(2),
+            Value::Float64(2.5),
+            Value::str("b"),
+            Value::Bool(true),
+        ];
+        b.push_row(&row).unwrap();
+        assert_eq!(b.len(), 1);
+        assert!(b.columns().iter().all(|c| c.len() == 1));
+        assert_eq!(b.row(0), row);
     }
 
     #[test]

@@ -170,74 +170,55 @@ impl Column {
         }
     }
 
+    /// The type check [`Column::push`] makes, without pushing.
+    pub(crate) fn check(&self, value: &Value) -> Result<(), StorageError> {
+        let fits = match (self, value) {
+            (_, Value::Null)
+            | (Column::Int64 { .. }, Value::Int64(_))
+            | (Column::Str { .. }, Value::Str(_))
+            | (Column::Bool { .. }, Value::Bool(_)) => true,
+            (Column::Float64 { .. }, v) => v.as_f64().is_some(),
+            _ => false,
+        };
+        match value.data_type() {
+            Some(actual) if !fits => Err(StorageError::TypeMismatch {
+                column: String::new(),
+                expected: self.data_type(),
+                actual,
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// Appends a value, checking its type against the column's.
     ///
-    /// Integers coerce into float columns (the one implicit widening SQL
-    /// engines universally allow); all other mismatches error.
+    /// NULL always passes (nullability is the schema's rule, not the
+    /// column's). Integers coerce into float columns (the one implicit
+    /// widening SQL engines universally allow); all other mismatches error.
     pub fn push(&mut self, value: &Value) -> Result<(), StorageError> {
+        self.check(value)?;
+        self.push_checked(value);
+        Ok(())
+    }
+
+    /// Appends a value `check` accepted.
+    pub(crate) fn push_checked(&mut self, value: &Value) {
         if value.is_null() {
             self.push_null();
-            return Ok(());
+            return;
         }
-        let mismatch = |col: &Column| StorageError::TypeMismatch {
-            column: String::new(),
-            expected: col.data_type(),
-            actual: value.data_type().expect("non-null checked above"),
-        };
-        match self {
-            Column::Int64 { data, validity } => {
-                let v = value.as_i64().ok_or_else(|| {
-                    mismatch(&Column::Int64 {
-                        data: vec![],
-                        validity: None,
-                    })
-                })?;
-                data.push(v);
-                if let Some(mask) = validity {
-                    mask.push(true);
-                }
+        match (&mut *self, value) {
+            (Column::Int64 { data, .. }, Value::Int64(v)) => data.push(*v),
+            (Column::Float64 { data, .. }, v) => data.push(v.as_f64().expect("checked")),
+            (Column::Str { codes, dict, .. }, Value::Str(s)) => {
+                codes.push(Arc::make_mut(dict).intern(s));
             }
-            Column::Float64 { data, validity } => {
-                let v = value.as_f64().ok_or_else(|| {
-                    mismatch(&Column::Float64 {
-                        data: vec![],
-                        validity: None,
-                    })
-                })?;
-                data.push(v);
-                if let Some(mask) = validity {
-                    mask.push(true);
-                }
-            }
-            Column::Str {
-                codes,
-                dict,
-                validity,
-            } => match value {
-                Value::Str(s) => {
-                    codes.push(Arc::make_mut(dict).intern(s));
-                    if let Some(mask) = validity {
-                        mask.push(true);
-                    }
-                }
-                _ => return Err(mismatch(&Column::new(DataType::Str))),
-            },
-            Column::Bool { data, validity } => match value {
-                Value::Bool(b) => {
-                    data.push(*b);
-                    if let Some(mask) = validity {
-                        mask.push(true);
-                    }
-                }
-                _ => {
-                    return Err(mismatch(&Column::Bool {
-                        data: vec![],
-                        validity: None,
-                    }))
-                }
-            },
+            (Column::Bool { data, .. }, Value::Bool(b)) => data.push(*b),
+            _ => unreachable!("value pushed without Column::check"),
         }
-        Ok(())
+        if let Some(mask) = self.validity_mut() {
+            mask.push(true);
+        }
     }
 
     /// Appends a NULL slot.

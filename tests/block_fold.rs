@@ -385,9 +385,12 @@ fn answer_bits(ans: &ApproximateAnswer) -> Vec<u64> {
     bits
 }
 
-/// Captured at commit c1eaf82 (the parent of the change that moved the
-/// sampled path onto the block fold) with this file's `golden_cases` and
-/// `answer_bits`, `OnlineConfig { threads: 1, .. }`.
+/// Captured with this file's `golden_cases` and `answer_bits`,
+/// `OnlineConfig { threads: 1, .. }`. The ungrouped row dates from commit
+/// c1eaf82 (the parent of the change that moved the sampled path onto the
+/// block fold). The three grouped rows were re-derived when grouped queries
+/// stopped piloting at the rate cap: their pilot now starts at 30 blocks,
+/// like the ungrouped one, so they plan a different final rate.
 const GOLDEN_BITS: [&[u64]; 4] = [
     &[
         0x3fba_41a4_1a41_a41a,
@@ -395,67 +398,67 @@ const GOLDEN_BITS: [&[u64]; 4] = [
         0x4275_e284_b67c_1ae7,
     ],
     &[
-        0x3fc4_3500_13eb_d09e,
-        0x411f_beb4_00d3_4bd6,
-        0x4189_d804_bdf2_5e81,
-        0x40e9_1153_c5b9_3c5c,
-        0x4107_7140_95b9_04e7,
-        0x4110_f4f1_1f55_cfdf,
-        0x4174_e17d_c707_b15b,
-        0x40d9_0ef1_6e4f_16e5,
-        0x40f6_30d4_97cc_7b6b,
-        0x4109_9fe8_306a_a12c,
-        0x4177_10b7_13f1_41b3,
-        0x40d0_f981_0a68_10a6,
-        0x40f3_590c_ace8_e162,
-        0x4105_04ce_62c6_18ec,
-        0x4173_9b8c_2657_282a,
-        0x40c9_b43e_7063_e706,
-        0x40ee_ad3f_d5d1_6dde,
-        0x4101_1783_165e_3ab7,
-        0x4172_6b64_279d_8a21,
-        0x40c3_e489_5da8_95da,
-        0x40e7_7544_0e84_4506,
-        0x40fc_e99a_4136_390d,
-        0x416f_bc35_555e_1742,
-        0x40c0_5106_3e70_63e7,
-        0x40e3_4b67_4569_06b4,
-        0x40fd_b166_287f_92b4,
-        0x4176_2a1f_5b63_3964,
-        0x40bd_c08d_8748_d875,
-        0x40e3_d0a7_562b_5e16,
-        0x40fa_bd42_938b_cfba,
-        0x4174_af0d_aa64_73cf,
-        0x40b9_9474_8d87_48d8,
-        0x40e3_e6a4_186e_91e6,
-        0x40f8_5ad7_2633_8d20,
-        0x4173_43ff_af2c_4752,
-        0x40b5_ae4a_ed44_aed4,
-        0x40e1_7409_6731_2be6,
-        0x40f6_417b_1cce_a95d,
-        0x4170_6db5_986c_a010,
-        0x40b3_4597_ef59_7ef5,
-        0x40d7_6aef_6efa_3b45,
-        0x40f6_7c3d_699b_2155,
-        0x4170_c469_93a9_25df,
-        0x40b2_ec95_da89_5da9,
-        0x40d8_edc5_d9d4_b539,
-        0x40f6_c7c6_ab97_62d9,
-        0x4172_38e8_b349_b51c,
-        0x40b1_a857_6a25_76a2,
-        0x40d4_f696_03a7_3edb,
+        0x3fc6_4dd3_693a_4805,
+        0x411f_a537_dbeb_8e3c,
+        0x4187_4eb4_f3ab_11c6,
+        0x40e9_28b8_0000_0000,
+        0x4105_94c1_8d46_29bf,
+        0x4110_e46f_4ff0_6a02,
+        0x4172_80f8_008f_3d02,
+        0x40d8_ee80_0000_0000,
+        0x40f4_9dc9_5ceb_23ee,
+        0x4109_2cdb_d110_3329,
+        0x4174_d10a_1089_2634,
+        0x40d0_d2c0_0000_0000,
+        0x40f1_322b_05b0_5b02,
+        0x4104_ab08_f329_0ef9,
+        0x4171_267b_533f_ce3a,
+        0x40c9_7e40_0000_0000,
+        0x40eb_fc45_6480_f2bb,
+        0x4101_2d27_5f8f_52e6,
+        0x416f_fc51_e678_43a5,
+        0x40c4_1480_0000_0000,
+        0x40e5_292e_7592_03ce,
+        0x40fd_4465_fb51_4e33,
+        0x416f_3c83_e7df_b134,
+        0x40c0_8520_0000_0000,
+        0x40e2_9293_3e93_e940,
+        0x40fd_6491_085d_78eb,
+        0x4173_3bcf_d133_7e99,
+        0x40bd_d400_0000_0001,
+        0x40e1_78c6_a314_dbf7,
+        0x40fa_d8c2_8e5c_c135,
+        0x4173_a2ad_e3a9_a2ae,
+        0x40b9_a680_0000_0000,
+        0x40e1_d961_9999_999d,
+        0x40f8_16ee_ed68_6b83,
+        0x4170_82bc_d432_9dd2,
+        0x40b5_b840_0000_0000,
+        0x40de_2f29_5555_5553,
+        0x40f6_e379_134d_0f52,
+        0x416f_d72c_2bb8_1557,
+        0x40b3_7940_0000_0000,
+        0x40d6_acc4_1e57_3ac9,
+        0x40f6_71f1_d54c_e2e3,
+        0x416d_8314_b731_ec51,
+        0x40b2_ccc0_0000_0000,
+        0x40d5_6f89_5555_5556,
+        0x40f6_d398_7af7_e210,
+        0x416f_c6bd_affc_5196,
+        0x40b1_a780_0000_0000,
+        0x40d2_17ff_684b_da14,
     ],
     &[
-        0x3fbd_91ab_c190_9ac8,
-        0x4195_0b43_beba_c0ff,
-        0x4286_5c4c_0dda_bfaa,
-        0x4193_c63e_8cb8_1477,
-        0x4283_52a5_ee74_4633,
-        0x4194_00c2_82d2_3849,
-        0x4284_36f6_6760_7ad7,
+        0x3fbc_c3b2_2caf_b06e,
+        0x4194_ed41_ab7d_162b,
+        0x4287_0331_6a30_5653,
+        0x4193_eb2e_aa2b_208e,
+        0x4282_c327_78a5_d53c,
+        0x4193_e750_1488_b885,
+        0x4285_1f90_d4c9_aa9d,
     ],
     &[
-        0x3fae_f962_b57d_2a36,
+        0x3fae_a570_21a8_cd59,
         0x408b_6c05_9fa4_adea,
         0x40af_cc41_b70f_6a20,
         0x40b2_0123_4f72_c235,
