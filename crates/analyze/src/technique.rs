@@ -114,8 +114,15 @@ pub enum DeclineReason {
     /// The planned sampling rate exceeds the pay-off cap; sampling would
     /// not beat exact execution while honoring the contract.
     RateAboveCap {
-        /// The rate the error spec would require.
+        /// The rate the error spec would require: the pilot's spread
+        /// inflated for pilot noise.
         required: f64,
+        /// The same rate with the pilot's spread *deflated* by the factor
+        /// `required` inflates it by — the low end of the planner's band.
+        /// Above `cap`, the decline is decisive, not in doubt. The band
+        /// is a heuristic, so one decisive pilot is not proof that every
+        /// pilot of the same data declines.
+        optimistic: f64,
         /// The configured cap.
         cap: f64,
     },
@@ -219,9 +226,14 @@ impl fmt::Display for DeclineReason {
                 write!(f, "table too small ({blocks} blocks < {min_blocks})")
             }
             Self::EmptyPilot => write!(f, "pilot sample matched nothing"),
-            Self::RateAboveCap { required, cap } => {
-                write!(f, "required rate {required:.3} exceeds cap {cap:.3}")
-            }
+            Self::RateAboveCap {
+                required,
+                optimistic,
+                cap,
+            } => write!(
+                f,
+                "required rate {required:.3} exceeds cap {cap:.3}; optimistic {optimistic:.3}"
+            ),
             Self::InsufficientSupport { rows, min_rows } => {
                 write!(f, "sample support {rows} rows < minimum {min_rows}")
             }
@@ -262,9 +274,13 @@ mod tests {
     fn decline_reasons_render() {
         let r = DeclineReason::RateAboveCap {
             required: 0.45,
+            optimistic: 0.31,
             cap: 0.2,
         };
-        assert!(r.to_string().contains("0.450"));
+        assert_eq!(
+            r.to_string(),
+            "required rate 0.450 exceeds cap 0.200; optimistic 0.310"
+        );
         assert!(DeclineReason::EmptyPilot.to_string().contains("pilot"));
         assert!(DeclineReason::StaleSynopsis {
             staleness: 0.3,
@@ -286,6 +302,7 @@ mod tests {
         assert!(!DeclineReason::EmptyPilot.is_static());
         assert!(!DeclineReason::RateAboveCap {
             required: 0.5,
+            optimistic: 0.3,
             cap: 0.2
         }
         .is_static());

@@ -54,6 +54,12 @@ pub enum CandidateOutcome {
     /// The candidate was eligible and attempted, but declined at runtime
     /// (e.g. the pilot-planned rate exceeded the cap).
     DeclinedAtRuntime(DeclineReason),
+    /// The candidate was eligible but not attempted: the plan cache
+    /// remembers a decisive runtime decline of this shape on the same
+    /// data (online's [`DeclineReason::RateAboveCap`] with even the
+    /// optimistic rate over the cap), so the router skipped the pilot
+    /// and fell through as if it had declined again.
+    Remembered(DeclineReason),
     /// A candidate earlier in the chain already answered; this one was
     /// eligible but never attempted.
     NotReached,
@@ -69,6 +75,7 @@ impl CandidateOutcome {
                 format!("statically ineligible ({r})")
             }
             CandidateOutcome::DeclinedAtRuntime(r) => format!("declined ({r})"),
+            CandidateOutcome::Remembered(r) => format!("remembered ({r})"),
             CandidateOutcome::NotReached => "not reached".to_string(),
         }
     }
@@ -548,6 +555,20 @@ mod tests {
         assert!(s.contains("offline-synopsis: statically ineligible"));
         assert!(s.contains("online-sampling: chosen"));
         assert!(s.contains("exact: not reached"));
+    }
+
+    #[test]
+    fn remembered_decline_renders_its_reason() {
+        use crate::technique::DeclineReason;
+        let outcome = CandidateOutcome::Remembered(DeclineReason::RateAboveCap {
+            required: 0.9,
+            optimistic: 0.5,
+            cap: 0.2,
+        });
+        assert_eq!(
+            outcome.describe(),
+            "remembered (required rate 0.900 exceeds cap 0.200; optimistic 0.500)"
+        );
     }
 }
 

@@ -25,7 +25,7 @@
 //!
 //! Exact winners are never audited — there is nothing to check.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use aqp_engine::ExecOptions;
 use aqp_obs::scoreboard::AuditObservation;
@@ -83,7 +83,8 @@ pub struct AuditOutcome {
     pub groups_checked: usize,
     /// Exact groups the approximate answer was missing entirely.
     pub groups_missing: usize,
-    /// Wall cost of the exact re-execution and comparison.
+    /// Wall cost of the whole audit: the exact re-execution, the grading,
+    /// and the scoreboard update (a quarantine transition included).
     pub wall: Duration,
 }
 
@@ -122,10 +123,9 @@ pub(crate) fn should_audit(seed: u64, serial: u64, rate: f64) -> bool {
     splitmix64(seed ^ splitmix64(serial)) < threshold
 }
 
-/// Re-executes `query` exactly and grades `ans` against the truth.
-/// Ticks the audit metrics of the registry in scope (`aqp_audit_total`,
-/// `aqp_audit_ci_miss_total`, `aqp_audit_rel_err`, `aqp_audit_wall_us`,
-/// all labeled by technique).
+/// Re-executes `query` exactly and grades `ans` against the truth. The
+/// outcome's `wall` is left zero: the session stamps it once the verdict
+/// is also in the scoreboard, then calls [`record_metrics`].
 pub(crate) fn audit_answer(
     catalog: &Catalog,
     query: &AggQuery,
@@ -134,7 +134,6 @@ pub(crate) fn audit_answer(
     opts: ExecOptions,
     winner: TechniqueKind,
 ) -> Result<AuditOutcome, AqpError> {
-    let start = Instant::now();
     let population = catalog
         .get(&query.fact_table)
         .map(|t| t.row_count() as u64)
@@ -181,15 +180,16 @@ pub(crate) fn audit_answer(
         nominal_coverage: carries_intervals.then_some(spec.confidence),
         groups_checked: exact.groups.len(),
         groups_missing,
-        wall: start.elapsed(),
+        wall: Duration::ZERO,
     };
-    aqp_obs::metrics::record(|m| record_metrics(m, &outcome));
     Ok(outcome)
 }
 
-/// Mirrors the audit into the registry in scope (the auditing session's)
-/// so Prometheus scrapes see cumulative per-technique audit health.
-fn record_metrics(m: &aqp_obs::metrics::MetricsRegistry, o: &AuditOutcome) {
+/// Mirrors the audit into the auditing session's registry
+/// (`aqp_audit_total`, `aqp_audit_ci_miss_total`, `aqp_audit_rel_err`,
+/// `aqp_audit_wall_us`, all labeled by technique) so Prometheus scrapes
+/// see cumulative per-technique audit health.
+pub(crate) fn record_metrics(m: &aqp_obs::metrics::MetricsRegistry, o: &AuditOutcome) {
     use aqp_obs::names;
     let technique = o.technique.name();
     m.counter_labeled(names::AUDIT_TOTAL, names::TECHNIQUE_LABEL, technique)

@@ -19,10 +19,16 @@
 //!    miss the contract. A decline is in doubt when only the inflation
 //!    pushes the rate over the cap (its face value fits): then the pilot
 //!    grows 4×, up to the cap, folding in just the blocks its smaller rate
-//!    did not draw, and plans again. A grouped query's `q` is floored so
-//!    that the final sample keeps every group the pilot saw with
-//!    probability ≥ 99 %, counting each group's size in blocks, the unit
-//!    block sampling draws, from a lower bound on its pilot incidence.
+//!    did not draw, and plans again. A decline reports both ends of the
+//!    band: the inflated rate and the *optimistic* one, the spread
+//!    deflated by the same factor; when even that is over the cap, the
+//!    decline is decisive. The service's plan cache remembers a shape's
+//!    decline once two samples find it decisive and none finds otherwise,
+//!    so later queries of the shape skip the pilot. A grouped query's `q`
+//!    is floored so that the final sample keeps every group the pilot saw
+//!    with probability ≥ 99 %, counting each group's size in blocks, the
+//!    unit block sampling draws, from a lower bound on its pilot
+//!    incidence.
 //! 4. **Final** — an independent block sample at rate `q` produces the
 //!    per-group estimates and Boole-adjusted confidence intervals.
 //!
@@ -133,18 +139,16 @@ fn accumulate(
 
 /// The minimum block-sampling rate meeting `(rel_err, z)` for one
 /// aggregate, from the spread of the pilot's block totals (blocks where the
-/// group is absent count as zero totals). `m0` = pilot blocks, `big_m` =
-/// population blocks. Returns `1.0` when sampling cannot meet the target.
-#[allow(clippy::too_many_arguments)] // planner inputs are irreducibly many
+/// group is absent count as zero totals), scaled by `noise` (see
+/// [`pilot_noise`]). `m0` = pilot blocks, `big_m` = population blocks.
+/// Returns `1.0` when sampling cannot meet the target.
 fn required_rate(
     kind: LinearAgg,
     t: &UnitSums,
-    m0: u64,
-    big_m: u64,
+    (m0, big_m): (u64, u64),
     rel_err: f64,
     z: f64,
-    blocks_seen: u64,
-    inflate: bool,
+    noise: f64,
 ) -> f64 {
     if m0 < 2 {
         return 1.0; // one pilot block: spread unobservable
@@ -153,13 +157,6 @@ fn required_rate(
     let (sff, sgg, sfg) = t.centered(m0);
     let d = m0 as f64 - 1.0;
     let (var_f, var_g, cov) = ((sff / d).max(0.0), (sgg / d).max(0.0), sfg / d);
-    // Conservative inflation for pilot estimation noise; shrinks as the
-    // group appears in more pilot blocks.
-    let infl = if inflate {
-        1.0 + 2.0 / (blocks_seen.max(1) as f64).sqrt()
-    } else {
-        1.0
-    };
     let mm = big_m as f64;
     // Relative variance of the Hájek estimate at rate q is
     // (1−q)/q · B / M, with B the squared coefficient-of-variation term.
@@ -177,12 +174,20 @@ fn required_rate(
             (var_f / (mean_f * mean_f) + var_g / (mean_g * mean_g) - 2.0 * cov / (mean_f * mean_g))
                 .max(0.0)
         }
-    } * infl;
+    } * noise;
     if b == 0.0 {
         return 0.0;
     }
     let a = mm * (rel_err / z).powi(2);
     b / (b + a)
+}
+
+/// The conservative factor on a group's pilot spread for pilot estimation
+/// noise, `1 + 2/√k` for a group seen in `k` pilot blocks; it shrinks as
+/// the group appears in more of them. Planning multiplies the spread by
+/// it; dividing by it gives the optimistic end of the same band.
+fn pilot_noise(blocks_seen: u64) -> f64 {
+    1.0 + 2.0 / (blocks_seen.max(1) as f64).sqrt()
 }
 
 /// The final rate at which a Bernoulli block sample keeps every group the
@@ -201,6 +206,14 @@ fn group_coverage_floor(totals: &SampledTotals, big_m: u64) -> f64 {
             group_coverage_rate(blocks, groups, GROUP_MISS_PROB)
         })
         .fold(0.0, f64::max)
+}
+
+/// The rate a pilot plans, read three ways (see
+/// [`OnlineAqp::required_rates`]): `optimistic ≤ face_value ≤ required`.
+struct RequiredRates {
+    required: f64,
+    face_value: f64,
+    optimistic: f64,
 }
 
 /// What the pilot phase learned.
@@ -365,7 +378,11 @@ impl<'a> OnlineAqp<'a> {
             }
 
             let mut plan_span = aqp_obs::span("online:plan");
-            let (required, face_value) = self.required_rates(query, &totals, spec, big_m);
+            let RequiredRates {
+                required,
+                face_value,
+                optimistic,
+            } = self.required_rates(query, &totals, spec, big_m);
             if required <= cap {
                 // Floor the final rate so spread stays estimable (≥ ~20
                 // blocks) and every group the pilot saw stays in the answer.
@@ -384,7 +401,11 @@ impl<'a> OnlineAqp<'a> {
             }
             if face_value > cap || rate >= max_rate {
                 // Sampling would not pay off; honor the contract exactly.
-                break Err(DeclineReason::RateAboveCap { required, cap });
+                break Err(DeclineReason::RateAboveCap {
+                    required,
+                    optimistic,
+                    cap,
+                });
             }
             rate = (rate * PILOT_GROWTH).min(max_rate);
         };
@@ -400,8 +421,9 @@ impl<'a> OnlineAqp<'a> {
         Ok(Pilot { rate, rows, plan })
     }
 
-    /// The largest rate any pilot group's aggregate requires: with the
-    /// configured pilot-noise inflation, and at face value (none). The
+    /// The largest rate any pilot group's aggregate requires, at three
+    /// readings of its spread: inflated for pilot noise (when the config
+    /// asks for it), at face value, and deflated by the same factor. The
     /// contract's confidence is Boole-split over every estimate.
     fn required_rates(
         &self,
@@ -409,19 +431,30 @@ impl<'a> OnlineAqp<'a> {
         totals: &SampledTotals,
         spec: &ErrorSpec,
         big_m: u64,
-    ) -> (f64, f64) {
+    ) -> RequiredRates {
         let num_estimates = totals.groups().len() * query.aggregates.len();
         let z = spec.split_across(num_estimates.max(1)).z();
-        let (m0, mut required, mut face_value) = (totals.blocks(), 0.0f64, 0.0f64);
+        let m0 = totals.blocks();
+        let mut rates = RequiredRates {
+            required: 0.0,
+            face_value: 0.0,
+            optimistic: 0.0,
+        };
         for acc in totals.groups() {
+            let noise = if self.config.pilot_inflation {
+                pilot_noise(acc.blocks_seen)
+            } else {
+                1.0
+            };
             for (agg, t) in query.aggregates.iter().zip(&acc.totals) {
-                let (eps, seen) = (spec.relative_error, acc.blocks_seen);
-                let rate = |inflate| required_rate(agg.kind, t, m0, big_m, eps, z, seen, inflate);
-                required = required.max(rate(self.config.pilot_inflation));
-                face_value = face_value.max(rate(false));
+                let rate =
+                    |noise| required_rate(agg.kind, t, (m0, big_m), spec.relative_error, z, noise);
+                rates.required = rates.required.max(rate(noise));
+                rates.face_value = rates.face_value.max(rate(1.0));
+                rates.optimistic = rates.optimistic.max(rate(noise.recip()));
             }
         }
-        (required, face_value)
+        rates
     }
 
     /// The sampler's guard: a fact table that is missing, or has fewer
@@ -693,7 +726,14 @@ mod tests {
                         acc.blocks_seen
                     );
                     let (t, seen) = (&acc.totals[0], acc.blocks_seen);
-                    required_rate(LinearAgg::Sum, t, blocks, big_m, 0.05, 1.96, seen, true)
+                    required_rate(
+                        LinearAgg::Sum,
+                        t,
+                        (blocks, big_m),
+                        0.05,
+                        1.96,
+                        pilot_noise(seen),
+                    )
                 })
                 .fold(0.0, f64::max)
         };
@@ -812,8 +852,11 @@ mod tests {
         let pilot = bernoulli_blocks(evaluator.fact(), base, seed);
         accumulate(&evaluator, &pilot, 1, &mut totals).unwrap();
         let big_m = evaluator.fact().block_count() as u64;
-        let (required, face_value) = aqp.required_rates(&q, &totals, &spec, big_m);
-        assert!(face_value <= config.max_final_rate && config.max_final_rate < required);
+        let rates = aqp.required_rates(&q, &totals, &spec, big_m);
+        assert!(
+            rates.face_value <= config.max_final_rate && config.max_final_rate < rates.required
+        );
+        assert!(0.0 < rates.optimistic && rates.optimistic < rates.face_value);
 
         let (ans, spans, _) = aqp_obs::capture(|| aqp.answer_plan(&plan, &spec, seed).unwrap());
         let (pilot_rate, _) = path_rates(&ans);
@@ -857,7 +900,15 @@ mod tests {
                 assert_eq!(pilot.rate, base_pilot_rate(&c), "eps {eps} seed {seed}");
                 match pilot.plan {
                     Ok(_) => outcomes.0 += 1,
-                    Err(DeclineReason::RateAboveCap { .. }) => outcomes.1 += 1,
+                    Err(DeclineReason::RateAboveCap {
+                        required,
+                        optimistic,
+                        ..
+                    }) => {
+                        // No inflation to invert: the band is one point.
+                        assert_eq!(optimistic.to_bits(), required.to_bits());
+                        outcomes.1 += 1;
+                    }
                     Err(other) => panic!("{other:?}"),
                 }
             }

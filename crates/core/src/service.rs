@@ -16,15 +16,34 @@
 //!    are unaffected because engine output is thread-count invariant.
 //! 2. **Plan cache** — keyed on a fingerprint of the normalized plan and
 //!    the error spec, memoizing the lint [`Analysis`], the
-//!    [`RoutingDecision`] it implies (refreshed from each completed run),
-//!    and an EWMA of the answer wall. A hit makes admission and
+//!    [`RoutingDecision`] it implies (refreshed from each completed run,
+//!    so it can carry a remembered decline of online sampling), and an
+//!    EWMA of the answer wall. A hit makes admission and
 //!    [`AqpService::route`] a fingerprint lookup, and execution routes on
 //!    the memoized analysis; the winning family then runs exactly what a
-//!    cold run runs. Entries are invalidated by every change a verdict
-//!    reads: synopsis builds and maintenance, quarantine transitions (all
-//!    folded into the session's
-//!    [`routing epoch`](AqpSession::routing_epoch)), and fact-table
-//!    row-count changes.
+//!    cold run runs. Entries are invalidated by every change a verdict or
+//!    a remembered decline reads: synopsis builds and maintenance,
+//!    quarantine transitions (all folded into the session's
+//!    [`routing epoch`](AqpSession::routing_epoch)), and a
+//!    `Catalog::replace` of any table the plan reads, fact or dimension,
+//!    whatever its row count (the entry holds a `Weak` to each table and
+//!    compares identities). [`AqpService::invalidate_cache`] drops every
+//!    entry.
+//!
+//!    A decline is decisive when online's pilot found the required rate
+//!    over the cap even at the optimistic end of the planner's band
+//!    ([`DeclineReason::RateAboveCap`]'s `optimistic`: the pilot's spread
+//!    deflated by the factor the plan inflates it by). One pilot is one
+//!    sample, and the band is a heuristic: on skewed data a pilot can
+//!    read the spread high enough to decline decisively at a seed where
+//!    most seeds answer. So an entry remembers the decline only once two
+//!    of its pilots, with different readings, declined decisively and
+//!    none of its pilots answered or declined in doubt; a shape whose
+//!    pilots disagree pilots on every submit for the entry's life. Once
+//!    remembered, a hit skips the pilot: the answer's routing shows
+//!    online as [`CandidateOutcome::Remembered`] with the confirming
+//!    pilot's reason, no `online:pilot` span is opened, no pilot rows are
+//!    charged, and the next family runs with the query's own seed.
 //! 3. **Contract admission control** — each query carries a
 //!    [`Contract`] (max relative error, confidence, optional deadline).
 //!    A contract whose error or confidence lies outside (0, 1) is an
@@ -39,12 +58,20 @@
 //!
 //! Answers produced through the service are bit-for-bit identical to a
 //! serial [`AqpSession::answer`] replay of the same `(plan, spec, seed)`
-//! stream: the only work a hit skips is the lint, whose verdicts cannot
-//! change while the epoch holds. `tests/service.rs` pins this with a
-//! multi-threaded proptest.
+//! stream whenever online's decline of a remembered shape holds at every
+//! seed of the stream: the work a hit skips is the lint, whose verdicts
+//! cannot change while the entry is valid, and a decisive decline's
+//! pilot, whose outcome is the decline. (The rule is a heuristic, not a
+//! bound: a seed whose own pilot would have planned under the cap would
+//! still get the next family's answer. On the repository benchmark's
+//! ad-hoc shapes, and on a skewed table built to make pilots disagree,
+//! no seed did.)
+//! `tests/service.rs` pins the identity with a multi-threaded proptest
+//! whose plans include a remembered shape, and checks that online's
+//! winner share over many seeds is the session's.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -53,13 +80,14 @@ use aqp_analyze::{Analysis, GuaranteeClass};
 use aqp_engine::{LogicalPlan, PoolShare};
 use aqp_obs::metrics::MetricsRegistry;
 use aqp_obs::names;
-use aqp_storage::Catalog;
+use aqp_storage::{Catalog, Table};
 
 use crate::aggquery::AggQuery;
-use crate::answer::{ApproximateAnswer, CandidateDecision, RoutingDecision};
+use crate::answer::{ApproximateAnswer, CandidateDecision, CandidateOutcome, RoutingDecision};
 use crate::error::AqpError;
 use crate::session::{AqpSession, Replay, SessionConfig};
 use crate::spec::ErrorSpec;
+use crate::technique::{DeclineReason, TechniqueKind};
 
 /// A per-query accuracy-and-latency contract negotiated at admission.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -230,7 +258,7 @@ pub enum CacheEvent {
     /// Fingerprint never seen.
     Miss,
     /// Fingerprint present but invalidated by a routing-epoch bump or a
-    /// fact-table row-count change.
+    /// replaced table the plan reads.
     Stale,
     /// The plan is outside the normalized star shape and cannot be
     /// cached.
@@ -469,26 +497,101 @@ impl Scheduler {
 
 // ---- Plan cache ------------------------------------------------------------
 
-/// One memoized routing decision. Valid only while the session's routing
-/// epoch and the fact table's row count still match what the entry was
-/// stamped with.
-struct CacheEntry {
-    analysis: Arc<Analysis>,
-    /// Fact table backing the plan — its current row count is part of
-    /// the entry's validity check.
-    fact_table: String,
-    /// Routing template with walls zeroed; refreshed from each completed
-    /// run so it reflects runtime declines, not just static verdicts.
-    decision: Arc<RoutingDecision>,
+/// What a cache entry's contents were learned under: the session's
+/// routing epoch and the identity of every table the plan reads, fact
+/// and dimensions. A `Catalog::replace` installs a new `Arc<Table>`, so a
+/// pointer comparison sees any change to a table's rows or values — and
+/// it cannot be fooled by a new table reusing a freed address, because a
+/// `Weak` keeps its allocation (never the column data) alive.
+struct Stamp {
     epoch: u64,
-    fact_rows: u64,
+    /// `(name, table)`; `None` for a table missing from the catalog.
+    tables: Vec<(String, Option<Weak<Table>>)>,
+}
+
+impl Stamp {
+    /// The stamp of `query`'s tables as the catalog holds them now.
+    fn capture(epoch: u64, catalog: &Catalog, query: &AggQuery) -> Self {
+        let names =
+            std::iter::once(&query.fact_table).chain(query.joins.iter().map(|j| &j.dim_table));
+        let tables = names
+            .map(|name| {
+                (
+                    name.clone(),
+                    catalog.get(name).ok().map(|t| Arc::downgrade(&t)),
+                )
+            })
+            .collect();
+        Self { epoch, tables }
+    }
+
+    /// Whether the session is still at the stamped epoch and its catalog
+    /// still holds exactly the stamped tables.
+    fn is_current(&self, epoch: u64, catalog: &Catalog) -> bool {
+        self.epoch == epoch
+            && self.tables.iter().all(|(name, table)| {
+                let now = catalog.get(name).ok();
+                match (table, &now) {
+                    (Some(then), Some(now)) => std::ptr::eq(then.as_ptr(), Arc::as_ptr(now)),
+                    (None, None) => true,
+                    _ => false,
+                }
+            })
+    }
+}
+
+/// One memoized routing decision. Valid only while its [`Stamp`] is
+/// current: the session's routing epoch and the plan's tables are still
+/// the ones it was learned under.
+struct CacheEntry {
+    /// Which insert made this entry: a result is folded back only into
+    /// the entry its query was prepared from, so a query that outlived
+    /// its entry cannot write what it learned under the old stamp into
+    /// the successor.
+    serial: u64,
+    analysis: Arc<Analysis>,
+    /// Routing template with walls zeroed; refreshed from each completed
+    /// run so it reflects runtime declines, not just static verdicts. When
+    /// online is [`CandidateOutcome::Remembered`] in it (see
+    /// [`AqpService::record_result`]), later runs skip online's pilot.
+    decision: Arc<RoutingDecision>,
+    stamp: Stamp,
     /// Exponentially weighted answer wall (µs); 0 = no sample yet.
     ewma_wall_us: f64,
+    /// Some run of this entry attempted online and did not decline
+    /// decisively: it answered, or declined in doubt. Such a shape's
+    /// declines depend on the seed, and it never remembers one.
+    mixed: bool,
+}
+
+/// Online's pilot in a routing pass declined decisively: the required
+/// rate is over the cap even at the optimistic end of the planner's
+/// band. An empty pilot, or a decline whose optimistic rate fits under
+/// the cap, is in doubt.
+fn decisive_decline(routing: &RoutingDecision) -> Option<&DeclineReason> {
+    match routing.outcome(TechniqueKind::OnlineSampling)? {
+        CandidateOutcome::DeclinedAtRuntime(
+            reason @ DeclineReason::RateAboveCap {
+                optimistic, cap, ..
+            },
+        ) if optimistic > cap => Some(reason),
+        _ => None,
+    }
+}
+
+/// The decline a routing template remembers for online sampling.
+fn remembered_decline(template: &RoutingDecision) -> Option<&DeclineReason> {
+    match template.outcome(TechniqueKind::OnlineSampling)? {
+        CandidateOutcome::Remembered(reason) => Some(reason),
+        _ => None,
+    }
 }
 
 struct CacheInner {
     map: HashMap<u64, CacheEntry>,
     order: VecDeque<u64>,
+    /// Inserts so far: the next entry's serial.
+    inserts: u64,
 }
 
 struct PlanCache {
@@ -502,6 +605,7 @@ impl PlanCache {
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
                 order: VecDeque::new(),
+                inserts: 0,
             }),
             capacity: capacity.max(1),
         }
@@ -701,8 +805,10 @@ fn zeroed_walls(decision: &RoutingDecision) -> RoutingDecision {
 /// Everything `submit` needs from the prepare step.
 struct Prepared {
     analysis: Arc<Analysis>,
-    fingerprint: Option<u64>,
-    /// Present on a cache hit: the memoized route.
+    /// The fingerprint and serial of the entry this query routes on;
+    /// `None` for an uncacheable plan.
+    entry: Option<(u64, u64)>,
+    /// Present for a cacheable plan: the memoized route.
     route: Option<CachedRoute>,
     event: CacheEvent,
 }
@@ -802,8 +908,9 @@ impl<'a> AqpService<'a> {
         self.session.metrics()
     }
 
-    /// Drops every plan-cache entry (benchmarks use this to time the cold
-    /// path honestly).
+    /// Drops every plan-cache entry, remembered declines included: the
+    /// next submit of each shape lints and pilots afresh (benchmarks use
+    /// this to time the cold path honestly).
     pub fn invalidate_cache(&self) {
         self.cache.clear();
     }
@@ -915,14 +1022,18 @@ impl<'a> AqpService<'a> {
         let replay = Replay {
             analysis: Some(Arc::clone(&prep.analysis)),
             threads: Some(threads),
+            online_decline: prep
+                .route
+                .as_ref()
+                .and_then(|r| remembered_decline(&r.decision).cloned()),
         };
         let mut ans = self.session.answer_with(plan, &spec, seed, replay)?;
         drop(slot);
         drop(guard);
 
         // ---- Bookkeeping ----
-        if let Some(fp) = prep.fingerprint {
-            self.record_result(fp, &ans);
+        if let Some((fp, serial)) = prep.entry {
+            self.record_result(fp, serial, &ans);
         }
         self.count_admission(decision.tag());
         ans.report.admission = Some(Box::new(AdmissionReport {
@@ -945,22 +1056,12 @@ impl<'a> AqpService<'a> {
             .inc(1);
     }
 
-    /// Rows currently in the plan's fact table — part of an entry's
-    /// validity stamp, catching appends that never touch a synopsis.
-    fn fact_rows(&self, query: &AggQuery) -> u64 {
-        self.session
-            .catalog()
-            .get(&query.fact_table)
-            .map(|t| t.row_count() as u64)
-            .unwrap_or(0)
-    }
-
     /// Cache lookup / fill: on a hit, returns the memoized analysis and
     /// route; on a miss or stale entry, lints, decides, and inserts.
     ///
     /// The hit path deliberately runs *before* plan normalization: a
-    /// fingerprint probe plus two catalog reads is the entire cost of a
-    /// warm routing decision.
+    /// fingerprint probe plus one catalog read per table the plan reads
+    /// is the entire cost of a warm routing decision.
     fn prepare(&self, plan: &LogicalPlan, spec: &ErrorSpec) -> Prepared {
         let fp = fingerprint(plan, spec);
         let epoch = self.session.routing_epoch();
@@ -968,13 +1069,7 @@ impl<'a> AqpService<'a> {
         {
             let mut inner = self.cache.inner.lock();
             if let Some(entry) = inner.map.get(&fp) {
-                let fact_rows = self
-                    .session
-                    .catalog()
-                    .get(&entry.fact_table)
-                    .map(|t| t.row_count() as u64)
-                    .unwrap_or(0);
-                if entry.epoch == epoch && entry.fact_rows == fact_rows {
+                if entry.stamp.is_current(epoch, self.session.catalog()) {
                     return Prepared {
                         analysis: Arc::clone(&entry.analysis),
                         route: Some(CachedRoute {
@@ -982,7 +1077,7 @@ impl<'a> AqpService<'a> {
                             estimated_wall: (entry.ewma_wall_us > 0.0)
                                 .then(|| Duration::from_micros(entry.ewma_wall_us as u64)),
                         }),
-                        fingerprint: Some(fp),
+                        entry: Some((fp, entry.serial)),
                         event: CacheEvent::Hit,
                     };
                 }
@@ -1001,12 +1096,12 @@ impl<'a> AqpService<'a> {
             ));
             return Prepared {
                 analysis,
-                fingerprint: None,
+                entry: None,
                 route: None,
                 event: CacheEvent::Uncacheable,
             };
         };
-        let fact_rows = self.fact_rows(&query);
+        let stamp = Stamp::capture(epoch, self.session.catalog(), &query);
         // Miss path: lint outside the cache lock (it is metadata-only and
         // contention here would serialize every cold query).
         let analysis = Arc::new(aqp_analyze::lint_with(
@@ -1015,7 +1110,7 @@ impl<'a> AqpService<'a> {
             &self.session.lint_context(),
         ));
         let decision = Arc::new(self.session.decide(&analysis));
-        {
+        let serial = {
             let mut inner = self.cache.inner.lock();
             while inner.map.len() >= self.cache.capacity {
                 let Some(oldest) = inner.order.pop_front() else {
@@ -1030,22 +1125,25 @@ impl<'a> AqpService<'a> {
                     )
                     .inc(1);
             }
+            let serial = inner.inserts;
+            inner.inserts += 1;
             inner.map.insert(
                 fp,
                 CacheEntry {
                     analysis: Arc::clone(&analysis),
-                    fact_table: query.fact_table,
                     decision: Arc::clone(&decision),
-                    epoch,
-                    fact_rows,
+                    serial,
+                    stamp,
                     ewma_wall_us: 0.0,
+                    mixed: false,
                 },
             );
             inner.order.push_back(fp);
-        }
+            serial
+        };
         Prepared {
             analysis,
-            fingerprint: Some(fp),
+            entry: Some((fp, serial)),
             route: Some(CachedRoute {
                 decision,
                 estimated_wall: None,
@@ -1054,13 +1152,19 @@ impl<'a> AqpService<'a> {
         }
     }
 
-    /// Folds one completed answer back into its cache entry: the wall
-    /// EWMA for deadline estimates and the realized routing template
-    /// (which — unlike the verdict-only template — records runtime
-    /// declines).
-    fn record_result(&self, fp: u64, ans: &ApproximateAnswer) {
+    /// Folds one completed answer back into the cache entry it was
+    /// prepared from: the wall EWMA for deadline estimates and the
+    /// realized routing template (which — unlike the verdict-only
+    /// template — records runtime declines). Online's decline becomes
+    /// [`CandidateOutcome::Remembered`] in the template once two of the
+    /// entry's pilots declined decisively with different readings (two
+    /// samples, not one seed submitted twice) and none of its pilots did
+    /// anything else; a remembered run keeps it. An answer prepared from
+    /// an entry that has since been replaced is dropped: what it learned
+    /// may be about data the replacement no longer describes.
+    fn record_result(&self, fp: u64, serial: u64, ans: &ApproximateAnswer) {
         let mut inner = self.cache.inner.lock();
-        let Some(entry) = inner.map.get_mut(&fp) else {
+        let Some(entry) = inner.map.get_mut(&fp).filter(|e| e.serial == serial) else {
             return;
         };
         let wall_us = ans.report.wall.as_secs_f64() * 1e6;
@@ -1070,7 +1174,26 @@ impl<'a> AqpService<'a> {
             wall_us
         };
         if let Some(routing) = &ans.report.routing {
-            entry.decision = Arc::new(zeroed_walls(routing));
+            let mut template = zeroed_walls(routing);
+            let now = decisive_decline(routing);
+            let piloted = matches!(
+                routing.outcome(TechniqueKind::OnlineSampling),
+                Some(CandidateOutcome::Chosen | CandidateOutcome::DeclinedAtRuntime(_))
+            );
+            entry.mixed |= piloted && now.is_none();
+            // A second decisive pilot with a reading of its own confirms
+            // the decline; once remembered, a decisive pilot keeps it so.
+            let confirmed = |now: &&DeclineReason| {
+                remembered_decline(&entry.decision).is_some()
+                    || decisive_decline(&entry.decision).is_some_and(|e| e != *now)
+            };
+            let online =
+                (template.candidates.iter_mut()).find(|c| c.kind == TechniqueKind::OnlineSampling);
+            let remembered = now.filter(confirmed).filter(|_| !entry.mixed);
+            if let (Some(now), Some(online)) = (remembered, online) {
+                online.outcome = CandidateOutcome::Remembered(now.clone());
+            }
+            entry.decision = Arc::new(template);
         }
     }
 }
@@ -1101,6 +1224,63 @@ mod tests {
         assert_eq!(fingerprint(&a, &tight), fingerprint(&a, &tight));
         assert_ne!(fingerprint(&a, &tight), fingerprint(&b, &tight));
         assert_ne!(fingerprint(&a, &tight), fingerprint(&a, &loose));
+    }
+
+    /// A query prepared before an epoch bump finishes after its plan was
+    /// re-prepared: its result — a decisive decline learned under the old
+    /// stamp — must not land in the entry that replaced its own.
+    #[test]
+    fn a_superseded_query_leaves_its_successor_entry_alone() {
+        use aqp_engine::{AggExpr, Query};
+        use aqp_expr::{col, lit};
+        use aqp_workload::{build_star_schema, StarScale};
+        let catalog = Catalog::new();
+        let scale = StarScale {
+            orders: 4_000,
+            ..StarScale::tiny()
+        };
+        build_star_schema(&catalog, &scale, 23).unwrap();
+        let plan = Query::scan("lineitem")
+            .join(Query::scan("orders"), col("l_orderkey"), col("o_key"))
+            .filter(col("l_sel").lt(lit(0.8)))
+            .aggregate(
+                vec![(col("o_priority"), "priority".to_string())],
+                vec![AggExpr::sum(col("l_price"), "s")],
+            )
+            .build();
+        let spec = ErrorSpec::new(0.002, 0.95);
+        let service = AqpService::new(&catalog);
+
+        let old = service.prepare(&plan, &spec);
+        assert_eq!(old.event, CacheEvent::Miss);
+        service.session().maintain_synopses("lineitem", 0).unwrap();
+        let new = service.prepare(&plan, &spec);
+        assert_eq!(new.event, CacheEvent::Stale);
+        let ans = service.session().answer(&plan, &spec, 1).unwrap();
+        let routing = ans.report.routing.as_ref().unwrap();
+        assert!(decisive_decline(routing).is_some(), "setup: {routing:?}");
+
+        let entry_state = || {
+            let inner = service.cache.inner.lock();
+            let entry = &inner.map[&fingerprint(&plan, &spec)];
+            (
+                entry.ewma_wall_us,
+                decisive_decline(&entry.decision).cloned(),
+                Arc::clone(&entry.decision),
+            )
+        };
+        let (old_fp, old_serial) = old.entry.unwrap();
+        service.record_result(old_fp, old_serial, &ans);
+        let (ewma, decline, decision) = entry_state();
+        assert_eq!((ewma, decline), (0.0, None));
+        assert!(Arc::ptr_eq(&decision, &new.route.unwrap().decision));
+
+        // The same result prepared from the current entry is folded in.
+        let (fp, serial) = new.entry.unwrap();
+        service.record_result(fp, serial, &ans);
+        let (ewma, decline, _) = entry_state();
+        assert!(ewma > 0.0);
+        assert_eq!(decline.as_ref(), decisive_decline(routing));
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::ola::OlaTechnique;
 use crate::online::{OnlineAqp, OnlineConfig};
 use crate::rewrite::RewriteTechnique;
 use crate::spec::ErrorSpec;
-use crate::technique::{exact_answer_with, Attempt, Technique, TechniqueKind};
+use crate::technique::{exact_answer_with, Attempt, DeclineReason, Technique, TechniqueKind};
 
 /// Static span name for a candidate's runtime attempt (span names are
 /// `&'static str` by design — no per-query allocation on the trace path).
@@ -64,15 +64,16 @@ fn attempt_span_name(kind: TechniqueKind) -> &'static str {
 
 /// Counts a completed routing pass into the session's registry: one
 /// `aqp_decline_total{reason=...}` tick per candidate that declined
-/// (statically or at runtime; `DeclineReason::tag` keeps cardinality
-/// bounded) and one `aqp_routed_total{winner=...}` tick for the family
-/// that answered. Always on — sharded counters cost nanoseconds next to a
+/// (statically, at runtime, or by a remembered runtime decline;
+/// `DeclineReason::tag` keeps cardinality bounded) and one
+/// `aqp_routed_total{winner=...}` tick for the family that answered. Always on — sharded counters cost nanoseconds next to a
 /// routed query.
 fn count_decision(m: &MetricsRegistry, decision: &RoutingDecision) {
     use aqp_obs::names;
     for c in &decision.candidates {
-        if let CandidateOutcome::StaticallyIneligible(r) | CandidateOutcome::DeclinedAtRuntime(r) =
-            &c.outcome
+        if let CandidateOutcome::StaticallyIneligible(r)
+        | CandidateOutcome::DeclinedAtRuntime(r)
+        | CandidateOutcome::Remembered(r) = &c.outcome
         {
             m.counter_labeled(names::DECLINE_TOTAL, names::DECLINE_REASON_LABEL, r.tag())
                 .inc(1);
@@ -141,8 +142,10 @@ struct Walk {
 }
 
 /// What the concurrent service hands [`AqpSession::answer_with`]: a lint
-/// it already ran and its fair thread share. Neither changes what the
-/// query computes.
+/// it already ran, its fair thread share, and a decline of online
+/// sampling it remembers for this shape. The first two never change
+/// what the query computes; the third skips online's pilot, and the
+/// answer is the one that pilot's decline would have led to.
 #[derive(Default)]
 pub(crate) struct Replay {
     /// A memoized [`Analysis`], skipping the lint pass. It must have been
@@ -152,6 +155,11 @@ pub(crate) struct Replay {
     pub analysis: Option<Arc<Analysis>>,
     /// Worker-count override: the fair [`aqp_engine::PoolShare`] split.
     pub threads: Option<usize>,
+    /// A decisive runtime decline of online sampling learned by an
+    /// earlier run of this shape on the same tables: online is recorded
+    /// as [`CandidateOutcome::Remembered`] and not attempted. The caller
+    /// owns its freshness, like the analysis's.
+    pub online_decline: Option<DeclineReason>,
 }
 
 /// Tuning knobs for the routing policy.
@@ -373,14 +381,17 @@ impl<'a> AqpSession<'a> {
     /// analysis blocks is recorded with its verdict's reason and never
     /// touched. The first unblocked family is handed to `attempt` (inside
     /// its `attempt:*` span): an answer wins and ends the attempts, a
-    /// runtime decline falls through to the next unblocked family.
-    /// Without `attempt` nothing runs and the first unblocked family is
-    /// the winner the router *would* choose, barring runtime declines.
-    /// Exact closes the chain and wins when no family did.
+    /// runtime decline falls through to the next unblocked family. A
+    /// remembered `online_decline` falls through the same way without
+    /// the attempt. Without `attempt` nothing runs and the first
+    /// unblocked family is the winner the router *would* choose, barring
+    /// runtime declines. Exact closes the chain and wins when no family
+    /// did.
     fn walk<E>(
         &self,
         analysis: &Analysis,
         threads: Option<usize>,
+        online_decline: Option<&DeclineReason>,
         mut attempt: Option<impl FnMut(&dyn Technique) -> Result<Attempt, E>>,
     ) -> Result<Walk, E> {
         let techniques = self.techniques(threads);
@@ -395,6 +406,10 @@ impl<'a> AqpSession<'a> {
                 CandidateOutcome::StaticallyIneligible(reason.clone())
             } else if winner.is_some() {
                 CandidateOutcome::NotReached
+            } else if let Some(reason) = online_decline
+                .filter(|_| kind == TechniqueKind::OnlineSampling && attempt.is_some())
+            {
+                CandidateOutcome::Remembered(reason.clone())
             } else if let Some(attempt) = attempt.as_mut() {
                 let mut span = aqp_obs::span(attempt_span_name(kind));
                 let attempt_start = Instant::now();
@@ -459,7 +474,7 @@ impl<'a> AqpSession<'a> {
     /// *unblocked* candidate, which a real answer may still fall past.
     pub(crate) fn decide(&self, analysis: &Analysis) -> RoutingDecision {
         type NoAttempt = fn(&dyn Technique) -> Result<Attempt, Infallible>;
-        match self.walk(analysis, None, None::<NoAttempt>) {
+        match self.walk(analysis, None, None, None::<NoAttempt>) {
             Ok(walk) => walk.decision,
             Err(never) => match never {},
         }
@@ -553,7 +568,7 @@ impl<'a> AqpSession<'a> {
             mut decision,
             answer,
             declined_rows,
-        } = self.walk(&analysis, threads, attempt)?;
+        } = self.walk(&analysis, threads, replay.online_decline.as_ref(), attempt)?;
         let mut ans = match answer {
             Some(ans) => ans,
             None => {
@@ -624,7 +639,9 @@ impl<'a> AqpSession<'a> {
         }
         // The audit gets its own root span, whose trace is dropped with
         // it: the exact re-execution's operator spans must not land in the
-        // query's already-attached tree or in the caller's records.
+        // query's already-attached tree or in the caller's records. Its
+        // wall runs from here to the scoreboard's verdict.
+        let audit_start = Instant::now();
         let audit_root = aqp_obs::root_span("audit");
         let outcome = audit::audit_answer(
             self.catalog,
@@ -637,7 +654,7 @@ impl<'a> AqpSession<'a> {
         audit_root.finish();
         // An audit that itself errors grades nothing — the query already
         // answered; don't fail it retroactively.
-        let Ok(outcome) = outcome else { return };
+        let Ok(mut outcome) = outcome else { return };
         if !outcome.ok && winner == TechniqueKind::OfflineSynopsis {
             self.offline.note_failed_audit(&query.fact_table);
         }
@@ -656,6 +673,8 @@ impl<'a> AqpSession<'a> {
             // eligibility — cached routing decisions are now wrong.
             self.epoch.fetch_add(1, Ordering::AcqRel);
         }
+        outcome.wall = audit_start.elapsed();
+        audit::record_metrics(&self.metrics, &outcome);
         ans.report.audit = Some(Box::new(outcome));
     }
 

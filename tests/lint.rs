@@ -465,7 +465,8 @@ proptest! {
                     CandidateOutcome::StaticallyIneligible(reason) => {
                         prop_assert!(reason.is_static());
                     }
-                    CandidateOutcome::DeclinedAtRuntime(reason) => {
+                    CandidateOutcome::DeclinedAtRuntime(reason)
+                    | CandidateOutcome::Remembered(reason) => {
                         prop_assert!(analysis.statically_eligible(cand.kind));
                         prop_assert!(
                             !reason.is_static(),

@@ -15,15 +15,23 @@
 //!   in one process keep disjoint counters;
 //! * tracing is per caller: clients that scope a trace around their own
 //!   `submit` get exactly their own query's span tree, and neither their
-//!   neighbours nor concurrent maintenance are traced or recorded.
+//!   neighbours nor concurrent maintenance are traced or recorded;
+//! * a decisive online decline is remembered per cached shape once two
+//!   samples confirm it: later submits skip the pilot and answer as a
+//!   declining pilot would have led them to; an in-doubt decline pilots
+//!   every time; a shape whose pilots disagree across seeds keeps the
+//!   session's online winner share; and any change to a table the plan
+//!   reads (even at the same row count), an epoch bump or
+//!   `invalidate_cache()` forgets it.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use aqp_core::{
-    AdmissionDecision, AqpError, AqpService, AqpSession, CacheEvent, Contract, ErrorSpec,
-    GuaranteeClass, Rejection, ServiceConfig, ServiceReply, TechniqueKind,
+    AdmissionDecision, AqpError, AqpService, AqpSession, CacheEvent, CandidateOutcome, Contract,
+    DeclineReason, ErrorSpec, GuaranteeClass, Rejection, ServiceConfig, ServiceReply,
+    TechniqueKind,
 };
 use aqp_engine::{AggExpr, LogicalPlan, Query};
 use aqp_expr::{col, lit};
@@ -79,7 +87,10 @@ proptest! {
     /// N client threads through one shared `AqpService` get exactly the
     /// answers a serial `AqpSession` replay produces — across cache
     /// misses, hits (the jobs list repeats, so the warm fast path is
-    /// exercised), fair thread splits, and queueing.
+    /// exercised), fair thread splits, and queueing. The star join at
+    /// ε 0.002 is a shape whose decline the service remembers: which of
+    /// its jobs pilot depends on which results land first, and none of
+    /// that may show in an answer.
     #[test]
     fn concurrent_service_equals_serial_session(
         seeds in prop::collection::vec(any::<u64>(), 4..7),
@@ -88,8 +99,13 @@ proptest! {
     ) {
         let c = Catalog::new();
         c.register(skewed_table("t", 20_000, 10, 1.0, 128, 11)).unwrap();
-        let spec = ErrorSpec::new(0.15, 0.9);
-        let plans = [grouped_sum("t", threshold), ungrouped_sum("t")];
+        add_star(&c, 23);
+        let loose = ErrorSpec::new(0.15, 0.9);
+        let plans = [
+            (grouped_sum("t", threshold), loose),
+            (ungrouped_sum("t"), loose),
+            (star_plan(), ErrorSpec::new(0.002, 0.95)),
+        ];
         // Repeat every job so the second occurrence routes on warm cache
         // state (memoized analysis and decision).
         let jobs: Vec<(usize, u64)> = seeds
@@ -106,8 +122,11 @@ proptest! {
         }
         let expected: Vec<_> = jobs
             .iter()
-            .map(|&(p, s)| reference.answer(&plans[p], &spec, s).unwrap())
+            .map(|&(p, s)| reference.answer(&plans[p].0, &plans[p].1, s).unwrap())
             .collect();
+        let (star, star_spec) = &plans[2];
+        let later = 0x5eed;
+        let star_reference = reference.answer(star, star_spec, later).unwrap();
 
         for clients in [2usize, 4, 8] {
             let session = AqpSession::new(&c);
@@ -127,7 +146,7 @@ proptest! {
                             break;
                         }
                         let (p, s) = jobs[i];
-                        let ans = service.answer(&plans[p], &spec, s).unwrap();
+                        let ans = service.answer(&plans[p].0, &plans[p].1, s).unwrap();
                         slots.lock().unwrap()[i] = Some(ans);
                     });
                 }
@@ -145,6 +164,15 @@ proptest! {
             prop_assert_eq!(stats.accepted, jobs.len() as u64);
             // Every repeated job after its cold first run is a warm hit.
             prop_assert!(stats.cache_hits >= (jobs.len() / 2) as u64);
+            // However the results landed, the star's decline is remembered
+            // by now, and a later remembered answer is the serial one.
+            let ans = service.answer(star, star_spec, later).unwrap();
+            prop_assert!(
+                matches!(online_outcome(&ans), CandidateOutcome::Remembered(_)),
+                "{:?}",
+                online_outcome(&ans)
+            );
+            assert_same_answer(&ans, &star_reference, &format!("clients={clients} later seed"));
         }
     }
 }
@@ -465,9 +493,11 @@ fn two_services_keep_disjoint_counters() {
     assert!(!std::sync::Arc::ptr_eq(a.metrics(), b.metrics()));
 }
 
-/// The plan cache memoizes routing, never work: a warm hit on the same
-/// `(plan, spec, seed)` re-runs the online sampler's pilot and final phase
-/// and charges the same rows as the cold run, bit for bit.
+/// The plan cache memoizes routing, not the work of a family that
+/// answers: a warm hit on the same `(plan, spec, seed)` re-runs the online
+/// sampler's pilot and final phase and charges the same rows as the cold
+/// run, bit for bit. (Only a decisive decline is remembered; see
+/// `a_decisive_decline_is_remembered`.)
 #[test]
 fn warm_hit_runs_what_the_cold_run_ran() {
     let c = Catalog::new();
@@ -623,22 +653,8 @@ fn deadline_below_estimate_rejected_upfront() {
 fn rewrite_honours_the_thread_grant() {
     use aqp_core::SessionConfig;
     use aqp_obs::SpanNode;
-    use aqp_workload::{build_star_schema, StarScale};
 
-    let c = Catalog::new();
-    let scale = StarScale {
-        orders: 4_000,
-        ..StarScale::tiny()
-    };
-    build_star_schema(&c, &scale, 23).unwrap();
-    let plan = Query::scan("lineitem")
-        .join(Query::scan("orders"), col("l_orderkey"), col("o_key"))
-        .filter(col("l_sel").lt(lit(0.8)))
-        .aggregate(
-            vec![(col("o_priority"), "priority".to_string())],
-            vec![AggExpr::sum(col("l_price"), "s")],
-        )
-        .build();
+    let (c, plan) = star();
     // The whole fact table as the rewrite's "sample": enough blocks that
     // an unconstrained engine splits the plan into several morsels.
     let session = SessionConfig {
@@ -693,4 +709,309 @@ fn rewrite_honours_the_thread_grant() {
         "a wide grant runs the morsels on pool workers"
     );
     assert_same_answer(&one, &wide, "thread grant 1 vs 8");
+}
+
+// ---- Remembered declines ---------------------------------------------------
+
+/// A small star (~10 k `lineitem` rows in 77 blocks of 128) and a grouped
+/// join over it.
+fn star() -> (Catalog, LogicalPlan) {
+    let c = Catalog::new();
+    add_star(&c, 23);
+    (c, star_plan())
+}
+
+/// Registers the small star's tables, generated from `seed`.
+fn add_star(c: &Catalog, seed: u64) {
+    use aqp_workload::{build_star_schema, StarScale};
+    let scale = StarScale {
+        orders: 4_000,
+        ..StarScale::tiny()
+    };
+    build_star_schema(c, &scale, seed).unwrap();
+}
+
+fn star_plan() -> LogicalPlan {
+    Query::scan("lineitem")
+        .join(Query::scan("orders"), col("l_orderkey"), col("o_key"))
+        .filter(col("l_sel").lt(lit(0.8)))
+        .aggregate(
+            vec![(col("o_priority"), "priority".to_string())],
+            vec![AggExpr::sum(col("l_price"), "s")],
+        )
+        .build()
+}
+
+/// One traced submit: the answer and its span tree flattened to
+/// `(name, rows)`.
+fn traced_submit(
+    service: &AqpService,
+    plan: &LogicalPlan,
+    contract: &Contract,
+    seed: u64,
+) -> (aqp_core::ApproximateAnswer, Vec<(&'static str, u64)>) {
+    fn flatten(node: &aqp_obs::SpanNode, out: &mut Vec<(&'static str, u64)>) {
+        out.push((node.record.name, node.record.rows));
+        for child in &node.children {
+            flatten(child, out);
+        }
+    }
+    let (reply, _, open) = aqp_obs::capture(|| service.submit(plan, contract, seed).unwrap());
+    assert_eq!(open, 0);
+    let ans = reply.answered().expect("admitted");
+    let mut spans = Vec::new();
+    flatten(ans.report.trace.as_ref().expect("traced"), &mut spans);
+    (ans, spans)
+}
+
+fn cache_event(ans: &aqp_core::ApproximateAnswer) -> CacheEvent {
+    ans.report.admission.as_ref().expect("admission").cache
+}
+
+fn online_outcome(ans: &aqp_core::ApproximateAnswer) -> CandidateOutcome {
+    let routing = ans.report.routing.as_ref().expect("routed");
+    routing
+        .outcome(TechniqueKind::OnlineSampling)
+        .expect("online considered")
+        .clone()
+}
+
+fn pilots(spans: &[(&'static str, u64)]) -> usize {
+    spans.iter().filter(|(n, _)| *n == "online:pilot").count()
+}
+
+/// Groups, estimates and intervals agree bit for bit.
+fn assert_same_intervals(a: &aqp_core::ApproximateAnswer, b: &aqp_core::ApproximateAnswer) {
+    assert_same_answer(a, b, "remembered vs fresh");
+    for (ga, gb) in a.groups.iter().zip(&b.groups) {
+        for (ia, ib) in ga.intervals.iter().zip(&gb.intervals) {
+            assert_eq!(
+                (ia.lo.to_bits(), ia.hi.to_bits()),
+                (ib.lo.to_bits(), ib.hi.to_bits())
+            );
+        }
+    }
+}
+
+fn is_remembered(ans: &aqp_core::ApproximateAnswer) -> bool {
+    matches!(online_outcome(ans), CandidateOutcome::Remembered(_))
+}
+
+/// A star join at ε 0.002 needs a rate near 1 even at the optimistic
+/// reading of its pilot. Seed 7 pilots and declines decisively; seed 7
+/// again is the same sample, so it pilots again; seed 8 is a second
+/// sample that declines decisively too, and from then on the shape is
+/// remembered. A remembered submit opens no `online:pilot` span, answers
+/// exactly what a fresh service answers at the same seed, and scans
+/// fewer rows by exactly what the declined attempt consumed — at the
+/// learning seeds and at every other seed. The decline still counts on
+/// `aqp_decline_total{reason="rate-above-cap"}`.
+#[test]
+fn a_decisive_decline_is_remembered() {
+    use aqp_obs::names;
+    let (c, plan) = star();
+    let contract = Contract::new(0.002, 0.95);
+    let service = AqpService::new(&c);
+
+    let (first, spans) = traced_submit(&service, &plan, &contract, 7);
+    assert_eq!(cache_event(&first), CacheEvent::Miss);
+    let CandidateOutcome::DeclinedAtRuntime(reason) = online_outcome(&first) else {
+        panic!("online must be attempted: {:?}", online_outcome(&first));
+    };
+    let DeclineReason::RateAboveCap {
+        optimistic, cap, ..
+    } = reason
+    else {
+        panic!("{reason:?}");
+    };
+    assert!(optimistic > cap, "setup: the decline must be decisive");
+    assert!(pilots(&spans) > 0);
+    let declined_rows = spans
+        .iter()
+        .find(|(n, _)| *n == "attempt:online-sampling")
+        .expect("online attempt span")
+        .1;
+    assert!(declined_rows > 0);
+
+    let (again, spans) = traced_submit(&service, &plan, &contract, 7);
+    assert_eq!(cache_event(&again), CacheEvent::Hit);
+    assert_eq!(
+        online_outcome(&again),
+        CandidateOutcome::DeclinedAtRuntime(reason),
+        "one sample read twice is not a second pilot"
+    );
+    assert!(pilots(&spans) > 0);
+    let (other, spans) = traced_submit(&service, &plan, &contract, 8);
+    assert!(matches!(
+        online_outcome(&other),
+        CandidateOutcome::DeclinedAtRuntime(_)
+    ));
+    assert!(pilots(&spans) > 0);
+
+    let (second, spans) = traced_submit(&service, &plan, &contract, 7);
+    assert_eq!(cache_event(&second), CacheEvent::Hit);
+    assert!(is_remembered(&second), "{:?}", online_outcome(&second));
+    assert_eq!(pilots(&spans), 0, "{spans:?}");
+    assert!(!spans.iter().any(|(n, _)| *n == "attempt:online-sampling"));
+    assert_eq!(
+        second.report.rows_scanned,
+        first.report.rows_scanned - declined_rows
+    );
+    let fresh = AqpService::new(&c)
+        .submit(&plan, &contract, 7)
+        .unwrap()
+        .answered()
+        .unwrap();
+    assert_same_intervals(&second, &fresh);
+    assert_same_intervals(&second, &first);
+
+    let routing = second.report.routing.as_ref().unwrap();
+    let summary = routing.summary();
+    assert!(
+        summary.contains("online-sampling: remembered (required rate ")
+            && summary.contains("; optimistic "),
+        "{summary}"
+    );
+    let explain = second.report.explain_analyze();
+    assert!(explain.contains("remembered (required rate "), "{explain}");
+    let declines = service
+        .metrics()
+        .counter_labeled(
+            names::DECLINE_TOTAL,
+            names::DECLINE_REASON_LABEL,
+            "rate-above-cap",
+        )
+        .get();
+    assert_eq!(declines, 4, "one tick per decline, remembered or not");
+
+    // Seeds the decline was not learned from: each is remembered and is
+    // the answer a session that pilots at that seed gives.
+    let session = AqpSession::new(&c);
+    for seed in 0..20 {
+        let ans = traced_submit(&service, &plan, &contract, seed).0;
+        assert!(is_remembered(&ans), "seed {seed}");
+        let piloted = session.answer(&plan, &contract.spec(), seed).unwrap();
+        assert!(matches!(
+            online_outcome(&piloted),
+            CandidateOutcome::DeclinedAtRuntime(_)
+        ));
+        assert_same_intervals(&ans, &piloted);
+    }
+}
+
+/// A contract between the two ends of the planner's band — over the cap
+/// inflated, under it optimistic — is a decline in doubt: every submit
+/// pilots again, hit or not.
+#[test]
+fn a_decline_in_doubt_pilots_every_time() {
+    let (c, plan) = star();
+    let contract = Contract::new(0.15, 0.95);
+    let service = AqpService::new(&c);
+    for seed in 0..4 {
+        let (ans, spans) = traced_submit(&service, &plan, &contract, seed);
+        let expected = if seed == 0 {
+            CacheEvent::Miss
+        } else {
+            CacheEvent::Hit
+        };
+        assert_eq!(cache_event(&ans), expected);
+        match online_outcome(&ans) {
+            CandidateOutcome::DeclinedAtRuntime(DeclineReason::RateAboveCap {
+                required,
+                optimistic,
+                cap,
+            }) => assert!(optimistic <= cap && cap < required, "seed {seed}"),
+            other => panic!("seed {seed}: {other:?}"),
+        }
+        assert!(pilots(&spans) > 0, "seed {seed}");
+    }
+}
+
+/// Online's winner share through the service is the session's, seed for
+/// seed, on shapes whose pilots disagree across seeds: a table of 256-row
+/// blocks whose smallest groups hold a few rows per block, where a
+/// 30-block pilot reads the spread high often enough that some seeds
+/// decline decisively while others answer. The service must not let one
+/// such decline stand for every later seed.
+#[test]
+fn online_winner_share_through_the_service_is_the_sessions() {
+    let c = Catalog::new();
+    c.register(skewed_table("t", 100_000, 10, 1.0, 256, 11))
+        .unwrap();
+    let session = AqpSession::new(&c);
+    let service = AqpService::new(&c);
+    for (threshold, eps) in [(0.3, 0.3), (0.6, 0.2), (0.9, 0.15)] {
+        let plan = grouped_sum("t", threshold);
+        let contract = Contract::new(eps, 0.95);
+        let (mut by_session, mut by_service) = (0, 0);
+        for seed in 0..120 {
+            let piloted = session.answer(&plan, &contract.spec(), seed).unwrap();
+            let served = service
+                .submit(&plan, &contract, seed)
+                .unwrap()
+                .answered()
+                .unwrap();
+            let online = |a: &aqp_core::ApproximateAnswer| {
+                a.report.routing.as_ref().unwrap().winner == TechniqueKind::OnlineSampling
+            };
+            by_session += usize::from(online(&piloted));
+            by_service += usize::from(online(&served));
+            assert_same_answer(
+                &served,
+                &piloted,
+                &format!("θ {threshold} ε {eps} seed {seed}"),
+            );
+        }
+        assert!(
+            by_session > 0,
+            "setup: θ {threshold} ε {eps} answers online sometimes"
+        );
+        assert_eq!(by_service, by_session, "θ {threshold} ε {eps}");
+    }
+}
+
+/// What forgets a remembered decline: an epoch bump (`maintain_synopses`),
+/// `invalidate_cache()`, and a `Catalog::replace` of any table the plan
+/// reads — a dimension with the same row count and other values, or the
+/// fact table with the same rows. Each makes the next submits pilot again
+/// until two of them confirm the decline.
+#[test]
+fn a_remembered_decline_is_forgotten_when_its_inputs_change() {
+    let (c, plan) = star();
+    let contract = Contract::new(0.002, 0.95);
+    let service = AqpService::new(&c);
+    let submit = |seed| traced_submit(&service, &plan, &contract, seed).0;
+    let relearn = |event: CacheEvent| {
+        let ans = submit(1);
+        assert_eq!(cache_event(&ans), event);
+        for (seed, ans) in [(1, ans), (2, submit(2))] {
+            assert!(
+                matches!(online_outcome(&ans), CandidateOutcome::DeclinedAtRuntime(_)),
+                "seed {seed}: online piloted: {:?}",
+                online_outcome(&ans)
+            );
+        }
+        let ans = submit(3);
+        assert_eq!(cache_event(&ans), CacheEvent::Hit);
+        assert!(is_remembered(&ans), "{:?}", online_outcome(&ans));
+    };
+
+    relearn(CacheEvent::Miss);
+    service.session().maintain_synopses("lineitem", 0).unwrap();
+    relearn(CacheEvent::Stale);
+
+    service.invalidate_cache();
+    relearn(CacheEvent::Miss);
+
+    // `orders` again, same row count, other values.
+    let other = Catalog::new();
+    add_star(&other, 24);
+    let orders = other.get("orders").unwrap();
+    assert_eq!(orders.row_count(), c.get("orders").unwrap().row_count());
+    c.replace((*orders).clone());
+    relearn(CacheEvent::Stale);
+
+    // The fact table again, row for row.
+    c.replace((*c.get("lineitem").unwrap()).clone());
+    relearn(CacheEvent::Stale);
 }
