@@ -94,7 +94,7 @@ fn span_gate(catalog: &Catalog) -> Gate {
     const REPS: usize = 15;
     const THREADS: usize = 4;
     const ITERS: u32 = 200_000;
-    let [_, (name, plan)] = kernel_plans();
+    let [_, (name, plan), _] = kernel_plans();
     let opts = ExecOptions::with_threads(THREADS);
     let run = || execute_with(&plan, catalog, opts).expect("bench plan");
     run(); // warm-up

@@ -27,8 +27,9 @@ pub fn engine_bench_catalog() -> Catalog {
 }
 
 /// The plans over `t` the kernel layer covers end to end: one scan-heavy
-/// fused filter, one merge-heavy group-by.
-pub fn kernel_plans() -> [(&'static str, LogicalPlan); 2] {
+/// fused filter, one merge-heavy group-by, and the repo benchmark's
+/// `exact_fallback` shape (an ungrouped filtered MIN).
+pub fn kernel_plans() -> [(&'static str, LogicalPlan); 3] {
     [
         (
             "filter_sum",
@@ -44,6 +45,13 @@ pub fn kernel_plans() -> [(&'static str, LogicalPlan); 2] {
                     vec![(col("id").modulo(lit(1_000i64)), "g".to_string())],
                     vec![AggExpr::count_star("n"), AggExpr::avg(col("v"), "a")],
                 )
+                .build(),
+        ),
+        (
+            "filter_min",
+            Query::scan("t")
+                .filter(col("sel").lt(lit(0.5)))
+                .aggregate(vec![], vec![AggExpr::min(col("v"), "lo")])
                 .build(),
         ),
     ]

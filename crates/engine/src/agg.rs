@@ -334,14 +334,6 @@ impl AggState {
         }
     }
 
-    /// Typed fast path for a NULL input: only `COUNT(*)` advances.
-    #[inline]
-    pub fn update_null(&mut self) {
-        if let AggState::CountStar(n) = self {
-            *n += 1;
-        }
-    }
-
     /// Absorbs another partial state for the same aggregate function
     /// (two-phase aggregation: thread-local partials, then a merge pass).
     ///
@@ -419,24 +411,25 @@ impl AggState {
         if std::mem::discriminant(self) != std::mem::discriminant(other) {
             return Err(MergeError::Incompatible {
                 kind: "agg-state",
-                expected: self.state_name().to_string(),
-                found: other.state_name().to_string(),
+                expected: self.func().to_string(),
+                found: other.func().to_string(),
             });
         }
         self.merge(other.clone());
         Ok(())
     }
 
-    fn state_name(&self) -> &'static str {
+    /// The aggregate function the state belongs to.
+    fn func(&self) -> AggFunc {
         match self {
-            AggState::CountStar(_) => "COUNT(*)",
-            AggState::Count(_) => "COUNT",
-            AggState::Sum { .. } => "SUM",
-            AggState::Avg { .. } => "AVG",
-            AggState::Min(_) => "MIN",
-            AggState::Max(_) => "MAX",
-            AggState::CountDistinct(_) => "COUNT(DISTINCT)",
-            AggState::VarSamp(_) => "VAR_SAMP",
+            AggState::CountStar(_) => AggFunc::CountStar,
+            AggState::Count(_) => AggFunc::Count,
+            AggState::Sum { .. } => AggFunc::Sum,
+            AggState::Avg { .. } => AggFunc::Avg,
+            AggState::Min(_) => AggFunc::Min,
+            AggState::Max(_) => AggFunc::Max,
+            AggState::CountDistinct(_) => AggFunc::CountDistinct,
+            AggState::VarSamp(_) => AggFunc::VarSamp,
         }
     }
 
@@ -483,22 +476,140 @@ impl Partial for AggState {
 /// One dense group: its `i64` key and per-aggregate states.
 pub type GroupStates = (i64, Vec<AggState>);
 
+/// One aggregate's states over a map's dense groups, as typed columns
+/// with a row per group: the layout the typed kernel's per-aggregate loops
+/// fold into. A row converts to and from the [`AggState`] it stands for.
+#[derive(Debug)]
+pub(crate) enum Col {
+    /// `COUNT(*)` or `COUNT`: the count.
+    Count(AggFunc, Vec<u64>),
+    /// `SUM` or `AVG`: the running sum and the inputs added (for `SUM`
+    /// only whether there was any).
+    Sum(AggFunc, Vec<f64>, Vec<u64>),
+    /// `MIN` or `MAX`: the best value so far (`None` before the first)
+    /// and, beside it, that value in the f64 comparison domain.
+    Best(AggFunc, Vec<Option<Value>>, Vec<f64>),
+    /// `COUNT(DISTINCT)`, `VAR_SAMP`: the states themselves.
+    States(AggFunc, Vec<AggState>),
+}
+
+impl Col {
+    /// An empty column for `func`.
+    pub(crate) fn new(func: AggFunc) -> Col {
+        match func {
+            AggFunc::CountStar | AggFunc::Count => Col::Count(func, Vec::new()),
+            AggFunc::Sum | AggFunc::Avg => Col::Sum(func, Vec::new(), Vec::new()),
+            AggFunc::Min | AggFunc::Max => Col::Best(func, Vec::new(), Vec::new()),
+            AggFunc::CountDistinct | AggFunc::VarSamp => Col::States(func, Vec::new()),
+        }
+    }
+
+    /// A one-row column holding `state`.
+    pub(crate) fn of_state(state: AggState) -> Col {
+        let mut col = Col::new(state.func());
+        col.push();
+        col.put_state(0, state);
+        col
+    }
+
+    /// Appends a fresh row.
+    fn push(&mut self) {
+        match self {
+            Col::Count(_, n) => n.push(0),
+            Col::Sum(_, sum, n) => {
+                sum.push(0.0);
+                n.push(0);
+            }
+            Col::Best(_, best, cmp) => {
+                best.push(None);
+                cmp.push(f64::NAN);
+            }
+            Col::States(func, states) => states.push(AggState::new(*func)),
+        }
+    }
+
+    /// Moves row `g` out as an [`AggState`], leaving the row fresh.
+    pub(crate) fn take_state(&mut self, g: usize) -> AggState {
+        match self {
+            Col::Count(func, n) => {
+                let n = std::mem::take(&mut n[g]);
+                if *func == AggFunc::CountStar {
+                    AggState::CountStar(n)
+                } else {
+                    AggState::Count(n)
+                }
+            }
+            Col::Sum(func, sum, n) => {
+                let (sum, n) = (std::mem::take(&mut sum[g]), std::mem::take(&mut n[g]));
+                if *func == AggFunc::Sum {
+                    AggState::Sum { sum, saw: n > 0 }
+                } else {
+                    AggState::Avg { sum, count: n }
+                }
+            }
+            Col::Best(func, best, _) => {
+                let best = best[g].take();
+                if *func == AggFunc::Min {
+                    AggState::Min(best)
+                } else {
+                    AggState::Max(best)
+                }
+            }
+            Col::States(func, states) => std::mem::replace(&mut states[g], AggState::new(*func)),
+        }
+    }
+
+    /// Sets row `g` to `state`, which must be of the column's function.
+    fn put_state(&mut self, g: usize, state: AggState) {
+        match (self, state) {
+            (Col::Count(_, n), AggState::CountStar(x) | AggState::Count(x)) => n[g] = x,
+            (Col::Sum(_, sum, n), AggState::Sum { sum: s, saw }) => {
+                sum[g] = s;
+                n[g] = u64::from(saw);
+            }
+            (Col::Sum(_, sum, n), AggState::Avg { sum: s, count }) => {
+                sum[g] = s;
+                n[g] = count;
+            }
+            (Col::Best(_, best, cmp), AggState::Min(v) | AggState::Max(v)) => {
+                cmp[g] = v.as_ref().and_then(Value::as_f64).unwrap_or(f64::NAN);
+                best[g] = v;
+            }
+            (Col::States(_, states), state) => states[g] = state,
+            (col, state) => panic!("cannot put {state:?} into a column of {col:?}"),
+        }
+    }
+
+    /// Merges `other`'s row `src` into row `dst`, as [`AggState::merge`]
+    /// does: `self` is the earlier partial.
+    fn merge_row(&mut self, dst: usize, other: &mut Col, src: usize) {
+        let mut state = self.take_state(dst);
+        state.merge(other.take_state(src));
+        self.put_state(dst, state);
+    }
+}
+
 /// An open-addressing hash map specialized for single-`i64` group keys,
 /// the shape the fused aggregation kernel handles (`GROUP BY int_col` and
-/// `GROUP BY int_col % k`). Groups live in a dense `Vec` in first-seen
-/// order — the property the tree merge relies on to stay deterministic —
-/// and the table stores 1-based indices into it (0 = empty slot).
+/// `GROUP BY int_col % k`). Groups are dense indices in first-seen order —
+/// the property the tree merge relies on to stay deterministic — and their
+/// states are typed columns, one per aggregate (`Col`), so creating a
+/// group allocates nothing of its own and the kernel folds a block's rows
+/// straight into the columns. The table stores 1-based indices (0 = empty
+/// slot).
 ///
-/// NULL keys get a dedicated side slot rather than a sentinel, so the
+/// NULL keys get a dense group of their own, outside the table, so the
 /// full `i64` domain remains usable as keys.
 #[derive(Debug)]
 pub struct I64GroupMap {
     /// Probe table of `group_index + 1` entries; 0 marks an empty slot.
     table: Vec<u32>,
-    /// Dense groups in first-seen order.
-    groups: Vec<GroupStates>,
-    null_group: Option<Vec<AggState>>,
-    funcs: Vec<AggFunc>,
+    /// Per dense group, its key (a placeholder for the NULL group).
+    keys: Vec<i64>,
+    /// The NULL group's dense index, once it exists.
+    null: Option<usize>,
+    /// One column per aggregate.
+    cols: Vec<Col>,
 }
 
 impl I64GroupMap {
@@ -509,19 +620,27 @@ impl I64GroupMap {
         let cap = (capacity_hint.clamp(8, 1 << 24) * 2).next_power_of_two();
         Self {
             table: vec![0; cap],
-            groups: Vec::new(),
-            null_group: None,
-            funcs,
+            keys: Vec::new(),
+            null: None,
+            cols: funcs.into_iter().map(Col::new).collect(),
         }
     }
 
-    fn fresh_states(&self) -> Vec<AggState> {
-        self.funcs.iter().map(|f| AggState::new(*f)).collect()
+    /// Appends a fresh dense group.
+    fn push_group(&mut self, key: i64) -> usize {
+        let gi = self.keys.len();
+        u32::try_from(gi + 1).expect("more than u32::MAX-1 groups");
+        self.keys.push(key);
+        for col in &mut self.cols {
+            col.push();
+        }
+        gi
     }
 
-    fn find_or_insert(&mut self, key: i64) -> usize {
+    /// The dense index of `key`'s group, creating it on first sight.
+    pub(crate) fn group_index(&mut self, key: i64) -> usize {
         // Keep load factor under 3/4 so linear probes stay short.
-        if (self.groups.len() + 1) * 4 > self.table.len() * 3 {
+        if (self.keys.len() + 1) * 4 > self.table.len() * 3 {
             self.grow();
         }
         let mask = self.table.len() - 1;
@@ -529,15 +648,13 @@ impl I64GroupMap {
         loop {
             match self.table[i] {
                 0 => {
-                    self.table[i] =
-                        u32::try_from(self.groups.len() + 1).expect("more than u32::MAX-1 groups");
-                    let states = self.fresh_states();
-                    self.groups.push((key, states));
-                    return self.groups.len() - 1;
+                    let gi = self.push_group(key);
+                    self.table[i] = gi as u32 + 1;
+                    return gi;
                 }
                 e => {
                     let gi = (e - 1) as usize;
-                    if self.groups[gi].0 == key {
+                    if self.keys[gi] == key {
                         return gi;
                     }
                 }
@@ -546,43 +663,48 @@ impl I64GroupMap {
         }
     }
 
+    /// The dense index of the NULL key's group, creating it on first sight.
+    pub(crate) fn null_index(&mut self) -> usize {
+        match self.null {
+            Some(gi) => gi,
+            None => {
+                let gi = self.push_group(0);
+                self.null = Some(gi);
+                gi
+            }
+        }
+    }
+
     fn grow(&mut self) {
         let new_cap = self.table.len() * 2;
         let mask = new_cap - 1;
         let mut table = vec![0u32; new_cap];
-        for (gi, (key, _)) in self.groups.iter().enumerate() {
+        for (gi, key) in self.keys.iter().enumerate() {
+            if self.null == Some(gi) {
+                continue;
+            }
             let mut i = home_slot(*key, mask);
             while table[i] != 0 {
                 i = (i + 1) & mask;
             }
-            table[i] = u32::try_from(gi + 1).expect("more than u32::MAX-1 groups");
+            table[i] = gi as u32 + 1;
         }
         self.table = table;
     }
 
-    /// The aggregate states for `key`, creating the group on first sight.
-    #[inline]
-    pub fn slot(&mut self, key: i64) -> &mut [AggState] {
-        let gi = self.find_or_insert(key);
-        &mut self.groups[gi].1
-    }
-
-    /// The aggregate states for the NULL key.
-    pub fn null_slot(&mut self) -> &mut [AggState] {
-        if self.null_group.is_none() {
-            self.null_group = Some(self.fresh_states());
-        }
-        self.null_group.as_mut().expect("just initialized")
+    /// The aggregates' columns, in aggregate order.
+    pub(crate) fn cols_mut(&mut self) -> &mut [Col] {
+        &mut self.cols
     }
 
     /// Number of non-NULL groups.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.keys.len() - usize::from(self.null.is_some())
     }
 
     /// Whether the map holds no groups at all (NULL group included).
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty() && self.null_group.is_none()
+        self.keys.is_empty()
     }
 
     /// Absorbs `other`'s partials. `self` must cover the *earlier* morsels:
@@ -597,25 +719,55 @@ impl I64GroupMap {
     /// [`I64GroupMap::merge_from`] with each of `other`'s keys passed
     /// through `rekey` first — an injective map into `self`'s key domain
     /// (a string code re-interned into another dictionary).
-    pub(crate) fn merge_rekeyed(&mut self, other: I64GroupMap, mut rekey: impl FnMut(i64) -> i64) {
-        for (key, states) in other.groups {
-            let slot = self.slot(rekey(key));
-            for (a, b) in slot.iter_mut().zip(states) {
-                a.merge(b);
-            }
-        }
-        if let Some(states) = other.null_group {
-            let slot = self.null_slot();
-            for (a, b) in slot.iter_mut().zip(states) {
-                a.merge(b);
+    pub(crate) fn merge_rekeyed(
+        &mut self,
+        mut other: I64GroupMap,
+        mut rekey: impl FnMut(i64) -> i64,
+    ) {
+        for src in 0..other.keys.len() {
+            let dst = if other.null == Some(src) {
+                self.null_index()
+            } else {
+                self.group_index(rekey(other.keys[src]))
+            };
+            for (a, b) in self.cols.iter_mut().zip(&mut other.cols) {
+                a.merge_row(dst, b, src);
             }
         }
     }
 
     /// Consumes the map, yielding dense groups in first-seen order plus
     /// the NULL group, if any.
-    pub fn into_groups(self) -> (Vec<GroupStates>, Option<Vec<AggState>>) {
-        (self.groups, self.null_group)
+    pub fn into_groups(mut self) -> (Vec<GroupStates>, Option<Vec<AggState>>) {
+        let mut groups = Vec::with_capacity(self.len());
+        let mut null = None;
+        for (gi, &key) in self.keys.iter().enumerate() {
+            let states = self.cols.iter_mut().map(|c| c.take_state(gi)).collect();
+            if self.null == Some(gi) {
+                null = Some(states);
+            } else {
+                groups.push((key, states));
+            }
+        }
+        (groups, null)
+    }
+}
+
+#[cfg(test)]
+impl I64GroupMap {
+    /// Runs `f` on the states of `key`'s group (`None` = the NULL group),
+    /// creating it on first sight: the row-at-a-time update the tests
+    /// feed maps with.
+    fn update(&mut self, key: Option<i64>, f: impl FnOnce(&mut [AggState])) {
+        let gi = match key {
+            Some(k) => self.group_index(k),
+            None => self.null_index(),
+        };
+        let mut states: Vec<AggState> = self.cols.iter_mut().map(|c| c.take_state(gi)).collect();
+        f(&mut states);
+        for (col, state) in self.cols.iter_mut().zip(states) {
+            col.put_state(gi, state);
+        }
     }
 }
 
@@ -844,8 +996,8 @@ mod tests {
                 else {
                     panic!("{mine} / {theirs}: {err}");
                 };
-                assert_eq!(expected, AggState::new(mine).state_name());
-                assert_eq!(found, AggState::new(theirs).state_name());
+                assert_eq!(*expected, AggState::new(mine).func().to_string());
+                assert_eq!(*found, AggState::new(theirs).func().to_string());
                 assert_eq!(a.finish(), before, "{mine} changed by a refused merge");
             }
         }
@@ -937,7 +1089,7 @@ mod tests {
                     }
                     None => {
                         vf.update(&Value::Null);
-                        tf.update_null();
+                        tf.update(&Value::Null);
                     }
                 }
                 match i {
@@ -947,7 +1099,7 @@ mod tests {
                     }
                     None => {
                         vi.update(&Value::Null);
-                        ti.update_null();
+                        ti.update(&Value::Null);
                     }
                 }
             }
@@ -979,12 +1131,13 @@ mod tests {
     fn group_map_basics_and_order() {
         let mut m = I64GroupMap::new(vec![AggFunc::CountStar, AggFunc::Sum], 4);
         for (k, v) in [(7i64, 1.0), (3, 2.0), (7, 3.0), (-1, 4.0)] {
-            let slot = m.slot(k);
-            slot[0].update_null();
-            slot[1].update_f64(v);
+            m.update(Some(k), |slot| {
+                slot[0].update(&Value::Null);
+                slot[1].update_f64(v);
+            });
         }
-        m.null_slot()[0].update_null();
-        m.null_slot()[1].update_f64(10.0);
+        m.update(None, |slot| slot[0].update(&Value::Null));
+        m.update(None, |slot| slot[1].update_f64(10.0));
         assert_eq!(m.len(), 3);
         assert!(!m.is_empty());
         let (groups, null) = m.into_groups();
@@ -1000,7 +1153,7 @@ mod tests {
         // Hint of 2 but 10k distinct keys: forces several rehashes.
         let mut m = I64GroupMap::new(vec![AggFunc::Count], 2);
         for k in 0..10_000i64 {
-            m.slot(k * 1_000_003)[0].update_i64(k);
+            m.update(Some(k * 1_000_003), |slot| slot[0].update_i64(k));
         }
         assert_eq!(m.len(), 10_000);
         let (groups, null) = m.into_groups();
@@ -1013,9 +1166,10 @@ mod tests {
         let funcs = vec![AggFunc::Sum, AggFunc::Min];
         let feed = |m: &mut I64GroupMap, rows: &[(i64, f64)]| {
             for (k, v) in rows {
-                let slot = m.slot(*k);
-                slot[0].update_f64(*v);
-                slot[1].update_f64(*v);
+                m.update(Some(*k), |slot| {
+                    slot[0].update_f64(*v);
+                    slot[1].update_f64(*v);
+                });
             }
         };
         let rows = [(1i64, 0.1), (2, 0.2), (1, 0.3), (3, 0.4), (2, 0.5)];
@@ -1080,13 +1234,11 @@ mod proptests {
     /// Feeds `(key, value)` rows into `m`; a `None` key is the NULL group.
     fn feed(m: &mut I64GroupMap, rows: &[(Option<i64>, i64)]) {
         for &(key, v) in rows {
-            let slot = match key {
-                Some(k) => m.slot(k),
-                None => m.null_slot(),
-            };
-            for state in slot {
-                state.update_i64(v);
-            }
+            m.update(key, |slot| {
+                for state in slot {
+                    state.update_i64(v);
+                }
+            });
         }
     }
 

@@ -4,16 +4,27 @@
 //! every expression node and walks rows through `Value`-typed aggregate
 //! updates. These kernels compile the common numeric shapes once per plan
 //! — column references, numeric literals, `+ − × ÷ %` arithmetic,
-//! comparisons, `AND`/`OR` — and then evaluate each block directly over
-//! `&[i64]` / `&[f64]` slices plus validity masks:
+//! comparisons, `AND`/`OR` — and then fold each block a column at a time
+//! over `&[i64]` / `&[f64]` slices plus validity masks:
 //!
-//! * predicates produce an **is-true selection mask** (SQL `WHERE`
-//!   semantics: NULL is not selected) without building a boolean column;
-//! * aggregate inputs evaluate to typed vectors consumed by the typed
-//!   [`AggState`] updates, so no per-row `Value` or per-row key `Vec` is
-//!   ever allocated;
-//! * grouped aggregation keys on a single `i64` expression, or on the
-//!   dictionary code of a single STR column, through [`I64GroupMap`].
+//! 1. **Selection vector.** The predicate evaluates to an **is-true mask**
+//!    (SQL `WHERE` semantics: NULL is not selected) through comparison and
+//!    arithmetic loops that match their operator and operand types once
+//!    per block; `AND`/`OR` combine into one mask buffer. The mask is
+//!    compacted, without a branch per row, into the selected row indices.
+//!    A block whose zone map proved the predicate true everywhere skips
+//!    this step and selects every row.
+//! 2. **Group ids.** A grouped fold maps each selected row's key — an
+//!    `i64` expression value or the dictionary code of a STR column — to
+//!    its dense group in the partial's [`I64GroupMap`] in one pass,
+//!    probing the map once per distinct key per block; NULL keys go to the
+//!    NULL group.
+//! 3. **One loop per aggregate.** Each aggregate drops its NULL inputs
+//!    from the selection (only `COUNT(*)` counts them) and runs one loop,
+//!    monomorphic in its function, input type and grouping, over
+//!    (selection, group id) on its typed input slice, straight into the
+//!    map's typed column for that aggregate. A global partial's states
+//!    become one-row columns for the block.
 //!
 //! Strings are in the domain only as that group key: a string in a
 //! predicate or an aggregate argument, booleans, `NOT`, `IS NULL`,
@@ -22,7 +33,12 @@
 //! the scalar path, which remains the semantic reference.
 //! Where both paths run, they agree bit-for-bit on every block: the
 //! kernels reproduce `eval`'s exact coercions (universal f64 comparison
-//! domain, wrapping integer arithmetic, NULL on division by zero).
+//! domain, wrapping integer arithmetic, NULL on division by zero), and
+//! every group still sees its rows in row order — its float sum starts
+//! from the state's value and adds them one by one, and MIN/MAX keep the
+//! first of equal values (`-0.0` vs `0.0` included) and a NaN that
+//! arrives first. Reordering *between* groups or aggregates cannot change
+//! a bit, since their states are disjoint.
 //!
 //! Is-true masks compose under `AND`/`OR` (`t(A∧B) = t(A)∧t(B)`,
 //! `t(A∨B) = t(A)∨t(B)`) but **not** under `NOT` (`NOT NULL` is NULL,
@@ -30,13 +46,15 @@
 //! than special-cased.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use aqp_expr::{BinaryOp, Expr};
+use aqp_storage::key::home_slot;
 use aqp_storage::{Block, Column, DataType, Schema, StrDict, Value};
 
-use crate::agg::{AggExpr, AggFunc, AggState, I64GroupMap};
+use crate::agg::{AggExpr, AggFunc, AggState, Col, I64GroupMap};
 use crate::fold::{recode, shares_codes, FoldAcc};
 
 /// A compiled numeric expression: evaluates over a block to a typed
@@ -61,67 +79,121 @@ enum NumExpr {
     },
 }
 
-/// One block's worth of evaluated numeric values. Leaf columns borrow
-/// their slices; computed intermediates own theirs; literals splat.
-/// The validity mask (`true` = non-NULL) is absent when every row is
-/// valid, matching [`aqp_storage::Column`]'s convention.
-enum Vals<'a> {
-    I64(Cow<'a, [i64]>, Option<Cow<'a, [bool]>>),
-    F64(Cow<'a, [f64]>, Option<Cow<'a, [bool]>>),
-    SplatI64(i64),
-    SplatF64(f64),
+/// One operand of a typed loop: a block's worth of values (a borrowed
+/// column or a computed intermediate), or a literal splatted over it.
+enum Side<'a, T: Clone> {
+    Col(Cow<'a, [T]>),
+    Lit(T),
 }
 
-impl Vals<'_> {
-    #[inline]
-    fn is_valid(&self, i: usize) -> bool {
+impl<'a, T: Copy> Side<'a, T> {
+    /// The values of `n` rows as a slice (a literal is materialized).
+    fn values(self, n: usize) -> Cow<'a, [T]> {
         match self {
-            Vals::I64(_, nulls) | Vals::F64(_, nulls) => nulls.as_ref().is_none_or(|m| m[i]),
-            Vals::SplatI64(_) | Vals::SplatF64(_) => true,
+            Side::Col(c) => c,
+            Side::Lit(x) => Cow::Owned(vec![x; n]),
         }
     }
+}
 
-    /// Whether no row is NULL (enables validity-check-free inner loops).
-    fn all_valid(&self) -> bool {
-        match self {
-            Vals::I64(_, nulls) | Vals::F64(_, nulls) => nulls.is_none(),
-            Vals::SplatI64(_) | Vals::SplatF64(_) => true,
+/// Runs `f` on each output slot beside its two operands, with the
+/// operand shapes matched once, not per row.
+fn zip_each<T: Copy, O>(a: &Side<T>, b: &Side<T>, out: &mut [O], f: impl Fn(&mut O, T, T)) {
+    match (a, b) {
+        (Side::Col(a), Side::Col(b)) => {
+            for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
+                f(o, x, y);
+            }
         }
-    }
-
-    /// Value at `i` in the universal f64 comparison domain (the same
-    /// coercion [`Value::sql_cmp`] applies). Only meaningful when
-    /// `is_valid(i)`.
-    #[inline]
-    fn f64_at(&self, i: usize) -> f64 {
-        match self {
-            Vals::I64(d, _) => d[i] as f64,
-            Vals::F64(d, _) => d[i],
-            Vals::SplatI64(x) => *x as f64,
-            Vals::SplatF64(x) => *x,
+        (Side::Col(a), &Side::Lit(y)) => {
+            for (o, &x) in out.iter_mut().zip(a.iter()) {
+                f(o, x, y);
+            }
         }
-    }
-
-    /// Integer value at `i`; panics on float variants (compile-time
-    /// typing guarantees int operands for int-out arithmetic).
-    #[inline]
-    fn i64_at(&self, i: usize) -> i64 {
-        match self {
-            Vals::I64(d, _) => d[i],
-            Vals::SplatI64(x) => *x,
-            Vals::F64(..) | Vals::SplatF64(_) => {
-                unreachable!("int-typed kernel operand evaluated to float")
+        (&Side::Lit(x), Side::Col(b)) => {
+            for (o, &y) in out.iter_mut().zip(b.iter()) {
+                f(o, x, y);
+            }
+        }
+        (&Side::Lit(x), &Side::Lit(y)) => {
+            for o in out {
+                f(o, x, y);
             }
         }
     }
 }
 
-/// Merges two validity masks (logical AND), staying `None` when both are.
-fn merge_validity<'a>(a: &Vals<'a>, b: &Vals<'a>, n: usize) -> Option<Vec<bool>> {
-    if a.all_valid() && b.all_valid() {
-        return None;
+/// A block's typed values.
+enum Data<'a> {
+    I64(Side<'a, i64>),
+    F64(Side<'a, f64>),
+}
+
+/// One block's worth of evaluated numeric values with its validity mask
+/// (`true` = non-NULL), absent when every row is valid — matching
+/// [`aqp_storage::Column`]'s convention.
+struct Vals<'a> {
+    data: Data<'a>,
+    valid: Option<Cow<'a, [bool]>>,
+}
+
+impl Vals<'_> {
+    /// The values in the universal f64 comparison domain (the coercion
+    /// [`Value::sql_cmp`] applies).
+    fn f64_side(&self) -> Side<'_, f64> {
+        match &self.data {
+            Data::F64(Side::Col(c)) => Side::Col(Cow::Borrowed(c)),
+            &Data::F64(Side::Lit(x)) => Side::Lit(x),
+            Data::I64(Side::Col(c)) => Side::Col(c.iter().map(|&x| x as f64).collect()),
+            &Data::I64(Side::Lit(x)) => Side::Lit(x as f64),
+        }
     }
-    Some((0..n).map(|i| a.is_valid(i) && b.is_valid(i)).collect())
+
+    /// [`Vals::f64_side`] with NaN at NULL rows: every comparison with NaN
+    /// is false, so a comparison over these values is already false where
+    /// an operand is NULL, as `WHERE` wants.
+    fn cmp_side(&self) -> Side<'_, f64> {
+        match (self.f64_side(), &self.valid) {
+            (Side::Col(c), Some(valid)) => Side::Col(
+                (c.iter().zip(valid.iter()))
+                    .map(|(&x, &ok)| if ok { x } else { f64::NAN })
+                    .collect(),
+            ),
+            (side, _) => side,
+        }
+    }
+
+    /// The values as integers; compile-time typing guarantees int
+    /// operands for int-out arithmetic.
+    fn int_side(&self) -> &Side<'_, i64> {
+        match &self.data {
+            Data::I64(side) => side,
+            Data::F64(_) => unreachable!("int-typed kernel operand evaluated to float"),
+        }
+    }
+}
+
+/// The AND of the validity masks present; `None` when none is.
+fn and_masks(masks: [Option<&[bool]>; 3]) -> Option<Vec<bool>> {
+    let mut present = masks.into_iter().flatten();
+    let mut out = present.next()?.to_vec();
+    for m in present {
+        for (o, &v) in out.iter_mut().zip(m) {
+            *o &= v;
+        }
+    }
+    Some(out)
+}
+
+/// Where a divisor is non-zero — the rows `/ 0.0` and `% 0` leave
+/// non-NULL — or `None` when it never is zero.
+fn nonzero<T: Copy + PartialEq + Default>(divisor: &Side<T>, n: usize) -> Option<Vec<bool>> {
+    let zero = T::default();
+    match divisor {
+        Side::Col(c) if c.contains(&zero) => Some(c.iter().map(|&x| x != zero).collect()),
+        Side::Col(_) => None,
+        &Side::Lit(x) => (x == zero).then(|| vec![false; n]),
+    }
 }
 
 impl NumExpr {
@@ -138,91 +210,123 @@ impl NumExpr {
         match self {
             NumExpr::ColI64(ci) => {
                 let c = block.column(*ci);
-                Vals::I64(
-                    Cow::Borrowed(c.i64_values().expect("compiled against INT64 column")),
-                    c.validity_mask().map(Cow::Borrowed),
-                )
+                let data = c.i64_values().expect("compiled against INT64 column");
+                Vals {
+                    data: Data::I64(Side::Col(Cow::Borrowed(data))),
+                    valid: c.validity_mask().map(Cow::Borrowed),
+                }
             }
             NumExpr::ColF64(ci) => {
                 let c = block.column(*ci);
-                Vals::F64(
-                    Cow::Borrowed(c.f64_values().expect("compiled against FLOAT64 column")),
-                    c.validity_mask().map(Cow::Borrowed),
-                )
+                let data = c.f64_values().expect("compiled against FLOAT64 column");
+                Vals {
+                    data: Data::F64(Side::Col(Cow::Borrowed(data))),
+                    valid: c.validity_mask().map(Cow::Borrowed),
+                }
             }
-            NumExpr::LitI64(x) => Vals::SplatI64(*x),
-            NumExpr::LitF64(x) => Vals::SplatF64(*x),
+            NumExpr::LitI64(x) => Vals {
+                data: Data::I64(Side::Lit(*x)),
+                valid: None,
+            },
+            NumExpr::LitF64(x) => Vals {
+                data: Data::F64(Side::Lit(*x)),
+                valid: None,
+            },
             NumExpr::Arith { op, int_out, l, r } => {
-                let lv = l.eval(block);
-                let rv = r.eval(block);
+                let (lv, rv) = (l.eval(block), r.eval(block));
                 let n = block.len();
-                if *int_out {
-                    eval_arith_int(*op, &lv, &rv, n)
+                let (data, zero) = if *int_out {
+                    let (a, b) = (lv.int_side(), rv.int_side());
+                    let zero = (*op == BinaryOp::Mod).then(|| nonzero(b, n)).flatten();
+                    (Data::I64(Side::Col(arith_int(*op, a, b, n).into())), zero)
                 } else {
-                    eval_arith_f64(*op, &lv, &rv, n)
+                    let (a, b) = (lv.f64_side(), rv.f64_side());
+                    let zero = (*op == BinaryOp::Div).then(|| nonzero(&b, n)).flatten();
+                    (Data::F64(Side::Col(arith_f64(*op, &a, &b, n).into())), zero)
+                };
+                let valid = and_masks([lv.valid.as_deref(), rv.valid.as_deref(), zero.as_deref()]);
+                Vals {
+                    data,
+                    valid: valid.map(Cow::Owned),
                 }
             }
         }
     }
 }
 
-/// Integer arithmetic: wrapping ops, NULL on `% 0`, mirroring `eval`.
-fn eval_arith_int<'a>(op: BinaryOp, lv: &Vals<'_>, rv: &Vals<'_>, n: usize) -> Vals<'a> {
-    let mut validity = merge_validity(lv, rv, n);
-    let mut data = Vec::with_capacity(n);
-    for i in 0..n {
-        if !validity.as_ref().is_none_or(|m| m[i]) {
-            data.push(0); // placeholder under a NULL slot, never read
-            continue;
-        }
-        let (a, b) = (lv.i64_at(i), rv.i64_at(i));
-        let v = match op {
-            BinaryOp::Add => a.wrapping_add(b),
-            BinaryOp::Sub => a.wrapping_sub(b),
-            BinaryOp::Mul => a.wrapping_mul(b),
-            BinaryOp::Mod => {
-                if b == 0 {
-                    validity.get_or_insert_with(|| vec![true; n])[i] = false;
-                    data.push(0);
-                    continue;
-                }
-                a.wrapping_rem(b)
-            }
-            other => unreachable!("non-arithmetic op {other:?} in int kernel"),
-        };
-        data.push(v);
+/// Integer arithmetic: wrapping ops, and `% 0` yields a placeholder the
+/// validity mask hides (NULL, mirroring `eval`). Values under NULL rows
+/// are never read.
+fn arith_int(op: BinaryOp, a: &Side<i64>, b: &Side<i64>, n: usize) -> Vec<i64> {
+    let mut out = vec![0; n];
+    match op {
+        BinaryOp::Add => zip_each(a, b, &mut out, |o, x, y| *o = x.wrapping_add(y)),
+        BinaryOp::Sub => zip_each(a, b, &mut out, |o, x, y| *o = x.wrapping_sub(y)),
+        BinaryOp::Mul => zip_each(a, b, &mut out, |o, x, y| *o = x.wrapping_mul(y)),
+        BinaryOp::Mod => zip_each(a, b, &mut out, |o, x, y| {
+            *o = if y == 0 { 0 } else { x.wrapping_rem(y) };
+        }),
+        other => unreachable!("non-arithmetic op {other:?} in int kernel"),
     }
-    Vals::I64(Cow::Owned(data), validity.map(Cow::Owned))
+    out
 }
 
 /// Float arithmetic (also the mixed-type and division paths): operands
-/// coerce to f64 exactly as `eval` does, NULL on `/ 0.0`.
-fn eval_arith_f64<'a>(op: BinaryOp, lv: &Vals<'_>, rv: &Vals<'_>, n: usize) -> Vals<'a> {
-    let mut validity = merge_validity(lv, rv, n);
-    let mut data = Vec::with_capacity(n);
-    for i in 0..n {
-        if !validity.as_ref().is_none_or(|m| m[i]) {
-            data.push(0.0);
-            continue;
-        }
-        let (a, b) = (lv.f64_at(i), rv.f64_at(i));
-        let v = match op {
-            BinaryOp::Add => a + b,
-            BinaryOp::Sub => a - b,
-            BinaryOp::Mul => a * b,
-            BinaryOp::Div => {
-                if b == 0.0 {
-                    validity.get_or_insert_with(|| vec![true; n])[i] = false;
-                    data.push(0.0);
-                    continue;
-                }
-                a / b
-            }
-            other => unreachable!("non-arithmetic op {other:?} in float kernel"),
-        };
-        data.push(v);
+/// coerced to f64 exactly as `eval` does; `/ 0.0` is NULL through the
+/// validity mask.
+fn arith_f64(op: BinaryOp, a: &Side<f64>, b: &Side<f64>, n: usize) -> Vec<f64> {
+    let mut out = vec![0.0; n];
+    match op {
+        BinaryOp::Add => zip_each(a, b, &mut out, |o, x, y| *o = x + y),
+        BinaryOp::Sub => zip_each(a, b, &mut out, |o, x, y| *o = x - y),
+        BinaryOp::Mul => zip_each(a, b, &mut out, |o, x, y| *o = x * y),
+        BinaryOp::Div => zip_each(a, b, &mut out, |o, x, y| *o = x / y),
+        other => unreachable!("non-arithmetic op {other:?} in float kernel"),
     }
-    Vals::F64(Cow::Owned(data), validity.map(Cow::Owned))
+    out
+}
+
+/// How a predicate node's mask lands in the buffer it is written into.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Combine {
+    /// Overwrite.
+    Set,
+    /// AND into what is there.
+    And,
+    /// OR into what is there.
+    Or,
+}
+
+/// Writes the comparison `op` of `a` and `b` into `out` per `how`. The
+/// operands are in the f64 domain with NaN at NULL rows; `partial_cmp`
+/// semantics — NaN on either side selects nothing — hold for every op,
+/// `<>` included (ordered and unequal, not IEEE `!=`, which NaN passes).
+fn compare_into(op: BinaryOp, a: &Side<f64>, b: &Side<f64>, out: &mut [bool], how: Combine) {
+    match op {
+        BinaryOp::Eq => combine_each(a, b, out, how, |x, y| x == y),
+        BinaryOp::NotEq => combine_each(a, b, out, how, |x, y| {
+            matches!(x.partial_cmp(&y), Some(Ordering::Less | Ordering::Greater))
+        }),
+        BinaryOp::Lt => combine_each(a, b, out, how, |x, y| x < y),
+        BinaryOp::LtEq => combine_each(a, b, out, how, |x, y| x <= y),
+        BinaryOp::Gt => combine_each(a, b, out, how, |x, y| x > y),
+        BinaryOp::GtEq => combine_each(a, b, out, how, |x, y| x >= y),
+        other => unreachable!("non-comparison op {other:?} in predicate kernel"),
+    }
+}
+
+fn combine_each(
+    a: &Side<f64>,
+    b: &Side<f64>,
+    out: &mut [bool],
+    how: Combine,
+    holds: impl Fn(f64, f64) -> bool,
+) {
+    match how {
+        Combine::Set => zip_each(a, b, out, |o, x, y| *o = holds(x, y)),
+        Combine::And => zip_each(a, b, out, |o, x, y| *o &= holds(x, y)),
+        Combine::Or => zip_each(a, b, out, |o, x, y| *o |= holds(x, y)),
+    }
 }
 
 /// A compiled predicate producing an is-true selection mask.
@@ -238,62 +342,38 @@ enum PredNode {
     Or(Box<PredNode>, Box<PredNode>),
 }
 
-#[inline]
-fn cmp_holds(op: BinaryOp, a: f64, b: f64) -> bool {
-    // partial_cmp mirrors sql_cmp: NaN on either side selects nothing.
-    match a.partial_cmp(&b) {
-        None => false,
-        Some(ord) => match op {
-            BinaryOp::Eq => ord.is_eq(),
-            BinaryOp::NotEq => ord.is_ne(),
-            BinaryOp::Lt => ord.is_lt(),
-            BinaryOp::LtEq => ord.is_le(),
-            BinaryOp::Gt => ord.is_gt(),
-            BinaryOp::GtEq => ord.is_ge(),
-            other => unreachable!("non-comparison op {other:?} in predicate kernel"),
-        },
-    }
-}
-
 impl PredNode {
-    /// Evaluates the is-true mask for a block into `out` (cleared first).
-    fn fill_mask(&self, block: &Block, out: &mut Vec<bool>) {
-        let n = block.len();
-        match self {
-            PredNode::Cmp { op, l, r } => {
-                let lv = l.eval(block);
-                let rv = r.eval(block);
-                out.clear();
-                out.reserve(n);
-                if lv.all_valid() && rv.all_valid() {
-                    for i in 0..n {
-                        out.push(cmp_holds(*op, lv.f64_at(i), rv.f64_at(i)));
-                    }
-                } else {
-                    for i in 0..n {
-                        out.push(
-                            lv.is_valid(i)
-                                && rv.is_valid(i)
-                                && cmp_holds(*op, lv.f64_at(i), rv.f64_at(i)),
-                        );
-                    }
-                }
+    /// Writes the node's is-true mask over `block` into `out`, combined
+    /// with what `out` holds per `how`. A chain of one connective writes
+    /// straight into `out`; only an `AND` under an `OR` (or the reverse)
+    /// needs a buffer of its own, borrowed from `spare` and returned.
+    fn fill(&self, block: &Block, out: &mut [bool], how: Combine, spare: &mut Vec<Vec<bool>>) {
+        match (self, how) {
+            (PredNode::Cmp { op, l, r }, _) => {
+                let (lv, rv) = (l.eval(block), r.eval(block));
+                compare_into(*op, &lv.cmp_side(), &rv.cmp_side(), out, how);
             }
-            PredNode::And(a, b) => {
-                a.fill_mask(block, out);
-                let mut rhs = Vec::new();
-                b.fill_mask(block, &mut rhs);
-                for (x, y) in out.iter_mut().zip(rhs) {
-                    *x = *x && y;
-                }
+            (PredNode::And(a, b), Combine::Set | Combine::And) => {
+                a.fill(block, out, how, spare);
+                b.fill(block, out, Combine::And, spare);
             }
-            PredNode::Or(a, b) => {
-                a.fill_mask(block, out);
-                let mut rhs = Vec::new();
-                b.fill_mask(block, &mut rhs);
-                for (x, y) in out.iter_mut().zip(rhs) {
-                    *x = *x || y;
+            (PredNode::Or(a, b), Combine::Set | Combine::Or) => {
+                a.fill(block, out, how, spare);
+                b.fill(block, out, Combine::Or, spare);
+            }
+            (PredNode::And(..), Combine::Or) | (PredNode::Or(..), Combine::And) => {
+                let mut inner = spare.pop().unwrap_or_default();
+                inner.clear();
+                inner.resize(out.len(), false);
+                self.fill(block, &mut inner, Combine::Set, spare);
+                for (o, &x) in out.iter_mut().zip(&inner) {
+                    if how == Combine::And {
+                        *o &= x;
+                    } else {
+                        *o |= x;
+                    }
                 }
+                spare.push(inner);
             }
         }
     }
@@ -393,10 +473,31 @@ impl PredKernel {
     /// predicate is FALSE *or NULL* are not selected — identical to
     /// applying the chain's predicates one by one.
     pub fn selection_mask(&self, block: &Block) -> Vec<bool> {
-        let mut mask = Vec::new();
-        self.node.fill_mask(block, &mut mask);
+        let mut mask = vec![false; block.len()];
+        self.node
+            .fill(block, &mut mask, Combine::Set, &mut Vec::new());
         mask
     }
+
+    /// The selected rows' indices, in row order.
+    fn selection(&self, block: &Block) -> Vec<u32> {
+        let mask = self.selection_mask(block);
+        compact(0..mask.len() as u32, |i| mask[i])
+    }
+}
+
+/// The items of `xs` at the positions `keep` accepts, in order: every item
+/// is written at the cursor and the cursor advances by the flag, so no
+/// item takes a branch.
+fn compact(xs: impl ExactSizeIterator<Item = u32>, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+    let mut out = vec![0u32; xs.len()];
+    let mut len = 0;
+    for (i, x) in xs.enumerate() {
+        out[len] = x;
+        len += usize::from(keep(i));
+    }
+    out.truncate(len);
+    out
 }
 
 /// Aggregate input: `COUNT(*)` needs no evaluation, everything else is a
@@ -414,13 +515,6 @@ enum KeyExpr {
     Int(NumExpr),
     /// A STR column, by schema index, grouped on its dictionary code.
     Str(usize),
-}
-
-/// One block's group keys: `i64` values, or codes in the partial's
-/// dictionary with the column's validity mask.
-enum KeyVals<'a> {
-    Int(Vals<'a>),
-    Codes(Cow<'a, [u32]>, Option<&'a [bool]>),
 }
 
 /// The schema index of `e` if it is a bare STR column.
@@ -448,6 +542,212 @@ fn codes_in<'a>(col: &'a Column, dict: &mut Option<Arc<StrDict>>) -> Cow<'a, [u3
         }
     });
     Cow::Owned(recoded.collect())
+}
+
+/// Maps each selected row's key to its dense group in `map`, in one pass
+/// and in row order, creating a group at its first row as a
+/// row-at-a-time fold would — `map` may grow in the middle of the block.
+/// A block-local open-addressing table remembers the keys the block has
+/// shown, so `map` is probed once per distinct key. `is_null` says which
+/// rows have a NULL key; they go to the NULL group.
+fn group_ids<K: Copy + Into<i64>>(
+    keys: &[K],
+    is_null: impl Fn(usize) -> bool,
+    rows: &[u32],
+    map: &mut I64GroupMap,
+) -> Vec<u32> {
+    let mask = (2 * rows.len()).next_power_of_two() - 1;
+    // Per slot, a group index + 1 (0 = empty) and the key it holds.
+    let mut table = vec![0u32; mask + 1];
+    let mut slot_keys = vec![0i64; mask + 1];
+    let mut ids = Vec::with_capacity(rows.len());
+    for &r in rows {
+        let r = r as usize;
+        if is_null(r) {
+            ids.push(map.null_index() as u32);
+            continue;
+        }
+        let key = keys[r].into();
+        let mut s = home_slot(key, mask);
+        let id = loop {
+            match table[s] {
+                0 => {
+                    let gi = map.group_index(key) as u32;
+                    (table[s], slot_keys[s]) = (gi + 1, key);
+                    break gi;
+                }
+                e if slot_keys[s] == key => break e - 1,
+                _ => s = (s + 1) & mask,
+            }
+        };
+        ids.push(id);
+    }
+    ids
+}
+
+/// [`group_ids`] for a key column with an optional validity mask.
+fn group_keys<K: Copy + Into<i64>>(
+    keys: &[K],
+    valid: Option<&[bool]>,
+    rows: &[u32],
+    map: &mut I64GroupMap,
+) -> Vec<u32> {
+    match valid {
+        None => group_ids(keys, |_| false, rows, map),
+        Some(valid) => group_ids(keys, |r| !valid[r], rows, map),
+    }
+}
+
+/// The group of the `k`-th row of an aggregate's selection: always row 0
+/// of a global partial's one-row columns, else a look-up in the group
+/// ids. The loops are monomorphic in it, so a global loop reads no id
+/// array.
+trait GroupOf: Copy {
+    fn at(self, k: usize) -> usize;
+}
+
+#[derive(Clone, Copy)]
+struct OneGroup;
+
+impl GroupOf for OneGroup {
+    #[inline]
+    fn at(self, _: usize) -> usize {
+        0
+    }
+}
+
+impl GroupOf for &[u32] {
+    #[inline]
+    fn at(self, k: usize) -> usize {
+        self[k] as usize
+    }
+}
+
+/// An aggregate input type: the typed loops are monomorphic in it.
+trait Num: Copy {
+    /// The value in the f64 comparison and summation domain.
+    fn f64(self) -> f64;
+    /// The value a MIN/MAX state stores.
+    fn value(self) -> Value;
+    /// The per-row [`AggState`] update, for the aggregates without a
+    /// typed column (`COUNT(DISTINCT)`, `VAR_SAMP`).
+    fn update(self, state: &mut AggState);
+}
+
+impl Num for i64 {
+    #[inline]
+    fn f64(self) -> f64 {
+        self as f64
+    }
+    fn value(self) -> Value {
+        Value::Int64(self)
+    }
+    #[inline]
+    fn update(self, state: &mut AggState) {
+        state.update_i64(self);
+    }
+}
+
+impl Num for f64 {
+    #[inline]
+    fn f64(self) -> f64 {
+        self
+    }
+    fn value(self) -> Value {
+        Value::Float64(self)
+    }
+    #[inline]
+    fn update(self, state: &mut AggState) {
+        state.update_f64(self);
+    }
+}
+
+/// Runs one aggregate's loop over its selection into its column: `rows`
+/// (NULL inputs already dropped, except for `COUNT(*)`) in row order, `g`
+/// their groups, `xs` the typed input (`COUNT`s read none). The function,
+/// the input type and the grouping are matched here, once per block.
+fn fold_col<G: GroupOf>(col: &mut Col, xs: Option<Data>, rows: &[u32], g: G, n: usize) {
+    match (col, xs) {
+        (Col::Count(_, counts), _) => {
+            for k in 0..rows.len() {
+                counts[g.at(k)] += 1;
+            }
+        }
+        (Col::Sum(_, sums, counts), Some(Data::I64(xs))) => {
+            add(&xs.values(n), rows, g, sums, counts);
+        }
+        (Col::Sum(_, sums, counts), Some(Data::F64(xs))) => {
+            add(&xs.values(n), rows, g, sums, counts);
+        }
+        (Col::Best(func, best, cmp), Some(Data::I64(xs))) => {
+            keep_best(*func, &xs.values(n), rows, g, best, cmp);
+        }
+        (Col::Best(func, best, cmp), Some(Data::F64(xs))) => {
+            keep_best(*func, &xs.values(n), rows, g, best, cmp);
+        }
+        (Col::States(_, states), Some(Data::I64(xs))) => {
+            update_each(&xs.values(n), rows, g, states);
+        }
+        (Col::States(_, states), Some(Data::F64(xs))) => {
+            update_each(&xs.values(n), rows, g, states);
+        }
+        (col, None) => unreachable!("{col:?} needs an input"),
+    }
+}
+
+/// SUM/AVG in row order: each group's sum adds its rows one by one onto
+/// the sum so far, so its bits are the row-at-a-time fold's.
+fn add<T: Num, G: GroupOf>(xs: &[T], rows: &[u32], g: G, sums: &mut [f64], counts: &mut [u64]) {
+    for (k, &r) in rows.iter().enumerate() {
+        let gi = g.at(k);
+        sums[gi] += xs[r as usize].f64();
+        counts[gi] += 1;
+    }
+}
+
+/// MIN/MAX in row order, compared in the f64 domain as
+/// [`AggState::update_i64`] does.
+fn keep_best<T: Num, G: GroupOf>(
+    func: AggFunc,
+    xs: &[T],
+    rows: &[u32],
+    g: G,
+    best: &mut [Option<Value>],
+    cmp: &mut [f64],
+) {
+    if func == AggFunc::Min {
+        best_by(xs, rows, g, best, cmp, |x, b| x < b);
+    } else {
+        best_by(xs, rows, g, best, cmp, |x, b| x > b);
+    }
+}
+
+/// A value replaces its group's best only when it `wins` strictly, so
+/// ties keep the first (`-0.0` vs `0.0` included); a group's first value
+/// is taken whatever it is, so a leading NaN sticks — no comparison with
+/// NaN wins.
+fn best_by<T: Num, G: GroupOf>(
+    xs: &[T],
+    rows: &[u32],
+    g: G,
+    best: &mut [Option<Value>],
+    cmp: &mut [f64],
+    wins: impl Fn(f64, f64) -> bool,
+) {
+    for (k, &r) in rows.iter().enumerate() {
+        let (gi, x) = (g.at(k), xs[r as usize]);
+        if best[gi].is_none() || wins(x.f64(), cmp[gi]) {
+            cmp[gi] = x.f64();
+            best[gi] = Some(x.value());
+        }
+    }
+}
+
+/// `COUNT(DISTINCT)` and `VAR_SAMP`: the typed state update per row.
+fn update_each<T: Num, G: GroupOf>(xs: &[T], rows: &[u32], g: G, states: &mut [AggState]) {
+    for (k, &r) in rows.iter().enumerate() {
+        xs[r as usize].update(&mut states[g.at(k)]);
+    }
 }
 
 /// A fully compiled filter→aggregate pipeline over one table's blocks.
@@ -526,84 +826,80 @@ impl FusedAggKernel {
         }
     }
 
-    /// Folds one block into a partial accumulator. Returns the number of
-    /// rows that passed the predicate. `apply_predicates: false` skips
-    /// mask evaluation entirely — for blocks whose zone map already
-    /// proved every predicate true on every row.
+    /// Folds one block into a partial accumulator, a column at a time:
+    /// the selection vector, the group ids, then one typed loop per
+    /// aggregate (see the module doc). Returns the number of rows that
+    /// passed the predicate; a block where none did leaves `acc`
+    /// untouched. `apply_predicates: false` skips predicate evaluation —
+    /// for blocks whose zone map already proved every predicate true on
+    /// every row.
     pub fn accumulate(&self, block: &Block, acc: &mut FoldAcc, apply_predicates: bool) -> u64 {
         let n = block.len();
-        let mask = if apply_predicates {
-            self.predicate.as_ref().map(|p| p.selection_mask(block))
-        } else {
-            None
+        let rows = match &self.predicate {
+            Some(p) if apply_predicates => p.selection(block),
+            _ => (0..n as u32).collect(),
         };
-        let selected: u64 = match &mask {
-            None => n as u64,
-            Some(m) => m.iter().filter(|&&b| b).count() as u64,
-        };
-        if selected == 0 {
+        if rows.is_empty() {
             return 0;
         }
-        let key_vals = match (&self.key, &mut *acc) {
-            (None, _) => None,
-            (Some(KeyExpr::Int(k)), _) => Some(KeyVals::Int(k.eval(block))),
-            (Some(KeyExpr::Str(ci)), FoldAcc::Coded { dict, .. }) => {
+        match (&self.key, acc) {
+            (None, FoldAcc::Global(states)) => {
+                // One group: its states become one-row columns for the block.
+                let mut cols: Vec<Col> = (states.iter_mut())
+                    .map(|s| Col::of_state(std::mem::replace(s, AggState::CountStar(0))))
+                    .collect();
+                self.fold_cols(block, &rows, None, &mut cols);
+                for (state, col) in states.iter_mut().zip(&mut cols) {
+                    *state = col.take_state(0);
+                }
+            }
+            (Some(KeyExpr::Int(k)), FoldAcc::Grouped(map)) => {
+                let Vals { data, valid } = k.eval(block);
+                let Data::I64(keys) = data else {
+                    unreachable!("an INT64 key evaluated to float")
+                };
+                let ids = group_keys(&keys.values(n), valid.as_deref(), &rows, map);
+                self.fold_cols(block, &rows, Some(&ids), map.cols_mut());
+            }
+            (Some(KeyExpr::Str(ci)), FoldAcc::Coded { groups, dict }) => {
                 let col = block.column(*ci);
-                Some(KeyVals::Codes(codes_in(col, dict), col.validity_mask()))
+                let ids = group_keys(&codes_in(col, dict), col.validity_mask(), &rows, groups);
+                self.fold_cols(block, &rows, Some(&ids), groups.cols_mut());
             }
             _ => unreachable!("accumulator shape disagrees with kernel"),
-        };
-        let agg_vals: Vec<Option<Vals<'_>>> = self
-            .inputs
-            .iter()
-            .map(|inp| match inp {
-                AggInput::CountStar => None,
-                AggInput::Num(e) => Some(e.eval(block)),
-            })
-            .collect();
-        for i in 0..n {
-            if let Some(m) = &mask {
-                if !m[i] {
-                    continue;
+        }
+        rows.len() as u64
+    }
+
+    /// Runs each aggregate's loop over the selected `rows` (`ids` their
+    /// groups; `None` for a global partial) into its column of `cols`.
+    fn fold_cols(&self, block: &Block, rows: &[u32], ids: Option<&[u32]>, cols: &mut [Col]) {
+        for (col, input) in cols.iter_mut().zip(&self.inputs) {
+            // COUNT(*) counts every selected row and reads no input.
+            let (xs, valid) = match input {
+                AggInput::CountStar => (None, None),
+                AggInput::Num(e) => {
+                    let Vals { data, valid } = e.eval(block);
+                    (Some(data), valid)
                 }
-            }
-            let states: &mut [AggState] = match (&key_vals, &mut *acc) {
-                (None, FoldAcc::Global(states)) => states,
-                (Some(KeyVals::Int(kv)), FoldAcc::Grouped(map)) => {
-                    if kv.is_valid(i) {
-                        map.slot(kv.i64_at(i))
-                    } else {
-                        map.null_slot()
-                    }
-                }
-                (Some(KeyVals::Codes(codes, valid)), FoldAcc::Coded { groups, .. }) => {
-                    if valid.is_none_or(|m| m[i]) {
-                        groups.slot(i64::from(codes[i]))
-                    } else {
-                        groups.null_slot()
-                    }
-                }
-                _ => unreachable!("accumulator shape disagrees with kernel"),
             };
-            for (state, vals) in states.iter_mut().zip(&agg_vals) {
-                match vals {
-                    // COUNT(*) advances on every row, NULL or not — and
-                    // update_null is exactly "advance iff COUNT(*)".
-                    None => state.update_null(),
-                    Some(v) => {
-                        if !v.is_valid(i) {
-                            state.update_null();
-                        } else {
-                            match v {
-                                Vals::I64(..) | Vals::SplatI64(_) => state.update_i64(v.i64_at(i)),
-                                Vals::F64(..) | Vals::SplatF64(_) => state.update_f64(v.f64_at(i)),
-                            }
-                        }
-                    }
+            // NULL inputs leave the aggregate's selection.
+            let (rows, ids) = match &valid {
+                None => (Cow::Borrowed(rows), ids.map(Cow::Borrowed)),
+                Some(valid) => {
+                    let keep = |k: usize| valid[rows[k] as usize];
+                    let ids = ids.map(|ids| compact(ids.iter().copied(), keep));
+                    (
+                        Cow::Owned(compact(rows.iter().copied(), keep)),
+                        ids.map(Cow::Owned),
+                    )
                 }
+            };
+            match ids.as_deref() {
+                None => fold_col(col, xs, &rows, OneGroup, block.len()),
+                Some(ids) => fold_col(col, xs, &rows, ids, block.len()),
             }
         }
-        selected
     }
 }
 
@@ -708,21 +1004,34 @@ mod tests {
         ];
         for e in exprs {
             let compiled = compile_num(&e, b.schema()).expect("compiles");
-            let vals = compiled.eval(&b);
+            let Vals { data, valid } = compiled.eval(&b);
+            let valid = |i: usize| valid.as_ref().is_none_or(|m| m[i]);
+            let kernel: Vec<Value> = match data {
+                Data::I64(xs) => xs
+                    .values(b.len())
+                    .iter()
+                    .map(|&x| Value::Int64(x))
+                    .collect(),
+                Data::F64(xs) => xs
+                    .values(b.len())
+                    .iter()
+                    .map(|&x| Value::Float64(x))
+                    .collect(),
+            };
             let scalar = eval(&e, &b).expect("scalar path");
-            for i in 0..b.len() {
+            for (i, kv) in kernel.into_iter().enumerate() {
                 let sv = scalar.get(i);
                 if sv.is_null() {
-                    assert!(!vals.is_valid(i), "{e} row {i}: kernel non-null, eval NULL");
+                    assert!(!valid(i), "{e} row {i}: kernel non-null, eval NULL");
                     continue;
                 }
-                assert!(vals.is_valid(i), "{e} row {i}: kernel NULL, eval {sv:?}");
-                match sv {
-                    Value::Int64(x) => assert_eq!(vals.i64_at(i), x, "{e} row {i}"),
-                    Value::Float64(x) => {
-                        assert_eq!(vals.f64_at(i).to_bits(), x.to_bits(), "{e} row {i}")
+                assert!(valid(i), "{e} row {i}: kernel NULL, eval {sv:?}");
+                match (sv, kv) {
+                    (Value::Int64(x), Value::Int64(y)) => assert_eq!(y, x, "{e} row {i}"),
+                    (Value::Float64(x), Value::Float64(y)) => {
+                        assert_eq!(y.to_bits(), x.to_bits(), "{e} row {i}")
                     }
-                    other => panic!("unexpected scalar output {other:?}"),
+                    other => panic!("kernel/scalar output types differ: {other:?}"),
                 }
             }
         }

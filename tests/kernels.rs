@@ -18,18 +18,26 @@
 //! * per-config stats are identical across thread counts (morsel
 //!   boundaries are data-dependent, never scheduling-dependent).
 //!
-//! The last test pins `aqp_kernel_dispatch_total`: one tick per aggregate.
+//! `aqp_kernel_dispatch_total` is pinned at one tick per aggregate.
+//!
+//! The last group tests the column-at-a-time fold itself against the
+//! scalar fold, bit for bit: a proptest over blocks carrying NaN, ±0.0,
+//! ±1e308, NULLs, zero divisors, every aggregate function and every key
+//! shape, and pinned cases for signed-zero ties, a leading NaN, an empty
+//! selection and a group map that grows in the middle of a block.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use aqp_engine::{execute_with, AggExpr, BlockFold, ExecOptions, LogicalPlan, Query};
-use aqp_expr::{col, lit};
+use aqp_engine::{
+    execute_with, AggExpr, AggFunc, BlockFold, ExecOptions, FoldAcc, LogicalPlan, Query,
+};
+use aqp_expr::{col, lit, Expr};
 use aqp_mergeable::Partial;
 use aqp_obs::metrics::{scoped, MetricsRegistry};
 use aqp_obs::names;
-use aqp_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
+use aqp_storage::{Block, Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -393,4 +401,321 @@ fn one_dispatch_tick_per_aggregate() {
         [0, 0],
         "no aggregate: [kernel, fallback]"
     );
+}
+
+/// A value with its float bits spelled out, so NaN, `-0.0` and `0.0`
+/// compare by bits rather than by float equality.
+fn bits(v: &Value) -> String {
+    match v {
+        Value::Float64(x) => format!("f{:016x}", x.to_bits()),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Every row of a result, in bits.
+fn row_bits(rows: Vec<Vec<Value>>) -> Vec<Vec<String>> {
+    rows.iter().map(|r| r.iter().map(bits).collect()).collect()
+}
+
+/// Special floats the column-at-a-time loops must carry through exactly
+/// as the scalar fold does.
+const SPECIAL_F64: [f64; 6] = [f64::NAN, 0.0, -0.0, 1e308, -1e308, f64::INFINITY];
+
+/// Table `r(p, i, j, x, y, k)` from generated rows, in `cap`-row blocks:
+/// `p` the row number (the selector), `i` a nullable INT64 with extremes,
+/// `j` an INT64 divisor with zeros, `x` a nullable FLOAT64 with NaN, ±0.0
+/// and ±1e308, `y` a FLOAT64 divisor with ±0.0, and `k` a nullable STR
+/// key. With `two_dicts` the halves come from two builders, so the table
+/// holds two dictionaries whose codes disagree.
+fn special_catalog(rows: &[(u8, i64, u8, u8, u64)], cap: usize, two_dicts: bool) -> Catalog {
+    const KEYS: [&str; 4] = ["", "a", "β", "zz"];
+    let schema = || {
+        Schema::new(vec![
+            Field::new("p", DataType::Int64),
+            Field::nullable("i", DataType::Int64),
+            Field::new("j", DataType::Int64),
+            Field::nullable("x", DataType::Float64),
+            Field::new("y", DataType::Float64),
+            Field::nullable("k", DataType::Str),
+        ])
+    };
+    let half = if two_dicts {
+        rows.len().div_ceil(2)
+    } else {
+        rows.len()
+    };
+    let mut parts = rows.chunks(half.max(1)).enumerate().map(|(part, chunk)| {
+        let mut t = TableBuilder::with_block_capacity("r", schema(), cap);
+        for (at, &(sel, small, div, key, r)) in chunk.iter().enumerate() {
+            let p = (part * half + at) as i64;
+            let i = match sel % 8 {
+                0 => Value::Null,
+                1 => Value::Int64(i64::MAX),
+                2 => Value::Int64(i64::MIN),
+                _ => Value::Int64(small),
+            };
+            let x = match sel % 5 {
+                0 => Value::Null,
+                1 => Value::Float64(SPECIAL_F64[(r % 6) as usize]),
+                _ => Value::Float64((r % 2001) as f64 * 0.173 - 150.0),
+            };
+            let y = [0.0, -0.0, 2.5, -3.0, 1e-308][(div % 5) as usize];
+            let k = match key {
+                0 => Value::Null,
+                _ => Value::str(KEYS[(key as usize - 1) % KEYS.len()]),
+            };
+            let row = [
+                Value::Int64(p),
+                i,
+                Value::Int64(i64::from(div % 3)),
+                x,
+                Value::Float64(y),
+                k,
+            ];
+            t.push_row(&row).unwrap();
+        }
+        t.finish()
+    });
+    let mut table: Table = parts.next().expect("a non-empty table");
+    for part in parts {
+        Partial::merge(&mut table, &part).unwrap();
+    }
+    let c = Catalog::new();
+    c.register(table).unwrap();
+    c
+}
+
+/// Every aggregate function over INT64 and FLOAT64 columns and over
+/// `/ 0.0` and `% 0` arithmetic (NULL where the divisor is zero).
+fn every_aggregate() -> Vec<AggExpr> {
+    let inputs = [
+        ("i", col("i")),
+        ("x", col("x")),
+        ("xy", col("x").div(col("y"))),
+        ("ij", col("i").modulo(col("j"))),
+    ];
+    let mut aggs = vec![AggExpr::count_star("n")];
+    for func in [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::CountDistinct,
+        AggFunc::VarSamp,
+    ] {
+        for (name, e) in &inputs {
+            aggs.push(AggExpr::new(func, e.clone(), format!("{func}_{name}")));
+        }
+    }
+    aggs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The column-at-a-time fold against the scalar fold on random
+    /// blocks, bit for bit, at threads 1, 2 and 4: NULL measures and keys;
+    /// NaN, ±0.0, ±1e308 and ∞; INT64, FLOAT64, `/ 0.0` and `% 0` inputs;
+    /// every aggregate function; no key, an INT-expression key and a STR
+    /// key over one or two dictionaries; and selections that are empty,
+    /// full (proved all-true by the zone map) or alternating.
+    #[test]
+    fn column_fold_matches_scalar_fold_bitwise(
+        rows in prop::collection::vec((0u8..40, -6i64..6, 0u8..15, 0u8..6, 0u64..1_000_000), 1..400),
+        cap in 8usize..64,
+        shape in 0u8..9,
+    ) {
+        let (selection, key) = (shape % 3, shape / 3);
+        let c = special_catalog(&rows, cap, key == 2 && rows.len() > 1);
+        let pred = match selection {
+            0 => col("p").lt(lit(0i64)),
+            1 => col("p").gt_eq(lit(0i64)),
+            _ => col("p").modulo(lit(2i64)).eq(lit(0i64)),
+        };
+        let group_by = match key {
+            0 => vec![],
+            1 => vec![(col("i").modulo(lit(3i64)), "g".to_string())],
+            _ => vec![(col("k"), "g".to_string())],
+        };
+        let aggs = every_aggregate();
+        let schema = c.get("r").unwrap().schema().clone();
+        prop_assert!(BlockFold::kernel(&[&pred], &group_by, &aggs, &schema).is_some());
+        let plan = Query::scan("r").filter(pred).aggregate(group_by, aggs).build();
+        let scalar = execute_with(
+            &plan,
+            &c,
+            ExecOptions::serial().with_kernels(false).with_zone_pruning(false),
+        )
+        .unwrap();
+        for threads in [1, 2, 4] {
+            let kernel = execute_with(&plan, &c, ExecOptions::with_threads(threads)).unwrap();
+            prop_assert_eq!(
+                row_bits(scalar.rows()),
+                row_bits(kernel.rows()),
+                "shape {} threads {}",
+                shape,
+                threads
+            );
+        }
+    }
+}
+
+/// One block `(g, v)`: INT64 key `g`, nullable FLOAT64 measure `v`.
+fn measure_block(rows: &[(i64, Option<f64>)]) -> Block {
+    let schema = Arc::new(Schema::new(vec![
+        Field::new("g", DataType::Int64),
+        Field::nullable("v", DataType::Float64),
+    ]));
+    let mut b = Block::new(schema);
+    for &(g, v) in rows {
+        b.push_row(&[Value::Int64(g), v.map_or(Value::Null, Value::Float64)])
+            .unwrap();
+    }
+    b
+}
+
+/// Folds `blocks` through the typed kernel (with a group-map `hint`) and
+/// through the scalar fold; returns both partials' groups, finished, in
+/// bits, sorted by key.
+fn fold_both(
+    blocks: &[&Block],
+    predicates: &[&Expr],
+    group_by: &[(Expr, String)],
+    aggs: &[AggExpr],
+    hint: Option<usize>,
+) -> [Vec<String>; 2] {
+    let schema = blocks[0].schema();
+    let kernel = BlockFold::kernel(predicates, group_by, aggs, schema).expect("kernel compiles");
+    let scalar = BlockFold::new(predicates, group_by, aggs, schema, false);
+    assert!(!scalar.is_kernel());
+    [(kernel, hint), (scalar, None)].map(|(fold, hint)| {
+        let mut acc = fold.new_acc(hint);
+        for block in blocks {
+            fold.fold(block, &mut acc, true).unwrap();
+        }
+        let mut groups: Vec<String> = (acc.into_groups().into_iter())
+            .map(|(key, states)| {
+                let finished: Vec<String> = states.iter().map(|s| bits(&s.finish())).collect();
+                format!("{key:?} {finished:?}")
+            })
+            .collect();
+        groups.sort();
+        groups
+    })
+}
+
+fn min_max() -> Vec<AggExpr> {
+    vec![AggExpr::min(col("v"), "lo"), AggExpr::max(col("v"), "hi")]
+}
+
+/// MIN and MAX keep the first of equal values: `-0.0` then `0.0` leaves
+/// `-0.0` in both, `0.0` then `-0.0` leaves `0.0`.
+#[test]
+fn min_max_keep_the_first_signed_zero() {
+    for (first, second) in [(-0.0, 0.0), (0.0, -0.0)] {
+        let b = measure_block(&[(1, Some(first)), (1, Some(second))]);
+        let [kernel, scalar] = fold_both(&[&b], &[], &[], &min_max(), None);
+        assert_eq!(kernel, scalar);
+        let want = format!("f{:016x}", f64::to_bits(first));
+        assert_eq!(kernel, [format!("[] [{want:?}, {want:?}]")]);
+    }
+}
+
+/// A NaN that arrives first sticks in MIN and MAX (no comparison with NaN
+/// wins); a NaN that arrives later is passed over.
+#[test]
+fn a_leading_nan_sticks_in_min_and_max() {
+    let nan = format!("f{:016x}", f64::NAN.to_bits());
+    let leading = measure_block(&[(1, Some(f64::NAN)), (1, Some(1.0)), (1, Some(-5.0))]);
+    let [kernel, scalar] = fold_both(&[&leading], &[], &[], &min_max(), None);
+    assert_eq!(kernel, scalar);
+    assert_eq!(kernel, [format!("[] [{nan:?}, {nan:?}]")]);
+    let later = measure_block(&[
+        (1, None),
+        (1, Some(1.0)),
+        (1, Some(f64::NAN)),
+        (1, Some(-5.0)),
+    ]);
+    let [kernel, scalar] = fold_both(&[&later], &[], &[], &min_max(), None);
+    assert_eq!(kernel, scalar);
+    let [lo, hi] = [-5.0f64, 1.0].map(|x| format!("f{:016x}", x.to_bits()));
+    assert_eq!(kernel, [format!("[] [{lo:?}, {hi:?}]")]);
+}
+
+/// A block none of whose rows is selected leaves the partial untouched:
+/// no group, and a STR-keyed partial keeps the dictionary it had (none,
+/// or the first block's) rather than adopting the empty block's.
+#[test]
+fn an_empty_selection_leaves_the_partial_untouched() {
+    let str_block = |keys: &[&str]| {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("s", DataType::Str),
+            Field::new("x", DataType::Int64),
+        ]));
+        let mut b = Block::new(schema);
+        for (i, k) in keys.iter().enumerate() {
+            b.push_row(&[Value::str(*k), Value::Int64(i as i64)])
+                .unwrap();
+        }
+        b
+    };
+    let (first, other) = (str_block(&["p", "q"]), str_block(&["q", "r", "p"]));
+    let key = [(col("s"), "s".to_string())];
+    let aggs = [AggExpr::sum(col("x"), "sx")];
+    let none = col("x").lt(lit(0i64));
+    let fold = BlockFold::kernel(&[&none], &key, &aggs, first.schema()).unwrap();
+    let mut acc = fold.new_acc(None);
+    assert_eq!(fold.fold(&other, &mut acc, true).unwrap(), 0);
+    let FoldAcc::Coded { groups, dict } = &acc else {
+        panic!("a STR key folds on codes");
+    };
+    assert!(
+        groups.is_empty() && dict.is_none(),
+        "no group, no dictionary"
+    );
+    // After a block that selected rows, an empty one changes nothing.
+    fold.fold(&first, &mut acc, false).unwrap();
+    let FoldAcc::Coded { dict, .. } = &acc else {
+        unreachable!()
+    };
+    let before = Arc::clone(dict.as_ref().expect("the first block's dictionary"));
+    assert_eq!(fold.fold(&other, &mut acc, true).unwrap(), 0);
+    let FoldAcc::Coded { groups, dict } = &acc else {
+        unreachable!()
+    };
+    assert!(Arc::ptr_eq(dict.as_ref().unwrap(), &before));
+    assert_eq!((groups.len(), before.len()), (2, 2));
+}
+
+/// A block whose new keys outgrow the group map's hint in the middle of
+/// the block: the map grows between two rows of one pass and the groups
+/// still equal the scalar fold's.
+#[test]
+fn a_block_grows_the_group_map_past_its_hint() {
+    let rows: Vec<(i64, Option<f64>)> = (0..600)
+        .map(|i| {
+            (
+                (i * 7919) % 300 - 150,
+                (i % 9 != 4).then_some(i as f64 * 0.37),
+            )
+        })
+        .collect();
+    let b = measure_block(&rows);
+    let key = [(col("g"), "g".to_string())];
+    let aggs = vec![
+        AggExpr::count_star("n"),
+        AggExpr::sum(col("v"), "s"),
+        AggExpr::min(col("v"), "lo"),
+    ];
+    let [kernel, scalar] = fold_both(&[&b], &[], &key, &aggs, Some(1));
+    assert_eq!(kernel.len(), 300);
+    assert_eq!(kernel, scalar);
+    let fold = BlockFold::kernel(&[], &key, &aggs, b.schema()).unwrap();
+    let mut acc = fold.new_acc(Some(1));
+    fold.fold(&b, &mut acc, true).unwrap();
+    let FoldAcc::Grouped(map) = acc else {
+        panic!("an INT64 key folds into the i64 group map");
+    };
+    assert_eq!(map.len(), 300);
 }
