@@ -6,8 +6,15 @@
 //! blocks. For sampling rates 0.01%–10%, measure the wall time and rows
 //! touched to (a) draw the sample and (b) answer the query from it, for
 //! row-level vs block-level Bernoulli sampling, against the exact scan.
+//! The block column answers as the online sampler's final phase does:
+//! the query's [`StarEvaluator`] folds the sampled blocks in morsels
+//! ([`SampledTotals::fold`]) and [`SampledTotals::estimates`] finishes
+//! them with the cluster estimator.
 
 use aqp_bench::{fmt_duration, timed_median, TablePrinter};
+use aqp_core::evaluator::{SampledTotals, StarEvaluator};
+use aqp_core::AggQuery;
+use aqp_engine::pool::default_threads;
 use aqp_engine::{execute, AggExpr, Query};
 use aqp_expr::{col, lit};
 use aqp_sampling::{bernoulli_blocks, bernoulli_rows};
@@ -48,6 +55,7 @@ fn main() {
         ],
         &[8, 10, 14, 10, 9, 10],
     );
+    let query = AggQuery::from_plan(&plan).expect("a star aggregate");
     for &rate in &[0.0001, 0.001, 0.01, 0.05, 0.1] {
         let vi = table.schema().index_of("v").unwrap();
         let si = table.schema().index_of("sel").unwrap();
@@ -69,10 +77,16 @@ fn main() {
             let s = bernoulli_rows(&table, rate, 7);
             (filtered_avg(&s), s.num_rows()) // includes estimation cost
         });
-        // Block-level: touches only the selected blocks.
+        // Block-level: touches only the selected blocks, folded as the
+        // online sampler folds them.
         let ((est_b, rows_b), wall_b) = timed_median(3, || {
             let s = bernoulli_blocks(&table, rate, 7);
-            (filtered_avg(&s), s.num_rows())
+            let evaluator = StarEvaluator::new(&catalog, &query).unwrap();
+            let mut totals = SampledTotals::new(&evaluator);
+            totals
+                .fold(&evaluator, s.table.blocks(), default_threads())
+                .unwrap();
+            (totals.estimates(&evaluator)[0].1[0], s.num_rows())
         });
         let _ = rows_r;
         for (method, est, rows, wall) in [

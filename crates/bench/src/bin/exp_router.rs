@@ -4,9 +4,10 @@
 //! small groups (E3), offline drift (E8), the selectivity cliff (E9) —
 //! each answered by the routing `AqpSession` and by every family forced
 //! directly. The router should match the best forced technique on each
-//! workload without being told which one that is.
+//! workload without being told which one that is. Every time is the
+//! median of five warm repetitions, after one untimed run.
 
-use aqp_bench::TablePrinter;
+use aqp_bench::{timed_median, TablePrinter};
 use aqp_core::{
     exact_answer, AggQuery, Analysis, ApproximateAnswer, AqpSession, Attempt, ErrorSpec,
     OfflineTechnique, OlaTechnique, OnlineAqp, OnlineConfig, RewriteTechnique, SessionConfig,
@@ -17,6 +18,14 @@ use aqp_expr::{col, lit};
 use aqp_obs::metrics::scoped;
 use aqp_storage::Catalog;
 use aqp_workload::{skewed_table, uniform_table};
+
+/// The outcome of `run` and the median wall of five warm repetitions, in
+/// ms (seeded runs: every repetition has the same outcome).
+fn warm_median<T>(mut run: impl FnMut() -> T) -> (T, f64) {
+    run();
+    let (out, wall) = timed_median(5, run);
+    (out, wall.as_secs_f64() * 1e3)
+}
 
 /// Mean relative error of `ans` against `truth`, matched by group key,
 /// plus how many true groups the answer missed entirely.
@@ -45,10 +54,9 @@ fn report_row(
     p: &TablePrinter,
     label: &str,
     truth: &ApproximateAnswer,
-    run: impl FnOnce() -> Result<Attempt, String>,
+    run: impl FnMut() -> Result<Attempt, String>,
 ) {
-    let (outcome, us) = aqp_obs::timing::time_us(run);
-    let ms = us / 1e3;
+    let (outcome, ms) = warm_median(run);
     match outcome {
         Ok(Attempt::Answered(ans)) => {
             let (err, missing) = error_vs(&ans, truth);
@@ -119,25 +127,25 @@ fn scenario(
         &[24, 9, 13, 10, 34],
     );
     // The denominator every other row is read against, timed like them.
-    let (truth, exact_us) =
-        aqp_obs::timing::time_us(|| exact_answer(catalog, plan, None).expect("exact baseline"));
+    let (truth, exact_ms) =
+        warm_median(|| exact_answer(catalog, plan, None).expect("exact baseline"));
     p.row(&[
         "exact engine".to_string(),
-        format!("{:.2}", exact_us / 1e3),
+        format!("{exact_ms:.2}"),
         truth.report.rows_scanned.to_string(),
         "0.00".to_string(),
         "the denominator".to_string(),
     ]);
+    let mut decision = String::new();
     report_row(&p, "router (AqpSession)", &truth, || {
-        session
-            .answer(plan, spec, SEED)
+        (session.answer(plan, spec, SEED))
             .map(|ans| {
-                let routing = ans.report.routing.clone().expect("routed");
-                println!("  router decision: {}", routing.summary());
+                decision = ans.report.routing.as_ref().expect("routed").summary();
                 Attempt::Answered(ans)
             })
             .map_err(|e| e.to_string())
     });
+    println!("  router decision: {decision}");
     let query = match AggQuery::from_plan(plan) {
         Some(q) => q,
         None => {

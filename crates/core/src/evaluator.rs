@@ -1,20 +1,24 @@
-//! Per-block evaluation of a star [`AggQuery`] against *sampled* fact
-//! blocks: the exact engine's aggregate step, one sampled block at a time.
+//! Evaluation of a star [`AggQuery`] against *sampled* fact blocks: the
+//! exact engine's aggregate step, run over morsels of sampled blocks.
 //!
 //! The statistical machinery needs per-fact-block group totals (blocks are
-//! the sampling units), and folding one block into a fresh aggregate
-//! partial is exactly what the exact executor does to every block of a
-//! morsel. So the evaluator compiles the query's plan
-//! ([`AggQuery::to_plan`]) to the engine's own [`AggStep`] — the
-//! predicates that name only fact columns as a selection below the
-//! gathers, one gather join per dimension against the key index the
-//! dimension [`Table`] caches, then the block fold, typed kernel or scalar
-//! — runs it on each sampled block, and reads the `(f, g)` pairs the HT
-//! estimators consume straight out of the aggregate states. Where a
-//! predicate runs, which columns a join gathers and how names resolve
-//! (fact columns first, then dimensions in join order) is decided once, in
-//! the engine, for the exact and the sampled paths alike. Rows with a NULL
-//! or dangling key drop, as in an inner join.
+//! the sampling units), and folding blocks into an aggregate partial is
+//! exactly what the exact executor does to every morsel. So the evaluator
+//! compiles the query's plan ([`AggQuery::to_plan`]) to the engine's own
+//! [`AggStep`] — the predicates that name only fact columns as a
+//! selection below the gathers, one gather join per dimension against the
+//! key index the dimension [`Table`] caches, then the block fold, typed
+//! kernel or scalar — and [`SampledTotals::fold`] runs it through
+//! [`AggStep::fold_units`]: each morsel of sampled blocks folds through
+//! one partial, and after each block the groups it touched are moved out
+//! as that unit's totals, so every (unit, group) sum starts at zero and
+//! adds its rows in row order, as a fresh partial per block would. The
+//! `(f, g)` pairs the HT estimators consume are read straight out of those
+//! aggregate states. Where a predicate runs, which columns a join gathers
+//! and how names resolve (fact columns first, then dimensions in join
+//! order) is decided once, in the engine, for the exact and the sampled
+//! paths alike. Rows with a NULL or dangling key drop, as in an inner
+//! join.
 //!
 //! That per-row FK lookup is exactly why `sample(fact) ⋈ dim` is
 //! statistically identical to `sample(fact ⋈ dim)` for foreign-key joins
@@ -28,7 +32,7 @@ use std::sync::Arc;
 
 use aqp_engine::agg::{AggState, GroupKey, KeyAtom};
 use aqp_engine::fold::record_dispatch;
-use aqp_engine::{AggStep, BlockFold};
+use aqp_engine::{AggStep, BlockFold, UnitTotals};
 use aqp_sampling::design::{PairStats, UnitSums};
 use aqp_stats::Estimate;
 use aqp_storage::{Block, Catalog, DataType, Table, Value};
@@ -36,10 +40,7 @@ use aqp_storage::{Block, Catalog, DataType, Table, Value};
 use crate::aggquery::{AggQuery, LinearAgg};
 use crate::error::AqpError;
 
-/// One group's per-aggregate `(f, g)` totals within one block.
-pub type GroupTotals = (GroupKey, Vec<(f64, f64)>);
-
-/// Evaluates a star query one sampled fact block at a time.
+/// Evaluates a star query over sampled fact blocks.
 pub struct StarEvaluator {
     fact: Arc<Table>,
     step: AggStep,
@@ -121,26 +122,17 @@ impl StarEvaluator {
             })
             .collect()
     }
+}
 
-    /// Runs the step on one sampled fact block and returns, for every
-    /// group with a qualifying row in it, the block's per-aggregate
-    /// `(f, g)` totals — SUM is `(Σx, 0)`, COUNT `(n, 0)`, AVG `(Σx, n)`
-    /// over non-NULL `x`.
-    pub fn block_totals(&self, block: &Block) -> Result<Vec<GroupTotals>, AqpError> {
-        let mut acc = self.fold().new_acc(None);
-        if self.step.fold_block(block, true, &mut acc)? == 0 {
-            return Ok(Vec::new());
-        }
-        let pair = |s: &AggState| match *s {
-            AggState::CountStar(n) => (n as f64, 0.0),
-            AggState::Sum { sum, .. } => (sum, 0.0),
-            AggState::Avg { sum, count } => (sum, count as f64),
-            _ => unreachable!("linear aggregates only"),
-        };
-        let groups = acc.into_groups().into_iter();
-        Ok(groups
-            .map(|(key, states)| (key, states.iter().map(pair).collect()))
-            .collect())
+/// A unit's `(f, g)` totals for one linear aggregate, read out of its
+/// state: SUM is `(Σx, 0)`, COUNT `(n, 0)`, AVG `(Σx, n)` over non-NULL
+/// `x`.
+fn pair(state: &AggState) -> (f64, f64) {
+    match *state {
+        AggState::CountStar(n) => (n as f64, 0.0),
+        AggState::Sum { sum, .. } => (sum, 0.0),
+        AggState::Avg { sum, count } => (sum, count as f64),
+        _ => unreachable!("linear aggregates only"),
     }
 }
 
@@ -155,13 +147,15 @@ pub struct GroupSums {
 }
 
 /// Per-group block totals over one block sample of a [`StarEvaluator`]'s
-/// fact table, pushed one block at a time in sample order — so the
-/// summation order, and every estimate, is the same however the blocks
-/// were folded. A sampled block a group is absent from counts as its
-/// `(0, 0)` unit, through [`PairStats::clusters`].
+/// fact table, folded in sample order — so the summation order, and every
+/// estimate, is the same however many threads folded the blocks. A
+/// sampled block a group is absent from counts as its `(0, 0)` unit,
+/// through [`PairStats::clusters`].
 #[derive(Debug)]
 pub struct SampledTotals {
-    groups: HashMap<GroupKey, GroupSums>,
+    /// Per group key, its sums' index in `groups`.
+    index: HashMap<GroupKey, usize>,
+    groups: Vec<GroupSums>,
     blocks: u64,
 }
 
@@ -172,34 +166,64 @@ impl SampledTotals {
     pub fn new(evaluator: &StarEvaluator) -> Self {
         record_dispatch(evaluator.fold().is_kernel());
         Self {
-            groups: HashMap::new(),
+            index: HashMap::new(),
+            groups: Vec::new(),
             blocks: 0,
         }
     }
 
-    /// Adds one sampled block: its [`StarEvaluator::block_totals`].
-    pub fn push(&mut self, block: Vec<GroupTotals>) {
-        self.blocks += 1;
-        for (key, pairs) in block {
-            let group = self.groups.entry(key).or_insert_with(|| GroupSums {
-                totals: vec![UnitSums::default(); pairs.len()],
-                blocks_seen: 0,
-            });
-            for (t, (f, g)) in group.totals.iter_mut().zip(pairs) {
+    /// Adds `blocks`, sampled from `evaluator`'s fact table, after those
+    /// added so far: [`AggStep::fold_units`] folds them in morsels on up
+    /// to `threads` threads, and each morsel's (unit, group) totals are
+    /// pushed in unit order.
+    pub fn fold(
+        &mut self,
+        evaluator: &StarEvaluator,
+        blocks: &[Arc<Block>],
+        threads: usize,
+    ) -> Result<(), AqpError> {
+        let width = evaluator.kinds.len();
+        for morsel in evaluator.step.fold_units(blocks, threads)? {
+            self.add(morsel, width);
+        }
+        Ok(())
+    }
+
+    /// Adds one morsel's totals: each of its group keys is resolved once,
+    /// then its cells are pushed in unit order.
+    fn add(&mut self, mut morsel: UnitTotals, width: usize) {
+        let (index, groups) = (&mut self.index, &mut self.groups);
+        let slots: Vec<usize> = (std::mem::take(&mut morsel.keys).into_iter())
+            .map(|key| {
+                let next = groups.len();
+                *index.entry(key).or_insert_with(|| {
+                    groups.push(GroupSums {
+                        totals: vec![UnitSums::default(); width],
+                        blocks_seen: 0,
+                    });
+                    next
+                })
+            })
+            .collect();
+        for (_, group, states) in morsel.cells() {
+            let group = &mut groups[slots[group]];
+            for (t, state) in group.totals.iter_mut().zip(states) {
+                let (f, g) = pair(state);
                 t.push(f, g);
             }
             group.blocks_seen += 1;
         }
+        self.blocks += morsel.units as u64;
     }
 
-    /// Sampled blocks pushed so far.
+    /// Sampled blocks added so far.
     pub fn blocks(&self) -> u64 {
         self.blocks
     }
 
     /// The groups seen so far.
     pub fn groups(&self) -> impl ExactSizeIterator<Item = &GroupSums> {
-        self.groups.values()
+        self.groups.iter()
     }
 
     /// Per group, its key values and per-aggregate estimates — the shape
@@ -221,8 +245,8 @@ impl SampledTotals {
                 })
                 .collect()
         };
-        let mut raw: Vec<_> = (self.groups.iter())
-            .map(|(key, group)| (evaluator.key_values(key), finish(&group.totals)))
+        let mut raw: Vec<_> = (self.index.iter())
+            .map(|(key, &i)| (evaluator.key_values(key), finish(&self.groups[i].totals)))
             .collect();
         if raw.is_empty() && evaluator.float_keys.is_empty() {
             let none = vec![UnitSums::default(); evaluator.kinds.len()];
@@ -294,12 +318,26 @@ mod tests {
         }
     }
 
+    /// Block `block` folded as a one-block sample: its cells' keys and
+    /// `(f, g)` totals.
+    fn cells(ev: &StarEvaluator, block: usize) -> Vec<(GroupKey, Vec<(f64, f64)>)> {
+        let sample = [Arc::clone(ev.fact().block(block))];
+        let morsels = ev.step.fold_units(&sample, 1).unwrap();
+        let [morsel] = &morsels[..] else {
+            panic!("one morsel, got {}", morsels.len())
+        };
+        assert_eq!(morsel.units, 1);
+        (morsel.cells())
+            .map(|(unit, g, states)| {
+                assert_eq!(unit, 0);
+                (morsel.keys[g].clone(), states.iter().map(pair).collect())
+            })
+            .collect()
+    }
+
     /// One block's totals, sorted by label.
     fn totals(ev: &StarEvaluator, block: usize) -> Vec<(String, Vec<(f64, f64)>)> {
-        let mut out: Vec<_> = ev
-            .block_totals(ev.fact().block(block))
-            .unwrap()
-            .into_iter()
+        let mut out: Vec<_> = (cells(ev, block).into_iter())
             .map(|(key, pairs)| (key[0].to_value().to_string(), pairs))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -340,8 +378,7 @@ mod tests {
         q.group_by.clear();
         q.aggregates.remove(0);
         let ev = StarEvaluator::new(&c, &q).unwrap();
-        let got = ev.block_totals(ev.fact().block(2)).unwrap();
-        assert_eq!(got, vec![(vec![], vec![(2.0, 0.0)])]);
+        assert_eq!(cells(&ev, 2), vec![(vec![], vec![(2.0, 0.0)])]);
     }
 
     #[test]
@@ -403,8 +440,7 @@ mod tests {
         }];
         let ev = StarEvaluator::new(&c, &q).unwrap();
         assert!(ev.fold().is_kernel(), "numeric ungrouped shape compiles");
-        let got = ev.block_totals(ev.fact().block(0)).unwrap();
-        assert_eq!(got, vec![(vec![], vec![(6.0, 4.0)])]);
+        assert_eq!(cells(&ev, 0), vec![(vec![], vec![(6.0, 4.0)])]);
     }
 
     #[test]

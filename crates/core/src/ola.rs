@@ -4,13 +4,14 @@
 //! running estimate with a shrinking confidence interval, stop when the
 //! user is satisfied. The CI shrinks as `1/√n` — and reaching zero error
 //! requires touching everything, which is NSB's bound on this family's
-//! speedup. It is the online sampler's block loop ([`crate::online`]) with
-//! another stop rule: the same [`StarEvaluator`] folds each block, the
-//! same [`SampledTotals`] sums them, and the same cluster estimator
-//! finishes them, over whole *blocks* in a seeded random permutation (the
-//! processed prefix is an exact SRS of blocks). The pilot-planned sampler
-//! stops at the rate its pilot planned; [`OlaTechnique`] stops when the
-//! live interval is narrow enough.
+//! speedup. It is the online sampler's block fold ([`crate::online`]) with
+//! another stop rule: the same [`SampledTotals::fold`] adds each block —
+//! a one-block morsel, since the stop rule looks after every block — and
+//! the same cluster estimator finishes the totals, over whole *blocks* in
+//! a seeded random permutation (the processed prefix is an exact SRS of
+//! blocks, and its totals are the ones folding that prefix as one sample
+//! gives). The pilot-planned sampler stops at the rate its pilot planned;
+//! [`OlaTechnique`] stops when the live interval is narrow enough.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -62,7 +63,8 @@ impl OnlineAggregator {
             return Ok(false);
         };
         let block = self.evaluator.fact().block(bi);
-        self.totals.push(self.evaluator.block_totals(block)?);
+        self.totals
+            .fold(&self.evaluator, std::slice::from_ref(block), 1)?;
         self.rows_seen += block.len() as u64;
         Ok(true)
     }
@@ -535,6 +537,62 @@ mod tests {
                     e.value
                 );
                 assert_eq!(e.variance, 0.0, "group {:?}: census", row[0]);
+            }
+        }
+    }
+
+    /// Stepped `k` times, the aggregator holds the totals folding its
+    /// first `k` blocks as one sample gives, in morsels at any thread
+    /// count: the same estimates, bit for bit.
+    #[test]
+    fn k_steps_equal_the_prefix_folded_as_a_sample() {
+        let c = Catalog::new();
+        aqp_workload::build_star_schema(&c, &aqp_workload::StarScale::small(), 5).unwrap();
+        let plan = aqp_engine::Query::scan("lineitem")
+            .join(
+                aqp_engine::Query::scan("orders"),
+                col("l_orderkey"),
+                col("o_key"),
+            )
+            .filter(col("l_sel").lt(lit(0.3)))
+            .aggregate(
+                vec![(col("o_priority"), "o_priority".to_string())],
+                vec![
+                    AggExpr::sum(col("l_price"), "rev"),
+                    AggExpr::avg(col("l_quantity"), "q"),
+                ],
+            )
+            .build();
+        let q = AggQuery::from_plan(&plan).unwrap();
+        let bits = |mut raw: Vec<(Vec<Value>, Vec<Estimate>)>| {
+            raw.sort_by(|a, b| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)));
+            (raw.into_iter())
+                .map(|(key, es)| {
+                    let es = es.iter().map(|e| (e.value.to_bits(), e.variance.to_bits()));
+                    (format!("{key:?}"), es.collect::<Vec<_>>())
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut ola = super::OnlineAggregator::new(&c, &q, 4).unwrap();
+        for k in 1..=40 {
+            ola.step().unwrap();
+            if ![1, 15, 16, 17, 33, 40].contains(&k) {
+                continue;
+            }
+            let fact = ola.evaluator.fact();
+            let prefix: Vec<_> = ola.order[..k]
+                .iter()
+                .map(|&bi| Arc::clone(fact.block(bi)))
+                .collect();
+            for threads in [1, 2, 4] {
+                let mut totals = SampledTotals::new(&ola.evaluator);
+                totals.fold(&ola.evaluator, &prefix, threads).unwrap();
+                assert_eq!(totals.blocks(), k as u64);
+                assert_eq!(
+                    bits(totals.estimates(&ola.evaluator)),
+                    bits(ola.estimates()),
+                    "{k} steps, {threads} threads"
+                );
             }
         }
     }

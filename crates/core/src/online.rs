@@ -33,14 +33,15 @@
 //!    per-group estimates and Boole-adjusted confidence intervals.
 //!
 //! Both sampled phases cost what the exact engine's scan costs per row,
-//! because they run its inner loop: the one statistic the estimators and
+//! because they run its morsel loop: the one statistic the estimators and
 //! the planner need per sampled block is the per-group `(f, g)` block
-//! totals, and that is a block folded into a fresh aggregate partial —
-//! the engine's [`aqp_engine::AggStep`], the step `aqp-engine` runs over
-//! its morsels. [`StarEvaluator`] compiles it once per query (fact-only
-//! predicates below the FK gathers, then the typed kernel or scalar fold)
-//! and `accumulate` pushes the totals, in block order, into
-//! [`SampledTotals`] — one [`UnitSums`] per group and aggregate. The
+//! totals, and the engine's [`aqp_engine::AggStep`] folds a morsel of
+//! sampled blocks through one aggregate partial, moving each block's
+//! groups out as that unit's totals after the block
+//! ([`aqp_engine::AggStep::fold_units`]). [`StarEvaluator`] compiles the
+//! step once per query (fact-only predicates below the FK gathers, then
+//! the typed kernel or scalar fold) and [`SampledTotals::fold`] pushes the
+//! totals, in block order, into one [`UnitSums`] per group and aggregate. The
 //! planner reads the spread of block totals from those sums, and
 //! [`SampledTotals::estimates`] turns them into estimates through
 //! `PairStats::clusters`, the one block-sample estimator: online
@@ -96,9 +97,10 @@ pub struct OnlineConfig {
     /// trusts the pilot's spread estimate at face value, which experiment
     /// A1 shows costs guarantee violations.
     pub pilot_inflation: bool,
-    /// Worker threads for sampler accumulation (per-block partial group
-    /// totals merged in block order — results are identical at every
-    /// thread count). Defaults to the machine's available parallelism.
+    /// Threads folding the sampled blocks' morsels, the calling thread
+    /// included (per-block group totals pushed in block order — results
+    /// are identical at every thread count). Defaults to the machine's
+    /// available parallelism.
     pub threads: usize,
 }
 
@@ -110,31 +112,6 @@ impl Default for OnlineConfig {
             threads: aqp_engine::pool::default_threads(),
         }
     }
-}
-
-/// Folds a block sample's per-group, per-aggregate block totals into
-/// `totals`.
-///
-/// Each sampled block is an independent morsel: workers fold one block
-/// into a fresh aggregate partial ([`StarEvaluator::block_totals`] — the
-/// engine's block fold, the same row-order inner loop the exact executor
-/// runs) and hand back that block's `(f, g)` totals per group. The
-/// totals are pushed into [`SampledTotals`] here in block order, so the
-/// summation tree — and hence the result — is identical at every thread
-/// count.
-fn accumulate(
-    evaluator: &StarEvaluator,
-    sample: &aqp_sampling::Sample,
-    threads: usize,
-    totals: &mut SampledTotals,
-) -> Result<(), AqpError> {
-    let blocks = sample.table.blocks().to_vec();
-    let per_block =
-        aqp_engine::pool::parallel_map(blocks, threads, |_, block| evaluator.block_totals(&block));
-    for block in per_block {
-        totals.push(block?);
-    }
-    Ok(())
 }
 
 /// The minimum block-sampling rate meeting `(rel_err, z)` for one
@@ -364,7 +341,7 @@ impl<'a> OnlineAqp<'a> {
             let mut pilot_span = aqp_obs::span("online:pilot");
             let sample = bernoulli_block_range(fact, drawn, rate, seed);
             let round_rows = sample.num_rows() as u64;
-            accumulate(evaluator, &sample, self.config.threads, &mut totals)?;
+            totals.fold(evaluator, sample.table.blocks(), self.config.threads)?;
             traced = pilot_span.is_recording();
             if traced {
                 pilot_span.set_rows(round_rows);
@@ -488,12 +465,7 @@ impl<'a> OnlineAqp<'a> {
         );
         let final_rows = final_sample.num_rows() as u64;
         let mut final_totals = SampledTotals::new(evaluator);
-        accumulate(
-            evaluator,
-            &final_sample,
-            self.config.threads,
-            &mut final_totals,
-        )?;
+        final_totals.fold(evaluator, final_sample.table.blocks(), self.config.threads)?;
         if final_span.is_recording() {
             final_span.set_rows(final_rows);
             final_span.set_detail(evaluator.fold().tag().to_string());
@@ -714,7 +686,8 @@ mod tests {
             let q = AggQuery::from_plan(&plan).unwrap();
             let evaluator = StarEvaluator::new(&c, &q).unwrap();
             let mut totals = SampledTotals::new(&evaluator);
-            accumulate(&evaluator, &bernoulli_blocks(&fact, 0.3, 5), 1, &mut totals).unwrap();
+            let sample = bernoulli_blocks(&fact, 0.3, 5);
+            totals.fold(&evaluator, sample.table.blocks(), 1).unwrap();
             let blocks = totals.blocks();
             assert_eq!(totals.groups().len(), 2);
             totals
@@ -850,7 +823,7 @@ mod tests {
         // At the base pilot, the plan is above the cap only inflated.
         let mut totals = SampledTotals::new(&evaluator);
         let pilot = bernoulli_blocks(evaluator.fact(), base, seed);
-        accumulate(&evaluator, &pilot, 1, &mut totals).unwrap();
+        totals.fold(&evaluator, pilot.table.blocks(), 1).unwrap();
         let big_m = evaluator.fact().block_count() as u64;
         let rates = aqp.required_rates(&q, &totals, &spec, big_m);
         assert!(
@@ -925,13 +898,8 @@ mod tests {
         let evaluator = StarEvaluator::new(&c, &q).unwrap();
         let mut totals = SampledTotals::new(&evaluator);
         let base = base_pilot_rate(&c);
-        accumulate(
-            &evaluator,
-            &bernoulli_blocks(evaluator.fact(), base, 1),
-            1,
-            &mut totals,
-        )
-        .unwrap();
+        let pilot = bernoulli_blocks(evaluator.fact(), base, 1);
+        totals.fold(&evaluator, pilot.table.blocks(), 1).unwrap();
         let big_m = evaluator.fact().block_count() as u64;
         let floor = group_coverage_floor(&totals, big_m);
         assert!(
@@ -991,7 +959,7 @@ mod tests {
                 answered += 1;
                 let mut seen = SampledTotals::new(&evaluator);
                 let sample = bernoulli_blocks(evaluator.fact(), pilot.rate, seed);
-                accumulate(&evaluator, &sample, 1, &mut seen).unwrap();
+                seen.fold(&evaluator, sample.table.blocks(), 1).unwrap();
                 let (raw, _) = aqp.final_phase(&evaluator, seed, final_rate).unwrap();
                 let got = keys(raw);
                 kept.record_hit(

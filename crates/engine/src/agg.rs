@@ -420,7 +420,7 @@ impl AggState {
     }
 
     /// The aggregate function the state belongs to.
-    fn func(&self) -> AggFunc {
+    pub(crate) fn func(&self) -> AggFunc {
         match self {
             AggState::CountStar(_) => AggFunc::CountStar,
             AggState::Count(_) => AggFunc::Count,
@@ -705,6 +705,17 @@ impl I64GroupMap {
     /// Whether the map holds no groups at all (NULL group included).
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
+    }
+
+    /// Each dense group's key, in dense order; `None` for the NULL group.
+    pub(crate) fn dense_keys(&self) -> impl Iterator<Item = Option<i64>> + '_ {
+        (self.keys.iter().enumerate()).map(|(gi, &key)| (self.null != Some(gi)).then_some(key))
+    }
+
+    /// Moves group `gi`'s states out onto `out`, one per aggregate,
+    /// leaving its row fresh.
+    pub(crate) fn take_states(&mut self, gi: usize, out: &mut Vec<AggState>) {
+        out.extend(self.cols.iter_mut().map(|c| c.take_state(gi)));
     }
 
     /// Absorbs `other`'s partials. `self` must cover the *earlier* morsels:

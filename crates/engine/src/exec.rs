@@ -32,7 +32,7 @@
 //! pool entirely and runs the same morsels on the calling thread.
 
 use std::borrow::Cow;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use aqp_expr::eval::eval;
@@ -41,7 +41,7 @@ use aqp_storage::{Block, Catalog, Column, Schema, Table, Value};
 
 use crate::agg::{AggExpr, AggState, GroupKey, KeyAtom};
 use crate::error::EngineError;
-use crate::fold::{record_dispatch, tree_merge, BlockFold, FoldAcc, Selection};
+use crate::fold::{record_dispatch, tree_merge, BlockFold, FoldAcc, Selection, UnitTotals};
 use crate::join::GatherJoin;
 use crate::plan::{LogicalPlan, SortKey};
 use crate::pool::{self, ExecOptions};
@@ -535,7 +535,8 @@ impl Gathers {
 /// An aggregate's compiled per-block step: the selection pushed below the
 /// gathers, zero or more [`GatherJoin`]s, then the [`BlockFold`]. The
 /// exact executor runs it on every block of every morsel; the sampled
-/// paths in `aqp-core` run it on each sampled block, so where a predicate
+/// paths in `aqp-core` run it on morsels of sampled blocks
+/// ([`AggStep::fold_units`]), so where a predicate
 /// runs, which columns a join gathers and how names resolve are decided
 /// here, once, for both.
 pub struct AggStep {
@@ -590,19 +591,51 @@ impl AggStep {
     /// Runs the step on one source block, folding the rows that pass
     /// every predicate into `acc` in row order; returns how many did.
     /// `evaluate: false` skips the predicates on the source — for blocks
-    /// a zone map proved all-true.
-    pub fn fold_block(
+    /// a zone map proved all-true. `touched` is [`BlockFold::fold`]'s.
+    fn fold_block(
         &self,
         block: &Block,
         evaluate: bool,
         acc: &mut FoldAcc,
+        touched: Option<&mut Vec<u32>>,
     ) -> Result<u64, EngineError> {
         let Some(input) = self.gathers.run(block, evaluate)? else {
             return Ok(0);
         };
         // Without a join the fold's predicates are the source's own.
         let apply = evaluate || !self.gathers.joins.is_empty();
-        self.fold.fold(&input, acc, apply)
+        self.fold.fold(&input, acc, apply, touched)
+    }
+
+    /// Folds a block sample — its blocks are the sampling units — into
+    /// per-(unit, group) states, in morsels of `AGG_MORSEL_BLOCKS` blocks
+    /// on up to `threads` threads. A morsel folds its blocks in order
+    /// through one partial, and after each block moves the states of the
+    /// groups that block touched out as that unit's cells, leaving their
+    /// rows fresh. Every (unit, group) thus sums from a fresh state over
+    /// its unit's rows in row order — the bits one fresh partial per block
+    /// would hold — while the partial is set up once per morsel. Returns
+    /// one [`UnitTotals`] per morsel, in sample order.
+    pub fn fold_units(
+        &self,
+        blocks: &[Arc<Block>],
+        threads: usize,
+    ) -> Result<Vec<UnitTotals>, EngineError> {
+        let morsels: Vec<_> = blocks.chunks(AGG_MORSEL_BLOCKS).enumerate().collect();
+        let folded = pool::parallel_map(morsels, threads, |_, (m, morsel)| {
+            let mut acc = self.fold.new_acc(None);
+            let mut out = UnitTotals::default();
+            let (mut touched, mut local) = (Vec::new(), HashMap::new());
+            for (i, block) in morsel.iter().enumerate() {
+                touched.clear();
+                let rows = self.fold_block(block, true, &mut acc, Some(&mut touched))?;
+                let unit = (m * AGG_MORSEL_BLOCKS + i) as u32;
+                acc.flush_unit(unit, rows, &touched, &mut local, &mut out);
+            }
+            acc.finish_units(&mut out);
+            Ok(out)
+        });
+        folded.into_iter().collect()
     }
 }
 
@@ -752,7 +785,7 @@ fn exec_aggregate(
             for (block, verdict) in &morsel {
                 if scan_block(scanned, block, *verdict, s) {
                     let evaluate = *verdict == ScanVerdict::Evaluate;
-                    folded += step_ref.fold_block(block, evaluate, &mut acc)?;
+                    folded += step_ref.fold_block(block, evaluate, &mut acc, None)?;
                 }
             }
             span.set_rows(folded);

@@ -5,10 +5,11 @@
 //! system is built from. It is the last stage of the engine's one
 //! aggregate step ([`crate::exec::AggStep`]), which the exact executor runs
 //! on every block of a morsel — merging morsel partials along a fixed tree
-//! — and the sampled paths in `aqp-core` run on each *sampled* block,
-//! reading the per-group totals out of a fresh partial (blocks are the
-//! sampling unit, so block totals are the statistic). Online aggregation
-//! and sharded exact aggregation fold blocks through it directly.
+//! — and the sampled paths in `aqp-core` run on morsels of *sampled*
+//! blocks. Blocks are the sampling unit, so per-block group totals are
+//! their statistic: a sampled morsel folds through one partial too, and
+//! after each block the groups it touched are moved out as that unit's
+//! totals ([`UnitTotals`]), leaving their rows fresh for the next block.
 //! [`BlockFold`] is compiled once per query: the typed [`FusedAggKernel`]
 //! when every predicate, key and aggregate argument is in its domain,
 //! otherwise the scalar `eval` path (is-true mask, `Value`-typed updates of
@@ -166,6 +167,106 @@ impl FoldAcc {
             }
             FoldAcc::Keyed(map) => map.into_iter().collect(),
         }
+    }
+
+    /// Moves what the last block folded out of the partial as unit
+    /// `unit`'s cells of `out`, leaving every row fresh for the next
+    /// block: the groups `touched` names (a grouped kernel partial), the
+    /// one global group when the block folded any `rows`, or every group
+    /// of a scalar partial, which drains and keeps its capacity. `local`
+    /// numbers a scalar partial's keys within the morsel.
+    pub(crate) fn flush_unit(
+        &mut self,
+        unit: u32,
+        rows: u64,
+        touched: &[u32],
+        local: &mut HashMap<GroupKey, u32>,
+        out: &mut UnitTotals,
+    ) {
+        out.units += 1;
+        match self {
+            FoldAcc::Global(states) if rows > 0 => {
+                out.cells.push((unit, 0));
+                let fresh = |s: &mut AggState| std::mem::replace(s, AggState::new(s.func()));
+                out.states.extend(states.iter_mut().map(fresh));
+            }
+            FoldAcc::Global(_) => {}
+            FoldAcc::Grouped(map) | FoldAcc::Coded { groups: map, .. } => {
+                for &gi in touched {
+                    out.cells.push((unit, gi));
+                    map.take_states(gi as usize, &mut out.states);
+                }
+            }
+            FoldAcc::Keyed(groups) => {
+                for (key, states) in groups.drain() {
+                    let next = local.len() as u32;
+                    let group = *local.entry(key).or_insert_with_key(|key| {
+                        out.keys.push(key.clone());
+                        next
+                    });
+                    out.cells.push((unit, group));
+                    out.states.extend(states);
+                }
+            }
+        }
+    }
+
+    /// Names the groups of `out`'s cells at the end of the morsel: a
+    /// grouped kernel partial's dense ids, its codes resolved through the
+    /// partial's dictionary, or the global group's empty key. A scalar
+    /// partial named its keys as it flushed them.
+    pub(crate) fn finish_units(&self, out: &mut UnitTotals) {
+        match self {
+            FoldAcc::Global(_) if !out.cells.is_empty() => out.keys.push(Vec::new()),
+            FoldAcc::Global(_) | FoldAcc::Keyed(_) => {}
+            FoldAcc::Grouped(map) => {
+                let key = |k: Option<i64>| vec![k.map_or(KeyAtom::Null, KeyAtom::Int)];
+                out.keys.extend(map.dense_keys().map(key));
+            }
+            FoldAcc::Coded { groups, dict } => {
+                let key = |code: Option<i64>| match code {
+                    None => vec![KeyAtom::Null],
+                    Some(code) => {
+                        let dict = dict.as_ref().expect("a coded group has its dictionary");
+                        vec![KeyAtom::Str(Arc::clone(dict.value(code as u32)))]
+                    }
+                };
+                out.keys.extend(groups.dense_keys().map(key));
+            }
+        }
+    }
+}
+
+/// One morsel of sampled blocks — blocks are the sampling units — folded
+/// by [`crate::exec::AggStep::fold_units`]: per (unit, group) with a
+/// qualifying row, that unit's aggregate states, each summed from a fresh
+/// state over the unit's rows alone in row order — the bits one fresh
+/// partial per block would hold.
+#[derive(Debug, Default)]
+pub struct UnitTotals {
+    /// Sampled blocks the morsel folded, those without a qualifying row
+    /// included.
+    pub units: usize,
+    /// The canonical key of each group the morsel's blocks had a
+    /// qualifying row in, once.
+    pub keys: Vec<GroupKey>,
+    /// Per cell, in unit order: its unit's index in the sample and its
+    /// group's index in `keys`.
+    cells: Vec<(u32, u32)>,
+    /// Per cell, its states, one per aggregate, consecutively.
+    states: Vec<AggState>,
+}
+
+impl UnitTotals {
+    /// Each (unit, group) cell in unit order: the unit's index in the
+    /// sample, the group's index in [`UnitTotals::keys`], and the unit's
+    /// states for the group, one per aggregate.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, usize, &[AggState])> + '_ {
+        let width = self.states.len().checked_div(self.cells.len()).unwrap_or(0);
+        (self.cells.iter().enumerate()).map(move |(i, &(unit, group))| {
+            let states = &self.states[i * width..(i + 1) * width];
+            (unit as usize, group as usize, states)
+        })
     }
 }
 
@@ -336,15 +437,18 @@ impl BlockFold {
     /// Folds one block's rows, in row order, into `acc`. Returns the
     /// number of rows that passed the predicates; a block where none did
     /// leaves `acc` untouched. `apply_predicates: false` skips predicate
-    /// evaluation — for blocks a zone map already proved all-true.
+    /// evaluation — for blocks a zone map already proved all-true. A
+    /// grouped kernel partial pushes the dense id of each group the block
+    /// folded rows into onto `touched`, once, when one is given.
     pub fn fold(
         &self,
         block: &Block,
         acc: &mut FoldAcc,
         apply_predicates: bool,
+        touched: Option<&mut Vec<u32>>,
     ) -> Result<u64, EngineError> {
         match &self.imp {
-            FoldImpl::Kernel(k) => Ok(k.accumulate(block, acc, apply_predicates)),
+            FoldImpl::Kernel(k) => Ok(k.accumulate(block, acc, apply_predicates, touched)),
             FoldImpl::Scalar {
                 selection,
                 group_by,

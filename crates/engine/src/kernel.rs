@@ -549,22 +549,32 @@ fn codes_in<'a>(col: &'a Column, dict: &mut Option<Arc<StrDict>>) -> Cow<'a, [u3
 /// row-at-a-time fold would — `map` may grow in the middle of the block.
 /// A block-local open-addressing table remembers the keys the block has
 /// shown, so `map` is probed once per distinct key. `is_null` says which
-/// rows have a NULL key; they go to the NULL group.
+/// rows have a NULL key; they go to the NULL group. Each group the block
+/// meets is pushed onto `touched`, once, when one is given.
 fn group_ids<K: Copy + Into<i64>>(
     keys: &[K],
     is_null: impl Fn(usize) -> bool,
     rows: &[u32],
     map: &mut I64GroupMap,
+    mut touched: Option<&mut Vec<u32>>,
 ) -> Vec<u32> {
     let mask = (2 * rows.len()).next_power_of_two() - 1;
     // Per slot, a group index + 1 (0 = empty) and the key it holds.
     let mut table = vec![0u32; mask + 1];
     let mut slot_keys = vec![0i64; mask + 1];
+    let mut null_seen = false;
     let mut ids = Vec::with_capacity(rows.len());
     for &r in rows {
         let r = r as usize;
         if is_null(r) {
-            ids.push(map.null_index() as u32);
+            let gi = map.null_index() as u32;
+            if !null_seen {
+                null_seen = true;
+                if let Some(t) = touched.as_deref_mut() {
+                    t.push(gi);
+                }
+            }
+            ids.push(gi);
             continue;
         }
         let key = keys[r].into();
@@ -574,6 +584,9 @@ fn group_ids<K: Copy + Into<i64>>(
                 0 => {
                     let gi = map.group_index(key) as u32;
                     (table[s], slot_keys[s]) = (gi + 1, key);
+                    if let Some(t) = touched.as_deref_mut() {
+                        t.push(gi);
+                    }
                     break gi;
                 }
                 e if slot_keys[s] == key => break e - 1,
@@ -591,10 +604,11 @@ fn group_keys<K: Copy + Into<i64>>(
     valid: Option<&[bool]>,
     rows: &[u32],
     map: &mut I64GroupMap,
+    touched: Option<&mut Vec<u32>>,
 ) -> Vec<u32> {
     match valid {
-        None => group_ids(keys, |_| false, rows, map),
-        Some(valid) => group_ids(keys, |r| !valid[r], rows, map),
+        None => group_ids(keys, |_| false, rows, map, touched),
+        Some(valid) => group_ids(keys, |r| !valid[r], rows, map, touched),
     }
 }
 
@@ -832,8 +846,15 @@ impl FusedAggKernel {
     /// passed the predicate; a block where none did leaves `acc`
     /// untouched. `apply_predicates: false` skips predicate evaluation —
     /// for blocks whose zone map already proved every predicate true on
-    /// every row.
-    pub fn accumulate(&self, block: &Block, acc: &mut FoldAcc, apply_predicates: bool) -> u64 {
+    /// every row. A grouped fold pushes the dense id of each group the
+    /// block folded rows into onto `touched`, once, when one is given.
+    pub fn accumulate(
+        &self,
+        block: &Block,
+        acc: &mut FoldAcc,
+        apply_predicates: bool,
+        touched: Option<&mut Vec<u32>>,
+    ) -> u64 {
         let n = block.len();
         let rows = match &self.predicate {
             Some(p) if apply_predicates => p.selection(block),
@@ -858,12 +879,18 @@ impl FusedAggKernel {
                 let Data::I64(keys) = data else {
                     unreachable!("an INT64 key evaluated to float")
                 };
-                let ids = group_keys(&keys.values(n), valid.as_deref(), &rows, map);
+                let ids = group_keys(&keys.values(n), valid.as_deref(), &rows, map, touched);
                 self.fold_cols(block, &rows, Some(&ids), map.cols_mut());
             }
             (Some(KeyExpr::Str(ci)), FoldAcc::Coded { groups, dict }) => {
                 let col = block.column(*ci);
-                let ids = group_keys(&codes_in(col, dict), col.validity_mask(), &rows, groups);
+                let ids = group_keys(
+                    &codes_in(col, dict),
+                    col.validity_mask(),
+                    &rows,
+                    groups,
+                    touched,
+                );
                 self.fold_cols(block, &rows, Some(&ids), groups.cols_mut());
             }
             _ => unreachable!("accumulator shape disagrees with kernel"),
@@ -1053,7 +1080,7 @@ mod tests {
         let kernel = FusedAggKernel::compile(&[&pred], &[], &aggs, b.schema()).expect("compiles");
         assert!(kernel.key.is_none());
         let mut acc = kernel.new_acc(None);
-        kernel.accumulate(&b, &mut acc, true);
+        kernel.accumulate(&b, &mut acc, true, None);
         // Scalar reference: filter then update with Values.
         let mask = eval_predicate_mask(&pred, &b).unwrap();
         let filtered = b.filter(&mask);
@@ -1089,7 +1116,7 @@ mod tests {
         .expect("compiles");
         assert!(kernel.key.is_some());
         let mut acc = kernel.new_acc(Some(5));
-        let passed = kernel.accumulate(&b, &mut acc, true);
+        let passed = kernel.accumulate(&b, &mut acc, true, None);
         assert_eq!(passed, 50);
         let FoldAcc::Grouped(map) = acc else {
             panic!("expected grouped accumulator");
@@ -1123,7 +1150,7 @@ mod tests {
             FusedAggKernel::compile(&[], &[(col("g"), "g".to_string())], &aggs, b.schema())
                 .expect("compiles");
         let mut acc = kernel.new_acc(None);
-        kernel.accumulate(&b, &mut acc, true);
+        kernel.accumulate(&b, &mut acc, true, None);
         let FoldAcc::Grouped(map) = acc else { panic!() };
         let (groups, null_group) = map.into_groups();
         assert_eq!(groups.len(), 1);
@@ -1160,7 +1187,7 @@ mod tests {
         let run = |blocks: &[&Block]| {
             let mut acc = kernel.new_acc(None);
             for block in blocks {
-                kernel.accumulate(block, &mut acc, true);
+                kernel.accumulate(block, &mut acc, true, None);
             }
             let mut groups: Vec<(String, Vec<Value>)> = (acc.into_groups().into_iter())
                 .map(|(k, states)| {
@@ -1185,9 +1212,9 @@ mod tests {
         assert_eq!(a.column(0).str_codes().unwrap().1.len(), 2);
         // Partials folded apart merge to the same groups, either order.
         let mut left = kernel.new_acc(None);
-        kernel.accumulate(&b, &mut left, true);
+        kernel.accumulate(&b, &mut left, true, None);
         let mut right = kernel.new_acc(None);
-        kernel.accumulate(&a, &mut right, true);
+        kernel.accumulate(&a, &mut right, true, None);
         left.merge_from(right);
         let mut merged: Vec<String> = (left.into_groups().into_iter())
             .map(|(k, states)| format!("{k:?} {:?}", states[1].finish()))

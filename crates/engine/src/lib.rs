@@ -46,7 +46,7 @@ pub mod result;
 pub use agg::{AggExpr, AggFunc};
 pub use error::EngineError;
 pub use exec::{execute, execute_with, AggStep};
-pub use fold::{BlockFold, FoldAcc};
+pub use fold::{BlockFold, FoldAcc, UnitTotals};
 pub use join::GatherJoin;
 pub use plan::{LogicalPlan, Query, SortKey};
 pub use pool::{ExecOptions, PoolShare, PoolSlot};

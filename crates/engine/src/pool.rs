@@ -1,9 +1,11 @@
 //! Morsel scheduling: a scoped worker pool with an order-preserving
 //! parallel map over indexed morsels.
 //!
-//! A *morsel* is one unit of work — in this engine, one input block. The
-//! pool hands morsels to workers through a shared work queue (idle workers
-//! pull the next morsel, so skewed per-morsel costs self-balance), and
+//! A *morsel* is one unit of work — one input block of a scan, or a run
+//! of blocks an aggregate folds into one partial. The pool hands morsels
+//! through a shared work queue to `threads` workers — the calling thread
+//! and `threads − 1` scoped threads spawned beside it (idle workers pull
+//! the next morsel, so skewed per-morsel costs self-balance), and
 //! every result is tagged with its morsel index so callers get outputs in
 //! input order no matter which worker produced them. That index tagging is
 //! what makes parallel execution deterministic: downstream merge phases
@@ -21,9 +23,10 @@ use crate::result::ExecStats;
 /// Options controlling how a plan is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Number of worker threads for morsel-parallel operators. `1` runs
-    /// every morsel on the calling thread; values above 1 enable the
-    /// scoped worker pool. Results are bit-for-bit identical at every
+    /// Number of worker threads for morsel-parallel operators, the
+    /// calling thread included. `1` runs every morsel on the calling
+    /// thread; `T` above 1 spawns `T − 1` scoped workers that pull morsels
+    /// beside it. Results are bit-for-bit identical at every
     /// value: partials merge along a tree fixed by data layout. Never 0
     /// (clamped).
     pub threads: usize,
@@ -164,9 +167,12 @@ impl Drop for PoolSlot<'_> {
     }
 }
 
-/// Applies `f` to every item on up to `threads` workers, returning results
-/// in item order. With `threads <= 1` (or fewer than two items) this runs
-/// inline on the calling thread, in order, with no pool involved.
+/// Applies `f` to every item on up to `threads` workers — the calling
+/// thread and up to `threads − 1` scoped ones — returning results in item
+/// order. With `threads <= 1` (or fewer than two items) this runs inline
+/// on the calling thread, in order, with no pool involved. A panicking
+/// item re-raises its own payload on the calling thread, whichever
+/// thread ran it.
 pub fn parallel_map<I, T, F>(items: Vec<I>, threads: usize, f: F) -> Vec<T>
 where
     I: Send,
@@ -217,33 +223,36 @@ where
     let busy_total: Mutex<Duration> = Mutex::new(Duration::ZERO);
     let scope_start = obs_on.then(Instant::now);
     std::thread::scope(|scope| {
-        let spawn_worker = |_| {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, T)> = Vec::new();
-                let mut stats = ExecStats::default();
-                let mut busy = Duration::ZERO;
-                loop {
-                    let wait_start = queue_wait.as_ref().map(|_| Instant::now());
-                    let next = queue.lock().pop_front();
-                    if let (Some(h), Some(t0)) = (queue_wait.as_ref(), wait_start) {
-                        h.observe(t0.elapsed().as_secs_f64() * 1e6);
-                    }
-                    let Some((i, item)) = next else { break };
-                    let work_start = obs_on.then(Instant::now);
-                    local.push((i, f(i, item, &mut stats)));
-                    if let Some(t0) = work_start {
-                        busy += t0.elapsed();
-                    }
+        // The worker loop; the calling thread runs it too, beside
+        // `workers - 1` spawned threads.
+        let work = || {
+            let mut local: Vec<(usize, T)> = Vec::new();
+            let mut stats = ExecStats::default();
+            let mut busy = Duration::ZERO;
+            loop {
+                let wait_start = queue_wait.as_ref().map(|_| Instant::now());
+                let next = queue.lock().pop_front();
+                if let (Some(h), Some(t0)) = (queue_wait.as_ref(), wait_start) {
+                    h.observe(t0.elapsed().as_secs_f64() * 1e6);
                 }
-                results.lock().extend(local);
-                let mut t = total.lock();
-                *t = t.merge(&stats);
-                if obs_on {
-                    *busy_total.lock() += busy;
+                let Some((i, item)) = next else { break };
+                let work_start = obs_on.then(Instant::now);
+                local.push((i, f(i, item, &mut stats)));
+                if let Some(t0) = work_start {
+                    busy += t0.elapsed();
                 }
-            })
+            }
+            results.lock().extend(local);
+            let mut t = total.lock();
+            *t = t.merge(&stats);
+            if obs_on {
+                *busy_total.lock() += busy;
+            }
         };
-        let handles: Vec<_> = (0..workers).map(spawn_worker).collect();
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        // A morsel that panics here unwinds out of the scope, which joins
+        // the workers and re-raises this payload.
+        work();
         for handle in handles {
             if let Err(payload) = handle.join() {
                 // A worker panicked: re-raise its own payload on the
@@ -305,6 +314,50 @@ mod tests {
             assert_eq!(stats.blocks_scanned, 257);
             assert_eq!(stats.rows_scanned, (0..257).sum::<u64>());
         }
+    }
+
+    /// The payload a panicking `parallel_map` re-raises on the caller.
+    fn panic_payload(f: impl Fn(usize, u64) -> u64 + Sync) -> String {
+        let items: Vec<u64> = (0..8).collect();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_map(items, 2, &f);
+        }))
+        .expect_err("a morsel panicked");
+        match err.downcast::<String>() {
+            Ok(s) => *s,
+            Err(other) => panic!("payload is not a String: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_morsel_reraises_its_own_payload_on_either_thread() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let caller = std::thread::current().id();
+        let on_caller = || std::thread::current().id() == caller;
+        // On the caller: the first morsel it takes panics.
+        let got = panic_payload(|i, x| {
+            if on_caller() {
+                panic!("caller morsel {i}")
+            } else {
+                x
+            }
+        });
+        assert!(got.starts_with("caller morsel"), "{got}");
+        // On the worker: the caller holds its first morsel until the
+        // worker has taken one, which panics.
+        let worker_ran = AtomicBool::new(false);
+        let got = panic_payload(|i, x| {
+            if on_caller() {
+                while !worker_ran.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                x
+            } else {
+                worker_ran.store(true, Ordering::Release);
+                panic!("worker morsel {i}")
+            }
+        });
+        assert!(got.starts_with("worker morsel"), "{got}");
     }
 
     #[test]

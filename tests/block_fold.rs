@@ -19,15 +19,15 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use aqp_core::evaluator::StarEvaluator;
+use aqp_core::evaluator::{SampledTotals, StarEvaluator};
 use aqp_core::{
     AggQuery, AggSpec, ApproximateAnswer, AqpSession, AuditConfig, ErrorSpec, ExecutionPath,
     JoinSpec, LinearAgg, OnlineAqp, OnlineConfig, SessionConfig, TechniqueKind,
 };
-use aqp_engine::agg::KeyAtom;
-use aqp_engine::{execute, AggExpr, LogicalPlan, Query};
+use aqp_engine::agg::{AggFunc, AggState, KeyAtom};
+use aqp_engine::{execute, AggExpr, AggStep, LogicalPlan, Query, UnitTotals};
 use aqp_expr::{col, lit, Expr};
-use aqp_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
+use aqp_storage::{Block, Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
 use aqp_workload::{build_star_schema, skewed_table, StarScale};
 
 /// splitmix64: the generated tables' only source of variation.
@@ -200,6 +200,33 @@ fn f64_bits(v: &Value) -> Option<u64> {
     v.as_f64().map(f64::to_bits)
 }
 
+/// A unit's `(f, g)` totals for one linear aggregate, as the estimators
+/// read them off its state: SUM is `(Σx, 0)`, COUNT `(n, 0)`, AVG
+/// `(Σx, n)`.
+fn pair(state: &AggState) -> (f64, f64) {
+    match *state {
+        AggState::CountStar(n) => (n as f64, 0.0),
+        AggState::Sum { sum, .. } => (sum, 0.0),
+        AggState::Avg { sum, count } => (sum, count as f64),
+        ref other => panic!("not a linear aggregate: {other:?}"),
+    }
+}
+
+/// One group's key and per-aggregate `(f, g)` totals within one block.
+type GroupPairs = (Vec<KeyAtom>, Vec<(f64, f64)>);
+
+/// `block` folded as a one-block sample: each group's key and `(f, g)`
+/// totals.
+fn unit_pairs(step: &AggStep, block: &Arc<Block>) -> Vec<GroupPairs> {
+    let morsels = step.fold_units(std::slice::from_ref(block), 1).unwrap();
+    let [morsel] = &morsels[..] else {
+        panic!("one morsel, got {}", morsels.len())
+    };
+    (morsel.cells())
+        .map(|(_, g, states)| (morsel.keys[g].clone(), states.iter().map(pair).collect()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -218,6 +245,7 @@ proptest! {
             let nkeys = q.group_by.len();
             let ev = StarEvaluator::new(&c, &q).unwrap();
             prop_assert_eq!(ev.fold().is_kernel(), kernel, "shape {} fold variant", si);
+            let step = AggStep::compile(&q.to_plan(), &c).unwrap();
             for (bi, block) in fact.iter_blocks() {
                 // The oracle's catalog: the same dimensions, and a fact
                 // table holding this block only.
@@ -236,7 +264,7 @@ proptest! {
                         (key, row[nkeys..].to_vec())
                     })
                     .collect();
-                let got = ev.block_totals(block).unwrap();
+                let got = unit_pairs(&step, block);
                 let tag = format!("shape {si} block {bi}");
                 // The engine emits one all-NULL row for an ungrouped
                 // aggregate over nothing; the fold reports no group.
@@ -264,6 +292,219 @@ proptest! {
                     prop_assert_eq!(ax_f.to_bits(), sx.to_bits(), "AVG numerator {}", &tag);
                     let avg = (ax_g > 0.0).then(|| (ax_f / ax_g).to_bits());
                     prop_assert_eq!(avg, f64_bits(&want[2]), "AVG(x) {}", &tag);
+                }
+            }
+        }
+    }
+}
+
+/// [`catalog_from`] with a 40-block fact table whose blocks alternate
+/// between two builders (two seeds), so a STR column's blocks carry two
+/// dictionaries.
+fn two_dictionary_catalog(seed: u64, rows: usize) -> Catalog {
+    let (a, b) = (catalog_from(seed, rows, 20), catalog_from(!seed, rows, 20));
+    let (fa, fb) = (a.get("fact").unwrap(), b.get("fact").unwrap());
+    let mixed: Vec<Arc<Block>> = (0..40)
+        .map(|i| Arc::clone([&fa, &fb][i % 2].block(i / 2)))
+        .collect();
+    a.replace(Table::from_blocks(
+        "fact",
+        Arc::clone(fa.schema()),
+        mixed,
+        rows,
+    ));
+    a
+}
+
+/// The shapes the morsel fold is checked on, one per partial kind.
+fn morsel_shapes() -> Vec<Shape> {
+    let d1 = || join("d1", "fk1", "d1_key");
+    vec![
+        // Global, with whole blocks that select nothing.
+        (vec![], Some(col("n").gt(lit(35i64))), vec![], true),
+        // Grouped on a nullable INT64 key, over NULL measures.
+        (vec![], Some(col("x").gt(lit(-20.0))), vec![col("ki")], true),
+        // Coded: a nullable STR key over two dictionaries.
+        (vec![], None, vec![col("ks")], true),
+        // Scalar, keyed: a FLOAT64 key with sparse rows, two columns.
+        (
+            vec![],
+            Some(col("n").gt(lit(25i64))),
+            vec![col("kf")],
+            false,
+        ),
+        (vec![], None, vec![col("ki"), col("ks")], false),
+        // A star join: a dimension STR key on the kernel, a fact key
+        // under a STR dimension predicate on the scalar path.
+        (
+            vec![d1()],
+            Some(col("d1_w").gt(lit(2.0))),
+            vec![col("d1_s")],
+            true,
+        ),
+        (
+            vec![d1()],
+            Some(col("d1_s").eq(lit("odd"))),
+            vec![col("ki")],
+            false,
+        ),
+        // No row of any block qualifies.
+        (vec![], Some(col("x").gt(lit(1e6))), vec![col("ki")], true),
+    ]
+}
+
+/// A unit's state in bits.
+fn state_bits(state: &AggState) -> String {
+    match *state {
+        AggState::CountStar(n) => format!("n{n}"),
+        AggState::Sum { sum, saw } => format!("s{:016x} {saw}", sum.to_bits()),
+        AggState::Avg { sum, count } => format!("a{:016x} {count}", sum.to_bits()),
+        ref other => panic!("not a linear aggregate: {other:?}"),
+    }
+}
+
+/// Every cell of a folded sample — its unit, key and states in bits —
+/// sorted.
+fn cell_bits(morsels: &[UnitTotals]) -> Vec<(usize, String, Vec<String>)> {
+    let mut out: Vec<_> = (morsels.iter())
+        .flat_map(|m| {
+            m.cells().map(move |(unit, g, states)| {
+                let states = states.iter().map(state_bits).collect();
+                (unit, format!("{:?}", m.keys[g]), states)
+            })
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// The reference for one block: the states a fresh partial folding it
+/// alone holds, per group, in bits — read off the exact engine run over a
+/// fact table of that block alone. Beside `query`'s `SUM(x)`, `COUNT(*)`,
+/// `SUM(n)` it asks for `COUNT(x)`, so `AVG(x)`'s `(Σx, n)` state can be
+/// rebuilt; a group appears only if a row of the block qualified for it.
+fn fresh_partial_bits(c: &Catalog, q: &AggQuery, block: &Arc<Block>) -> Vec<(String, Vec<String>)> {
+    let one = Catalog::new();
+    let fact = c.get("fact").unwrap();
+    let blocks = vec![Arc::clone(block)];
+    one.register(Table::from_blocks(
+        "fact",
+        Arc::clone(fact.schema()),
+        blocks,
+        block.len(),
+    ))
+    .unwrap();
+    one.register((*c.get("d1").unwrap()).clone()).unwrap();
+    one.register((*c.get("d2").unwrap()).clone()).unwrap();
+    let LogicalPlan::Aggregate {
+        input, group_by, ..
+    } = q.to_plan()
+    else {
+        panic!("a star query plans as an aggregate");
+    };
+    let nkeys = group_by.len();
+    let plan = LogicalPlan::Aggregate {
+        input,
+        group_by,
+        aggregates: vec![
+            AggExpr::sum(col("x"), "sx"),
+            AggExpr::count_star("cnt"),
+            AggExpr::new(AggFunc::Count, col("x"), "nx"),
+            AggExpr::sum(col("n"), "sn"),
+        ],
+    };
+    let sum = |v: &Value| AggState::Sum {
+        sum: v.as_f64().unwrap_or(0.0),
+        saw: !v.is_null(),
+    };
+    let int = |v: &Value| match *v {
+        Value::Int64(n) => n as u64,
+        ref other => panic!("a count, got {other:?}"),
+    };
+    let mut out: Vec<_> = (execute(&plan, &one).unwrap().rows().into_iter())
+        .filter(|row| nkeys > 0 || int(&row[1]) > 0)
+        .map(|row| {
+            let key: Vec<KeyAtom> = row[..nkeys].iter().map(KeyAtom::from_value).collect();
+            let [sx, cnt, nx, sn] = &row[nkeys..] else {
+                panic!("four aggregates")
+            };
+            let avg = AggState::Avg {
+                sum: sx.as_f64().unwrap_or(0.0),
+                count: int(nx),
+            };
+            let states = [sum(sx), AggState::CountStar(int(cnt)), avg, sum(sn)];
+            (format!("{key:?}"), states.iter().map(state_bits).collect())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Estimates in bits, sorted by key.
+fn estimate_bits(raw: Vec<(Vec<Value>, Vec<aqp_stats::Estimate>)>) -> Vec<(String, Vec<u64>)> {
+    let mut out: Vec<_> = (raw.into_iter())
+        .map(|(key, es)| {
+            let bits = es
+                .iter()
+                .flat_map(|e| [e.value.to_bits(), e.variance.to_bits()]);
+            (format!("{key:?}"), bits.collect())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A sample folded in morsels — one partial per morsel, flushed after
+    /// each block — holds, at every thread count, the bits of a fresh
+    /// partial per block: every (unit, group) cell (against the exact
+    /// engine run on each block alone), and every estimate (against the
+    /// same blocks added one at a time).
+    #[test]
+    fn morsel_fold_matches_a_fresh_partial_per_block(
+        seed in any::<u64>(),
+        rows in 1usize..12,
+    ) {
+        let c = two_dictionary_catalog(seed, rows);
+        let fact = c.get("fact").unwrap();
+        for (si, (joins, predicate, keys, kernel)) in morsel_shapes().into_iter().enumerate() {
+            let q = query(joins, predicate, keys);
+            let step = AggStep::compile(&q.to_plan(), &c).unwrap();
+            prop_assert_eq!(step.fold().is_kernel(), kernel, "shape {} fold variant", si);
+            let ev = StarEvaluator::new(&c, &q).unwrap();
+            let fresh: Vec<_> = (0..40).map(|bi| fresh_partial_bits(&c, &q, fact.block(bi))).collect();
+            for len in [1usize, 15, 16, 17, 33] {
+                // `len` distinct blocks, in an order of their own.
+                let start = (seed % 40) as usize;
+                let picks: Vec<usize> = (0..len).map(|i| (start + 7 * i) % 40).collect();
+                let sample: Vec<Arc<Block>> = picks.iter().map(|&bi| Arc::clone(fact.block(bi))).collect();
+                let mut want_cells: Vec<_> = (picks.iter().enumerate())
+                    .flat_map(|(u, &bi)| fresh[bi].iter().map(move |(k, st)| (u, k.clone(), st.clone())))
+                    .collect();
+                want_cells.sort();
+                // The same blocks added to the totals one at a time.
+                let mut reference = SampledTotals::new(&ev);
+                for b in &sample {
+                    reference.fold(&ev, std::slice::from_ref(b), 1).unwrap();
+                }
+                let want = estimate_bits(reference.estimates(&ev));
+                for threads in [1, 2, 4] {
+                    let tag = format!("shape {si}, {len} blocks, {threads} threads");
+                    let morsels = step.fold_units(&sample, threads).unwrap();
+                    prop_assert_eq!(morsels.len(), len.div_ceil(16), "{}", &tag);
+                    let units: usize = morsels.iter().map(|m| m.units).sum();
+                    prop_assert_eq!(units, len, "{}", &tag);
+                    for m in &morsels {
+                        let distinct: std::collections::HashSet<_> = m.keys.iter().collect();
+                        prop_assert_eq!(distinct.len(), m.keys.len(), "{}: a key named twice", &tag);
+                    }
+                    prop_assert_eq!(&cell_bits(&morsels), &want_cells, "cells, {}", &tag);
+                    let mut totals = SampledTotals::new(&ev);
+                    totals.fold(&ev, &sample, threads).unwrap();
+                    prop_assert_eq!(totals.blocks(), len as u64, "{}", &tag);
+                    prop_assert_eq!(estimate_bits(totals.estimates(&ev)), want.clone(), "estimates, {}", &tag);
                 }
             }
         }

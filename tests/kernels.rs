@@ -592,7 +592,7 @@ fn fold_both(
     [(kernel, hint), (scalar, None)].map(|(fold, hint)| {
         let mut acc = fold.new_acc(hint);
         for block in blocks {
-            fold.fold(block, &mut acc, true).unwrap();
+            fold.fold(block, &mut acc, true, None).unwrap();
         }
         let mut groups: Vec<String> = (acc.into_groups().into_iter())
             .map(|(key, states)| {
@@ -666,7 +666,7 @@ fn an_empty_selection_leaves_the_partial_untouched() {
     let none = col("x").lt(lit(0i64));
     let fold = BlockFold::kernel(&[&none], &key, &aggs, first.schema()).unwrap();
     let mut acc = fold.new_acc(None);
-    assert_eq!(fold.fold(&other, &mut acc, true).unwrap(), 0);
+    assert_eq!(fold.fold(&other, &mut acc, true, None).unwrap(), 0);
     let FoldAcc::Coded { groups, dict } = &acc else {
         panic!("a STR key folds on codes");
     };
@@ -675,12 +675,12 @@ fn an_empty_selection_leaves_the_partial_untouched() {
         "no group, no dictionary"
     );
     // After a block that selected rows, an empty one changes nothing.
-    fold.fold(&first, &mut acc, false).unwrap();
+    fold.fold(&first, &mut acc, false, None).unwrap();
     let FoldAcc::Coded { dict, .. } = &acc else {
         unreachable!()
     };
     let before = Arc::clone(dict.as_ref().expect("the first block's dictionary"));
-    assert_eq!(fold.fold(&other, &mut acc, true).unwrap(), 0);
+    assert_eq!(fold.fold(&other, &mut acc, true, None).unwrap(), 0);
     let FoldAcc::Coded { groups, dict } = &acc else {
         unreachable!()
     };
@@ -713,7 +713,7 @@ fn a_block_grows_the_group_map_past_its_hint() {
     assert_eq!(kernel, scalar);
     let fold = BlockFold::kernel(&[], &key, &aggs, b.schema()).unwrap();
     let mut acc = fold.new_acc(Some(1));
-    fold.fold(&b, &mut acc, true).unwrap();
+    fold.fold(&b, &mut acc, true, None).unwrap();
     let FoldAcc::Grouped(map) = acc else {
         panic!("an INT64 key folds into the i64 group map");
     };

@@ -646,9 +646,12 @@ fn deadline_below_estimate_rejected_upfront() {
 /// The per-query thread grant reaches the middleware rewrite. A star join
 /// under a contract the online sampler's rate cap cannot meet falls to
 /// `rewrite`; with a one-thread budget every span of the reply — the
-/// rewritten plan's morsels included — runs on the calling thread, with a
-/// wide budget the same morsels run on pool workers, and both replies
-/// carry the same bits.
+/// rewritten plan's morsels included — runs on the calling thread and the
+/// pool is never entered, with a wide budget the rewrite's aggregate, the
+/// reply's last pooled operator, runs its morsels on one pool worker per
+/// morsel (the calling thread among them, so which thread folds which
+/// morsel is the scheduler's choice), and both replies carry the same
+/// bits.
 #[test]
 fn rewrite_honours_the_thread_grant() {
     use aqp_core::SessionConfig;
@@ -673,7 +676,10 @@ fn rewrite_honours_the_thread_grant() {
         let answer = reply.answered().expect("admitted");
         let routing = answer.report.routing.as_ref().expect("routed");
         assert_eq!(routing.winner, TechniqueKind::MiddlewareRewrite);
-        answer
+        let workers = (service.metrics())
+            .gauge(aqp_obs::names::POOL_WORKERS)
+            .get();
+        (answer, workers)
     };
     fn threads_of(node: &SpanNode, under_rewrite: bool, out: &mut Vec<(&'static str, u64)>) {
         let under_rewrite = under_rewrite || node.record.name == "rewrite:exec";
@@ -699,14 +705,16 @@ fn rewrite_honours_the_thread_grant() {
         );
         (spans.iter().all(|(_, t)| *t == root), partials)
     };
-    let one = traced(1);
+    let (one, workers) = traced(1);
     let (all_on_caller, _) = morsels(&one);
     assert!(all_on_caller, "a one-thread grant must not reach the pool");
-    let wide = traced(8);
-    let (_, partials_on_caller) = morsels(&wide);
-    assert!(
-        partials_on_caller.iter().all(|on_caller| !on_caller),
-        "a wide grant runs the morsels on pool workers"
+    assert_eq!(workers, 0.0, "a one-thread grant never enters the pool");
+    let (wide, workers) = traced(8);
+    let (_, partials) = morsels(&wide);
+    assert_eq!(
+        workers,
+        partials.len().min(8) as f64,
+        "a wide grant runs the rewrite's morsels on the pool"
     );
     assert_same_answer(&one, &wide, "thread grant 1 vs 8");
 }
