@@ -1,34 +1,28 @@
 //! The conformance gate binary.
 //!
 //! ```text
-//! cargo run -q --release -p aqp-conformance -- --workspace [--race] [--root DIR]
+//! cargo run -q --release -p aqp-conformance -- --workspace [--root DIR]
 //! ```
 //!
-//! `--workspace` scans `crates/*/src` and prints one line per C-code
-//! gate; `--race` exhaustively explores the scheduler and plan-cache
-//! models and prints one line per model. Exit status is non-zero when
-//! any Error-severity diagnostic or any model violation exists, so
-//! check.sh and CI gate on it directly.
+//! Scans `crates/*/src` and prints one line per C-code gate. Exit status
+//! is non-zero when any Error-severity diagnostic exists, so check.sh and
+//! CI gate on it directly.
 
 #![deny(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use aqp_conformance::{explore, CacheModel, Code, ScanConfig, SchedModel, Severity};
-
-const STATE_CAP: usize = 1_000_000;
+use aqp_conformance::{Code, ScanConfig, Severity};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut do_scan = false;
-    let mut do_race = false;
     let mut root = PathBuf::from(".");
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workspace" => do_scan = true,
-            "--race" => do_race = true,
+            // The workspace scan is the binary's one mode; the flag names it.
+            "--workspace" => {}
             "--root" => match it.next() {
                 Some(r) => root = PathBuf::from(r),
                 None => {
@@ -38,84 +32,47 @@ fn main() -> ExitCode {
             },
             other => {
                 eprintln!("conformance: unknown flag `{other}`");
-                eprintln!("usage: aqp-conformance [--workspace] [--race] [--root DIR]");
+                eprintln!("usage: aqp-conformance [--workspace] [--root DIR]");
                 return ExitCode::from(2);
             }
         }
     }
-    if !do_scan && !do_race {
-        do_scan = true;
-        do_race = true;
-    }
 
-    let mut failed = false;
-
-    if do_scan {
-        let cfg = ScanConfig::workspace(&root);
-        let report = match aqp_conformance::scan_workspace(&cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("conformance: scan failed: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        for code in Code::all() {
-            let findings = report.with_code(code);
-            let errors = findings
-                .iter()
-                .filter(|d| d.severity == Severity::Error)
-                .count();
-            let verdict = if errors == 0 { "ok" } else { "FAIL" };
-            println!(
-                "conformance {} {:<52} {verdict} ({} finding{})",
-                code.code(),
-                code.title(),
-                findings.len(),
-                if findings.len() == 1 { "" } else { "s" },
-            );
-            for d in &findings {
-                println!("  {}", d.render());
-            }
-            if errors > 0 {
-                failed = true;
-            }
+    let cfg = ScanConfig::workspace(&root);
+    let report = match aqp_conformance::scan_workspace(&cfg) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("conformance: scan failed: {e}");
+            return ExitCode::from(2);
         }
+    };
+    for code in Code::all() {
+        let findings = report.with_code(code);
+        let errors = findings
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .count();
+        let verdict = if errors == 0 { "ok" } else { "FAIL" };
         println!(
-            "conformance scanned {} files: {} diagnostics, {} errors",
-            report.files,
-            report.diagnostics.len(),
-            report.errors()
+            "conformance {} {:<52} {verdict} ({} finding{})",
+            code.code(),
+            code.title(),
+            findings.len(),
+            if findings.len() == 1 { "" } else { "s" },
         );
+        for d in &findings {
+            println!("  {}", d.render());
+        }
     }
-
-    if do_race {
-        let sched = explore(SchedModel::faithful(), STATE_CAP);
-        print_model("admission-scheduler", &sched, &mut failed);
-        let cache = explore(CacheModel::faithful(), STATE_CAP);
-        print_model("plan-cache-epoch", &cache, &mut failed);
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn print_model(name: &str, r: &aqp_conformance::Explored, failed: &mut bool) {
-    let verdict = if r.ok() && !r.truncated { "ok" } else { "FAIL" };
     println!(
-        "conformance race {:<24} {verdict} ({} states, {} terminal, {} violations{})",
-        name,
-        r.states,
-        r.terminal_states,
-        r.violations.len(),
-        if r.truncated { ", TRUNCATED" } else { "" },
+        "conformance scanned {} files: {} diagnostics, {} errors",
+        report.files,
+        report.diagnostics.len(),
+        report.errors()
     );
-    for v in &r.violations {
-        println!("  {v}");
-    }
-    if !r.ok() || r.truncated {
-        *failed = true;
+    if report.errors() == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

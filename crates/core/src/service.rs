@@ -70,6 +70,7 @@
 //! whose plans include a remembered shape, and checks that online's
 //! winner share over many seeds is the session's.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -348,19 +349,85 @@ pub struct ServiceStats {
 
 // ---- FIFO ticket scheduler -------------------------------------------------
 
-#[derive(Debug)]
+/// The admission queue's state. Its four transitions below are the only
+/// way it changes; [`Scheduler`] runs them under [`lock_state`] and owns
+/// the waiting, the gauges and the wakeups around them.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SchedState {
     inflight: usize,
     queue: VecDeque<u64>,
     next_ticket: u64,
 }
 
+/// What an arrival got from [`SchedState::enter`].
+enum Entered {
+    /// A slot, at once: nothing is queued and a slot is free.
+    Admitted,
+    /// A place at the back of the queue.
+    Queued(u64),
+    /// Nothing: the queue already holds `depth` tickets, its capacity.
+    Full { depth: usize },
+}
+
+impl SchedState {
+    /// An arrival: it takes a free slot when no one is queued ahead of it,
+    /// else a ticket when the queue has room.
+    fn enter(&mut self, max_inflight: usize, capacity: usize) -> Entered {
+        if self.queue.is_empty() && self.inflight < max_inflight {
+            self.inflight += 1;
+            return Entered::Admitted;
+        }
+        if self.queue.len() >= capacity {
+            return Entered::Full {
+                depth: self.queue.len(),
+            };
+        }
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.queue.push_back(ticket);
+        Entered::Queued(ticket)
+    }
+
+    /// The head ticket takes a free slot; any other ticket keeps waiting.
+    fn try_grant(&mut self, ticket: u64, max_inflight: usize) -> bool {
+        let granted = self.queue.front() == Some(&ticket) && self.inflight < max_inflight;
+        if granted {
+            self.queue.pop_front();
+            self.inflight += 1;
+        }
+        granted
+    }
+
+    /// A ticket leaves the queue at its deadline.
+    fn withdraw(&mut self, ticket: u64) {
+        self.queue.retain(|&t| t != ticket);
+    }
+
+    /// An execution slot frees up.
+    fn release(&mut self) {
+        self.inflight = self.inflight.saturating_sub(1);
+    }
+}
+
+/// Why [`Scheduler::admit`] let a query go without a slot.
+#[derive(Debug)]
+enum Turned {
+    /// The queue was full on arrival.
+    Full { depth: usize },
+    /// The deadline passed while the ticket was queued, after `spent`.
+    TimedOut { spent: Duration },
+}
+
 /// Fair (FIFO) admission: the head ticket acquires an execution slot as
 /// soon as one frees up; everyone else waits behind it. Tickets abandoned
 /// at their deadline remove themselves, so a slow head cannot strand the
-/// queue. Built on std's `Condvar` (the vendored `parking_lot` stand-in
-/// has no condition variables); poisoning is recovered, matching the
-/// stand-in's non-poisoning convention.
+/// queue. Every change to the queue is one of [`SchedState`]'s
+/// transitions (`enter`, `try_grant`, `withdraw`, `release`), each followed
+/// by the `notify_all` a waiter may need; `race::sched` in this module's
+/// tests explores every interleaving of them. Built on std's `Condvar`
+/// (the vendored `parking_lot` stand-in has no condition variables);
+/// poisoning is recovered, which is sound because each transition leaves
+/// the state valid.
 #[derive(Debug)]
 struct Scheduler {
     state: std::sync::Mutex<SchedState>,
@@ -389,7 +456,7 @@ struct SchedGuard<'s> {
 impl Drop for SchedGuard<'_> {
     fn drop(&mut self) {
         let mut st = lock_state(self.sched);
-        st.inflight = st.inflight.saturating_sub(1);
+        st.release();
         self.sched.publish(&st);
         drop(st);
         self.sched.cv.notify_all();
@@ -422,67 +489,48 @@ impl Scheduler {
     }
 
     /// Waits for an execution slot in FIFO order. Returns the guard and
-    /// the time spent queued, or a typed rejection when the queue is full
-    /// or the deadline passes first.
-    fn admit(&self, deadline: Option<Instant>) -> Result<(SchedGuard<'_>, Duration), Rejection> {
+    /// the time spent queued, or why the query got no slot: the queue was
+    /// full, or the deadline passed first.
+    fn admit(&self, deadline: Option<Instant>) -> Result<(SchedGuard<'_>, Duration), Turned> {
         let wait_start = Instant::now();
         let mut st = lock_state(self);
-        if st.queue.is_empty() && st.inflight < self.max_inflight {
-            st.inflight += 1;
-            self.publish(&st);
-            return Ok((SchedGuard { sched: self }, Duration::ZERO));
-        }
-        if st.queue.len() >= self.queue_capacity {
-            return Err(Rejection::QueueFull {
-                depth: st.queue.len(),
-                capacity: self.queue_capacity,
-            });
-        }
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.queue.push_back(ticket);
+        let ticket = match st.enter(self.max_inflight, self.queue_capacity) {
+            Entered::Admitted => {
+                self.publish(&st);
+                return Ok((SchedGuard { sched: self }, Duration::ZERO));
+            }
+            Entered::Full { depth } => return Err(Turned::Full { depth }),
+            Entered::Queued(ticket) => ticket,
+        };
         self.publish(&st);
+        let mut timed_out = false;
         loop {
-            if st.queue.front() == Some(&ticket) && st.inflight < self.max_inflight {
-                st.queue.pop_front();
-                st.inflight += 1;
+            if st.try_grant(ticket, self.max_inflight) {
                 self.publish(&st);
                 drop(st);
                 // More slots may remain for the next ticket in line.
                 self.cv.notify_all();
                 return Ok((SchedGuard { sched: self }, wait_start.elapsed()));
             }
-            let timed_out = match deadline {
-                Some(d) => {
-                    let remaining = d.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        true
-                    } else {
-                        let (guard, result) = self
-                            .cv
-                            .wait_timeout(st, remaining)
-                            .unwrap_or_else(|e| e.into_inner());
-                        st = guard;
-                        result.timed_out()
-                    }
-                }
-                None => {
-                    st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                    false
-                }
-            };
-            if timed_out && !(st.queue.front() == Some(&ticket) && st.inflight < self.max_inflight)
-            {
-                st.queue.retain(|&t| t != ticket);
+            if timed_out {
+                st.withdraw(ticket);
                 self.publish(&st);
                 drop(st);
+                // The ticket behind this one may now be the head.
                 self.cv.notify_all();
-                let spent = wait_start.elapsed();
-                return Err(Rejection::DeadlineUnmeetable {
-                    deadline: spent,
-                    estimate: spent,
+                return Err(Turned::TimedOut {
+                    spent: wait_start.elapsed(),
                 });
             }
+            (st, timed_out) = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => (self.cv.wait(st).unwrap_or_else(|e| e.into_inner()), false),
+                Some(remaining) if remaining.is_zero() => (st, true),
+                Some(remaining) => {
+                    let (st, result) =
+                        (self.cv.wait_timeout(st, remaining)).unwrap_or_else(|e| e.into_inner());
+                    (st, result.timed_out())
+                }
+            };
         }
     }
 
@@ -503,6 +551,7 @@ impl Scheduler {
 /// pointer comparison sees any change to a table's rows or values — and
 /// it cannot be fooled by a new table reusing a freed address, because a
 /// `Weak` keeps its allocation (never the column data) alive.
+#[derive(Clone)]
 struct Stamp {
     epoch: u64,
     /// `(name, table)`; `None` for a table missing from the catalog.
@@ -543,6 +592,7 @@ impl Stamp {
 /// One memoized routing decision. Valid only while its [`Stamp`] is
 /// current: the session's routing epoch and the plan's tables are still
 /// the ones it was learned under.
+#[derive(Clone)]
 struct CacheEntry {
     /// Which insert made this entry: a result is folded back only into
     /// the entry its query was prepared from, so a query that outlived
@@ -587,13 +637,84 @@ fn remembered_decline(template: &RoutingDecision) -> Option<&DeclineReason> {
     }
 }
 
+/// The plan cache's state. Its three transitions below are the only way
+/// it changes; [`PlanCache`] runs them under its lock.
+#[derive(Clone)]
 struct CacheInner {
     map: HashMap<u64, CacheEntry>,
+    /// Resident fingerprints, oldest insert first; each appears once.
     order: VecDeque<u64>,
     /// Inserts so far: the next entry's serial.
     inserts: u64,
 }
 
+impl CacheInner {
+    /// The entry for `fp` if `is_current` accepts its stamp, else
+    /// [`CacheEvent::Stale`] (the entry is removed) or [`CacheEvent::Miss`].
+    fn lookup(
+        &mut self,
+        fp: u64,
+        is_current: impl FnOnce(&Stamp) -> bool,
+    ) -> Result<&CacheEntry, CacheEvent> {
+        match self.map.entry(fp) {
+            Entry::Occupied(e) if is_current(&e.get().stamp) => Ok(e.into_mut()),
+            Entry::Occupied(e) => {
+                e.remove();
+                self.order.retain(|&k| k != fp);
+                Err(CacheEvent::Stale)
+            }
+            Entry::Vacant(_) => Err(CacheEvent::Miss),
+        }
+    }
+
+    /// Installs a fresh entry under `fp` with the next serial, replacing
+    /// any entry `fp` had and evicting the oldest entries past `capacity`.
+    /// Returns the serial and how many entries were evicted.
+    fn insert(
+        &mut self,
+        fp: u64,
+        analysis: Arc<Analysis>,
+        decision: Arc<RoutingDecision>,
+        stamp: Stamp,
+        capacity: usize,
+    ) -> (u64, usize) {
+        if self.map.remove(&fp).is_some() {
+            self.order.retain(|&k| k != fp);
+        }
+        let mut evicted = 0;
+        while self.map.len() >= capacity {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            self.map.remove(&oldest);
+            evicted += 1;
+        }
+        let serial = self.inserts;
+        self.inserts += 1;
+        let entry = CacheEntry {
+            serial,
+            analysis,
+            decision,
+            stamp,
+            ewma_wall_us: 0.0,
+            mixed: false,
+        };
+        self.map.insert(fp, entry);
+        self.order.push_back(fp);
+        (serial, evicted)
+    }
+
+    /// The entry a query prepared from entry `serial` of `fp` may fold its
+    /// result into: that entry, if it is still resident.
+    fn entry_mut(&mut self, fp: u64, serial: u64) -> Option<&mut CacheEntry> {
+        self.map.get_mut(&fp).filter(|e| e.serial == serial)
+    }
+}
+
+/// Memoized routing per plan fingerprint, FIFO-evicted at `capacity`.
+/// Every change is one of [`CacheInner`]'s transitions (`lookup`,
+/// `insert`, `entry_mut`) under `inner`; `race::cache` in this module's
+/// tests explores every interleaving of them against epoch bumps.
 struct PlanCache {
     inner: Mutex<CacheInner>,
     capacity: usize,
@@ -1000,13 +1121,18 @@ impl<'a> AqpService<'a> {
         let deadline_at = contract.deadline.map(|d| arrived + d);
         let (guard, queue_wait) = match self.sched.admit(deadline_at) {
             Ok(admitted) => admitted,
-            Err(mut rejection) => {
-                if let (Rejection::DeadlineUnmeetable { deadline, .. }, Some(contract_deadline)) =
-                    (&mut rejection, contract.deadline)
-                {
-                    *deadline = contract_deadline;
-                }
-                return Ok(self.reject(rejection));
+            Err(Turned::Full { depth }) => {
+                return Ok(self.reject(Rejection::QueueFull {
+                    depth,
+                    capacity: self.config.queue_capacity,
+                }))
+            }
+            // Only a contract deadline times a ticket out.
+            Err(Turned::TimedOut { spent }) => {
+                return Ok(self.reject(Rejection::DeadlineUnmeetable {
+                    deadline: contract.deadline.unwrap_or(spent),
+                    estimate: spent,
+                }))
             }
         };
         self.metrics()
@@ -1065,27 +1191,27 @@ impl<'a> AqpService<'a> {
     fn prepare(&self, plan: &LogicalPlan, spec: &ErrorSpec) -> Prepared {
         let fp = fingerprint(plan, spec);
         let epoch = self.session.routing_epoch();
-        let mut event = CacheEvent::Miss;
+        let catalog = self.session.catalog();
+        let event = match self
+            .cache
+            .inner
+            .lock()
+            .lookup(fp, |stamp| stamp.is_current(epoch, catalog))
         {
-            let mut inner = self.cache.inner.lock();
-            if let Some(entry) = inner.map.get(&fp) {
-                if entry.stamp.is_current(epoch, self.session.catalog()) {
-                    return Prepared {
-                        analysis: Arc::clone(&entry.analysis),
-                        route: Some(CachedRoute {
-                            decision: Arc::clone(&entry.decision),
-                            estimated_wall: (entry.ewma_wall_us > 0.0)
-                                .then(|| Duration::from_micros(entry.ewma_wall_us as u64)),
-                        }),
-                        entry: Some((fp, entry.serial)),
-                        event: CacheEvent::Hit,
-                    };
+            Ok(entry) => {
+                return Prepared {
+                    analysis: Arc::clone(&entry.analysis),
+                    route: Some(CachedRoute {
+                        decision: Arc::clone(&entry.decision),
+                        estimated_wall: (entry.ewma_wall_us > 0.0)
+                            .then(|| Duration::from_micros(entry.ewma_wall_us as u64)),
+                    }),
+                    entry: Some((fp, entry.serial)),
+                    event: CacheEvent::Hit,
                 }
-                inner.map.remove(&fp);
-                inner.order.retain(|&k| k != fp);
-                event = CacheEvent::Stale;
             }
-        }
+            Err(event) => event,
+        };
         let Some(query) = AggQuery::from_plan(plan) else {
             // Out-of-shape plans route to exact every time; nothing worth
             // caching beyond what the lint itself costs.
@@ -1110,37 +1236,22 @@ impl<'a> AqpService<'a> {
             &self.session.lint_context(),
         ));
         let decision = Arc::new(self.session.decide(&analysis));
-        let serial = {
-            let mut inner = self.cache.inner.lock();
-            while inner.map.len() >= self.cache.capacity {
-                let Some(oldest) = inner.order.pop_front() else {
-                    break;
-                };
-                inner.map.remove(&oldest);
-                self.metrics()
-                    .counter_labeled(
-                        names::PLAN_CACHE_TOTAL,
-                        names::PLAN_CACHE_EVENT_LABEL,
-                        "evicted",
-                    )
-                    .inc(1);
-            }
-            let serial = inner.inserts;
-            inner.inserts += 1;
-            inner.map.insert(
-                fp,
-                CacheEntry {
-                    analysis: Arc::clone(&analysis),
-                    decision: Arc::clone(&decision),
-                    serial,
-                    stamp,
-                    ewma_wall_us: 0.0,
-                    mixed: false,
-                },
-            );
-            inner.order.push_back(fp);
-            serial
-        };
+        let (serial, evicted) = self.cache.inner.lock().insert(
+            fp,
+            Arc::clone(&analysis),
+            Arc::clone(&decision),
+            stamp,
+            self.cache.capacity,
+        );
+        if evicted > 0 {
+            self.metrics()
+                .counter_labeled(
+                    names::PLAN_CACHE_TOTAL,
+                    names::PLAN_CACHE_EVENT_LABEL,
+                    "evicted",
+                )
+                .inc(evicted as u64);
+        }
         Prepared {
             analysis,
             entry: Some((fp, serial)),
@@ -1164,7 +1275,7 @@ impl<'a> AqpService<'a> {
     /// may be about data the replacement no longer describes.
     fn record_result(&self, fp: u64, serial: u64, ans: &ApproximateAnswer) {
         let mut inner = self.cache.inner.lock();
-        let Some(entry) = inner.map.get_mut(&fp).filter(|e| e.serial == serial) else {
+        let Some(entry) = inner.entry_mut(fp, serial) else {
             return;
         };
         let wall_us = ans.report.wall.as_secs_f64() * 1e6;
@@ -1289,8 +1400,8 @@ mod tests {
         let (guard, wait) = sched.admit(None).expect("first admit");
         assert_eq!(wait, Duration::ZERO);
         match sched.admit(None) {
-            Err(Rejection::QueueFull { capacity: 0, .. }) => {}
-            other => panic!("expected QueueFull, got {other:?}"),
+            Err(Turned::Full { depth: 0 }) => {}
+            other => panic!("expected a full queue, got {other:?}"),
         }
         drop(guard);
         let (_g, _) = sched.admit(None).expect("slot freed");
@@ -1326,10 +1437,579 @@ mod tests {
         let guard = sched.admit(None).expect("head slot");
         let deadline = Instant::now() + Duration::from_millis(20);
         match sched.admit(Some(deadline)) {
-            Err(Rejection::DeadlineUnmeetable { .. }) => {}
-            other => panic!("expected deadline rejection, got {other:?}"),
+            Err(Turned::TimedOut { .. }) => {}
+            other => panic!("expected a timeout, got {other:?}"),
         }
         assert_eq!(sched.queue_depth(), 0, "abandoned ticket removed");
         drop(guard);
+    }
+}
+
+/// Every interleaving of the scheduler's and the plan cache's real
+/// transitions, explored by [`aqp_conformance::explore`]. A harness state
+/// is the shipped state (`SchedState`, `CacheInner`) plus what each model
+/// thread is doing, and every change to the shipped state is one of its
+/// transitions, called as `admit`, `SchedGuard::drop`, `prepare` and
+/// `record_result` call them under their locks. A condvar wait is a woken
+/// flag per waiter, which `notify_all` sets. Each mutant swaps out one
+/// transition or one notify, and a test shows the invariants catch it.
+#[cfg(test)]
+mod race {
+    use super::*;
+    use aqp_conformance::{explore, Explored, Model};
+
+    /// Explores `init` to the end.
+    fn run<M: Model>(init: M) -> Explored {
+        let r = explore(init, 1_000_000);
+        assert!(!r.truncated);
+        r
+    }
+
+    fn assert_clean(r: &Explored) {
+        assert!(r.ok(), "violations: {:?}", r.violations);
+        assert!(
+            r.terminal_states > 0 && r.states >= 1_000,
+            "{} states",
+            r.states
+        );
+    }
+
+    fn assert_caught(r: &Explored, classes: &[&str]) {
+        let caught = |v: &String| classes.iter().any(|c| v.contains(c));
+        assert!(
+            r.violations.iter().any(caught),
+            "{classes:?}: {:?}",
+            r.violations
+        );
+    }
+
+    mod sched {
+        use super::*;
+
+        /// One scheduler transition or notify swapped for a broken one.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub(super) enum Mutant {
+            /// `notify_one` for `notify_all`: one parked waiter, chosen
+            /// adversarially, wakes.
+            NotifyOne,
+            /// The grant serves the back of the queue.
+            LifoGrant,
+            /// The release keeps the slot counted.
+            ForgetDecrement,
+            /// The grant skips the free-slot check.
+            SkipRecheck,
+            /// The idle fast path skips the empty-queue check.
+            FastPathJumpsQueue,
+            /// The withdrawal leaves the ticket queued.
+            WithdrawKeepsTicket,
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        enum Phase {
+            Start,
+            /// Queued as the `arrival`-th arrival; parked on the condvar
+            /// until `woken`.
+            Waiting {
+                arrival: u8,
+                ticket: u64,
+                woken: bool,
+            },
+            Executing,
+            Done,
+        }
+
+        /// Three threads of two admissions each over one slot; thread 0
+        /// carries a deadline, so while queued it may time out at any step.
+        #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+        pub(super) struct Sched {
+            st: SchedState,
+            threads: Vec<Phase>,
+            rounds_left: Vec<u8>,
+            capacity: usize,
+            arrivals: u8,
+            last_grant: Option<u8>,
+            /// `(earlier, later)` arrivals, the later granted first.
+            inversion: Option<(u8, u8)>,
+            /// An arrival was turned away with nothing queued and a slot
+            /// free.
+            idle_refusal: bool,
+            mutant: Option<Mutant>,
+        }
+
+        const MAX_INFLIGHT: usize = 1;
+
+        impl Sched {
+            pub(super) fn new(capacity: usize, mutant: Option<Mutant>) -> Self {
+                let st = SchedState {
+                    inflight: 0,
+                    queue: VecDeque::new(),
+                    next_ticket: 0,
+                };
+                Self {
+                    st,
+                    threads: vec![Phase::Start; 3],
+                    rounds_left: vec![2; 3],
+                    capacity,
+                    arrivals: 0,
+                    last_grant: None,
+                    inversion: None,
+                    idle_refusal: false,
+                    mutant,
+                }
+            }
+
+            fn enter(&mut self) -> Entered {
+                let st = &mut self.st;
+                if self.mutant == Some(Mutant::FastPathJumpsQueue) && st.inflight < MAX_INFLIGHT {
+                    st.inflight += 1;
+                    return Entered::Admitted;
+                }
+                st.enter(MAX_INFLIGHT, self.capacity)
+            }
+
+            fn try_grant(&mut self, ticket: u64) -> bool {
+                let (st, mine) = (&mut self.st, Some(&ticket));
+                let granted = match self.mutant {
+                    Some(Mutant::LifoGrant) => {
+                        st.inflight < MAX_INFLIGHT
+                            && st.queue.back() == mine
+                            && st.queue.pop_back().is_some()
+                    }
+                    Some(Mutant::SkipRecheck) => {
+                        st.queue.front() == mine && st.queue.pop_front().is_some()
+                    }
+                    _ => return st.try_grant(ticket, MAX_INFLIGHT),
+                };
+                st.inflight += usize::from(granted);
+                granted
+            }
+
+            /// The states after a `notify_all`: every parked waiter woken,
+            /// or under `NotifyOne` one state per waiter it might wake.
+            fn notify_all(self) -> Vec<Self> {
+                let parked: Vec<usize> = (0..self.threads.len())
+                    .filter(|&t| matches!(self.threads[t], Phase::Waiting { woken: false, .. }))
+                    .collect();
+                let wake = |mut s: Self, ts: &[usize]| {
+                    for &t in ts {
+                        if let Phase::Waiting { woken, .. } = &mut s.threads[t] {
+                            *woken = true;
+                        }
+                    }
+                    s
+                };
+                if self.mutant != Some(Mutant::NotifyOne) || parked.is_empty() {
+                    return vec![wake(self, &parked)];
+                }
+                parked.iter().map(|&t| wake(self.clone(), &[t])).collect()
+            }
+
+            fn grant(&mut self, t: usize, arrival: u8) {
+                if let Some(last) = self.last_grant.filter(|&last| last > arrival) {
+                    self.inversion.get_or_insert((arrival, last));
+                }
+                self.last_grant = Some(arrival);
+                self.threads[t] = Phase::Executing;
+            }
+
+            fn finish_round(&mut self, t: usize) {
+                self.rounds_left[t] -= 1;
+                let done = self.rounds_left[t] == 0;
+                self.threads[t] = if done { Phase::Done } else { Phase::Start };
+            }
+
+            /// One pass of `admit`'s loop for thread `t`'s queued ticket,
+            /// after a wake or, with `timed_out`, a timed-out wait.
+            fn recheck(mut self, t: usize, arrival: u8, ticket: u64, timed_out: bool) -> Vec<Self> {
+                if self.try_grant(ticket) {
+                    self.grant(t, arrival);
+                    self.notify_all()
+                } else if timed_out {
+                    if self.mutant != Some(Mutant::WithdrawKeepsTicket) {
+                        self.st.withdraw(ticket);
+                    }
+                    self.finish_round(t);
+                    self.notify_all()
+                } else {
+                    let parked = Phase::Waiting {
+                        arrival,
+                        ticket,
+                        woken: false,
+                    };
+                    self.threads[t] = parked;
+                    vec![self]
+                }
+            }
+
+            fn step(&self, t: usize) -> Vec<Self> {
+                let mut s = self.clone();
+                match self.threads[t] {
+                    Phase::Start => {
+                        let arrival = s.arrivals;
+                        s.arrivals += 1;
+                        let idle = s.st.queue.is_empty() && s.st.inflight < MAX_INFLIGHT;
+                        match s.enter() {
+                            Entered::Admitted => s.grant(t, arrival),
+                            Entered::Full { .. } => {
+                                s.idle_refusal |= idle;
+                                s.finish_round(t);
+                            }
+                            Entered::Queued(ticket) => return s.recheck(t, arrival, ticket, false),
+                        }
+                        vec![s]
+                    }
+                    Phase::Waiting {
+                        arrival,
+                        ticket,
+                        woken,
+                    } => {
+                        let mut out = Vec::new();
+                        if woken {
+                            out.extend(s.clone().recheck(t, arrival, ticket, false));
+                        }
+                        if t == 0 {
+                            out.extend(s.recheck(t, arrival, ticket, true));
+                        }
+                        out
+                    }
+                    Phase::Executing => {
+                        if self.mutant != Some(Mutant::ForgetDecrement) {
+                            s.st.release();
+                        }
+                        s.finish_round(t);
+                        s.notify_all()
+                    }
+                    Phase::Done => Vec::new(),
+                }
+            }
+        }
+
+        impl Model for Sched {
+            fn successors(&self) -> Vec<Self> {
+                (0..self.threads.len()).flat_map(|t| self.step(t)).collect()
+            }
+
+            fn is_terminal(&self) -> bool {
+                self.threads.iter().all(|p| *p == Phase::Done)
+            }
+
+            fn invariant(&self) -> Result<(), String> {
+                let (st, threads) = (&self.st, &self.threads);
+                let executing = threads.iter().filter(|p| **p == Phase::Executing).count();
+                let mut waiting: Vec<u64> = (threads.iter())
+                    .filter_map(|p| match p {
+                        Phase::Waiting { ticket, .. } => Some(*ticket),
+                        _ => None,
+                    })
+                    .collect();
+                waiting.sort_unstable();
+                if st.inflight > MAX_INFLIGHT {
+                    Err(format!("inflight cap breached: {}", st.inflight))
+                } else if st.inflight != executing {
+                    Err(format!("inflight accounting drift: {executing} running"))
+                } else if st.queue.len() > self.capacity {
+                    Err(format!("queue over capacity: {:?}", st.queue))
+                } else if let Some((earlier, later)) = self.inversion {
+                    Err(format!("FIFO inversion: {later} granted before {earlier}"))
+                } else if !st.queue.iter().eq(&waiting) {
+                    Err(format!("orphaned ticket: waiters hold {waiting:?}"))
+                } else if self.idle_refusal {
+                    Err("an idle scheduler turned an arrival away".into())
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    mod cache {
+        use super::*;
+        use std::hash::{Hash, Hasher};
+
+        /// The one fingerprint every reader prepares.
+        const FP: u64 = 7;
+
+        /// One plan-cache transition swapped for a broken one.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub(super) enum Mutant {
+            /// The insert stamps the epoch current at insert, not the one
+            /// read before planning.
+            StampCurrentEpoch,
+            /// The lookup serves an entry without checking its stamp.
+            NoEpochCheck,
+            /// The result's entry access ignores the serial.
+            IgnoreSerial,
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        enum Reader {
+            Start,
+            /// Missed at the epoch it holds; about to read routing state.
+            Computing(u64),
+            /// Missed at `.0` and planned from routing-state version `.1`;
+            /// about to insert.
+            Computed(u64, u64),
+            /// Prepared from the entry with this serial; about to record
+            /// the result.
+            Prepared(u64),
+            Done,
+        }
+
+        /// Two readers of two `prepare`s each, beside a writer that bumps
+        /// the routing epoch twice.
+        #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+        struct Threads {
+            readers: Vec<Reader>,
+            rounds_left: Vec<u8>,
+            /// The routing epoch; the routing state's version moves with it.
+            epoch: u64,
+            bumps_left: u8,
+            /// `(observed epoch, version served)`.
+            stale_serve: Option<(u64, u64)>,
+            /// `(serial prepared from, serial landed in)`.
+            misplaced: Option<(u64, u64)>,
+            mutant: Option<Mutant>,
+        }
+
+        #[derive(Clone)]
+        pub(super) struct Cache {
+            inner: CacheInner,
+            t: Threads,
+        }
+
+        /// The routing-state version an entry's plan was computed from,
+        /// kept in a field the protocol never reads.
+        fn version(e: &CacheEntry) -> u64 {
+            (e.analysis.group_cardinality_hint).expect("every harness plan carries its version")
+        }
+
+        impl Cache {
+            pub(super) fn new(mutant: Option<Mutant>) -> Self {
+                let t = Threads {
+                    readers: vec![Reader::Start; 2],
+                    rounds_left: vec![2; 2],
+                    epoch: 0,
+                    bumps_left: 2,
+                    stale_serve: None,
+                    misplaced: None,
+                    mutant,
+                };
+                let inner = PlanCache::new(CACHE_CAPACITY).inner.into_inner();
+                Self { inner, t }
+            }
+
+            /// All of the cache its future depends on.
+            fn resident(&self) -> (Vec<[u64; 4]>, &VecDeque<u64>, u64) {
+                let mut entries: Vec<_> = (self.inner.map.iter())
+                    .map(|(&fp, e)| [fp, e.serial, e.stamp.epoch, version(e)])
+                    .collect();
+                entries.sort_unstable();
+                (entries, &self.inner.order, self.inner.inserts)
+            }
+
+            fn step(&self, r: usize) -> Option<Self> {
+                let mut s = self.clone();
+                let (t, inner) = (&mut s.t, &mut s.inner);
+                t.readers[r] = match t.readers[r] {
+                    Reader::Start => {
+                        let observed = t.epoch;
+                        let no_check = t.mutant == Some(Mutant::NoEpochCheck);
+                        let catalog = Catalog::new();
+                        let current = |s: &Stamp| no_check || s.is_current(observed, &catalog);
+                        match inner.lookup(FP, current) {
+                            Ok(entry) => {
+                                if version(entry) != observed {
+                                    t.stale_serve = Some((observed, version(entry)));
+                                }
+                                Reader::Prepared(entry.serial)
+                            }
+                            Err(_) => Reader::Computing(observed),
+                        }
+                    }
+                    Reader::Computing(observed) => Reader::Computed(observed, t.epoch),
+                    Reader::Computed(observed, data) => {
+                        let analysis = Analysis {
+                            diagnostics: Vec::new(),
+                            verdicts: Vec::new(),
+                            normalized: true,
+                            group_cardinality_hint: Some(data),
+                        };
+                        let decision = RoutingDecision {
+                            candidates: Vec::new(),
+                            winner: TechniqueKind::Exact,
+                        };
+                        let stale_stamp = t.mutant == Some(Mutant::StampCurrentEpoch);
+                        let epoch = if stale_stamp { t.epoch } else { observed };
+                        let stamp = Stamp {
+                            epoch,
+                            tables: Vec::new(),
+                        };
+                        let (analysis, decision) = (Arc::new(analysis), Arc::new(decision));
+                        let serial = inner
+                            .insert(FP, analysis, decision, stamp, CACHE_CAPACITY)
+                            .0;
+                        Reader::Prepared(serial)
+                    }
+                    Reader::Prepared(serial) => {
+                        let landed = match t.mutant {
+                            Some(Mutant::IgnoreSerial) => inner.map.get_mut(&FP),
+                            _ => inner.entry_mut(FP, serial),
+                        };
+                        if let Some(entry) = landed.filter(|e| e.serial != serial) {
+                            t.misplaced = Some((serial, entry.serial));
+                        }
+                        t.rounds_left[r] -= 1;
+                        if t.rounds_left[r] == 0 {
+                            Reader::Done
+                        } else {
+                            Reader::Start
+                        }
+                    }
+                    Reader::Done => return None,
+                };
+                Some(s)
+            }
+        }
+
+        impl PartialEq for Cache {
+            fn eq(&self, other: &Self) -> bool {
+                self.t == other.t && self.resident() == other.resident()
+            }
+        }
+
+        impl Eq for Cache {}
+
+        impl Hash for Cache {
+            fn hash<H: Hasher>(&self, h: &mut H) {
+                self.t.hash(h);
+                self.resident().hash(h);
+            }
+        }
+
+        impl Model for Cache {
+            fn successors(&self) -> Vec<Self> {
+                let mut out: Vec<Self> = (0..2).filter_map(|r| self.step(r)).collect();
+                if self.t.bumps_left > 0 {
+                    // A synopsis build, maintenance or quarantine change: the
+                    // routing state and the epoch move together.
+                    let mut s = self.clone();
+                    s.t.epoch += 1;
+                    s.t.bumps_left -= 1;
+                    out.push(s);
+                }
+                out
+            }
+
+            fn is_terminal(&self) -> bool {
+                self.t.readers.iter().all(|r| *r == Reader::Done)
+            }
+
+            fn invariant(&self) -> Result<(), String> {
+                let mut order: Vec<u64> = self.inner.order.iter().copied().collect();
+                let mut keys: Vec<u64> = self.inner.map.keys().copied().collect();
+                order.sort_unstable();
+                keys.sort_unstable();
+                if let Some((observed, served)) = self.t.stale_serve {
+                    Err(format!(
+                        "stale serve after epoch bump: a reader at epoch {observed} was served \
+                         a plan from routing-state version {served}"
+                    ))
+                } else if let Some((from, into)) = self.t.misplaced {
+                    Err(format!(
+                        "result misplaced: prepared from entry {from}, landed in {into}"
+                    ))
+                } else if order != keys {
+                    Err(format!(
+                        "eviction order {:?} is not the entries",
+                        self.inner.order
+                    ))
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    use cache::{Cache, Mutant as CacheMutant};
+    use sched::{Mutant as SchedMutant, Sched};
+
+    fn sched_caught(mutant: SchedMutant, classes: &[&str]) {
+        assert_caught(&run(Sched::new(2, Some(mutant))), classes);
+    }
+
+    fn cache_caught(mutant: CacheMutant, classes: &[&str]) {
+        assert_caught(&run(Cache::new(Some(mutant))), classes);
+    }
+
+    #[test]
+    fn faithful_scheduler_has_no_violations() {
+        assert_clean(&run(Sched::new(2, None)));
+    }
+
+    /// With no queue the scheduler is admit-or-reject: an arrival finding
+    /// a free slot and no queue takes it, and any other is turned away.
+    #[test]
+    fn an_idle_scheduler_admits_at_every_queue_capacity() {
+        for capacity in [0, 1] {
+            let r = run(Sched::new(capacity, None));
+            assert!(
+                r.ok() && r.terminal_states > 0,
+                "{capacity}: {:?}",
+                r.violations
+            );
+        }
+    }
+
+    #[test]
+    fn notify_one_mutant_loses_a_wakeup() {
+        sched_caught(SchedMutant::NotifyOne, &["deadlock"]);
+    }
+
+    #[test]
+    fn lifo_grant_mutant_inverts_fifo() {
+        sched_caught(SchedMutant::LifoGrant, &["FIFO inversion"]);
+    }
+
+    #[test]
+    fn forget_decrement_mutant_breaks_accounting() {
+        sched_caught(SchedMutant::ForgetDecrement, &["accounting", "deadlock"]);
+    }
+
+    #[test]
+    fn skip_recheck_mutant_breaches_the_cap() {
+        sched_caught(SchedMutant::SkipRecheck, &["inflight cap"]);
+    }
+
+    #[test]
+    fn fast_path_that_jumps_the_queue_inverts_fifo() {
+        sched_caught(SchedMutant::FastPathJumpsQueue, &["FIFO inversion"]);
+    }
+
+    #[test]
+    fn withdrawal_that_keeps_its_ticket_wedges_the_queue() {
+        sched_caught(
+            SchedMutant::WithdrawKeepsTicket,
+            &["orphaned ticket", "deadlock"],
+        );
+    }
+
+    #[test]
+    fn faithful_cache_never_serves_stale() {
+        assert_clean(&run(Cache::new(None)));
+    }
+
+    #[test]
+    fn stamp_current_epoch_mutant_serves_stale() {
+        cache_caught(CacheMutant::StampCurrentEpoch, &["stale serve"]);
+    }
+
+    #[test]
+    fn no_epoch_check_mutant_serves_stale() {
+        cache_caught(CacheMutant::NoEpochCheck, &["stale serve"]);
+    }
+
+    #[test]
+    fn ignore_serial_mutant_misplaces_a_result() {
+        cache_caught(CacheMutant::IgnoreSerial, &["result misplaced"]);
     }
 }

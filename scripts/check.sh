@@ -22,11 +22,11 @@ cargo clippy --workspace --all-targets -- \
 # Conformance gate: the typed source linter (C001-C008, C006 retired —
 # metric names from aqp_obs::names, unwrap budget, deny(unsafe_code)
 # presence, SAFETY pairing, span pairing, declared lock orders, no
-# library pub fn/const that no other file names) plus
-# the exhaustive mini-loom race check of the admission scheduler and
-# plan-cache epoch models. One line per gate; non-zero exit on any
-# Error-severity C-code or model violation.
-cargo run -q --release -p aqp-conformance -- --workspace --race
+# library pub fn/const that no other file names). One line per gate;
+# non-zero exit on any Error-severity C-code. The race check (mini-loom
+# over the admission scheduler's and plan cache's real transitions) is
+# the aqp-core unit-test module `service::race`, run by the suite below.
+cargo run -q --release -p aqp-conformance -- --workspace
 
 # Rustdoc gate: the API docs must build clean (broken intra-doc links
 # and malformed doc comments are warnings, and warnings are denied).

@@ -30,7 +30,7 @@ use proptest::prelude::*;
 
 use aqp_core::{
     AdmissionDecision, AqpError, AqpService, AqpSession, CacheEvent, CandidateOutcome, Contract,
-    DeclineReason, ErrorSpec, GuaranteeClass, Rejection, ServiceConfig, ServiceReply,
+    DeclineReason, ErrorSpec, GuaranteeClass, Rejection, ServiceConfig, ServiceReply, ServiceStats,
     TechniqueKind,
 };
 use aqp_engine::{AggExpr, LogicalPlan, Query};
@@ -560,11 +560,10 @@ fn malformed_contract_is_a_typed_error() {
     assert!(reply.answered().is_some());
 }
 
-/// With one execution slot and a zero-length queue, a query arriving while
-/// another runs is rejected immediately — bounded degradation, not an
-/// unbounded queue.
-#[test]
-fn bounded_queue_rejects_under_load() {
+/// Submits `contract` while a slow exact aggregate holds the only
+/// execution slot of a service whose queue holds `queue_capacity`; returns
+/// the reply's rejection and the service's counters after both finish.
+fn collide_with_held_slot(queue_capacity: usize, contract: Contract) -> (Rejection, ServiceStats) {
     let c = Catalog::new();
     // ~1M groups make the exact aggregate slow enough to hold the slot.
     c.register(uniform_table("big", 1_000_000, 4096, 7))
@@ -580,12 +579,11 @@ fn bounded_queue_rejects_under_load() {
         Default::default(),
         ServiceConfig {
             max_inflight: 1,
-            queue_capacity: 0,
+            queue_capacity,
             ..ServiceConfig::default()
         },
     );
-    let spec = ErrorSpec::new(0.05, 0.95);
-    std::thread::scope(|scope| {
+    let rejection = std::thread::scope(|scope| {
         let svc = &service;
         let plan = &heavy;
         scope.spawn(move || {
@@ -599,21 +597,43 @@ fn bounded_queue_rejects_under_load() {
             spins += 1;
             assert!(spins < 25_000, "heavy query never started");
         }
-        match svc.submit(
-            plan,
-            &Contract::new(spec.relative_error, spec.confidence),
-            2,
-        ) {
-            Ok(reply) => match reply.rejection() {
-                Some(Rejection::QueueFull { capacity: 0, .. }) => {}
-                other => panic!("expected QueueFull, got {other:?}"),
-            },
-            Err(e) => panic!("submit errored: {e}"),
-        }
+        let reply = svc.submit(plan, &contract, 2).unwrap();
+        reply
+            .rejection()
+            .cloned()
+            .expect("the colliding query is rejected")
     });
-    let stats = service.stats();
+    (rejection, service.stats())
+}
+
+/// With one execution slot and a zero-length queue, a query arriving while
+/// another runs is rejected immediately — bounded degradation, not an
+/// unbounded queue.
+#[test]
+fn bounded_queue_rejects_under_load() {
+    let (rejection, stats) = collide_with_held_slot(0, Contract::new(0.05, 0.95));
+    assert!(
+        matches!(rejection, Rejection::QueueFull { capacity: 0, .. }),
+        "expected QueueFull, got {rejection:?}"
+    );
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.accepted, 1);
+}
+
+/// A query still queued at its deadline is withdrawn and rejected; the
+/// rejection names the contract's deadline and the time spent queued.
+#[test]
+fn queued_past_its_deadline_rejected_with_the_contracts_deadline() {
+    let deadline = Duration::from_millis(1);
+    let contract = Contract::new(0.05, 0.95).with_deadline(deadline);
+    let (rejection, stats) = collide_with_held_slot(1, contract);
+    match rejection {
+        Rejection::DeadlineUnmeetable {
+            deadline: named, ..
+        } => assert_eq!(named, deadline),
+        other => panic!("expected DeadlineUnmeetable, got {other:?}"),
+    }
+    assert_eq!((stats.rejected, stats.queue_depth), (1, 0));
 }
 
 /// Once a completed run has seeded the cache's wall-clock EWMA, a deadline
