@@ -7,6 +7,7 @@
 #![deny(unsafe_code)]
 
 pub mod report;
+pub mod taxonomy;
 
 use std::time::Duration;
 

@@ -7,7 +7,7 @@
 //! live code rather than transcribed.
 //!
 //! The four *routable* families (the ones behind
-//! [`crate::session::AqpSession`]) go one step further: their rows are
+//! [`aqp_core::AqpSession`]) go one step further: their rows are
 //! **read off the static analyzer's verdicts** — the same
 //! `Analysis::blocked_by` the router routes on — for canned scenario
 //! sessions: a query with a predicate, a join; a session with no
@@ -21,9 +21,7 @@ use aqp_analyze::GuaranteeClass;
 use aqp_expr::{col, lit};
 use aqp_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 
-use crate::aggquery::{AggQuery, AggSpec, JoinSpec, LinearAgg};
-use crate::session::AqpSession;
-use crate::technique::TechniqueKind;
+use aqp_core::{AggQuery, AggSpec, AqpSession, ErrorSpec, JoinSpec, LinearAgg, TechniqueKind};
 
 /// One implemented AQP technique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,10 +55,10 @@ pub enum Technique {
     /// Online aggregation.
     OnlineAggregation,
     /// Two-phase pilot-planned online sampling (the planner in
-    /// [`crate::online`]).
+    /// [`aqp_core::online`]).
     PilotPlannedSampling,
     /// VerdictDB-style middleware rewriting over a weighted sample
-    /// ([`crate::rewrite`]).
+    /// ([`aqp_core::rewrite`]).
     MiddlewareRewrite,
 }
 
@@ -188,11 +186,11 @@ fn derived_family_rows() -> Vec<Capability> {
     let pred_on_bare = bare.lint_plan(&q_pred);
     let pred_on_stale = stale.lint_plan(&q_pred);
 
-    let families = fresh.techniques(None);
-    families
-        .iter()
-        .filter_map(|family| {
-            let kind = family.kind();
+    // The router's own candidate chain, in policy order.
+    let chain = fresh.probe(&q_pred, &ErrorSpec::default());
+    (chain.candidates.iter())
+        .filter_map(|candidate| {
+            let kind = candidate.kind;
             // What each family answers, where its speedup comes from, and
             // the module implementing it.
             let (technique, answers, speedup_source, implemented_in) = match kind {
@@ -522,6 +520,22 @@ mod tests {
         assert!(rewrite.adhoc_predicates);
         assert!(rewrite.joins);
         assert!(!rewrite.needs_workload_knowledge);
+    }
+
+    /// The derived rows are the router's candidate chain, in its policy
+    /// order, exact left out.
+    #[test]
+    fn derived_rows_follow_the_routing_policy() {
+        let order: Vec<Technique> = derived_family_rows().iter().map(|c| c.technique).collect();
+        assert_eq!(
+            order,
+            [
+                Technique::OfflineStratifiedSample,
+                Technique::PilotPlannedSampling,
+                Technique::OnlineAggregation,
+                Technique::MiddlewareRewrite,
+            ]
+        );
     }
 
     #[test]

@@ -41,9 +41,6 @@
 //!   normalized-plan fingerprints (memoizing lint, route and a wall
 //!   estimate — never an answer's work), and per-query accuracy
 //!   [`Contract`]s that admission accepts, degrades, or rejects.
-//! * [`taxonomy`] — the paper's technique-vs-property matrix; the four
-//!   routable family rows are read off the static analyzer's verdicts,
-//!   the same ones the router routes on.
 //!
 //! Static analysis (aqp-lint) lives one layer down in `aqp-analyze`: the
 //! session runs it once per query, routes on its per-family verdicts —
@@ -94,7 +91,6 @@ pub mod rewrite;
 pub mod service;
 pub mod session;
 pub mod spec;
-pub mod taxonomy;
 pub mod technique;
 
 pub use aggquery::{AggQuery, AggSpec, JoinSpec, LinearAgg};

@@ -8,8 +8,11 @@
 //! * `SCAN fact`      → `SCAN weighted_sample`
 //! * `SUM(x)`         → `SUM(x · w)`
 //! * `COUNT(*)`       → `SUM(w)`
-//! * `AVG(x)`         → `SUM(x · w) / SUM(w)` (a projection over two
-//!   rewritten aggregates)
+//! * `AVG(x)`         → `AVG(x)`: on a sample whose rows share one
+//!   weight (Bernoulli rows or blocks, universe) the weighted ratio
+//!   `Σ x·w / Σ w` over the rows with a non-NULL `x` is the plain
+//!   average. A sample with per-row weights cannot answer an AVG here
+//!   ([`AqpError::Unsupported`]).
 //!
 //! This module produces **point estimates** through the engine. An
 //! interval needs the per-block totals the flat rewrite intentionally does
@@ -24,7 +27,7 @@ use std::time::Instant;
 use aqp_analyze::LintContext;
 use aqp_engine::{execute_with, AggExpr, ExecOptions, LogicalPlan, Query, ResultSet};
 use aqp_expr::{col, Expr};
-use aqp_sampling::{bernoulli_blocks, Sample};
+use aqp_sampling::{bernoulli_blocks, RowWeights, Sample};
 use aqp_stats::Estimate;
 use aqp_storage::{Catalog, Value};
 
@@ -55,8 +58,6 @@ fn build_plan(query: &AggQuery, with_support: bool) -> LogicalPlan {
     if let Some(p) = &query.predicate {
         q = q.filter(p.clone());
     }
-    // Intermediate aggregates: per AVG we need the weighted numerator and
-    // the weighted indicator mass separately.
     let mut inner_aggs: Vec<AggExpr> = Vec::new();
     let mut final_exprs: Vec<(Expr, String)> = query
         .group_by
@@ -64,25 +65,13 @@ fn build_plan(query: &AggQuery, with_support: bool) -> LogicalPlan {
         .map(|(_, name)| (col(name), name.clone()))
         .collect();
     for (i, a) in query.aggregates.iter().enumerate() {
-        match a.kind {
-            LinearAgg::Sum => {
-                let alias = format!("__num_{i}");
-                inner_aggs.push(AggExpr::sum(a.expr.clone().mul(w()), &alias));
-                final_exprs.push((col(&alias), a.alias.clone()));
-            }
-            LinearAgg::CountStar => {
-                let alias = format!("__num_{i}");
-                inner_aggs.push(AggExpr::sum(w(), &alias));
-                final_exprs.push((col(&alias), a.alias.clone()));
-            }
-            LinearAgg::Avg => {
-                let num = format!("__num_{i}");
-                let den = format!("__den_{i}");
-                inner_aggs.push(AggExpr::sum(a.expr.clone().mul(w()), &num));
-                inner_aggs.push(AggExpr::sum(w(), &den));
-                final_exprs.push((col(&num).div(col(&den)), a.alias.clone()));
-            }
-        }
+        let alias = format!("__agg_{i}");
+        inner_aggs.push(match a.kind {
+            LinearAgg::Sum => AggExpr::sum(a.expr.clone().mul(w()), &alias),
+            LinearAgg::CountStar => AggExpr::sum(w(), &alias),
+            LinearAgg::Avg => AggExpr::avg(a.expr.clone(), &alias),
+        });
+        final_exprs.push((col(&alias), a.alias.clone()));
     }
     if with_support {
         inner_aggs.push(AggExpr::count_star(SUPPORT_ALIAS));
@@ -115,6 +104,12 @@ fn execute_rewritten(
     with_support: bool,
     opts: ExecOptions,
 ) -> Result<ResultSet, AqpError> {
+    let avg = query.aggregates.iter().any(|a| a.kind == LinearAgg::Avg);
+    if avg && !matches!(sample.weights, RowWeights::Uniform(_)) {
+        return Err(AqpError::Unsupported {
+            detail: "the rewrite's AVG needs a sample whose rows share one weight".into(),
+        });
+    }
     let weighted = sample.to_weighted_table(SAMPLE_TABLE_NAME, WEIGHT_COLUMN)?;
     let scratch = Catalog::new();
     scratch.register(weighted)?;
@@ -347,7 +342,8 @@ mod tests {
     #[test]
     fn rewrite_plan_shape() {
         let plan = build_plan(&query(), false);
-        // Root is the ratio projection; the sample table is scanned.
+        // Root is the projection naming the rewritten aggregates; the
+        // sample table is scanned.
         assert!(matches!(plan, LogicalPlan::Project { .. }));
         assert_eq!(plan.scanned_tables(), vec![SAMPLE_TABLE_NAME, "orders"]);
     }
@@ -360,5 +356,61 @@ mod tests {
         q.joins[0].dim_table = "nope".into();
         let s = bernoulli_rows(&c.get("lineitem").unwrap(), 0.5, 1);
         assert!(answer_via_rewrite(&c, &q, &s).is_err());
+    }
+
+    /// With no NULL measure, the engine's AVG over a self-weighting sample
+    /// is the `SUM(x·w) / SUM(w)` ratio up to rounding in the last bits.
+    #[test]
+    fn avg_on_null_free_data_is_the_weighted_ratio() {
+        let c = star();
+        let q = query();
+        let s = bernoulli_blocks(&c.get("lineitem").unwrap(), 0.2, 9);
+        let got = answer_via_rewrite(&c, &q, &s).unwrap();
+        let scratch = Catalog::new();
+        scratch
+            .register(s.to_weighted_table("w", WEIGHT_COLUMN).unwrap())
+            .unwrap();
+        scratch
+            .register((*c.get("orders").unwrap()).clone())
+            .unwrap();
+        let w = || col(WEIGHT_COLUMN);
+        let ratio = Query::scan("w")
+            .join(Query::scan("orders"), col("l_orderkey"), col("o_key"))
+            .filter(col("l_sel").lt(lit(0.6)))
+            .aggregate(
+                vec![(col("o_priority"), "o_priority".into())],
+                vec![
+                    AggExpr::sum(col("l_quantity").mul(w()), "num"),
+                    AggExpr::sum(w(), "den"),
+                ],
+            )
+            .project(vec![
+                (col("o_priority"), "o_priority".into()),
+                (col("num").div(col("den")), "avg_q".into()),
+            ])
+            .build();
+        let want = execute(&ratio, &scratch).unwrap();
+        assert_eq!(want.num_rows(), got.num_rows());
+        for (wr, gr) in want.rows().iter().zip(got.rows()) {
+            assert_eq!(wr[0], gr[0], "group keys align");
+            let (e, a) = (wr[1].as_f64().unwrap(), gr[3].as_f64().unwrap());
+            assert!((e - a).abs() <= 1e-12 * e.abs(), "{e} vs {a}");
+        }
+    }
+
+    /// A per-row-weighted sample's plain AVG is not its weighted ratio.
+    #[test]
+    fn avg_over_a_per_row_weighted_sample_is_unsupported() {
+        use aqp_sampling::{stratified_sample, Allocation};
+        let c = star();
+        let fact = c.get("lineitem").unwrap();
+        let alloc = Allocation::Congressional { budget: 500 };
+        let s = stratified_sample(&fact, "l_shipmode", &alloc, 3).unwrap();
+        assert!(matches!(s.weights, RowWeights::PerRow(_)));
+        let err = answer_via_rewrite(&c, &query(), &s).unwrap_err();
+        assert!(matches!(err, AqpError::Unsupported { .. }), "{err}");
+        let mut sums = query();
+        sums.aggregates.retain(|a| a.kind != LinearAgg::Avg);
+        assert!(answer_via_rewrite(&c, &sums, &s).is_ok());
     }
 }

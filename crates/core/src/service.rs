@@ -12,8 +12,11 @@
 //!    [`aqp_obs::names`], recorded in the session's
 //!    [registry](AqpSession::metrics) like every other counter the service
 //!    keeps. In-flight queries split one machine-wide
-//!    morsel-thread budget fairly ([`aqp_engine::PoolShare`]); results
-//!    are unaffected because engine output is thread-count invariant.
+//!    morsel-thread budget ([`ServiceConfig::thread_budget`]): a grant
+//!    takes the budget divided by the in-flight count, its own slot
+//!    included, read under the scheduler's lock, so concurrent queries do
+//!    not oversubscribe the machine. Results are unaffected because
+//!    engine output is thread-count invariant.
 //! 2. **Plan cache** — keyed on a fingerprint of the normalized plan and
 //!    the error spec, memoizing the lint [`Analysis`], the
 //!    [`RoutingDecision`] it implies (refreshed from each completed run,
@@ -72,13 +75,14 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use aqp_analyze::{Analysis, GuaranteeClass};
-use aqp_engine::{LogicalPlan, PoolShare};
+use aqp_engine::LogicalPlan;
 use aqp_obs::metrics::MetricsRegistry;
 use aqp_obs::names;
 use aqp_storage::{Catalog, Table};
@@ -160,7 +164,9 @@ pub struct ServiceConfig {
     /// instead of degraded to a point estimate.
     pub strict_contracts: bool,
     /// Machine-wide morsel-thread budget split fairly across in-flight
-    /// queries (see [`aqp_engine::PoolShare`]).
+    /// queries: an admitted query runs on the budget divided by the
+    /// queries in flight at its grant, itself included, and never on
+    /// fewer than 1.
     pub thread_budget: usize,
 }
 
@@ -349,20 +355,26 @@ pub struct ServiceStats {
 
 // ---- FIFO ticket scheduler -------------------------------------------------
 
-/// The admission queue's state. Its four transitions below are the only
-/// way it changes; [`Scheduler`] runs them under [`lock_state`] and owns
-/// the waiting, the gauges and the wakeups around them.
+/// The admission queue's state and limits. Its four transitions below
+/// are the only way it changes; [`Scheduler`] runs them under
+/// [`lock_state`] and owns the waiting, the gauges and the wakeups around
+/// them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SchedState {
     inflight: usize,
     queue: VecDeque<u64>,
     next_ticket: u64,
+    max_inflight: usize,
+    capacity: usize,
+    /// The morsel threads the in-flight queries split.
+    thread_budget: usize,
 }
 
 /// What an arrival got from [`SchedState::enter`].
 enum Entered {
-    /// A slot, at once: nothing is queued and a slot is free.
-    Admitted,
+    /// A slot, at once, with its thread share: nothing is queued and a
+    /// slot is free.
+    Admitted(usize),
     /// A place at the back of the queue.
     Queued(u64),
     /// Nothing: the queue already holds `depth` tickets, its capacity.
@@ -370,14 +382,31 @@ enum Entered {
 }
 
 impl SchedState {
+    fn new(max_inflight: usize, capacity: usize, thread_budget: usize) -> Self {
+        Self {
+            inflight: 0,
+            queue: VecDeque::new(),
+            next_ticket: 0,
+            max_inflight: max_inflight.max(1),
+            capacity,
+            thread_budget: thread_budget.max(1),
+        }
+    }
+
+    /// A grant's worker threads: the budget over the in-flight count, the
+    /// grant's own slot included, floored at 1.
+    fn share(&self) -> usize {
+        (self.thread_budget / self.inflight.max(1)).max(1)
+    }
+
     /// An arrival: it takes a free slot when no one is queued ahead of it,
     /// else a ticket when the queue has room.
-    fn enter(&mut self, max_inflight: usize, capacity: usize) -> Entered {
-        if self.queue.is_empty() && self.inflight < max_inflight {
+    fn enter(&mut self) -> Entered {
+        if self.queue.is_empty() && self.inflight < self.max_inflight {
             self.inflight += 1;
-            return Entered::Admitted;
+            return Entered::Admitted(self.share());
         }
-        if self.queue.len() >= capacity {
+        if self.queue.len() >= self.capacity {
             return Entered::Full {
                 depth: self.queue.len(),
             };
@@ -388,14 +417,15 @@ impl SchedState {
         Entered::Queued(ticket)
     }
 
-    /// The head ticket takes a free slot; any other ticket keeps waiting.
-    fn try_grant(&mut self, ticket: u64, max_inflight: usize) -> bool {
-        let granted = self.queue.front() == Some(&ticket) && self.inflight < max_inflight;
-        if granted {
-            self.queue.pop_front();
-            self.inflight += 1;
+    /// The head ticket takes a free slot and its thread share; any other
+    /// ticket keeps waiting.
+    fn try_grant(&mut self, ticket: u64) -> Option<usize> {
+        if self.queue.front() != Some(&ticket) || self.inflight >= self.max_inflight {
+            return None;
         }
-        granted
+        self.queue.pop_front();
+        self.inflight += 1;
+        Some(self.share())
     }
 
     /// A ticket leaves the queue at its deadline.
@@ -432,8 +462,6 @@ enum Turned {
 struct Scheduler {
     state: std::sync::Mutex<SchedState>,
     cv: std::sync::Condvar,
-    max_inflight: usize,
-    queue_capacity: usize,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -447,10 +475,12 @@ fn lock_state(sched: &Scheduler) -> std::sync::MutexGuard<'_, SchedState> {
     sched.state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// RAII release of one execution slot.
+/// One execution slot and the morsel threads it was granted; dropping it
+/// releases the slot.
 #[derive(Debug)]
 struct SchedGuard<'s> {
     sched: &'s Scheduler,
+    threads: usize,
 }
 
 impl Drop for SchedGuard<'_> {
@@ -464,16 +494,10 @@ impl Drop for SchedGuard<'_> {
 }
 
 impl Scheduler {
-    fn new(max_inflight: usize, queue_capacity: usize, metrics: Arc<MetricsRegistry>) -> Self {
+    fn new(state: SchedState, metrics: Arc<MetricsRegistry>) -> Self {
         Self {
-            state: std::sync::Mutex::new(SchedState {
-                inflight: 0,
-                queue: VecDeque::new(),
-                next_ticket: 0,
-            }),
+            state: std::sync::Mutex::new(state),
             cv: std::sync::Condvar::new(),
-            max_inflight: max_inflight.max(1),
-            queue_capacity,
             metrics,
         }
     }
@@ -494,10 +518,16 @@ impl Scheduler {
     fn admit(&self, deadline: Option<Instant>) -> Result<(SchedGuard<'_>, Duration), Turned> {
         let wait_start = Instant::now();
         let mut st = lock_state(self);
-        let ticket = match st.enter(self.max_inflight, self.queue_capacity) {
-            Entered::Admitted => {
+        let ticket = match st.enter() {
+            Entered::Admitted(threads) => {
                 self.publish(&st);
-                return Ok((SchedGuard { sched: self }, Duration::ZERO));
+                return Ok((
+                    SchedGuard {
+                        sched: self,
+                        threads,
+                    },
+                    Duration::ZERO,
+                ));
             }
             Entered::Full { depth } => return Err(Turned::Full { depth }),
             Entered::Queued(ticket) => ticket,
@@ -505,12 +535,18 @@ impl Scheduler {
         self.publish(&st);
         let mut timed_out = false;
         loop {
-            if st.try_grant(ticket, self.max_inflight) {
+            if let Some(threads) = st.try_grant(ticket) {
                 self.publish(&st);
                 drop(st);
                 // More slots may remain for the next ticket in line.
                 self.cv.notify_all();
-                return Ok((SchedGuard { sched: self }, wait_start.elapsed()));
+                return Ok((
+                    SchedGuard {
+                        sched: self,
+                        threads,
+                    },
+                    wait_start.elapsed(),
+                ));
             }
             if timed_out {
                 st.withdraw(ticket);
@@ -743,169 +779,15 @@ impl PlanCache {
     }
 }
 
-/// Incremental FNV-1a. Every compound mix is bracketed with a length or
-/// discriminant byte so structurally distinct trees cannot collide by
-/// concatenation (e.g. `("ab","c")` vs `("a","bc")`).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn tag(&mut self, discriminant: u8) {
-        self.mix(&[discriminant]);
-    }
-
-    fn str(&mut self, s: &str) {
-        self.mix(&(s.len() as u64).to_le_bytes());
-        self.mix(s.as_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.mix(&v.to_bits().to_le_bytes());
-    }
-
-    fn expr(&mut self, e: &aqp_expr::Expr) {
-        use aqp_expr::Expr;
-        match e {
-            Expr::Column(name) => {
-                self.tag(1);
-                self.str(name);
-            }
-            Expr::Literal(v) => {
-                self.tag(2);
-                match v {
-                    aqp_storage::Value::Null => self.tag(0),
-                    aqp_storage::Value::Int64(i) => {
-                        self.tag(1);
-                        self.mix(&i.to_le_bytes());
-                    }
-                    aqp_storage::Value::Float64(f) => {
-                        self.tag(2);
-                        self.f64(*f);
-                    }
-                    aqp_storage::Value::Str(s) => {
-                        self.tag(3);
-                        self.str(s);
-                    }
-                    aqp_storage::Value::Bool(b) => self.tag(4 + u8::from(*b)),
-                }
-            }
-            Expr::Binary { left, op, right } => {
-                self.tag(3);
-                self.tag(*op as u8);
-                self.expr(left);
-                self.expr(right);
-            }
-            Expr::Not(inner) => {
-                self.tag(4);
-                self.expr(inner);
-            }
-            Expr::IsNull(inner) => {
-                self.tag(5);
-                self.expr(inner);
-            }
-            Expr::Hash64(inner) => {
-                self.tag(6);
-                self.expr(inner);
-            }
-        }
-    }
-
-    fn named_exprs(&mut self, pairs: &[(aqp_expr::Expr, String)]) {
-        self.mix(&(pairs.len() as u64).to_le_bytes());
-        for (e, name) in pairs {
-            self.expr(e);
-            self.str(name);
-        }
-    }
-
-    fn plan(&mut self, p: &LogicalPlan) {
-        match p {
-            LogicalPlan::Scan { table } => {
-                self.tag(1);
-                self.str(table);
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                self.tag(2);
-                self.plan(input);
-                self.expr(predicate);
-            }
-            LogicalPlan::Project { input, exprs } => {
-                self.tag(3);
-                self.plan(input);
-                self.named_exprs(exprs);
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => {
-                self.tag(4);
-                self.plan(left);
-                self.plan(right);
-                self.expr(left_key);
-                self.expr(right_key);
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggregates,
-            } => {
-                self.tag(5);
-                self.plan(input);
-                self.named_exprs(group_by);
-                self.mix(&(aggregates.len() as u64).to_le_bytes());
-                for a in aggregates {
-                    self.tag(a.func as u8);
-                    self.expr(&a.expr);
-                    self.str(&a.alias);
-                }
-            }
-            LogicalPlan::Sort { input, keys } => {
-                self.tag(6);
-                self.plan(input);
-                self.mix(&(keys.len() as u64).to_le_bytes());
-                for k in keys {
-                    self.str(&k.column);
-                    self.tag(u8::from(k.desc));
-                }
-            }
-            LogicalPlan::Limit { input, n } => {
-                self.tag(7);
-                self.plan(input);
-                self.mix(&(*n as u64).to_le_bytes());
-            }
-            LogicalPlan::UnionAll { inputs } => {
-                self.tag(8);
-                self.mix(&(inputs.len() as u64).to_le_bytes());
-                for i in inputs {
-                    self.plan(i);
-                }
-            }
-        }
-    }
-}
-
-/// FNV-1a over the plan tree (walked directly — no debug-format
-/// detour) plus the spec bits: equal plans collide, different plans or
-/// different specs (which change runtime declines and the wall estimate)
-/// do not.
+/// A hash of the plan tree plus the spec bits: equal plans collide,
+/// different plans or different specs (which change runtime declines and
+/// the wall estimate) do not.
 fn fingerprint(plan: &LogicalPlan, spec: &ErrorSpec) -> u64 {
-    let mut h = Fnv::new();
-    h.plan(plan);
-    h.f64(spec.relative_error);
-    h.f64(spec.confidence);
-    h.0
+    let mut h = DefaultHasher::new();
+    plan.hash(&mut h);
+    spec.relative_error.to_bits().hash(&mut h);
+    spec.confidence.to_bits().hash(&mut h);
+    h.finish()
 }
 
 fn zeroed_walls(decision: &RoutingDecision) -> RoutingDecision {
@@ -926,15 +808,18 @@ fn zeroed_walls(decision: &RoutingDecision) -> RoutingDecision {
 /// Everything `submit` needs from the prepare step.
 struct Prepared {
     analysis: Arc<Analysis>,
-    /// The fingerprint and serial of the entry this query routes on;
-    /// `None` for an uncacheable plan.
-    entry: Option<(u64, u64)>,
-    /// Present for a cacheable plan: the memoized route.
-    route: Option<CachedRoute>,
+    /// The cache entry this query routes on; `None` for an uncacheable
+    /// plan.
+    cached: Option<Cached>,
     event: CacheEvent,
 }
 
-struct CachedRoute {
+/// A cache entry as one query prepared from it.
+struct Cached {
+    /// The entry's fingerprint and serial, where the result folds back.
+    fp: u64,
+    serial: u64,
+    /// The memoized route.
     decision: Arc<RoutingDecision>,
     /// `None` until a completed run has been folded in.
     estimated_wall: Option<Duration>,
@@ -947,7 +832,6 @@ struct CachedRoute {
 pub struct AqpService<'a> {
     session: AqpSession<'a>,
     config: ServiceConfig,
-    share: PoolShare,
     sched: Scheduler,
     cache: PlanCache,
 }
@@ -971,10 +855,12 @@ impl<'a> AqpService<'a> {
     /// in the concurrent service layer.
     pub fn over(session: AqpSession<'a>, config: ServiceConfig) -> Self {
         Self {
-            share: PoolShare::new(config.thread_budget),
             sched: Scheduler::new(
-                config.max_inflight,
-                config.queue_capacity,
+                SchedState::new(
+                    config.max_inflight,
+                    config.queue_capacity,
+                    config.thread_budget,
+                ),
                 Arc::clone(session.metrics()),
             ),
             cache: PlanCache::new(CACHE_CAPACITY),
@@ -1043,8 +929,8 @@ impl<'a> AqpService<'a> {
     /// off the verdicts and caches both.
     pub fn route(&self, plan: &LogicalPlan, spec: &ErrorSpec) -> Arc<RoutingDecision> {
         let prep = self.prepare(plan, spec);
-        match prep.route {
-            Some(route) => route.decision,
+        match prep.cached {
+            Some(cached) => cached.decision,
             // Out-of-shape plans are uncacheable; decide from the lint
             // `prepare` just ran.
             None => Arc::new(self.session.decide(&prep.analysis)),
@@ -1110,7 +996,7 @@ impl<'a> AqpService<'a> {
                 }
             }
         };
-        let estimated_wall = prep.route.as_ref().and_then(|r| r.estimated_wall);
+        let estimated_wall = prep.cached.as_ref().and_then(|c| c.estimated_wall);
         if let (Some(deadline), Some(estimate)) = (contract.deadline, estimated_wall) {
             if estimate > deadline {
                 return Ok(self.reject(Rejection::DeadlineUnmeetable { deadline, estimate }));
@@ -1142,24 +1028,19 @@ impl<'a> AqpService<'a> {
             )
             .observe(queue_wait.as_secs_f64() * 1e6);
 
-        // ---- Execution (fair thread split) ----
-        let slot = self.share.join();
-        let threads = self.share.fair_threads();
+        // ---- Execution (on the grant's thread share) ----
         let replay = Replay {
             analysis: Some(Arc::clone(&prep.analysis)),
-            threads: Some(threads),
-            online_decline: prep
-                .route
-                .as_ref()
-                .and_then(|r| remembered_decline(&r.decision).cloned()),
+            threads: Some(guard.threads),
+            online_decline: (prep.cached.as_ref())
+                .and_then(|c| remembered_decline(&c.decision).cloned()),
         };
         let mut ans = self.session.answer_with(plan, &spec, seed, replay)?;
-        drop(slot);
         drop(guard);
 
         // ---- Bookkeeping ----
-        if let Some((fp, serial)) = prep.entry {
-            self.record_result(fp, serial, &ans);
+        if let Some(cached) = &prep.cached {
+            self.record_result(cached.fp, cached.serial, &ans);
         }
         self.count_admission(decision.tag());
         ans.report.admission = Some(Box::new(AdmissionReport {
@@ -1201,12 +1082,13 @@ impl<'a> AqpService<'a> {
             Ok(entry) => {
                 return Prepared {
                     analysis: Arc::clone(&entry.analysis),
-                    route: Some(CachedRoute {
+                    cached: Some(Cached {
+                        fp,
+                        serial: entry.serial,
                         decision: Arc::clone(&entry.decision),
                         estimated_wall: (entry.ewma_wall_us > 0.0)
                             .then(|| Duration::from_micros(entry.ewma_wall_us as u64)),
                     }),
-                    entry: Some((fp, entry.serial)),
                     event: CacheEvent::Hit,
                 }
             }
@@ -1222,8 +1104,7 @@ impl<'a> AqpService<'a> {
             ));
             return Prepared {
                 analysis,
-                entry: None,
-                route: None,
+                cached: None,
                 event: CacheEvent::Uncacheable,
             };
         };
@@ -1254,8 +1135,9 @@ impl<'a> AqpService<'a> {
         }
         Prepared {
             analysis,
-            entry: Some((fp, serial)),
-            route: Some(CachedRoute {
+            cached: Some(Cached {
+                fp,
+                serial,
                 decision,
                 estimated_wall: None,
             }),
@@ -1337,6 +1219,84 @@ mod tests {
         assert_ne!(fingerprint(&a, &tight), fingerprint(&a, &loose));
     }
 
+    /// Every plan and expression variant enters the fingerprint: plans
+    /// that differ in one variant's field, or in which variant sits at one
+    /// place, key different entries.
+    #[test]
+    fn fingerprint_covers_every_plan_and_expression_variant() {
+        use aqp_engine::{AggExpr, LogicalPlan, Query, SortKey};
+        use aqp_expr::{col, lit, Expr};
+        let filtered = |predicate: Expr| Query::scan("t").filter(predicate).build();
+        let joined = |key: &str| {
+            let dim = Query::scan("d");
+            Query::scan("t").join(dim, col(key), col("k")).build()
+        };
+        let projected = |name: &str| {
+            let exprs = vec![(col("v").add(lit(1i64)), name.to_string())];
+            Query::scan("t").project(exprs).build()
+        };
+        let grouped = |group: &str, agg: AggExpr| {
+            let group_by = vec![(col(group), group.to_string())];
+            Query::scan("t").aggregate(group_by, vec![agg]).build()
+        };
+        let plans: Vec<LogicalPlan> = vec![
+            Query::scan("t").build(),
+            filtered(col("b")),
+            filtered(col("b").not()),
+            filtered(col("v").is_null()),
+            filtered(col("v").hash64().eq(lit(0i64))),
+            filtered(col("v").hash64().gt_eq(lit(0i64))),
+            filtered(col("v").lt(lit(aqp_storage::Value::Null))),
+            filtered(col("s").eq(lit("a"))),
+            filtered(col("b").eq(lit(true))),
+            joined("fk"),
+            joined("fk2"),
+            projected("w"),
+            projected("x"),
+            grouped("g", AggExpr::sum(col("v"), "a")),
+            grouped("g", AggExpr::avg(col("v"), "a")),
+            grouped("h", AggExpr::sum(col("v"), "a")),
+            Query::scan("t").sort(vec![SortKey::asc("v")]).build(),
+            Query::scan("t").sort(vec![SortKey::desc("v")]).build(),
+            Query::scan("t").limit(5).build(),
+            Query::scan("t").limit(6).build(),
+            Query::scan("t").union_all(Query::scan("t")).build(),
+        ];
+        let spec = ErrorSpec::new(0.05, 0.95);
+        let fps: std::collections::HashSet<u64> =
+            plans.iter().map(|p| fingerprint(p, &spec)).collect();
+        assert_eq!(fps.len(), plans.len());
+    }
+
+    proptest::proptest! {
+        /// The fingerprint follows plan identity: two plans drawn from one
+        /// small space share a fingerprint exactly when they are the same
+        /// plan, a float literal compared by its bits.
+        #[test]
+        fn fingerprint_follows_plan_identity(
+            a in (0u8..2, 0u8..5, 0u8..2, proptest::prelude::any::<bool>()),
+            b in (0u8..2, 0u8..5, 0u8..2, proptest::prelude::any::<bool>()),
+        ) {
+            use aqp_engine::{AggExpr, Query, SortKey};
+            use aqp_expr::{col, lit};
+            let plan = |(table, bound, alias, desc): (u8, u8, u8, bool)| {
+                let bound = [lit(1i64), lit(2i64), lit(1.0), lit(0.0), lit(-0.0)][usize::from(bound)].clone();
+                let key = if desc { SortKey::desc("g") } else { SortKey::asc("g") };
+                Query::scan(["t", "u"][usize::from(table)])
+                    .filter(col("v").lt(bound))
+                    .aggregate(
+                        vec![(col("g"), "g".to_string())],
+                        vec![AggExpr::sum(col("v"), ["s", "x"][usize::from(alias)])],
+                    )
+                    .sort(vec![key])
+                    .build()
+            };
+            let spec = ErrorSpec::new(0.05, 0.95);
+            let same = fingerprint(&plan(a), &spec) == fingerprint(&plan(b), &spec);
+            proptest::prop_assert_eq!(same, a == b);
+        }
+    }
+
     /// A query prepared before an epoch bump finishes after its plan was
     /// re-prepared: its result — a decisive decline learned under the old
     /// stamp — must not land in the entry that replaced its own.
@@ -1380,15 +1340,14 @@ mod tests {
                 Arc::clone(&entry.decision),
             )
         };
-        let (old_fp, old_serial) = old.entry.unwrap();
-        service.record_result(old_fp, old_serial, &ans);
+        let (old, new) = (old.cached.unwrap(), new.cached.unwrap());
+        service.record_result(old.fp, old.serial, &ans);
         let (ewma, decline, decision) = entry_state();
         assert_eq!((ewma, decline), (0.0, None));
-        assert!(Arc::ptr_eq(&decision, &new.route.unwrap().decision));
+        assert!(Arc::ptr_eq(&decision, &new.decision));
 
         // The same result prepared from the current entry is folded in.
-        let (fp, serial) = new.entry.unwrap();
-        service.record_result(fp, serial, &ans);
+        service.record_result(new.fp, new.serial, &ans);
         let (ewma, decline, _) = entry_state();
         assert!(ewma > 0.0);
         assert_eq!(decline.as_ref(), decisive_decline(routing));
@@ -1396,7 +1355,7 @@ mod tests {
 
     #[test]
     fn scheduler_rejects_when_queue_full() {
-        let sched = Scheduler::new(1, 0, Arc::default());
+        let sched = Scheduler::new(SchedState::new(1, 0, 1), Arc::default());
         let (guard, wait) = sched.admit(None).expect("first admit");
         assert_eq!(wait, Duration::ZERO);
         match sched.admit(None) {
@@ -1410,7 +1369,7 @@ mod tests {
     #[test]
     fn scheduler_is_fifo_under_contention() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let sched = Scheduler::new(1, 16, Arc::default());
+        let sched = Scheduler::new(SchedState::new(1, 16, 1), Arc::default());
         let completed = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             let first = sched.admit(None).expect("head slot");
@@ -1433,7 +1392,7 @@ mod tests {
 
     #[test]
     fn queued_ticket_withdraws_at_deadline() {
-        let sched = Scheduler::new(1, 16, Arc::default());
+        let sched = Scheduler::new(SchedState::new(1, 16, 1), Arc::default());
         let guard = sched.admit(None).expect("head slot");
         let deadline = Instant::now() + Duration::from_millis(20);
         match sched.admit(Some(deadline)) {
@@ -1442,6 +1401,55 @@ mod tests {
         }
         assert_eq!(sched.queue_depth(), 0, "abandoned ticket removed");
         drop(guard);
+    }
+
+    /// A grant's thread share is the budget over the queries in flight,
+    /// its own included, and never drops below one worker.
+    #[test]
+    fn grants_split_the_thread_budget_over_the_queries_in_flight() {
+        let sched = Scheduler::new(SchedState::new(3, 0, 8), Arc::default());
+        let a = sched.admit(None).expect("first slot").0;
+        let b = sched.admit(None).expect("second slot").0;
+        let c = sched.admit(None).expect("third slot").0;
+        assert_eq!((a.threads, b.threads, c.threads), (8, 4, 2));
+        drop(b);
+        let d = sched.admit(None).expect("freed slot").0;
+        assert_eq!(d.threads, 2);
+        drop((a, c, d));
+        assert_eq!(sched.admit(None).expect("idle").0.threads, 8);
+
+        let sched = Scheduler::new(SchedState::new(5, 0, 2), Arc::default());
+        let guards: Vec<_> = (0..5).map(|_| sched.admit(None).expect("slot").0).collect();
+        assert_eq!(guards.last().map(|g| g.threads), Some(1));
+    }
+
+    /// A budget of zero threads still grants every query one.
+    #[test]
+    fn a_zero_thread_budget_still_grants_one_thread() {
+        let sched = Scheduler::new(SchedState::new(2, 0, 0), Arc::default());
+        let a = sched.admit(None).expect("first slot").0;
+        let b = sched.admit(None).expect("second slot").0;
+        assert_eq!((a.threads, b.threads), (1, 1));
+    }
+
+    /// A queued ticket's share is read when it is granted, counting the
+    /// queries in flight then, its own slot included.
+    #[test]
+    fn a_queued_grant_takes_the_share_at_its_grant() {
+        let sched = Scheduler::new(SchedState::new(2, 4, 4), Arc::default());
+        let first = sched.admit(None).expect("first slot").0;
+        let second = sched.admit(None).expect("second slot").0;
+        assert_eq!((first.threads, second.threads), (4, 2));
+        std::thread::scope(|s| {
+            let queued = s.spawn(|| sched.admit(None).expect("queued slot").0.threads);
+            while sched.queue_depth() == 0 {
+                std::thread::yield_now();
+            }
+            drop(first);
+            assert_eq!(queued.join().unwrap(), 2);
+        });
+        drop(second);
+        assert_eq!(sched.inflight(), 0);
     }
 }
 
@@ -1502,6 +1510,9 @@ mod race {
             FastPathJumpsQueue,
             /// The withdrawal leaves the ticket queued.
             WithdrawKeepsTicket,
+            /// The grant reads its thread share before counting its own
+            /// slot.
+            ShareBeforeIncrement,
         }
 
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1518,14 +1529,14 @@ mod race {
             Done,
         }
 
-        /// Three threads of two admissions each over one slot; thread 0
-        /// carries a deadline, so while queued it may time out at any step.
+        /// Two threads more than slots, of two admissions each, so some
+        /// always queue; thread 0 carries a deadline, so while queued it
+        /// may time out at any step.
         #[derive(Debug, Clone, PartialEq, Eq, Hash)]
         pub(super) struct Sched {
             st: SchedState,
             threads: Vec<Phase>,
             rounds_left: Vec<u8>,
-            capacity: usize,
             arrivals: u8,
             last_grant: Option<u8>,
             /// `(earlier, later)` arrivals, the later granted first.
@@ -1533,55 +1544,65 @@ mod race {
             /// An arrival was turned away with nothing queued and a slot
             /// free.
             idle_refusal: bool,
+            /// `(share, running)`: a grant's thread share is not the
+            /// budget over the `running` queries, itself included.
+            bad_share: Option<(usize, usize)>,
             mutant: Option<Mutant>,
         }
 
-        const MAX_INFLIGHT: usize = 1;
+        /// The thread budget: over two slots, a grant's share is 4 or 2.
+        const BUDGET: usize = 4;
 
         impl Sched {
-            pub(super) fn new(capacity: usize, mutant: Option<Mutant>) -> Self {
-                let st = SchedState {
-                    inflight: 0,
-                    queue: VecDeque::new(),
-                    next_ticket: 0,
-                };
+            pub(super) fn new(slots: usize, capacity: usize, mutant: Option<Mutant>) -> Self {
                 Self {
-                    st,
-                    threads: vec![Phase::Start; 3],
-                    rounds_left: vec![2; 3],
-                    capacity,
+                    st: SchedState::new(slots, capacity, BUDGET),
+                    threads: vec![Phase::Start; slots + 2],
+                    rounds_left: vec![2; slots + 2],
                     arrivals: 0,
                     last_grant: None,
                     inversion: None,
                     idle_refusal: false,
+                    bad_share: None,
                     mutant,
                 }
             }
 
             fn enter(&mut self) -> Entered {
                 let st = &mut self.st;
-                if self.mutant == Some(Mutant::FastPathJumpsQueue) && st.inflight < MAX_INFLIGHT {
-                    st.inflight += 1;
-                    return Entered::Admitted;
+                let early = st.share();
+                match self.mutant {
+                    Some(Mutant::FastPathJumpsQueue) if st.inflight < st.max_inflight => {
+                        st.inflight += 1;
+                        Entered::Admitted(st.share())
+                    }
+                    Some(Mutant::ShareBeforeIncrement) => match st.enter() {
+                        Entered::Admitted(_) => Entered::Admitted(early),
+                        other => other,
+                    },
+                    _ => st.enter(),
                 }
-                st.enter(MAX_INFLIGHT, self.capacity)
             }
 
-            fn try_grant(&mut self, ticket: u64) -> bool {
+            fn try_grant(&mut self, ticket: u64) -> Option<usize> {
                 let (st, mine) = (&mut self.st, Some(&ticket));
+                let early = st.share();
                 let granted = match self.mutant {
                     Some(Mutant::LifoGrant) => {
-                        st.inflight < MAX_INFLIGHT
+                        st.inflight < st.max_inflight
                             && st.queue.back() == mine
                             && st.queue.pop_back().is_some()
                     }
                     Some(Mutant::SkipRecheck) => {
                         st.queue.front() == mine && st.queue.pop_front().is_some()
                     }
-                    _ => return st.try_grant(ticket, MAX_INFLIGHT),
+                    Some(Mutant::ShareBeforeIncrement) => {
+                        return st.try_grant(ticket).map(|_| early)
+                    }
+                    _ => return st.try_grant(ticket),
                 };
                 st.inflight += usize::from(granted);
-                granted
+                granted.then(|| st.share())
             }
 
             /// The states after a `notify_all`: every parked waiter woken,
@@ -1604,12 +1625,17 @@ mod race {
                 parked.iter().map(|&t| wake(self.clone(), &[t])).collect()
             }
 
-            fn grant(&mut self, t: usize, arrival: u8) {
+            fn grant(&mut self, t: usize, arrival: u8, share: usize) {
                 if let Some(last) = self.last_grant.filter(|&last| last > arrival) {
                     self.inversion.get_or_insert((arrival, last));
                 }
                 self.last_grant = Some(arrival);
                 self.threads[t] = Phase::Executing;
+                let running = self.threads.iter().filter(|p| **p == Phase::Executing);
+                let running = running.count();
+                if share != (BUDGET / running).max(1) {
+                    self.bad_share.get_or_insert((share, running));
+                }
             }
 
             fn finish_round(&mut self, t: usize) {
@@ -1621,8 +1647,8 @@ mod race {
             /// One pass of `admit`'s loop for thread `t`'s queued ticket,
             /// after a wake or, with `timed_out`, a timed-out wait.
             fn recheck(mut self, t: usize, arrival: u8, ticket: u64, timed_out: bool) -> Vec<Self> {
-                if self.try_grant(ticket) {
-                    self.grant(t, arrival);
+                if let Some(share) = self.try_grant(ticket) {
+                    self.grant(t, arrival, share);
                     self.notify_all()
                 } else if timed_out {
                     if self.mutant != Some(Mutant::WithdrawKeepsTicket) {
@@ -1647,9 +1673,9 @@ mod race {
                     Phase::Start => {
                         let arrival = s.arrivals;
                         s.arrivals += 1;
-                        let idle = s.st.queue.is_empty() && s.st.inflight < MAX_INFLIGHT;
+                        let idle = s.st.queue.is_empty() && s.st.inflight < s.st.max_inflight;
                         match s.enter() {
-                            Entered::Admitted => s.grant(t, arrival),
+                            Entered::Admitted(share) => s.grant(t, arrival, share),
                             Entered::Full { .. } => {
                                 s.idle_refusal |= idle;
                                 s.finish_round(t);
@@ -1703,11 +1729,13 @@ mod race {
                     })
                     .collect();
                 waiting.sort_unstable();
-                if st.inflight > MAX_INFLIGHT {
+                if st.inflight > st.max_inflight {
                     Err(format!("inflight cap breached: {}", st.inflight))
                 } else if st.inflight != executing {
                     Err(format!("inflight accounting drift: {executing} running"))
-                } else if st.queue.len() > self.capacity {
+                } else if let Some((share, running)) = self.bad_share {
+                    Err(format!("thread share {share} with {running} running"))
+                } else if st.queue.len() > st.capacity {
                     Err(format!("queue over capacity: {:?}", st.queue))
                 } else if let Some((earlier, later)) = self.inversion {
                     Err(format!("FIFO inversion: {later} granted before {earlier}"))
@@ -1933,17 +1961,23 @@ mod race {
     use cache::{Cache, Mutant as CacheMutant};
     use sched::{Mutant as SchedMutant, Sched};
 
+    /// Runs `mutant` over one slot: every mutant but the share's is
+    /// caught there.
     fn sched_caught(mutant: SchedMutant, classes: &[&str]) {
-        assert_caught(&run(Sched::new(2, Some(mutant))), classes);
+        assert_caught(&run(Sched::new(1, 2, Some(mutant))), classes);
     }
 
     fn cache_caught(mutant: CacheMutant, classes: &[&str]) {
         assert_caught(&run(Cache::new(Some(mutant))), classes);
     }
 
+    /// Over two slots the share a grant reads varies with the queries
+    /// in flight; the invariants check it at every grant.
     #[test]
     fn faithful_scheduler_has_no_violations() {
-        assert_clean(&run(Sched::new(2, None)));
+        for slots in [1, 2] {
+            assert_clean(&run(Sched::new(slots, 2, None)));
+        }
     }
 
     /// With no queue the scheduler is admit-or-reject: an arrival finding
@@ -1951,7 +1985,7 @@ mod race {
     #[test]
     fn an_idle_scheduler_admits_at_every_queue_capacity() {
         for capacity in [0, 1] {
-            let r = run(Sched::new(capacity, None));
+            let r = run(Sched::new(1, capacity, None));
             assert!(
                 r.ok() && r.terminal_states > 0,
                 "{capacity}: {:?}",
@@ -1991,6 +2025,14 @@ mod race {
             SchedMutant::WithdrawKeepsTicket,
             &["orphaned ticket", "deadlock"],
         );
+    }
+
+    /// A share read before the grant's own slot is counted splits the
+    /// budget one query too few ways; only two slots can show it.
+    #[test]
+    fn share_read_before_the_increment_mutant_oversubscribes() {
+        let mutant = Some(SchedMutant::ShareBeforeIncrement);
+        assert_caught(&run(Sched::new(2, 2, mutant)), &["thread share"]);
     }
 
     #[test]

@@ -114,8 +114,8 @@ fn attach_trace(
 /// analyzer's static group-cardinality bound, so kernel aggregation maps
 /// are pre-sized and never rehash on plans whose key shapes bound the
 /// group count (`x % k`, literals, global aggregates) — with an optional
-/// worker-count override, how the concurrent service applies its fair
-/// [`aqp_engine::PoolShare`] split without disturbing the single-caller
+/// worker-count override, how the concurrent service applies a grant's
+/// share of its thread budget without disturbing the single-caller
 /// default.
 fn exec_opts(analysis: &Analysis, threads: Option<usize>) -> ExecOptions {
     let mut opts = ExecOptions::default().with_agg_hint(
@@ -153,7 +153,8 @@ pub(crate) struct Replay {
     /// [`routing_epoch`](AqpSession::routing_epoch); the caller owns that
     /// freshness check.
     pub analysis: Option<Arc<Analysis>>,
-    /// Worker-count override: the fair [`aqp_engine::PoolShare`] split.
+    /// Worker-count override: the thread share the service's scheduler
+    /// granted this query (see [`crate::ServiceConfig::thread_budget`]).
     pub threads: Option<usize>,
     /// A decisive runtime decline of online sampling learned by an
     /// earlier run of this shape on the same tables: online is recorded

@@ -10,7 +10,7 @@
 //! the family: it is the static analyzer's per-family verdict
 //! (`aqp_analyze::TechniqueVerdict`), which the router in
 //! [`crate::session`] folds into a policy and the taxonomy in
-//! [`crate::taxonomy`] reads to derive the paper's capability matrix. A
+//! `aqp_bench::taxonomy` reads to derive the paper's capability matrix. A
 //! family handed a query directly consults the same verdict
 //! before it touches data, so there is one eligibility decision.
 //!

@@ -12,7 +12,7 @@ use aqp_storage::{DataType, Schema, Value};
 use crate::error::EngineError;
 
 /// Supported aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT(*)` — counts rows.
     CountStar,
@@ -72,7 +72,7 @@ impl std::fmt::Display for AggFunc {
 }
 
 /// One aggregate in a query: a function, its argument, and an output alias.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct AggExpr {
     /// The aggregate function.
     pub func: AggFunc,

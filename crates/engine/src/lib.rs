@@ -49,5 +49,5 @@ pub use exec::{execute, execute_with, AggStep};
 pub use fold::{BlockFold, FoldAcc, UnitTotals};
 pub use join::GatherJoin;
 pub use plan::{LogicalPlan, Query, SortKey};
-pub use pool::{ExecOptions, PoolShare, PoolSlot};
+pub use pool::ExecOptions;
 pub use result::{ExecStats, ResultSet};

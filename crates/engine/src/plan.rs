@@ -9,7 +9,7 @@ use crate::agg::AggExpr;
 use crate::error::EngineError;
 
 /// A sort key: column name plus direction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SortKey {
     /// Output-column name to sort by.
     pub column: String,
@@ -36,7 +36,7 @@ impl SortKey {
 }
 
 /// A logical query plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum LogicalPlan {
     /// Scan a catalog table.
     Scan {

@@ -100,73 +100,6 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// One machine-wide morsel-thread budget divided fairly among concurrent
-/// queries.
-///
-/// A single query may use every core, but when a service runs many
-/// queries at once, each grabbing `default_threads()` workers would
-/// oversubscribe the machine `inflight`-fold — coordination overhead with
-/// no added compute (the Block-STM failure mode). `PoolShare` is the
-/// arbiter: callers [`join`](PoolShare::join) while a query is in flight
-/// and size that query's [`ExecOptions::threads`] from
-/// [`fair_threads`](PoolShare::fair_threads), which splits the budget
-/// evenly over the current in-flight count (never below 1). Results are
-/// unaffected by the split — engine output is thread-count invariant by
-/// construction — only scheduling is.
-#[derive(Debug)]
-pub struct PoolShare {
-    total: usize,
-    active: std::sync::atomic::AtomicUsize,
-}
-
-impl PoolShare {
-    /// A share over a budget of `total` worker threads (clamped to ≥ 1).
-    pub fn new(total: usize) -> Self {
-        Self {
-            total: total.max(1),
-            active: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// The total thread budget.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Queries currently holding a slot.
-    fn active(&self) -> usize {
-        self.active.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Registers one in-flight query; the returned guard releases the
-    /// slot on drop.
-    pub fn join(&self) -> PoolSlot<'_> {
-        self.active
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        PoolSlot { share: self }
-    }
-
-    /// The per-query worker count at the current in-flight level: the
-    /// budget divided by the number of active queries, floored at 1.
-    pub fn fair_threads(&self) -> usize {
-        (self.total / self.active().max(1)).max(1)
-    }
-}
-
-/// RAII registration of one in-flight query in a [`PoolShare`].
-#[derive(Debug)]
-pub struct PoolSlot<'a> {
-    share: &'a PoolShare,
-}
-
-impl Drop for PoolSlot<'_> {
-    fn drop(&mut self) {
-        self.share
-            .active
-            .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
 /// Applies `f` to every item on up to `threads` workers — the calling
 /// thread and up to `threads − 1` scoped ones — returning results in item
 /// order. With `threads <= 1` (or fewer than two items) this runs inline
@@ -364,34 +297,5 @@ mod tests {
     fn single_item_runs_inline() {
         let out = parallel_map(vec![41], 8, |_, x| x + 1);
         assert_eq!(out, vec![42]);
-    }
-}
-
-#[cfg(test)]
-mod share_tests {
-    use super::*;
-
-    #[test]
-    fn fair_split_tracks_active_queries() {
-        let share = PoolShare::new(8);
-        assert_eq!(share.fair_threads(), 8);
-        let a = share.join();
-        assert_eq!(share.active(), 1);
-        assert_eq!(share.fair_threads(), 8);
-        let b = share.join();
-        assert_eq!(share.fair_threads(), 4);
-        let c = share.join();
-        let _ = &c;
-        assert_eq!(share.fair_threads(), 2);
-        drop(b);
-        assert_eq!(share.fair_threads(), 4);
-        drop(a);
-        drop(c);
-        assert_eq!(share.active(), 0);
-        // The split never drops below one worker, however oversubscribed.
-        let share = PoolShare::new(2);
-        let guards: Vec<_> = (0..5).map(|_| share.join()).collect();
-        assert_eq!(share.fair_threads(), 1);
-        drop(guards);
     }
 }

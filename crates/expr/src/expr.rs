@@ -5,7 +5,7 @@ use aqp_storage::{DataType, Schema, Value};
 use crate::error::ExprError;
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryOp {
     /// Addition.
     Add,
@@ -53,7 +53,7 @@ impl BinaryOp {
 }
 
 /// A typed expression tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Expr {
     /// Reference to a named column.
     Column(String),

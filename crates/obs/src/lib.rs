@@ -10,8 +10,8 @@
 //!   benches run unperturbed. A trace is a value: [`capture`] scopes one
 //!   around a call on the calling thread, and no other thread pays;
 //! - a **metrics registry** ([`metrics`]): counters, gauges, and
-//!   fixed-bucket histograms with lock-free per-worker shards merged on
-//!   read, exported as Prometheus text or JSON. A registry is a value,
+//!   fixed-bucket histograms, one set of atomics per series, exported as
+//!   Prometheus text or JSON. A registry is a value,
 //!   like a trace: [`metrics::scoped`] puts one in scope for a call, and
 //!   instrumentation outside any scope records nowhere;
 //! - **timing helpers** ([`timing`]): the shared median-of-N wall-clock

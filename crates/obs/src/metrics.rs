@@ -1,12 +1,9 @@
 //! Thread-safe metrics registry: counters, gauges, and fixed-bucket
-//! histograms, with lock-free per-worker shards merged on read.
+//! histograms, each series one set of atomics.
 //!
-//! Writes never take a lock: each metric holds 16 cache-line-padded
-//! atomic shards and a thread maps onto a shard by its process-assigned
-//! ordinal, so concurrent workers update disjoint cache lines. Reads
-//! (exporters, tests) sum across shards. Registering or looking up a
-//! metric takes a short registry lock, so hot loops should fetch their
-//! handle once up front.
+//! Registering or looking up a metric takes a short registry lock, so
+//! hot loops should fetch their handle once up front; the update itself
+//! is a relaxed atomic add or store.
 //!
 //! A registry is a value its owner holds, as a trace is: there is no
 //! process-wide one. Code that holds its registry records into it
@@ -29,8 +26,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use crate::trace::thread_ord;
 
 thread_local! {
     static SCOPE: RefCell<Option<Arc<MetricsRegistry>>> = const { RefCell::new(None) };
@@ -62,9 +57,6 @@ pub fn record(f: impl FnOnce(&MetricsRegistry)) {
     }
 }
 
-/// Shard count per metric; threads map on by ordinal modulo this.
-const SHARDS: usize = 16;
-
 /// Default bucket bounds (microseconds) for latency histograms.
 pub const LATENCY_US_BOUNDS: &[f64] = &[
     1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1e3, 2e3, 5e3, 1e4, 1e5, 1e6,
@@ -74,34 +66,19 @@ pub const LATENCY_US_BOUNDS: &[f64] = &[
 pub const REL_ERROR_BOUNDS: &[f64] =
     &[0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0];
 
-/// One atomic counter cell padded to its own cache line, so shards
-/// written by different workers never false-share.
+/// Monotonic counter.
 #[derive(Default)]
-#[repr(align(64))]
-struct PadCell(AtomicU64);
-
-fn shard_idx() -> usize {
-    thread_ord() as usize % SHARDS
-}
-
-/// Monotonic counter with lock-free sharded increments.
-#[derive(Default)]
-pub struct Counter {
-    shards: [PadCell; SHARDS],
-}
+pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// Adds `n` to the calling thread's shard.
+    /// Adds `n`.
     pub fn inc(&self, n: u64) {
-        self.shards[shard_idx()].0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Sums all shards.
+    /// The count so far.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -123,7 +100,9 @@ impl Gauge {
     }
 }
 
-struct HistShard {
+/// Fixed-bucket histogram.
+pub struct Histogram {
+    bounds: Vec<f64>,
     /// One count per bound, plus a final +Inf bucket.
     buckets: Vec<AtomicU64>,
     /// Running sum of observed values, stored as `f64` bits and updated
@@ -131,13 +110,7 @@ struct HistShard {
     sum_bits: AtomicU64,
 }
 
-/// Fixed-bucket histogram with lock-free sharded observation.
-pub struct Histogram {
-    bounds: Vec<f64>,
-    shards: Vec<HistShard>,
-}
-
-/// A read-side snapshot of a [`Histogram`], merged across shards.
+/// A read-side snapshot of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Upper bound of each finite bucket.
@@ -152,27 +125,21 @@ pub struct HistogramSnapshot {
 
 impl Histogram {
     fn new(bounds: &[f64]) -> Self {
-        let shards = (0..SHARDS)
-            .map(|_| HistShard {
-                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                sum_bits: AtomicU64::new(0f64.to_bits()),
-            })
-            .collect();
         Histogram {
             bounds: bounds.to_vec(),
-            shards,
+            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            sum_bits: AtomicU64::new(0f64.to_bits()),
         }
     }
 
-    /// Records one observation into the calling thread's shard.
+    /// Records one observation.
     pub fn observe(&self, v: f64) {
-        let shard = &self.shards[shard_idx()];
         let idx = self.bounds.partition_point(|b| *b < v);
-        shard.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        let mut cur = shard.sum_bits.load(Ordering::Relaxed);
+        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + v).to_bits();
-            match shard.sum_bits.compare_exchange_weak(
+            match self.sum_bits.compare_exchange_weak(
                 cur,
                 next,
                 Ordering::Relaxed,
@@ -184,21 +151,17 @@ impl Histogram {
         }
     }
 
-    /// Merges all shards into a consistent-enough snapshot.
+    /// A consistent-enough snapshot: each bucket and the sum are read
+    /// once, not together.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut counts = vec![0u64; self.bounds.len() + 1];
-        let mut sum = 0.0;
-        for shard in &self.shards {
-            for (i, b) in shard.buckets.iter().enumerate() {
-                counts[i] += b.load(Ordering::Relaxed);
-            }
-            sum += f64::from_bits(shard.sum_bits.load(Ordering::Relaxed));
-        }
+        let counts: Vec<u64> = (self.buckets.iter())
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         HistogramSnapshot {
             bounds: self.bounds.clone(),
             count: counts.iter().sum(),
             counts,
-            sum,
+            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
         }
     }
 }
@@ -510,6 +473,29 @@ mod tests {
         assert_eq!(c.get(), 8_000);
         // Same name resolves to the same counter.
         assert_eq!(reg.counter("hits").get(), 8_000);
+    }
+
+    /// Observations from many threads land in the one bucket vector and
+    /// the one sum: none is lost to a racing add.
+    #[test]
+    fn histogram_counts_every_observation_across_threads() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("lat", &[1.0, 10.0]);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let h = &h;
+                s.spawn(move || {
+                    for i in 0..1_000 {
+                        h.observe(if (i + t) % 2 == 0 { 0.5 } else { 4.0 });
+                    }
+                });
+            }
+        });
+        let snap = h.snapshot();
+        assert_eq!(snap.counts, vec![2_000, 2_000, 0]);
+        assert_eq!(snap.count, 4_000);
+        // Halves and fours add exactly in any order.
+        assert_eq!(snap.sum, 2_000.0 * 0.5 + 2_000.0 * 4.0);
     }
 
     #[test]

@@ -50,7 +50,7 @@ thread_local! {
 
 /// Stable small ordinal for the calling thread, recorded on every span so
 /// per-thread invariants can be checked.
-pub(crate) fn thread_ord() -> u64 {
+fn thread_ord() -> u64 {
     THREAD_ORD.with(|t| *t)
 }
 

@@ -3,31 +3,20 @@
 //! Two samples drawn independently from *disjoint* partitions of a
 //! population combine into one valid sample of the union — if the designs
 //! are reconciled correctly. That reconciliation is per-stratum weight
-//! bookkeeping, and it is what makes folding in a partial drawn from a
-//! disjoint partition (an append-only delta, a shard) statistically sound
-//! rather than merely convenient:
+//! bookkeeping, and it is what makes folding in a stratified sample of an
+//! append-only delta (aqp-core's `OfflineStore::maintain_stratified`)
+//! statistically sound rather than merely convenient:
 //!
 //! * **Stratified + stratified** (same column): strata are independent SRS
 //!   units, so the merged sample simply carries both strata lists (row
 //!   ranges offset into the concatenated table). Duplicate keys are fine —
 //!   estimation iterates strata independently, and each side's stratum
 //!   keeps its own population and weights. Exact.
-//! * **Fixed-size SRS + fixed-size SRS**: each side is converted to a
-//!   single stratum of a stratified design (SRS within stratum *is* the
-//!   SRS design, finite-population correction included), then merged as
-//!   above. Exact, and the reason the merged CI matches the sharded math.
-//!   A `__shard`-stratified sample (the product of such a merge) keeps
-//!   absorbing further SRS shards as new strata, so a left-to-right fold
-//!   over N shards works for any N.
-//! * **Bernoulli / universe / bi-level at bit-identical rates**: HT
-//!   estimators are sums over independent inclusion draws, so tables
-//!   concatenate and population counts add. A rate mismatch is a typed
-//!   [`MergeError::Incompatible`] — unequal-probability pooling would need
-//!   per-row probabilities we no longer have.
-//! * **Distinct and block-SRS designs**: no statistically sound merge
-//!   exists without re-scanning (the frequency cap and the fixed block
-//!   count are global properties), so merging returns
-//!   [`MergeError::Unsupported`].
+//! * **Every other pair** returns [`MergeError::Unsupported`]: nothing
+//!   merges them. (Equal-rate Bernoulli, universe and bi-level samples
+//!   would pool soundly, but no caller pools them; distinct and
+//!   fixed-size designs have no sound merge without re-scanning, since
+//!   the frequency cap and the sample size are global properties.)
 
 use aqp_mergeable::{MergeError, Partial};
 
@@ -49,235 +38,48 @@ fn concat_weights(a: &RowWeights, a_rows: usize, b: &RowWeights, b_rows: usize) 
     RowWeights::PerRow(v)
 }
 
-/// A fixed-size SRS of `n` rows from a population of `N` is exactly one
-/// stratum of a stratified design (SRS within stratum, fpc included).
-/// `key` distinguishes the shard the stratum came from.
-fn srs_as_stratum(population_rows: u64, rows: usize, key: i64) -> Vec<StratumMeta> {
-    vec![StratumMeta {
-        key: aqp_storage::Value::Int64(key),
-        population_size: population_rows,
-        row_start: 0,
-        row_end: rows,
-    }]
-}
-
-fn rate_mismatch(expected: f64, found: f64) -> MergeError {
-    MergeError::Incompatible {
-        kind: "sample",
-        expected: format!("rate {expected}"),
-        found: format!("rate {found}"),
-    }
-}
-
 impl Sample {
-    /// Folds `other` — an independent sample of a *disjoint* partition of
-    /// the population — into `self`, reconciling designs and per-stratum
-    /// weights. See the module docs for which design pairs merge and why.
-    /// On error, `self` is unchanged.
+    /// Folds `other` — an independent stratified sample of a *disjoint*
+    /// partition of the population, on the same column — into `self`,
+    /// reconciling per-stratum weights. Any other pair is refused (see the
+    /// module docs). On error, `self` is unchanged.
     pub fn merge(&mut self, other: &Sample) -> Result<(), MergeError> {
         let a_rows = self.table.row_count();
         let b_rows = other.table.row_count();
-        let merged_design = match (&self.design, &other.design) {
-            (
-                SampleDesign::Stratified { column, strata },
-                SampleDesign::Stratified {
-                    column: other_column,
-                    strata: other_strata,
-                },
-            ) => {
-                if column != other_column {
-                    return Err(MergeError::Incompatible {
-                        kind: "sample",
-                        expected: format!("stratified on {column}"),
-                        found: format!("stratified on {other_column}"),
-                    });
-                }
-                let mut merged = strata.clone();
-                merged.extend(other_strata.iter().map(|s| StratumMeta {
-                    key: s.key.clone(),
-                    population_size: s.population_size,
-                    row_start: s.row_start + a_rows,
-                    row_end: s.row_end + a_rows,
-                }));
-                SampleDesign::Stratified {
-                    column: column.clone(),
-                    strata: merged,
-                }
-            }
-            (
-                SampleDesign::FixedSizeRows { population_rows },
-                SampleDesign::FixedSizeRows {
-                    population_rows: other_population,
-                },
-            ) => {
-                let mut strata = srs_as_stratum(*population_rows, a_rows, 0);
-                strata.extend(
-                    srs_as_stratum(*other_population, b_rows, 1)
-                        .into_iter()
-                        .map(|mut s| {
-                            s.row_start += a_rows;
-                            s.row_end += a_rows;
-                            s
-                        }),
-                );
-                SampleDesign::Stratified {
-                    column: "__shard".into(),
-                    strata,
-                }
-            }
-            (
-                SampleDesign::BernoulliRows {
-                    rate,
-                    population_rows,
-                },
-                SampleDesign::BernoulliRows {
-                    rate: other_rate,
-                    population_rows: other_population,
-                },
-            ) => {
-                if rate.to_bits() != other_rate.to_bits() {
-                    return Err(rate_mismatch(*rate, *other_rate));
-                }
-                SampleDesign::BernoulliRows {
-                    rate: *rate,
-                    population_rows: population_rows + other_population,
-                }
-            }
-            (
-                SampleDesign::BernoulliBlocks {
-                    rate,
-                    population_blocks,
-                    population_rows,
-                },
-                SampleDesign::BernoulliBlocks {
-                    rate: other_rate,
-                    population_blocks: other_blocks,
-                    population_rows: other_rows,
-                },
-            ) => {
-                if rate.to_bits() != other_rate.to_bits() {
-                    return Err(rate_mismatch(*rate, *other_rate));
-                }
-                SampleDesign::BernoulliBlocks {
-                    rate: *rate,
-                    population_blocks: population_blocks + other_blocks,
-                    population_rows: population_rows + other_rows,
-                }
-            }
-            (
-                SampleDesign::Universe {
-                    column,
-                    rate,
-                    population_rows,
-                },
-                SampleDesign::Universe {
-                    column: other_column,
-                    rate: other_rate,
-                    population_rows: other_population,
-                },
-            ) => {
-                if column != other_column {
-                    return Err(MergeError::Incompatible {
-                        kind: "sample",
-                        expected: format!("universe on {column}"),
-                        found: format!("universe on {other_column}"),
-                    });
-                }
-                if rate.to_bits() != other_rate.to_bits() {
-                    return Err(rate_mismatch(*rate, *other_rate));
-                }
-                SampleDesign::Universe {
-                    column: column.clone(),
-                    rate: *rate,
-                    population_rows: population_rows + other_population,
-                }
-            }
-            (
-                SampleDesign::BiLevel {
-                    block_rate,
-                    row_rate,
-                    population_blocks,
-                    population_rows,
-                },
-                SampleDesign::BiLevel {
-                    block_rate: other_block_rate,
-                    row_rate: other_row_rate,
-                    population_blocks: other_blocks,
-                    population_rows: other_rows,
-                },
-            ) => {
-                if block_rate.to_bits() != other_block_rate.to_bits()
-                    || row_rate.to_bits() != other_row_rate.to_bits()
-                {
-                    return Err(MergeError::Incompatible {
-                        kind: "sample",
-                        expected: format!("bilevel rates ({block_rate}, {row_rate})"),
-                        found: format!("bilevel rates ({other_block_rate}, {other_row_rate})"),
-                    });
-                }
-                SampleDesign::BiLevel {
-                    block_rate: *block_rate,
-                    row_rate: *row_rate,
-                    population_blocks: population_blocks + other_blocks,
-                    population_rows: population_rows + other_rows,
-                }
-            }
-            // A left-to-right fold over N > 2 SRS shards: the first merge
-            // produced a `__shard`-stratified sample, and every further SRS
-            // shard joins it as one more stratum. Duplicate stratum keys are
-            // harmless — estimation iterates strata by position.
-            (
-                SampleDesign::Stratified { column, strata },
-                SampleDesign::FixedSizeRows {
-                    population_rows: other_population,
-                },
-            ) if column == "__shard" => {
-                let mut merged = strata.clone();
-                merged.push(StratumMeta {
-                    key: aqp_storage::Value::Int64(merged.len() as i64),
-                    population_size: *other_population,
-                    row_start: a_rows,
-                    row_end: a_rows + b_rows,
-                });
-                SampleDesign::Stratified {
-                    column: column.clone(),
-                    strata: merged,
-                }
-            }
-            (
-                SampleDesign::FixedSizeRows { population_rows },
-                SampleDesign::Stratified {
-                    column,
-                    strata: other_strata,
-                },
-            ) if column == "__shard" => {
-                let mut merged = srs_as_stratum(*population_rows, a_rows, -1);
-                merged.extend(other_strata.iter().map(|s| StratumMeta {
-                    key: s.key.clone(),
-                    population_size: s.population_size,
-                    row_start: s.row_start + a_rows,
-                    row_end: s.row_end + a_rows,
-                }));
-                SampleDesign::Stratified {
-                    column: column.clone(),
-                    strata: merged,
-                }
-            }
-            (a, b) if std::mem::discriminant(a) != std::mem::discriminant(b) => {
-                return Err(MergeError::Unsupported {
-                    kind: "sample",
-                    reason: format!("cannot combine {} with {}", a.name(), b.name()),
-                });
-            }
-            (a, _) => {
-                return Err(MergeError::Unsupported {
-                    kind: "sample",
-                    reason: format!(
-                        "{} samples have no partition-merge (design is a global property)",
-                        a.name()
-                    ),
-                });
-            }
+        let (
+            SampleDesign::Stratified { column, strata },
+            SampleDesign::Stratified {
+                column: other_column,
+                strata: other_strata,
+            },
+        ) = (&self.design, &other.design)
+        else {
+            return Err(MergeError::Unsupported {
+                kind: "sample",
+                reason: format!(
+                    "only stratified samples merge, not {} with {}",
+                    self.design.name(),
+                    other.design.name()
+                ),
+            });
+        };
+        if column != other_column {
+            return Err(MergeError::Incompatible {
+                kind: "sample",
+                expected: format!("stratified on {column}"),
+                found: format!("stratified on {other_column}"),
+            });
+        }
+        let mut merged = strata.clone();
+        merged.extend(other_strata.iter().map(|s| StratumMeta {
+            key: s.key.clone(),
+            population_size: s.population_size,
+            row_start: s.row_start + a_rows,
+            row_end: s.row_end + a_rows,
+        }));
+        let merged_design = SampleDesign::Stratified {
+            column: column.clone(),
+            strata: merged,
         };
         let weights = concat_weights(&self.weights, a_rows, &other.weights, b_rows);
         // Table merge last: design reconciliation above cannot fail anymore,
@@ -291,8 +93,8 @@ impl Sample {
     }
 }
 
-/// Samples merge by partition pooling (see [`Sample::merge`] for the
-/// statistical contract).
+/// Stratified samples merge by concatenating their strata (see
+/// [`Sample::merge`] for the statistical contract).
 impl Partial for Sample {
     fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
         Sample::merge(self, other)
@@ -311,62 +113,6 @@ mod tests {
             b.push_row(&[Value::Float64(v)]).unwrap();
         }
         b.finish()
-    }
-
-    fn srs(values: &[f64], population: u64) -> Sample {
-        let w = population as f64 / values.len() as f64;
-        Sample {
-            table: small_table(values, 8),
-            design: SampleDesign::FixedSizeRows {
-                population_rows: population,
-            },
-            weights: RowWeights::Uniform(w),
-        }
-    }
-
-    #[test]
-    fn srs_merge_becomes_stratified_with_exact_totals() {
-        // Shard A: 4 of 8 rows; shard B: 3 of 6 rows.
-        let mut a = srs(&[1.0, 2.0, 3.0, 4.0], 8);
-        let b = srs(&[10.0, 20.0, 30.0], 6);
-        let est_a = a.estimate_sum("v").unwrap();
-        let est_b = b.estimate_sum("v").unwrap();
-        a.merge(&b).unwrap();
-        assert!(matches!(a.design, SampleDesign::Stratified { .. }));
-        let merged = a.estimate_sum("v").unwrap();
-        // Strata are independent: totals and variances add exactly.
-        assert!((merged.value - (est_a.value + est_b.value)).abs() < 1e-9);
-        assert!((merged.variance - (est_a.variance + est_b.variance)).abs() < 1e-6);
-        // Weight reconciliation: each row keeps its own shard's HT weight.
-        assert_eq!(a.weights.weight(0), 2.0);
-        assert_eq!(a.weights.weight(4), 2.0);
-        assert_eq!(a.num_rows(), 7);
-    }
-
-    #[test]
-    fn srs_fold_over_four_shards_accumulates_strata() {
-        let shards = [
-            srs(&[1.0, 2.0], 4),
-            srs(&[3.0, 4.0], 4),
-            srs(&[5.0, 6.0], 4),
-            srs(&[7.0, 8.0], 4),
-        ];
-        let per_shard: f64 = shards
-            .iter()
-            .map(|s| s.estimate_sum("v").unwrap().value)
-            .sum();
-        let mut acc = shards[0].clone();
-        for s in &shards[1..] {
-            acc.merge(s).unwrap();
-        }
-        match &acc.design {
-            SampleDesign::Stratified { column, strata } => {
-                assert_eq!(column, "__shard");
-                assert_eq!(strata.len(), 4);
-            }
-            other => panic!("unexpected design {other:?}"),
-        }
-        assert!((acc.estimate_sum("v").unwrap().value - per_shard).abs() < 1e-9);
     }
 
     #[test]
@@ -417,8 +163,78 @@ mod tests {
         ));
     }
 
+    /// A stratified synopsis absorbs one delta sample per maintenance
+    /// pass: a left-to-right fold keeps every part's strata, in order.
     #[test]
-    fn bernoulli_merge_requires_equal_rates() {
+    fn stratified_fold_over_four_parts_accumulates_strata() {
+        let part = |vals: &[f64], pop: u64| Sample {
+            table: small_table(vals, 8),
+            design: SampleDesign::Stratified {
+                column: "g".into(),
+                strata: vec![StratumMeta {
+                    key: Value::str("a"),
+                    population_size: pop,
+                    row_start: 0,
+                    row_end: vals.len(),
+                }],
+            },
+            weights: RowWeights::Uniform(pop as f64 / vals.len() as f64),
+        };
+        let parts = [
+            part(&[1.0, 2.0], 4),
+            part(&[3.0, 4.0, 5.0], 6),
+            part(&[6.0], 4),
+            part(&[7.0, 8.0], 2),
+        ];
+        let per_part: f64 = (parts.iter())
+            .map(|s| s.estimate_sum("v").unwrap().value)
+            .sum();
+        let mut acc = parts[0].clone();
+        for p in &parts[1..] {
+            acc.merge(p).unwrap();
+        }
+        let SampleDesign::Stratified { strata, .. } = &acc.design else {
+            panic!("unexpected design {:?}", acc.design);
+        };
+        let ranges: Vec<(usize, usize, u64)> = (strata.iter())
+            .map(|s| (s.row_start, s.row_end, s.population_size))
+            .collect();
+        assert_eq!(ranges, [(0, 2, 4), (2, 5, 6), (5, 6, 4), (6, 8, 2)]);
+        // Unequal per-part weights are kept row by row.
+        let weights: Vec<f64> = (0..8).map(|i| acc.weights.weight(i)).collect();
+        assert_eq!(weights, [2.0, 2.0, 2.0, 2.0, 2.0, 4.0, 1.0, 1.0]);
+        assert!((acc.estimate_sum("v").unwrap().value - per_part).abs() < 1e-9);
+    }
+
+    /// Two parts that share one weight keep it as one uniform weight,
+    /// which a rewrite's AVG needs; parts that differ go per row.
+    #[test]
+    fn a_merge_keeps_a_shared_uniform_weight() {
+        let part = |w: f64| Sample {
+            table: small_table(&[1.0, 2.0], 8),
+            design: SampleDesign::Stratified {
+                column: "g".into(),
+                strata: vec![StratumMeta {
+                    key: Value::str("a"),
+                    population_size: (2.0 * w) as u64,
+                    row_start: 0,
+                    row_end: 2,
+                }],
+            },
+            weights: RowWeights::Uniform(w),
+        };
+        let mut same = part(2.0);
+        same.merge(&part(2.0)).unwrap();
+        assert_eq!(same.weights, RowWeights::Uniform(2.0));
+        let mut mixed = part(2.0);
+        mixed.merge(&part(3.0)).unwrap();
+        assert_eq!(mixed.weights, RowWeights::PerRow(vec![2.0, 2.0, 3.0, 3.0]));
+    }
+
+    /// Bernoulli samples do not merge, at equal rates or not: only
+    /// stratified samples merge.
+    #[test]
+    fn bernoulli_samples_refuse_to_merge_at_any_rate() {
         let mk = |rate: f64, vals: &[f64], pop: u64| Sample {
             table: small_table(vals, 4),
             design: SampleDesign::BernoulliRows {
@@ -428,27 +244,47 @@ mod tests {
             weights: RowWeights::Uniform(1.0 / rate),
         };
         let mut a = mk(0.5, &[1.0, 2.0], 4);
-        let b = mk(0.5, &[3.0], 2);
-        a.merge(&b).unwrap();
-        match a.design {
-            SampleDesign::BernoulliRows {
-                rate,
-                population_rows,
-            } => {
-                assert_eq!(rate, 0.5);
-                assert_eq!(population_rows, 6);
-            }
-            ref other => panic!("unexpected design {other:?}"),
+        for other in [mk(0.5, &[3.0], 2), mk(0.25, &[9.0], 4)] {
+            assert!(matches!(
+                a.merge(&other).unwrap_err(),
+                MergeError::Unsupported { kind: "sample", .. }
+            ));
+            assert_eq!(a.num_rows(), 2, "a refused merge must not mutate");
         }
-        assert!((a.estimate_sum("v").unwrap().value - 12.0).abs() < 1e-12);
+    }
 
-        let snapshot_rows = a.num_rows();
-        let err = a.merge(&mk(0.25, &[9.0], 4)).unwrap_err();
-        assert!(matches!(
-            err,
-            MergeError::Incompatible { kind: "sample", .. }
-        ));
-        assert_eq!(a.num_rows(), snapshot_rows, "failed merge must not mutate");
+    /// A fixed-size SRS and a stratified sample do not merge in either
+    /// order, whatever the stratified sample's column is named.
+    #[test]
+    fn srs_and_stratified_samples_refuse_to_merge() {
+        let srs = with_design(
+            SampleDesign::FixedSizeRows { population_rows: 6 },
+            RowWeights::Uniform(2.0),
+        );
+        for column in ["g", "__shard"] {
+            let stratified = with_design(
+                SampleDesign::Stratified {
+                    column: column.into(),
+                    strata: vec![StratumMeta {
+                        key: Value::Int64(0),
+                        population_size: 6,
+                        row_start: 0,
+                        row_end: 3,
+                    }],
+                },
+                RowWeights::Uniform(2.0),
+            );
+            for (mut receiver, offered) in [
+                (srs.clone(), stratified.clone()),
+                (stratified.clone(), srs.clone()),
+            ] {
+                assert!(matches!(
+                    receiver.merge(&offered).unwrap_err(),
+                    MergeError::Unsupported { kind: "sample", .. }
+                ));
+                assert_eq!(receiver.num_rows(), 3);
+            }
+        }
     }
 
     /// A three-row sample of `small_table` under `design`.
@@ -460,184 +296,123 @@ mod tests {
         }
     }
 
+    /// Only a stratified sample merges with a copy of itself; every other
+    /// design refuses with a typed error and stays as it was.
     #[test]
-    fn every_design_merges_with_itself_or_refuses_typed() {
+    fn only_stratified_merges_with_itself_and_the_rest_refuse_typed() {
         let stratum = StratumMeta {
             key: Value::str("a"),
             population_size: 12,
             row_start: 0,
             row_end: 3,
         };
-        // (design, the design two copies of it merge to; None = refused)
-        let cases = vec![
-            (
-                SampleDesign::BernoulliRows {
-                    rate: 0.25,
-                    population_rows: 12,
-                },
-                Some(SampleDesign::BernoulliRows {
-                    rate: 0.25,
-                    population_rows: 24,
-                }),
-            ),
-            (
-                SampleDesign::BernoulliBlocks {
-                    rate: 0.5,
-                    population_blocks: 4,
-                    population_rows: 12,
-                },
-                Some(SampleDesign::BernoulliBlocks {
-                    rate: 0.5,
-                    population_blocks: 8,
-                    population_rows: 24,
-                }),
-            ),
-            (
-                SampleDesign::FixedSizeRows {
-                    population_rows: 12,
-                },
-                Some(SampleDesign::Stratified {
-                    column: "__shard".into(),
-                    strata: vec![
-                        StratumMeta {
-                            key: Value::Int64(0),
-                            ..stratum.clone()
-                        },
-                        StratumMeta {
-                            key: Value::Int64(1),
-                            row_start: 3,
-                            row_end: 6,
-                            ..stratum.clone()
-                        },
-                    ],
-                }),
-            ),
-            (
-                SampleDesign::FixedSizeBlocks {
-                    population_blocks: 4,
-                    population_rows: 12,
-                },
-                None,
-            ),
-            (
-                SampleDesign::Stratified {
-                    column: "g".into(),
-                    strata: vec![stratum.clone()],
-                },
-                Some(SampleDesign::Stratified {
-                    column: "g".into(),
-                    strata: vec![
-                        stratum.clone(),
-                        StratumMeta {
-                            row_start: 3,
-                            row_end: 6,
-                            ..stratum
-                        },
-                    ],
-                }),
-            ),
-            (
-                SampleDesign::Universe {
-                    column: "v".into(),
-                    rate: 0.3,
-                    population_rows: 12,
-                },
-                Some(SampleDesign::Universe {
-                    column: "v".into(),
-                    rate: 0.3,
-                    population_rows: 24,
-                }),
-            ),
-            (
-                SampleDesign::BiLevel {
-                    block_rate: 0.5,
-                    row_rate: 0.5,
-                    population_blocks: 4,
-                    population_rows: 12,
-                },
-                Some(SampleDesign::BiLevel {
-                    block_rate: 0.5,
-                    row_rate: 0.5,
-                    population_blocks: 8,
-                    population_rows: 24,
-                }),
-            ),
-            (
-                SampleDesign::Distinct {
-                    columns: vec!["v".into()],
-                    cap: 2,
-                    rate: 0.25,
-                    population_rows: 12,
-                },
-                None,
-            ),
+        let refused = [
+            SampleDesign::BernoulliRows {
+                rate: 0.25,
+                population_rows: 12,
+            },
+            SampleDesign::BernoulliBlocks {
+                rate: 0.5,
+                population_blocks: 4,
+                population_rows: 12,
+            },
+            SampleDesign::FixedSizeRows {
+                population_rows: 12,
+            },
+            SampleDesign::FixedSizeBlocks {
+                population_blocks: 4,
+                population_rows: 12,
+            },
+            SampleDesign::Universe {
+                column: "v".into(),
+                rate: 0.3,
+                population_rows: 12,
+            },
+            SampleDesign::BiLevel {
+                block_rate: 0.5,
+                row_rate: 0.5,
+                population_blocks: 4,
+                population_rows: 12,
+            },
+            SampleDesign::Distinct {
+                columns: vec!["v".into()],
+                cap: 2,
+                rate: 0.25,
+                population_rows: 12,
+            },
         ];
-        for (design, expected) in cases {
-            for weights in [
-                RowWeights::Uniform(4.0),
-                RowWeights::PerRow(vec![1.0, 2.0, 4.0]),
-            ] {
-                let part = with_design(design.clone(), weights);
+        let stratified = SampleDesign::Stratified {
+            column: "g".into(),
+            strata: vec![stratum.clone()],
+        };
+        for weights in [
+            RowWeights::Uniform(4.0),
+            RowWeights::PerRow(vec![1.0, 2.0, 4.0]),
+        ] {
+            for design in &refused {
+                let part = with_design(design.clone(), weights.clone());
                 let mut merged = part.clone();
-                match (merged.merge(&part), &expected) {
-                    (Ok(()), Some(want)) => {
-                        assert_eq!(&merged.design, want);
-                        assert_eq!(merged.num_rows(), 6);
-                        for i in 0..3 {
-                            assert_eq!(merged.weights.weight(i), part.weights.weight(i));
-                            assert_eq!(merged.weights.weight(3 + i), part.weights.weight(i));
-                        }
-                        // The weighted total of the pooled rows is the sum
-                        // of the parts' totals.
-                        let whole = merged.estimate_sum("v").unwrap().value;
-                        let each = part.estimate_sum("v").unwrap().value;
-                        assert!((whole - 2.0 * each).abs() < 1e-9, "{}", design.name());
-                    }
-                    (Err(MergeError::Unsupported { kind: "sample", .. }), None) => {
-                        assert_eq!(merged.design, part.design);
-                        assert_eq!(merged.num_rows(), 3);
-                    }
-                    (got, _) => panic!("{}: unexpected merge outcome {got:?}", design.name()),
-                }
+                let err = merged.merge(&part).unwrap_err();
+                assert!(
+                    matches!(err, MergeError::Unsupported { kind: "sample", .. }),
+                    "{}: {err:?}",
+                    design.name()
+                );
+                assert_eq!(merged.design, part.design);
+                assert_eq!(merged.num_rows(), 3);
             }
+            let part = with_design(stratified.clone(), weights);
+            let mut merged = part.clone();
+            merged.merge(&part).unwrap();
+            let second = StratumMeta {
+                row_start: 3,
+                row_end: 6,
+                ..stratum.clone()
+            };
+            let want = SampleDesign::Stratified {
+                column: "g".into(),
+                strata: vec![stratum.clone(), second],
+            };
+            assert_eq!(merged.design, want);
+            assert_eq!(merged.num_rows(), 6);
+            for i in 0..3 {
+                assert_eq!(merged.weights.weight(i), part.weights.weight(i));
+                assert_eq!(merged.weights.weight(3 + i), part.weights.weight(i));
+            }
+            // The weighted total of the merged rows is the sum of the
+            // parts' totals.
+            let whole = merged.estimate_sum("v").unwrap().value;
+            let each = part.estimate_sum("v").unwrap().value;
+            assert!((whole - 2.0 * each).abs() < 1e-9);
         }
     }
 
     #[test]
     fn failed_merge_leaves_the_sample_unchanged() {
-        let bern = |rate: f64| {
+        let stratified = |column: &str| {
             with_design(
-                SampleDesign::BernoulliRows {
-                    rate,
-                    population_rows: 12,
+                SampleDesign::Stratified {
+                    column: column.into(),
+                    strata: vec![StratumMeta {
+                        key: Value::str("a"),
+                        population_size: 12,
+                        row_start: 0,
+                        row_end: 3,
+                    }],
                 },
                 RowWeights::PerRow(vec![1.0, 2.0, 4.0]),
             )
         };
-        let universe = |column: &str| {
-            with_design(
-                SampleDesign::Universe {
-                    column: column.into(),
-                    rate: 0.5,
-                    population_rows: 12,
-                },
-                RowWeights::Uniform(2.0),
-            )
-        };
-        let bilevel = |row_rate: f64| {
-            with_design(
-                SampleDesign::BiLevel {
-                    block_rate: 0.5,
-                    row_rate,
-                    population_blocks: 4,
-                    population_rows: 12,
-                },
-                RowWeights::Uniform(4.0),
-            )
-        };
+        let bern = with_design(
+            SampleDesign::BernoulliRows {
+                rate: 0.25,
+                population_rows: 12,
+            },
+            RowWeights::Uniform(4.0),
+        );
         // Same design, but the other sample's rows have another schema:
         // the table merge is the step that refuses.
-        let mut other_schema = bern(0.25);
+        let mut other_schema = stratified("g");
         other_schema.table = {
             let schema = Schema::new(vec![Field::new("w", DataType::Int64)]);
             let mut b = TableBuilder::new("o", schema);
@@ -645,11 +420,10 @@ mod tests {
             b.finish()
         };
         let pairs = [
-            (bern(0.25), bern(0.5)),
-            (universe("v"), universe("w")),
-            (bilevel(0.5), bilevel(0.25)),
-            (bern(0.25), universe("v")),
-            (bern(0.25), other_schema),
+            (stratified("g"), stratified("h")),
+            (stratified("g"), bern.clone()),
+            (bern, stratified("g")),
+            (stratified("g"), other_schema),
         ];
         for (receiver, offered) in pairs {
             let mut s = receiver.clone();
@@ -659,32 +433,6 @@ mod tests {
             assert_eq!(s.num_rows(), receiver.num_rows());
             assert!((0..3).all(|i| s.table.row(i) == receiver.table.row(i)));
         }
-    }
-
-    #[test]
-    fn srs_joins_a_shard_stratified_sample_from_the_left() {
-        // A lone SRS shard merged with an already-merged pair takes the
-        // first stratum and shifts the pair's row ranges behind it.
-        let lone = srs(&[5.0, 6.0], 4);
-        let mut pair = srs(&[1.0, 2.0], 4);
-        pair.merge(&srs(&[3.0, 4.0, 7.0], 9)).unwrap();
-        let parts = lone.estimate_sum("v").unwrap().value + pair.estimate_sum("v").unwrap().value;
-        let mut acc = lone;
-        acc.merge(&pair).unwrap();
-        match &acc.design {
-            SampleDesign::Stratified { column, strata } => {
-                assert_eq!(column, "__shard");
-                let ranges: Vec<(usize, usize, u64)> = strata
-                    .iter()
-                    .map(|s| (s.row_start, s.row_end, s.population_size))
-                    .collect();
-                assert_eq!(ranges, vec![(0, 2, 4), (2, 4, 4), (4, 7, 9)]);
-                assert_eq!(strata[0].key, Value::Int64(-1));
-            }
-            other => panic!("unexpected design {other:?}"),
-        }
-        assert_eq!(acc.num_rows(), 7);
-        assert!((acc.estimate_sum("v").unwrap().value - parts).abs() < 1e-9);
     }
 
     #[test]
@@ -724,81 +472,45 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::*;
     use aqp_storage::{DataType, Field, Schema, TableBuilder, Value};
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Equal-rate Bernoulli samples of two disjoint tables pool into
-        /// one Bernoulli sample of the union: rows and population add,
-        /// the rate stays, and the HT total and its variance add.
+        /// Stratified samples of two disjoint tables merge into one
+        /// sample of the union: rows add, and so do the HT total and its
+        /// variance, since the strata are independent.
         #[test]
-        fn bernoulli_merge_pools_rows_and_keeps_the_rate(
-            left in prop::collection::vec(-1e6f64..1e6, 1..200),
-            right in prop::collection::vec(-1e6f64..1e6, 1..200),
+        fn stratified_merge_is_exact(
+            left in prop::collection::vec((0i64..4, -1e4f64..1e4), 2..80),
+            right in prop::collection::vec((0i64..4, -1e4f64..1e4), 2..80),
             seed in any::<u64>(),
         ) {
-            let table = |vals: &[f64]| {
-                let schema = Schema::new(vec![Field::new("v", DataType::Float64)]);
-                let mut b = TableBuilder::with_block_capacity("p", schema, 16);
-                for &v in vals {
-                    b.push_row(&[Value::Float64(v)]).unwrap();
+            let sample = |rows: &[(i64, f64)], seed: u64| {
+                let schema = Schema::new(vec![
+                    Field::new("g", DataType::Int64),
+                    Field::new("v", DataType::Float64),
+                ]);
+                let mut b = TableBuilder::with_block_capacity("p", schema, 8);
+                for &(g, v) in rows {
+                    b.push_row(&[Value::Int64(g), Value::Float64(v)]).unwrap();
                 }
-                b.finish()
+                let budget = crate::Allocation::Congressional { budget: rows.len() / 2 };
+                crate::stratified_sample(&b.finish(), "g", &budget, seed).unwrap()
             };
-            let a = crate::bernoulli_rows(&table(&left), 0.4, seed);
-            let b = crate::bernoulli_rows(&table(&right), 0.4, seed ^ 1);
+            let (a, b) = (sample(&left, seed), sample(&right, seed ^ 1));
             let (ea, eb) = (a.estimate_sum("v").unwrap(), b.estimate_sum("v").unwrap());
             let mut merged = a.clone();
             merged.merge(&b).unwrap();
             prop_assert_eq!(merged.num_rows(), a.num_rows() + b.num_rows());
-            prop_assert_eq!(
-                &merged.design,
-                &SampleDesign::BernoulliRows {
-                    rate: 0.4,
-                    population_rows: (left.len() + right.len()) as u64,
-                }
-            );
             let em = merged.estimate_sum("v").unwrap();
             let tol = |x: f64| 1e-9 * (1.0 + x.abs());
             prop_assert!((em.value - (ea.value + eb.value)).abs() < tol(em.value));
-            prop_assert!((em.variance - (ea.variance + eb.variance)).abs() < tol(em.variance));
-        }
-
-        /// Merging two disjoint-partition SRS shards yields the same point
-        /// estimate as HT weighting demands, with additive variance.
-        #[test]
-        fn srs_shard_merge_is_exact(
-            left in prop::collection::vec(-1e4f64..1e4, 2..50),
-            right in prop::collection::vec(-1e4f64..1e4, 2..50),
-        ) {
-            let mk = |vals: &[f64]| {
-                let schema = Schema::new(vec![Field::new("v", DataType::Float64)]);
-                let mut b = TableBuilder::with_block_capacity("p", schema, 8);
-                for &v in vals {
-                    b.push_row(&[Value::Float64(v)]).unwrap();
-                }
-                Sample {
-                    table: b.finish(),
-                    design: SampleDesign::FixedSizeRows {
-                        population_rows: 2 * vals.len() as u64,
-                    },
-                    weights: RowWeights::Uniform(2.0),
-                }
-            };
-            let a = mk(&left);
-            let b = mk(&right);
-            let (ea, eb) = (a.estimate_sum("v").unwrap(), b.estimate_sum("v").unwrap());
-            let mut merged = a;
-            merged.merge(&b).unwrap();
-            let em = merged.estimate_sum("v").unwrap();
-            prop_assert!((em.value - (ea.value + eb.value)).abs() < 1e-6 * (1.0 + em.value.abs()));
-            prop_assert!(
-                (em.variance - (ea.variance + eb.variance)).abs()
-                    < 1e-6 * (1.0 + em.variance.abs())
-            );
+            // A stratum of one sampled row has an unbounded variance, and
+            // so has any merge that carries it.
+            let var = ea.variance + eb.variance;
+            prop_assert!(em.variance == var || (em.variance - var).abs() < tol(var));
         }
     }
 }

@@ -36,4 +36,4 @@ pub mod special;
 pub use dist::{ChiSquared, Normal, StudentT};
 pub use estimate::Estimate;
 pub use interval::ConfidenceInterval;
-pub use moments::{Moments, WeightedMoments};
+pub use moments::Moments;

@@ -1,6 +1,7 @@
 //! Scalar values and their data types.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The data types the engine supports.
@@ -119,6 +120,23 @@ impl Value {
     }
 }
 
+/// Hashes a float by its bits, so a plan holding a float literal can be
+/// fingerprinted. `Value` implements no `Eq` (NaN is not equal to
+/// itself), so it can never key a `HashMap`; the hash only has to tell
+/// structurally different values apart, and `0.0` and `-0.0` hash apart.
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Value::Null => {}
+            Value::Int64(v) => v.hash(state),
+            Value::Float64(v) => v.to_bits().hash(state),
+            Value::Str(s) => s.hash(state),
+            Value::Bool(b) => b.hash(state),
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -165,6 +183,35 @@ impl From<String> for Value {
 mod tests {
     use super::*;
     use std::cmp::Ordering;
+
+    /// A value's hash separates what a plan fingerprint must tell apart:
+    /// variants, and floats by their bits. Equal strings hash alike
+    /// whichever allocation holds them.
+    #[test]
+    fn value_hash_separates_variants_and_float_bits() {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let h = |v: &Value| {
+            let mut s = DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        };
+        assert_eq!(h(&Value::str("ab")), h(&Value::from(String::from("ab"))));
+        assert_eq!(h(&Value::Float64(f64::NAN)), h(&Value::Float64(f64::NAN)));
+        let distinct = [
+            Value::Null,
+            Value::Int64(0),
+            Value::Int64(1),
+            Value::Float64(0.0),
+            Value::Float64(-0.0),
+            Value::Float64(1.0),
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::str(""),
+            Value::str("1"),
+        ];
+        let hashes: std::collections::HashSet<u64> = distinct.iter().map(h).collect();
+        assert_eq!(hashes.len(), distinct.len());
+    }
 
     #[test]
     fn data_types() {

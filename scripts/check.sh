@@ -156,6 +156,21 @@ if grep -rnE 'fn to_bytes|fn from_bytes|CodecError|CODEC_VERSION|pub mod wire|pu
   exit 1
 fi
 
+# One in-flight count and a derived plan identity. A query's thread share
+# is handed out by the scheduler's grant, under the lock whose
+# transitions service::race explores, so no second in-flight counter
+# (PoolShare, PoolSlot) comes back beside it. The plan cache keys on the
+# plan types' derived Hash, not on a hand-written walker that restates
+# every plan, expression and value variant (struct Fnv). And a metric
+# series is one set of atomics: every built-in metric is written on the
+# thread that opened its scope, so per-thread shards (SHARDS, PadCell)
+# paid for traffic the registry never sees.
+if grep -rnE '\b(PoolShare|PoolSlot)\b|struct Fnv\b' crates ||
+  grep -nE '\b(SHARDS|PadCell)\b' crates/obs/src/metrics.rs; then
+  echo "a second in-flight counter, the hand-written plan hash or sharded metrics are back" >&2
+  exit 1
+fi
+
 # No Criterion layer: its four benches had no runner (no gate, test or
 # workload ran them), so neither they, their manifest entries nor the shim
 # that compiled them come back.

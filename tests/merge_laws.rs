@@ -14,9 +14,10 @@
 //! Union partials are built on the morsel pool at threads {1, 2, 4, 8} —
 //! the schedule must never leak into the merged answer.
 //!
-//! Two statistical checks ride along for `Sample`: samples drawn from
-//! disjoint tables and merged answer like one sample of their union (the
-//! `Table` merge), with a CI that covers the truth and keeps its width.
+//! Statistical checks ride along for `Sample`: stratified samples drawn
+//! from disjoint tables and merged answer like one sample of their union
+//! (the `Table` merge), with a CI that covers the truth and keeps its
+//! width; samples of every other design refuse to merge.
 //! And two-step aggregation is checked end to end: `AggState` partials
 //! folded per disjoint part and merged in part order give the engine's
 //! answer over the union, bit for bit where the arithmetic is exact.
@@ -25,13 +26,17 @@ use aqp_engine::agg::{AggFunc, AggState};
 use aqp_engine::pool::parallel_map;
 use aqp_engine::{execute, AggExpr, Query};
 use aqp_expr::col;
+use aqp_mergeable::MergeError;
 use aqp_mergeable::Partial;
-use aqp_sampling::{bernoulli_rows, reservoir_rows, Sample};
+use aqp_sampling::{
+    bernoulli_blocks, bernoulli_rows, bilevel_sample, reservoir_rows, stratified_sample,
+    universe_sample, Allocation, Sample,
+};
 use aqp_sketch::{
     AmsSketch, BloomFilter, CountMinSketch, CountSketch, EquiDepthHistogram, EquiWidthHistogram,
     GkQuantiles, HyperLogLog, KmvSketch, WaveletSynopsis,
 };
-use aqp_stats::{Moments, WeightedMoments};
+use aqp_stats::Moments;
 use aqp_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
 use aqp_workload::{skewed_table, uniform_table};
 use proptest::prelude::*;
@@ -372,30 +377,6 @@ proptest! {
     }
 
     #[test]
-    fn weighted_moments_laws(chunks in float_chunks()) {
-        let build = |xs: &[f64]| {
-            let mut m = WeightedMoments::new();
-            for (i, &x) in xs.iter().enumerate() {
-                m.push(x, 1.0 + (i % 7) as f64);
-            }
-            m
-        };
-        // Weighted pushes depend on per-chunk indices, so the "union" is
-        // the same multiset of (x, w) pairs: rebuild serial from pairs.
-        let mut serial = WeightedMoments::new();
-        for c in &chunks {
-            for (i, &x) in c.iter().enumerate() {
-                serial.push(x, 1.0 + (i % 7) as f64);
-            }
-        }
-        let parts: Vec<_> = chunks.iter().map(|c| build(c)).collect();
-        let observe = |m: &WeightedMoments| {
-            vec![m.count() as f64, m.weight_sum(), m.mean(), m.variance(), m.weighted_sum()]
-        };
-        assert_laws(&parts, Some(&WeightedMoments::new()), &serial, observe, 1e-9, "weighted-moments");
-    }
-
-    #[test]
     fn table_laws(chunks in prop::collection::vec(
         prop::collection::vec(-1e6f64..1e6, 1..40),
         3..6,
@@ -431,11 +412,19 @@ proptest! {
         prop::collection::vec(-1e4f64..1e4, 8..40),
         3..6,
     )) {
-        let schema = Schema::new(vec![Field::new("v", DataType::Float64)]);
+        let schema = Schema::new(vec![
+            Field::new("g", DataType::Int64),
+            Field::new("v", DataType::Float64),
+        ]);
+        // Two strata of at least four rows, three quarters sampled: every
+        // stratum keeps two rows, so every variance is finite.
         let build = |xs: &[f64]| -> Sample {
             let mut b = TableBuilder::with_block_capacity("t", schema.clone(), 8);
-            for &x in xs { b.push_row(&[Value::Float64(x)]).unwrap(); }
-            reservoir_rows(&b.finish(), xs.len() / 2, 11)
+            for (i, &x) in xs.iter().enumerate() {
+                b.push_row(&[Value::Int64(i as i64 % 2), Value::Float64(x)]).unwrap();
+            }
+            let budget = Allocation::Congressional { budget: xs.len() * 3 / 4 };
+            stratified_sample(&b.finish(), "g", &budget, 11).unwrap()
         };
         let parts: Vec<_> = chunks.iter().map(|c| build(c)).collect();
         // Disjoint shards: totals and variances add, in any grouping.
@@ -555,18 +544,24 @@ fn merged_sample(parts: &[Table], draw: impl Fn(&Table, u64) -> Sample) -> Sampl
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Equal-rate Bernoulli samples of disjoint parts pool into one
-    /// Bernoulli sample of the union: its 99 % CI covers the truth, and
-    /// its width stays within 2× of one sample drawn from the union.
+    /// Stratified samples of disjoint parts merge into one sample of the
+    /// union: its 99 % CI covers the truth, and its width stays within 2×
+    /// of one stratified sample of the union at the same total budget.
     #[test]
-    fn merged_bernoulli_samples_cover_the_union(seed in any::<u64>()) {
-        let pieces = disjoint_pieces(30_000, seed);
+    fn merged_stratified_samples_cover_the_union(seed in any::<u64>()) {
+        let pieces: Vec<Table> = (0..8u64)
+            .map(|j| skewed_table("t", 3_000, 8, 0.8, 512, seed.wrapping_add(j.wrapping_mul(SEED_STRIDE))))
+            .collect();
         let union = parts_of(&pieces, 1).remove(0);
         let truth = union.column_f64("v").unwrap().iter().sum::<f64>();
-        let base = bernoulli_rows(&union, 0.1, seed ^ 0xA5A5).estimate_sum("v").unwrap();
+        let budget = 2_400usize;
+        let draw = |t: &Table, budget: usize, seed: u64| {
+            stratified_sample(t, "g", &Allocation::Congressional { budget }, seed).unwrap()
+        };
+        let base = draw(&union, budget, seed ^ 0x5A5A).estimate_sum("v").unwrap();
         for n in PART_COUNTS {
             let merged = merged_sample(&parts_of(&pieces, n), |t, offset| {
-                bernoulli_rows(t, 0.1, (seed ^ 0xA5A5).wrapping_add(offset))
+                draw(t, budget / n, (seed ^ 0x5A5A).wrapping_add(offset))
             });
             let est = merged.estimate_sum("v").unwrap();
             let ci = est.ci(0.99);
@@ -581,28 +576,32 @@ proptest! {
             );
         }
     }
+}
 
-    /// Fixed-size SRS of disjoint parts, merged as a stratified sample,
-    /// keeps the total budget and a CI width within 2× of one SRS of the
-    /// union.
-    #[test]
-    fn merged_srs_samples_keep_their_ci_width(seed in any::<u64>()) {
-        let pieces = disjoint_pieces(24_000, seed);
-        let union = parts_of(&pieces, 1).remove(0);
-        let budget = 2_400usize;
-        let base = reservoir_rows(&union, budget, seed ^ 0x5A5A).estimate_sum("v").unwrap();
-        for n in PART_COUNTS {
-            let merged = merged_sample(&parts_of(&pieces, n), |t, offset| {
-                reservoir_rows(t, budget / n, (seed ^ 0x5A5A).wrapping_add(offset))
-            });
-            prop_assert_eq!(merged.num_rows(), budget / n * n);
-            let est = merged.estimate_sum("v").unwrap();
-            let width_ratio = (est.variance / base.variance).sqrt();
-            prop_assert!(
-                (0.5..2.0).contains(&width_ratio),
-                "parts={}: CI width ratio {}", n, width_ratio
-            );
-        }
+/// Samples of every other design, drawn from two disjoint parts, refuse
+/// to merge: nothing pools them, so nothing claims they pool soundly.
+#[test]
+fn samples_of_other_designs_refuse_to_merge() {
+    let parts = parts_of(&disjoint_pieces(8_000, 3), 2);
+    type Draw = fn(&Table, u64) -> Sample;
+    let draws: [(&str, Draw); 5] = [
+        ("bernoulli rows", |t, seed| bernoulli_rows(t, 0.1, seed)),
+        ("bernoulli blocks", |t, seed| bernoulli_blocks(t, 0.5, seed)),
+        ("fixed-size rows", |t, seed| reservoir_rows(t, 100, seed)),
+        ("universe", |t, seed| {
+            universe_sample(t, "id", 0.1, seed).unwrap()
+        }),
+        ("bi-level", |t, seed| bilevel_sample(t, 0.5, 0.5, seed)),
+    ];
+    for (name, draw) in draws {
+        let mut left = draw(&parts[0], 1);
+        let rows = left.num_rows();
+        let err = left.merge(&draw(&parts[1], 1)).unwrap_err();
+        assert!(
+            matches!(err, MergeError::Unsupported { .. }),
+            "{name}: {err:?}"
+        );
+        assert_eq!(left.num_rows(), rows, "{name}");
     }
 }
 

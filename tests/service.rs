@@ -405,6 +405,36 @@ fn plan_cache_hits_then_invalidates() {
     assert_eq!(stats.cache_misses, 1);
 }
 
+/// A plan outside the normalized star shape (here a MIN) is answered
+/// exactly and routed from a fresh lint on every submit: it never gets a
+/// cache entry, and none of its results is folded into one.
+#[test]
+fn an_out_of_shape_plan_is_answered_but_never_cached() {
+    let c = Catalog::new();
+    c.register(skewed_table("t", 20_000, 10, 1.0, 128, 5))
+        .unwrap();
+    let service = AqpService::new(&c);
+    let plan = Query::scan("t")
+        .aggregate(vec![], vec![AggExpr::min(col("v"), "lo")])
+        .build();
+    let spec = ErrorSpec::new(0.05, 0.95);
+    for seed in 0..2 {
+        let ans = service.answer(&plan, &spec, seed).unwrap();
+        let admission = ans.report.admission.as_ref().expect("admission attached");
+        assert_eq!(admission.cache, CacheEvent::Uncacheable);
+        assert_eq!(admission.estimated_wall, None);
+        assert_eq!(
+            ans.report.routing.as_ref().unwrap().winner,
+            TechniqueKind::Exact
+        );
+    }
+    assert_eq!(service.route(&plan, &spec).winner, TechniqueKind::Exact);
+    // Only the two submits count: `route` records no lookup.
+    let stats = service.stats();
+    assert_eq!((stats.cache_entries, stats.cache_hits), (0, 0));
+    assert_eq!(stats.cache_misses, 2);
+}
+
 /// A synopsis built through `session().offline()` under a cached plan
 /// moves the routing epoch: the next lookup is stale, so the plan is
 /// linted afresh and the new synopsis answers. A hit routes on its memo
