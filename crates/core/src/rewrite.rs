@@ -110,7 +110,18 @@ fn execute_rewritten(
             detail: "the rewrite's AVG needs a sample whose rows share one weight".into(),
         });
     }
+    // The weighted copy takes each sampled block's zone map, building (and
+    // caching on the fact block) the ones no query has needed yet.
+    let fresh = sample
+        .table
+        .blocks()
+        .iter()
+        .filter(|b| !b.has_zone())
+        .count() as u64;
     let weighted = sample.to_weighted_table(SAMPLE_TABLE_NAME, WEIGHT_COLUMN)?;
+    if fresh > 0 {
+        aqp_obs::metrics::record(|m| m.counter(aqp_obs::names::ZONE_MAP_BUILDS_TOTAL).inc(fresh));
+    }
     let scratch = Catalog::new();
     scratch.register(weighted)?;
     for j in &query.joins {

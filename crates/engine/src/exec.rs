@@ -169,25 +169,29 @@ enum ScanVerdict {
     Evaluate,
 }
 
-/// Classifies a table's blocks against a predicate chain using the
-/// table's cached zone maps. With pruning disabled (or no predicates)
-/// every block gets the conservative verdict. Verdicts depend only on
-/// data layout, so downstream stats and results stay identical across
-/// thread counts.
+/// Classifies a table's blocks against a predicate chain using the zone
+/// maps the blocks cache, counting each map built here in
+/// [`aqp_obs::names::ZONE_MAP_BUILDS_TOTAL`]. With pruning disabled (or
+/// no predicates) every block gets the conservative verdict. Verdicts
+/// depend only on data layout, so downstream stats and results stay
+/// identical across thread counts.
 fn classify_blocks(
     t: &Table,
     predicates: &[&Expr],
     zone_pruning: bool,
 ) -> Vec<(Arc<Block>, ScanVerdict)> {
     let schema = t.schema();
-    t.iter_blocks()
-        .map(|(idx, block)| {
+    let mut built = 0;
+    let classified = t
+        .iter_blocks()
+        .map(|(_, block)| {
             let verdict = if predicates.is_empty() {
                 ScanVerdict::AllTrue
             } else if !zone_pruning {
                 ScanVerdict::Evaluate
             } else {
-                let zone = t.zone(idx);
+                built += u64::from(!block.has_zone());
+                let zone = block.zone();
                 let mut v = ScanVerdict::AllTrue;
                 for p in predicates {
                     match prune_predicate(p, schema, zone) {
@@ -203,7 +207,11 @@ fn classify_blocks(
             };
             (Arc::clone(block), verdict)
         })
-        .collect()
+        .collect();
+    if built > 0 {
+        aqp_obs::metrics::record(|m| m.counter(aqp_obs::names::ZONE_MAP_BUILDS_TOTAL).inc(built));
+    }
+    classified
 }
 
 /// Counts one source block in a morsel's scan accounting (`scanned`: the

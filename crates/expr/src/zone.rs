@@ -381,7 +381,7 @@ mod tests {
             ])
             .unwrap();
         }
-        let zone = b.zone_map();
+        let zone = b.zone().clone();
         (schema, zone)
     }
 

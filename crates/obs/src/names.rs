@@ -33,6 +33,13 @@ pub const KERNEL_DISPATCH_FALLBACK: &str = "fallback";
 /// column. Always on. Flat while a workload re-joins the same tables.
 pub const KEY_INDEX_BUILDS_TOTAL: &str = "aqp_key_index_builds_total";
 
+/// Counter: block zone maps built — by a scan that classifies a block
+/// whose map was never built, or by the rewrite's weighted sample for a
+/// sampled block without one. A map is cached on its block and shared by
+/// every table over it. Always on. Flat once a workload has touched its
+/// blocks.
+pub const ZONE_MAP_BUILDS_TOTAL: &str = "aqp_zone_map_builds_total";
+
 /// Histogram: time a morsel spends queued before a worker picks it up.
 pub const POOL_QUEUE_WAIT_US: &str = "engine_pool_queue_wait_us";
 
@@ -202,6 +209,7 @@ pub const ALL_METRIC_NAMES: &[&str] = &[
     BLOCKS_SCANNED_TOTAL,
     KERNEL_DISPATCH_TOTAL,
     KEY_INDEX_BUILDS_TOTAL,
+    ZONE_MAP_BUILDS_TOTAL,
     POOL_QUEUE_WAIT_US,
     POOL_WORKERS,
     POOL_WORKER_UTILIZATION,

@@ -424,7 +424,8 @@ impl Sample {
         let schema = Arc::new(Schema::new(fields));
         let mut global = 0usize;
         // Block by block, so the sample's block boundaries — the engine's
-        // summation tree — carry over.
+        // summation tree — carry over, and each weighted block reuses the
+        // zone map its source block caches.
         let blocks = self
             .table
             .blocks()
@@ -434,9 +435,7 @@ impl Sample {
                     .map(|i| self.weights.weight(i))
                     .collect();
                 global += block.len();
-                let mut columns = block.columns().to_vec();
-                columns.push(Column::from_f64(weights));
-                Arc::new(Block::from_columns(Arc::clone(&schema), columns))
+                Arc::new(block.with_column(Arc::clone(&schema), Column::from_f64(weights)))
             })
             .collect();
         Ok(Table::from_blocks(

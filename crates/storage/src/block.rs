@@ -4,20 +4,27 @@
 //! block sampling decides per *block* whether to touch it at all, which is
 //! where its system efficiency comes from.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::column::Column;
 use crate::dict::StrDict;
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::value::Value;
+use crate::zone::{column_zone, ZoneMap};
 
 /// A columnar batch of rows sharing one schema.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Block {
     schema: Arc<Schema>,
     columns: Vec<Column>,
     len: usize,
+    /// The zone map, built on first use and kept with the block, so every
+    /// table over this `Arc<Block>` — a block sample, a merge, a
+    /// `Catalog::replace`d version — reads the one map. Lazy so assembling
+    /// a table stays zero-copy; dropped by every `&mut` row mutator, so it
+    /// never describes rows the block no longer holds.
+    zone: OnceLock<ZoneMap>,
 }
 
 impl Block {
@@ -32,6 +39,7 @@ impl Block {
             schema,
             columns,
             len: 0,
+            zone: OnceLock::new(),
         }
     }
 
@@ -46,6 +54,7 @@ impl Block {
             schema,
             columns,
             len: 0,
+            zone: OnceLock::new(),
         }
     }
 
@@ -75,6 +84,7 @@ impl Block {
             schema,
             columns,
             len,
+            zone: OnceLock::new(),
         }
     }
 
@@ -138,6 +148,7 @@ impl Block {
             column.push_checked(value);
         }
         self.len += 1;
+        self.zone.take();
         Ok(())
     }
 
@@ -168,6 +179,7 @@ impl Block {
             dst.push_slot(s, i);
         }
         self.len += 1;
+        self.zone.take();
     }
 
     /// Points this block's STR columns at `dicts` (one slot per column,
@@ -208,9 +220,34 @@ impl Block {
         }
     }
 
-    /// Builds this block's [`crate::zone::ZoneMap`] (one pass per column).
-    pub fn zone_map(&self) -> crate::zone::ZoneMap {
-        crate::zone::ZoneMap::build(self)
+    /// This block's [`ZoneMap`], built on first use (one pass per column)
+    /// and cached on the block; concurrent first uses wait on one build.
+    pub fn zone(&self) -> &ZoneMap {
+        self.zone.get_or_init(|| ZoneMap::build(self))
+    }
+
+    /// Whether this block's zone map has been built already.
+    pub fn has_zone(&self) -> bool {
+        self.zone.get().is_some()
+    }
+
+    /// This block's rows with `column` appended as a last column, under
+    /// `schema` (this block's fields plus the new one). The new block's
+    /// zone map is this block's — built now if missing, and so cached here
+    /// for every later caller — plus the new column's zone: no existing
+    /// column is summarized again.
+    ///
+    /// # Panics
+    /// Panics on the disagreements [`Block::from_columns`] rejects.
+    pub fn with_column(&self, schema: Arc<Schema>, column: Column) -> Block {
+        let mut zone = self.zone().clone();
+        zone.columns.push(column_zone(&column));
+        let mut columns = Vec::with_capacity(self.columns.len() + 1);
+        columns.extend_from_slice(&self.columns);
+        columns.push(column);
+        let mut block = Block::from_columns(schema, columns);
+        block.zone = OnceLock::from(zone);
+        block
     }
 
     /// Gathers the rows at `indices` into a new block.
@@ -220,6 +257,7 @@ impl Block {
             schema: Arc::clone(&self.schema),
             columns,
             len: indices.len(),
+            zone: OnceLock::new(),
         }
     }
 
@@ -372,5 +410,129 @@ mod tests {
             schema(),
             vec![Column::from_i64(vec![1]), Column::from_f64(vec![1.0, 2.0])],
         );
+    }
+
+    /// A zone read before a row is added is dropped, so the next read
+    /// covers the new row: a stale map would let a scan prune live rows.
+    #[test]
+    fn a_row_mutator_drops_the_cached_zone() {
+        let mut b = sample_block(); // id 1..=3, v 10 / NULL / 30
+        assert!(!b.has_zone(), "built on first use");
+        assert_eq!(b.zone().column(0).bounds, Some((1.0, 3.0)));
+        assert!(b.has_zone());
+
+        b.push_row(&[Value::Int64(9), Value::Float64(-4.0)])
+            .unwrap();
+        assert!(!b.has_zone(), "push_row kept a stale zone");
+        assert_eq!(b.zone().column(0).bounds, Some((1.0, 9.0)));
+        assert_eq!(b.zone().column(1).bounds, Some((-4.0, 30.0)));
+
+        let mut src = Block::new(schema());
+        src.push_row(&[Value::Int64(100), Value::Null]).unwrap();
+        b.gather_row(&src, 0);
+        assert!(!b.has_zone(), "gather_row kept a stale zone");
+        let zone = b.zone();
+        assert_eq!(zone.rows, 5);
+        assert_eq!(zone.column(0).bounds, Some((1.0, 100.0)));
+        assert_eq!(zone.column(1).null_count, 2);
+        assert_eq!(zone, &ZoneMap::build(&b));
+    }
+
+    /// `with_column` on an empty block, and the source keeps the map it
+    /// built for the copy.
+    #[test]
+    fn with_column_carries_the_source_zone() {
+        let empty = Block::new(schema());
+        let wide_schema = |s: &Schema| {
+            let mut fields = s.fields().to_vec();
+            fields.push(Field::new("w", DataType::Float64));
+            Arc::new(Schema::new(fields))
+        };
+        let wide = empty.with_column(wide_schema(empty.schema()), Column::new(DataType::Float64));
+        assert!(wide.is_empty() && empty.has_zone() && wide.has_zone());
+        assert_eq!(wide.zone(), &ZoneMap::build(&wide));
+
+        let b = sample_block();
+        let wide = b.with_column(wide_schema(b.schema()), Column::from_f64(vec![2.0; 3]));
+        assert!(b.has_zone(), "the source caches the map it lent");
+        assert_eq!(wide.zone().columns[..2], b.zone().columns[..]);
+        assert_eq!(wide.zone().column(2).bounds, Some((2.0, 2.0)));
+        assert_eq!(
+            wide.row(1),
+            vec![Value::Int64(2), Value::Null, Value::Float64(2.0)]
+        );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::schema::Field;
+    use crate::value::DataType;
+    use proptest::prelude::*;
+
+    const TYPES: [DataType; 4] = [
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Str,
+        DataType::Bool,
+    ];
+
+    /// One nullable value of `data_type` from two small draws, reaching
+    /// NULL, NaN, ±0.0, ±∞ and the INT64 extremes.
+    fn value(data_type: DataType, pick: u8, x: i64) -> Value {
+        match (data_type, pick) {
+            (_, 0) => Value::Null,
+            (DataType::Int64, 1) => Value::Int64(i64::MAX),
+            (DataType::Int64, 2) => Value::Int64(i64::MIN),
+            (DataType::Int64, _) => Value::Int64(x),
+            (DataType::Float64, 1) if x == 0 => Value::Float64(f64::NAN),
+            (DataType::Float64, 2) => Value::Float64(0.0),
+            (DataType::Float64, 3) => Value::Float64(-0.0),
+            (DataType::Float64, 4) => Value::Float64(f64::NEG_INFINITY),
+            (DataType::Float64, _) => Value::Float64(x as f64 / 4.0),
+            (DataType::Str, _) => Value::str(format!("s{x}")),
+            (DataType::Bool, _) => Value::Bool(x % 2 == 0),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A block built row by row — its zone read part-way, so a stale
+        /// cache would show — and then widened by one column of any type
+        /// carries exactly the zone map a fresh build of the same columns
+        /// computes.
+        #[test]
+        fn with_column_zone_equals_a_fresh_build(
+            rows in collection::vec((0u8..16, -6i64..6, 0u8..16, -6i64..6), 0..24),
+            read_at in 0usize..24,
+            extra in 0usize..4,
+            warm in any::<bool>(),
+        ) {
+            let fields = (TYPES.iter().enumerate())
+                .map(|(i, &t)| Field::nullable(format!("c{i}"), t))
+                .collect();
+            let mut block = Block::new(Arc::new(Schema::new(fields)));
+            let mut column = Column::new(TYPES[extra]);
+            for (i, &(pick, x, extra_pick, y)) in rows.iter().enumerate() {
+                if i == read_at {
+                    block.zone();
+                }
+                let row: Vec<Value> = TYPES.iter().map(|&t| value(t, pick, x)).collect();
+                block.push_row(&row).unwrap();
+                column.push(&value(TYPES[extra], extra_pick, y)).unwrap();
+            }
+            if warm {
+                block.zone();
+            }
+            let mut fields = block.schema().fields().to_vec();
+            fields.push(Field::nullable("extra", TYPES[extra]));
+            let wide = block.with_column(Arc::new(Schema::new(fields)), column);
+            prop_assert!(block.has_zone() && wide.has_zone());
+            prop_assert_eq!(block.zone(), &ZoneMap::build(&block));
+            prop_assert_eq!(wide.zone(), &ZoneMap::build(&wide));
+            prop_assert_eq!(wide.len(), rows.len());
+        }
     }
 }

@@ -13,7 +13,6 @@ use crate::error::StorageError;
 use crate::key::KeyIndex;
 use crate::schema::Schema;
 use crate::value::Value;
-use crate::zone::ZoneMap;
 
 /// Default number of rows per block — the same order of magnitude as rows
 /// per page in row stores and per row-group stripe in column stores, so
@@ -28,12 +27,8 @@ pub struct Table {
     blocks: Vec<Arc<Block>>,
     /// Starting global row id of each block (parallel to `blocks`).
     offsets: Vec<usize>,
-    /// Lazily built per-block zone maps (parallel to `blocks`), shared
-    /// across table clones. Lazy so `from_blocks` stays zero-copy — a
-    /// block sample must not pay a full pass over blocks it never reads.
-    zones: Arc<Vec<OnceLock<ZoneMap>>>,
     /// Lazily built key indexes, one slot per schema column, shared across
-    /// table clones like `zones`. Never invalidated: a table is immutable,
+    /// table clones. Never invalidated: a table is immutable,
     /// and every derived table (`from_blocks`, `tail`, a merge, a
     /// `Catalog::replace`d version) starts with empty slots of its own.
     key_indexes: Arc<Vec<OnceLock<Arc<KeyIndex>>>>,
@@ -65,24 +60,16 @@ impl Table {
             offsets.push(row_count);
             row_count += b.len();
         }
-        let zones = Arc::new((0..blocks.len()).map(|_| OnceLock::new()).collect());
         let key_indexes = Arc::new((0..schema.len()).map(|_| OnceLock::new()).collect());
         Self {
             name: name.into(),
             schema,
             blocks,
             offsets,
-            zones,
             key_indexes,
             block_capacity,
             row_count,
         }
-    }
-
-    /// The zone map for block `index`, built on first access and cached
-    /// (shared across clones of this table).
-    pub fn zone(&self, index: usize) -> &ZoneMap {
-        self.zones[index].get_or_init(|| self.blocks[index].zone_map())
     }
 
     /// The key index over schema column `column` — canonical key → row
@@ -483,13 +470,23 @@ mod tests {
     #[test]
     fn zone_maps_lazy_and_shared() {
         let t = build(10, 4);
-        let z = t.zone(1); // rows 4..8, v = id*2
+        assert!(t.blocks().iter().all(|b| !b.has_zone()), "built lazily");
+        let z = t.block(1).zone(); // rows 4..8, v = id*2
         assert_eq!(z.rows, 4);
         assert_eq!(z.column(0).bounds, Some((4.0, 7.0)));
         assert_eq!(z.column(1).bounds, Some((8.0, 14.0)));
-        // Clones share the cache.
-        let t2 = t.clone();
-        assert!(std::ptr::eq(t2.zone(1), t.zone(1)));
+        assert!(!t.block(0).has_zone(), "one block's map only");
+        // A clone, a block sample, a tail and a merge all read the one map.
+        let sample = Table::from_blocks("s", Arc::clone(t.schema()), t.blocks()[1..].to_vec(), 4);
+        let mut merged = build(2, 4);
+        Partial::merge(&mut merged, &t).unwrap();
+        for (derived, i) in [(t.clone(), 1), (sample, 0), (t.tail(4), 0), (merged, 2)] {
+            assert!(
+                std::ptr::eq(derived.block(i).zone(), z),
+                "{}",
+                derived.name()
+            );
+        }
     }
 
     #[test]
@@ -699,8 +696,8 @@ mod tests {
         let hits: Vec<(u32, u32)> = index.get_i64(5).iter().map(|p| (p.block, p.row)).collect();
         assert_eq!(hits, vec![(1, 1), (4, 1)]);
         // Zone maps of the appended blocks describe b's rows.
-        assert_eq!(merged.zone(3).column(0).bounds, Some((0.0, 3.0)));
-        assert_eq!(merged.zone(4).column(1).bounds, Some((8.0, 10.0)));
+        assert_eq!(merged.block(3).zone().column(0).bounds, Some((0.0, 3.0)));
+        assert_eq!(merged.block(4).zone().column(1).bounds, Some((8.0, 10.0)));
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Builds the zone map for a block in one pass per column.
+    /// Builds the zone map for a block in one pass per column. Scans read
+    /// the copy a block caches ([`Block::zone`]) instead.
     pub fn build(block: &Block) -> ZoneMap {
         ZoneMap {
             rows: block.len(),
@@ -71,7 +72,8 @@ impl ZoneMap {
     }
 }
 
-fn column_zone(col: &Column) -> ColumnZone {
+/// Summarizes one column in one pass.
+pub(crate) fn column_zone(col: &Column) -> ColumnZone {
     let null_count = col.null_count();
     let valid = col.validity_mask();
     let is_valid = |i: usize| valid.is_none_or(|m| m[i]);

@@ -96,6 +96,14 @@ if grep -rnE 'gather_concat_row|hash_join_serial|HashMap<KeyAtom, \(u32, u32\)>'
   exit 1
 fi
 
+# One zone map per block: the map is cached on the Block, so every table
+# over the block (a sample, a weighted copy, a replaced version) reads it;
+# no per-table cache beside it.
+if grep -nE 'OnceLock<ZoneMap>|fn zone\(' crates/storage/src/table.rs; then
+  echo "a per-table zone-map cache is back" >&2
+  exit 1
+fi
+
 # One aggregate step: every Aggregate the engine runs is one operator over
 # the compiled select → gather → fold step, predicate selection is one
 # type, and the sampled paths reach joins only through that step.
