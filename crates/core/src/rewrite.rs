@@ -1,18 +1,25 @@
 //! Middleware query rewriting: answer a star query by rewriting it over a
-//! weighted sample table and running the *unmodified exact engine* —
-//! the VerdictDB-style architecture NSB identifies as the deployable form
-//! of AQP (no engine changes, plain SQL-shaped rewrites).
+//! weighted sample and running the *unmodified exact engine* — the
+//! VerdictDB-style architecture NSB identifies as the deployable form of
+//! AQP (no engine changes, plain SQL-shaped rewrites).
 //!
-//! The rewrite rules are the classical ones:
+//! The rewrite rules are the classical ones, with the weight `w` a literal
+//! when the sample's rows share one weight (Bernoulli rows or blocks,
+//! universe) and a weight column only when they do not:
 //!
-//! * `SCAN fact`      → `SCAN weighted_sample`
+//! * `SCAN fact`      → `SCAN sample`: the sample's own blocks, no column
+//!   copied, under a literal weight `w = lit(1/rate)`; a per-row-weighted
+//!   sample (stratified) is copied once with its weights appended as the
+//!   column `w = col(__aqp_w)`
 //! * `SUM(x)`         → `SUM(x · w)`
 //! * `COUNT(*)`       → `SUM(w)`
 //! * `AVG(x)`         → `AVG(x)`: on a sample whose rows share one
-//!   weight (Bernoulli rows or blocks, universe) the weighted ratio
-//!   `Σ x·w / Σ w` over the rows with a non-NULL `x` is the plain
-//!   average. A sample with per-row weights cannot answer an AVG here
-//!   ([`AqpError::Unsupported`]).
+//!   weight the weighted ratio `Σ x·w / Σ w` over the rows with a
+//!   non-NULL `x` is the plain average. A sample with per-row weights
+//!   cannot answer an AVG here ([`AqpError::Unsupported`]).
+//!
+//! The literal keeps the per-row multiply, so a literal-weight answer is
+//! bit for bit the weight-column answer (`tests/middleware_equivalence.rs`).
 //!
 //! This module produces **point estimates** through the engine. An
 //! interval needs the per-block totals the flat rewrite intentionally does
@@ -22,14 +29,15 @@
 //! `tests/middleware_equivalence.rs` proves rewrite's and online's point
 //! values agree.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use aqp_analyze::LintContext;
 use aqp_engine::{execute_with, AggExpr, ExecOptions, LogicalPlan, Query, ResultSet};
-use aqp_expr::{col, Expr};
+use aqp_expr::{col, lit, Expr};
 use aqp_sampling::{bernoulli_blocks, RowWeights, Sample};
 use aqp_stats::Estimate;
-use aqp_storage::{Catalog, Value};
+use aqp_storage::{Catalog, Table, Value};
 
 use crate::aggquery::{AggQuery, LinearAgg};
 use crate::answer::{assemble_answer, ExecutionPath, ExecutionReport};
@@ -39,18 +47,18 @@ use crate::technique::{decline_if_blocked, Attempt, DeclineReason, Technique, Te
 
 /// The reserved name the rewritten plan scans instead of the fact table.
 const SAMPLE_TABLE_NAME: &str = "__aqp_weighted_sample";
-/// The reserved weight-column name appended to the sample.
+/// The reserved weight-column name appended to a per-row-weighted sample.
 const WEIGHT_COLUMN: &str = "__aqp_w";
 /// Alias of the hidden per-group raw-row count appended when the caller
 /// wants support observability (see [`RewriteTechnique`]).
 const SUPPORT_ALIAS: &str = "__aqp_support";
 
-/// The rewrite rules over a weighted sample table registered as
-/// [`SAMPLE_TABLE_NAME`], with an optional hidden `COUNT(*)` per group so the
-/// caller can observe how many raw sample rows support each output row
-/// (the gate [`RewriteTechnique`] declines on).
-fn build_plan(query: &AggQuery, with_support: bool) -> LogicalPlan {
-    let w = || col(WEIGHT_COLUMN);
+/// The rewrite rules over a sample table registered as
+/// [`SAMPLE_TABLE_NAME`] with row weight `w` (a literal or the weight
+/// column), with an optional hidden `COUNT(*)` per group so the caller can
+/// observe how many raw sample rows support each output row (the gate
+/// [`RewriteTechnique`] declines on).
+fn build_plan(query: &AggQuery, w: &Expr, with_support: bool) -> LogicalPlan {
     let mut q = Query::scan(SAMPLE_TABLE_NAME);
     for j in &query.joins {
         q = q.join(Query::scan(&j.dim_table), col(&j.fact_key), col(&j.dim_key));
@@ -67,8 +75,8 @@ fn build_plan(query: &AggQuery, with_support: bool) -> LogicalPlan {
     for (i, a) in query.aggregates.iter().enumerate() {
         let alias = format!("__agg_{i}");
         inner_aggs.push(match a.kind {
-            LinearAgg::Sum => AggExpr::sum(a.expr.clone().mul(w()), &alias),
-            LinearAgg::CountStar => AggExpr::sum(w(), &alias),
+            LinearAgg::Sum => AggExpr::sum(a.expr.clone().mul(w.clone()), &alias),
+            LinearAgg::CountStar => AggExpr::sum(w.clone(), &alias),
             LinearAgg::Avg => AggExpr::avg(a.expr.clone(), &alias),
         });
         final_exprs.push((col(&alias), a.alias.clone()));
@@ -82,19 +90,60 @@ fn build_plan(query: &AggQuery, with_support: bool) -> LogicalPlan {
         .build()
 }
 
-/// End-to-end middleware answering: materializes the sample with its
-/// weight column, assembles a scratch catalog (sample + the original
-/// dimension tables), and executes the rewritten plan on the exact engine.
-///
-/// The result carries the query's group-by columns followed by the
-/// aggregate aliases, exactly like the exact plan's output — but computed
-/// from the sample's rows only.
+/// The table the rewritten plan scans, named [`SAMPLE_TABLE_NAME`], and
+/// the row weight its plan multiplies by. A sample whose rows share one
+/// weight is scanned in place — its own blocks, zone maps and all — under
+/// a literal weight; only per-row weights are copied out as a column.
+fn sample_source(query: &AggQuery, sample: &Sample) -> Result<(Table, Expr), AqpError> {
+    match &sample.weights {
+        RowWeights::Uniform(w) => {
+            let t = &sample.table;
+            let table = Table::from_blocks(
+                SAMPLE_TABLE_NAME,
+                Arc::clone(t.schema()),
+                t.blocks().to_vec(),
+                t.block_capacity(),
+            );
+            Ok((table, lit(*w)))
+        }
+        RowWeights::PerRow(_) if query.aggregates.iter().any(|a| a.kind == LinearAgg::Avg) => {
+            Err(AqpError::Unsupported {
+                detail: "the rewrite's AVG needs a sample whose rows share one weight".into(),
+            })
+        }
+        RowWeights::PerRow(_) => {
+            let weighted = sample.to_weighted_table(SAMPLE_TABLE_NAME, WEIGHT_COLUMN)?;
+            Ok((weighted, col(WEIGHT_COLUMN)))
+        }
+    }
+}
+
+/// End-to-end middleware answering on all cores:
+/// [`answer_via_rewrite_with`] at the default [`ExecOptions`].
 pub fn answer_via_rewrite(
     catalog: &Catalog,
     query: &AggQuery,
     sample: &Sample,
 ) -> Result<ResultSet, AqpError> {
-    execute_rewritten(catalog, query, sample, false, ExecOptions::default())
+    answer_via_rewrite_with(catalog, query, sample, ExecOptions::default())
+}
+
+/// End-to-end middleware answering: assembles a scratch catalog (the
+/// sample — its own blocks under a literal weight when its rows share
+/// one, else a copy with a weight column — and the original dimension
+/// tables) and executes the rewritten plan on the exact engine under
+/// `opts`.
+///
+/// The result carries the query's group-by columns followed by the
+/// aggregate aliases, exactly like the exact plan's output — but computed
+/// from the sample's rows only.
+pub fn answer_via_rewrite_with(
+    catalog: &Catalog,
+    query: &AggQuery,
+    sample: &Sample,
+    opts: ExecOptions,
+) -> Result<ResultSet, AqpError> {
+    execute_rewritten(catalog, query, sample, false, opts)
 }
 
 fn execute_rewritten(
@@ -104,33 +153,16 @@ fn execute_rewritten(
     with_support: bool,
     opts: ExecOptions,
 ) -> Result<ResultSet, AqpError> {
-    let avg = query.aggregates.iter().any(|a| a.kind == LinearAgg::Avg);
-    if avg && !matches!(sample.weights, RowWeights::Uniform(_)) {
-        return Err(AqpError::Unsupported {
-            detail: "the rewrite's AVG needs a sample whose rows share one weight".into(),
-        });
-    }
-    // The weighted copy takes each sampled block's zone map, building (and
-    // caching on the fact block) the ones no query has needed yet.
-    let fresh = sample
-        .table
-        .blocks()
-        .iter()
-        .filter(|b| !b.has_zone())
-        .count() as u64;
-    let weighted = sample.to_weighted_table(SAMPLE_TABLE_NAME, WEIGHT_COLUMN)?;
-    if fresh > 0 {
-        aqp_obs::metrics::record(|m| m.counter(aqp_obs::names::ZONE_MAP_BUILDS_TOTAL).inc(fresh));
-    }
+    let (source, w) = sample_source(query, sample)?;
     let scratch = Catalog::new();
-    scratch.register(weighted)?;
+    scratch.register(source)?;
     for j in &query.joins {
         // A clone shares the dimension's cached key index, so the scratch
         // catalog's join finds it built.
         let dim = catalog.get(&j.dim_table)?;
         scratch.register((*dim).clone())?;
     }
-    let plan = build_plan(query, with_support);
+    let plan = build_plan(query, &w, with_support);
     Ok(execute_with(&plan, &scratch, opts)?)
 }
 
@@ -267,7 +299,6 @@ mod tests {
     use super::*;
     use crate::aggquery::{AggSpec, JoinSpec};
     use aqp_engine::execute;
-    use aqp_expr::lit;
     use aqp_sampling::{bernoulli_blocks, bernoulli_rows};
     use aqp_workload::{build_star_schema, StarScale};
 
@@ -309,8 +340,9 @@ mod tests {
 
     #[test]
     fn rewrite_at_full_rate_reproduces_exact_answers() {
-        // A rate-1.0 "sample" (weights all 1) must reproduce the exact
-        // result bit-for-bit through the rewrite.
+        // A rate-1.0 "sample" (weight 1) is the fact's own blocks under
+        // `x · 1.0 = x`: same blocks, same morsels, so the rewrite
+        // reproduces the exact result bit for bit.
         let c = star();
         let q = query();
         let exact = execute(&q.to_plan(), &c).unwrap();
@@ -321,9 +353,34 @@ mod tests {
             assert_eq!(er[0], ar[0], "group keys align");
             for (ev, av) in er[1..].iter().zip(&ar[1..]) {
                 let (e, a) = (ev.as_f64().unwrap(), av.as_f64().unwrap());
-                assert!((e - a).abs() < 1e-9 * (1.0 + e.abs()), "{e} vs {a}");
+                assert_eq!(e.to_bits(), a.to_bits(), "{e} vs {a}");
             }
         }
+    }
+
+    /// A sample whose rows share one weight is scanned in place: the
+    /// rewritten plan's table holds the sample's own blocks, and its
+    /// weight is a literal. A per-row-weighted one is copied with the
+    /// weight column.
+    #[test]
+    fn a_uniform_weight_sample_is_scanned_in_place() {
+        use aqp_sampling::{stratified_sample, Allocation};
+        let c = star();
+        let fact = c.get("lineitem").unwrap();
+        let s = bernoulli_blocks(&fact, 0.3, 4);
+        let (scanned, w) = sample_source(&query(), &s).unwrap();
+        assert_eq!(scanned.name(), SAMPLE_TABLE_NAME);
+        assert_eq!(w, lit(1.0 / 0.3));
+        assert_eq!(scanned.block_count(), s.table.block_count());
+        assert!((scanned.blocks().iter().zip(s.table.blocks())).all(|(a, b)| Arc::ptr_eq(a, b)));
+
+        let alloc = Allocation::Congressional { budget: 500 };
+        let strat = stratified_sample(&fact, "l_shipmode", &alloc, 3).unwrap();
+        let mut sums = query();
+        sums.aggregates.retain(|a| a.kind != LinearAgg::Avg);
+        let (copied, w) = sample_source(&sums, &strat).unwrap();
+        assert_eq!(w, col(WEIGHT_COLUMN));
+        assert_eq!(copied.schema().len(), strat.table.schema().len() + 1);
     }
 
     #[test]
@@ -352,7 +409,7 @@ mod tests {
 
     #[test]
     fn rewrite_plan_shape() {
-        let plan = build_plan(&query(), false);
+        let plan = build_plan(&query(), &lit(5.0), false);
         // Root is the projection naming the rewritten aggregates; the
         // sample table is scanned.
         assert!(matches!(plan, LogicalPlan::Project { .. }));

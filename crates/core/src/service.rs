@@ -14,9 +14,11 @@
 //!    keeps. In-flight queries split one machine-wide
 //!    morsel-thread budget ([`ServiceConfig::thread_budget`]): a grant
 //!    takes the budget divided by the in-flight count, its own slot
-//!    included, read under the scheduler's lock, so concurrent queries do
-//!    not oversubscribe the machine. Results are unaffected because
-//!    engine output is thread-count invariant.
+//!    included, read under the scheduler's lock. A share is fixed at its
+//!    grant and never shrinks, so the budget shapes shares rather than
+//!    capping threads in use: three queries admitted one after another on
+//!    a budget of 8 run on 8 + 4 + 2 threads. Results are unaffected
+//!    because engine output is thread-count invariant.
 //! 2. **Plan cache** — keyed on a fingerprint of the normalized plan and
 //!    the error spec, memoizing the lint [`Analysis`], the
 //!    [`RoutingDecision`] it implies (refreshed from each completed run,
@@ -163,10 +165,12 @@ pub struct ServiceConfig {
     /// family can honor is rejected ([`Rejection::ContractUnattainable`])
     /// instead of degraded to a point estimate.
     pub strict_contracts: bool,
-    /// Machine-wide morsel-thread budget split fairly across in-flight
-    /// queries: an admitted query runs on the budget divided by the
-    /// queries in flight at its grant, itself included, and never on
-    /// fewer than 1.
+    /// Machine-wide morsel-thread budget split across in-flight queries:
+    /// an admitted query runs on the budget divided by the queries in
+    /// flight at its grant, itself included, and never on fewer than 1.
+    /// The share is kept until the query ends, so the threads in use can
+    /// exceed the budget (three queries admitted one after another on 8
+    /// run on 8 + 4 + 2).
     pub thread_budget: usize,
 }
 

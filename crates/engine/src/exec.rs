@@ -170,27 +170,28 @@ enum ScanVerdict {
 }
 
 /// Classifies a table's blocks against a predicate chain using the zone
-/// maps the blocks cache, counting each map built here in
-/// [`aqp_obs::names::ZONE_MAP_BUILDS_TOTAL`]. With pruning disabled (or
+/// maps the blocks cache, building the missing ones first
+/// ([`build_missing_zones`]). With pruning disabled (or
 /// no predicates) every block gets the conservative verdict. Verdicts
 /// depend only on data layout, so downstream stats and results stay
 /// identical across thread counts.
 fn classify_blocks(
     t: &Table,
     predicates: &[&Expr],
-    zone_pruning: bool,
+    opts: &ExecOptions,
 ) -> Vec<(Arc<Block>, ScanVerdict)> {
+    let prune = opts.zone_pruning && !predicates.is_empty();
+    if prune {
+        build_missing_zones(t.blocks(), opts);
+    }
     let schema = t.schema();
-    let mut built = 0;
-    let classified = t
-        .iter_blocks()
+    t.iter_blocks()
         .map(|(_, block)| {
             let verdict = if predicates.is_empty() {
                 ScanVerdict::AllTrue
-            } else if !zone_pruning {
+            } else if !prune {
                 ScanVerdict::Evaluate
             } else {
-                built += u64::from(!block.has_zone());
                 let zone = block.zone();
                 let mut v = ScanVerdict::AllTrue;
                 for p in predicates {
@@ -207,11 +208,27 @@ fn classify_blocks(
             };
             (Arc::clone(block), verdict)
         })
-        .collect();
+        .collect()
+}
+
+/// Builds the zone maps `blocks` lack on the query's workers (serial for
+/// a few small blocks, as for any operator), counting each map built in
+/// `aqp_zone_map_builds_total`. A block another query builds meanwhile is
+/// built once: the loser of the race waits and counts nothing. Warm
+/// blocks start no worker.
+fn build_missing_zones(blocks: &[Arc<Block>], opts: &ExecOptions) {
+    let missing: Vec<&Arc<Block>> = blocks.iter().filter(|b| !b.has_zone()).collect();
+    if missing.is_empty() {
+        return;
+    }
+    let rows = missing.iter().map(|b| b.len() as u64).sum();
+    let threads = morsel_threads(opts, missing.len(), rows);
+    let built: u64 = pool::parallel_map(missing, threads, |_, b| u64::from(b.build_zone()))
+        .into_iter()
+        .sum();
     if built > 0 {
         aqp_obs::metrics::record(|m| m.counter(aqp_obs::names::ZONE_MAP_BUILDS_TOTAL).inc(built));
     }
-    classified
 }
 
 /// Counts one source block in a morsel's scan accounting (`scanned`: the
@@ -486,7 +503,7 @@ impl<'a> Chain<'a> {
     ) -> Result<Vec<(Arc<Block>, ScanVerdict)>, EngineError> {
         if let Some(table) = self.table {
             let t = catalog.get(table)?;
-            return Ok(classify_blocks(&t, predicates, opts.zone_pruning));
+            return Ok(classify_blocks(&t, predicates, opts));
         }
         let verdict = if predicates.is_empty() {
             ScanVerdict::AllTrue

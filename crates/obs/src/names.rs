@@ -33,11 +33,10 @@ pub const KERNEL_DISPATCH_FALLBACK: &str = "fallback";
 /// column. Always on. Flat while a workload re-joins the same tables.
 pub const KEY_INDEX_BUILDS_TOTAL: &str = "aqp_key_index_builds_total";
 
-/// Counter: block zone maps built — by a scan that classifies a block
-/// whose map was never built, or by the rewrite's weighted sample for a
-/// sampled block without one. A map is cached on its block and shared by
-/// every table over it. Always on. Flat once a workload has touched its
-/// blocks.
+/// Counter: block zone maps built by a scan that classifies a block
+/// whose map was never built, each map once however many queries race
+/// on it. A map is cached on its block and shared by every table over it.
+/// Always on. Flat once a workload has touched its blocks.
 pub const ZONE_MAP_BUILDS_TOTAL: &str = "aqp_zone_map_builds_total";
 
 /// Histogram: time a morsel spends queued before a worker picks it up.

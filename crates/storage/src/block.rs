@@ -226,6 +226,18 @@ impl Block {
         self.zone.get_or_init(|| ZoneMap::build(self))
     }
 
+    /// Builds this block's zone map if no caller has yet, and whether this
+    /// call built it: of racing first uses, one builds and the others
+    /// wait on it and return `false`.
+    pub fn build_zone(&self) -> bool {
+        let mut built = false;
+        self.zone.get_or_init(|| {
+            built = true;
+            ZoneMap::build(self)
+        });
+        built
+    }
+
     /// Whether this block's zone map has been built already.
     pub fn has_zone(&self) -> bool {
         self.zone.get().is_some()
@@ -436,6 +448,25 @@ mod tests {
         assert_eq!(zone.column(0).bounds, Some((1.0, 100.0)));
         assert_eq!(zone.column(1).null_count, 2);
         assert_eq!(zone, &ZoneMap::build(&b));
+    }
+
+    /// `build_zone` builds a missing map once and reports it, so a count
+    /// of its `true`s counts each map built, however many callers race.
+    #[test]
+    fn build_zone_reports_only_the_build_it_made() {
+        let b = sample_block();
+        assert!(b.build_zone());
+        assert!(b.has_zone() && !b.build_zone());
+        assert_eq!(b.zone(), &ZoneMap::build(&b));
+        let b = sample_block();
+        let built: usize = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2).map(|_| s.spawn(|| b.build_zone())).collect();
+            racers
+                .into_iter()
+                .map(|r| usize::from(r.join().unwrap()))
+                .sum()
+        });
+        assert_eq!(built, 1);
     }
 
     /// `with_column` on an empty block, and the source keeps the map it

@@ -104,6 +104,19 @@ if grep -nE 'OnceLock<ZoneMap>|fn zone\(' crates/storage/src/table.rs; then
   exit 1
 fi
 
+# The rewrite scans a uniform-weight sample in place under a literal
+# weight: rewrite.rs's library code copies a sample with a weight column
+# (to_weighted_table, with_column) only in a RowWeights::PerRow match arm.
+if sed '/^#\[cfg(test)\]/q' crates/core/src/rewrite.rs |
+  awk '$1 ~ /^\/\// { next }
+    /^(pub )?fn / { arm = "" }
+    /RowWeights::/ { arm = $0 }
+    /to_weighted_table|with_column\(/ && arm !~ /RowWeights::PerRow\(_\) =>/ { print NR ": " $0; bad = 1 }
+    END { exit !bad }'; then
+  echo "the rewrite copies a weight column outside the per-row-weights arm" >&2
+  exit 1
+fi
+
 # One aggregate step: every Aggregate the engine runs is one operator over
 # the compiled select → gather → fold step, predicate selection is one
 # type, and the sampled paths reach joins only through that step.

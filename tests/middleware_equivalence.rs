@@ -4,12 +4,18 @@
 //! Horvitz–Thompson estimates — this is the VerdictDB-style architecture
 //! NSB identifies as the deployable form of AQP, validated across samplers.
 
+use proptest::prelude::*;
+
 use aqp_core::evaluator::{SampledTotals, StarEvaluator};
-use aqp_core::{AggQuery, AggSpec, Attempt, ErrorSpec, LinearAgg, RewriteTechnique, Technique};
-use aqp_engine::{execute, AggExpr, Query};
+use aqp_core::rewrite::answer_via_rewrite_with;
+use aqp_core::{
+    AggQuery, AggSpec, Attempt, ErrorSpec, JoinSpec, LinearAgg, RewriteTechnique, Technique,
+};
+use aqp_engine::{execute, execute_with, AggExpr, ExecOptions, Query};
 use aqp_expr::{col, lit};
 use aqp_sampling::{
-    bernoulli_blocks, bernoulli_rows, distinct_sample, stratified_sample, Allocation,
+    bernoulli_blocks, bernoulli_rows, distinct_sample, stratified_sample, universe_sample,
+    Allocation, Sample,
 };
 use aqp_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 use aqp_workload::skewed_table;
@@ -297,4 +303,167 @@ fn rewrite_avg_skips_null_measures_like_exact_and_online() {
         values.truncate(1);
     }
     assert_close(&rewrite, &online);
+}
+
+/// `f(k, g, x, q, sel)` — `x` a nullable FLOAT64 measure (NULL where
+/// `xs[i] % 5 == 0`), `q` an INT64 one — over `cap`-row blocks, and
+/// `orders(o_key, o_priority)` covering every key `k`.
+fn star_with_null_measures(xs: &[i64], cap: usize, keys: i64) -> Catalog {
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int64),
+        Field::new("g", DataType::Int64),
+        Field::nullable("x", DataType::Float64),
+        Field::new("q", DataType::Int64),
+        Field::new("sel", DataType::Float64),
+    ]);
+    let mut fact = TableBuilder::with_block_capacity("f", schema, cap);
+    for (i, &v) in xs.iter().enumerate() {
+        let x = if v % 5 == 0 {
+            Value::Null
+        } else {
+            Value::Float64(v as f64 / 7.0)
+        };
+        let row = [
+            Value::Int64(v.rem_euclid(keys)),
+            Value::Int64(v.rem_euclid(3)),
+            x,
+            Value::Int64(v % 1_000),
+            Value::Float64((i % 97) as f64 / 97.0),
+        ];
+        fact.push_row(&row).unwrap();
+    }
+    let dim_schema = Schema::new(vec![
+        Field::new("o_key", DataType::Int64),
+        Field::new("o_priority", DataType::Str),
+    ]);
+    let mut dim = TableBuilder::with_block_capacity("orders", dim_schema, 16);
+    for k in 0..keys {
+        let priority = ["1-URGENT", "2-HIGH", "3-MEDIUM"][(k % 3) as usize];
+        dim.push_row(&[Value::Int64(k), Value::Str(priority.into())])
+            .unwrap();
+    }
+    let c = Catalog::new();
+    c.register(fact.finish()).unwrap();
+    c.register(dim.finish()).unwrap();
+    c
+}
+
+/// SUM, COUNT(*) and AVG of a nullable measure plus SUM of an INT64 one
+/// under a fact predicate; grouped by `o_priority` through the `orders`
+/// join or by the fact's `g`, or ungrouped.
+fn linear_query(join: bool, grouped: bool) -> AggQuery {
+    let agg = |kind, expr, alias: &str| AggSpec {
+        kind,
+        expr,
+        alias: alias.into(),
+    };
+    let key = if join { "o_priority" } else { "g" };
+    AggQuery {
+        fact_table: "f".into(),
+        joins: (join.then(|| JoinSpec {
+            dim_table: "orders".into(),
+            fact_key: "k".into(),
+            dim_key: "o_key".into(),
+        }))
+        .into_iter()
+        .collect(),
+        predicate: Some(col("sel").lt(lit(0.7))),
+        group_by: (grouped.then(|| (col(key), key.to_string())))
+            .into_iter()
+            .collect(),
+        aggregates: vec![
+            agg(LinearAgg::Sum, col("x"), "sum_x"),
+            agg(LinearAgg::CountStar, lit(1i64), "n"),
+            agg(LinearAgg::Avg, col("x"), "avg_x"),
+            agg(LinearAgg::Sum, col("q"), "sum_q"),
+        ],
+    }
+}
+
+/// The rewrite of `q` spelled out over the weight column `W` of the
+/// sample's weighted copy, registered as `ws` beside `orders`.
+fn weight_column_answer(c: &Catalog, q: &AggQuery, s: &Sample, opts: ExecOptions) -> Vec<String> {
+    let scratch = Catalog::new();
+    scratch
+        .register(s.to_weighted_table("ws", W).unwrap())
+        .unwrap();
+    scratch
+        .register((*c.get("orders").unwrap()).clone())
+        .unwrap();
+    let mut plan = Query::scan("ws");
+    for j in &q.joins {
+        plan = plan.join(Query::scan("orders"), col(&j.fact_key), col(&j.dim_key));
+    }
+    let mut aggs = Vec::new();
+    let mut out: Vec<_> = (q.group_by.iter())
+        .map(|(_, name)| (col(name), name.clone()))
+        .collect();
+    for (i, a) in q.aggregates.iter().enumerate() {
+        let alias = format!("a{i}");
+        aggs.push(match a.kind {
+            LinearAgg::Sum => AggExpr::sum(a.expr.clone().mul(col(W)), &alias),
+            LinearAgg::CountStar => AggExpr::sum(col(W), &alias),
+            LinearAgg::Avg => AggExpr::avg(a.expr.clone(), &alias),
+        });
+        out.push((col(&alias), a.alias.clone()));
+    }
+    let plan = plan
+        .filter(q.predicate.clone().unwrap())
+        .aggregate(q.group_by.clone(), aggs)
+        .project(out)
+        .build();
+    bit_rows(execute_with(&plan, &scratch, opts).unwrap().rows())
+}
+
+/// Rows as sortable strings that tell floats apart by their bits.
+fn bit_rows(rows: Vec<Vec<Value>>) -> Vec<String> {
+    let mut out: Vec<String> = (rows.iter())
+        .map(|row| {
+            (row.iter())
+                .map(|v| match v {
+                    Value::Float64(x) => format!("f{:016x}", x.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The rewrite scans a uniform-weight sample in place under a literal
+    /// weight; that answer is bit for bit the one the same rewrite gives
+    /// over the sample's copy with a weight column — for every
+    /// uniform-weight sampler, grouped or not, joined or not, with NULL
+    /// measures, at one thread and two.
+    #[test]
+    fn the_literal_weight_answers_like_the_weight_column(
+        xs in prop::collection::vec(-1_000_000i64..1_000_000, 1500..4000),
+        cap in 16usize..200,
+        sampler in 0usize..3,
+        rate_pct in 5u32..100,
+        seed in 0u64..1_000,
+        join in 0usize..2,
+        grouped in 0usize..2,
+    ) {
+        let c = star_with_null_measures(&xs, cap, 41);
+        let fact = c.get("f").unwrap();
+        let rate = f64::from(rate_pct) / 100.0;
+        let sample = match sampler {
+            0 => bernoulli_blocks(&fact, rate, seed),
+            1 => bernoulli_rows(&fact, rate, seed),
+            _ => universe_sample(&fact, "k", rate, seed).unwrap(),
+        };
+        let q = linear_query(join == 1, grouped == 1);
+        for threads in [1, 2] {
+            let opts = ExecOptions::with_threads(threads);
+            let literal = answer_via_rewrite_with(&c, &q, &sample, opts).unwrap();
+            let want = weight_column_answer(&c, &q, &sample, opts);
+            prop_assert_eq!(bit_rows(literal.rows()), want, "threads={}", threads);
+        }
+    }
 }

@@ -1,15 +1,15 @@
 //! Lifetime of the zone map a `Block` caches for scans.
 //!
 //! A block's zone map is built on first use and kept on the block, so
-//! every table over the same `Arc<Block>` — a block sample, the rewrite's
-//! weighted copy (which takes its source block's map and adds the weight
-//! column's), a merged or `Catalog::replace`d version — reads the one map.
-//! These tests pin that from the outside through
+//! every table over the same `Arc<Block>` — a block sample, the table the
+//! rewrite scans it as, a merged or `Catalog::replace`d version — reads
+//! the one map. These tests pin that from the outside through
 //! `aqp_zone_map_builds_total`: a steady rewrite workload builds nothing
 //! once its fact blocks are summarized, the rewrite summarizes each fact
-//! block at most once whatever blocks it samples, and a replaced version
-//! that shares its base blocks builds only its new ones. Each counting
-//! test reads a registry of its own, so the tests run in parallel.
+//! block at most once whatever blocks it samples, a replaced version that
+//! shares its base blocks builds only its new ones, and a cold scan's
+//! parallel build counts each map once. Each counting test reads a
+//! registry of its own, so the tests run in parallel.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -91,7 +91,7 @@ fn rewrite_answers_after_a_warm_up_build_no_zone_map() {
 
 /// On a cold catalog the rewrite builds one zone map per distinct fact
 /// block it has sampled, however often a block is drawn again: the map
-/// stays on the fact block, not on the per-query weighted copy.
+/// stays on the fact block, not on the per-query table the rewrite scans.
 #[test]
 fn the_rewrite_summarizes_each_sampled_fact_block_once() {
     let c = star(8_000, 8);
@@ -143,4 +143,31 @@ fn a_replaced_version_builds_only_its_new_blocks() {
     // And a second query on the version builds nothing.
     exact(&plan, &c, &registry);
     assert_eq!(builds(&registry), (base.block_count() + 3) as u64);
+}
+
+/// A cold scan builds its missing maps on the query's workers: at two
+/// threads it counts each map once, like the serial build, gives the
+/// serial answer and scan accounting, and a warm re-run builds nothing.
+#[test]
+fn a_cold_parallel_scan_counts_each_map_once() {
+    let plan = grouped_join(0.5);
+    let mut answers = Vec::new();
+    for threads in [1, 2] {
+        let c = star(8_000, 10);
+        let blocks = c.get("lineitem").unwrap().block_count() as u64;
+        let registry = Arc::new(MetricsRegistry::new());
+        let run = || {
+            scoped(&registry, || {
+                execute_with(&plan, &c, ExecOptions::with_threads(threads))
+            })
+            .unwrap()
+        };
+        let cold = run();
+        assert_eq!(builds(&registry), blocks, "threads={threads}");
+        let warm = run();
+        assert_eq!(builds(&registry), blocks, "threads={threads}");
+        assert_eq!(cold.rows(), warm.rows());
+        answers.push((cold.rows(), cold.stats()));
+    }
+    assert_eq!(answers[0], answers[1]);
 }
