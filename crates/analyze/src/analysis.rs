@@ -10,19 +10,18 @@ use crate::technique::{DeclineReason, TechniqueKind};
 /// Where an answer can land on the guarantee lattice, ordered best-first:
 ///
 /// ```text
-/// Exact  >  APriori  >  APosteriori  >  PointEstimate  >  Unattainable
+/// Exact  >  APriori  >  APosteriori  >  Unattainable
 /// ```
 ///
 /// `Exact` dominates because its "interval" is a point of width zero known
 /// before execution; `Unattainable` is the bottom (the family cannot answer
-/// at all). `Ord` follows the lattice, so `max()` over verdicts is "the
-/// best answer this plan can statically get".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// at all). Every approximate family carries an interval. `Ord` follows
+/// the lattice (the variants are declared bottom-up), so `max()` over
+/// verdicts is "the best answer this plan can statically get".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum GuaranteeClass {
     /// The family cannot answer this plan at all.
     Unattainable,
-    /// Point estimates only; no interval is carried.
-    PointEstimate,
     /// Error known only after (or during) execution.
     APosteriori,
     /// Error contract honored before execution.
@@ -32,38 +31,14 @@ pub enum GuaranteeClass {
 }
 
 impl GuaranteeClass {
-    /// Position on the lattice (higher = stronger).
-    fn rank(&self) -> u8 {
-        match self {
-            Self::Unattainable => 0,
-            Self::PointEstimate => 1,
-            Self::APosteriori => 2,
-            Self::APriori => 3,
-            Self::Exact => 4,
-        }
-    }
-
     /// Stable kebab-case name.
     pub fn name(&self) -> &'static str {
         match self {
             Self::Unattainable => "unattainable",
-            Self::PointEstimate => "point-estimate",
             Self::APosteriori => "a-posteriori",
             Self::APriori => "a-priori",
             Self::Exact => "exact",
         }
-    }
-}
-
-impl PartialOrd for GuaranteeClass {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for GuaranteeClass {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.rank().cmp(&other.rank())
     }
 }
 
@@ -205,9 +180,8 @@ mod tests {
         use GuaranteeClass::*;
         assert!(Exact > APriori);
         assert!(APriori > APosteriori);
-        assert!(APosteriori > PointEstimate);
-        assert!(PointEstimate > Unattainable);
-        assert_eq!([APriori, Exact, PointEstimate].iter().max(), Some(&Exact));
+        assert!(APosteriori > Unattainable);
+        assert_eq!([APriori, Exact, APosteriori].iter().max(), Some(&Exact));
     }
 
     #[test]
@@ -225,7 +199,7 @@ mod tests {
                 },
                 TechniqueVerdict {
                     kind: TechniqueKind::MiddlewareRewrite,
-                    guarantee: GuaranteeClass::PointEstimate,
+                    guarantee: GuaranteeClass::APosteriori,
                     blocked_by: None,
                 },
                 TechniqueVerdict {
@@ -240,7 +214,7 @@ mod tests {
         assert!(!a.statically_eligible(TechniqueKind::OnlineSampling));
         assert!(a.statically_eligible(TechniqueKind::MiddlewareRewrite));
         assert_eq!(a.best_attainable(), GuaranteeClass::Exact);
-        assert_eq!(a.best_approximate(), GuaranteeClass::PointEstimate);
+        assert_eq!(a.best_approximate(), GuaranteeClass::APosteriori);
         let table = a.render_table();
         assert!(table.contains("online-sampling"));
         assert!(table.contains("blocked: table too small"));

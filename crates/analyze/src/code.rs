@@ -4,12 +4,14 @@
 //! a concrete, statically checkable way a query falls off the
 //! generality/accuracy/performance frontier. Codes are append-only —
 //! `A001` will mean "aggregate not closed under sampling" forever, so
-//! tooling (and the golden tests) can key on them.
+//! tooling (and the golden tests) can key on them. A retired code is never
+//! reused: `A013` ("only a point estimate attainable") went when the
+//! middleware rewrite began carrying intervals, and `A014` kept its code.
 
 use std::fmt;
 
-/// A stable lint code (`A001`–`A014`). The discriminant order is the
-/// registry order; new codes append.
+/// A stable lint code (`A001`–`A014`, `A013` retired). The discriminant
+/// order is the registry order; new codes append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LintCode {
     /// Aggregate is not closed under sampling (MAX/MIN/COUNT DISTINCT/…):
@@ -46,9 +48,6 @@ pub enum LintCode {
     /// A sampled join without a universe-sampling (hash-partitioned key)
     /// predicate: correct only for FK joins into unsampled dimensions.
     A012SampledJoinPrecondition,
-    /// The best statically attainable answer is a point estimate — no
-    /// error interval will be carried.
-    A013PointEstimateOnly,
     /// The session's accuracy auditor quarantined a technique: its
     /// windowed observed coverage fell below the configured floor and it
     /// will not be routed to until coverage recovers (or its synopsis is
@@ -72,7 +71,6 @@ impl LintCode {
             Self::A010GroupSupportRisk => "A010",
             Self::A011SelectivePredicateRisk => "A011",
             Self::A012SampledJoinPrecondition => "A012",
-            Self::A013PointEstimateOnly => "A013",
             Self::A014TechniqueQuarantined => "A014",
         }
     }
@@ -92,7 +90,6 @@ impl LintCode {
             Self::A010GroupSupportRisk => "per-group support risk under skewed grouping",
             Self::A011SelectivePredicateRisk => "selective predicate risks pilot starvation",
             Self::A012SampledJoinPrecondition => "sampled join lacks a universe-sampling key",
-            Self::A013PointEstimateOnly => "best attainable guarantee is a point estimate",
             Self::A014TechniqueQuarantined => "technique quarantined by accuracy audits",
         }
     }
@@ -143,9 +140,6 @@ impl LintCode {
                 "joining two independent samples is biased; universe sampling on the join \
                  key is the known precondition"
             }
-            Self::A013PointEstimateOnly => {
-                "middleware rewrites buy generality by giving up error guarantees"
-            }
             Self::A014TechniqueQuarantined => {
                 "AQP guarantees are conditional: when audited coverage falls below the \
                  promise, routing must stop trusting the technique until it is repaired"
@@ -154,7 +148,7 @@ impl LintCode {
     }
 
     /// Every code, in registry order.
-    pub fn all() -> [LintCode; 14] {
+    pub fn all() -> [LintCode; 13] {
         [
             Self::A001NonClosedAggregate,
             Self::A002UnsupportedShape,
@@ -168,7 +162,6 @@ impl LintCode {
             Self::A010GroupSupportRisk,
             Self::A011SelectivePredicateRisk,
             Self::A012SampledJoinPrecondition,
-            Self::A013PointEstimateOnly,
             Self::A014TechniqueQuarantined,
         ]
     }
@@ -214,9 +207,14 @@ mod tests {
 
     #[test]
     fn codes_are_stable_and_unique() {
-        let all = LintCode::all();
-        for (i, c) in all.iter().enumerate() {
-            assert_eq!(c.code(), format!("A{:03}", i + 1));
+        // `A013` is retired, never reused; every other code keeps its slot.
+        let codes: Vec<&str> = LintCode::all().iter().map(|c| c.code()).collect();
+        let want: Vec<String> = (1..=14)
+            .filter(|&i| i != 13)
+            .map(|i| format!("A{i:03}"))
+            .collect();
+        assert_eq!(codes, want);
+        for c in LintCode::all() {
             assert!(!c.title().is_empty());
             assert!(!c.nsb_claim().is_empty());
         }

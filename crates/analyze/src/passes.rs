@@ -483,7 +483,8 @@ fn progressive_pass(
 }
 
 /// The rewrite covers every normalized shape (joins, predicates,
-/// group-bys); the only static gate is the fact table existing.
+/// group-bys) and answers with the block sample's cluster interval; the
+/// only static gate is the fact table existing.
 fn rewrite_pass(q: &AggQuery, ctx: &LintContext, diags: &mut Vec<Diagnostic>) -> TechniqueVerdict {
     let kind = TechniqueKind::MiddlewareRewrite;
     if let Some(v) = quarantine_check(kind, ctx, diags) {
@@ -497,7 +498,7 @@ fn rewrite_pass(q: &AggQuery, ctx: &LintContext, diags: &mut Vec<Diagnostic>) ->
             },
         );
     }
-    eligible(kind, GuaranteeClass::PointEstimate)
+    eligible(kind, GuaranteeClass::APosteriori)
 }
 
 /// Exact executes anything whose tables exist — zero-width intervals.
@@ -602,28 +603,6 @@ fn risk_pass(
             suggestion: Some(Suggestion::UseUniverseSampling {
                 key: q.joins[0].fact_key.clone(),
             }),
-            predicts: None,
-        });
-    }
-
-    // A013: every family with an interval is blocked; the best remaining
-    // approximate answer carries no error guarantee at all.
-    let best_approx = verdicts
-        .iter()
-        .filter(|v| v.kind != TechniqueKind::Exact)
-        .map(|v| v.guarantee)
-        .max()
-        .unwrap_or(GuaranteeClass::Unattainable);
-    if best_approx == GuaranteeClass::PointEstimate {
-        diags.push(Diagnostic {
-            code: LintCode::A013PointEstimateOnly,
-            severity: Severity::Note,
-            technique: Some(TechniqueKind::MiddlewareRewrite),
-            path: "plan".to_string(),
-            message: "the only statically attainable approximate answer is a point \
-                      estimate — no error interval will be carried"
-                .to_string(),
-            suggestion: Some(Suggestion::RouteExact),
             predicts: None,
         });
     }

@@ -23,7 +23,7 @@ pub enum TechniqueKind {
     OnlineSampling,
     /// Progressive online aggregation.
     OnlineAggregation,
-    /// Middleware rewrite over a weighted sample.
+    /// Middleware rewrite over a query-time block sample.
     MiddlewareRewrite,
     /// Exact execution — the terminal every chain ends in.
     Exact,

@@ -5,7 +5,9 @@
 //! each answered by the routing `AqpSession` and by every family forced
 //! directly. The router should match the best forced technique on each
 //! workload without being told which one that is. Every time is the
-//! median of five warm repetitions, after one untimed run.
+//! median of five warm repetitions, after one untimed run. `ci ±%` is the
+//! widest interval's half-width relative to its estimate: an answer whose
+//! error exceeds the contract should say so there.
 
 use aqp_bench::{timed_median, TablePrinter};
 use aqp_core::{
@@ -49,6 +51,15 @@ fn error_vs(ans: &ApproximateAnswer, truth: &ApproximateAnswer) -> (f64, usize) 
     (if n > 0 { sum / n as f64 } else { f64::NAN }, missing)
 }
 
+/// The widest interval's half-width relative to its estimate, in % —
+/// what the answer itself says about the error it may carry.
+fn widest_ci_pct(ans: &ApproximateAnswer) -> f64 {
+    (ans.groups.iter())
+        .flat_map(|g| g.estimates.iter().zip(&g.intervals))
+        .map(|(e, ci)| 100.0 * (ci.hi - ci.lo) / 2.0 / e.value.abs().max(f64::MIN_POSITIVE))
+        .fold(0.0, f64::max)
+}
+
 /// Run one candidate (router or forced family) and print a result row.
 fn report_row(
     p: &TablePrinter,
@@ -65,6 +76,7 @@ fn report_row(
                 format!("{ms:.2}"),
                 format!("{}", ans.report.rows_scanned),
                 format!("{:.2}", 100.0 * err),
+                format!("{:.2}", widest_ci_pct(&ans)),
                 if missing > 0 {
                     format!("{missing} groups missing")
                 } else {
@@ -78,6 +90,7 @@ fn report_row(
                 format!("{ms:.2}"),
                 "-".to_string(),
                 "-".to_string(),
+                "-".to_string(),
                 format!("declined: {reason}"),
             ]);
         }
@@ -85,6 +98,7 @@ fn report_row(
             p.row(&[
                 label.to_string(),
                 format!("{ms:.2}"),
+                "-".to_string(),
                 "-".to_string(),
                 "-".to_string(),
                 format!("error: {e}"),
@@ -123,8 +137,15 @@ fn scenario(
     const SEED: u64 = 7;
     println!("{title}");
     let p = TablePrinter::new(
-        &["technique", "time ms", "rows scanned", "rel err %", "notes"],
-        &[24, 9, 13, 10, 34],
+        &[
+            "technique",
+            "time ms",
+            "rows scanned",
+            "rel err %",
+            "ci ±%",
+            "notes",
+        ],
+        &[24, 9, 13, 10, 8, 34],
     );
     // The denominator every other row is read against, timed like them.
     let (truth, exact_ms) =
@@ -133,6 +154,7 @@ fn scenario(
         "exact engine".to_string(),
         format!("{exact_ms:.2}"),
         truth.report.rows_scanned.to_string(),
+        "0.00".to_string(),
         "0.00".to_string(),
         "the denominator".to_string(),
     ]);

@@ -57,7 +57,7 @@ pub enum Technique {
     /// Two-phase pilot-planned online sampling (the planner in
     /// [`aqp_core::online`]).
     PilotPlannedSampling,
-    /// VerdictDB-style middleware rewriting over a weighted sample
+    /// VerdictDB-style middleware over a block sample grouped by block
     /// ([`aqp_core::rewrite`]).
     MiddlewareRewrite,
 }
@@ -214,8 +214,8 @@ fn derived_family_rows() -> Vec<Capability> {
                 ),
                 TechniqueKind::MiddlewareRewrite => (
                     Technique::MiddlewareRewrite,
-                    "any normalized star linear-aggregate query, rewritten over a weighted sample",
-                    "fixed-rate sample through the unmodified exact engine",
+                    "any normalized star linear-aggregate query, over a block sample grouped by block",
+                    "fixed-rate block sample through the engine's aggregate step; interval after the fact",
                     "core::rewrite",
                 ),
                 // The terminal is not an AQP technique: no row.
@@ -516,7 +516,10 @@ mod tests {
         assert!(!ola.a_priori_error, "progressive CI is a-posteriori");
         assert!(ola.adhoc_predicates);
         let rewrite = row(Technique::MiddlewareRewrite);
-        assert!(!rewrite.a_priori_error, "point estimates carry no contract");
+        assert!(
+            !rewrite.a_priori_error,
+            "a fixed-rate sample's interval is a-posteriori"
+        );
         assert!(rewrite.adhoc_predicates);
         assert!(rewrite.joins);
         assert!(!rewrite.needs_workload_knowledge);

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use aqp_stats::{ConfidenceInterval, Estimate};
+use aqp_stats::{ConfidenceInterval, CriticalValues, Estimate};
 use aqp_storage::Value;
 
 use crate::technique::{DeclineReason, TechniqueKind};
@@ -34,10 +34,10 @@ pub enum ExecutionPath {
         /// Fraction of the table processed before stopping.
         fraction: f64,
     },
-    /// Middleware rewrite over a weighted sample drawn at `rate`, executed
-    /// by the unmodified exact engine.
+    /// Middleware rewrite over a block sample drawn at `rate`, folded by
+    /// the engine's aggregate step.
     MiddlewareRewrite {
-        /// Sampling rate of the weighted sample.
+        /// Block-sampling rate of the sample.
         rate: f64,
     },
 }
@@ -230,15 +230,9 @@ impl ExecutionReport {
             100.0 * self.touched_fraction(),
         );
         if let Some(admission) = &self.admission {
-            let decision = match &admission.decision {
-                crate::service::AdmissionDecision::Accepted => "accepted".to_string(),
-                crate::service::AdmissionDecision::Degraded { requested, granted } => {
-                    format!("degraded ({requested} -> {granted})")
-                }
-            };
             let _ = write!(
                 out,
-                "admission: {decision}  cache={}  queue_wait={}",
+                "admission: accepted  cache={}  queue_wait={}",
                 admission.cache.tag(),
                 aqp_obs::fmt_ns(admission.queue_wait.as_nanos() as u64),
             );
@@ -269,15 +263,12 @@ impl ExecutionReport {
         }
         if let Some(audit) = &self.audit {
             let verdict = if audit.ok { "ok" } else { "FAILED" };
-            let nominal = match audit.nominal_coverage {
-                Some(n) => format!("{n:.2}"),
-                None => "-".to_string(),
-            };
             let _ = writeln!(
                 out,
-                "audit: {verdict}  max_rel_err={:.4}  nominal={nominal}  \
+                "audit: {verdict}  max_rel_err={:.4}  nominal={:.2}  \
                  groups={}/{} present  cost={}",
                 audit.max_rel_err,
+                audit.nominal_coverage,
                 audit.groups_checked - audit.groups_missing,
                 audit.groups_checked,
                 aqp_obs::fmt_ns(audit.wall.as_nanos() as u64),
@@ -367,6 +358,9 @@ impl ApproximateAnswer {
 /// `confidence` from each estimate, sorts groups by key (NULL < bool <
 /// numeric < string, then by value), and attaches the report. Families
 /// must not hand-roll this — the copies used to drift on group ordering.
+/// Each critical value is computed once per answer ([`CriticalValues`]),
+/// not once per estimate: a many-group answer's estimates share a few
+/// unit counts.
 pub fn assemble_answer(
     group_by: Vec<String>,
     aggregates: Vec<String>,
@@ -374,10 +368,11 @@ pub fn assemble_answer(
     confidence: f64,
     report: ExecutionReport,
 ) -> ApproximateAnswer {
+    let mut crits = CriticalValues::new(confidence);
     let mut groups: Vec<GroupResult> = raw
         .into_iter()
         .map(|(key, estimates)| {
-            let intervals = estimates.iter().map(|e| e.ci(confidence)).collect();
+            let intervals = estimates.iter().map(|e| crits.ci(e)).collect();
             GroupResult {
                 key,
                 estimates,
@@ -519,6 +514,54 @@ mod tests {
         assert_eq!(a.groups[1].key, vec![Value::str("b")]);
         assert_eq!(a.groups[0].intervals.len(), 1);
         assert!(a.groups[0].intervals[0].contains(1.0));
+    }
+
+    /// One critical value per distinct unit count gives every interval
+    /// bit for bit as `Estimate::ci` builds it alone, on both sides of the
+    /// t/normal switch and for exact and one-unit estimates.
+    #[test]
+    fn memoized_critical_values_match_per_estimate_intervals() {
+        let units = [1u64, 2, 3, 19, 20, 57, 98, 99, 100, 101, 5_000, u64::MAX];
+        let raw: Vec<_> = (0..units.len() * 3)
+            .map(|i| {
+                let n = units[i % units.len()];
+                let est = Estimate::new(i as f64 * 1.5 - 7.0, 0.25 + i as f64, n);
+                (
+                    vec![Value::Int64(i as i64)],
+                    vec![est, Estimate::exact(2.0)],
+                )
+            })
+            .collect();
+        let report = ExecutionReport {
+            path: ExecutionPath::Exact,
+            population_rows: 1,
+            rows_touched: 1,
+            rows_scanned: 1,
+            wall: Duration::ZERO,
+            routing: None,
+            trace: None,
+            lints: None,
+            audit: None,
+            accuracy: None,
+            admission: None,
+        };
+        for confidence in [0.5, 0.95, 0.9983] {
+            let a = assemble_answer(
+                vec!["g".into()],
+                vec!["x".into(), "c".into()],
+                raw.clone(),
+                confidence,
+                report.clone(),
+            );
+            assert_eq!(a.groups.len(), raw.len());
+            for g in &a.groups {
+                for (e, ci) in g.estimates.iter().zip(&g.intervals) {
+                    let want = e.ci(confidence);
+                    assert_eq!(ci.lo.to_bits(), want.lo.to_bits(), "n={}", e.n);
+                    assert_eq!(ci.hi.to_bits(), want.hi.to_bits(), "n={}", e.n);
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! approximate answers exactly and check the promises they carried.
 //!
 //! NSB's guarantees are conditional — a drifted synopsis, a CI whose
-//! nominal coverage silently degrades, or a rewrite whose support
-//! assumption breaks all produce *confidently wrong* answers. The audit
+//! nominal coverage silently degrades, or a sample too small for its
+//! cluster interval all produce *confidently wrong* answers. The audit
 //! loop is the session's defense: a deterministic seeded sampler picks a
 //! configurable fraction of routed answers, the auditor re-runs them on
 //! the exact engine (same morsel pool, same kernel options), and the
@@ -12,16 +12,11 @@
 //! [`aqp_obs::scoreboard::Scoreboard`] whose windowed coverage drives
 //! quarantine ([`DeclineReason::Quarantined`](crate::DeclineReason)).
 //!
-//! Verdict semantics per guarantee class:
-//!
-//! * **Interval-carrying winners** (offline synopsis, online sampling,
-//!   OLA): the audit passes iff every exact group is present in the
-//!   answer *and* the exact value lies inside its reported interval.
-//!   A group the sample missed is a coverage miss — the answer claimed
-//!   to describe the population and didn't.
-//! * **Point estimates** (middleware rewrite): no interval was carried,
-//!   so the audit checks the spec's relative-error target instead and
-//!   records no nominal coverage.
+//! Every approximate winner carries an interval, so one verdict serves
+//! them all: the audit passes iff every exact group is present in the
+//! answer *and* the exact value lies inside its reported interval. A
+//! group the sample missed is a coverage miss — the answer claimed to
+//! describe the population and didn't.
 //!
 //! Exact winners are never audited — there is nothing to check.
 
@@ -76,9 +71,8 @@ pub struct AuditOutcome {
     pub ok: bool,
     /// Worst observed relative error across all groups and aggregates.
     pub max_rel_err: f64,
-    /// The nominal coverage the answer promised (`None` for point
-    /// estimates, which promise none).
-    pub nominal_coverage: Option<f64>,
+    /// The nominal coverage the answer promised.
+    pub nominal_coverage: f64,
     /// Exact groups compared.
     pub groups_checked: usize,
     /// Exact groups the approximate answer was missing entirely.
@@ -139,7 +133,6 @@ pub(crate) fn audit_answer(
         .map(|t| t.row_count() as u64)
         .ok();
     let exact = exact_answer_with(catalog, &query.to_plan(), population, opts)?;
-    let carries_intervals = !matches!(winner, TechniqueKind::MiddlewareRewrite);
     let mut max_rel_err = 0.0f64;
     let mut covered_all = true;
     let mut groups_missing = 0usize;
@@ -163,21 +156,16 @@ pub(crate) fn audit_answer(
                 (est.value - truth).abs()
             };
             max_rel_err = max_rel_err.max(err);
-            if carries_intervals && !ci.contains(truth) {
+            if !ci.contains(truth) {
                 covered_all = false;
             }
         }
     }
-    let ok = if carries_intervals {
-        covered_all
-    } else {
-        groups_missing == 0 && max_rel_err <= spec.relative_error
-    };
     let outcome = AuditOutcome {
         technique: winner,
-        ok,
+        ok: covered_all,
         max_rel_err,
-        nominal_coverage: carries_intervals.then_some(spec.confidence),
+        nominal_coverage: spec.confidence,
         groups_checked: exact.groups.len(),
         groups_missing,
         wall: Duration::ZERO,

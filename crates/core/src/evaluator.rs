@@ -12,13 +12,12 @@
 //! [`AggStep::fold_units`]: each morsel of sampled blocks folds through
 //! one partial, and after each block the groups it touched are moved out
 //! as that unit's totals, so every (unit, group) sum starts at zero and
-//! adds its rows in row order, as a fresh partial per block would. The
-//! `(f, g)` pairs the HT estimators consume are read straight out of those
-//! aggregate states. Where a predicate runs, which columns a join gathers
-//! and how names resolve (fact columns first, then dimensions in join
-//! order) is decided once, in the engine, for the exact and the sampled
-//! paths alike. Rows with a NULL or dangling key drop, as in an inner
-//! join.
+//! adds its rows in row order, as a fresh partial per block would. Those
+//! totals are the `(f, g)` pairs the HT estimators consume. Where a
+//! predicate runs, which columns a join gathers and how names resolve
+//! (fact columns first, then dimensions in join order) is decided once,
+//! in the engine, for the exact and the sampled paths alike. Rows with a
+//! NULL or dangling key drop, as in an inner join.
 //!
 //! That per-row FK lookup is exactly why `sample(fact) ⋈ dim` is
 //! statistically identical to `sample(fact ⋈ dim)` for foreign-key joins
@@ -30,9 +29,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use aqp_engine::agg::{AggState, GroupKey, KeyAtom};
+use aqp_engine::agg::{GroupKey, KeyAtom};
 use aqp_engine::fold::record_dispatch;
 use aqp_engine::{AggStep, BlockFold, UnitTotals};
+use aqp_sampling::bernoulli_blocks;
 use aqp_sampling::design::{PairStats, UnitSums};
 use aqp_stats::Estimate;
 use aqp_storage::{Block, Catalog, DataType, Table, Value};
@@ -124,18 +124,6 @@ impl StarEvaluator {
     }
 }
 
-/// A unit's `(f, g)` totals for one linear aggregate, read out of its
-/// state: SUM is `(Σx, 0)`, COUNT `(n, 0)`, AVG `(Σx, n)` over non-NULL
-/// `x`.
-fn pair(state: &AggState) -> (f64, f64) {
-    match *state {
-        AggState::CountStar(n) => (n as f64, 0.0),
-        AggState::Sum { sum, .. } => (sum, 0.0),
-        AggState::Avg { sum, count } => (sum, count as f64),
-        _ => unreachable!("linear aggregates only"),
-    }
-}
-
 /// One group's sums over a block sample: per aggregate, the `(f, g)`
 /// totals of the sampled blocks the group has a qualifying row in.
 #[derive(Debug, Clone)]
@@ -172,6 +160,31 @@ impl SampledTotals {
         }
     }
 
+    /// Draws a Bernoulli block sample of `evaluator`'s fact table at
+    /// `rate` under `seed` and folds it on up to `threads` threads, inside
+    /// a `span` that records the rows drawn, the rate and the fold that
+    /// ran. Returns the totals with the rows the sample drew. Online's
+    /// final phase and the middleware rewrite both sample through here.
+    pub fn draw(
+        evaluator: &StarEvaluator,
+        rate: f64,
+        seed: u64,
+        threads: usize,
+        span: &'static str,
+    ) -> Result<(Self, u64), AqpError> {
+        let mut span = aqp_obs::span(span);
+        let sample = bernoulli_blocks(evaluator.fact(), rate, seed);
+        let rows = sample.num_rows() as u64;
+        let mut totals = Self::new(evaluator);
+        totals.fold(evaluator, sample.table.blocks(), threads)?;
+        if span.is_recording() {
+            span.set_rows(rows);
+            span.set_detail(format!("rate={rate:.4} {}", evaluator.fold().tag()));
+        }
+        span.finish();
+        Ok((totals, rows))
+    }
+
     /// Adds `blocks`, sampled from `evaluator`'s fact table, after those
     /// added so far: [`AggStep::fold_units`] folds them in morsels on up
     /// to `threads` threads, and each morsel's (unit, group) totals are
@@ -205,10 +218,9 @@ impl SampledTotals {
                 })
             })
             .collect();
-        for (_, group, states) in morsel.cells() {
+        for (_, group, totals) in morsel.cells() {
             let group = &mut groups[slots[group]];
-            for (t, state) in group.totals.iter_mut().zip(states) {
-                let (f, g) = pair(state);
+            for (t, &(f, g)) in group.totals.iter_mut().zip(totals) {
                 t.push(f, g);
             }
             group.blocks_seen += 1;
@@ -328,9 +340,9 @@ mod tests {
         };
         assert_eq!(morsel.units, 1);
         (morsel.cells())
-            .map(|(unit, g, states)| {
+            .map(|(unit, g, totals)| {
                 assert_eq!(unit, 0);
-                (morsel.keys[g].clone(), states.iter().map(pair).collect())
+                (morsel.keys[g].clone(), totals.to_vec())
             })
             .collect()
     }

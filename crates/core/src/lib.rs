@@ -26,8 +26,8 @@
 //!   session's per-technique coverage scoreboard, whose windowed
 //!   coverage quarantines techniques that break their promises.
 //! * [`rewrite`] — VerdictDB-style middleware: the same queries answered
-//!   by rewriting over a weighted sample and running the *unmodified*
-//!   exact engine ([`rewrite::answer_via_rewrite`]).
+//!   over a fixed-rate block sample grouped by its blocks, through the
+//!   engine's own aggregate step and the one cluster estimator.
 //! * [`technique`] — the uniform [`Technique`] trait all four families
 //!   implement: execution that may decline with a machine-readable
 //!   reason, guarded by the family's own analyzer verdict.
@@ -105,8 +105,8 @@ pub use ola::{OlaTechnique, OnlineAggregator};
 pub use online::{OnlineAqp, OnlineConfig};
 pub use rewrite::RewriteTechnique;
 pub use service::{
-    AdmissionDecision, AdmissionReport, AqpService, CacheEvent, Contract, Rejection, ServiceConfig,
-    ServiceReply, ServiceStats,
+    AdmissionReport, AqpService, CacheEvent, Contract, Rejection, ServiceConfig, ServiceReply,
+    ServiceStats,
 };
 pub use session::{AqpSession, SessionConfig};
 pub use spec::ErrorSpec;

@@ -61,11 +61,11 @@ use std::time::Instant;
 
 use aqp_analyze::LintContext;
 use aqp_engine::LogicalPlan;
+use aqp_sampling::bernoulli_block_range;
 use aqp_sampling::design::UnitSums;
-use aqp_sampling::{bernoulli_block_range, bernoulli_blocks};
 use aqp_stats::bounds::group_coverage_rate;
-use aqp_stats::{ConfidenceInterval, Estimate};
-use aqp_storage::{Catalog, Value};
+use aqp_stats::ConfidenceInterval;
+use aqp_storage::Catalog;
 
 use crate::aggquery::{AggQuery, LinearAgg};
 use crate::answer::{assemble_answer, ApproximateAnswer, ExecutionPath, ExecutionReport};
@@ -185,6 +185,13 @@ fn group_coverage_floor(totals: &SampledTotals, big_m: u64) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// The final sample's seed, derived from the query seed (splitmix-style
+/// multiply), so pilot and final samples are decorrelated yet fully
+/// determined by `(seed, rate)`.
+fn final_seed(seed: u64) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9).wrapping_add(1)
+}
+
 /// The rate a pilot plans, read three ways (see
 /// [`OnlineAqp::required_rates`]): `optimistic ≤ face_value ≤ required`.
 struct RequiredRates {
@@ -279,7 +286,14 @@ impl<'a> OnlineAqp<'a> {
             }
         };
 
-        let (raw, final_rows) = self.final_phase(&evaluator, seed, q_final)?;
+        let (totals, final_rows) = SampledTotals::draw(
+            &evaluator,
+            q_final,
+            final_seed(seed),
+            self.config.threads,
+            "online:final",
+        )?;
+        let raw = totals.estimates(&evaluator);
         let ci_conf = spec
             .split_across((raw.len() * query.aggregates.len()).max(1))
             .confidence;
@@ -445,35 +459,6 @@ impl<'a> OnlineAqp<'a> {
         )
     }
 
-    /// The final sampling pass: an independent Bernoulli block sample at
-    /// `final_rate`, folded into per-group cluster estimates. Returns them
-    /// with the rows the sample drew. The final-phase seed is derived from
-    /// the query seed (splitmix-style multiply), so pilot and final samples
-    /// are decorrelated yet fully determined by `(seed, rate)`.
-    #[allow(clippy::type_complexity)] // the shape `assemble_answer` takes
-    fn final_phase(
-        &self,
-        evaluator: &StarEvaluator,
-        seed: u64,
-        final_rate: f64,
-    ) -> Result<(Vec<(Vec<Value>, Vec<Estimate>)>, u64), AqpError> {
-        let mut final_span = aqp_obs::span("online:final");
-        let final_sample = bernoulli_blocks(
-            evaluator.fact(),
-            final_rate,
-            seed.wrapping_mul(0x9E37_79B9).wrapping_add(1),
-        );
-        let final_rows = final_sample.num_rows() as u64;
-        let mut final_totals = SampledTotals::new(evaluator);
-        final_totals.fold(evaluator, final_sample.table.blocks(), self.config.threads)?;
-        if final_span.is_recording() {
-            final_span.set_rows(final_rows);
-            final_span.set_detail(evaluator.fold().tag().to_string());
-        }
-        final_span.finish();
-        Ok((final_totals.estimates(evaluator), final_rows))
-    }
-
     /// Exact execution of a normalized query, wrapped as an answer.
     pub fn exact(
         &self,
@@ -507,6 +492,9 @@ mod tests {
     use super::*;
     use aqp_engine::{execute, AggExpr, Query};
     use aqp_expr::{col, lit};
+    use aqp_sampling::bernoulli_blocks;
+    use aqp_stats::Estimate;
+    use aqp_storage::Value;
     use aqp_workload::{build_star_schema, uniform_table, StarScale};
 
     fn star_catalog() -> Catalog {
@@ -732,14 +720,13 @@ mod tests {
             )
             .build();
         let q = AggQuery::from_plan(&plan).unwrap();
-        let aqp = OnlineAqp::new(&c, OnlineConfig::default());
         let evaluator = StarEvaluator::new(&c, &q).unwrap();
         // The final phase takes its rate as given (the planner floors it):
         // find a seed whose final sample is exactly one 64-row block.
         let raw = (0..1_000)
             .find_map(
-                |seed| match aqp.final_phase(&evaluator, seed, 1.0 / big_m) {
-                    Ok((raw, 64)) => Some(raw),
+                |seed| match SampledTotals::draw(&evaluator, 1.0 / big_m, seed, 1, "final") {
+                    Ok((totals, 64)) => Some(totals.estimates(&evaluator)),
                     _ => None,
                 },
             )
@@ -960,8 +947,10 @@ mod tests {
                 let mut seen = SampledTotals::new(&evaluator);
                 let sample = bernoulli_blocks(evaluator.fact(), pilot.rate, seed);
                 seen.fold(&evaluator, sample.table.blocks(), 1).unwrap();
-                let (raw, _) = aqp.final_phase(&evaluator, seed, final_rate).unwrap();
-                let got = keys(raw);
+                let (totals, _) =
+                    SampledTotals::draw(&evaluator, final_rate, final_seed(seed), 1, "final")
+                        .unwrap();
+                let got = keys(totals.estimates(&evaluator));
                 kept.record_hit(
                     keys(seen.estimates(&evaluator))
                         .iter()

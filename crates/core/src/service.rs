@@ -53,13 +53,14 @@
 //!    [`Contract`] (max relative error, confidence, optional deadline).
 //!    A contract whose error or confidence lies outside (0, 1) is an
 //!    [`AqpError::InvalidContract`]. Admission *accepts* a well-formed
-//!    one, *degrades* it (the analyzer proves only a point-estimate
-//!    family can answer: the query still runs, with the
-//!    honest downgrade recorded in the answer's
-//!    [`AdmissionReport`]), or *rejects*
-//!    it with a typed [`Rejection`] — strict policies reject instead of
-//!    degrading, and deadlines the cached cost estimate proves unmeetable
-//!    are rejected before any work is done.
+//!    one, with its plan-cache event, queue wait and wall estimate in the
+//!    answer's [`AdmissionReport`], or *rejects* it with a typed
+//!    [`Rejection`]: a full queue, or a deadline the cached cost estimate
+//!    proves unmeetable, before any work is done.
+//!    Every family that can answer carries an interval (the exact one has
+//!    width zero), so no accuracy contract is refused or downgraded
+//!    statically: an answer whose interval is wider than the contract
+//!    says so itself.
 //!
 //! Answers produced through the service are bit-for-bit identical to a
 //! serial [`AqpSession::answer`] replay of the same `(plan, spec, seed)`
@@ -83,7 +84,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use aqp_analyze::{Analysis, GuaranteeClass};
+use aqp_analyze::Analysis;
 use aqp_engine::LogicalPlan;
 use aqp_obs::metrics::MetricsRegistry;
 use aqp_obs::names;
@@ -161,10 +162,6 @@ pub struct ServiceConfig {
     /// with [`Rejection::QueueFull`]. `0` disables queueing entirely
     /// (admit-or-reject).
     pub queue_capacity: usize,
-    /// When `true`, a contract the analyzer proves no guarantee-carrying
-    /// family can honor is rejected ([`Rejection::ContractUnattainable`])
-    /// instead of degraded to a point estimate.
-    pub strict_contracts: bool,
     /// Machine-wide morsel-thread budget split across in-flight queries:
     /// an admitted query runs on the budget divided by the queries in
     /// flight at its grant, itself included, and never on fewer than 1.
@@ -180,7 +177,6 @@ impl Default for ServiceConfig {
         Self {
             max_inflight: threads.max(1),
             queue_capacity: 64,
-            strict_contracts: false,
             thread_budget: threads,
         }
     }
@@ -207,12 +203,6 @@ pub enum Rejection {
         /// The estimated (or already-spent) wall clock that sank it.
         estimate: Duration,
     },
-    /// Under [`ServiceConfig::strict_contracts`], no guarantee-carrying
-    /// family can answer this plan — only a point estimate is attainable.
-    ContractUnattainable {
-        /// The strongest approximate guarantee the analyzer found.
-        best: GuaranteeClass,
-    },
 }
 
 impl std::fmt::Display for Rejection {
@@ -225,9 +215,6 @@ impl std::fmt::Display for Rejection {
                 f,
                 "deadline {deadline:?} unmeetable (estimate {estimate:?})"
             ),
-            Self::ContractUnattainable { best } => {
-                write!(f, "contract unattainable (best approximate: {best})")
-            }
         }
     }
 }
@@ -289,39 +276,10 @@ impl CacheEvent {
     }
 }
 
-/// The admission verdict for an executed query (rejected queries carry a
-/// [`Rejection`] instead).
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdmissionDecision {
-    /// A guarantee-carrying family (or exact) can honor the contract.
-    Accepted,
-    /// Only a point-estimate family can answer: the query ran, with the
-    /// guarantee honestly downgraded.
-    Degraded {
-        /// The class the contract asked for (a-priori bounds).
-        requested: GuaranteeClass,
-        /// The class actually attainable.
-        granted: GuaranteeClass,
-    },
-}
-
-impl AdmissionDecision {
-    /// The metric label value (a member of
-    /// [`aqp_obs::names::ADMISSION_DECISION_TAGS`]).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Self::Accepted => "accepted",
-            Self::Degraded { .. } => "degraded",
-        }
-    }
-}
-
 /// How admission handled one executed query — attached to the answer's
 /// report and rendered by `explain_analyze()`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionReport {
-    /// Accepted as asked, or degraded with an honest downgrade.
-    pub decision: AdmissionDecision,
     /// What the plan cache found for this query.
     pub cache: CacheEvent,
     /// Time spent in the admission queue before execution began.
@@ -349,10 +307,8 @@ pub struct ServiceStats {
     pub cache_misses: u64,
     /// Plan-cache lookups that found an invalidated entry.
     pub cache_stale: u64,
-    /// Queries admitted with the contract intact.
+    /// Queries admitted.
     pub accepted: u64,
-    /// Queries admitted with a degraded guarantee.
-    pub degraded: u64,
     /// Queries rejected by admission control.
     pub rejected: u64,
 }
@@ -908,7 +864,6 @@ impl<'a> AqpService<'a> {
             cache_misses: cache(CacheEvent::Miss) + cache(CacheEvent::Uncacheable),
             cache_stale: cache(CacheEvent::Stale),
             accepted: admitted("accepted"),
-            degraded: admitted("degraded"),
             rejected: admitted("rejected"),
         }
     }
@@ -982,24 +937,6 @@ impl<'a> AqpService<'a> {
             .inc(1);
 
         // ---- Contract admission ----
-        let best = prep.analysis.best_approximate();
-        let decision = match best {
-            // A guarantee-carrying family — or exact-only, which beats any
-            // accuracy contract — can honor the request.
-            GuaranteeClass::Exact
-            | GuaranteeClass::APriori
-            | GuaranteeClass::APosteriori
-            | GuaranteeClass::Unattainable => AdmissionDecision::Accepted,
-            GuaranteeClass::PointEstimate => {
-                if self.config.strict_contracts {
-                    return Ok(self.reject(Rejection::ContractUnattainable { best }));
-                }
-                AdmissionDecision::Degraded {
-                    requested: GuaranteeClass::APriori,
-                    granted: best,
-                }
-            }
-        };
         let estimated_wall = prep.cached.as_ref().and_then(|c| c.estimated_wall);
         if let (Some(deadline), Some(estimate)) = (contract.deadline, estimated_wall) {
             if estimate > deadline {
@@ -1046,9 +983,8 @@ impl<'a> AqpService<'a> {
         if let Some(cached) = &prep.cached {
             self.record_result(cached.fp, cached.serial, &ans);
         }
-        self.count_admission(decision.tag());
+        self.count_admission("accepted");
         ans.report.admission = Some(Box::new(AdmissionReport {
-            decision,
             cache: prep.event,
             queue_wait,
             estimated_wall,

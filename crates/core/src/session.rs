@@ -16,15 +16,16 @@
 //!    required rate exceeds the pay-off cap.
 //! 3. **Online aggregation** — progressive execution with an a-posteriori
 //!    stopping rule, for the ungrouped single-table shapes it serves.
-//! 4. **Middleware rewrite** — point estimates through the unmodified
-//!    exact engine; maximal generality, no guarantee, gated on per-group
-//!    sample support.
+//! 4. **Middleware rewrite** — a fixed-rate block sample through the
+//!    engine's aggregate step, with the cluster interval online sampling
+//!    uses; maximal generality, an a-posteriori guarantee (no pilot plans
+//!    the rate), gated on per-group sample support.
 //! 5. **Exact** — the terminal; always correct, never fast.
 //!
-//! Guarantee-carrying families outrank the point-estimate middleware;
-//! within the guaranteed ones, cheaper data access outranks costlier. A
-//! runtime decline falls through to the next candidate, and the full
-//! deliberation is recorded in the answer's
+//! Families that plan their error before execution outrank the rewrite,
+//! whose interval is known only afterwards; within those, cheaper data
+//! access outranks costlier. A runtime decline falls through to the next
+//! candidate, and the full deliberation is recorded in the answer's
 //! [`RoutingDecision`].
 
 use std::convert::Infallible;
@@ -173,7 +174,7 @@ pub struct SessionConfig {
     /// Bernoulli block rate of the middleware rewrite's query-time sample.
     pub rewrite_rate: f64,
     /// Minimum raw sample rows per output group for the rewrite to stand
-    /// behind its point estimates.
+    /// behind its estimates.
     pub rewrite_min_group_support: u64,
     /// The ground-truth audit sampler and quarantine policy (disabled by
     /// default: `rate` 0.0).

@@ -22,8 +22,9 @@
 //!   with freshness gating;
 //! * [`crate::ola::OlaTechnique`] — progressive online aggregation
 //!   (a-posteriori: stop when the live interval is narrow enough);
-//! * [`crate::rewrite::RewriteTechnique`] — VerdictDB-style middleware
-//!   rewriting over a weighted sample (point estimates, no intervals).
+//! * [`crate::rewrite::RewriteTechnique`] — VerdictDB-style middleware:
+//!   a fixed-rate block sample grouped by its blocks (a-posteriori: the
+//!   cluster interval online sampling uses, with no pilot).
 
 use std::time::Instant;
 

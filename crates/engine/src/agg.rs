@@ -166,6 +166,21 @@ pub enum AggState {
 }
 
 impl AggState {
+    /// A linear aggregate's `(f, g)` totals, what the sample estimators
+    /// read: `COUNT(*)` is `(n, 0)`, `SUM` `(Σx, 0)`, `AVG` `(Σx, n)` over
+    /// non-NULL `x`.
+    ///
+    /// # Panics
+    /// Panics on a state of any other aggregate.
+    pub(crate) fn linear_totals(&self) -> (f64, f64) {
+        match *self {
+            AggState::CountStar(n) => (n as f64, 0.0),
+            AggState::Sum { sum, .. } => (sum, 0.0),
+            AggState::Avg { sum, count } => (sum, count as f64),
+            ref other => unreachable!("not a linear aggregate: {other:?}"),
+        }
+    }
+
     /// Fresh state for a function.
     pub fn new(func: AggFunc) -> AggState {
         match func {
@@ -529,6 +544,19 @@ impl Col {
     }
 
     /// Moves row `g` out as an [`AggState`], leaving the row fresh.
+    /// Row `g`'s linear `(f, g)` totals ([`AggState::linear_totals`]),
+    /// leaving the row fresh — read straight off the typed columns.
+    fn take_totals(&mut self, g: usize) -> (f64, f64) {
+        match self {
+            Col::Count(AggFunc::CountStar, n) => (std::mem::take(&mut n[g]) as f64, 0.0),
+            Col::Sum(func, sum, n) => {
+                let (sum, n) = (std::mem::take(&mut sum[g]), std::mem::take(&mut n[g]));
+                (sum, if *func == AggFunc::Avg { n as f64 } else { 0.0 })
+            }
+            _ => self.take_state(g).linear_totals(),
+        }
+    }
+
     pub(crate) fn take_state(&mut self, g: usize) -> AggState {
         match self {
             Col::Count(func, n) => {
@@ -712,10 +740,10 @@ impl I64GroupMap {
         (self.keys.iter().enumerate()).map(|(gi, &key)| (self.null != Some(gi)).then_some(key))
     }
 
-    /// Moves group `gi`'s states out onto `out`, one per aggregate,
-    /// leaving its row fresh.
-    pub(crate) fn take_states(&mut self, gi: usize, out: &mut Vec<AggState>) {
-        out.extend(self.cols.iter_mut().map(|c| c.take_state(gi)));
+    /// Moves group `gi`'s linear `(f, g)` totals out onto `out`, one per
+    /// aggregate, leaving its row fresh.
+    pub(crate) fn take_totals(&mut self, gi: usize, out: &mut Vec<(f64, f64)>) {
+        out.extend(self.cols.iter_mut().map(|c| c.take_totals(gi)));
     }
 
     /// Absorbs `other`'s partials. `self` must cover the *earlier* morsels:

@@ -633,11 +633,12 @@ impl AggStep {
     }
 
     /// Folds a block sample — its blocks are the sampling units — into
-    /// per-(unit, group) states, in morsels of `AGG_MORSEL_BLOCKS` blocks
-    /// on up to `threads` threads. A morsel folds its blocks in order
-    /// through one partial, and after each block moves the states of the
-    /// groups that block touched out as that unit's cells, leaving their
-    /// rows fresh. Every (unit, group) thus sums from a fresh state over
+    /// per-(unit, group) linear totals, in morsels of `AGG_MORSEL_BLOCKS`
+    /// blocks on up to `threads` threads. A morsel folds its blocks in
+    /// order through one partial, and after each block moves the totals of
+    /// the groups that block touched out as that unit's cells, leaving
+    /// their rows fresh. Every aggregate must be linear (`COUNT(*)`,
+    /// `SUM`, `AVG`). Every (unit, group) thus sums from a fresh state over
     /// its unit's rows in row order — the bits one fresh partial per block
     /// would hold — while the partial is set up once per morsel. Returns
     /// one [`UnitTotals`] per morsel, in sample order.

@@ -188,13 +188,14 @@ impl FoldAcc {
             FoldAcc::Global(states) if rows > 0 => {
                 out.cells.push((unit, 0));
                 let fresh = |s: &mut AggState| std::mem::replace(s, AggState::new(s.func()));
-                out.states.extend(states.iter_mut().map(fresh));
+                out.totals
+                    .extend(states.iter_mut().map(|s| fresh(s).linear_totals()));
             }
             FoldAcc::Global(_) => {}
             FoldAcc::Grouped(map) | FoldAcc::Coded { groups: map, .. } => {
                 for &gi in touched {
                     out.cells.push((unit, gi));
-                    map.take_states(gi as usize, &mut out.states);
+                    map.take_totals(gi as usize, &mut out.totals);
                 }
             }
             FoldAcc::Keyed(groups) => {
@@ -205,7 +206,8 @@ impl FoldAcc {
                         next
                     });
                     out.cells.push((unit, group));
-                    out.states.extend(states);
+                    out.totals
+                        .extend(states.iter().map(AggState::linear_totals));
                 }
             }
         }
@@ -239,9 +241,11 @@ impl FoldAcc {
 
 /// One morsel of sampled blocks — blocks are the sampling units — folded
 /// by [`crate::exec::AggStep::fold_units`]: per (unit, group) with a
-/// qualifying row, that unit's aggregate states, each summed from a fresh
-/// state over the unit's rows alone in row order — the bits one fresh
-/// partial per block would hold.
+/// qualifying row, that unit's linear `(f, g)` totals per aggregate (a
+/// COUNT's `(n, 0)`, a SUM's `(Σx, 0)`, an AVG's `(Σx, n)`), each summed
+/// from a fresh state over the unit's rows alone in row order — the bits
+/// one fresh partial per block would hold. The totals are all an
+/// estimator reads, so no per-cell aggregate state is built.
 #[derive(Debug, Default)]
 pub struct UnitTotals {
     /// Sampled blocks the morsel folded, those without a qualifying row
@@ -253,19 +257,19 @@ pub struct UnitTotals {
     /// Per cell, in unit order: its unit's index in the sample and its
     /// group's index in `keys`.
     cells: Vec<(u32, u32)>,
-    /// Per cell, its states, one per aggregate, consecutively.
-    states: Vec<AggState>,
+    /// Per cell, its `(f, g)` totals, one per aggregate, consecutively.
+    totals: Vec<(f64, f64)>,
 }
 
 impl UnitTotals {
     /// Each (unit, group) cell in unit order: the unit's index in the
     /// sample, the group's index in [`UnitTotals::keys`], and the unit's
-    /// states for the group, one per aggregate.
-    pub fn cells(&self) -> impl Iterator<Item = (usize, usize, &[AggState])> + '_ {
-        let width = self.states.len().checked_div(self.cells.len()).unwrap_or(0);
+    /// `(f, g)` totals for the group, one per aggregate.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, usize, &[(f64, f64)])> + '_ {
+        let width = self.totals.len().checked_div(self.cells.len()).unwrap_or(0);
         (self.cells.iter().enumerate()).map(move |(i, &(unit, group))| {
-            let states = &self.states[i * width..(i + 1) * width];
-            (unit as usize, group as usize, states)
+            let totals = &self.totals[i * width..(i + 1) * width];
+            (unit as usize, group as usize, totals)
         })
     }
 }

@@ -267,11 +267,19 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         let caller = std::thread::current().id();
         let on_caller = || std::thread::current().id() == caller;
-        // On the caller: the first morsel it takes panics.
+        // On the caller: the worker holds its first morsel until the
+        // caller has taken one, which panics. Without the wait a worker
+        // scheduled first could drain every morsel before the caller
+        // pops one.
+        let caller_ran = AtomicBool::new(false);
         let got = panic_payload(|i, x| {
             if on_caller() {
+                caller_ran.store(true, Ordering::Release);
                 panic!("caller morsel {i}")
             } else {
+                while !caller_ran.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
                 x
             }
         });

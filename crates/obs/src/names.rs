@@ -115,11 +115,9 @@ pub const ADMISSION_TOTAL: &str = "aqp_admission_total";
 /// Label key for [`ADMISSION_TOTAL`]: what admission control decided.
 pub const ADMISSION_DECISION_LABEL: &str = "decision";
 
-/// Every label value [`ADMISSION_TOTAL`] can carry: the contract was
-/// accepted as asked, accepted with an honest guarantee downgrade, or
-/// rejected (queue full, deadline unmeetable, or contract unattainable
-/// under a strict degrade policy).
-pub const ADMISSION_DECISION_TAGS: &[&str] = &["accepted", "degraded", "rejected"];
+/// Every label value [`ADMISSION_TOTAL`] can carry: the query was
+/// accepted, or rejected (queue full or deadline unmeetable).
+pub const ADMISSION_DECISION_TAGS: &[&str] = &["accepted", "rejected"];
 
 /// Labeled counter: plan-cache lookups, keyed by [`PLAN_CACHE_EVENT_LABEL`].
 /// The label values are enumerated in [`PLAN_CACHE_EVENT_TAGS`].
@@ -159,9 +157,9 @@ pub const TECHNIQUE_LABEL: &str = "technique";
 /// [`TECHNIQUE_LABEL`].
 pub const AUDIT_TOTAL: &str = "aqp_audit_total";
 
-/// Labeled counter: audits where the exact answer fell *outside* the
-/// reported interval (or, for point estimates, missed the contract),
-/// keyed by [`TECHNIQUE_LABEL`].
+/// Labeled counter: audits where the exact answer fell *outside* a
+/// reported interval, or a true group was missing, keyed by
+/// [`TECHNIQUE_LABEL`].
 pub const AUDIT_CI_MISS_TOTAL: &str = "aqp_audit_ci_miss_total";
 
 /// Labeled histogram: observed relative error of audited answers, keyed

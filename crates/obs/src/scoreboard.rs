@@ -58,15 +58,13 @@ impl Default for ScoreboardConfig {
 /// One audited answer, as the ground-truth auditor saw it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditObservation {
-    /// Whether the audit passed: for interval-carrying techniques the
-    /// exact answer fell inside every reported CI, for point estimates
-    /// the observed error met the requested contract.
+    /// Whether the audit passed: every exact group was present and fell
+    /// inside its reported CI.
     pub ok: bool,
     /// Worst observed relative error across the answer's groups.
     pub rel_err: f64,
-    /// The nominal coverage the technique promised (e.g. 0.95), if it
-    /// carried an interval at all.
-    pub nominal: Option<f64>,
+    /// The nominal coverage the technique promised (e.g. 0.95).
+    pub nominal: f64,
 }
 
 /// What [`Scoreboard::record`] did to the technique's quarantine state.
@@ -176,7 +174,7 @@ impl Scoreboard {
             .iter()
             .map(|(name, w)| {
                 let hist = window_histogram(&w.ring);
-                let nominals: Vec<f64> = w.ring.iter().filter_map(|o| o.nominal).collect();
+                let nominals: Vec<f64> = w.ring.iter().map(|o| o.nominal).collect();
                 TechniqueScore {
                     technique: name.clone(),
                     window_len: w.ring.len(),
@@ -236,12 +234,12 @@ pub struct TechniqueScore {
     pub window_len: usize,
     /// Lifetime audits recorded for this technique.
     pub total_audits: u64,
-    /// Lifetime audits that missed (truth outside CI / contract blown).
+    /// Lifetime audits that missed (truth outside a CI, or a group lost).
     pub misses: u64,
     /// Observed coverage over the window (`None` when empty).
     pub coverage: Option<f64>,
-    /// Mean nominal coverage promised over the window, when intervals
-    /// were carried.
+    /// Mean nominal coverage promised over the window (`None` when
+    /// empty).
     pub nominal: Option<f64>,
     /// Median observed relative error over the window.
     pub p50_rel_err: Option<f64>,
@@ -324,7 +322,7 @@ mod tests {
         AuditObservation {
             ok: true,
             rel_err: 0.01,
-            nominal: Some(0.95),
+            nominal: 0.95,
         }
     }
 
@@ -332,7 +330,7 @@ mod tests {
         AuditObservation {
             ok: false,
             rel_err: 0.4,
-            nominal: Some(0.95),
+            nominal: 0.95,
         }
     }
 

@@ -324,6 +324,11 @@ impl UnitSums {
         self.sfg += f * g;
     }
 
+    /// `Σf` over the units pushed: a COUNT's raw row count, exactly.
+    pub fn sum_f(&self) -> f64 {
+        self.sf
+    }
+
     /// The per-unit means of `f` and `g` over `units` sampled units.
     pub fn means(&self, units: u64) -> (f64, f64) {
         let m = units as f64;

@@ -57,11 +57,22 @@ impl Estimate {
     /// Uses Student-t critical values when fewer than 100 sampling units
     /// back the estimate, normal critical values otherwise.
     pub fn ci(&self, confidence: f64) -> ConfidenceInterval {
-        let crit = if self.n < T_THRESHOLD && self.n >= 2 {
-            StudentT::new((self.n - 1) as f64).two_sided_critical(confidence)
+        self.ci_at(Self::critical_value(self.n, confidence), confidence)
+    }
+
+    /// The two-sided critical value [`Estimate::ci`] uses for an estimate
+    /// backed by `n` units: Student-t with `n − 1` degrees of freedom for
+    /// `2 ≤ n < 100`, normal otherwise.
+    fn critical_value(n: u64, confidence: f64) -> f64 {
+        if (2..T_THRESHOLD).contains(&n) {
+            StudentT::new((n - 1) as f64).two_sided_critical(confidence)
         } else {
             Normal::two_sided_critical(confidence)
-        };
+        }
+    }
+
+    /// The interval `value ± crit · se` at `confidence`.
+    fn ci_at(&self, crit: f64, confidence: f64) -> ConfidenceInterval {
         let margin = crit * self.std_err();
         ConfidenceInterval::new(self.value - margin, self.value + margin, confidence)
     }
@@ -148,6 +159,43 @@ pub fn boole_split(gamma: f64, k: usize) -> f64 {
         "gamma must be in (0,1), got {gamma}"
     );
     1.0 - (1.0 - gamma) / k as f64
+}
+
+/// [`Estimate::ci`] for many estimates at one confidence, each critical
+/// value computed once: one Student-t value per unit count below the
+/// t threshold (each a Newton inversion) and one normal value for every
+/// other count. The intervals are [`Estimate::ci`]'s bit for bit.
+#[derive(Debug, Clone)]
+pub struct CriticalValues {
+    confidence: f64,
+    /// Slot `n` for `2 ≤ n < 100` holds the t value; slot 0 the normal
+    /// one. NaN until first used.
+    by_units: [f64; T_THRESHOLD as usize],
+}
+
+impl CriticalValues {
+    /// An empty memo at `confidence`.
+    pub fn new(confidence: f64) -> Self {
+        Self {
+            confidence,
+            by_units: [f64::NAN; T_THRESHOLD as usize],
+        }
+    }
+
+    /// `estimate.ci(confidence)`, reusing the critical value of an
+    /// earlier estimate with the same slot.
+    pub fn ci(&mut self, estimate: &Estimate) -> ConfidenceInterval {
+        let slot = if (2..T_THRESHOLD).contains(&estimate.n) {
+            estimate.n as usize
+        } else {
+            0
+        };
+        let crit = &mut self.by_units[slot];
+        if crit.is_nan() {
+            *crit = Estimate::critical_value(estimate.n, self.confidence);
+        }
+        estimate.ci_at(*crit, self.confidence)
+    }
 }
 
 #[cfg(test)]

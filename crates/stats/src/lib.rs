@@ -34,6 +34,6 @@ pub mod moments;
 pub mod special;
 
 pub use dist::{ChiSquared, Normal, StudentT};
-pub use estimate::Estimate;
+pub use estimate::{CriticalValues, Estimate};
 pub use interval::ConfidenceInterval;
 pub use moments::Moments;

@@ -1,5 +1,5 @@
-//! aqp-lint tour: one fixture query per lint code `A001`–`A014`, each
-//! analyzed statically — no base data is read — and printed with its
+//! aqp-lint tour: one fixture query per lint code `A001`–`A014` (`A013` is
+//! retired: every family now carries an interval), each analyzed statically — no base data is read — and printed with its
 //! verdict table, diagnostics, and suggested rewrites. Finishes with the
 //! session wiring: `EXPLAIN ANALYZE` carrying the lint table and the
 //! families the router never attempted on the analyzer's verdict.
@@ -143,10 +143,6 @@ fn main() {
             .build(),
         &bare,
     );
-
-    // A013 — tiny + grouped + no synopsis: only the rewrite's point
-    // estimate remains attainable.
-    show(LintCode::A013PointEstimateOnly, &grouped_sum("tiny"), &bare);
 
     // A014 — the session's accuracy auditor observed coverage below the
     // floor; the family is quarantined out of routing until it recovers.

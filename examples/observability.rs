@@ -93,7 +93,8 @@ fn main() {
     // --- 4. Middleware rewrite: a pay-off cap so tight that the planned
     //        final rate exceeds it — online sampling declines at runtime
     //        and the grouped shape keeps progressive aggregation out, so
-    //        the point-estimate middleware answers.
+    //        the middleware answers: the same block fold at a fixed rate,
+    //        its interval known only afterwards (a-posteriori).
     let c4 = Catalog::new();
     c4.register(skewed_table("events", 300_000, 8, 0.5, 1024, 23))
         .unwrap();

@@ -1,8 +1,8 @@
 //! Service tour: one shared `AqpService` front door serving concurrent
 //! clients — the plan cache amortizing the routing deliberation across a
-//! repeated dashboard workload, contract admission accepting / degrading
-//! / rejecting queries *before* execution, and the bounded queue
-//! refusing (not silently queueing) work it cannot take.
+//! repeated dashboard workload, contract admission accepting or rejecting
+//! queries *before* execution, and the bounded queue refusing (not
+//! silently queueing) work it cannot take.
 //!
 //! ```sh
 //! cargo run --release -p aqp-bench --example service
@@ -74,8 +74,8 @@ fn main() {
         total / 4
     );
     println!(
-        "admission : accepted={} degraded={} rejected={}",
-        stats.accepted, stats.degraded, stats.rejected
+        "admission : accepted={} rejected={}",
+        stats.accepted, stats.rejected
     );
     println!(
         "plan cache: hits={} misses={} stale={} (the deliberation — lint and pilot\n            planning — ran in full only on the misses)",
@@ -93,34 +93,11 @@ fn main() {
         println!("\n-- a warm query's admission row --\n{admission}");
     }
 
-    // ---- 3. Rejections are answers: deadline, strict contract, queue ----
-    println!("\n-- three ways to be refused --");
+    // ---- 3. Rejections are answers: deadline, queue --------------------
+    println!("\n-- two ways to be refused --");
     // An impossible deadline: the cached wall estimate sinks it upfront.
     let hurried = Contract::new(0.15, 0.9).with_deadline(Duration::from_nanos(1));
     report_refusal("deadline ", service.submit(&plans[0], &hurried, 2));
-
-    // A strict service refuses what it would otherwise degrade: on a tiny
-    // table (too few blocks to sample) only a point estimate is
-    // attainable, and strict contracts reject that honestly.
-    catalog
-        .register(skewed_table("tiny", 400, 4, 1.0, 256, 3))
-        .unwrap();
-    let strict = AqpService::with_config(
-        &catalog,
-        Default::default(),
-        ServiceConfig {
-            strict_contracts: true,
-            ..ServiceConfig::default()
-        },
-    );
-    let tiny_grouped = Query::scan("tiny")
-        .filter(col("sel").lt(lit(0.9)))
-        .aggregate(
-            vec![(col("g"), "g".to_string())],
-            vec![AggExpr::sum(col("v"), "s")],
-        )
-        .build();
-    report_refusal("strict   ", strict.submit(&tiny_grouped, &contract, 1));
 
     // A full bounded queue: one slot, no waiting room — a query colliding
     // with a resident one is told "no" now, not "later" after queueing.

@@ -2,18 +2,16 @@
 //!
 //! One heavy-tailed sales table, four tools — a plain uniform sample (the
 //! failure), an outlier index, a measure-biased (PPS) sample, and the
-//! distinct sampler — plus the middleware rewrite that turns any of the
-//! uniform-weight designs into plain engine SQL.
+//! distinct sampler — and what the uniform sample says about itself: its
+//! own SUM/COUNT/AVG estimators, each with the interval that shows how
+//! far the tail lets it be trusted.
 //!
 //! ```sh
 //! cargo run --release -p aqp-bench --example skew_toolkit
 //! ```
 
-use aqp_core::rewrite::answer_via_rewrite;
-use aqp_core::{AggQuery, AggSpec, LinearAgg};
-use aqp_expr::col;
 use aqp_sampling::{bernoulli_rows, build_outlier_index, distinct_sample, pps_sample};
-use aqp_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
+use aqp_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
 use aqp_workload::Zipf;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -88,44 +86,28 @@ fn main() {
         ds.num_rows()
     );
 
-    // The middleware path: the outlier-friendly uniform design, answered
-    // as plain engine SQL over the weighted sample.
-    println!("\n== middleware rewrite: SUM/COUNT/AVG via the exact engine over the sample ==\n");
-    let catalog = Catalog::new();
-    catalog.register(table).unwrap();
-    let query = AggQuery {
-        fact_table: "sales".into(),
-        joins: vec![],
-        predicate: None,
-        group_by: vec![],
-        aggregates: vec![
-            AggSpec {
-                kind: LinearAgg::Sum,
-                expr: col("revenue"),
-                alias: "total".into(),
-            },
-            AggSpec {
-                kind: LinearAgg::CountStar,
-                expr: aqp_expr::lit(1i64),
-                alias: "orders".into(),
-            },
-            AggSpec {
-                kind: LinearAgg::Avg,
-                expr: col("revenue"),
-                alias: "avg_rev".into(),
-            },
-        ],
+    // The uniform design's own estimators: every answer carries the
+    // interval that shows how far the heavy tail lets it be trusted.
+    println!("\n== the uniform 2% sample's own estimators, 95% intervals ==\n");
+    let show = |name: &str, e: aqp_stats::Estimate, truth: f64| {
+        let ci = e.ci(0.95);
+        println!(
+            "{name:<6}: {:>16.4}  [{:.4}, {:.4}]  truth {truth:.4} {}",
+            e.value,
+            ci.lo,
+            ci.hi,
+            if ci.contains(truth) {
+                "inside"
+            } else {
+                "OUTSIDE"
+            }
+        );
     };
-    let result = answer_via_rewrite(&catalog, &query, &uni).unwrap();
-    let row = result.rows().remove(0);
-    println!(
-        "rewritten SQL answer: total ≈ {:.0}, orders ≈ {:.0}, avg ≈ {:.4}",
-        row[0].as_f64().unwrap(),
-        row[1].as_f64().unwrap(),
-        row[2].as_f64().unwrap()
-    );
-    println!(
-        "                      (vs exact total {truth:.0}, orders {N}) — \
-         no engine changes, just SUM(x·w)"
+    show("total", uni.estimate_sum("revenue").unwrap(), truth);
+    show("orders", uni.estimate_count(), N as f64);
+    show(
+        "avg",
+        uni.estimate_avg("revenue").unwrap(),
+        truth / N as f64,
     );
 }

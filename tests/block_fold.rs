@@ -223,7 +223,7 @@ fn unit_pairs(step: &AggStep, block: &Arc<Block>) -> Vec<GroupPairs> {
         panic!("one morsel, got {}", morsels.len())
     };
     (morsel.cells())
-        .map(|(_, g, states)| (morsel.keys[g].clone(), states.iter().map(pair).collect()))
+        .map(|(_, g, totals)| (morsel.keys[g].clone(), totals.to_vec()))
         .collect()
 }
 
@@ -353,23 +353,18 @@ fn morsel_shapes() -> Vec<Shape> {
     ]
 }
 
-/// A unit's state in bits.
-fn state_bits(state: &AggState) -> String {
-    match *state {
-        AggState::CountStar(n) => format!("n{n}"),
-        AggState::Sum { sum, saw } => format!("s{:016x} {saw}", sum.to_bits()),
-        AggState::Avg { sum, count } => format!("a{:016x} {count}", sum.to_bits()),
-        ref other => panic!("not a linear aggregate: {other:?}"),
-    }
+/// A unit's `(f, g)` totals in bits.
+fn pair_bits(&(f, g): &(f64, f64)) -> String {
+    format!("{:016x} {:016x}", f.to_bits(), g.to_bits())
 }
 
-/// Every cell of a folded sample — its unit, key and states in bits —
+/// Every cell of a folded sample — its unit, key and totals in bits —
 /// sorted.
 fn cell_bits(morsels: &[UnitTotals]) -> Vec<(usize, String, Vec<String>)> {
     let mut out: Vec<_> = (morsels.iter())
         .flat_map(|m| {
             m.cells().map(move |(unit, g, states)| {
-                let states = states.iter().map(state_bits).collect();
+                let states = states.iter().map(pair_bits).collect();
                 (unit, format!("{:?}", m.keys[g]), states)
             })
         })
@@ -378,9 +373,9 @@ fn cell_bits(morsels: &[UnitTotals]) -> Vec<(usize, String, Vec<String>)> {
     out
 }
 
-/// The reference for one block: the states a fresh partial folding it
-/// alone holds, per group, in bits — read off the exact engine run over a
-/// fact table of that block alone. Beside `query`'s `SUM(x)`, `COUNT(*)`,
+/// The reference for one block: the `(f, g)` totals of the states a fresh
+/// partial folding it alone holds, per group, in bits — read off the
+/// exact engine run over a fact table of that block alone. Beside `query`'s `SUM(x)`, `COUNT(*)`,
 /// `SUM(n)` it asks for `COUNT(x)`, so `AVG(x)`'s `(Σx, n)` state can be
 /// rebuilt; a group appears only if a row of the block qualified for it.
 fn fresh_partial_bits(c: &Catalog, q: &AggQuery, block: &Arc<Block>) -> Vec<(String, Vec<String>)> {
@@ -433,7 +428,10 @@ fn fresh_partial_bits(c: &Catalog, q: &AggQuery, block: &Arc<Block>) -> Vec<(Str
                 count: int(nx),
             };
             let states = [sum(sx), AggState::CountStar(int(cnt)), avg, sum(sn)];
-            (format!("{key:?}"), states.iter().map(state_bits).collect())
+            (
+                format!("{key:?}"),
+                states.iter().map(|s| pair_bits(&pair(s))).collect(),
+            )
         })
         .collect();
     out.sort();

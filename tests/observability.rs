@@ -244,7 +244,7 @@ fn find<'a>(node: &'a SpanNode, name: &str) -> Option<&'a SpanNode> {
 /// The benchmark's `adhoc_join` shape — `lineitem ⋈ orders GROUP BY
 /// o_priority` under a contract online cannot meet — folds its STR key on
 /// the typed kernel in both sampled phases the router runs: the declined
-/// online pilot and the winning rewrite's engine join.
+/// online pilot and the winning rewrite's block fold.
 #[test]
 fn string_keyed_star_join_folds_on_the_kernel_in_pilot_and_rewrite() {
     let c = Catalog::new();
@@ -276,13 +276,9 @@ fn string_keyed_star_join_folds_on_the_kernel_in_pilot_and_rewrite() {
     let detail = |node: &SpanNode| node.record.detail.clone().unwrap_or_default();
     let pilot = find(tree, "online:pilot").expect("online ran its pilot");
     assert!(detail(pilot).contains("[kernel]"), "{}", detail(pilot));
-    let exec = find(tree, "rewrite:exec").expect("rewrite ran its plan");
-    let join = find(exec, "op:join").expect("the rewritten plan joins");
-    assert!(
-        detail(join).contains("-> fold [kernel]"),
-        "{}",
-        detail(join)
-    );
+    let fold = find(tree, "rewrite:fold").expect("rewrite folded its sample");
+    assert!(detail(fold).contains("[kernel]"), "{}", detail(fold));
+    assert!(detail(fold).contains("rate=0.0500"), "{}", detail(fold));
 }
 
 /// A trace belongs to the thread that asked for it — the race the

@@ -1,21 +1,22 @@
 //! Lifetime of the zone map a `Block` caches for scans.
 //!
 //! A block's zone map is built on first use and kept on the block, so
-//! every table over the same `Arc<Block>` — a block sample, the table the
-//! rewrite scans it as, a merged or `Catalog::replace`d version — reads
-//! the one map. These tests pin that from the outside through
-//! `aqp_zone_map_builds_total`: a steady rewrite workload builds nothing
-//! once its fact blocks are summarized, the rewrite summarizes each fact
-//! block at most once whatever blocks it samples, a replaced version that
-//! shares its base blocks builds only its new ones, and a cold scan's
-//! parallel build counts each map once. Each counting test reads a
-//! registry of its own, so the tests run in parallel.
+//! every table over the same `Arc<Block>` — a block sample, a merged or
+//! `Catalog::replace`d version — reads the one map. These tests pin that
+//! from the outside through `aqp_zone_map_builds_total`: a steady rewrite
+//! workload builds nothing once its fact blocks are summarized, the
+//! rewrite's block fold (like online's) classifies no block and so builds
+//! no map at all, a replaced version that shares its base blocks builds
+//! only its new ones, and a cold scan's parallel build counts each map
+//! once. Each counting test reads a registry of its own, so the tests run
+//! in parallel.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use aqp_core::rewrite::answer_via_rewrite;
-use aqp_core::{AggQuery, AqpService, Contract, ExecutionPath};
+use aqp_core::{
+    AggQuery, AqpService, Attempt, Contract, ErrorSpec, ExecutionPath, RewriteTechnique, Technique,
+};
 use aqp_engine::{execute_with, AggExpr, ExecOptions, LogicalPlan, Query};
 use aqp_expr::{col, lit};
 use aqp_mergeable::Partial;
@@ -89,27 +90,33 @@ fn rewrite_answers_after_a_warm_up_build_no_zone_map() {
     assert_eq!(builds(service.metrics()), fact.block_count() as u64);
 }
 
-/// On a cold catalog the rewrite builds one zone map per distinct fact
-/// block it has sampled, however often a block is drawn again: the map
-/// stays on the fact block, not on the per-query table the rewrite scans.
+/// On a cold catalog the rewrite builds no zone map: its block fold runs
+/// every sampled block through the query's aggregate step and classifies
+/// none, so twenty answers over overlapping block samples leave every
+/// fact block unsummarized.
 #[test]
-fn the_rewrite_summarizes_each_sampled_fact_block_once() {
+fn the_rewrite_builds_no_zone_map() {
     let c = star(8_000, 8);
     let fact = c.get("lineitem").unwrap();
     let query = AggQuery::from_plan(&grouped_join(0.5)).expect("star shape");
     let registry = Arc::new(MetricsRegistry::new());
+    let rewrite = RewriteTechnique::new(&c, 0.2, 1);
+    let spec = ErrorSpec::new(0.05, 0.95);
     let mut sampled = HashSet::new();
     let mut drawn = 0;
     for seed in 0..20 {
         let sample = bernoulli_blocks(&fact, 0.2, seed);
         drawn += sample.table.block_count();
         sampled.extend(sample.table.blocks().iter().map(|b| b.as_ref() as *const _));
-        let r = scoped(&registry, || answer_via_rewrite(&c, &query, &sample)).unwrap();
-        assert!(r.num_rows() > 0);
-        assert_eq!(builds(&registry), sampled.len() as u64, "seed {seed}");
+        let attempt = scoped(&registry, || rewrite.answer(&query, &spec, seed)).unwrap();
+        let Attempt::Answered(answer) = attempt else {
+            panic!("seed {seed}: the rewrite declined")
+        };
+        assert!(!answer.groups.is_empty());
+        assert_eq!(builds(&registry), 0, "seed {seed}");
     }
     assert!(drawn > sampled.len(), "some block was drawn twice");
-    assert!(sampled.len() < fact.block_count());
+    assert!(fact.blocks().iter().all(|b| !b.has_zone()));
 }
 
 /// A `Catalog::replace`d version that merges new blocks onto the base
