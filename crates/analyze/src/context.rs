@@ -3,8 +3,6 @@
 
 use aqp_storage::Catalog;
 
-use crate::technique::MIN_SAMPLING_BLOCKS;
-
 /// The routing-policy thresholds the analyzer folds into its verdicts.
 /// Mirrors the session's configuration; `Default` matches
 /// `SessionConfig::default()` so `lint_plan` against a default session
@@ -13,8 +11,6 @@ use crate::technique::MIN_SAMPLING_BLOCKS;
 pub struct LintPolicy {
     /// Maximum synopsis staleness at which the offline family is trusted.
     pub max_staleness: f64,
-    /// Minimum fact-table blocks for pilot-planned sampling.
-    pub min_sampling_blocks: u64,
     /// Minimum per-group sample rows the rewrite demands at runtime (used
     /// for the support-risk lint, not for a static verdict).
     pub rewrite_min_group_support: u64,
@@ -24,7 +20,6 @@ impl Default for LintPolicy {
     fn default() -> Self {
         Self {
             max_staleness: 0.1,
-            min_sampling_blocks: MIN_SAMPLING_BLOCKS,
             rewrite_min_group_support: 30,
         }
     }

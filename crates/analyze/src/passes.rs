@@ -18,7 +18,7 @@ use crate::code::{LintCode, Severity};
 use crate::context::LintContext;
 use crate::diag::{Diagnostic, Suggestion};
 use crate::query::{AggQuery, LinearAgg};
-use crate::technique::{DeclineReason, TechniqueKind};
+use crate::technique::{DeclineReason, TechniqueKind, MIN_SAMPLING_BLOCKS};
 
 /// The decline detail of every family when a plan falls outside the
 /// normalized shape.
@@ -380,10 +380,10 @@ fn sampling_pass(q: &AggQuery, ctx: &LintContext, diags: &mut Vec<Diagnostic>) -
         );
     };
     let blocks = fact.block_count() as u64;
-    if blocks < ctx.policy.min_sampling_blocks {
+    if blocks < MIN_SAMPLING_BLOCKS {
         let reason = DeclineReason::TableTooSmall {
             blocks,
-            min_blocks: ctx.policy.min_sampling_blocks,
+            min_blocks: MIN_SAMPLING_BLOCKS,
         };
         diags.push(Diagnostic {
             code: LintCode::A008TableTooSmall,
@@ -393,7 +393,7 @@ fn sampling_pass(q: &AggQuery, ctx: &LintContext, diags: &mut Vec<Diagnostic>) -
             message: format!(
                 "`{}` has {blocks} block(s), fewer than the {} pilot-planned sampling \
                  needs; exact execution is cheaper anyway",
-                q.fact_table, ctx.policy.min_sampling_blocks
+                q.fact_table, MIN_SAMPLING_BLOCKS
             ),
             suggestion: Some(Suggestion::RouteExact),
             predicts: Some(reason.clone()),

@@ -10,8 +10,8 @@
 use std::fmt;
 
 /// The fewest blocks a fact table may have for pilot-planned block
-/// sampling to estimate spread — the default
-/// [`crate::LintPolicy::min_sampling_blocks`].
+/// sampling to estimate spread; fewer is
+/// [`DeclineReason::TableTooSmall`].
 pub const MIN_SAMPLING_BLOCKS: u64 = 4;
 
 /// Identifies one routable AQP family (plus the exact terminal).

@@ -206,7 +206,7 @@ impl fmt::Display for Gate {
 /// its stderr header, plus the commit.
 #[derive(Debug, Clone)]
 pub struct Host {
-    /// `available_parallelism`.
+    /// The machine's parallelism ([`aqp_engine::pool::default_threads`]).
     pub nproc: usize,
     /// `rustc --version`.
     pub rustc: String,
@@ -227,7 +227,7 @@ impl Host {
                 .map_or("unknown".to_string(), |s| s.trim().to_string())
         };
         Self {
-            nproc: std::thread::available_parallelism().map_or(1, usize::from),
+            nproc: aqp_engine::pool::default_threads(),
             rustc: run("rustc", &["--version"]),
             commit: run("git", &["describe", "--always", "--dirty"]),
         }

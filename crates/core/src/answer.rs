@@ -221,13 +221,18 @@ impl ExecutionReport {
                 format!("middleware-rewrite(rate={rate:.3})")
             }
         };
+        // Scanned counts the rows of declined attempts too; touched counts
+        // only the winner's, so each gets its own share.
+        let share = |rows: u64| 100.0 * rows as f64 / self.population_rows.max(1) as f64;
         let _ = writeln!(
             out,
-            "path={path}  wall={}  rows_scanned={}/{} ({:.2}% touched)",
+            "path={path}  wall={}  rows_scanned={}/{pop} ({:.2}%)  rows_touched={}/{pop} ({:.2}%)",
             aqp_obs::fmt_ns(self.wall.as_nanos() as u64),
             self.rows_scanned,
-            self.population_rows,
-            100.0 * self.touched_fraction(),
+            share(self.rows_scanned),
+            self.rows_touched,
+            share(self.rows_touched),
+            pop = self.population_rows,
         );
         if let Some(admission) = &self.admission {
             let _ = write!(
@@ -448,6 +453,39 @@ mod tests {
     fn touched_fraction() {
         let a = answer();
         assert!((a.report.touched_fraction() - (PILOT_RATE + FINAL_RATE)).abs() < 1e-12);
+    }
+
+    /// The header's two shares each match the count beside them: rows a
+    /// declined attempt read count as scanned, not as touched.
+    #[test]
+    fn explain_analyze_header_counts_declined_rows_as_scanned_only() {
+        let mut a = answer();
+        let declined_rows = 20_000;
+        a.report.rows_scanned += declined_rows;
+        a.report.routing = Some(RoutingDecision {
+            candidates: vec![
+                CandidateDecision {
+                    kind: TechniqueKind::OnlineSampling,
+                    outcome: CandidateOutcome::DeclinedAtRuntime(DeclineReason::EmptyPilot),
+                    attempt_wall: Duration::from_millis(1),
+                },
+                CandidateDecision {
+                    kind: TechniqueKind::MiddlewareRewrite,
+                    outcome: CandidateOutcome::Chosen,
+                    attempt_wall: Duration::from_millis(2),
+                },
+            ],
+            winner: TechniqueKind::MiddlewareRewrite,
+        });
+        let text = a.report.explain_analyze();
+        let header = text.lines().nth(1).expect("a header line");
+        assert!(
+            header.ends_with(
+                "rows_scanned=80000/1000000 (8.00%)  rows_touched=60000/1000000 (6.00%)"
+            ),
+            "{header}"
+        );
+        assert!(text.contains("declined"), "{text}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::time::Duration;
 
 use aqp_engine::ExecOptions;
-use aqp_obs::scoreboard::AuditObservation;
+use aqp_obs::scoreboard::{AuditObservation, ScoreboardConfig};
 use aqp_storage::Catalog;
 
 use crate::aggquery::AggQuery;
@@ -42,12 +42,9 @@ pub struct AuditConfig {
     /// is a pure function of `(seed, N, rate)`, so identical sessions
     /// audit identical queries.
     pub seed: u64,
-    /// Observed-coverage floor below which a technique is quarantined.
-    pub coverage_floor: f64,
-    /// Sliding-window size of the per-technique scoreboard.
-    pub window: usize,
-    /// Minimum windowed audits before the floor is enforced.
-    pub min_audits: usize,
+    /// The per-technique scoreboard's window, coverage floor and
+    /// minimum audits before the floor is enforced.
+    pub scoreboard: ScoreboardConfig,
 }
 
 impl Default for AuditConfig {
@@ -55,9 +52,7 @@ impl Default for AuditConfig {
         Self {
             rate: 0.0,
             seed: 0xA0D1_7A0D,
-            coverage_floor: 0.8,
-            window: 64,
-            min_audits: 16,
+            scoreboard: ScoreboardConfig::default(),
         }
     }
 }

@@ -98,9 +98,11 @@ pub struct OnlineConfig {
     /// A1 shows costs guarantee violations.
     pub pilot_inflation: bool,
     /// Threads folding the sampled blocks' morsels, the calling thread
-    /// included (per-block group totals pushed in block order — results
-    /// are identical at every thread count). Defaults to the machine's
-    /// available parallelism.
+    /// included (results are identical at every thread count). Defaults
+    /// to the machine's available parallelism. In a
+    /// [`SessionConfig`](crate::SessionConfig) it is the session's thread
+    /// count for every family, the exact fallback, the audit and the
+    /// synopsis builds; a service query runs on its grant instead.
     pub threads: usize,
 }
 

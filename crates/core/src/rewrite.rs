@@ -47,8 +47,8 @@ pub struct RewriteTechnique<'a> {
     /// Decline when any output group is supported by fewer raw sample
     /// rows than this.
     min_group_support: u64,
-    /// Threads folding the sample's morsels; `None` = all cores.
-    threads: Option<usize>,
+    /// Threads folding the sample's morsels, the calling thread included.
+    threads: usize,
 }
 
 impl<'a> RewriteTechnique<'a> {
@@ -58,14 +58,15 @@ impl<'a> RewriteTechnique<'a> {
             catalog,
             rate,
             min_group_support,
-            threads: None,
+            threads: aqp_engine::pool::default_threads(),
         }
     }
 
-    /// Folds the sample on `threads` threads instead of all cores — the
-    /// per-query grant a concurrent service hands out.
-    pub fn with_threads(mut self, threads: Option<usize>) -> Self {
-        self.threads = threads;
+    /// Folds the sample on `threads` threads (at least 1) instead of all
+    /// cores: the query's thread count, which the session passes every
+    /// family.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
         self
     }
 }
@@ -89,9 +90,8 @@ impl Technique for RewriteTechnique<'_> {
             alias: SUPPORT_ALIAS.into(),
         });
         let evaluator = StarEvaluator::new(self.catalog, &counted)?;
-        let threads = (self.threads).unwrap_or_else(aqp_engine::pool::default_threads);
         let (totals, rows) =
-            SampledTotals::draw(&evaluator, self.rate, seed, threads, "rewrite:fold")?;
+            SampledTotals::draw(&evaluator, self.rate, seed, self.threads, "rewrite:fold")?;
         // Dimension rows are charged on every query, as when the engine
         // re-indexed each dimension per query: the cached key index means
         // they are no longer read, but the count keeps `rows_scanned` and
@@ -187,7 +187,7 @@ mod tests {
 
     fn answer(c: &Catalog, rate: f64, min_support: u64, seed: u64) -> Attempt {
         let spec = ErrorSpec::new(0.1, 0.95);
-        (RewriteTechnique::new(c, rate, min_support).with_threads(Some(2)))
+        (RewriteTechnique::new(c, rate, min_support).with_threads(2))
             .answer(&query(), &spec, seed)
             .unwrap()
     }

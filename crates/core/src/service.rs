@@ -17,8 +17,10 @@
 //!    included, read under the scheduler's lock. A share is fixed at its
 //!    grant and never shrinks, so the budget shapes shares rather than
 //!    capping threads in use: three queries admitted one after another on
-//!    a budget of 8 run on 8 + 4 + 2 threads. Results are unaffected
-//!    because engine output is thread-count invariant.
+//!    a budget of 8 run on 8 + 4 + 2 threads. The grant is the query's
+//!    only thread count: every family it tries, the exact fallback and
+//!    the audit's re-execution run on it. Results are unaffected because
+//!    engine output is thread-count invariant.
 //! 2. **Plan cache** — keyed on a fingerprint of the normalized plan and
 //!    the error spec, memoizing the lint [`Analysis`], the
 //!    [`RoutingDecision`] it implies (refreshed from each completed run,
@@ -165,6 +167,8 @@ pub struct ServiceConfig {
     /// Machine-wide morsel-thread budget split across in-flight queries:
     /// an admitted query runs on the budget divided by the queries in
     /// flight at its grant, itself included, and never on fewer than 1.
+    /// The grant is the query's one thread count: every family it tries,
+    /// the exact fallback and the audit's exact re-execution run on it.
     /// The share is kept until the query ends, so the threads in use can
     /// exceed the budget (three queries admitted one after another on 8
     /// run on 8 + 4 + 2).
@@ -972,7 +976,7 @@ impl<'a> AqpService<'a> {
         // ---- Execution (on the grant's thread share) ----
         let replay = Replay {
             analysis: Some(Arc::clone(&prep.analysis)),
-            threads: Some(guard.threads),
+            threads: guard.threads,
             online_decline: (prep.cached.as_ref())
                 .and_then(|c| remembered_decline(&c.decision).cloned()),
         };

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use aqp_engine::{ExecOptions, LogicalPlan};
 use aqp_obs::metrics::MetricsRegistry;
-use aqp_obs::scoreboard::{Scoreboard, ScoreboardConfig, ScoreboardSnapshot, Transition};
+use aqp_obs::scoreboard::{Scoreboard, ScoreboardSnapshot, Transition};
 use aqp_storage::Catalog;
 
 use aqp_analyze::{Analysis, LintContext, LintPolicy, QuarantineMeta};
@@ -67,8 +67,9 @@ fn attempt_span_name(kind: TechniqueKind) -> &'static str {
 /// `aqp_decline_total{reason=...}` tick per candidate that declined
 /// (statically, at runtime, or by a remembered runtime decline;
 /// `DeclineReason::tag` keeps cardinality bounded) and one
-/// `aqp_routed_total{winner=...}` tick for the family that answered. Always on — sharded counters cost nanoseconds next to a
-/// routed query.
+/// `aqp_routed_total{winner=...}` tick for the family that answered.
+/// Always on: a tick is a registry lookup and one atomic add, small next
+/// to a routed query.
 fn count_decision(m: &MetricsRegistry, decision: &RoutingDecision) {
     use aqp_obs::names;
     for c in &decision.candidates {
@@ -111,23 +112,17 @@ fn attach_trace(
         .map(Arc::new);
 }
 
-/// Engine options for the session's exact executions: defaults plus the
-/// analyzer's static group-cardinality bound, so kernel aggregation maps
-/// are pre-sized and never rehash on plans whose key shapes bound the
-/// group count (`x % k`, literals, global aggregates) — with an optional
-/// worker-count override, how the concurrent service applies a grant's
-/// share of its thread budget without disturbing the single-caller
-/// default.
-fn exec_opts(analysis: &Analysis, threads: Option<usize>) -> ExecOptions {
-    let mut opts = ExecOptions::default().with_agg_hint(
+/// Engine options for the session's exact executions — the exact
+/// fallback and the audit's re-execution — on the query's `threads`, plus
+/// the analyzer's static group-cardinality bound, so kernel aggregation
+/// maps are pre-sized and never rehash on plans whose key shapes bound
+/// the group count (`x % k`, literals, global aggregates).
+fn exec_opts(analysis: &Analysis, threads: usize) -> ExecOptions {
+    ExecOptions::with_threads(threads).with_agg_hint(
         analysis
             .group_cardinality_hint
             .and_then(|h| usize::try_from(h).ok()),
-    );
-    if let Some(t) = threads {
-        opts.threads = t.max(1);
-    }
-    opts
+    )
 }
 
 /// What one pass down the candidate chain produced (see
@@ -147,16 +142,18 @@ struct Walk {
 /// sampling it remembers for this shape. The first two never change
 /// what the query computes; the third skips online's pilot, and the
 /// answer is the one that pilot's decline would have led to.
-#[derive(Default)]
 pub(crate) struct Replay {
     /// A memoized [`Analysis`], skipping the lint pass. It must have been
     /// produced by this session's own lint context at the current
     /// [`routing_epoch`](AqpSession::routing_epoch); the caller owns that
     /// freshness check.
     pub analysis: Option<Arc<Analysis>>,
-    /// Worker-count override: the thread share the service's scheduler
-    /// granted this query (see [`crate::ServiceConfig::thread_budget`]).
-    pub threads: Option<usize>,
+    /// The query's worker count, the calling thread included: the share
+    /// the service's scheduler granted it (see
+    /// [`crate::ServiceConfig::thread_budget`]), or the session's
+    /// [`OnlineConfig::threads`] for a direct [`AqpSession::answer`].
+    /// Every family, the exact fallback and the audit run on it.
+    pub threads: usize,
     /// A decisive runtime decline of online sampling learned by an
     /// earlier run of this shape on the same tables: online is recorded
     /// as [`CandidateOutcome::Remembered`] and not attempted. The caller
@@ -226,12 +223,9 @@ impl<'a> AqpSession<'a> {
         let metrics = Arc::new(MetricsRegistry::new());
         Self {
             catalog,
-            offline: OfflineStore::new().reporting_to(Arc::clone(&metrics)),
-            scoreboard: Scoreboard::new(ScoreboardConfig {
-                window: config.audit.window,
-                coverage_floor: config.audit.coverage_floor,
-                min_audits: config.audit.min_audits,
-            }),
+            offline: OfflineStore::with_threads(config.online.threads)
+                .reporting_to(Arc::clone(&metrics)),
+            scoreboard: Scoreboard::new(config.audit.scoreboard),
             audit_serial: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             metrics,
@@ -310,7 +304,6 @@ impl<'a> AqpSession<'a> {
     pub(crate) fn lint_context(&self) -> LintContext<'a> {
         let mut ctx = LintContext::new(self.catalog).with_policy(LintPolicy {
             max_staleness: self.config.max_staleness,
-            min_sampling_blocks: aqp_analyze::MIN_SAMPLING_BLOCKS,
             rewrite_min_group_support: self.config.rewrite_min_group_support,
         });
         for meta in self.offline.synopsis_metas(self.catalog) {
@@ -318,7 +311,7 @@ impl<'a> AqpSession<'a> {
         }
         // Active quarantines enter the context in basis points so the
         // reason on the verdict is `==` across two lints of one state.
-        let floor_bp = (self.config.audit.coverage_floor * 10_000.0).round() as u32;
+        let floor_bp = (self.config.audit.scoreboard.coverage_floor * 10_000.0).round() as u32;
         for row in self.scoreboard.snapshot().rows {
             if !row.quarantined {
                 continue;
@@ -346,27 +339,22 @@ impl<'a> AqpSession<'a> {
         aqp_analyze::lint_plan(plan, &self.lint_context())
     }
 
-    /// The online sampler's configuration, with the service's fair-share
-    /// worker count when one is given.
-    fn online_config(&self, threads: Option<usize>) -> OnlineConfig {
-        let mut online = self.config.online;
-        if let Some(t) = threads {
-            online.threads = t.max(1);
-        }
-        online
-    }
-
     /// The candidate chain in policy order (exact is implicit, last),
-    /// with an optional worker-count override for the data-touching
-    /// families — the service's fair-share hook.
-    pub(crate) fn techniques(&self, threads: Option<usize>) -> Vec<Box<dyn Technique + '_>> {
+    /// its data-touching families on the query's `threads`.
+    pub(crate) fn techniques(&self, threads: usize) -> Vec<Box<dyn Technique + '_>> {
         vec![
             Box::new(OfflineTechnique::new(
                 &self.offline,
                 self.catalog,
                 self.config.max_staleness,
             )),
-            Box::new(OnlineAqp::new(self.catalog, self.online_config(threads))),
+            Box::new(OnlineAqp::new(
+                self.catalog,
+                OnlineConfig {
+                    threads,
+                    ..self.config.online
+                },
+            )),
             Box::new(OlaTechnique::new(self.catalog)),
             Box::new(
                 RewriteTechnique::new(
@@ -392,7 +380,7 @@ impl<'a> AqpSession<'a> {
     fn walk<E>(
         &self,
         analysis: &Analysis,
-        threads: Option<usize>,
+        threads: usize,
         online_decline: Option<&DeclineReason>,
         mut attempt: Option<impl FnMut(&dyn Technique) -> Result<Attempt, E>>,
     ) -> Result<Walk, E> {
@@ -476,7 +464,8 @@ impl<'a> AqpSession<'a> {
     /// *unblocked* candidate, which a real answer may still fall past.
     pub(crate) fn decide(&self, analysis: &Analysis) -> RoutingDecision {
         type NoAttempt = fn(&dyn Technique) -> Result<Attempt, Infallible>;
-        match self.walk(analysis, None, None, None::<NoAttempt>) {
+        let threads = self.config.online.threads;
+        match self.walk(analysis, threads, None, None::<NoAttempt>) {
             Ok(walk) => walk.decision,
             Err(never) => match never {},
         }
@@ -506,11 +495,15 @@ impl<'a> AqpSession<'a> {
         spec: &ErrorSpec,
         seed: u64,
     ) -> Result<ApproximateAnswer, AqpError> {
-        self.answer_with(plan, spec, seed, Replay::default())
+        let replay = Replay {
+            analysis: None,
+            threads: self.config.online.threads,
+            online_decline: None,
+        };
+        self.answer_with(plan, spec, seed, replay)
     }
 
-    /// [`AqpSession::answer`] with the service's [`Replay`] hooks;
-    /// `Replay::default()` is the single-caller behavior. The
+    /// [`AqpSession::answer`] with the service's [`Replay`] hooks. The
     /// engine and sampler metrics of the call record into this session's
     /// registry.
     pub(crate) fn answer_with(
@@ -612,7 +605,7 @@ impl<'a> AqpSession<'a> {
         // billed to the answer. Exact winners are never audited, so an
         // out-of-shape plan (exact by construction) needs no query here.
         if let Some(query) = &query {
-            self.maybe_audit(query, &mut ans, spec, &analysis, winner);
+            self.maybe_audit(query, &mut ans, spec, &analysis, threads, winner);
         }
         ans.report.lints = Some(analysis);
         self.attach_accuracy(&mut ans);
@@ -620,15 +613,17 @@ impl<'a> AqpSession<'a> {
     }
 
     /// Runs the seeded ground-truth audit when the sampler picks this
-    /// answer: re-executes exactly, grades the promises, records the
-    /// verdict in the scoreboard (possibly entering quarantine), and
-    /// mirrors failed offline audits into the synopsis drift monitors.
+    /// answer: re-executes exactly on the query's own `threads`, grades
+    /// the promises, records the verdict in the scoreboard (possibly
+    /// entering quarantine), and mirrors failed offline audits into the
+    /// synopsis drift monitors.
     fn maybe_audit(
         &self,
         query: &AggQuery,
         ans: &mut ApproximateAnswer,
         spec: &ErrorSpec,
         analysis: &Analysis,
+        threads: usize,
         winner: TechniqueKind,
     ) {
         let cfg = self.config.audit;
@@ -650,7 +645,7 @@ impl<'a> AqpSession<'a> {
             query,
             ans,
             spec,
-            exec_opts(analysis, None),
+            exec_opts(analysis, threads),
             winner,
         );
         audit_root.finish();

@@ -294,7 +294,7 @@ mod tests {
             ("missing table", MiddlewareRewrite, &ghost, missing()),
         ];
 
-        let families = session.techniques(None);
+        let families = session.techniques(session.config().online.threads);
         let spec = ErrorSpec::new(0.1, 0.9);
         for (input, kind, query, expected) in cases {
             let analysis =

@@ -14,6 +14,7 @@
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -48,29 +49,23 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        Self {
-            threads: default_threads(),
-            zone_pruning: true,
-            kernels: true,
-            agg_hint: None,
-        }
+        Self::with_threads(default_threads())
     }
 }
 
 impl ExecOptions {
     /// Options pinned to the serial execution path.
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            ..Self::default()
-        }
+        Self::with_threads(1)
     }
 
     /// Options with an explicit worker count (clamped to at least 1).
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            ..Self::default()
+            zone_pruning: true,
+            kernels: true,
+            agg_hint: None,
         }
     }
 
@@ -93,11 +88,15 @@ impl ExecOptions {
     }
 }
 
-/// The default worker count: the machine's available parallelism.
+/// The default worker count: the machine's available parallelism, read
+/// once per process (the read parses cgroup files, ~10 µs).
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Applies `f` to every item on up to `threads` workers — the calling

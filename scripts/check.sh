@@ -201,6 +201,18 @@ if grep -rnE '\b(PoolShare|PoolSlot)\b|struct Fnv\b' crates ||
   exit 1
 fi
 
+# One thread count per query, decided once: the service's grant or the
+# session's online.threads is a plain usize handed to every family, the
+# exact fallback and the audit. The machine's parallelism is read in one
+# place (pool::default_threads, once per process), and no thread count is
+# an Option that a family resolves by itself.
+if grep -rn 'available_parallelism' crates | grep -v '^crates/engine/src/pool.rs:' ||
+  grep -rnF 'threads: Option<usize>' crates/core/src ||
+  grep -rnE 'with_threads\((Some\(|None)' crates tests examples; then
+  echo "a second thread decision is back (available_parallelism outside pool.rs, an Option thread count, or with_threads(Some/None))" >&2
+  exit 1
+fi
+
 # No Criterion layer: its four benches had no runner (no gate, test or
 # workload ran them), so neither they, their manifest entries nor the shim
 # that compiled them come back.

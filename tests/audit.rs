@@ -22,6 +22,7 @@ use aqp_core::{
 use aqp_engine::{AggExpr, LogicalPlan, Query};
 use aqp_expr::col;
 use aqp_mergeable::Partial;
+use aqp_obs::scoreboard::ScoreboardConfig;
 use aqp_storage::Catalog;
 use aqp_workload::{skewed_table, uniform_table};
 
@@ -116,10 +117,12 @@ proptest! {
             audit: AuditConfig {
                 rate: 1.0,
                 seed: 9,
-                window: 512,
                 // Coverage feedback off: this test measures, not routes.
-                coverage_floor: 0.0,
-                min_audits: 1,
+                scoreboard: ScoreboardConfig {
+                    window: 512,
+                    coverage_floor: 0.0,
+                    min_audits: 1,
+                },
             },
             ..SessionConfig::default()
         };
@@ -176,9 +179,11 @@ fn stale_synopsis_is_quarantined_and_recovers_after_maintenance() {
         audit: AuditConfig {
             rate: 1.0,
             seed: 5,
-            window: 8,
-            coverage_floor: 0.7,
-            min_audits: 4,
+            scoreboard: ScoreboardConfig {
+                window: 8,
+                coverage_floor: 0.7,
+                min_audits: 4,
+            },
         },
         ..SessionConfig::default()
     };

@@ -419,7 +419,7 @@ proptest! {
         want.sort();
         let spec = ErrorSpec::new(0.1, 0.95);
         for threads in [1, 2] {
-            let rewrite = RewriteTechnique::new(&c, rate, 1).with_threads(Some(threads));
+            let rewrite = RewriteTechnique::new(&c, rate, 1).with_threads(threads);
             match rewrite.answer(&q, &spec, seed).unwrap() {
                 Attempt::Answered(ans) => {
                     let mut got: Vec<String> = (ans.groups.iter())

@@ -90,7 +90,7 @@ fn rewrite_intervals_cover_the_adhoc_join_shape() {
         plan(true, AggExpr::avg(col("l_quantity"), "a")),
         plan(false, AggExpr::count_star("n")),
     ];
-    let rewrite = RewriteTechnique::new(&c, RATE, MIN_SUPPORT).with_threads(Some(1));
+    let rewrite = RewriteTechnique::new(&c, RATE, MIN_SUPPORT).with_threads(1);
     let mut cells: BTreeMap<(usize, String), Cell> = BTreeMap::new();
     let (mut answers, mut silent) = (0, 0);
     for (p, plan) in plans.iter().enumerate() {

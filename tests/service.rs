@@ -725,6 +725,141 @@ fn rewrite_honours_the_thread_grant() {
     assert_same_answer(&one, &wide, "thread grant 1 vs 8");
 }
 
+/// The spans of a traced answer that ran off the thread its `query` root
+/// opened on.
+fn spans_off_the_caller(answer: &aqp_core::ApproximateAnswer) -> Vec<&'static str> {
+    fn walk(node: &aqp_obs::SpanNode, caller: u64, out: &mut Vec<&'static str>) {
+        if node.record.thread != caller {
+            out.push(node.record.name);
+        }
+        for child in &node.children {
+            walk(child, caller, out);
+        }
+    }
+    let tree = answer.report.trace.as_ref().expect("traced answer");
+    let mut off = Vec::new();
+    walk(tree, tree.record.thread, &mut off);
+    off
+}
+
+/// The audit's exact re-execution runs on the query's grant too: with a
+/// one-thread budget and every answer audited, the rewrite's answer and
+/// its audit leave the engine pool untouched.
+#[test]
+fn the_audit_honours_the_thread_grant() {
+    use aqp_core::{AuditConfig, SessionConfig};
+
+    let (c, plan) = star();
+    let session = SessionConfig {
+        rewrite_rate: 1.0,
+        audit: AuditConfig {
+            rate: 1.0,
+            ..AuditConfig::default()
+        },
+        ..SessionConfig::default()
+    };
+    let config = ServiceConfig {
+        thread_budget: 1,
+        ..ServiceConfig::default()
+    };
+    let service = AqpService::with_config(&c, session, config);
+    let contract = Contract::new(0.0002, 0.99);
+    let (reply, _, open) = aqp_obs::capture(|| service.submit(&plan, &contract, 5).unwrap());
+    assert_eq!(open, 0);
+    let answer = reply.answered().expect("admitted");
+    let routing = answer.report.routing.as_ref().expect("routed");
+    assert_eq!(routing.winner, TechniqueKind::MiddlewareRewrite);
+    assert!(answer.report.audit.is_some(), "rate 1.0 audits the answer");
+    let workers = (service.metrics())
+        .gauge(aqp_obs::names::POOL_WORKERS)
+        .get();
+    assert_eq!(
+        workers, 0.0,
+        "a one-thread grant's audit never enters the pool"
+    );
+}
+
+/// A direct `session.answer` has no grant: the session's `online.threads`
+/// is the count every family, the exact fallback, the audit and the
+/// synopsis build run on. At 1, every span of every route is on the
+/// calling thread and the pool is never entered.
+#[test]
+fn a_one_thread_session_runs_every_route_on_the_caller() {
+    use aqp_core::{AuditConfig, SessionConfig};
+
+    let c = Catalog::new();
+    c.register(skewed_table("t", 50_000, 20, 1.0, 256, 3))
+        .unwrap();
+    c.register(skewed_table("u", 75_000, 20, 1.0, 256, 9))
+        .unwrap();
+    c.register(skewed_table("rare", 100_000, 10, 1.0, 256, 5))
+        .unwrap();
+    c.register(uniform_table("tiny", 400, 256, 1)).unwrap();
+    add_star(&c, 23);
+    let mut config = SessionConfig {
+        rewrite_rate: 1.0,
+        audit: AuditConfig {
+            rate: 1.0,
+            ..AuditConfig::default()
+        },
+        ..SessionConfig::default()
+    };
+    config.online.threads = 1;
+    let session = AqpSession::with_config(&c, config);
+    session
+        .offline()
+        .build_stratified(&c, "t", "g", 5_000, 1)
+        .unwrap();
+    let rare = Query::scan("rare")
+        .filter(col("sel").lt(lit(0.0005)))
+        .aggregate(
+            vec![(col("g"), "g".to_string())],
+            vec![AggExpr::sum(col("v"), "s")],
+        )
+        .build();
+    let routes = [
+        (
+            grouped_sum("t", 1.0),
+            ErrorSpec::new(0.1, 0.9),
+            TechniqueKind::OfflineSynopsis,
+        ),
+        (
+            grouped_sum("u", 1.0),
+            ErrorSpec::new(0.5, 0.9),
+            TechniqueKind::OnlineSampling,
+        ),
+        (
+            ungrouped_sum("tiny"),
+            ErrorSpec::new(0.1, 0.9),
+            TechniqueKind::OnlineAggregation,
+        ),
+        (
+            star_plan(),
+            ErrorSpec::new(0.0002, 0.99),
+            TechniqueKind::MiddlewareRewrite,
+        ),
+        (rare, ErrorSpec::new(0.01, 0.95), TechniqueKind::Exact),
+    ];
+    for (plan, spec, want) in &routes {
+        let (answer, _, open) = aqp_obs::capture(|| session.answer(plan, spec, 7).unwrap());
+        assert_eq!(open, 0);
+        let routing = answer.report.routing.as_ref().expect("routed");
+        assert_eq!(routing.winner, *want);
+        assert_eq!(
+            spans_off_the_caller(&answer),
+            Vec::<&str>::new(),
+            "{want} at online.threads = 1"
+        );
+        if *want != TechniqueKind::Exact {
+            assert!(answer.report.audit.is_some(), "{want} was audited");
+        }
+    }
+    let workers = (session.metrics())
+        .gauge(aqp_obs::names::POOL_WORKERS)
+        .get();
+    assert_eq!(workers, 0.0, "a one-thread session never enters the pool");
+}
+
 // ---- Remembered declines ---------------------------------------------------
 
 /// A small star (~10 k `lineitem` rows in 77 blocks of 128) and a grouped
